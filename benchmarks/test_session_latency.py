@@ -1,20 +1,19 @@
-"""Persistent-session re-solve latency vs per-request warm serving.
+"""Warm per-request serving vs persistent-session re-solve latency.
 
-The tentpole claim of the session path: once a structure is bound, a
-numeric ``update`` + ``resolve`` must cost a small fraction of even a
-*warm* ``SolverService.solve()`` — the per-request path re-fingerprints,
-re-checks the cache, and rebuilds the whole simulated accelerator
-(machine, matrix resources, executor binding) for every solve, while
-the session only refreshes numeric state on the resident machine and
-re-enters the fused loop.
+Both paths run on a resident accelerator: a warm
+``SolverService.solve()`` leases the machine bound to the cached
+artifact, refreshes its numeric data in place and re-runs it, and a
+session is a pinned lease on that same path. So the only per-step
+difference left is the request's own host work — fingerprint,
+algorithm choice, cache lookup, lease and bookkeeping.
 
 This benchmark drives one same-structure parametric stream (an
 MPC-style sequence of perturbed instances) through both paths with
 mirrored warm starts, asserts the results are **bitwise identical**
 step by step (solutions, iteration counts, simulated cycles — the
-fast path changes cost, never bits), asserts the session's mean
-per-step latency is >= 5x lower, and writes ``BENCH_SESSION.json`` at
-the repo root for the perf trajectory.
+paths differ in cost, never in bits), asserts the warm ``solve()``
+mean per-step latency is within 1.5x of the session's (parity), and
+writes ``BENCH_SESSION.json`` at the repo root for the perf trajectory.
 
 Respects ``REPRO_BENCH_COUNT`` / ``REPRO_BENCH_SCALE`` (see conftest).
 """
@@ -41,7 +40,8 @@ SETTINGS = OSQPSettings(eps_abs=1e-4, eps_rel=1e-4, max_iter=3000)
 #: iteration work, dominates the service path.
 CASES = [("control", 2), ("portfolio", 4)]
 
-SPEEDUP_FLOOR = 5.0
+#: Warm ``solve()`` mean per step over session mean per step, at most.
+PARITY_CEILING = 1.5
 
 
 def _stream(family, size, steps):
@@ -59,7 +59,8 @@ def _stream(family, size, steps):
 
 
 def _service_pass(svc, problems):
-    """Per-request warm path: every step pays the full request cost."""
+    """Per-request warm path: every step pays the full request cost —
+    fingerprint, cache lookup, lease, refresh and run."""
     results, warm = [], None
     t0 = time.perf_counter()
     for prob in problems:
@@ -133,15 +134,16 @@ def test_session_latency(benchmark):
                     service_s / steps * 1e3, 3),
                 "session_ms_per_resolve": round(
                     session_s / steps * 1e3, 3),
-                "speedup_x": round(service_s / session_s, 2),
+                "service_over_session_x": round(service_s / session_s,
+                                                2),
                 "iterations_mean": round(sum(
                     r.record.admm_iterations
                     for r in session_results) / steps, 1),
             })
 
-        print_rows("Session re-solve latency vs warm serving", rows)
+        print_rows("Warm serving vs session re-solve latency", rows)
         for row in rows:
-            assert row["speedup_x"] >= SPEEDUP_FLOOR, row
+            assert row["service_over_session_x"] <= PARITY_CEILING, row
 
         # Stable trend number: one hot update + resolve on a resident
         # session (the steady-state cost of an MPC step).
@@ -161,11 +163,12 @@ def test_session_latency(benchmark):
         sess.close()
 
     payload = {
-        "speedup_floor": SPEEDUP_FLOOR,
+        "parity_ceiling": PARITY_CEILING,
         "bench_count": bench_count(),
         "bench_scale": scale,
         "steps": steps,
         "cases": rows,
-        "min_speedup_x": min(r["speedup_x"] for r in rows),
+        "max_service_over_session_x": max(r["service_over_session_x"]
+                                          for r in rows),
     }
     REPORT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True))

@@ -329,7 +329,12 @@ class CompiledExecutor:
     def __init__(self, machine: Machine, jit: bool | None = None,
                  verify: bool | None = None):
         self.machine = machine
-        self._blocks: dict = {}
+        # Fault hooks and the chunk-fusion decision bind the armed
+        # injector when a block lowers, so each injector gets its own
+        # lowering (see run). The fault-free one is kept for reuse.
+        self._clean_blocks: dict = {}
+        self._blocks = self._clean_blocks
+        self._lowered_for = None
         self._loop_fused: dict = {}
         self._dirty: list = []
         if jit is None:
@@ -347,7 +352,16 @@ class CompiledExecutor:
 
     # -- execution -------------------------------------------------------
     def run(self, program: Program):
-        """Execute ``program``; returns the machine's stats object."""
+        """Execute ``program``; returns the machine's stats object.
+
+        A resident machine may be re-armed with a different injector
+        (or none) between runs; that switches to a lowering bound to
+        it, so hooks fire exactly as on a freshly built machine.
+        """
+        injector = self.machine.injector
+        if injector is not self._lowered_for:
+            self._lowered_for = injector
+            self._blocks = self._clean_blocks if injector is None else {}
         try:
             for node in self._lower_block(program.instructions):
                 node.run()
@@ -472,8 +486,8 @@ class CompiledExecutor:
     def _hooked(self, fn, hook_name: str, site: str, buf: np.ndarray):
         """Wrap a closure with the machine's fault-injection hook.
 
-        Bound at lowering time (injectors are armed before the first
-        execution) so the fault-free path pays nothing.
+        Bound at lowering time, in the injector's own lowering (see
+        :meth:`run`), so the fault-free path pays nothing.
         """
         injector = self.machine.injector
         if injector is None:

@@ -205,6 +205,12 @@ class ExecutionStats:
             bc[kind] = bc.get(kind, 0) + kind_cycles
         self.instructions_executed += instructions
 
+    def copy(self) -> "ExecutionStats":
+        """A detached snapshot (a resident machine keeps counting)."""
+        return ExecutionStats(self.total_cycles, dict(self.by_class),
+                              self.instructions_executed,
+                              dict(self.loop_iterations))
+
     def reset(self) -> None:
         """Zero the accounting in place.
 
@@ -237,9 +243,9 @@ class Machine:
         #: Optional :class:`repro.faults.FaultInjector`. Both backends
         #: call its hooks at the same logical points (after SpMV
         #: writes, HBM loads and CVB duplications), so an armed
-        #: injector corrupts identically under either backend. Arm it
-        #: before the first program execution — the compiled backend
-        #: bakes the hook into its lowered closures.
+        #: injector corrupts identically under either backend. It may
+        #: be swapped between runs; the compiled backend keeps one
+        #: lowering per armed injector.
         self.injector = None
 
     # -- state helpers ---------------------------------------------------

@@ -211,15 +211,24 @@ class ArchCache:
     The key is chosen by the caller (the service composes the structure
     fingerprint with the build parameters, see
     :meth:`SolverService.cache_key`); the cache itself is agnostic.
+
+    Each entry also owns up to ``resident_slots`` idle resident
+    accelerators (:class:`~repro.serving.pool.Resident`) bound to its
+    artifact. They leave with the entry — eviction, :meth:`invalidate`
+    or replacement — and ``on_discard(reason, count)`` hears of it.
     """
 
     def __init__(self, capacity: int = 128,
-                 path: str | Path | None = None):
+                 path: str | Path | None = None,
+                 resident_slots: int = 1, on_discard=None):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self.path = Path(path) if path is not None else None
+        self.resident_slots = int(resident_slots)
+        self.on_discard = on_discard
         self._entries: OrderedDict[str, ArchArtifact] = OrderedDict()
+        self._idle: dict[str, list] = {}
         self._specs: dict[str, PersistedSpec] = {}
         self._lock = threading.RLock()
         self._build_locks: dict[str, threading.Lock] = {}
@@ -255,10 +264,13 @@ class ArchCache:
 
     def put(self, key: str, artifact: ArchArtifact) -> None:
         with self._lock:
+            if self._entries.get(key) is not artifact:
+                self._drop_residents(key, "invalidated")
             self._entries[key] = artifact
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                evicted, _ = self._entries.popitem(last=False)
+                self._drop_residents(evicted, "evicted")
                 self._evictions += 1
             self._specs[key] = PersistedSpec(
                 key=key, c=artifact.c,
@@ -288,7 +300,39 @@ class ArchCache:
         rebuild still skips the architecture search. Returns whether
         an entry was present."""
         with self._lock:
+            self._drop_residents(key, "invalidated")
             return self._entries.pop(key, None) is not None
+
+    # -- resident accelerators -------------------------------------------
+    def lease(self, key: str, artifact: ArchArtifact):
+        """An idle resident bound to exactly ``artifact``, or None."""
+        with self._lock:
+            idle = self._idle.get(key)
+            if idle and idle[-1].artifact is artifact:
+                return idle.pop()
+        return None
+
+    def release(self, key: str, resident) -> None:
+        """Take a leased resident back while its artifact is still this
+        entry's and a slot is free; otherwise it is dropped."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not resident.artifact:
+                self._notify_discard(
+                    "evicted" if entry is None else "invalidated", 1)
+                return
+            idle = self._idle.setdefault(key, [])
+            if len(idle) < self.resident_slots:
+                idle.append(resident)
+
+    def _drop_residents(self, key: str, reason: str) -> None:
+        idle = self._idle.pop(key, None)
+        if idle:
+            self._notify_discard(reason, len(idle))
+
+    def _notify_discard(self, reason: str, count: int) -> None:
+        if self.on_discard is not None:
+            self.on_discard(reason, count)
 
     def get_or_build(self, key: str, builder) -> tuple[ArchArtifact, bool]:
         """Return ``(artifact, was_hit)``; concurrent misses build once.

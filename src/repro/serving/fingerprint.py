@@ -24,13 +24,15 @@ hashing both subsumes it; the human-readable sparsity *strings* of
 ``P``, ``A`` and the full KKT matrix (paper eq. 2) are carried as
 metadata for observability and reports, not folded into the key —
 they are bucketed (lossy) encodings and additionally depend on the
-display width ``c``.
+display width ``c``. Nothing on the request path reads them, so they
+are derived on first access; only the digest is paid per request.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +51,8 @@ class StructureFingerprint:
     """Structure identity of a QP plus human-readable summaries.
 
     ``key`` alone decides cache identity; the remaining fields describe
-    the structure for logs, reports and the persistence file.
+    the structure for logs, reports and the persistence file. The
+    sparsity strings are computed from ``(P, A, c)`` on first access.
     """
 
     key: str
@@ -57,9 +60,29 @@ class StructureFingerprint:
     m: int
     nnz_p: int
     nnz_a: int
-    p_string: str
-    a_string: str
-    kkt_string: str
+    _source: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def p_string(self) -> str:
+        P, _, c = self._source
+        return sparsity_string(np.diff(P.indptr), c)
+
+    @cached_property
+    def a_string(self) -> str:
+        _, A, c = self._source
+        return sparsity_string(np.diff(A.indptr), c)
+
+    @cached_property
+    def kkt_string(self) -> str:
+        P, A, c = self._source
+        return sparsity_string(_kkt_row_nnz(P, A), c)
+
+    def __getstate__(self) -> dict:
+        # Ship the strings, not the matrices they are derived from.
+        state = dict(self.__dict__, _source=None)
+        for name in ("p_string", "a_string", "kkt_string"):
+            state[name] = getattr(self, name)
+        return state
 
     @property
     def nnz(self) -> int:
@@ -80,7 +103,7 @@ def sparsity_string(row_nnz: np.ndarray, c: int) -> str:
     return "".join(encode_row_nnz(int(k), c) for k in row_nnz)
 
 
-def _kkt_row_nnz(problem: QProblem) -> np.ndarray:
+def _kkt_row_nnz(P, A) -> np.ndarray:
     """Per-row non-zero counts of the full KKT matrix (paper eq. 2).
 
     ``K = [[P + sigma I, A'], [A, -rho^-1 I]]`` — derived purely from
@@ -90,14 +113,14 @@ def _kkt_row_nnz(problem: QProblem) -> np.ndarray:
     column ``i`` of ``A``; row ``n + j`` holds ``A``'s row ``j`` plus
     its own ``-rho^-1`` diagonal entry.
     """
-    n, m = problem.n, problem.m
-    p_rows = np.diff(problem.P.indptr)
-    rows, cols, _ = problem.P.to_coo()
+    n = P.shape[0]
+    p_rows = np.diff(P.indptr)
+    rows, cols, _ = P.to_coo()
     diag_present = np.zeros(n, dtype=bool)
     diag_present[rows[rows == cols]] = True
-    at_rows = np.bincount(problem.A.indices, minlength=n)
+    at_rows = np.bincount(A.indices, minlength=n)
     top = p_rows + np.where(diag_present, 0, 1) + at_rows
-    bottom = np.diff(problem.A.indptr) + 1
+    bottom = np.diff(A.indptr) + 1
     return np.concatenate([top, bottom])
 
 
@@ -131,7 +154,5 @@ def fingerprint_problem(problem: QProblem, *,
         m=problem.m,
         nnz_p=problem.P.nnz,
         nnz_a=problem.A.nnz,
-        p_string=sparsity_string(np.diff(problem.P.indptr), c),
-        a_string=sparsity_string(np.diff(problem.A.indptr), c),
-        kkt_string=sparsity_string(_kkt_row_nnz(problem), c),
+        _source=(problem.P, problem.A, c),
     )

@@ -1,11 +1,13 @@
 """Worker pool binding cached architectures to fresh numeric data.
 
-A *solve job* is the warm path of the serving layer: take a frozen
+A *solve job* takes a frozen
 :class:`~repro.serving.arch_cache.ArchArtifact` plus one concrete
-problem instance, construct a simulated accelerator around the cached
+problem instance, constructs a simulated accelerator around the cached
 customization and compiled program (host scaling, rho selection, HBM
 download — no search, no scheduling, no compilation), optionally warm
-start, and run.
+starts, and runs. It is what a process pool ships to its workers; in
+process, a :class:`Resident` keeps that accelerator between solves and
+only refreshes its numbers.
 
 Execution modes:
 
@@ -27,12 +29,14 @@ from __future__ import annotations
 from concurrent.futures import (Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
 
+from ..exceptions import DeadlineExceededError
 from ..hw.accelerator import RSQPAccelerator, RSQPResult
 from ..qp import QProblem
 from ..solver import OSQPSettings
 from .arch_cache import ArchArtifact
 
-__all__ = ["WorkerPool", "solve_job", "reference_job"]
+__all__ = ["WorkerPool", "Resident", "bind_accelerator", "solve_job",
+           "reference_job"]
 
 _MODES = ("thread", "process", "serial")
 
@@ -72,30 +76,87 @@ def solve_job(problem: QProblem, artifact: ArchArtifact,
         from ..verify import ensure_artifact_verified
         ensure_artifact_verified(
             artifact, context=f"solve_job({artifact.fingerprint.key})")
-    # The artifact-level check subsumes the accelerator's per-
-    # construction program walk (and is memoized), so skip the latter.
-    if getattr(artifact, "algorithm", "admm") == "pdqp":
-        from ..hw.pdqp import PDQPAccelerator
-        from ..solver.algorithms import get_algorithm
-        pdqp_settings = get_algorithm("pdqp").coerce_settings(settings)
-        accelerator = PDQPAccelerator(
-            problem, customization=artifact.customization,
-            settings=pdqp_settings, compiled=artifact.compiled,
-            backend=backend, verify=False,
-            fault_injector=injector, recovery=recovery,
-            deadline_seconds=deadline_seconds)
-    else:
-        accelerator = RSQPAccelerator(
-            problem, customization=artifact.customization,
-            settings=settings, pcg_eps=pcg_eps,
-            max_pcg_iter=artifact.max_pcg_iter,
-            compiled=artifact.compiled, backend=backend, verify=False,
-            fault_injector=injector, recovery=recovery,
-            deadline_seconds=deadline_seconds)
+    accelerator = bind_accelerator(
+        problem, artifact, settings, pcg_eps, backend,
+        fault_injector=injector, recovery=recovery,
+        deadline_seconds=deadline_seconds)
     if warm_start is not None:
         x0, y0 = warm_start
         accelerator.warm_start(x=x0, y=y0)
     return accelerator.run()
+
+
+def bind_accelerator(problem: QProblem, artifact: ArchArtifact,
+                     settings: OSQPSettings, pcg_eps: float = 1e-7,
+                     backend: str = "compiled", **arm):
+    """Construct the artifact's accelerator around ``problem``'s numbers.
+
+    The artifact-level verification (memoized) subsumes the
+    accelerator's per-construction program walk, so that is skipped.
+    ``arm`` passes ``fault_injector`` / ``recovery`` /
+    ``deadline_seconds`` through.
+    """
+    if getattr(artifact, "algorithm", "admm") == "pdqp":
+        from ..hw.pdqp import PDQPAccelerator
+        from ..solver.algorithms import get_algorithm
+        return PDQPAccelerator(
+            problem, customization=artifact.customization,
+            settings=get_algorithm("pdqp").coerce_settings(settings),
+            compiled=artifact.compiled, backend=backend, verify=False,
+            **arm)
+    return RSQPAccelerator(
+        problem, customization=artifact.customization, settings=settings,
+        pcg_eps=pcg_eps, max_pcg_iter=artifact.max_pcg_iter,
+        compiled=artifact.compiled, backend=backend, verify=False, **arm)
+
+
+class Resident:
+    """A bound accelerator kept between solves (see ``docs/SERVING.md``).
+
+    Leased from, and returned to, the
+    :class:`~repro.serving.arch_cache.ArchCache` entry of the
+    ``artifact`` it was built from. ``spoiled`` names why it must not
+    serve again (``"fault"`` or ``"deadline"``), or is None.
+    """
+
+    __slots__ = ("accelerator", "artifact", "spoiled")
+
+    def __init__(self, accelerator, artifact: ArchArtifact):
+        self.accelerator = accelerator
+        self.artifact = artifact
+        self.spoiled: str | None = None
+
+    def run(self, warm_start=None, injector=None,
+            deadline_seconds: float | None = None) -> RSQPResult:
+        """One attempt on the loaded machine, armed for this call only.
+
+        Accounting restarts at zero and the result carries its own copy
+        of the stats, so the run is the one a fresh accelerator makes.
+        An attempt that raised, or fired faults, spoils the machine.
+        """
+        accelerator = self.accelerator
+        machine = accelerator.machine
+        machine.stats.reset()
+        if warm_start is not None:
+            x0, y0 = warm_start
+            accelerator.warm_start(x=x0, y=y0)
+        accelerator.fault_injector = machine.injector = injector
+        accelerator.deadline_seconds = deadline_seconds
+        try:
+            raw = accelerator.run()
+        except DeadlineExceededError:
+            self.spoiled = "deadline"
+            raise
+        except BaseException:
+            self.spoiled = "fault"
+            raise
+        finally:
+            accelerator.fault_injector = machine.injector = None
+            accelerator.deadline_seconds = None
+        if raw.fault_events or raw.rollbacks:
+            self.spoiled = "fault"
+        raw.stats = raw.stats.copy()
+        return raw
 
 
 def reference_job(problem: QProblem, settings: OSQPSettings,

@@ -8,8 +8,10 @@ and amortized over many solves; this service makes that operational:
 2. the fingerprint is looked up in an LRU architecture cache
    (:mod:`repro.serving.arch_cache`) — a hit skips the LZW search,
    scheduling, CVB compression *and* program compilation,
-3. a worker (:mod:`repro.serving.pool`) binds the cached artifact to
-   the request's numeric data and runs the simulated accelerator,
+3. a worker leases a resident accelerator bound to the cached
+   artifact (:class:`repro.serving.pool.Resident`, building one only
+   when none is idle), refreshes it with the request's numeric data and
+   runs it,
 4. per-request records and a metrics registry
    (:mod:`repro.serving.metrics`) account for every stage.
 
@@ -42,7 +44,8 @@ from .arch_cache import (ArchArtifact, ArchCache, CacheStats,
                          build_artifact)
 from .fingerprint import StructureFingerprint, fingerprint_problem
 from .metrics import MetricsRegistry
-from .pool import WorkerPool, reference_job, solve_job
+from .pool import (Resident, WorkerPool, bind_accelerator, reference_job,
+                   solve_job)
 
 __all__ = ["ServeRecord", "ServeResult", "SolverService"]
 
@@ -103,6 +106,17 @@ class ServeResult:
     raw: object = field(repr=False, default=None)
 
 
+def _outcome(raw, reference: bool = False) -> dict:
+    """The :class:`ServeRecord` fields an answer's solver decides."""
+    if reference:
+        return {"backend": "reference", "converged": raw.status.is_optimal,
+                "admm_iterations": raw.info.iterations}
+    return {"backend": "rsqp", "converged": raw.converged,
+            "simulated_cycles": raw.total_cycles,
+            "simulated_seconds": raw.solve_seconds,
+            "admm_iterations": raw.admm_iterations}
+
+
 class SolverService:
     """Batched QP solving with structure fingerprinting + arch reuse.
 
@@ -118,7 +132,9 @@ class SolverService:
         ``"process"`` or ``"serial"``); see
         :class:`repro.serving.pool.WorkerPool`. In process mode
         request handling stays on threads and only the numeric solves
-        fan out to worker processes.
+        fan out to worker processes. ``workers`` also caps the idle
+        resident accelerators each cache entry keeps for in-process
+        solves.
     cache_capacity, cache_path:
         LRU capacity and optional JSON persistence file for the
         architecture cache (loaded on construction if it exists,
@@ -201,8 +217,12 @@ class SolverService:
         #: the linger budget a queued group may wait for more lanes.
         self.max_batch = int(max_batch)
         self.max_linger = float(max_linger)
-        self.cache = ArchCache(capacity=cache_capacity, path=cache_path)
         self.metrics = MetricsRegistry()
+        # Each cache entry holds up to one idle resident accelerator per
+        # worker, so the pool is bounded by cache_capacity * workers.
+        self.cache = ArchCache(capacity=cache_capacity, path=cache_path,
+                               resident_slots=workers,
+                               on_discard=self._count_discard)
         # Request handling always runs on threads (it touches the
         # in-process cache); process mode adds a solve-only pool.
         dispatch_mode = "thread" if mode == "process" else mode
@@ -235,6 +255,16 @@ class SolverService:
         """
         base = f"{fingerprint.key}:c{c}:pcg{self.max_pcg_iter}"
         return base if algorithm == "admm" else f"{base}:{algorithm}"
+
+    def _route(self, problem: QProblem) -> tuple:
+        """``(c, fingerprint, algorithm, key)`` for one problem."""
+        c = self.width_for(problem)
+        fingerprint = fingerprint_problem(problem, c=c)
+        algorithm = choose_algorithm(
+            problem, override=None if self.algorithm == "auto"
+            else self.algorithm)
+        return c, fingerprint, algorithm, self.cache_key(fingerprint, c,
+                                                         algorithm)
 
     def _build_artifact(self, problem: QProblem,
                         fingerprint: StructureFingerprint,
@@ -297,28 +327,26 @@ class SolverService:
         to ``problem``'s structure.
 
         Pays the full request cost once — fingerprint, cache lookup or
-        build, verification, accelerator construction — and returns a
-        handle whose :meth:`~repro.serving.session.SolverSession.update`
-        / :meth:`~repro.serving.session.SolverSession.resolve` loop
+        build, verification, leasing a resident accelerator — and
+        returns a handle that keeps the lease until it closes: its
+        :meth:`~repro.serving.session.SolverSession.update` /
+        :meth:`~repro.serving.session.SolverSession.resolve` loop
         re-solves with none of it. See :mod:`repro.serving.session`.
         """
         if self._closed:
             raise RuntimeError("service is closed")
         from .session import SolverSession
-        c = self.width_for(problem)
-        fingerprint = fingerprint_problem(problem, c=c)
-        algorithm = choose_algorithm(
-            problem, override=None if self.algorithm == "auto"
-            else self.algorithm)
+        c, fingerprint, algorithm, key = self._route(problem)
         artifact, tier = self._ensure_artifact(problem, fingerprint, c,
                                                algorithm)
         self.metrics.counter("serving_session_opened_total").inc()
         self.metrics.counter(
             "serving_cache_hits_total" if tier == TIER_HIT
             else "serving_cache_misses_total").inc()
-        return SolverSession(self, problem, artifact, tier, fingerprint,
-                             c, algorithm, carry_state=carry_state,
-                             deadline=deadline)
+        return SolverSession(self, problem, key,
+                             self._lease(key, artifact, problem), tier,
+                             fingerprint, c, algorithm,
+                             carry_state=carry_state, deadline=deadline)
 
     def open_batch_session(self, problems):
         """Bind a lockstep
@@ -332,20 +360,9 @@ class SolverService:
         problems = list(problems)
         if not problems:
             raise ValueError("a batch session needs at least one lane")
-        c = self.width_for(problems[0])
-        fingerprint = fingerprint_problem(problems[0], c=c)
-        algorithm = choose_algorithm(
-            problems[0], override=None if self.algorithm == "auto"
-            else self.algorithm)
-        key = self.cache_key(fingerprint, c, algorithm)
+        c, fingerprint, algorithm, key = self._route(problems[0])
         for idx, other in enumerate(problems[1:], start=1):
-            c_other = self.width_for(other)
-            other_key = self.cache_key(
-                fingerprint_problem(other, c=c_other), c_other,
-                choose_algorithm(
-                    other, override=None if self.algorithm == "auto"
-                    else self.algorithm))
-            if other_key != key:
+            if self._route(other)[3] != key:
                 raise ValueError(
                     f"lane {idx} has a different structure/width/"
                     "algorithm than lane 0; a batch session is "
@@ -409,11 +426,17 @@ class SolverService:
               timeout: float | None = None,
               deadline: float | None = None,
               request_id: int | None = None) -> ServeResult:
-        """Synchronous convenience: submit + result."""
-        return self.result(self.submit(problem, warm_start=warm_start,
-                                       deadline=deadline,
-                                       request_id=request_id),
-                           timeout=timeout)
+        """Synchronous convenience: submit + result.
+
+        The answer goes straight back to the caller, so the service
+        keeps only the record, not the request's future.
+        """
+        request_id = self.submit(problem, warm_start=warm_start,
+                                 deadline=deadline, request_id=request_id)
+        result = self.result(request_id, timeout=timeout)
+        with self._lock:
+            self._futures.pop(request_id, None)
+        return result
 
     def solve_batch(self, problems, *, warm_starts=None,
                     deadlines=None, timeout: float | None = None,
@@ -483,12 +506,7 @@ class SolverService:
         for idx, lane in enumerate(lanes):
             problem = lane["problem"]
             t_fp = time.perf_counter()
-            c = self.width_for(problem)
-            fingerprint = fingerprint_problem(problem, c=c)
-            algorithm = choose_algorithm(
-                problem, override=None if self.algorithm == "auto"
-                else self.algorithm)
-            key = self.cache_key(fingerprint, c, algorithm)
+            c, fingerprint, algorithm, key = self._route(problem)
             lane["fingerprint"] = fingerprint
             lane["c"] = c
             lane["algorithm"] = algorithm
@@ -622,23 +640,7 @@ class SolverService:
                 converged=raw.converged,
                 faults_injected=faults_fired,
                 batch_width=len(group))
-            with self._lock:
-                self._records[lane["rid"]] = record
-            self.metrics.histogram("serving_queue_seconds").observe(
-                record.queue_seconds)
-            self.metrics.histogram("serving_setup_seconds").observe(
-                record.setup_seconds)
-            self.metrics.histogram("serving_solve_seconds").observe(
-                record.solve_seconds)
-            self.metrics.histogram("serving_admm_iterations").observe(
-                raw.admm_iterations)
-            self.metrics.histogram("serving_simulated_cycles").observe(
-                raw.total_cycles)
-            if not raw.converged:
-                self.metrics.counter("serving_unconverged_total").inc()
-            results[lane["rid"]] = ServeResult(
-                x=raw.x, y=raw.y, z=raw.z, converged=raw.converged,
-                backend="rsqp", record=record, raw=raw)
+            results[lane["rid"]] = self._file(record, raw)
 
     # ------------------------------------------------------------------
     def _handle(self, request_id: int, problem: QProblem,
@@ -646,18 +648,12 @@ class SolverService:
                 submitted: float,
                 deadline: float | None = None) -> ServeResult:
         t_start = time.perf_counter()
-        queue_seconds = t_start - submitted
-        c = self.width_for(problem)
-        fingerprint = fingerprint_problem(problem, c=c)
         self.metrics.counter("serving_requests_total").inc()
-        algorithm = choose_algorithm(
-            problem, override=None if self.algorithm == "auto"
-            else self.algorithm)
+        c, fingerprint, algorithm, key = self._route(problem)
         self.metrics.counter("serving_algo_selected_total").inc()
         self.metrics.counter(
             f"serving_algo_selected_{algorithm}_total").inc()
 
-        key = self.cache_key(fingerprint, c, algorithm)
         poisoned = self._apply_poisons(request_id, key)
         if deadline is None:
             deadline = self.resilience.deadline_seconds
@@ -677,85 +673,58 @@ class SolverService:
                                                    algorithm)
         t_ready = time.perf_counter()
 
-        resil = {"retries": 0, "rollbacks": 0, "faults_injected": 0,
-                 "degraded": False, "deadline_missed": False}
         if tier == TIER_FALLBACK:
             self.metrics.counter("serving_fallback_solves_total").inc()
             raw = self._run_reference(problem, warm_start, algorithm)
-            backend = "reference"
-            converged = raw.status.is_optimal
-            x, y, z = raw.x, raw.y, raw.z
-            simulated_cycles = 0
-            simulated_seconds = 0.0
-            admm_iterations = raw.info.iterations
-            architecture = ""
+            fields = _outcome(raw, reference=True)
         else:
             self.metrics.counter(
                 "serving_cache_hits_total" if tier == TIER_HIT
                 else "serving_cache_misses_total").inc()
-            raw, resil = self._solve_resilient(
-                request_id, problem, artifact, warm_start, deadline_at,
-                resil)
-            if resil["degraded"]:
-                backend = "reference"
-                converged = raw.status.is_optimal
-                x, y, z = raw.x, raw.y, raw.z
-                simulated_cycles = 0
-                simulated_seconds = 0.0
-                admm_iterations = raw.info.iterations
-            else:
-                backend = "rsqp"
-                converged = raw.converged
-                x, y, z = raw.x, raw.y, raw.z
-                simulated_cycles = raw.total_cycles
-                simulated_seconds = raw.solve_seconds
-                admm_iterations = raw.admm_iterations
-            architecture = artifact.architecture_string
+            raw, fields = self._solve_resilient(
+                request_id, problem, warm_start, deadline_at,
+                lambda injector, remaining: self._run_accelerator(
+                    key, problem, artifact, warm_start, injector=injector,
+                    deadline_seconds=remaining),
+                artifact.algorithm)
+        fields["faults_injected"] = fields.get("faults_injected", 0) \
+            + poisoned
         t_done = time.perf_counter()
-
-        record = ServeRecord(
+        built = tier in (TIER_BUILD, TIER_DISK)
+        return self._file(ServeRecord(
             request_id=request_id, problem_name=problem.name,
             fingerprint_key=fingerprint.key, c=c,
-            architecture=architecture, tier=tier, backend=backend,
-            algorithm=algorithm,
-            queue_seconds=queue_seconds,
+            architecture=(artifact.architecture_string
+                          if artifact is not None else ""),
+            tier=tier, algorithm=algorithm,
+            queue_seconds=t_start - submitted,
             setup_seconds=t_ready - t_start,
-            customize_seconds=(artifact.customize_seconds
-                               if artifact is not None
-                               and tier in (TIER_BUILD, TIER_DISK)
-                               else 0.0),
-            compile_seconds=(artifact.compile_seconds
-                             if artifact is not None
-                             and tier in (TIER_BUILD, TIER_DISK)
-                             else 0.0),
+            customize_seconds=artifact.customize_seconds if built else 0.0,
+            compile_seconds=artifact.compile_seconds if built else 0.0,
             solve_seconds=t_done - t_ready,
-            total_seconds=t_done - submitted,
-            simulated_cycles=simulated_cycles,
-            simulated_seconds=simulated_seconds,
-            admm_iterations=admm_iterations,
-            converged=converged,
-            retries=resil["retries"],
-            rollbacks=resil["rollbacks"],
-            faults_injected=resil["faults_injected"] + poisoned,
-            degraded=resil["degraded"],
-            deadline_missed=resil["deadline_missed"])
+            total_seconds=t_done - submitted, **fields), raw)
+
+    def _file(self, record: ServeRecord, raw,
+              staged: bool = True) -> ServeResult:
+        """Keep ``record``, observe it, and wrap the answer; ``staged``
+        records carry queue/setup/solve timings."""
         with self._lock:
-            self._records[request_id] = record
-        self.metrics.histogram("serving_queue_seconds").observe(
-            queue_seconds)
-        self.metrics.histogram("serving_setup_seconds").observe(
-            record.setup_seconds)
-        self.metrics.histogram("serving_solve_seconds").observe(
-            record.solve_seconds)
-        self.metrics.histogram("serving_admm_iterations").observe(
-            admm_iterations)
-        if simulated_cycles:
-            self.metrics.histogram("serving_simulated_cycles").observe(
-                simulated_cycles)
-        if not converged:
-            self.metrics.counter("serving_unconverged_total").inc()
-        return ServeResult(x=x, y=y, z=z, converged=converged,
-                           backend=backend, record=record, raw=raw)
+            self._records[record.request_id] = record
+        metrics = self.metrics
+        if staged:
+            for stage in ("queue", "setup", "solve"):
+                metrics.histogram(f"serving_{stage}_seconds").observe(
+                    getattr(record, f"{stage}_seconds"))
+        metrics.histogram("serving_admm_iterations").observe(
+            record.admm_iterations)
+        if record.simulated_cycles:
+            metrics.histogram("serving_simulated_cycles").observe(
+                record.simulated_cycles)
+        if not record.converged:
+            metrics.counter("serving_unconverged_total").inc()
+        return ServeResult(x=raw.x, y=raw.y, z=raw.z,
+                           converged=record.converged,
+                           backend=record.backend, record=record, raw=raw)
 
     def _apply_poisons(self, request_id: int, key: str) -> int:
         """Fire scheduled artifact-poison faults against the cache.
@@ -778,14 +747,17 @@ class SolverService:
             self.metrics.counter("serving_faults_injected_total").inc()
         return fired
 
-    def _solve_resilient(self, request_id, problem, artifact, warm_start,
-                         deadline_at, resil):
+    def _solve_resilient(self, request_id, problem, warm_start,
+                         deadline_at, attempt_fn, algorithm):
         """Accelerator attempts with retry/backoff, then degradation.
 
-        Returns ``(raw, resil)`` where ``raw`` is an
+        ``attempt_fn(injector, remaining_seconds)`` runs one attempt:
+        a leased resident for :meth:`solve`, the pinned one for a
+        session. Returns ``(raw, fields)``: ``raw`` is an
         :class:`~repro.hw.accelerator.RSQPResult` on success or the
         reference solver's result when every attempt failed and the
-        policy degrades (``resil["degraded"]`` distinguishes them).
+        policy degrades; ``fields`` are the resilience and outcome
+        :class:`ServeRecord` fields (``degraded`` tells them apart).
         The headline guarantee lives here: a solution that survived
         injected faults is re-checked against the KKT conditions on
         the host, so a silently-corrupted answer is treated exactly
@@ -793,6 +765,8 @@ class SolverService:
         """
         res = self.resilience
         plan = self.fault_plan
+        resil = {"retries": 0, "rollbacks": 0, "faults_injected": 0,
+                 "degraded": False, "deadline_missed": False}
         attempt = 0
         last_exc: BaseException | None = None
         while attempt <= res.max_retries:
@@ -808,9 +782,7 @@ class SolverService:
             injector = (plan.injector_for(request_id, attempt)
                         if plan is not None else None)
             try:
-                raw = self._run_accelerator(
-                    problem, artifact, warm_start, injector=injector,
-                    deadline_seconds=remaining)
+                raw = attempt_fn(injector, remaining)
             except DeadlineExceededError as exc:
                 last_exc = exc
                 self._count_injected(injector, exc, resil)
@@ -859,34 +831,30 @@ class SolverService:
                 resil["retries"] += 1
                 self.metrics.counter("serving_retries_total").inc()
                 continue
-            return raw, resil
+            return raw, {**resil, **_outcome(raw)}
         # Every attempt failed (or the deadline is gone).
         if not res.degrade:
             assert last_exc is not None
             raise last_exc
         self.metrics.counter("serving_degraded_total").inc()
         resil["degraded"] = True
-        raw = self._run_reference(
-            problem, warm_start, getattr(artifact, "algorithm", "admm"))
-        return raw, resil
+        raw = self._run_reference(problem, warm_start, algorithm)
+        return raw, {**resil, **_outcome(raw, reference=True)}
 
     def _count_injected(self, injector, exc, resil, raw=None) -> None:
         """Tally faults fired during one attempt, whatever its outcome.
 
-        In-process execution reads the injector's own event log; with a
-        process pool the injector object lives in the worker, so the
-        count rides back on the result (or the raised fault error).
+        In-process execution fills the injector's own event log; with a
+        process pool the injector object lives in the worker and the
+        local log stays empty, so the count rides back on the result
+        (or the raised fault error).
         """
         if injector is None:
             return
-        if self._solve_pool is None:
-            fired = len(injector.events)
-        elif raw is not None:
-            fired = len(raw.fault_events)
-        elif isinstance(exc, FaultDetectedError):
-            fired = len(exc.events)
-        else:
-            fired = 0
+        fired = len(injector.events)
+        if not fired:
+            fired = len(raw.fault_events if raw is not None
+                        else getattr(exc, "events", ()))
         if fired:
             resil["faults_injected"] += fired
             self.metrics.counter(
@@ -901,20 +869,48 @@ class SolverService:
         self.metrics.histogram(
             "serving_deadline_miss_seconds").observe(overrun)
 
-    def _run_accelerator(self, problem, artifact, warm_start,
+    def _run_accelerator(self, key, problem, artifact, warm_start,
                          injector=None, deadline_seconds=None):
-        # _ensure_artifact already verified (and memoized) the
-        # artifact, so the job itself skips the re-check.
+        """One attempt: in-process on a leased resident, or a fresh
+        accelerator in a worker process with a process pool."""
         if self._solve_pool is not None:
+            # _ensure_artifact already verified (and memoized) the
+            # artifact, so the job itself skips the re-check.
+            self.metrics.counter("serving_accelerator_binds_total").inc()
             return self._solve_pool.submit(
                 solve_job, problem, artifact, self.settings, warm_start,
                 self.pcg_eps, self.backend, False,
                 injector=injector,
                 deadline_seconds=deadline_seconds).result()
-        return solve_job(problem, artifact, self.settings, warm_start,
-                         self.pcg_eps, self.backend, verify=False,
-                         injector=injector,
-                         deadline_seconds=deadline_seconds)
+        resident = self._lease(key, artifact, problem)
+        try:
+            return resident.run(warm_start, injector, deadline_seconds)
+        finally:
+            self._give_back(key, resident)
+
+    def _lease(self, key: str, artifact: ArchArtifact,
+               problem: QProblem) -> Resident:
+        """A resident bound to ``artifact`` holding ``problem``'s data:
+        an idle one refreshed in place, else a newly bound one."""
+        resident = self.cache.lease(key, artifact)
+        if resident is not None:
+            resident.accelerator.refresh_numeric(problem)
+            return resident
+        self.metrics.counter("serving_accelerator_binds_total").inc()
+        return Resident(bind_accelerator(problem, artifact, self.settings,
+                                         self.pcg_eps, self.backend),
+                        artifact)
+
+    def _give_back(self, key: str, resident: Resident) -> None:
+        """End a lease: a spoiled machine is dropped, never pooled."""
+        if resident.spoiled:
+            self._count_discard(resident.spoiled, 1)
+        else:
+            self.cache.release(key, resident)
+
+    def _count_discard(self, reason: str, count: int) -> None:
+        self.metrics.counter("serving_resident_discards_total",
+                             labels={"reason": reason}).inc(count)
 
     def _run_reference(self, problem, warm_start, algorithm="admm"):
         if self._solve_pool is not None:

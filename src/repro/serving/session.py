@@ -2,26 +2,28 @@
 
 A :class:`SolverSession` binds *once* to one problem structure — the
 fingerprint is computed once, the cached artifact is verified once,
-the simulated accelerator (machine, matrix schedules, compiled
-programs, fused loop bodies) is constructed once — and then serves a
-stream of same-structure re-solves. Each :meth:`SolverSession.update`
-installs new numeric data **in place** (no re-fingerprint, no
-re-schedule, no re-verification; the sparsity pattern is enforced) and
-each :meth:`SolverSession.resolve` re-runs the resident accelerator,
-by default warm-started from the previous solution with the adapted
-penalty (rho for ADMM, the primal weight omega for PDQP) carried
-across solves.
+and a resident accelerator (machine, matrix schedules, compiled
+programs, fused loop bodies) is leased from the service's pool once
+and pinned until :meth:`SolverSession.close` hands it back — and then
+serves a stream of same-structure re-solves. Each
+:meth:`SolverSession.update` installs new numeric data **in place** (no
+re-fingerprint, no re-schedule, no re-verification; the sparsity
+pattern is enforced) and each :meth:`SolverSession.resolve` re-runs the
+resident accelerator, by default warm-started from the previous
+solution with the adapted penalty (rho for ADMM, the primal weight
+omega for PDQP) carried across solves.
 
 This is the serving-layer face of the paper's amortization argument
 taken one level further: :class:`~repro.serving.service.SolverService`
-amortizes the *customization flow* across requests; a session also
-amortizes the *per-request host work* (fingerprint, cache lookup,
-machine construction, program lowering and binding) across re-solves,
-which is what MPC loops, SQP outer iterations and homotopy sweeps
-actually pay per step.
+amortizes the *customization flow* and, through its resident pool,
+the machine across requests; a session also amortizes the rest of the
+*per-request host work* (fingerprint, algorithm choice, cache lookup,
+lease) across re-solves, which is what MPC loops, SQP outer iterations
+and homotopy sweeps actually pay per step.
 
 Sessions keep the service's operational guarantees: every resolve runs
-under the service's :class:`~repro.faults.ResiliencePolicy` (retry on
+the service's own resilient-attempt loop under its
+:class:`~repro.faults.ResiliencePolicy` (retry on
 detected faults, host-side KKT re-check against silent corruption,
 cooperative deadlines, degradation to the reference solver), and every
 resolve is accounted in the service's records and metrics
@@ -40,9 +42,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..exceptions import (DeadlineExceededError, FaultDetectedError,
-                          ShapeError, SimulationError)
-from ..faults import solution_ok
+from ..exceptions import ShapeError
 from ..qp import QProblem
 from ..sparse import CSRMatrix
 from .service import ServeRecord, ServeResult
@@ -134,12 +134,14 @@ class SolverSession:
     """
 
     def __init__(self, service: "SolverService", problem: QProblem,
-                 artifact, tier: str, fingerprint, c: int,
+                 key: str, resident, tier: str, fingerprint, c: int,
                  algorithm: str, *, carry_state: bool = True,
                  deadline: float | None = None):
         self._service = service
         self._problem = problem
-        self.artifact = artifact
+        self._key = key
+        self._resident = resident
+        self.artifact = resident.artifact
         self.open_tier = tier
         self.fingerprint = fingerprint
         self.c = c
@@ -151,28 +153,10 @@ class SolverSession:
         self._last: ServeResult | None = None
         self._needs_download = False
         self._closed = False
-        self._accelerator = self._build_accelerator()
 
-    # ------------------------------------------------------------------
-    def _build_accelerator(self):
-        service = self._service
-        artifact = self.artifact
-        if self.algorithm == "pdqp":
-            from ..hw.pdqp import PDQPAccelerator
-            from ..solver.algorithms import get_algorithm
-            settings = get_algorithm("pdqp").coerce_settings(
-                service.settings)
-            return PDQPAccelerator(
-                self._problem, customization=artifact.customization,
-                settings=settings, compiled=artifact.compiled,
-                backend=service.backend, verify=False)
-        from ..hw.accelerator import RSQPAccelerator
-        return RSQPAccelerator(
-            self._problem, customization=artifact.customization,
-            settings=service.settings, pcg_eps=service.pcg_eps,
-            max_pcg_iter=artifact.max_pcg_iter,
-            compiled=artifact.compiled, backend=service.backend,
-            verify=False)
+    @property
+    def _accelerator(self):
+        return self._resident.accelerator
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -253,190 +237,45 @@ class SolverSession:
         deadline_at = (submitted + deadline) if deadline is not None \
             else None
 
-        resil = {"retries": 0, "rollbacks": 0, "faults_injected": 0,
-                 "degraded": False, "deadline_missed": False}
-        raw, resil = self._resolve_resilient(request_id, warm,
-                                             deadline_at, resil)
-        t_done = time.perf_counter()
-        if resil["degraded"]:
-            backend = "reference"
-            converged = raw.status.is_optimal
-            simulated_cycles = 0
-            simulated_seconds = 0.0
-            iterations = raw.info.iterations
-        else:
-            backend = "rsqp"
-            converged = raw.converged
-            simulated_cycles = raw.total_cycles
-            simulated_seconds = raw.solve_seconds
-            iterations = raw.admm_iterations
-
-        solve_seconds = t_done - submitted
-        record = ServeRecord(
+        raw, fields = service._solve_resilient(
+            request_id, self._problem, warm, deadline_at,
+            lambda injector, remaining: self._run_once(warm, injector,
+                                                       remaining),
+            self.algorithm)
+        solve_seconds = time.perf_counter() - submitted
+        result = service._file(ServeRecord(
             request_id=request_id, problem_name=self._problem.name,
             fingerprint_key=self.fingerprint.key, c=self.c,
             architecture=self.artifact.architecture_string,
-            tier=TIER_SESSION, backend=backend,
-            algorithm=self.algorithm,
-            solve_seconds=solve_seconds,
-            total_seconds=solve_seconds,
-            simulated_cycles=simulated_cycles,
-            simulated_seconds=simulated_seconds,
-            admm_iterations=iterations, converged=converged,
-            retries=resil["retries"], rollbacks=resil["rollbacks"],
-            faults_injected=resil["faults_injected"],
-            degraded=resil["degraded"],
-            deadline_missed=resil["deadline_missed"])
-        with service._lock:
-            service._records[request_id] = record
+            tier=TIER_SESSION, algorithm=self.algorithm,
+            solve_seconds=solve_seconds, total_seconds=solve_seconds,
+            **fields), raw, staged=False)
         metrics = service.metrics
         metrics.counter("serving_requests_total").inc()
         metrics.counter("serving_session_resolves_total").inc()
         metrics.histogram("serving_session_resolve_seconds",
                           labels={"algorithm": self.algorithm}).observe(
                               solve_seconds)
-        metrics.histogram("serving_admm_iterations").observe(iterations)
-        if simulated_cycles:
-            metrics.histogram("serving_simulated_cycles").observe(
-                simulated_cycles)
-        if not converged:
-            metrics.counter("serving_unconverged_total").inc()
-        result = ServeResult(x=raw.x, y=raw.y, z=raw.z,
-                             converged=converged, backend=backend,
-                             record=record, raw=raw)
         self._last = result
         self.resolves += 1
         return result
 
     def _run_once(self, warm, injector, deadline_seconds):
-        """One accelerator attempt on the resident machine.
-
-        The stats reset plus conditional re-download restore the exact
-        fresh-accelerator preconditions: absolute cycle/iteration
-        accounting starts at zero and every HBM bank and scalar
-        register holds freshly downloaded data, so a session resolve
-        is bitwise the solve a new accelerator would produce for the
-        same data and warm start.
-        """
-        accelerator = self._accelerator
-        machine = accelerator.machine
-        machine.stats.reset()
+        """One attempt on the pinned machine. A machine that already ran
+        is re-downloaded first, so each attempt starts from the state a
+        fresh accelerator would have for the bound data."""
         if self._needs_download:
-            accelerator._download()
-        accelerator.fault_injector = injector
-        machine.injector = injector
-        accelerator.deadline_seconds = deadline_seconds
-        try:
-            if warm is not None:
-                x0, y0 = warm
-                accelerator.warm_start(x=x0, y=y0)
-            self._needs_download = True
-            return accelerator.run()
-        finally:
-            accelerator.fault_injector = None
-            machine.injector = None
-            accelerator.deadline_seconds = None
-
-    def _resolve_resilient(self, request_id, warm, deadline_at, resil):
-        """The session counterpart of ``SolverService._solve_resilient``.
-
-        Identical policy semantics (retry/backoff on detected faults,
-        KKT re-check against silent corruption, cooperative deadline,
-        degradation) — the only difference is that attempts re-run the
-        resident accelerator instead of constructing a fresh one.
-        """
-        service = self._service
-        res = service.resilience
-        plan = service.fault_plan
-        attempt = 0
-        last_exc: BaseException | None = None
-        while attempt <= res.max_retries:
-            remaining = None
-            if deadline_at is not None:
-                remaining = deadline_at - time.perf_counter()
-                if remaining <= 0:
-                    last_exc = DeadlineExceededError(
-                        f"session resolve {request_id} deadline expired "
-                        f"before attempt {attempt}")
-                    service._record_deadline_miss(deadline_at, resil)
-                    break
-            injector = (plan.injector_for(request_id, attempt)
-                        if plan is not None else None)
-            try:
-                raw = self._run_once(warm, injector, remaining)
-            except DeadlineExceededError as exc:
-                last_exc = exc
-                self._count_injected(injector, exc, resil)
-                service._record_deadline_miss(deadline_at, resil)
-                break
-            except (FaultDetectedError, SimulationError) as exc:
-                last_exc = exc
-                self._count_injected(injector, exc, resil)
-                attempt += 1
-                if attempt > res.max_retries:
-                    break
-                resil["retries"] += 1
-                service.metrics.counter("serving_retries_total").inc()
-                with service._lock:
-                    delay = res.backoff_seconds(attempt,
-                                                service._jitter_rng)
-                if remaining is not None:
-                    delay = min(delay, max(remaining, 0.0))
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            self._count_injected(injector, None, resil, raw=raw)
-            resil["rollbacks"] += raw.rollbacks
-            if raw.rollbacks:
-                service.metrics.counter(
-                    "serving_fault_rollbacks_total").inc(raw.rollbacks)
-            suspect = bool(raw.fault_events) or raw.rollbacks > 0
-            check = (res.check == "always"
-                     or (res.check == "auto" and suspect))
-            if (raw.converged and check
-                    and not solution_ok(
-                        self._problem, raw.x, raw.y, raw.z,
-                        eps_abs=service.settings.eps_abs,
-                        eps_rel=service.settings.eps_rel,
-                        factor=res.check_factor)):
-                last_exc = FaultDetectedError(
-                    f"session resolve {request_id} attempt {attempt}: "
-                    "solution failed the host-side KKT re-check",
-                    events=raw.fault_events)
-                service.metrics.counter(
-                    "serving_silent_corruption_total").inc()
-                attempt += 1
-                if attempt > res.max_retries:
-                    break
-                resil["retries"] += 1
-                service.metrics.counter("serving_retries_total").inc()
-                continue
-            return raw, resil
-        if not res.degrade:
-            assert last_exc is not None
-            raise last_exc
-        service.metrics.counter("serving_degraded_total").inc()
-        resil["degraded"] = True
-        raw = service._run_reference(self._problem, warm, self.algorithm)
-        return raw, resil
-
-    def _count_injected(self, injector, exc, resil, raw=None) -> None:
-        """Sessions always run in-process: read the injector directly."""
-        if injector is None:
-            return
-        fired = len(injector.events)
-        if fired:
-            resil["faults_injected"] += fired
-            self._service.metrics.counter(
-                "serving_faults_injected_total").inc(fired)
+            self._accelerator._download()
+        self._needs_download = True
+        return self._resident.run(warm, injector, deadline_seconds)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the resident accelerator; idempotent."""
+        """Hand the resident accelerator back to the pool; idempotent."""
         if self._closed:
             return
         self._closed = True
-        self._accelerator = None
+        self._service._give_back(self._key, self._resident)
 
     def __enter__(self) -> "SolverSession":
         return self

@@ -9,11 +9,12 @@ the differential-testing contract survives injection.
 import numpy as np
 import pytest
 
+from repro.exceptions import FaultDetectedError
 from repro.faults import (EVERY_ATTEMPT, Fault, FaultInjector, FaultPlan,
                           flip_bit, poison_artifact)
 from repro.problems import generate
 from repro.serving.arch_cache import build_artifact
-from repro.serving.pool import solve_job
+from repro.serving.pool import Resident, bind_accelerator, solve_job
 from repro.solver import OSQPSettings
 
 SETTINGS = OSQPSettings(eps_abs=1e-3, eps_rel=1e-3)
@@ -120,3 +121,65 @@ class TestPoisonArtifact:
         assert victim.verified is False
         assert event["kind"] == "artifact-poison"
         assert (event["before"], event["after"]) == (before, before + 1)
+
+
+@pytest.mark.parametrize("backend", ["interpret", "compiled"])
+@pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
+class TestRearmedResident:
+    """A resident machine honours whichever injector is armed for the
+    current run — exactly as a freshly built accelerator would — even
+    when an earlier run lowered its blocks with no injector or another
+    one."""
+
+    PLAN = FaultPlan.generate(seed=7, requests=4, mac_rate=1.0)
+
+    @pytest.fixture
+    def setup(self, algorithm):
+        problem = generate("portfolio", 4, seed=0)
+        return problem, build_artifact(problem, 16, algorithm=algorithm,
+                                       max_admm_iter=SETTINGS.max_iter)
+
+    @staticmethod
+    def outcome(run, injector):
+        try:
+            raw = run(injector)
+        except FaultDetectedError:
+            raw = None
+        return repr(injector.events if injector is not None else []), raw
+
+    @staticmethod
+    def same_bits(a, b):
+        if a is None or b is None:
+            return a is b
+        return (a.x.tobytes() == b.x.tobytes()
+                and a.y.tobytes() == b.y.tobytes()
+                and a.z.tobytes() == b.z.tobytes()
+                and a.admm_iterations == b.admm_iterations
+                and a.total_cycles == b.total_cycles
+                and a.rollbacks == b.rollbacks)
+
+    def test_none_a_b_none(self, setup, backend):
+        problem, artifact = setup
+        resident = Resident(bind_accelerator(problem, artifact, SETTINGS,
+                                             backend=backend), artifact)
+
+        def on_resident(injector):
+            resident.accelerator.refresh_numeric(problem)
+            return resident.run(injector=injector)
+
+        def on_fresh(injector):
+            return solve_job(problem, artifact, SETTINGS, verify=False,
+                             backend=backend, injector=injector)
+
+        # None, then A, then B, then None again on the same machine:
+        # None -> A, A -> B and B -> None transitions.
+        for rid in (None, 1, 2, None):
+            def injector():
+                return (self.PLAN.injector_for(rid, 0)
+                        if rid is not None else None)
+            events, raw = self.outcome(on_resident, injector())
+            fresh_events, fresh_raw = self.outcome(on_fresh, injector())
+            assert events == fresh_events, rid
+            assert self.same_bits(raw, fresh_raw), rid
+            if rid is not None:
+                assert fresh_events != "[]"     # the plan really fires
