@@ -4,19 +4,19 @@
 artifact over a :class:`~repro.hw.batched.BatchMachine`: a single
 instruction stream advances B problem instances in lockstep, with
 per-instance convergence masking inside the ADMM / PDHG loops
-(converged lanes freeze, the loop exits when the mask empties) and the
-same host-side segment drivers the solo accelerators use — adaptive
-rho (ADMM) and restarts / primal-weight rebalancing (PDQP) — applied
-per lane with the exact float paths factored out of
-:mod:`repro.hw.accelerator` and :mod:`repro.hw.pdqp`.
+(converged lanes freeze, the loop exits when the mask empties).
 
-Per-lane setup reuses the solo accelerators verbatim: each lane
-constructs its own :class:`~repro.hw.accelerator.RSQPAccelerator` (or
-:class:`~repro.hw.pdqp.PDQPAccelerator`) for host scaling, rho/step
-selection and the HBM download, and the batch machine stacks those
-lanes' HBM images and scalar registers. That is what makes the batched
-run bit-identical to B solo runs — there is no separate batched setup
-path to drift.
+Each lane is a solo accelerator, built from the algorithm table
+(:func:`repro.hw.accelerator_class`) exactly as the serving layer
+builds one: host scaling, step-size selection and the HBM download
+run through the solo code, and the batch machine stacks those lanes'
+HBM images and scalar registers. The between-segment host step is the
+solo one too — restarts, and each lane's adaptive rho / primal-weight
+decision through the same :meth:`~repro.hw.accelerator.Accelerator.
+_rebalance` the solo driver calls. What stays batch-specific is the
+masked apply of that step, the per-lane freeze and the wall
+accounting. That is what makes the batched run bit-identical to B
+solo runs — there is no separate batched host path to drift.
 
 Cycle accounting: the returned :class:`BatchResult` carries the wall
 stats of the B-wide virtual fleet (every lockstep trip charges the
@@ -38,17 +38,16 @@ import time
 
 import numpy as np
 
-from ..hw.accelerator import (RSQPAccelerator, RSQPResult,
-                              adaptive_rho_estimate, jacobi_preconditioner,
-                              rho_vector_for)
+from ..hw import accelerator_class
+from ..hw.accelerator import MATRICES, RESIDUALS, RSQPResult
 from ..hw.batched import BatchExecutor, BatchMachine, BatchMatrixResource
-from ..hw.compiler import ADMM_LOOP, PCG_LOOP, PDHG_LOOP
+from ..hw.compiler import PCG_LOOP
 from ..hw.frequency import fmax_mhz
 from ..hw.machine import ExecutionStats
-from ..hw.pdqp import PDQPAccelerator, pdqp_step_sizes, rebalanced_omega
 from ..hw.power import fpga_power_watts
 from ..qp import ruiz_equilibrate_batch
 from ..solver import OSQPSettings
+from ..solver.algorithms import get_algorithm
 
 __all__ = ["BatchResult", "BatchAccelerator", "solve_batch_job"]
 
@@ -108,10 +107,11 @@ class BatchAccelerator:
     Parameters mirror the solo accelerators where they overlap;
     ``problems`` must share one structure (the artifact's fingerprint
     guarantees it on the serving path; the stacked matrices verify the
-    sparsity pattern regardless). ``injectors`` / ``deadline_ats`` are
-    optional per-lane lists (``None`` entries disable the feature for
-    that lane; ``deadline_ats`` holds absolute ``time.perf_counter()``
-    timestamps).
+    sparsity pattern regardless). ``settings`` of any algorithm are
+    coerced to ``algorithm``'s type. ``injectors`` / ``deadline_ats``
+    are optional per-lane lists (``None`` entries disable the feature
+    for that lane; ``deadline_ats`` holds absolute
+    ``time.perf_counter()`` timestamps).
     """
 
     def __init__(self, problems, customization, settings, *,
@@ -124,7 +124,9 @@ class BatchAccelerator:
         batch = len(problems)
         self.batch = batch
         self.algorithm = algorithm
-        self.settings = settings
+        lane_type = accelerator_class(algorithm)
+        self.settings = settings = \
+            get_algorithm(algorithm).coerce_settings(settings)
         self.customization = customization
         self.compiled = compiled
         warm_starts = list(warm_starts or [None] * batch)
@@ -152,19 +154,10 @@ class BatchAccelerator:
                 pass
         self.lanes = []
         for problem, warm, scaling in zip(problems, warm_starts, scalings):
-            if algorithm == "pdqp":
-                lane = PDQPAccelerator(
-                    problem, customization=customization,
-                    settings=settings, compiled=compiled,
-                    backend="interpret", verify=False,
-                    scaling=scaling)
-            else:
-                lane = RSQPAccelerator(
-                    problem, customization=customization,
-                    settings=settings, pcg_eps=pcg_eps,
-                    max_pcg_iter=max_pcg_iter, compiled=compiled,
-                    backend="interpret", verify=False,
-                    scaling=scaling)
+            lane = lane_type.bind(
+                problem, customization, settings, compiled,
+                pcg_eps=pcg_eps, max_pcg_iter=max_pcg_iter,
+                backend="interpret", verify=False, scaling=scaling)
             if warm is not None:
                 x0, y0 = warm
                 lane.warm_start(x=x0, y=y0)
@@ -180,7 +173,7 @@ class BatchAccelerator:
         self.machine = BatchMachine(customization.c, {
             name: BatchMatrixResource(
                 name, [lane.machine.matrices[name] for lane in self.lanes])
-            for name in ("P", "A", "At")}, batch)
+            for name in MATRICES}, batch)
         for b, lane in enumerate(self.lanes):
             for name, values in lane.machine.hbm.items():
                 self.machine.write_hbm_lane(name, b, values)
@@ -203,7 +196,7 @@ class BatchAccelerator:
                 active[b] = False
                 missed[b] = True
 
-    def _guard_lanes(self, active, faulted, state_names) -> None:
+    def _guard_lanes(self, active, faulted) -> None:
         """Freeze lanes whose persistent state went non-finite.
 
         Batched runs do not roll back (the serving layer re-solves a
@@ -218,7 +211,7 @@ class BatchAccelerator:
         for b in np.flatnonzero(active):
             bad = worst is not None and not np.isfinite(worst[b])
             if not bad:
-                for name in state_names:
+                for name in self.lanes[0].state_names:
                     buf = machine.vb.get(name)
                     if buf is not None and not np.all(
                             np.isfinite(buf[:, b])):
@@ -230,35 +223,20 @@ class BatchAccelerator:
 
     # ------------------------------------------------------------------
     def run(self) -> BatchResult:
-        from ..hw.isa import DataTransfer, Loop, Program
-
+        """The solo segment loop (:meth:`~repro.hw.accelerator.
+        Accelerator.run`) over the active-lane mask."""
         machine = self.machine
-        sections = self.compiled._sections
+        first = self.lanes[0]
+        loop_name = first.loop_name
         batch = self.batch
         active = np.ones(batch, dtype=bool)
         converged = np.zeros(batch, dtype=bool)
         missed = np.zeros(batch, dtype=bool)
         faulted = np.zeros(batch, dtype=bool)
         everyone = np.ones(batch, dtype=bool)
+        interval = max(first._segment_length(), 1)
 
-        if self.algorithm == "pdqp":
-            body_key, loop_name = "pdhg_body", PDHG_LOOP
-            interval = max(self.settings.restart_interval, 1)
-            state_names = PDQPAccelerator._PDHG_STATE
-            self._store_program = Program(
-                [DataTransfer("store", name) for name in ("x", "y")])
-            self._anchor_program = Program(
-                [DataTransfer("load", name) for name in ("x0", "y0")])
-        else:
-            body_key, loop_name = "admm_body", ADMM_LOOP
-            interval = max(self.settings.adaptive_rho_interval, 1)
-            state_names = RSQPAccelerator._ADMM_STATE
-            self._refresh_program = Program(
-                [DataTransfer("load", name)
-                 for name in ("rho", "rho_inv", "minv")])
-        self._lane_refreshes = np.zeros(batch, dtype=np.int64)
-
-        self._run(Program(list(sections["prologue"])), everyone)
+        self._run(first._prologue_program, everyone)
         remaining = self.settings.max_iter
         while remaining > 0 and active.any():
             self._expire_deadlines(active, missed)
@@ -266,12 +244,10 @@ class BatchAccelerator:
                 break
             segment = min(interval, remaining)
             before = machine.stats.loop_iterations.get(loop_name, 0)
-            self._run(Program([Loop(body=sections[body_key],
-                                    max_iter=segment, name=loop_name)]),
-                      active)
+            self._run(first._segment_program(segment), active)
             executed = machine.stats.loop_iterations.get(loop_name,
                                                          0) - before
-            self._guard_lanes(active, faulted, state_names)
+            self._guard_lanes(active, faulted)
             remaining -= executed
             worst = machine.scalars.get("worst")
             if worst is not None:
@@ -284,81 +260,48 @@ class BatchAccelerator:
             if executed < segment:  # defensive: mirrors the solo loop
                 break
             if remaining > 0:
-                if self.algorithm == "pdqp":
-                    self._restart_lanes(active)
-                elif self.settings.adaptive_rho:
-                    self._update_rho_lanes(active)
-        self._run(Program(list(sections["epilogue"])), everyone)
+                self._segment_boundary(active)
+        self._run(first._epilogue_program, everyone)
         return self._collect(converged, missed, faulted)
 
-    # -- ADMM host driver (per lane) ------------------------------------
-    def _update_rho_lanes(self, active) -> None:
-        machine = self.machine
-        tol = self.settings.adaptive_rho_tolerance
-        any_update = False
-        for b in np.flatnonzero(active):
-            lane = self.lanes[b]
-            estimate = adaptive_rho_estimate(
-                lane.rho,
-                machine.scalar_lane("rp", b, 0.0),
-                machine.scalar_lane("rdual", b, 0.0),
-                machine.scalar_lane("npz", b, 0.0),
-                machine.scalar_lane("nd_all", b, 0.0))
-            if not (estimate > tol * lane.rho
-                    or estimate < lane.rho / tol):
-                continue
-            lane.rho = estimate
-            lane.rho_vec = rho_vector_for(lane.work, estimate)
-            hbm = machine.hbm
-            hbm["rho"][:, b] = lane.rho_vec
-            hbm["rho_inv"][:, b] = 1.0 / lane.rho_vec
-            hbm["minv"][:, b] = jacobi_preconditioner(
-                lane.work, lane.settings.sigma, lane.rho_vec)
-            lane.rho_updates += 1
-            self._lane_refreshes[b] += 1
-            any_update = True
-        if any_update:
-            # One masked reload refreshes every active lane; lanes whose
-            # rho did not change reload bit-identical data (harmless),
-            # and the wall pays the transfer once.
-            self._run(self._refresh_program, active)
+    def _segment_boundary(self, active) -> None:
+        """The solo host step (:meth:`~repro.hw.accelerator.Accelerator.
+        _segment_boundary`), applied per lane under the mask.
 
-    # -- PDQP host driver (per lane) ------------------------------------
-    def _restart_lanes(self, active) -> None:
+        Each transfer runs once, masked, for every active lane (the
+        wall pays it once); the restart copy and the step-size
+        decision are each lane's own.
+        """
         machine = self.machine
-        self._run(self._store_program, active)
         hbm = machine.hbm
-        for b in np.flatnonzero(active):
-            hbm["x0"][:, b] = hbm["x"][:, b]
-            hbm["y0"][:, b] = hbm["y"][:, b]
-        self._run(self._anchor_program, active)
-        machine.scalar_buffer("hk")[active] = 2.0
-        self._lane_refreshes[active] += 1
-        for b in np.flatnonzero(active):
-            self.lanes[b].restarts += 1
-        if not self.settings.omega_adaptive:
-            return
-        tol = self.settings.omega_tolerance
-        for b in np.flatnonzero(active):
+        first = self.lanes[0]
+        lanes = np.flatnonzero(active)
+        if first.anchors:
+            self._run(first._store_program, active)
+            for b in lanes:
+                for anchor, iterate in first.anchors:
+                    hbm[anchor][:, b] = hbm[iterate][:, b]
+                self.lanes[b].restarts += 1
+            self._run(first._anchor_program, active)
+            for name, value in first.restart_scalars:
+                machine.scalar_buffer(name)[active] = value
+        changed = False
+        for b in lanes:
             lane = self.lanes[b]
-            estimate = rebalanced_omega(
-                lane.omega,
-                machine.scalar_lane("rp", b, 0.0),
-                machine.scalar_lane("rdual", b, 0.0),
-                machine.scalar_lane("npz", b, 0.0),
-                machine.scalar_lane("nd_all", b, 0.0))
-            if not (estimate > tol * lane.omega
-                    or estimate < lane.omega / tol):
+            if not lane._rebalance(*(machine.scalar_lane(name, b, 0.0)
+                                     for name in RESIDUALS)):
                 continue
-            lane.omega = estimate
-            lane.tau, lane.sigma = pdqp_step_sizes(
-                lane.omega, lane.norm_a, lane.lam_p,
-                lane.settings.tau_scale)
-            machine.set_scalar_lane("neg_tau", b, -lane.tau)
-            machine.set_scalar_lane("sigma", b, lane.sigma)
-            machine.set_scalar_lane("sigma_inv", b, 1.0 / lane.sigma)
-            machine.set_scalar_lane("neg_sigma", b, -lane.sigma)
-            lane.omega_updates += 1
+            vectors, registers = lane._step_data()
+            for name, values in vectors.items():
+                hbm[name][:, b] = values
+            for name, value in registers.items():
+                machine.set_scalar_lane(name, b, value)
+            changed = True
+        if changed and first.step_reload:
+            # One masked reload refreshes every active lane; lanes whose
+            # step did not change reload bit-identical data (harmless),
+            # and the wall pays the transfer once.
+            self._run(first._step_program, active)
 
     # ------------------------------------------------------------------
     def _collect(self, converged, missed, faulted) -> BatchResult:
@@ -366,12 +309,9 @@ class BatchAccelerator:
         arch = self.customization.architecture
         clock = fmax_mhz(arch)
         power = fpga_power_watts(arch)
-        is_pdqp = self.algorithm == "pdqp"
-        loop_name = PDHG_LOOP if is_pdqp else ADMM_LOOP
-        lane_outer = machine.lane_loop_iterations.get(
-            loop_name, np.zeros(self.batch, dtype=np.int64))
-        lane_pcg = machine.lane_loop_iterations.get(
-            PCG_LOOP, np.zeros(self.batch, dtype=np.int64))
+        no_trips = np.zeros(self.batch, dtype=np.int64)
+        lane_trips = {name: machine.lane_loop_iterations.get(name, no_trips)
+                      for name in self.compiled.loop_sections}
         results: list = []
         lane_errors: list = []
         for b, lane in enumerate(self.lanes):
@@ -381,19 +321,12 @@ class BatchAccelerator:
                                    else LANE_DEADLINE)
                 continue
             lane_errors.append(None)
-            outer = int(lane_outer[b])
-            pcg = int(lane_pcg[b])
-            if is_pdqp:
-                effective = lane.estimate_cycles(
-                    outer, restarts=int(self._lane_refreshes[b]))
-            else:
-                effective = lane.estimate_cycles(
-                    outer, pcg, rho_updates=int(self._lane_refreshes[b]))
+            loops = {name: int(trips[b])
+                     for name, trips in lane_trips.items()}
+            effective = lane._estimate(loops, restarts=lane.restarts,
+                                       step_updates=lane.step_updates)
             injector = self.injectors[b]
             events = tuple(injector.events) if injector is not None else ()
-            loops = {loop_name: outer}
-            if not is_pdqp:
-                loops[PCG_LOOP] = pcg
             stats = ExecutionStats(
                 total_cycles=effective,
                 by_class={}, instructions_executed=0,
@@ -403,14 +336,12 @@ class BatchAccelerator:
                 y=lane.scaling.unscale_y(machine.read_hbm_lane("y", b)),
                 z=lane.scaling.unscale_z(machine.read_hbm_lane("z", b)),
                 converged=bool(converged[b]),
-                admm_iterations=outer,
-                pcg_iterations=pcg if not is_pdqp else 0,
+                admm_iterations=loops[lane.loop_name],
+                pcg_iterations=loops.get(PCG_LOOP, 0),
                 total_cycles=effective,
                 fmax_mhz=clock, power_watts=power,
                 stats=stats, fault_events=events,
-                algorithm=self.algorithm,
-                restarts=(int(self._lane_refreshes[b]) if is_pdqp
-                          else 0)))
+                algorithm=self.algorithm, restarts=lane.restarts))
         return BatchResult(results, lane_errors,
                            wall_stats=machine.stats,
                            fmax_mhz=clock, power_watts=power,
@@ -433,13 +364,10 @@ def solve_batch_job(problems, artifact, settings: OSQPSettings,
     if verify:
         from ..verify import ensure_batch_verified
         ensure_batch_verified(artifact, problems)
-    algorithm = getattr(artifact, "algorithm", "admm")
-    if algorithm == "pdqp":
-        from ..solver.algorithms import get_algorithm
-        settings = get_algorithm("pdqp").coerce_settings(settings)
     accelerator = BatchAccelerator(
         problems, artifact.customization, settings,
-        compiled=artifact.compiled, algorithm=algorithm,
+        compiled=artifact.compiled,
+        algorithm=getattr(artifact, "algorithm", "admm"),
         pcg_eps=pcg_eps, max_pcg_iter=artifact.max_pcg_iter,
         warm_starts=warm_starts, injectors=injectors,
         deadline_ats=deadline_ats)

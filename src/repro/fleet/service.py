@@ -133,7 +133,10 @@ class FleetResult:
     """Solution plus provenance; ``raw`` is the backend's own result.
 
     Shed requests carry no solution (``x`` is None, ``converged``
-    False) — the record's ``shed_reason`` says why.
+    False) — the record's ``shed_reason`` says why. Calibrated repeats
+    (``record.calibrated``) carry no solution either: ``x`` / ``y`` /
+    ``z`` / ``raw`` are None, because the service time was reused from
+    another request's solve; ``converged`` is that solve's status.
     """
 
     x: np.ndarray | None
@@ -872,9 +875,12 @@ class FleetService:
             admm_iterations=raw.admm_iterations,
             converged=raw.converged, backend="rsqp",
             calibrated=calibrated, attempts=request.attempts)
+        # A calibrated repeat reuses another request's solve: it keeps
+        # that solve's service time and status, never its solution.
+        x, y, z = (None, None, None) if calibrated else (raw.x, raw.y, raw.z)
         self._finalize(request, record, FleetResult(
-            x=raw.x, y=raw.y, z=raw.z, converged=raw.converged,
-            backend="rsqp", record=record, raw=raw))
+            x=x, y=y, z=z, converged=raw.converged, backend="rsqp",
+            record=record, raw=None if calibrated else raw))
         if self.autoscaler is not None:
             self.autoscaler.observe(
                 now, request.fingerprint.key, request.problem,

@@ -1,7 +1,7 @@
 """The RSQP hardware model: ISA, cycle-accurate machine, compiler,
 frequency/resource/power models, and the host-side accelerator wrapper."""
 
-from .accelerator import (RSQPAccelerator, RSQPResult,
+from .accelerator import (Accelerator, RSQPAccelerator, RSQPResult,
                           compile_for_customization)
 from .asm import (ROM_WORD_BYTES, decode_program, disassemble,
                   encode_program, rom_words)
@@ -24,7 +24,26 @@ from .spmv_engine import SpMVTrace, simulate_spmv
 from .resources import (U50_LIMITS, ResourceEstimate, estimate_resources,
                         fits_device)
 
+#: Algorithm name -> the accelerator class that runs its program. Adding
+#: an algorithm is one :class:`Accelerator` subclass plus one entry here.
+ACCELERATORS: dict[str, type[Accelerator]] = {
+    "admm": RSQPAccelerator,
+    "pdqp": PDQPAccelerator,
+}
+
+
+def accelerator_class(algorithm: str) -> type[Accelerator]:
+    """The accelerator class for ``algorithm`` (``ValueError`` if none)."""
+    if algorithm not in ACCELERATORS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one "
+                         f"of {', '.join(ACCELERATORS)}")
+    return ACCELERATORS[algorithm]
+
+
 __all__ = [
+    "Accelerator",
+    "ACCELERATORS",
+    "accelerator_class",
     "RSQPAccelerator",
     "compile_for_customization",
     "disassemble",

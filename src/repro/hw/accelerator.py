@@ -1,50 +1,64 @@
-"""Host-side wrapper: run OSQP end-to-end on the simulated RSQP card.
+"""Host-side drivers: run a QP algorithm end-to-end on the simulated card.
 
-Mirrors the paper's deployment: the CPU host performs setup (Ruiz
-scaling, rho selection, preconditioner computation, data download) and
-the FPGA executes the full ADMM + PCG loop from its instruction ROM.
-The wrapper returns the *unscaled* solution plus the cycle statistics
-that drive the performance model.
+Mirrors the paper's deployment, whatever the algorithm: the CPU host
+performs setup (Ruiz scaling, step-size choice, data download) and the
+FPGA executes the iteration loop from its instruction ROM, in fixed-
+length segments with a host step between them. :class:`Accelerator` is
+that shared driver — machine bind, backend dispatch, program checks,
+the segment loop with its deadline and rollback handling, and result
+assembly. Each algorithm subclasses it with only what differs: host
+setup, the download set, warm start and the between-segment step.
+:class:`RSQPAccelerator` runs OSQP's ADMM + PCG loop with host-side
+adaptive rho; :class:`repro.hw.pdqp.PDQPAccelerator` runs restarted
+PDHG. The drivers return the *unscaled* solution plus the cycle
+statistics that drive the performance model.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Any, ClassVar
 
 import numpy as np
 
-from ..customization import (ProblemCustomization, baseline_customization,
-                             customize_problem)
+from ..customization import ProblemCustomization, customize_problem
 from ..exceptions import DeadlineExceededError, FaultDetectedError
 from ..qp import QProblem, RuizPlan, ruiz_equilibrate
 from ..solver import OSQPSettings
+from ..solver.algorithms import get_algorithm
 from ..solver.osqp import OSQPSolver
+from ..solver.settings import RHO_MAX, RHO_MIN
 from .compiled import CompiledExecutor, validate_backend
 from .compiler import (ADMM_LOOP, PCG_LOOP, CompiledProgram, attach_costs,
                        compile_osqp_program)
 from .frequency import fmax_mhz
+from .isa import DataTransfer, Loop, Program
 from .machine import ExecutionStats, Machine, MatrixResource
 from .power import fpga_power_watts
 
-__all__ = ["RSQPResult", "RSQPAccelerator", "compile_for_customization",
-           "adaptive_rho_estimate", "rho_vector_for",
+__all__ = ["RSQPResult", "Accelerator", "RSQPAccelerator",
+           "compile_for_customization", "attach_customization_costs",
+           "balanced_step", "rho_vector_for",
            "jacobi_preconditioner"]
 
+#: Streamed matrices every algorithm binds; each owns a CVB bank group.
+MATRICES = ("P", "A", "At")
 
-def adaptive_rho_estimate(rho: float, rp: float, rdual: float,
-                          npz: float, nd_all: float) -> float:
-    """OSQP's residual-balanced step-size estimate (exact float path).
+#: Device residual scalars a between-segment step size is balanced on.
+RESIDUALS = ("rp", "rdual", "npz", "nd_all")
 
-    Shared by the solo accelerator's host update and the batched
-    runner's per-lane updates, so both apply bit-identical arithmetic
-    to the residual scalars read off the device.
-    """
+
+def balanced_step(step: float, rp: float, rdual: float, npz: float,
+                  nd_all: float, lo: float, hi: float) -> float:
+    """Residual-balanced step-size estimate (exact float path): OSQP's
+    adaptive-rho rule, also PDQP's primal-weight rule, clipped to
+    ``[lo, hi]``."""
     pri_norm = max(npz, 1e-15)
     dua_norm = max(nd_all, 1e-15)
-    estimate = rho * np.sqrt((rp / pri_norm)
-                             / max(rdual / dua_norm, 1e-15))
-    return float(np.clip(estimate, 1e-6, 1e6))
+    estimate = step * np.sqrt((rp / pri_norm)
+                              / max(rdual / dua_norm, 1e-15))
+    return float(np.clip(estimate, lo, hi))
 
 
 def rho_vector_for(work, estimate: float) -> np.ndarray:
@@ -123,8 +137,14 @@ class RSQPResult:
         return self.status.reason
 
 
-class RSQPAccelerator:
-    """Simulated RSQP card solving one QP structure.
+class Accelerator:
+    """Simulated RSQP card solving one QP structure: the shared driver.
+
+    A subclass runs one algorithm: it declares the program layout and
+    host protocol as class data and implements host setup, the
+    download, warm start and the step-size hooks of the between-segment
+    step. The batch runner drives its lanes through the same hooks, so
+    a lane's host step is the solo one.
 
     Parameters
     ----------
@@ -135,22 +155,19 @@ class RSQPAccelerator:
         :func:`repro.customization.customize_problem` for the customized
         design or :func:`repro.customization.baseline_customization` for
         the reference architecture. Defaults to the customized design at
-        ``c = 16``.
+        ``c = 16``. The customization is built against the raw ``P`` /
+        ``A`` / ``A'`` structures, so one customized architecture serves
+        every algorithm.
     settings:
-        Solver settings; the accelerator honors ``rho``, ``sigma``,
-        ``alpha``, ``eps_abs``, ``eps_rel``, ``scaling`` and
-        ``max_iter``. Adaptive rho runs host-side in OSQP; the
-        instruction stream keeps ``rho`` fixed (the paper notes PCG
-        makes rho updates cheap — a host re-download — but the ROM
-        program itself is static).
+        The algorithm's settings (see the subclass).
     compiled:
         Optional pre-compiled program with costs already attached (a
         cached artifact from :mod:`repro.serving`). Must have been
-        compiled for the same dimensions, width and ``max_pcg_iter``;
-        a mismatch raises :class:`ValueError`. When given, the
-        compile + cost-attachment stage of construction is skipped —
-        the warm path that the serving layer's architecture cache
-        amortizes across structurally identical problems.
+        compiled for the same algorithm, dimensions, width and
+        ``max_pcg_iter``; a mismatch raises :class:`ValueError`. When
+        given, the compile + cost-attachment stage of construction is
+        skipped — the warm path that the serving layer's architecture
+        cache amortizes across structurally identical problems.
     backend:
         ``"compiled"`` (default) lowers programs to fused numpy
         closures with bulk cycle accounting (see
@@ -168,28 +185,46 @@ class RSQPAccelerator:
         loops that construct accelerators per iteration.
     """
 
+    #: Registry name; an injected program's ``algorithm`` must match.
+    algorithm: ClassVar[str] = ""
+    #: The outer iteration loop, and the sections a program carries.
+    loop_name: ClassVar[str] = ""
+    sections: ClassVar[tuple[str, ...]] = ()
+    #: Download contract: the HBM vectors and scalar registers
+    #: ``_download`` provides (what :mod:`repro.verify` checks against).
+    download_hbm: ClassVar[frozenset[str]] = frozenset()
+    download_scalars: ClassVar[frozenset[str]] = frozenset()
+    #: VB buffers carrying persistent state across segments (the
+    #: rollback checkpoint) and the HBM vectors a rollback reloads.
+    state_names: ClassVar[tuple[str, ...]] = ()
+    reload_names: ClassVar[tuple[str, ...]] = ()
+    #: HBM vectors the card reloads after a step-size change.
+    step_reload: ClassVar[tuple[str, ...]] = ()
+    #: Restart between segments: ``(anchor, iterate)`` HBM pairs the
+    #: host copies, and the scalar registers it resets.
+    anchors: ClassVar[tuple[tuple[str, str], ...]] = ()
+    restart_scalars: ClassVar[tuple[tuple[str, float], ...]] = ()
+    #: PCG trip budget (only ADMM's program has a PCG loop).
+    max_pcg_iter: int = 0
+
+    # Bound by the subclass's ``_host_setup``.
+    scaling: Any
+    work: Any
+    _work_at: Any
+
     def __init__(self, problem: QProblem,
-                 customization: ProblemCustomization | None = None,
-                 settings: OSQPSettings | None = None,
-                 *, c: int = 16, pcg_eps: float = 1e-7,
-                 max_pcg_iter: int = 500,
-                 compiled: CompiledProgram | None = None,
-                 backend: str = "compiled",
-                 verify: bool = True,
-                 fault_injector=None,
-                 recovery=None,
-                 deadline_seconds: float | None = None,
-                 scaling=None):
+                 customization: ProblemCustomization | None, settings,
+                 *, c: int, compiled: CompiledProgram | None,
+                 backend: str, verify: bool, fault_injector, recovery,
+                 deadline_seconds: float | None, scaling):
         self.problem = problem
-        self.settings = settings if settings is not None else OSQPSettings()
+        self.settings = settings
         self._precomputed_scaling = scaling
-        self._ruiz_plan = None
+        self._ruiz_plan: RuizPlan | None = None
         if customization is None:
             customization = customize_problem(problem, c)
         self.customization = customization
         self.c = customization.c
-        self.pcg_eps = float(pcg_eps)
-        self.max_pcg_iter = int(max_pcg_iter)
         self.backend = validate_backend(backend)
         #: Optional FaultInjector armed on the machine before any
         #: execution; arms detection + checkpoint/rollback too.
@@ -204,13 +239,15 @@ class RSQPAccelerator:
         #: Static verification on/off — covers both the pre-execution
         #: program passes and the compiled backend's codegen guard.
         self._verify = bool(verify)
+        #: Host steps of the last run: restarts and step-size changes.
+        self.restarts = self.step_updates = 0
 
         self._host_setup()
         self._build_machine()
         if compiled is None:
-            compiled = compile_for_customization(
+            compiled = self.compile_program(
                 customization, self.work.n, self.work.m,
-                max_admm_iter=self.settings.max_iter,
+                max_iter=self.settings.max_iter,
                 max_pcg_iter=self.max_pcg_iter)
         else:
             self._check_compiled(compiled)
@@ -220,9 +257,27 @@ class RSQPAccelerator:
         self._build_programs()
         self._download()
 
+    @classmethod
+    def compile_program(cls, customization: ProblemCustomization,
+                        n: int, m: int, *, max_iter: int,
+                        max_pcg_iter: int) -> CompiledProgram:
+        """This algorithm's program with the customization's costs."""
+        raise NotImplementedError
+
+    @classmethod
+    def bind(cls, problem: QProblem, customization, settings,
+             compiled: CompiledProgram, *, pcg_eps: float = 1e-7,
+             max_pcg_iter: int = 500, **arm) -> "Accelerator":
+        """Construct around a prebuilt program (serving and batch lanes):
+        ``settings`` are coerced to this algorithm's type, ``pcg_eps`` /
+        ``max_pcg_iter`` reach only ADMM, ``arm`` passes through."""
+        return cls(problem, customization,
+                   get_algorithm(cls.algorithm).coerce_settings(settings),
+                   compiled=compiled, **arm)
+
     # ------------------------------------------------------------------
-    def _host_setup(self) -> None:
-        """Scale the problem and pick rho exactly like the software solver."""
+    def _equilibrate(self):
+        """Ruiz scaling for host setup (or the one given at construction)."""
         scaling = self._precomputed_scaling
         if scaling is None:
             # The equilibration plan depends only on the bound sparsity
@@ -232,13 +287,11 @@ class RSQPAccelerator:
                 self._ruiz_plan = RuizPlan.for_problem(self.problem)
             scaling = ruiz_equilibrate(self.problem, self.settings.scaling,
                                        plan=self._ruiz_plan)
-        helper = OSQPSolver(self.problem, self.settings, scaling=scaling)
-        self.scaling = helper.scaling
-        self.work = helper.work
-        self.rho = helper.rho
-        self.rho_vec = helper.rho_vec
-        self.rho_updates = 0
-        self._work_at = helper.at
+        return scaling
+
+    def _host_setup(self) -> None:
+        """Scale the problem and pick step sizes like the reference."""
+        raise NotImplementedError
 
     def _build_machine(self) -> None:
         """Bind the (numeric) scaled matrices to the simulated card."""
@@ -249,7 +302,7 @@ class RSQPAccelerator:
                 name=name, matrix=streams[name],
                 spmv_cycles=customization.matrices[name].spmv_cycles,
                 cvb_depth=customization.matrices[name].duplication_cycles)
-            for name in ("P", "A", "At")})
+            for name in MATRICES})
         # Armed before the executor exists, so lowering sees the hook.
         self.machine.injector = self.fault_injector
         self._executor = (CompiledExecutor(self.machine,
@@ -271,30 +324,29 @@ class RSQPAccelerator:
         segment of every re-solve hit the same bound nodes (and keep
         the executor's cache bounded across a long-lived session).
         """
-        from .isa import DataTransfer, Loop, Program
+        def transfers(direction, names):
+            return Program([DataTransfer(direction, name)
+                            for name in names])
 
         sections = self.compiled._sections
-        self._refresh_program = Program(
-            [DataTransfer("load", name)
-             for name in ("rho", "rho_inv", "minv")])
-        self._reload_program = Program(
-            [DataTransfer("load", name)
-             for name in ("q", "l", "u", "rho", "rho_inv", "minv")])
+        self._step_program = transfers("load", self.step_reload)
+        self._reload_program = transfers("load", self.reload_names)
+        self._store_program = transfers(
+            "store", [iterate for _, iterate in self.anchors])
+        self._anchor_program = transfers(
+            "load", [anchor for anchor, _ in self.anchors])
         self._prologue_program = Program(list(sections["prologue"]))
         self._epilogue_program = Program(list(sections["epilogue"]))
-        self._loop_body = sections["admm_body"]
-        self._loop_name = ADMM_LOOP
+        self._loop_body = sections[self.compiled.body_section]
         self._segment_programs: dict = {}
 
     def _segment_program(self, segment: int):
         """The Program wrapping the iteration body at this trip count."""
-        from .isa import Loop, Program
-
         program = self._segment_programs.get(segment)
         if program is None:
             program = Program([Loop(body=self._loop_body,
                                     max_iter=segment,
-                                    name=self._loop_name)])
+                                    name=self.loop_name)])
             self._segment_programs[segment] = program
         return program
 
@@ -319,8 +371,7 @@ class RSQPAccelerator:
                     "accelerator only accepts same-structure numeric "
                     "updates")
 
-    def refresh_numeric(self, problem: QProblem, *,
-                        carry_rho: bool = False) -> None:
+    def _refresh(self, problem: QProblem, carried_step) -> None:
         """Install new numeric data for the *same* structure, in place.
 
         Re-runs the host setup (Ruiz equilibration depends on ``q``, so
@@ -330,17 +381,16 @@ class RSQPAccelerator:
         C pointer table stay untouched — and re-downloads the HBM
         vectors and scalar registers. After this call the machine is
         bit-identical to a freshly constructed accelerator for
-        ``problem``, except ``carry_rho=True`` keeps the adapted step
-        size from previous solves instead of the cold-start estimate.
+        ``problem``, except that a ``carried_step`` (not None) replaces
+        the cold-start step size.
         """
         self._check_same_structure(problem)
-        prev_rho = self.rho
         self.problem = problem
         self._precomputed_scaling = None
         self._host_setup()
-        if carry_rho:
-            self.rho = prev_rho
-            self.rho_vec = rho_vector_for(self.work, prev_rho)
+        self.restarts = self.step_updates = 0
+        if carried_step is not None:
+            self._adopt_step(carried_step)
         machine = self.machine
         machine.matrices["P"].update_values(self.work.P.data)
         machine.matrices["A"].update_values(self.work.A.data)
@@ -349,18 +399,22 @@ class RSQPAccelerator:
 
     def _check_compiled(self, compiled: CompiledProgram) -> None:
         """Validate an injected program against this problem + width."""
+        if compiled.algorithm != self.algorithm:
+            raise ValueError(
+                f"compiled program implements {compiled.algorithm!r}, "
+                f"{type(self).__name__} needs a {self.algorithm!r} program")
         ctx = compiled.context
         if ctx.c != self.c:
             raise ValueError(
                 f"compiled program was costed for C={ctx.c}, "
                 f"customization has C={self.c}")
         if (ctx.vector_length("x") != self.work.n
-                or ctx.vector_length("z") != self.work.m):
+                or ctx.vector_length("y") != self.work.m):
             raise ValueError(
                 f"compiled program is for n={ctx.vector_length('x')}, "
-                f"m={ctx.vector_length('z')}; problem has "
+                f"m={ctx.vector_length('y')}; problem has "
                 f"n={self.work.n}, m={self.work.m}")
-        for name in ("P", "A", "At"):
+        for name in MATRICES:
             if ctx.spmv_cycles(name) != \
                     self.customization.matrices[name].spmv_cycles:
                 raise ValueError(
@@ -383,93 +437,96 @@ class RSQPAccelerator:
     # ------------------------------------------------------------------
     def _download(self) -> None:
         """Host -> HBM data movement and scalar register setup."""
+        raise NotImplementedError
+
+    def _download_problem(self) -> None:
+        """Write the problem vectors every algorithm downloads first."""
         work = self.work
         machine = self.machine
-        n, m = work.n, work.m
         machine.write_hbm("q", work.q)
         machine.write_hbm("l", np.nan_to_num(work.l, neginf=-1e30))
         machine.write_hbm("u", np.nan_to_num(work.u, posinf=1e30))
-        machine.write_hbm("rho", self.rho_vec)
-        machine.write_hbm("rho_inv", 1.0 / self.rho_vec)
-        # Jacobi preconditioner of K = P + sigma I + A' diag(rho) A.
-        machine.write_hbm("minv", jacobi_preconditioner(
-            work, self.settings.sigma, self.rho_vec))
-        machine.write_hbm("x", np.zeros(n))
-        machine.write_hbm("z", np.zeros(m))
-        machine.write_hbm("y", np.zeros(m))
 
+    def _download_tolerances(self) -> None:
+        """Set the termination scalar registers every algorithm reads."""
+        work = self.work
+        machine = self.machine
         s = self.settings
-        machine.set_scalar("sigma", s.sigma)
-        machine.set_scalar("alpha_relax", s.alpha)
-        machine.set_scalar("one_m_alpha", 1.0 - s.alpha)
         machine.set_scalar("eps_rel", s.eps_rel)
-        machine.set_scalar("eps_abs_m", s.eps_abs * np.sqrt(max(m, 1)))
-        machine.set_scalar("eps_abs_n", s.eps_abs * np.sqrt(max(n, 1)))
+        machine.set_scalar("eps_abs_m", s.eps_abs * np.sqrt(max(work.m, 1)))
+        machine.set_scalar("eps_abs_n", s.eps_abs * np.sqrt(max(work.n, 1)))
         machine.set_scalar("nq", float(np.linalg.norm(work.q)))
-        machine.set_scalar("one", 1.0)
-        machine.set_scalar("tiny", 1e-30)
-        machine.set_scalar("pcg_eps2", self.pcg_eps ** 2)
 
-    # ------------------------------------------------------------------
-    def warm_start(self, x=None, y=None) -> None:
-        """Provide initial iterates (unscaled), as for repeated solves.
+    # -- the between-segment host step ----------------------------------
+    def _segment_length(self) -> int:
+        """Iterations the card runs between two host steps."""
+        raise NotImplementedError
 
-        The backtesting/MPC amortization workloads solve long sequences
-        of same-structure problems; warm-starting from the previous
-        solution is how the host exploits that on the card.
+    def _rebalance(self, rp: float, rdual: float, npz: float,
+                   nd_all: float) -> bool:
+        """If adaptive, residual-balance the step size from the
+        :data:`RESIDUALS` read off the device; adopt and count it when
+        it moves past the tolerance. The one decision the solo driver
+        and every batch lane take."""
+        raise NotImplementedError
+
+    def _adopt_step(self, step: float) -> None:
+        """Make ``step`` the host's step size (no device writes)."""
+        raise NotImplementedError
+
+    def _step_data(self) -> tuple[dict, dict]:
+        """``(hbm vectors, scalar registers)`` the current step size
+        puts on the device."""
+        raise NotImplementedError
+
+    def _install_step(self) -> None:
+        """Write the current step size's device data (host side)."""
+        vectors, registers = self._step_data()
+        for name, values in vectors.items():
+            self.machine.write_hbm(name, values)
+        for name, value in registers.items():
+            self.machine.set_scalar(name, value)
+
+    def _segment_boundary(self) -> None:
+        """The host step between two segments.
+
+        Algorithms with ``anchors`` restart first: the card stores the
+        iterates to HBM (charged), the host copies them into the anchor
+        slots, the card reloads the anchors (charged) and the restart
+        registers reset — the next segment continues from the very same
+        iterate with a fresh anchor. Then, if adaptive, the host
+        rebalances the step size from the residuals read off the
+        device; a change is written and the card reloads
+        ``step_reload`` (charged as data transfers).
         """
         machine = self.machine
-        if x is not None:
-            x_s = self.scaling.scale_x(np.asarray(x, dtype=np.float64))
-            machine.write_hbm("x", x_s)
-            machine.write_hbm("z", self.work.A.matvec(x_s))
-        if y is not None:
-            machine.write_hbm("y", self.scaling.scale_y(
-                np.asarray(y, dtype=np.float64)))
-
-    def _update_rho_from_device(self) -> bool:
-        """Host-side adaptive rho (OSQP's rule, residuals read off-chip).
-
-        The paper motivates PCG precisely because rho updates avoid the
-        LDL^T refactorization: here the host recomputes the rho vectors
-        and the Jacobi preconditioner and re-downloads them — the reload
-        is charged to the accelerator as data transfers.
-        """
-        scalars = self.machine.scalars
-        estimate = adaptive_rho_estimate(
-            self.rho, scalars.get("rp", 0.0), scalars.get("rdual", 0.0),
-            scalars.get("npz", 0.0), scalars.get("nd_all", 0.0))
-        tol = self.settings.adaptive_rho_tolerance
-        if not (estimate > tol * self.rho or estimate < self.rho / tol):
-            return False
-        self.rho = estimate
-        self.rho_vec = rho_vector_for(self.work, estimate)
-        machine = self.machine
-        machine.write_hbm("rho", self.rho_vec)
-        machine.write_hbm("rho_inv", 1.0 / self.rho_vec)
-        machine.write_hbm("minv", jacobi_preconditioner(
-            self.work, self.settings.sigma, self.rho_vec))
-        # The accelerator reloads the three vectors (charged cycles).
-        self._run_program(self._refresh_program)
-        return True
+        if self.anchors:
+            self._run_program(self._store_program)
+            for anchor, iterate in self.anchors:
+                machine.write_hbm(anchor, machine.read_hbm(iterate).copy())
+            self._run_program(self._anchor_program)
+            for name, value in self.restart_scalars:
+                machine.set_scalar(name, value)
+            self.restarts += 1
+        if self._rebalance(*(machine.scalars.get(name, 0.0)
+                             for name in RESIDUALS)):
+            self._install_step()
+            if self.step_reload:
+                self._run_program(self._step_program)
 
     # -- fault detection and recovery ----------------------------------
-    #: VB buffers carrying persistent ADMM state across iterations —
-    #: everything else the ADMM body re-derives from these + HBM.
-    _ADMM_STATE = ("x", "z", "y", "xt")
-
     def _snapshot_state(self) -> tuple:
-        """Checkpoint of the cross-segment ADMM state (iterates +
+        """Checkpoint of the cross-segment state (``state_names`` +
         scalar registers), taken at segment boundaries."""
         machine = self.machine
         vb = {name: machine.vb[name].copy()
-              for name in self._ADMM_STATE if name in machine.vb}
+              for name in self.state_names if name in machine.vb}
         return vb, dict(machine.scalars)
 
     def _state_corrupted(self, prev_worst: float, recovery) -> bool:
         """Non-finite iterates / residuals, or residual divergence."""
         machine = self.machine
-        for name in self._ADMM_STATE:
+        for name in self.state_names:
             buf = machine.vb.get(name)
             if buf is not None and not np.all(np.isfinite(buf)):
                 return True
@@ -504,11 +561,11 @@ class RSQPAccelerator:
         machine.scalars.update(scalar_snap)
 
     def run(self) -> RSQPResult:
-        """Execute the solve: prologue, ADMM segments with host-driven
-        rho adaptation, epilogue. Returns the unscaled result.
+        """Execute the solve: prologue, loop segments with the host step
+        between them, epilogue. Returns the unscaled result.
 
         With a fault injector (or an explicit recovery policy) armed,
-        each segment boundary checks the persistent ADMM state for
+        each segment boundary checks the persistent state for
         non-finite values and residual divergence; a corrupted segment
         is rolled back to the last good checkpoint and re-run, at most
         ``recovery.max_rollbacks`` times, after which the run raises
@@ -516,9 +573,10 @@ class RSQPAccelerator:
         deadline is checked cooperatively between segments and raises
         :class:`~repro.exceptions.DeadlineExceededError`.
         """
-        interval = max(self.settings.adaptive_rho_interval, 1)
+        interval = max(self._segment_length(), 1)
         machine = self.machine
-        self.rho_updates = 0
+        loop_name = self.loop_name
+        self.restarts = self.step_updates = 0
         guard = (self.fault_injector is not None
                  or self.recovery is not None)
         recovery = self.recovery
@@ -545,14 +603,14 @@ class RSQPAccelerator:
                     f"solve overran its {self.deadline_seconds:.3g}s "
                     f"deadline with {remaining} iterations to go")
             segment = min(interval, remaining)
-            before = machine.stats.loop_iterations.get(ADMM_LOOP, 0)
+            before = machine.stats.loop_iterations.get(loop_name, 0)
             self._run_program(self._segment_program(segment))
-            executed = machine.stats.loop_iterations.get(ADMM_LOOP,
+            executed = machine.stats.loop_iterations.get(loop_name,
                                                          0) - before
             if guard and self._state_corrupted(prev_worst, recovery):
                 if rollbacks >= recovery.max_rollbacks:
                     raise FaultDetectedError(
-                        f"ADMM state corrupted after "
+                        f"{loop_name.upper()} state corrupted after "
                         f"{rollbacks} rollbacks", events=_events())
                 rollbacks += 1
                 self._rollback(checkpoint)
@@ -563,9 +621,8 @@ class RSQPAccelerator:
                 break
             if executed < segment:  # defensive: loop exited unconverged
                 break
-            if self.settings.adaptive_rho and remaining > 0:
-                if self._update_rho_from_device():
-                    self.rho_updates += 1
+            if remaining > 0:
+                self._segment_boundary()
             if guard:
                 checkpoint = self._snapshot_state()
                 worst = machine.scalars.get("worst")
@@ -574,20 +631,188 @@ class RSQPAccelerator:
         self._run_program(self._epilogue_program)
 
         stats = machine.stats
-        x = self.scaling.unscale_x(machine.read_hbm("x"))
-        y = self.scaling.unscale_y(machine.read_hbm("y"))
-        z = self.scaling.unscale_z(machine.read_hbm("z"))
-        admm_iters = stats.loop_iterations.get(ADMM_LOOP, 0)
-        pcg_iters = stats.loop_iterations.get(PCG_LOOP, 0)
         arch = self.customization.architecture
         return RSQPResult(
-            x=x, y=y, z=z, converged=converged,
-            admm_iterations=admm_iters, pcg_iterations=pcg_iters,
+            x=self.scaling.unscale_x(machine.read_hbm("x")),
+            y=self.scaling.unscale_y(machine.read_hbm("y")),
+            z=self.scaling.unscale_z(machine.read_hbm("z")),
+            converged=converged,
+            admm_iterations=stats.loop_iterations.get(loop_name, 0),
+            pcg_iterations=stats.loop_iterations.get(PCG_LOOP, 0),
             total_cycles=stats.total_cycles,
             fmax_mhz=fmax_mhz(arch),
             power_watts=fpga_power_watts(arch),
             stats=stats, rollbacks=rollbacks,
-            fault_events=_events())
+            fault_events=_events(),
+            algorithm=self.algorithm, restarts=self.restarts)
+
+    def _estimate(self, loops: dict, *, restarts: int = 0,
+                  step_updates: int = 0) -> int:
+        """Analytic cycle count (exact; see :mod:`repro.hw.compiler`):
+        the program at these loop trips, plus the transfers each
+        restart and each step-size reload charge."""
+        ctx = self.compiled.context
+
+        def cycles(*programs):
+            return sum(item.cycles(ctx) for program in programs
+                       for item in program.instructions)
+
+        return (self.compiled.estimate_cycles_for(loops)
+                + restarts * cycles(self._store_program,
+                                    self._anchor_program)
+                + step_updates * cycles(self._step_program))
+
+
+class RSQPAccelerator(Accelerator):
+    """Simulated RSQP card solving one QP structure with OSQP's ADMM.
+
+    Parameters are :class:`Accelerator`'s, plus:
+
+    settings:
+        Solver settings; the accelerator honors ``rho``, ``sigma``,
+        ``alpha``, ``eps_abs``, ``eps_rel``, ``scaling`` and
+        ``max_iter``. Adaptive rho runs host-side in OSQP; the
+        instruction stream keeps ``rho`` fixed (the paper notes PCG
+        makes rho updates cheap — a host re-download — but the ROM
+        program itself is static).
+    pcg_eps, max_pcg_iter:
+        The inner PCG loop's tolerance and trip budget.
+    """
+
+    algorithm = "admm"
+    loop_name = ADMM_LOOP
+    sections = ("prologue", "admm_body", "pcg_body", "epilogue")
+    download_hbm = frozenset({"q", "l", "u", "rho", "rho_inv", "minv",
+                              "x", "z", "y"})
+    download_scalars = frozenset({"sigma", "alpha_relax", "one_m_alpha",
+                                  "eps_rel", "eps_abs_m", "eps_abs_n",
+                                  "nq", "one", "tiny", "pcg_eps2"})
+    state_names = ("x", "z", "y", "xt")
+    reload_names = ("q", "l", "u", "rho", "rho_inv", "minv")
+    step_reload = ("rho", "rho_inv", "minv")
+
+    def __init__(self, problem: QProblem,
+                 customization: ProblemCustomization | None = None,
+                 settings: OSQPSettings | None = None,
+                 *, c: int = 16, pcg_eps: float = 1e-7,
+                 max_pcg_iter: int = 500,
+                 compiled: CompiledProgram | None = None,
+                 backend: str = "compiled",
+                 verify: bool = True,
+                 fault_injector=None,
+                 recovery=None,
+                 deadline_seconds: float | None = None,
+                 scaling=None):
+        self.pcg_eps = float(pcg_eps)
+        self.max_pcg_iter = int(max_pcg_iter)
+        super().__init__(
+            problem, customization,
+            settings if settings is not None else OSQPSettings(),
+            c=c, compiled=compiled, backend=backend, verify=verify,
+            fault_injector=fault_injector, recovery=recovery,
+            deadline_seconds=deadline_seconds, scaling=scaling)
+
+    @classmethod
+    def compile_program(cls, customization, n, m, *, max_iter,
+                        max_pcg_iter):
+        return compile_for_customization(customization, n, m,
+                                         max_admm_iter=max_iter,
+                                         max_pcg_iter=max_pcg_iter)
+
+    @classmethod
+    def bind(cls, problem, customization, settings, compiled, *,
+             pcg_eps=1e-7, max_pcg_iter=500, **arm):
+        return cls(problem, customization, settings, pcg_eps=pcg_eps,
+                   max_pcg_iter=max_pcg_iter, compiled=compiled, **arm)
+
+    @property
+    def rho_updates(self) -> int:
+        """Host-driven rho changes in the last run."""
+        return self.step_updates
+
+    def _host_setup(self) -> None:
+        """Scale the problem and pick rho exactly like the software solver."""
+        helper = OSQPSolver(self.problem, self.settings,
+                            scaling=self._equilibrate())
+        self.scaling = helper.scaling
+        self.work = helper.work
+        self._work_at = helper.at
+        self.rho = helper.rho
+        self.rho_vec = helper.rho_vec
+
+    def refresh_numeric(self, problem: QProblem, *,
+                        carry_rho: bool = False) -> None:
+        """Install new numeric data for the *same* structure, in place
+        (see :meth:`Accelerator._refresh`). ``carry_rho=True`` keeps
+        the adapted step size from previous solves instead of the
+        cold-start estimate."""
+        self._refresh(problem, self.rho if carry_rho else None)
+
+    def _download(self) -> None:
+        """Host -> HBM data movement and scalar register setup."""
+        machine = self.machine
+        n, m = self.work.n, self.work.m
+        self._download_problem()
+        # rho, its inverse and the Jacobi preconditioner of
+        # K = P + sigma I + A' diag(rho) A.
+        self._install_step()
+        machine.write_hbm("x", np.zeros(n))
+        machine.write_hbm("z", np.zeros(m))
+        machine.write_hbm("y", np.zeros(m))
+
+        s = self.settings
+        machine.set_scalar("sigma", s.sigma)
+        machine.set_scalar("alpha_relax", s.alpha)
+        machine.set_scalar("one_m_alpha", 1.0 - s.alpha)
+        self._download_tolerances()
+        machine.set_scalar("one", 1.0)
+        machine.set_scalar("tiny", 1e-30)
+        machine.set_scalar("pcg_eps2", self.pcg_eps ** 2)
+
+    def warm_start(self, x=None, y=None) -> None:
+        """Provide initial iterates (unscaled), as for repeated solves.
+
+        The backtesting/MPC amortization workloads solve long sequences
+        of same-structure problems; warm-starting from the previous
+        solution is how the host exploits that on the card.
+        """
+        machine = self.machine
+        if x is not None:
+            x_s = self.scaling.scale_x(np.asarray(x, dtype=np.float64))
+            machine.write_hbm("x", x_s)
+            machine.write_hbm("z", self.work.A.matvec(x_s))
+        if y is not None:
+            machine.write_hbm("y", self.scaling.scale_y(
+                np.asarray(y, dtype=np.float64)))
+
+    # -- adaptive rho (OSQP's rule, residuals read off-chip) -------------
+    # The paper motivates PCG precisely because rho updates avoid the
+    # LDL^T refactorization: the host recomputes the rho vectors and
+    # the Jacobi preconditioner and the card reloads them.
+    def _segment_length(self) -> int:
+        return self.settings.adaptive_rho_interval
+
+    def _rebalance(self, rp, rdual, npz, nd_all) -> bool:
+        if not self.settings.adaptive_rho:
+            return False
+        estimate = balanced_step(self.rho, rp, rdual, npz, nd_all,
+                                 RHO_MIN, RHO_MAX)
+        tol = self.settings.adaptive_rho_tolerance
+        if not (estimate > tol * self.rho or estimate < self.rho / tol):
+            return False
+        self._adopt_step(estimate)
+        self.step_updates += 1
+        return True
+
+    def _adopt_step(self, step: float) -> None:
+        self.rho = step
+        self.rho_vec = rho_vector_for(self.work, step)
+
+    def _step_data(self) -> tuple[dict, dict]:
+        return {"rho": self.rho_vec,
+                "rho_inv": 1.0 / self.rho_vec,
+                "minv": jacobi_preconditioner(
+                    self.work, self.settings.sigma, self.rho_vec)}, {}
 
     def estimate_cycles(self, admm_iterations: int, pcg_iterations: int,
                         rho_updates: int = 0) -> int:
@@ -596,14 +821,22 @@ class RSQPAccelerator:
         ``rho_updates`` charges the three-vector reload each host-driven
         step-size change costs.
         """
-        refresh = 0
-        if rho_updates:
-            from .isa import DataTransfer
-            refresh = rho_updates * sum(
-                DataTransfer("load", name).cycles(self.compiled.context)
-                for name in ("rho", "rho_inv", "minv"))
-        return (self.compiled.estimate_cycles(admm_iterations,
-                                              pcg_iterations) + refresh)
+        return self._estimate({ADMM_LOOP: admm_iterations,
+                               PCG_LOOP: pcg_iterations},
+                              step_updates=rho_updates)
+
+
+def attach_customization_costs(compiled: CompiledProgram,
+                               customization: ProblemCustomization,
+                               n: int, m: int) -> CompiledProgram:
+    """Attach a customization's SpMV costs and CVB depths to a program."""
+    attach_costs(compiled, customization.c,
+                 spmv={name: customization.matrices[name].spmv_cycles
+                       for name in MATRICES},
+                 depths={name: customization.matrices[name].duplication_cycles
+                         for name in MATRICES},
+                 n=n, m=m)
+    return compiled
 
 
 def compile_for_customization(customization: ProblemCustomization,
@@ -618,12 +851,7 @@ def compile_for_customization(customization: ProblemCustomization,
     during execution (all run state lives in the :class:`Machine`), so
     one compiled artifact may serve concurrent accelerator instances.
     """
-    compiled = compile_osqp_program(n, m, max_admm_iter=max_admm_iter,
-                                    max_pcg_iter=max_pcg_iter)
-    attach_costs(compiled, customization.c,
-                 spmv={name: customization.matrices[name].spmv_cycles
-                       for name in ("P", "A", "At")},
-                 depths={name: customization.matrices[name].duplication_cycles
-                         for name in ("P", "A", "At")},
-                 n=n, m=m)
-    return compiled
+    return attach_customization_costs(
+        compile_osqp_program(n, m, max_admm_iter=max_admm_iter,
+                             max_pcg_iter=max_pcg_iter),
+        customization, n, m)

@@ -172,14 +172,71 @@ def _section_cycles(items, context) -> int:
     return total
 
 
-def _install_sections(compiled: CompiledProgram,
-                      sections: Dict[str, list]) -> CompiledProgram:
-    for name, items in sections.items():
+def _termination_check() -> list:
+    """The on-chip termination check ending every iteration of both
+    algorithms, on ``ax = A x`` and ``z`` (2-norm residuals):
+
+    prim: ||Ax - z|| <= eps_abs sqrt(m) + eps_rel max(||Ax||, ||z||)
+    dual: ||Px + q + A'y|| <= eps_abs sqrt(n)
+          + eps_rel max(||Px||, ||A'y||, ||q||)
+
+    It leaves ``rp`` / ``rdual`` / ``npz`` / ``nd_all`` in scalar
+    registers for the host's between-segment step.
+    """
+    sc = ScalarOpKind
+    vk = VectorOpKind
+    return [
+        VectorOp(vk.AXPBY, "rp_vec", ("ax", "z"), alpha=1.0, beta=-1.0),
+        VectorOp(vk.DOT, "rp2", ("rp_vec", "rp_vec")),
+        VectorOp(vk.DOT, "nax2", ("ax", "ax")),
+        VectorOp(vk.DOT, "nz2", ("z", "z")),
+        ScalarOp(sc.SQRT, "rp", "rp2"),
+        ScalarOp(sc.MAX, "npz2", "nax2", "nz2"),
+        ScalarOp(sc.SQRT, "npz", "npz2"),
+        ScalarOp(sc.MUL, "eps_p_rel", "eps_rel", "npz"),
+        ScalarOp(sc.ADD, "eps_p", "eps_abs_m", "eps_p_rel"),
+        ScalarOp(sc.DIV, "ratio_p", "rp", "eps_p"),
+        VecDup("x", "P"),
+        SpMV("P", "P", "px"),
+        VecDup("y", "At"),
+        SpMV("At", "At", "aty"),
+        VectorOp(vk.AXPBY, "rd_tmp", ("px", "aty"), alpha=1.0, beta=1.0),
+        VectorOp(vk.AXPBY, "rd_vec", ("rd_tmp", "q"), alpha=1.0, beta=1.0),
+        VectorOp(vk.DOT, "rdual2", ("rd_vec", "rd_vec")),
+        VectorOp(vk.DOT, "npx2", ("px", "px")),
+        VectorOp(vk.DOT, "naty2", ("aty", "aty")),
+        ScalarOp(sc.SQRT, "rdual", "rdual2"),
+        ScalarOp(sc.MAX, "nd2", "npx2", "naty2"),
+        ScalarOp(sc.SQRT, "nd", "nd2"),
+        ScalarOp(sc.MAX, "nd_all", "nd", "nq"),
+        ScalarOp(sc.MUL, "eps_d_rel", "eps_rel", "nd_all"),
+        ScalarOp(sc.ADD, "eps_d", "eps_abs_n", "eps_d_rel"),
+        ScalarOp(sc.DIV, "ratio_d", "rdual", "eps_d"),
+        ScalarOp(sc.MAX, "worst", "ratio_p", "ratio_d"),
+        Control("worst", "one"),
+    ]
+
+
+def _assemble(algorithm: str, loop: Loop, sections: Dict[str, list],
+              loop_sections: Dict[str, str],
+              lengths: Dict[str, int]) -> CompiledProgram:
+    """Prologue + iteration loop + the shared epilogue, as a program.
+
+    Cost context placeholders; the accelerator fills in real schedule
+    numbers. Default zero costs keep the context usable standalone.
+    """
+    epilogue = [DataTransfer("store", name) for name in ("x", "y", "z")]
+    program = Program(sections["prologue"] + [loop] + epilogue)
+    context = StaticCostContext(c=1, lengths=lengths,
+                                spmv={"P": 0, "A": 0, "At": 0},
+                                depths={"P": 0, "A": 0, "At": 0})
+    compiled = CompiledProgram(program=program, context=context,
+                               algorithm=algorithm,
+                               loop_sections=loop_sections)
+    compiled._sections = {**sections, "epilogue": epilogue}
+    for name, items in compiled._sections.items():
         _tag_sites(items, name)
-    compiled._sections = dict(sections)
-    for name, items in sections.items():
-        compiled.section_cycles[name] = _section_cycles(
-            items, compiled.context)
+        compiled.section_cycles[name] = _section_cycles(items, context)
     return compiled
 
 
@@ -289,72 +346,18 @@ def compile_osqp_program(n: int, m: int, *, max_admm_iter: int,
         VectorOp(vk.COPY, "x", ("x_new",)),
         VectorOp(vk.COPY, "z", ("z_new",)),
     ]
-    # On-chip termination check (2-norm residuals):
-    # prim: ||Ax - z|| <= eps_abs sqrt(m) + eps_rel max(||Ax||, ||z||)
-    # dual: ||Px + q + A'y|| <= eps_abs sqrt(n)
-    #       + eps_rel max(||Px||, ||A'y||, ||q||)
     admm_body += [
         VecDup("x", "A"),
         SpMV("A", "A", "ax"),
-        VectorOp(vk.AXPBY, "rp_vec", ("ax", "z"), alpha=1.0, beta=-1.0),
-        VectorOp(vk.DOT, "rp2", ("rp_vec", "rp_vec")),
-        VectorOp(vk.DOT, "nax2", ("ax", "ax")),
-        VectorOp(vk.DOT, "nz2", ("z", "z")),
-        ScalarOp(sc.SQRT, "rp", "rp2"),
-        ScalarOp(sc.MAX, "npz2", "nax2", "nz2"),
-        ScalarOp(sc.SQRT, "npz", "npz2"),
-        ScalarOp(sc.MUL, "eps_p_rel", "eps_rel", "npz"),
-        ScalarOp(sc.ADD, "eps_p", "eps_abs_m", "eps_p_rel"),
-        ScalarOp(sc.DIV, "ratio_p", "rp", "eps_p"),
-        VecDup("x", "P"),
-        SpMV("P", "P", "px"),
-        VecDup("y", "At"),
-        SpMV("At", "At", "aty"),
-        VectorOp(vk.AXPBY, "rd_tmp", ("px", "aty"), alpha=1.0, beta=1.0),
-        VectorOp(vk.AXPBY, "rd_vec", ("rd_tmp", "q"), alpha=1.0, beta=1.0),
-        VectorOp(vk.DOT, "rdual2", ("rd_vec", "rd_vec")),
-        VectorOp(vk.DOT, "npx2", ("px", "px")),
-        VectorOp(vk.DOT, "naty2", ("aty", "aty")),
-        ScalarOp(sc.SQRT, "rdual", "rdual2"),
-        ScalarOp(sc.MAX, "nd2", "npx2", "naty2"),
-        ScalarOp(sc.SQRT, "nd", "nd2"),
-        ScalarOp(sc.MAX, "nd_all", "nd", "nq"),
-        ScalarOp(sc.MUL, "eps_d_rel", "eps_rel", "nd_all"),
-        ScalarOp(sc.ADD, "eps_d", "eps_abs_n", "eps_d_rel"),
-        ScalarOp(sc.DIV, "ratio_d", "rdual", "eps_d"),
-        ScalarOp(sc.MAX, "worst", "ratio_p", "ratio_d"),
-        Control("worst", "one"),
-    ]
+    ] + _termination_check()
 
-    epilogue = [
-        DataTransfer("store", "x"),
-        DataTransfer("store", "y"),
-        DataTransfer("store", "z"),
-    ]
-
-    program = Program()
-    for item in prologue:
-        program.append(item)
-    program.append(Loop(body=admm_body, max_iter=max_admm_iter,
-                        name=ADMM_LOOP))
-    for item in epilogue:
-        program.append(item)
-
-    lengths = _vector_lengths(n, m)
-    # Cost context placeholders; the accelerator fills in real schedule
-    # numbers. Default zero costs keep the context usable standalone.
-    context = StaticCostContext(c=1, lengths=lengths,
-                                spmv={"P": 0, "A": 0, "At": 0},
-                                depths={"P": 0, "A": 0, "At": 0})
-    compiled = CompiledProgram(
-        program=program, context=context, algorithm="admm",
-        loop_sections={ADMM_LOOP: "admm_body", PCG_LOOP: "pcg_body"})
-    return _install_sections(compiled, {
-        "prologue": prologue,
-        "admm_body": admm_body,
-        "pcg_body": pcg_body,
-        "epilogue": epilogue,
-    })
+    return _assemble(
+        "admm", Loop(body=admm_body, max_iter=max_admm_iter,
+                     name=ADMM_LOOP),
+        {"prologue": prologue, "admm_body": admm_body,
+         "pcg_body": pcg_body},
+        {ADMM_LOOP: "admm_body", PCG_LOOP: "pcg_body"},
+        _vector_lengths(n, m))
 
 
 def compile_pdqp_program(n: int, m: int, *,
@@ -415,71 +418,18 @@ def compile_pdqp_program(n: int, m: int, *,
         VectorOp(vk.AXPBY, "y", ("y0", "yp"), alpha="lam",
                  beta="one_m_lam"),
     ]
-    # On-chip termination check (2-norm residuals, z = clip(Ax, l, u)):
-    # prim: ||Ax - z|| <= eps_abs sqrt(m) + eps_rel max(||Ax||, ||z||)
-    # dual: ||Px + q + A'y|| <= eps_abs sqrt(n)
-    #       + eps_rel max(||Px||, ||A'y||, ||q||)
-    # The Px / A'y products double as next trip's gradient inputs.
+    # Termination check on z = clip(Ax, l, u); its Px / A'y products
+    # double as next trip's gradient inputs.
     pdhg_body += [
         VecDup("x", "A"),
         SpMV("A", "A", "ax"),
         VectorOp(vk.CLIP, "z", ("ax", "l", "u")),
-        VectorOp(vk.AXPBY, "rp_vec", ("ax", "z"), alpha=1.0, beta=-1.0),
-        VectorOp(vk.DOT, "rp2", ("rp_vec", "rp_vec")),
-        VectorOp(vk.DOT, "nax2", ("ax", "ax")),
-        VectorOp(vk.DOT, "nz2", ("z", "z")),
-        ScalarOp(sc.SQRT, "rp", "rp2"),
-        ScalarOp(sc.MAX, "npz2", "nax2", "nz2"),
-        ScalarOp(sc.SQRT, "npz", "npz2"),
-        ScalarOp(sc.MUL, "eps_p_rel", "eps_rel", "npz"),
-        ScalarOp(sc.ADD, "eps_p", "eps_abs_m", "eps_p_rel"),
-        ScalarOp(sc.DIV, "ratio_p", "rp", "eps_p"),
-        VecDup("x", "P"),
-        SpMV("P", "P", "px"),
-        VecDup("y", "At"),
-        SpMV("At", "At", "aty"),
-        VectorOp(vk.AXPBY, "rd_tmp", ("px", "aty"), alpha=1.0, beta=1.0),
-        VectorOp(vk.AXPBY, "rd_vec", ("rd_tmp", "q"), alpha=1.0, beta=1.0),
-        VectorOp(vk.DOT, "rdual2", ("rd_vec", "rd_vec")),
-        VectorOp(vk.DOT, "npx2", ("px", "px")),
-        VectorOp(vk.DOT, "naty2", ("aty", "aty")),
-        ScalarOp(sc.SQRT, "rdual", "rdual2"),
-        ScalarOp(sc.MAX, "nd2", "npx2", "naty2"),
-        ScalarOp(sc.SQRT, "nd", "nd2"),
-        ScalarOp(sc.MAX, "nd_all", "nd", "nq"),
-        ScalarOp(sc.MUL, "eps_d_rel", "eps_rel", "nd_all"),
-        ScalarOp(sc.ADD, "eps_d", "eps_abs_n", "eps_d_rel"),
-        ScalarOp(sc.DIV, "ratio_d", "rdual", "eps_d"),
-        ScalarOp(sc.MAX, "worst", "ratio_p", "ratio_d"),
-        Control("worst", "one"),
-    ]
+    ] + _termination_check()
 
-    epilogue = [
-        DataTransfer("store", "x"),
-        DataTransfer("store", "y"),
-        DataTransfer("store", "z"),
-    ]
-
-    program = Program()
-    for item in prologue:
-        program.append(item)
-    program.append(Loop(body=pdhg_body, max_iter=max_iter,
-                        name=PDHG_LOOP))
-    for item in epilogue:
-        program.append(item)
-
-    lengths = _pdqp_vector_lengths(n, m)
-    context = StaticCostContext(c=1, lengths=lengths,
-                                spmv={"P": 0, "A": 0, "At": 0},
-                                depths={"P": 0, "A": 0, "At": 0})
-    compiled = CompiledProgram(
-        program=program, context=context, algorithm="pdqp",
-        loop_sections={PDHG_LOOP: "pdhg_body"})
-    return _install_sections(compiled, {
-        "prologue": prologue,
-        "pdhg_body": pdhg_body,
-        "epilogue": epilogue,
-    })
+    return _assemble(
+        "pdqp", Loop(body=pdhg_body, max_iter=max_iter, name=PDHG_LOOP),
+        {"prologue": prologue, "pdhg_body": pdhg_body},
+        {PDHG_LOOP: "pdhg_body"}, _pdqp_vector_lengths(n, m))
 
 
 def attach_costs(compiled: CompiledProgram, c: int, spmv: dict,

@@ -33,9 +33,8 @@ from pathlib import Path
 
 from ..customization import (ProblemCustomization, customize_problem,
                              evaluate_architecture, parse_architecture)
-from ..hw import (CompiledProgram, estimate_resources, fmax_mhz,
-                  fpga_power_watts)
-from ..hw.accelerator import compile_for_customization
+from ..hw import (CompiledProgram, accelerator_class, estimate_resources,
+                  fmax_mhz, fpga_power_watts)
 from ..hw.resources import ResourceEstimate
 from .fingerprint import StructureFingerprint, fingerprint_problem
 
@@ -177,17 +176,9 @@ def build_artifact(problem, c, cache: "ArchCache | None" = None, *,
         custom = customize_problem(problem, c,
                                    allow_partial=allow_partial)
     t1 = time.perf_counter()
-    if algorithm == "pdqp":
-        from ..hw.pdqp import compile_pdqp_for_customization
-        compiled = compile_pdqp_for_customization(
-            custom, problem.n, problem.m, max_iter=max_admm_iter)
-    elif algorithm == "admm":
-        compiled = compile_for_customization(
-            custom, problem.n, problem.m,
-            max_admm_iter=max_admm_iter, max_pcg_iter=max_pcg_iter)
-    else:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected 'admm' or 'pdqp'")
+    compiled = accelerator_class(algorithm).compile_program(
+        custom, problem.n, problem.m,
+        max_iter=max_admm_iter, max_pcg_iter=max_pcg_iter)
     t2 = time.perf_counter()
     arch = custom.architecture
     if metrics is not None:

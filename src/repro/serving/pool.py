@@ -30,7 +30,8 @@ from concurrent.futures import (Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
 
 from ..exceptions import DeadlineExceededError
-from ..hw.accelerator import RSQPAccelerator, RSQPResult
+from ..hw import accelerator_class
+from ..hw.accelerator import RSQPResult
 from ..qp import QProblem
 from ..solver import OSQPSettings
 from .arch_cache import ArchArtifact
@@ -96,18 +97,10 @@ def bind_accelerator(problem: QProblem, artifact: ArchArtifact,
     ``arm`` passes ``fault_injector`` / ``recovery`` /
     ``deadline_seconds`` through.
     """
-    if getattr(artifact, "algorithm", "admm") == "pdqp":
-        from ..hw.pdqp import PDQPAccelerator
-        from ..solver.algorithms import get_algorithm
-        return PDQPAccelerator(
-            problem, customization=artifact.customization,
-            settings=get_algorithm("pdqp").coerce_settings(settings),
-            compiled=artifact.compiled, backend=backend, verify=False,
-            **arm)
-    return RSQPAccelerator(
-        problem, customization=artifact.customization, settings=settings,
+    return accelerator_class(getattr(artifact, "algorithm", "admm")).bind(
+        problem, artifact.customization, settings, artifact.compiled,
         pcg_eps=pcg_eps, max_pcg_iter=artifact.max_pcg_iter,
-        compiled=artifact.compiled, backend=backend, verify=False, **arm)
+        backend=backend, verify=False, **arm)
 
 
 class Resident:
@@ -165,13 +158,7 @@ def reference_job(problem: QProblem, settings: OSQPSettings,
     """Software fallback: solve with the named reference implementation."""
     from ..solver.algorithms import get_algorithm
     algo = get_algorithm(algorithm)
-    coerced = algo.coerce_settings(settings)
-    if algorithm == "pdqp":
-        from ..solver.pdqp import PDQPSolver
-        solver = PDQPSolver(problem, coerced)
-    else:
-        from ..solver.osqp import OSQPSolver
-        solver = OSQPSolver(problem, coerced)
+    solver = algo.solver_type(problem, algo.coerce_settings(settings))
     if warm_start is not None:
         x0, y0 = warm_start
         solver.warm_start(x=x0, y=y0)

@@ -30,20 +30,24 @@ class SolverAlgorithm(abc.ABC):
     """One QP algorithm behind the uniform solve interface.
 
     Subclasses declare ``name`` (the registry key, also used by the
-    serving layer's ``algorithm=`` settings) and ``settings_type`` (a
-    :class:`~repro.solver.settings.SolverSettings` subclass), and
-    implement :meth:`solve`.
+    serving layer's ``algorithm=`` settings), ``settings_type`` (a
+    :class:`~repro.solver.settings.SolverSettings` subclass) and
+    ``solver_type`` (the reference solver class).
     """
 
     #: Registry key; also the vocabulary of ``SolverService(algorithm=...)``.
     name: ClassVar[str] = ""
     #: The settings dataclass this algorithm consumes.
     settings_type: ClassVar[Type[SolverSettings]] = SolverSettings
+    #: The reference solver class: ``solver_type(problem, settings)``
+    #: supports ``warm_start`` and ``solve``.
+    solver_type: ClassVar[type]
 
-    @abc.abstractmethod
     def solve(self, problem: "QProblem",
               settings: Optional[SolverSettings] = None) -> SolverResult:
         """Solve ``problem`` and return the uniform result surface."""
+        return self.solver_type(problem,
+                                self.coerce_settings(settings)).solve()
 
     def default_settings(self) -> SolverSettings:
         return self.settings_type()

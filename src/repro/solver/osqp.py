@@ -325,10 +325,7 @@ class ADMMAlgorithm(SolverAlgorithm):
 
     name = "admm"
     settings_type = OSQPSettings
-
-    def solve(self, problem: QProblem,
-              settings=None) -> OSQPResult:
-        return OSQPSolver(problem, self.coerce_settings(settings)).solve()
+    solver_type = OSQPSolver
 
 
 register_algorithm(ADMMAlgorithm())

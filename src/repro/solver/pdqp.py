@@ -358,10 +358,7 @@ class PDQPAlgorithm(SolverAlgorithm):
 
     name = "pdqp"
     settings_type = PDQPSettings
-
-    def solve(self, problem: QProblem,
-              settings=None) -> SolverResult:
-        return solve_pdqp(problem, self.coerce_settings(settings))
+    solver_type = PDQPSolver
 
 
 register_algorithm(PDQPAlgorithm())

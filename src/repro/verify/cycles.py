@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..hw import accelerator_class
 from ..hw.compiler import CompiledProgram, StaticCostContext
 from ..hw.isa import Control, Loop, Program
 from .diagnostics import Location, VerificationReport
@@ -31,18 +32,11 @@ from .diagnostics import Location, VerificationReport
 __all__ = ["CycleBounds", "block_bounds", "program_bounds",
            "loop_charge_slots", "verify_compiled"]
 
-#: The sections every compiled OSQP program carries (see
-#: ``repro.hw.compiler.compile_osqp_program``).
-#: Section names an ADMM program must carry; other algorithms declare
-#: their own tables and are checked against ``expected_sections``.
-_SECTIONS = ("prologue", "admm_body", "pcg_body", "epilogue")
-
-
 def expected_sections(compiled: CompiledProgram) -> tuple:
-    """Required section names for a compiled program's algorithm."""
-    if getattr(compiled, "algorithm", "admm") == "pdqp":
-        return ("prologue", "pdhg_body", "epilogue")
-    return _SECTIONS
+    """Required section names for a compiled program's algorithm, as
+    its accelerator class declares them."""
+    return accelerator_class(getattr(compiled, "algorithm",
+                                     "admm")).sections
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..hw import accelerator_class
+from ..hw.accelerator import MATRICES
 from ..hw.isa import (BINARY_SCALAR_OPS, Control, DataTransfer, Loop,
                       Program, ScalarOp, SpMV, VecDup, VectorOp,
                       VectorOpKind)
@@ -80,43 +82,24 @@ class ProgramContract:
     matrices: frozenset = frozenset()
 
 
-def accelerator_contract() -> ProgramContract:
-    """The download contract of :class:`repro.hw.RSQPAccelerator`.
+def contract_for_algorithm(algorithm: str) -> ProgramContract:
+    """The download contract declared on ``algorithm``'s accelerator
+    class: the vectors its ``_download`` writes to HBM and the scalar
+    registers it sets before the program runs."""
+    cls = accelerator_class(algorithm)
+    return ProgramContract(hbm=cls.download_hbm,
+                           scalars=cls.download_scalars,
+                           matrices=frozenset(MATRICES))
 
-    Mirrors ``RSQPAccelerator._download`` — the vectors written to HBM
-    and the scalar registers set before the program runs.
-    """
-    return ProgramContract(
-        hbm=frozenset({"q", "l", "u", "rho", "rho_inv", "minv",
-                       "x", "z", "y"}),
-        scalars=frozenset({"sigma", "alpha_relax", "one_m_alpha",
-                           "eps_rel", "eps_abs_m", "eps_abs_n",
-                           "nq", "one", "tiny", "pcg_eps2"}),
-        matrices=frozenset({"P", "A", "At"}),
-    )
+
+def accelerator_contract() -> ProgramContract:
+    """The download contract of :class:`repro.hw.RSQPAccelerator`."""
+    return contract_for_algorithm("admm")
 
 
 def pdqp_contract() -> ProgramContract:
-    """The download contract of :class:`repro.hw.PDQPAccelerator`.
-
-    Mirrors ``PDQPAccelerator._download`` — no KKT-derived vectors
-    (``rho``/``minv``), instead the Halpern anchors ``x0``/``y0`` and
-    the PDHG step-size scalar registers.
-    """
-    return ProgramContract(
-        hbm=frozenset({"q", "l", "u", "x", "y", "x0", "y0"}),
-        scalars=frozenset({"neg_tau", "sigma", "sigma_inv", "neg_sigma",
-                           "hk", "one", "eps_rel", "eps_abs_m",
-                           "eps_abs_n", "nq"}),
-        matrices=frozenset({"P", "A", "At"}),
-    )
-
-
-def contract_for_algorithm(algorithm: str) -> ProgramContract:
-    """Pick the host download contract by algorithm name."""
-    if algorithm == "pdqp":
-        return pdqp_contract()
-    return accelerator_contract()
+    """The download contract of :class:`repro.hw.PDQPAccelerator`."""
+    return contract_for_algorithm("pdqp")
 
 
 @dataclass

@@ -116,6 +116,7 @@ class TestCalibratedMode:
         assert not r1.record.calibrated      # first solve is numeric
         assert r2.record.calibrated          # repeat reuses its cycles
         assert r2.record.service_seconds == r1.record.service_seconds
+        assert r2.x is None                  # ...but not its solution
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

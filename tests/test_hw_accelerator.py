@@ -72,6 +72,21 @@ class TestAcceleratorNumerics:
         assert np.isclose(res.energy_joules,
                           res.solve_seconds * res.power_watts)
 
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_program_for_other_algorithm_rejected(self, verify):
+        from repro.hw import (PDQPAccelerator, compile_for_customization,
+                              compile_pdqp_for_customization)
+        prob = generate_control(2, horizon=2, seed=9)
+        cust = customize_problem(prob, 8)
+        n, m = prob.n, prob.m
+        admm = compile_for_customization(cust, n, m, max_admm_iter=10,
+                                         max_pcg_iter=10)
+        pdqp = compile_pdqp_for_customization(cust, n, m, max_iter=10)
+        with pytest.raises(ValueError, match="needs a 'admm' program"):
+            RSQPAccelerator(prob, cust, compiled=pdqp, verify=verify)
+        with pytest.raises(ValueError, match="needs a 'pdqp' program"):
+            PDQPAccelerator(prob, cust, compiled=admm, verify=verify)
+
     def test_cycle_breakdown_reported(self):
         prob = generate_svm(10, seed=8)
         res = RSQPAccelerator(prob, settings=SETTINGS).run()

@@ -302,6 +302,7 @@ class TestBatchDifferential:
                                        for r in solo_results)
         assert bres.lane_cycles == tuple(r.total_cycles
                                          for r in solo_results)
+        return solos
 
     @pytest.mark.parametrize("batch", [1, 2, 8, 32])
     def test_admm_batch_bitwise_vs_solo(self, batch):
@@ -320,16 +321,29 @@ class TestBatchDifferential:
         self._assert_lanes_match_solo(probs, cust, OSQPSettings(), "admm",
                                       RSQPAccelerator)
 
-    @pytest.mark.parametrize("batch", [2, 8])
-    def test_pdqp_batch_bitwise_vs_solo(self, batch):
+    @pytest.mark.parametrize("family,size,batch,omega_tolerance", [
+        pytest.param("control", 4, 2, None, id="2"),
+        pytest.param("control", 4, 8, None, id="8"),
+        # A loose tolerance makes the lanes rebalance omega 2-6 times,
+        # covering the primal-weight step solo and batch share.
+        pytest.param("eqqp", 16, 8, 1.5, id="eqqp16-omega"),
+    ])
+    def test_pdqp_batch_bitwise_vs_solo(self, family, size, batch,
+                                        omega_tolerance):
+        import dataclasses
         from repro.hw.pdqp import PDQPAccelerator
         from repro.solver import OSQPSettings
         from repro.solver.algorithms import get_algorithm
-        probs = self._lane_problems("control", 4, batch)
+        probs = self._lane_problems(family, size, batch)
         cust = customize_problem(probs[0], 8)
         settings = get_algorithm("pdqp").coerce_settings(OSQPSettings())
-        self._assert_lanes_match_solo(probs, cust, settings, "pdqp",
-                                      PDQPAccelerator)
+        if omega_tolerance is not None:
+            settings = dataclasses.replace(
+                settings, omega_tolerance=omega_tolerance)
+        solos = self._assert_lanes_match_solo(probs, cust, settings, "pdqp",
+                                              PDQPAccelerator)
+        if omega_tolerance is not None:
+            assert any(acc.omega_updates > 0 for acc in solos)
 
 
 class TestSpMVEngineDifferential:

@@ -10,7 +10,7 @@ from repro.hw.isa import (BINARY_SCALAR_OPS, Control, DataTransfer, Loop,
                           Program, ScalarOp, ScalarOpKind, SpMV, VecDup,
                           VectorOp, VectorOpKind)
 from repro.verify import (ProgramContract, Severity, accelerator_contract,
-                          verify_program)
+                          pdqp_contract, verify_program)
 
 #: Minimal contract for hand-built programs.
 CONTRACT = ProgramContract(hbm=frozenset({"v", "w"}),
@@ -43,10 +43,16 @@ class TestAcceptance:
         assert not report.diagnostics
 
     def test_accelerator_contract_matches_download(self):
-        contract = accelerator_contract()
-        assert "q" in contract.hbm
-        assert "sigma" in contract.scalars
-        assert contract.matrices == frozenset({"P", "A", "At"})
+        from repro.hw import PDQPAccelerator, RSQPAccelerator
+        from repro.problems import generate_control
+        prob = generate_control(2, horizon=2, seed=0)
+        for contract, accelerator in ((accelerator_contract(),
+                                       RSQPAccelerator),
+                                      (pdqp_contract(), PDQPAccelerator)):
+            machine = accelerator(prob, c=8).machine
+            assert set(machine.hbm) == contract.hbm
+            assert set(machine.scalars) == contract.scalars
+            assert set(machine.matrices) == contract.matrices
 
 
 class TestSeededDefects:
