@@ -12,6 +12,9 @@ Environment knobs:
 """
 
 import os
+import platform
+import shutil
+import subprocess
 
 import pytest
 
@@ -24,6 +27,29 @@ def bench_count() -> int:
 
 def bench_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+
+
+def host_info() -> dict:
+    """The host a ``BENCH_*.json`` number was measured on."""
+    model = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            model = next((line.split(":", 1)[1].strip() for line in fh
+                          if line.startswith("model name")), model)
+    except OSError:
+        pass
+    cc = shutil.which(os.environ.get("CC", "cc"))
+    compiler = "absent"
+    if cc is not None:
+        try:
+            out = subprocess.run([cc, "--version"], capture_output=True,
+                                 text=True, timeout=10).stdout
+            compiler = out.splitlines()[0] if out else cc
+        except (OSError, subprocess.TimeoutExpired):
+            compiler = cc
+    return {"cpu_cores": os.cpu_count() or 1, "cpu_model": model,
+            "c_compiler": compiler,
+            "repro_jit": os.environ.get("REPRO_JIT", "1")}
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,8 @@ perturbed instances twice — once per request through the compiled
 accelerator, once as a single batched run (construction included) —
 asserts bitwise-identical lane results, asserts >= 5x request
 throughput on the compute-dominated case, and writes
-``BENCH_BATCH.json`` at the repo root for the perf trajectory.
+``BENCH_BATCH.json`` at the repo root for the perf trajectory,
+together with the host it ran on (cores, CPU, C compiler, REPRO_JIT).
 
 Respects ``REPRO_BENCH_COUNT`` / ``REPRO_BENCH_SCALE`` (see conftest).
 """
@@ -20,7 +21,7 @@ import time
 
 import numpy as np
 
-from conftest import bench_count, bench_scale, print_rows
+from conftest import bench_count, bench_scale, host_info, print_rows
 
 from repro.batch import BatchAccelerator
 from repro.customization import customize_problem
@@ -136,6 +137,7 @@ def test_batch_throughput(benchmark):
     benchmark(hot_batch)
 
     payload = {
+        "host": host_info(),
         "batch": BATCH,
         "speedup_floor": SPEEDUP_FLOOR,
         "compute_dominated_families": list(COMPUTE_DOMINATED),

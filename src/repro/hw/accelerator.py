@@ -198,8 +198,10 @@ class Accelerator:
     #: rollback checkpoint) and the HBM vectors a rollback reloads.
     state_names: ClassVar[tuple[str, ...]] = ()
     reload_names: ClassVar[tuple[str, ...]] = ()
-    #: HBM vectors the card reloads after a step-size change.
+    #: HBM vectors the card reloads after a step-size change, and the
+    #: host attribute holding the adapted step (carried by ``refresh``).
     step_reload: ClassVar[tuple[str, ...]] = ()
+    step_name: ClassVar[str] = ""
     #: Restart between segments: ``(anchor, iterate)`` HBM pairs the
     #: host copies, and the scalar registers it resets.
     anchors: ClassVar[tuple[tuple[str, str], ...]] = ()
@@ -370,6 +372,14 @@ class Accelerator:
                     f"sparsity pattern of {name} changed; a bound "
                     "accelerator only accepts same-structure numeric "
                     "updates")
+
+    def refresh(self, problem: QProblem, *,
+                carry_step: bool = False) -> None:
+        """:meth:`refresh_numeric` under one name for every algorithm:
+        ``carry_step`` keeps the adapted step size (the ``step_name``
+        attribute: rho, omega) instead of the cold-start one."""
+        self._refresh(problem,
+                      getattr(self, self.step_name) if carry_step else None)
 
     def _refresh(self, problem: QProblem, carried_step) -> None:
         """Install new numeric data for the *same* structure, in place.
@@ -690,6 +700,7 @@ class RSQPAccelerator(Accelerator):
     state_names = ("x", "z", "y", "xt")
     reload_names = ("q", "l", "u", "rho", "rho_inv", "minv")
     step_reload = ("rho", "rho_inv", "minv")
+    step_name = "rho"
 
     def __init__(self, problem: QProblem,
                  customization: ProblemCustomization | None = None,
@@ -746,7 +757,7 @@ class RSQPAccelerator(Accelerator):
         (see :meth:`Accelerator._refresh`). ``carry_rho=True`` keeps
         the adapted step size from previous solves instead of the
         cold-start estimate."""
-        self._refresh(problem, self.rho if carry_rho else None)
+        self.refresh(problem, carry_step=carry_rho)
 
     def _download(self) -> None:
         """Host -> HBM data movement and scalar register setup."""

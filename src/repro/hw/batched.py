@@ -17,7 +17,9 @@ module is the machine layer of :mod:`repro.batch`:
   counters.
 * :class:`BatchExecutor` — the batched lowering of
   :class:`~repro.hw.compiled.CompiledExecutor`: basic blocks become
-  fused numpy/C closures with deferred block charging.
+  fused numpy/C closures with deferred block charging, and a loop
+  whose body has bound becomes one lane-masked generated C function
+  (the batched whole-loop tier, :class:`_BatchLoopBuilder`).
 
 Memory layout: lane-minor
 -------------------------
@@ -29,23 +31,30 @@ solo accumulation order, and a per-lane coefficient register ``(B,)``
 broadcasts along the *trailing* axis of a vector ufunc, numpy's fast
 path. Scalar registers are plain ``(B,)`` arrays.
 
-Convergence masking (freeze by snapshot, not by masked writes)
---------------------------------------------------------------
+Convergence masking
+-------------------
 Lanes are independent: a lane whose Control fired must keep its exit
-state bit-exactly while the remaining lanes iterate on. Masking every
-vector write would put the whole hot path on numpy's slow ``where=``
-branch, so the executor inverts the cost: *every* closure runs
-full-width on the fast path (ufuncs straight into their destination
-buffers), and when a Control fires, the exiting lanes' columns of
-every buffer the innermost loop's body can write — its static
-write-set, known at lowering — are snapshotted. When the loop exits,
-those columns are restored, discarding whatever the dead trips wrote.
-Frozen lanes therefore compute garbage for a while (cheap — the lanes
-are part of the same vectorized op) but never *observe* it: trap
-checks, fault hooks, Control comparisons and per-lane trip counters
-all honor the active-lane mask, and restore rewinds the state itself.
-The entry mask is re-established when the loop pops, so PCG-in-ADMM
-nesting behaves exactly like B interleaved solo runs.
+state bit-exactly while the remaining lanes iterate on. A fused whole
+loop masks its writes: each loop frame carries an active-lane mask,
+every generated write, DIV/SQRT trap check and Control test honors the
+innermost frame's mask, so a frozen lane's columns simply never change
+after it fires (see :class:`_BatchLoopBuilder`).
+
+The node path — a loop's first run, any run with a per-lane fault
+injector armed, and bodies the fused tier does not cover — inverts the
+cost instead: masking every numpy write would put it on the slow
+``where=`` branch, so *every* closure runs full-width on the fast path
+(ufuncs straight into their destination buffers), and when a Control
+fires, the exiting lanes' columns of every buffer the innermost loop's
+body can write — its static write-set, known at lowering — are
+snapshotted. When the loop exits, those columns are restored,
+discarding whatever the dead trips wrote. Frozen lanes therefore
+compute garbage for a while (cheap — the lanes are part of the same
+vectorized op) but never *observe* it: trap checks, fault hooks,
+Control comparisons and per-lane trip counters all honor the
+active-lane mask, and restore rewinds the state itself. Either way the
+entry mask is re-established when a loop ends, so PCG-in-ADMM nesting
+behaves exactly like B interleaved solo runs.
 
 The same mechanism covers host-level masking: ``run(program, mask)``
 snapshots the lanes *outside* ``mask`` against the whole program's
@@ -91,8 +100,9 @@ import numpy as np
 
 from ..exceptions import ShapeError, SimulationError, VerificationError
 from . import cjit
-from .compiled import literal_operand
-from .effect_ir import BufferRef, EffectIR, EffectStatement
+from .compiled import (SCALAR_C, _CBuilder, _FusedLoop, _LoopSkeleton,
+                       fuse_loop, literal_operand)
+from .effect_ir import BufferRef, EffectIR
 from .isa import (BINARY_SCALAR_OPS, Control, DataTransfer, Loop, Program,
                   ScalarOp, ScalarOpKind, SpMV, VecDup, VectorOp,
                   VectorOpKind)
@@ -444,9 +454,15 @@ class _LoopNode:
     count every trip with at least one active lane; per-lane trips
     count the lanes active at each trip's start (the exit trip counts,
     as in the solo machine).
+
+    As in the solo executor, once the body's segments have bound the
+    whole loop is lowered into one lane-masked C function (see
+    :class:`_BatchLoopBuilder`), bypassed while any per-lane injector
+    is armed; an unsupported body stays on this node path.
     """
 
-    __slots__ = ("_executor", "_loop", "_nodes", "_stats", "_writes")
+    __slots__ = ("_executor", "_loop", "_nodes", "_stats", "_writes",
+                 "_fused")
 
     def __init__(self, executor: "BatchExecutor", loop: Loop):
         self._executor = executor
@@ -456,10 +472,20 @@ class _LoopNode:
         writes: set = set()
         _collect_writes(loop.body, writes)
         self._writes = tuple(sorted(writes))
+        self._fused = None
 
     def run(self) -> None:
         executor = self._executor
         loop = self._loop
+        if executor.jit and executor.machine.injectors is None:
+            fused = self._fused
+            if fused is None:
+                fused = fuse_loop(executor, _BatchLoopBuilder, loop.body,
+                                  self._nodes)
+                if fused is not None:
+                    self._fused = fused
+            if fused and fused.run(loop):
+                return
         nodes = self._nodes
         machine = executor.machine
         lane_counts = machine.lane_loop_iterations.get(loop.name)
@@ -514,6 +540,7 @@ class BatchExecutor:
                  verify: bool | None = None):
         self.machine = machine
         self._blocks: dict = {}
+        self._loop_fused: dict = {}
         self._dirty: list = []
         if jit is None:
             self.jit = cjit.available()
@@ -1068,7 +1095,7 @@ def _build_batch_chunk(executor: "BatchExecutor", instrs: list):
         return None
 
 
-class _BatchChunkBuilder:
+class _BatchChunkBuilder(_CBuilder):
     """Generate one C function for a run of batched instructions.
 
     Mirrors :class:`repro.hw.compiled._ChunkBuilder` with two
@@ -1083,46 +1110,9 @@ class _BatchChunkBuilder:
     """
 
     def __init__(self, executor: "BatchExecutor"):
-        self.executor = executor
-        self.machine = executor.machine
-        self.bufs: list = []
-        self._buf_ids: dict = {}
-        self.iarrs: list = []
-        self._iarr_ids: dict = {}
-        self.lens: list = []
+        super().__init__(executor)
         self.consts: list = []
-        self.blocks: list = []
         self._sregs = 0
-        # effect-IR recording (consumed by repro.verify.codegen)
-        self.effects: list = []
-        self._pending_reads: list = []  # ("reg"|"lit", ref, token)
-        self._pending_lens: list = []   # (L slot, value)
-        self._instr_index = -1
-
-    # -- effect recording ------------------------------------------------
-    def _src_ref(self, name: str, arr: np.ndarray) -> BufferRef:
-        space = "vb" if name in self.machine.vb else "cvb"
-        return BufferRef(space, name, int(arr.shape[0]))
-
-    def _record(self, op: str, index: str, bound: int, *, dst=None,
-                srcs=(), expr: str = "", text: str = "", site=None,
-                matrix=None, spmv_shape=None, index_arrays=None,
-                nnz: int = 0, sreg_writes=(), lane_bound: int = 0) -> None:
-        reads = self._pending_reads
-        self._pending_reads = []
-        len_slots = tuple(self._pending_lens)
-        self._pending_lens = []
-        self.effects.append(EffectStatement(
-            op=op, index=index, bound=int(bound), dst=dst,
-            srcs=tuple(srcs), expr=expr, text=text,
-            lane_bound=int(lane_bound),
-            sreg_reads=tuple((ref, tok) for kind, ref, tok in reads
-                             if kind == "reg"),
-            lit_reads=tuple((ref, tok) for kind, ref, tok in reads
-                            if kind == "lit"),
-            sreg_writes=tuple(sreg_writes), len_slots=len_slots,
-            instr_index=self._instr_index, site=site, matrix=matrix,
-            spmv_shape=spmv_shape, index_arrays=index_arrays, nnz=nnz))
 
     def effect_ir(self) -> EffectIR:
         return EffectIR(tier="batch-chunk", batch=self.machine.batch,
@@ -1132,36 +1122,6 @@ class _BatchChunkBuilder:
                         source="".join(self.blocks))
 
     # -- operand tables --------------------------------------------------
-    def buf(self, arr: np.ndarray) -> str:
-        if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"]:
-            raise SimulationError("chunk operand must be contiguous f64")
-        key = id(arr)
-        idx = self._buf_ids.get(key)
-        if idx is None:
-            idx = len(self.bufs)
-            self.bufs.append(arr)
-            self._buf_ids[key] = idx
-        return f"B[{idx}]"
-
-    def iarr(self, arr: np.ndarray) -> str:
-        if arr.dtype != np.int64 or not arr.flags["C_CONTIGUOUS"]:
-            raise SimulationError("chunk index array must be contiguous i64")
-        key = id(arr)
-        idx = self._iarr_ids.get(key)
-        if idx is None:
-            idx = len(self.iarrs)
-            self.iarrs.append(arr)
-            self._iarr_ids[key] = idx
-        return f"IA[{idx}]"
-
-    def length(self, n: int) -> str:
-        # one slot per use: keeps the source canonical per pattern even
-        # when two operand lengths happen to coincide at runtime
-        self.lens.append(int(n))
-        slot = len(self.lens) - 1
-        self._pending_lens.append((slot, int(n)))
-        return f"L[{slot}]"
-
     def const(self, value: float) -> str:
         self.consts.append(float(value))
         token = f"S[{len(self.consts) - 1}]"
@@ -1185,15 +1145,43 @@ class _BatchChunkBuilder:
                 token, True)
 
     # -- emission --------------------------------------------------------
+    def _lane_mask(self) -> str | None:
+        """The active-lane mask guarding writes (whole-loop tier only)."""
+        return None
+
+    def _masked(self, stmt: str) -> str:
+        """``stmt`` (lane index ``j``) guarded by the active-lane mask."""
+        mask = self._lane_mask()
+        return stmt if mask is None else f"if ({mask}[j]) {stmt}"
+
+    def _accumulator(self, dst: str, indent: str) -> tuple:
+        """``(name, declaration, commit)`` of a kernel's lane
+        accumulator: ``dst`` itself when unmasked, else a local lane
+        vector whose active lanes are copied to ``dst`` (the commit is
+        indented by ``indent``)."""
+        if self._lane_mask() is None:
+            return dst, "", ""
+        return ("acc", "        double acc[bt];\n",
+                f"{indent}for (long j = 0; j < bt; ++j)\n"
+                f"{indent}    {self._masked(f'{dst}[j] = acc[j]')};\n")
+
     def _flat(self, total: int, decls: list, expr: str) -> None:
-        """One loop over all ``len * batch`` contiguous elements."""
+        """One loop over all ``len * batch`` contiguous elements (row by
+        row with the lane index ``j`` when writes are masked)."""
         body = "".join(f"        {line}\n" for line in decls)
+        if self._lane_mask() is None:
+            loop = ("        for (long i = 0; i < t; ++i)\n"
+                    f"            {expr};\n")
+        else:
+            loop = ("        for (long i0 = 0; i0 < t; i0 += bt)\n"
+                    "            for (long j = 0; j < bt; ++j) {\n"
+                    "                const long i = i0 + j;\n"
+                    f"                {self._masked(expr)};\n"
+                    "            }\n")
         self.blocks.append(
             "    {\n"
             f"        const long t = {self.length(total)};\n"
-            + body +
-            "        for (long i = 0; i < t; ++i)\n"
-            f"            {expr};\n"
+            + body + loop +
             "    }\n")
 
     def _laned(self, n: int, decls: list, rowptrs: list, expr: str) -> None:
@@ -1215,19 +1203,21 @@ class _BatchChunkBuilder:
             "        for (long i = 0; i < n; ++i) {\n"
             + rows +
             "            for (long j = 0; j < bt; ++j)\n"
-            f"                {expr};\n"
+            f"                {self._masked(expr)};\n"
             "        }\n"
             "    }\n")
 
-    def _scalar_block(self, decls: list, expr: str) -> None:
-        """One lane loop over a ``(B,)`` register destination."""
+    def _scalar_block(self, decls: list, expr: str,
+                      guard: str = "") -> None:
+        """One lane loop over a ``(B,)`` register destination, after
+        the optional per-lane trap ``guard`` loop."""
         body = "".join(f"        {line}\n" for line in decls)
         self.blocks.append(
             "    {\n"
             f"        const long bt = {self.length(self.machine.batch)};\n"
-            + body +
+            + body + guard +
             "        for (long j = 0; j < bt; ++j)\n"
-            f"            {expr};\n"
+            f"            {self._masked(expr)};\n"
             "    }\n")
 
     def emit(self, instr) -> None:
@@ -1263,6 +1253,11 @@ class _BatchChunkBuilder:
         op = instr.op
         if op in BINARY_SCALAR_OPS and instr.src2 is None:
             raise SimulationError("binary scalar op missing src2")
+        template, trap = SCALAR_C[op]
+        if trap is not None and self._lane_mask() is None:
+            # A chunk returns nothing, so only the whole-loop tier can
+            # report a DIV/SQRT trap.
+            raise SimulationError(f"scalar op not chunkable: {op}")
         decls_a, a, _ = self.sreg(instr.src1)
         decls = list(decls_a)
         b = None
@@ -1271,21 +1266,17 @@ class _BatchChunkBuilder:
             decls += decls_b
         dst = self.machine.scalar_buffer(instr.dst)
         decls.append(f"double *d = {self.buf(dst)};")
-        if op is ScalarOpKind.MOV:
-            expr = f"d[j] = {a}"
-        elif op is ScalarOpKind.MAX:
-            # Python max(a, b): returns b only when b > a (NaN-
-            # asymmetric) — same as the closure's where(b > a, b, a).
-            expr = f"d[j] = ({b} > {a}) ? {b} : {a}"
-        elif op is ScalarOpKind.ADD:
-            expr = f"d[j] = {a} + {b}"
-        elif op is ScalarOpKind.SUB:
-            expr = f"d[j] = {a} - {b}"
-        elif op is ScalarOpKind.MUL:
-            expr = f"d[j] = {a} * {b}"
-        else:
-            raise SimulationError(f"scalar op not chunkable: {op}")
-        self._scalar_block(decls, expr)
+        # MAX is Python's max(a, b): b only when b > a (NaN-asymmetric),
+        # the same as the closure's where(b > a, b, a).
+        expr = "d[j] = " + template.format(a=a, b=b)
+        guard = ""
+        if trap is not None:
+            # Traps fire for active lanes only, before any lane writes.
+            cond, rc = trap
+            guard = ("        for (long j = 0; j < bt; ++j)\n"
+                     f"            if ({self._lane_mask()}[j] && "
+                     f"{cond.format(a=a, b=b)}) return {rc};\n")
+        self._scalar_block(decls, expr, guard)
         self._record(f"scalar:{op.value}", "scalar", 0, expr=expr,
                      text=self.blocks[-1],
                      lane_bound=self.machine.batch,
@@ -1319,6 +1310,7 @@ class _BatchChunkBuilder:
             if a.shape != b.shape:
                 raise SimulationError("dot operand shapes differ")
             dst = machine.scalar_buffer(instr.dst)
+            acc, decl, commit = self._accumulator("o", "        ")
             self.blocks.append(
                 "    {\n"
                 f"        const double *a = {self.buf(a)};\n"
@@ -1326,14 +1318,16 @@ class _BatchChunkBuilder:
                 f"        double * restrict o = {self.buf(dst)};\n"
                 f"        const long n = {self.length(n)};\n"
                 f"        const long bt = {self.length(machine.batch)};\n"
+                + decl +
                 "        for (long j = 0; j < bt; ++j)\n"
-                "            o[j] = 0.0;\n"
+                f"            {acc}[j] = 0.0;\n"
                 "        for (long i = 0; i < n; ++i) {\n"
                 "            const double *ai = a + i * bt;\n"
                 "            const double *bi = b + i * bt;\n"
                 "            for (long j = 0; j < bt; ++j)\n"
-                "                o[j] += ai[j] * bi[j];\n"
+                f"                {acc}[j] += ai[j] * bi[j];\n"
                 "        }\n"
+                + commit +
                 "    }\n")
             self._record("dot", "reduce", n, srcs=(a_ref, b_ref),
                          text=self.blocks[-1],
@@ -1431,6 +1425,7 @@ class _BatchChunkBuilder:
         val, col, ip = resource._carrays
         # The engine library's k_csr_matvec_batch body: per lane the
         # k-loop accumulates in exactly the solo row-sum order.
+        acc, decl, commit = self._accumulator("yr", "            ")
         self.blocks.append(
             "    {\n"
             f"        const double * restrict v = {self.buf(val)};\n"
@@ -1440,16 +1435,18 @@ class _BatchChunkBuilder:
             f"        double * restrict yy = {self.buf(dst)};\n"
             f"        const long nrows = {self.length(rows)};\n"
             f"        const long bt = {self.length(machine.batch)};\n"
+            + decl +
             "        for (long r = 0; r < nrows; ++r) {\n"
             "            double * restrict yr = yy + r * bt;\n"
             "            for (long j = 0; j < bt; ++j)\n"
-            "                yr[j] = 0.0;\n"
+            f"                {acc}[j] = 0.0;\n"
             "            for (long k = ip[r]; k < ip[r + 1]; ++k) {\n"
             "                const double * restrict vk = v + k * bt;\n"
             "                const double * restrict xk = xx + col[k] * bt;\n"
             "                for (long j = 0; j < bt; ++j)\n"
-            "                    yr[j] += vk[j] * xk[j];\n"
+            f"                    {acc}[j] += vk[j] * xk[j];\n"
             "            }\n"
+            + commit +
             "        }\n"
             "    }\n")
         self._record(
@@ -1491,3 +1488,180 @@ class _BatchChunkBuilder:
         def fn(_hold=hold):
             run(pB, pI, pL, pS)
         return fn
+
+
+# ---------------------------------------------------------------------------
+# Batched whole-loop fusion: the solo whole-loop skeleton over the lane-minor
+# chunk emitters, with masked writes instead of snapshot/restore.
+
+_BATCH_LOOP_CDEF = """
+long loop_run(double **B, long **IA, const long *L, const double *S,
+              long *M, long *CT, long *IT, long *LT, long max_iter);
+"""
+
+
+class _FusedBatchLoop(_FusedLoop):
+    """Batch fused loop: the host stages only the lane mask.
+
+    Registers are the machine's stable ``(B,)`` buffers, read and
+    written in place, so there is no scalar prefill or write-back.
+    ``M`` row ``k`` is frame ``k``'s active-lane mask (row 0 is loaded
+    with the executor's mask at entry) and ``LT`` row ``k`` counts the
+    per-lane trips of frame ``k``; both loop-iteration tables are
+    updated exactly like the node path's.
+    """
+
+    __slots__ = ("_executor", "_m", "_lt", "_lanes")
+
+    def __init__(self, run, args, machine, builder, ct, it, hold,
+                 m, lt):
+        super().__init__(run, args, machine, builder, ct, it, hold)
+        self._executor = builder.executor
+        self._m = m
+        self._lt = lt
+        self._lanes = machine.lane_loop_iterations
+
+    def run(self, loop: Loop) -> bool:
+        np.copyto(self._m[0], self._executor._mask)
+        lt = self._lt
+        lt[:] = 0
+        rc = self._call(loop)
+        it = self._it
+        lanes = self._lanes
+        for slot, name in ((0, loop.name),) + self._loops:
+            if slot and not it[slot]:
+                continue  # nested loop never entered: no key, as solo
+            counts = lanes.get(name)
+            if counts is None:
+                counts = np.zeros(lt.shape[1], dtype=np.int64)
+                lanes[name] = counts
+            counts += lt[slot]
+        self._raise_trap(rc)
+        return True
+
+
+class _BatchLoopBuilder(_LoopSkeleton, _BatchChunkBuilder):
+    """Generate one lane-masked C function for an entire batched Loop.
+
+    Frame ``k`` (the loop with ``IT`` slot ``k``; 0 is the fused loop
+    itself) keeps its active lanes in ``m{k}``. Every emitted write is
+    guarded by the innermost frame's mask, so a frozen lane's columns
+    never change after its Control fired — the snapshot/restore the
+    node path needs has nothing to undo. A Control clears its firing
+    lanes in its frame and jumps to the frame's exit label once none
+    is left; a nested loop starts from a copy of its parent's mask, so
+    the parent's mask is intact when it ends. Each trip adds its
+    active lanes to ``lt{k}`` and charges the wall ``CT``/``IT`` slots
+    once. DIV/SQRT check their trap on active lanes only.
+    """
+
+    _LOOP_TIER = "batch-loop"
+    _LOOP_TAG = "bloop"
+    _LOOP_CDEF = _BATCH_LOOP_CDEF
+    _LOOP_ARGS = (cjit._ENGINE_COMPILE_ARGS, cjit._ENGINE_FALLBACK_ARGS)
+
+    def __init__(self, executor: "BatchExecutor"):
+        super().__init__(executor)
+        self._batch = self.machine.batch
+        # L[0] is the function-level lane count ``bt`` the mask and
+        # trip-counter loops run over.
+        self.length(self._batch)
+        self._pending_lens.clear()
+
+    def _lane_mask(self) -> str:
+        return f"m{self._frame}"
+
+    def _scalar_tables(self) -> dict:
+        return {"consts": tuple(self.consts)}
+
+    # -- skeleton hooks --------------------------------------------------
+    def _frame_enter(self, slot: int) -> str:
+        return ("    for (long j = 0; j < bt; ++j)\n"
+                f"        m{slot}[j] = {self._lane_mask()}[j];\n")
+
+    def _trip_head(self, slot: int) -> str:
+        return ("    {\n"
+                "        long live = 0;\n"
+                "        for (long j = 0; j < bt; ++j) {\n"
+                f"            live |= m{slot}[j];\n"
+                f"            lt{slot}[j] += m{slot}[j];\n"
+                "        }\n"
+                f"        if (!live) goto loop_exit_{slot};\n"
+                "    }\n"
+                f"    IT[{slot}]++;\n")
+
+    def _control_test(self, instr: Control) -> tuple:
+        decls_v, value, _ = self.sreg(instr.reg)
+        decls_t, threshold, _ = self.sreg(instr.threshold_reg)
+        expr = f"{value} < {threshold}"
+        m = self._lane_mask()
+        return expr, (
+            "    {\n"
+            + "".join(f"        {line}\n" for line in decls_v + decls_t) +
+            "        long live = 0;\n"
+            "        for (long j = 0; j < bt; ++j) {\n"
+            f"            if ({m}[j] && {expr}) {m}[j] = 0;\n"
+            f"            live |= {m}[j];\n"
+            "        }\n"
+            f"        if (!live) goto loop_exit_{self._frame};\n"
+            "    }\n")
+
+    def _emit_vector(self, instr: VectorOp) -> None:
+        # The generated loops never broadcast; refuse what numpy would.
+        executor = self.executor
+        srcs = [executor._resident(name) for name in instr.srcs]
+        if any(arr.shape != srcs[0].shape for arr in srcs[1:]):
+            raise SimulationError("vector operand shapes differ")
+        if instr.op is not VectorOpKind.CLIP:
+            super()._emit_vector(instr)
+            return
+        a, lo, hi = srcs
+        n = int(a.shape[0])
+        dst = executor._dst_buffer(self.machine.vb, instr.dst, n)
+        # max-then-min with NaN passthrough: np.clip exactly, as in the
+        # solo whole-loop tier.
+        expr = ("{ const double av = a[i]; "
+                "const double c = isnan(av) ? av : (av > lo[i] ? av : lo[i]); "
+                "d[i] = isnan(c) ? c : (c < hi[i] ? c : hi[i]); }")
+        self._flat(n * self._batch, [
+            f"const double *a = {self.buf(a)};",
+            f"const double *lo = {self.buf(lo)};",
+            f"const double *hi = {self.buf(hi)};",
+            f"double *d = {self.buf(dst)};",
+        ], expr)
+        self._record("clip", "flat", n * self._batch,
+                     dst=BufferRef("vb", instr.dst, n),
+                     srcs=tuple(self._src_ref(name, arr)
+                                for name, arr in zip(instr.srcs, srcs)),
+                     expr=expr, text=self.blocks[-1],
+                     site=getattr(instr, "site", None))
+
+    # -- finish ----------------------------------------------------------
+    def _loop_source(self) -> str:
+        frames = "".join(f"    long *m{k} = M + {k} * bt;\n"
+                         f"    long *lt{k} = LT + {k} * bt;\n"
+                         for k in range(1 + len(self.loops)))
+        return (
+            "#include <math.h>\n"
+            "\n"
+            "long loop_run(double **B, long **IA, const long *L,\n"
+            "              const double *S, long *M, long *CT,\n"
+            "              long *IT, long *LT, long max_iter)\n"
+            "{\n"
+            "    (void)B; (void)IA; (void)S;\n"
+            "    const long bt = L[0];\n"
+            + frames + "".join(self.code) +
+            "    return 0;\n"
+            "}\n")
+
+    def _fused_unit(self, run, ffi, tables: tuple, ct, it, hold):
+        frames = (1 + len(self.loops), self._batch)
+        m = np.zeros(frames, dtype=np.int64)
+        lt = np.zeros(frames, dtype=np.int64)
+        args = tables + (ffi.new("double[]", self.consts or [0.0]),
+                         ffi.cast("long *", m.ctypes.data),
+                         ffi.cast("long *", ct.ctypes.data),
+                         ffi.cast("long *", it.ctypes.data),
+                         ffi.cast("long *", lt.ctypes.data))
+        return _FusedBatchLoop(run, args, self.machine, self, ct, it, hold,
+                               m, lt)

@@ -50,7 +50,10 @@ What lowering precomputes:
   so the hot ADMM/PDHG iteration pays zero Python dispatch. Built only
   after the body's segments have bound (one node-path run), bypassed
   whenever a fault injector is armed, and falls back to the node path
-  on any unsupported body — same bits either way.
+  on any unsupported body — same bits either way. The loop walk, the
+  ``CT``/``IT`` accounting and the call protocol (``_LoopSkeleton``,
+  ``_FusedLoop``) are shared with the lane-masked batch variant in
+  :mod:`repro.hw.batched`.
 
 The interpreter remains the differential-testing oracle: on error-free
 runs the compiled backend produces bit-identical machine state and
@@ -279,7 +282,8 @@ class _LoopNode:
         if executor.jit and executor.machine.injector is None:
             fused = self._fused
             if fused is None:
-                fused = executor._fuse_loop(self._loop.body, self._nodes)
+                fused = fuse_loop(executor, _LoopBuilder, self._loop.body,
+                                  self._nodes)
                 if fused is not None:
                     self._fused = fused
             if fused and fused.run(self._loop):
@@ -300,15 +304,52 @@ class _LoopNode:
 
 
 def _nodes_bound(nodes: list) -> bool:
-    """True when every segment in ``nodes`` (recursively) has bound."""
+    """True when every segment in ``nodes`` (recursively) has bound.
+
+    Duck-typed over the solo and batch node classes: segments carry
+    ``_fns`` (None until bound), loops carry their body's ``_nodes``.
+    """
     for node in nodes:
-        if isinstance(node, _Segment):
-            if node._fns is None:
-                return False
-        elif isinstance(node, _LoopNode):
-            if not _nodes_bound(node._nodes):
-                return False
+        if getattr(node, "_fns", True) is None:
+            return False
+        inner = getattr(node, "_nodes", None)
+        if inner is not None and not _nodes_bound(inner):
+            return False
     return True
+
+
+def fuse_loop(executor, builder_cls, body: list, nodes: list):
+    """Whole-loop fusion for ``body`` (cached by list identity in
+    ``executor._loop_fused``), shared by the solo and batch executors.
+
+    Returns the fused unit, ``False`` when the body is permanently
+    unfusable (unsupported instruction, nested zero-trip loop, compile
+    failure — the node path stays), or ``None`` when the body's
+    segments have not all bound yet (the caller retries on a later
+    run; only genuine build verdicts are cached).
+    """
+    key = id(body)
+    cached = executor._loop_fused.get(key)
+    if cached is not None and cached[0] is body:
+        return cached[1]
+    if not _nodes_bound(nodes):
+        return None
+    try:
+        builder = builder_cls(executor)
+        builder.emit_body_ir(body)
+        if executor.verify:
+            from ..verify.codegen import ensure_codegen_verified
+            ensure_codegen_verified(builder.effect_ir(), body,
+                                    executor.machine)
+        fused = builder._finish_loop()
+    except VerificationError:
+        raise
+    except Exception:
+        fused = None
+    if fused is None:
+        fused = False
+    executor._loop_fused[key] = (body, fused)
+    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -401,39 +442,6 @@ class CompiledExecutor:
             nodes.append(_Segment(self, current))
         self._blocks[key] = (items, nodes)
         return nodes
-
-    def _fuse_loop(self, body: list, nodes: list):
-        """Whole-loop fusion for ``body`` (cached by list identity).
-
-        Returns a :class:`_FusedLoop`, ``False`` when the body is
-        permanently unfusable (unsupported instruction, nested
-        zero-trip loop, compile failure — the node path stays), or
-        ``None`` when the body's segments have not all bound yet (the
-        caller retries on a later run; only genuine build verdicts are
-        cached).
-        """
-        key = id(body)
-        cached = self._loop_fused.get(key)
-        if cached is not None and cached[0] is body:
-            return cached[1]
-        if not _nodes_bound(nodes):
-            return None
-        try:
-            builder = _LoopBuilder(self)
-            builder.emit_body_ir(body)
-            if self.verify:
-                from ..verify.codegen import ensure_codegen_verified
-                ensure_codegen_verified(builder.effect_ir(), body,
-                                        self.machine)
-            fused = builder._finish_loop()
-        except VerificationError:
-            raise
-        except Exception:
-            fused = None
-        if fused is None:
-            fused = False
-        self._loop_fused[key] = (body, fused)
-        return fused
 
     # -- operand binding -------------------------------------------------
     def _resident(self, name: str) -> np.ndarray:
@@ -846,25 +854,18 @@ def _build_chunk(executor: CompiledExecutor, instrs: list):
         return None
 
 
-class _ChunkBuilder:
-    """Generate one C function for a run of vector instructions.
+class _CBuilder:
+    """Operand tables and effect recording shared by every C builder.
 
-    The generated source depends only on the instruction *pattern*
-    (opcodes, operand folds, and which operands share buffers) — never
-    on vector lengths, scalar values, or pointer addresses, which are
-    all passed through the bound ``B``/``IA``/``L``/``S``/``O``
-    tables. Equal
-    patterns therefore hash to the same cached module, so a process
-    compiles each program shape at most once ever per cache directory.
-
-    Bit-exactness: every emitted per-element expression is exactly the
-    expression the numpy closure path evaluates (see the AXPBY fold
-    table in ``_lower_vector``), and the embedded SpMV loop is the
-    engine library's ``k_csr_matvec`` body, so fused chunks produce the
-    same bits as both the unfused closures and the interpreter.
+    Buffers, index arrays and loop bounds reach the generated code
+    through the ``B``/``IA``/``L`` pointer tables, one slot per
+    distinct array (``L``: one slot per use), so the source depends
+    only on the instruction pattern. :meth:`_record` files one
+    :class:`~repro.hw.effect_ir.EffectStatement` per emitted statement
+    together with the scalar reads and ``L`` slots it consumed.
     """
 
-    def __init__(self, executor: CompiledExecutor):
+    def __init__(self, executor):
         self.executor = executor
         self.machine = executor.machine
         self.bufs: list = []
@@ -872,9 +873,6 @@ class _ChunkBuilder:
         self.iarrs: list = []
         self._iarr_ids: dict = {}
         self.lens: list = []
-        self.getters: list = []
-        self.outs: list = []          # scalar register names, per O slot
-        self._scalar_slots: dict = {}  # register -> freshest O slot
         self.blocks: list = []
         # effect-IR recording (consumed by repro.verify.codegen)
         self.effects: list = []
@@ -909,12 +907,6 @@ class _ChunkBuilder:
             spmv_shape=spmv_shape, index_arrays=index_arrays, nnz=nnz,
             charge_slot=self._charge_slot))
 
-    def effect_ir(self) -> EffectIR:
-        return EffectIR(tier="chunk", batch=1,
-                        statements=list(self.effects),
-                        lens=tuple(self.lens),
-                        source="".join(self.blocks))
-
     # -- operand tables --------------------------------------------------
     def buf(self, arr: np.ndarray) -> str:
         if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"]:
@@ -945,6 +937,44 @@ class _ChunkBuilder:
         slot = len(self.lens) - 1
         self._pending_lens.append((slot, int(n)))
         return f"L[{slot}]"
+
+    # -- emission (per tier) ---------------------------------------------
+    def emit(self, instr) -> None:
+        raise NotImplementedError
+
+    def _emit_scalar(self, instr: ScalarOp) -> None:
+        raise NotImplementedError
+
+
+class _ChunkBuilder(_CBuilder):
+    """Generate one C function for a run of vector instructions.
+
+    The generated source depends only on the instruction *pattern*
+    (opcodes, operand folds, and which operands share buffers) — never
+    on vector lengths, scalar values, or pointer addresses, which are
+    all passed through the bound ``B``/``IA``/``L``/``S``/``O``
+    tables. Equal
+    patterns therefore hash to the same cached module, so a process
+    compiles each program shape at most once ever per cache directory.
+
+    Bit-exactness: every emitted per-element expression is exactly the
+    expression the numpy closure path evaluates (see the AXPBY fold
+    table in ``_lower_vector``), and the embedded SpMV loop is the
+    engine library's ``k_csr_matvec`` body, so fused chunks produce the
+    same bits as both the unfused closures and the interpreter.
+    """
+
+    def __init__(self, executor: CompiledExecutor):
+        super().__init__(executor)
+        self.getters: list = []
+        self.outs: list = []          # scalar register names, per O slot
+        self._scalar_slots: dict = {}  # register -> freshest O slot
+
+    def effect_ir(self) -> EffectIR:
+        return EffectIR(tier="chunk", batch=1,
+                        statements=list(self.effects),
+                        lens=tuple(self.lens),
+                        source="".join(self.blocks))
 
     def scalar(self, ref) -> str:
         # A register a DOT earlier in this chunk wrote must be read from
@@ -1175,18 +1205,33 @@ long loop_run(double **B, long **IA, const long *L, double *S,
 
 _MISSING = object()
 
+#: ScalarOp -> (C expression, trap) over the emitted operand tokens
+#: ``{a}``/``{b}``, shared by every C builder. A trap is ``(condition,
+#: return code)``, checked before the write; the fused unit's host side
+#: raises the matching :class:`SimulationError`. Scalar C arithmetic on
+#: IEEE doubles reproduces the Python float kernels bit for bit.
+SCALAR_C: dict[ScalarOpKind, tuple[str, tuple[str, int] | None]] = {
+    ScalarOpKind.ADD: ("{a} + {b}", None),
+    ScalarOpKind.SUB: ("{a} - {b}", None),
+    ScalarOpKind.MUL: ("{a} * {b}", None),
+    ScalarOpKind.DIV: ("{a} / {b}", ("{b} == 0.0", 1)),
+    # Python's max(a, b) returns b iff b > a — NaN and signed zeros
+    # included — which is exactly this ternary.
+    ScalarOpKind.MAX: ("({b} > {a}) ? {b} : {a}", None),
+    ScalarOpKind.SQRT: ("sqrt({a})", ("{a} < 0.0", 2)),
+    ScalarOpKind.MOV: ("{a}", None),
+}
+
+_TRAP_ERRORS = {1: "scalar division by zero", 2: "sqrt of a negative scalar"}
+
 
 class _FusedLoop:
-    """A compiled whole-loop body plus its bound operand tables.
+    """A compiled whole-loop unit plus its bound operand tables.
 
-    Call protocol (``run``): prefill the ``S`` scalar table from the
-    register file (a missing register means the machine is in a state
-    the fused code cannot reproduce — return False so the node path,
-    which raises the interpreter's exact error, runs instead), zero
-    the write-flag/charge/trip counters, enter C once, then apply
-    cycle accounting from the ``CT`` block counters, loop trip counts
-    from ``IT``, and write back every scalar register the C code
-    flagged in ``W``.
+    The shared half of the call protocol (:meth:`_call`): zero the
+    charge/trip counters, enter C once, then apply cycle accounting
+    from the ``CT`` block counters and loop trip counts from ``IT``.
+    Subclasses stage the scalar state around that call.
 
     Accounting matches the node path exactly on error-free runs: each
     ``CT`` slot corresponds to one basic block (or Control test) with
@@ -1199,47 +1244,25 @@ class _FusedLoop:
     compiled backend generally.
     """
 
-    __slots__ = ("_run", "_scalars", "_stats", "_s", "_w", "_ct", "_it",
-                 "_prefill", "_writeback", "_charges", "_loops",
-                 "_pB", "_pI", "_pL", "_pS", "_pW", "_pCT", "_pIT",
-                 "_hold")
+    __slots__ = ("_run", "_args", "_stats", "_ct", "_it", "_charges",
+                 "_loops", "_hold")
 
-    def __init__(self, run, machine: Machine, tables: dict):
+    def __init__(self, run, args: tuple, machine, builder, ct, it, hold):
         self._run = run
-        self._scalars = machine.scalars
+        self._args = args
         self._stats = machine.stats
-        self._s = tables["s"]
-        self._w = tables["w"]
-        self._ct = tables["ct"]
-        self._it = tables["it"]
-        self._prefill = tables["prefill"]
-        self._writeback = tables["writeback"]
-        self._charges = tables["charges"]
-        self._loops = tables["loops"]
-        self._pB = tables["pB"]
-        self._pI = tables["pI"]
-        self._pL = tables["pL"]
-        self._pS = tables["pS"]
-        self._pW = tables["pW"]
-        self._pCT = tables["pCT"]
-        self._pIT = tables["pIT"]
-        self._hold = tables["hold"]
+        self._ct = ct
+        self._it = it
+        self._charges = tuple(builder.charges)
+        self._loops = tuple(builder.loops)
+        self._hold = hold
 
-    def run(self, loop: Loop) -> bool:
-        scalars = self._scalars
-        s = self._s
-        for name, slot in self._prefill:
-            value = scalars.get(name, _MISSING)
-            if value is _MISSING:
-                return False
-            s[slot] = value
-        self._w[:] = 0
+    def _call(self, loop: Loop) -> int:
         ct = self._ct
         ct[:] = 0
         it = self._it
         it[:] = 0
-        rc = self._run(self._pB, self._pI, self._pL, self._pS, self._pW,
-                       self._pCT, self._pIT, loop.max_iter)
+        rc = self._run(*self._args, loop.max_iter)
         total = 0
         instrs = 0
         by_class: dict = {}
@@ -1259,104 +1282,133 @@ class _FusedLoop:
             n = int(it[slot])
             if n:
                 counts[name] = counts.get(name, 0) + n
+        return rc
+
+    @staticmethod
+    def _raise_trap(rc: int) -> None:
+        if rc in _TRAP_ERRORS:
+            raise SimulationError(_TRAP_ERRORS[rc])
+
+
+class _FusedSoloLoop(_FusedLoop):
+    """Solo fused loop: scalars travel through the ``S``/``W`` table.
+
+    Prefill ``S`` from the register file (a missing register means the
+    machine is in a state the fused code cannot reproduce — return
+    False so the node path, which raises the interpreter's exact
+    error, runs instead), zero the write flags, :meth:`_call`, then
+    write back every scalar register the C code flagged in ``W``.
+    """
+
+    __slots__ = ("_scalars", "_s", "_w", "_prefill", "_writeback")
+
+    def __init__(self, run, args, machine, builder, ct, it, hold,
+                 s, w):
+        super().__init__(run, args, machine, builder, ct, it, hold)
+        self._scalars = machine.scalars
+        self._s = s
+        self._w = w
+        slots = builder._reg_slots
+        self._prefill = tuple((name, slots[name])
+                              for name in sorted(builder.reg_reads))
+        self._writeback = tuple((name, slots[name])
+                                for name in sorted(builder.reg_writes))
+
+    def run(self, loop: Loop) -> bool:
+        scalars = self._scalars
+        s = self._s
+        for name, slot in self._prefill:
+            value = scalars.get(name, _MISSING)
+            if value is _MISSING:
+                return False
+            s[slot] = value
+        self._w[:] = 0
+        rc = self._call(loop)
         w = self._w
         for name, slot in self._writeback:
             if w[slot]:
                 scalars[name] = float(s[slot])
-        if rc == 1:
-            raise SimulationError("scalar division by zero")
-        if rc == 2:
-            raise SimulationError("sqrt of a negative scalar")
+        self._raise_trap(rc)
         return True
 
 
-class _LoopBuilder(_ChunkBuilder):
-    """Generate one C function for an entire Loop body.
+class _LoopSkeleton(_CBuilder):
+    """The whole-loop lowering shared by the solo and batch builders.
 
-    Extends the chunk builder's operand tables (``B``/``IA``/``L``)
-    with a read-write scalar table: every distinct scalar *register*
-    gets one ``S`` slot (written in C with its ``W`` flag set; read
-    in C after an in-loop write sees the fresh value, exactly like
-    the interpreter's register file), and every literal occurrence
-    gets its own ``S`` slot so the source stays pattern-canonical.
-    Per-block charge counters (``CT``) and per-loop trip counters
-    (``IT``) make the cycle accounting exact without any host work
-    inside the loop.
-
-    Bit-exactness carries over from the chunk layer: vector
-    expressions are the closure fold table verbatim, SpMV/DOT embed
-    the engine kernel bodies, CLIP's ternary chain evaluates
-    ``np.clip`` exactly (NaN and signed-zero included), and scalar
-    C arithmetic on IEEE doubles (`+ - * /`, ``sqrt``, the ``MAX``
-    ternary) reproduces the Python float kernels bit for bit, with
-    ``-ffp-contract=off`` ruling out FMA contraction.
+    Placed in front of a chunk builder in the MRO (which supplies the
+    vector/SpMV emission), it walks a Loop body once:
+    maximal straight-line runs become one ``CT`` charge slot each,
+    every Control gets its own one-cycle slot, and nested loops get an
+    ``IT`` trip-counter slot in pre-order, with their bodies emitted
+    inline. Subclasses supply the per-frame hooks (:meth:`_frame_enter`,
+    :meth:`_trip_head`, :meth:`_control_test`), scalar emission, the
+    function source and the fused unit's host tables.
     """
 
-    def __init__(self, executor: CompiledExecutor):
+    _LOOP_TIER = "loop"
+    _LOOP_CDEF = ""
+    _LOOP_TAG = "loop"
+    #: Compiler-flag sets to try in order (None: cjit's defaults).
+    _LOOP_ARGS: tuple = (None,)
+    _batch = 1
+
+    def __init__(self, executor):
         super().__init__(executor)
-        self.s_entries: list = []     # ("reg", name) | ("lit", value)
-        self._reg_slots: dict = {}
-        self.reg_reads: set = set()
-        self.reg_writes: set = set()
         self.code: list = []
         self.charges: list = []       # per CT slot: (cycles, by_class, n)
         self.loops: list = []         # (IT slot, name) for nested loops
         self.loop_meta: list = []     # (IT slot, name, max_iter)
-
-    # -- scalar table (replaces the chunk S/O split) ---------------------
-    def _reg_slot(self, name: str) -> int:
-        slot = self._reg_slots.get(name)
-        if slot is None:
-            slot = len(self.s_entries)
-            self.s_entries.append(("reg", name))
-            self._reg_slots[name] = slot
-        return slot
-
-    def scalar(self, ref) -> str:
-        if isinstance(ref, str):
-            self.reg_reads.add(ref)
-            token = f"S[{self._reg_slot(ref)}]"
-            self._pending_reads.append(("reg", ref, token))
-            return token
-        slot = len(self.s_entries)
-        self.s_entries.append(("lit", float(ref)))
-        token = f"S[{slot}]"
-        self._pending_reads.append(("lit", float(ref), token))
-        return token
+        self._frame = 0               # IT slot of the innermost loop
 
     def effect_ir(self) -> EffectIR:
-        return EffectIR(tier="loop", batch=1,
+        return EffectIR(tier=self._LOOP_TIER, batch=self._batch,
                         statements=list(self.effects),
                         lens=tuple(self.lens),
-                        s_entries=tuple(self.s_entries),
                         charges=tuple(self.charges),
                         loops=tuple(self.loop_meta),
-                        reg_reads=frozenset(self.reg_reads),
-                        reg_writes=frozenset(self.reg_writes),
-                        source="".join(self.code))
+                        source="".join(self.code),
+                        **self._scalar_tables())
+
+    # -- per-builder hooks -----------------------------------------------
+    def _scalar_tables(self) -> dict:
+        raise NotImplementedError
+
+    def _frame_enter(self, slot: int) -> str:
+        """Source opening frame ``slot`` (a nested loop's entry)."""
+        raise NotImplementedError
+
+    def _trip_head(self, slot: int) -> str:
+        """Source at the top of every trip of frame ``slot``."""
+        raise NotImplementedError
+
+    def _control_test(self, instr: Control) -> tuple:
+        """``(expr, source)`` of a Control exit test in this frame."""
+        raise NotImplementedError
+
+    def _loop_source(self) -> str:
+        raise NotImplementedError
+
+    def _fused_unit(self, run, ffi, tables: tuple, ct, it, hold):
+        raise NotImplementedError
 
     # -- emission --------------------------------------------------------
-    def build(self, body: list):
-        self.emit_body_ir(body)
-        return self._finish_loop()
-
     def emit_body_ir(self, body: list) -> None:
         """Emit the loop body's source and effect IR (no compilation)."""
         self.code.append(
             "    for (long it0 = 0; it0 < max_iter; ++it0) {\n"
-            "    IT[0]++;\n")
-        self._emit_body(body, "loop_exit_0")
+            + self._trip_head(0))
+        self._emit_body(body)
         self.code.append("    }\n"
                          "    loop_exit_0: ;\n")
 
-    def _emit_body(self, items: list, exit_label: str) -> None:
+    def _emit_body(self, items: list) -> None:
         run: list = []
         for item in items:
             if isinstance(item, (Loop, Control)):
                 self._flush_run(run)
                 run = []
                 if isinstance(item, Control):
-                    self._emit_control(item, exit_label)
+                    self._emit_control(item)
                 else:
                     self._emit_loop(item)
             else:
@@ -1380,30 +1432,27 @@ class _LoopBuilder(_ChunkBuilder):
         self._charge_slot = slot
         for instr in run:
             if isinstance(instr, ScalarOp):
+                self._instr_index += 1
                 self._emit_scalar(instr)
             elif isinstance(instr, (VectorOp, VecDup, SpMV)):
-                before = len(self.blocks)
                 self.emit(instr)
-                self.code.extend(self.blocks[before:])
-                del self.blocks[before:]
             else:
                 # DataTransfer (host/HBM traffic) and anything unknown
                 # stay on the node path.
                 raise SimulationError(
                     f"instruction not loop-fusable: {instr!r}")
+        self.code.extend(self.blocks)
+        self.blocks.clear()
 
-    def _emit_control(self, instr: Control, exit_label: str) -> None:
+    def _emit_control(self, instr: Control) -> None:
         slot = len(self.charges)
         self.charges.append((1, {"Control": 1}, 1))
         self._charge_slot = slot
         self._instr_index += 1
-        value = self.scalar(instr.reg)
-        threshold = self.scalar(instr.threshold_reg)
-        text = (f"    CT[{slot}]++;\n"
-                f"    if ({value} < {threshold}) goto {exit_label};\n")
+        expr, test = self._control_test(instr)
+        text = f"    CT[{slot}]++;\n" + test
         self.code.append(text)
-        self._record("control", "control", 0,
-                     expr=f"{value} < {threshold}", text=text,
+        self._record("control", "control", 0, expr=expr, text=text,
                      site=getattr(instr, "site", None))
 
     def _emit_loop(self, loop: Loop) -> None:
@@ -1414,57 +1463,140 @@ class _LoopBuilder(_ChunkBuilder):
         it_slot = 1 + len(self.loops)
         self.loops.append((it_slot, loop.name))
         self.loop_meta.append((it_slot, loop.name, int(loop.max_iter)))
-        label = f"loop_exit_{it_slot}"
         var = f"it{it_slot}"
         self._charge_slot = None
         self._instr_index += 1
         self.code.append(
             "    {\n"
+            + self._frame_enter(it_slot) +
             f"    const long n_{var} = {self.length(loop.max_iter)};\n"
             f"    for (long {var} = 0; {var} < n_{var}; ++{var}) {{\n"
-            f"    IT[{it_slot}]++;\n")
+            + self._trip_head(it_slot))
         self._record("loop", "loop", loop.max_iter,
                      site=getattr(loop, "site", None))
-        self._emit_body(loop.body, label)
+        parent, self._frame = self._frame, it_slot
+        self._emit_body(loop.body)
+        self._frame = parent
         self.code.append("    }\n"
                          "    }\n"
-                         f"    {label}: ;\n")
+                         f"    loop_exit_{it_slot}: ;\n")
+
+    # -- finish ----------------------------------------------------------
+    def _finish_loop(self):
+        source = self._loop_source()
+        module = None
+        for args in self._LOOP_ARGS:
+            module = cjit.compile_module(self._LOOP_CDEF, source,
+                                         tag=self._LOOP_TAG, args=args,
+                                         libraries=("m",))
+            if module is not None:
+                break
+        if module is None:
+            return None
+        ffi = module.ffi
+
+        def table(ctype: str, arrays: list):
+            return ffi.new(f"{ctype} *[]",
+                           [ffi.cast(f"{ctype} *", arr.ctypes.data)
+                            for arr in arrays] or [ffi.NULL])
+
+        ct = np.zeros(max(1, len(self.charges)), dtype=np.int64)
+        it = np.zeros(1 + len(self.loops), dtype=np.int64)
+        return self._fused_unit(
+            module.lib.loop_run, ffi,
+            (table("double", self.bufs), table("long", self.iarrs),
+             ffi.new("long[]", self.lens or [0])),
+            ct, it, (tuple(self.bufs), tuple(self.iarrs)))
+
+
+class _LoopBuilder(_LoopSkeleton, _ChunkBuilder):
+    """Generate one C function for an entire Loop body.
+
+    Extends the chunk builder's operand tables (``B``/``IA``/``L``)
+    with a read-write scalar table: every distinct scalar *register*
+    gets one ``S`` slot (written in C with its ``W`` flag set; read
+    in C after an in-loop write sees the fresh value, exactly like
+    the interpreter's register file), and every literal occurrence
+    gets its own ``S`` slot so the source stays pattern-canonical.
+    Per-block charge counters (``CT``) and per-loop trip counters
+    (``IT``) make the cycle accounting exact without any host work
+    inside the loop.
+
+    Bit-exactness carries over from the chunk layer: vector
+    expressions are the closure fold table verbatim, SpMV/DOT embed
+    the engine kernel bodies, CLIP's ternary chain evaluates
+    ``np.clip`` exactly (NaN and signed-zero included), and scalar
+    C arithmetic on IEEE doubles (`+ - * /`, ``sqrt``, the ``MAX``
+    ternary) reproduces the Python float kernels bit for bit, with
+    ``-ffp-contract=off`` ruling out FMA contraction.
+    """
+
+    _LOOP_CDEF = _LOOP_CDEF
+
+    def __init__(self, executor: CompiledExecutor):
+        super().__init__(executor)
+        self.s_entries: list = []     # ("reg", name) | ("lit", value)
+        self._reg_slots: dict = {}
+        self.reg_reads: set = set()
+        self.reg_writes: set = set()
+
+    # -- scalar table (replaces the chunk S/O split) ---------------------
+    def _reg_slot(self, name: str) -> int:
+        slot = self._reg_slots.get(name)
+        if slot is None:
+            slot = len(self.s_entries)
+            self.s_entries.append(("reg", name))
+            self._reg_slots[name] = slot
+        return slot
+
+    def scalar(self, ref) -> str:
+        if isinstance(ref, str):
+            self.reg_reads.add(ref)
+            token = f"S[{self._reg_slot(ref)}]"
+            self._pending_reads.append(("reg", ref, token))
+            return token
+        slot = len(self.s_entries)
+        self.s_entries.append(("lit", float(ref)))
+        token = f"S[{slot}]"
+        self._pending_reads.append(("lit", float(ref), token))
+        return token
+
+    def _scalar_tables(self) -> dict:
+        return {"s_entries": tuple(self.s_entries),
+                "reg_reads": frozenset(self.reg_reads),
+                "reg_writes": frozenset(self.reg_writes)}
+
+    # -- skeleton hooks --------------------------------------------------
+    def _frame_enter(self, slot: int) -> str:
+        return ""
+
+    def _trip_head(self, slot: int) -> str:
+        return f"    IT[{slot}]++;\n"
+
+    def _control_test(self, instr: Control) -> tuple:
+        value = self.scalar(instr.reg)
+        threshold = self.scalar(instr.threshold_reg)
+        expr = f"{value} < {threshold}"
+        return expr, f"    if ({expr}) goto loop_exit_{self._frame};\n"
 
     def _emit_scalar(self, instr: ScalarOp) -> None:
         if instr.op in BINARY_SCALAR_OPS and instr.src2 is None:
             raise SimulationError(
                 f"binary scalar op {instr.op.value!r} has no src2 "
                 f"operand (dst={instr.dst!r})")
-        self._instr_index += 1
         a = self.scalar(instr.src1)
         b = self.scalar(instr.src2) if instr.src2 is not None else None
-        op = instr.op
+        template, trap = SCALAR_C[instr.op]
+        expr = template.format(a=a, b=b)
         guard = ""
-        if op is ScalarOpKind.ADD:
-            expr = f"{a} + {b}"
-        elif op is ScalarOpKind.SUB:
-            expr = f"{a} - {b}"
-        elif op is ScalarOpKind.MUL:
-            expr = f"{a} * {b}"
-        elif op is ScalarOpKind.DIV:
-            guard = f"    if ({b} == 0.0) return 1;\n"
-            expr = f"{a} / {b}"
-        elif op is ScalarOpKind.MAX:
-            # Python's max(a, b) returns b iff b > a — NaN and signed
-            # zeros included — which is exactly this ternary.
-            expr = f"({b} > {a}) ? {b} : {a}"
-        elif op is ScalarOpKind.SQRT:
-            guard = f"    if ({a} < 0.0) return 2;\n"
-            expr = f"sqrt({a})"
-        elif op is ScalarOpKind.MOV:
-            expr = a
-        else:  # pragma: no cover - enum is closed
-            raise SimulationError(f"unknown scalar op {op}")
+        if trap is not None:
+            cond, rc = trap
+            guard = f"    if ({cond.format(a=a, b=b)}) return {rc};\n"
         dst = self._reg_slot(instr.dst)
         self.reg_writes.add(instr.dst)
         text = guard + f"    S[{dst}] = {expr}; W[{dst}] = 1;\n"
-        self.code.append(text)
-        self._record(f"scalar:{op.value}", "scalar", 0, expr=expr,
+        self.blocks.append(text)
+        self._record(f"scalar:{instr.op.value}", "scalar", 0, expr=expr,
                      text=text,
                      sreg_writes=((instr.dst, f"S[{dst}]"),),
                      site=getattr(instr, "site", None))
@@ -1540,8 +1672,8 @@ class _LoopBuilder(_ChunkBuilder):
         super()._emit_vector(instr)
 
     # -- finish ----------------------------------------------------------
-    def _finish_loop(self):
-        source = (
+    def _loop_source(self) -> str:
+        return (
             "#include <math.h>\n"
             "\n"
             "long loop_run(double **B, long **IA, const long *L, double *S,\n"
@@ -1552,38 +1684,17 @@ class _LoopBuilder(_ChunkBuilder):
             + "".join(self.code) +
             "    return 0;\n"
             "}\n")
-        module = cjit.compile_module(_LOOP_CDEF, source, tag="loop",
-                                     libraries=("m",))
-        if module is None:
-            return None
-        ffi = module.ffi
+
+    def _fused_unit(self, run, ffi, tables: tuple, ct, it, hold):
         n_s = max(1, len(self.s_entries))
         s_np = np.zeros(n_s)
         for slot, (kind, value) in enumerate(self.s_entries):
             if kind == "lit":
                 s_np[slot] = value
         w_np = np.zeros(n_s, dtype=np.uint8)
-        ct_np = np.zeros(max(1, len(self.charges)), dtype=np.int64)
-        it_np = np.zeros(1 + len(self.loops), dtype=np.int64)
-        tables = {
-            "s": s_np, "w": w_np, "ct": ct_np, "it": it_np,
-            "prefill": tuple((name, self._reg_slots[name])
-                             for name in sorted(self.reg_reads)),
-            "writeback": tuple((name, self._reg_slots[name])
-                               for name in sorted(self.reg_writes)),
-            "charges": tuple(self.charges),
-            "loops": tuple(self.loops),
-            "pB": ffi.new("double *[]",
-                          [ffi.cast("double *", arr.ctypes.data)
-                           for arr in self.bufs] or [ffi.NULL]),
-            "pI": ffi.new("long *[]",
-                          [ffi.cast("long *", arr.ctypes.data)
-                           for arr in self.iarrs] or [ffi.NULL]),
-            "pL": ffi.new("long[]", self.lens or [0]),
-            "pS": ffi.cast("double *", s_np.ctypes.data),
-            "pW": ffi.cast("unsigned char *", w_np.ctypes.data),
-            "pCT": ffi.cast("long *", ct_np.ctypes.data),
-            "pIT": ffi.cast("long *", it_np.ctypes.data),
-            "hold": (tuple(self.bufs), tuple(self.iarrs)),
-        }
-        return _FusedLoop(module.lib.loop_run, self.machine, tables)
+        args = tables + (ffi.cast("double *", s_np.ctypes.data),
+                         ffi.cast("unsigned char *", w_np.ctypes.data),
+                         ffi.cast("long *", ct.ctypes.data),
+                         ffi.cast("long *", it.ctypes.data))
+        return _FusedSoloLoop(run, args, self.machine, self, ct, it, hold,
+                              s_np, w_np)

@@ -121,8 +121,11 @@ class CompiledProgram:
 
     @property
     def body_section(self) -> str:
-        """The outermost iteration loop's body section name."""
-        return "pdhg_body" if self.algorithm == "pdqp" else "admm_body"
+        """The outermost iteration loop's body section name (read off
+        the program's top-level Loop through ``loop_sections``)."""
+        loop = next(item for item in self.program.instructions
+                    if isinstance(item, Loop))
+        return self.loop_sections[loop.name]
 
     # -- cost model -----------------------------------------------------
     def estimate_cycles_for(self, iterations: Dict[str, int]) -> int:

@@ -2,7 +2,8 @@
 
 Every C code generator in the simulator — the solo chunk builder and
 whole-loop builder in :mod:`repro.hw.compiled` and the batched chunk
-builder in :mod:`repro.hw.batched` — emits an :class:`EffectIR`
+and whole-loop builders in :mod:`repro.hw.batched` — emits an
+:class:`EffectIR`
 alongside the source text it generates. The IR is a per-statement
 record of *effects*: which buffers each emitted loop reads and writes,
 the loop bound it runs over, the scalar registers/literals it consumes
@@ -81,9 +82,9 @@ class EffectStatement:
         a scalar-register statement (no vector loop; ``lane_bound``
         is the lane count for the batched tier).
     ``"control"``
-        a Control exit test (loop tier).
+        a Control exit test (loop tiers).
     ``"loop"``
-        a nested-loop entry marker (loop tier; ``bound`` is
+        a nested-loop entry marker (loop tiers; ``bound`` is
         ``max_iter``).
     """
 
@@ -113,7 +114,7 @@ class EffectStatement:
     #: ``(col, ip)`` int64 index arrays of the embedded CSR gather.
     index_arrays: tuple[Any, Any] | None = None
     nnz: int = 0
-    #: CT charge slot this statement's cost accrues to (loop tier).
+    #: CT charge slot this statement's cost accrues to (loop tiers).
     charge_slot: int | None = None
 
     def vector_writes(self) -> tuple[tuple[str, str], ...]:
@@ -128,11 +129,13 @@ class EffectIR:
     """The full effect record of one generated C unit.
 
     ``tier`` is ``"chunk"`` (solo straight-line fusion), ``"loop"``
-    (whole-loop fusion) or ``"batch-chunk"`` (lane-minor batched
+    (whole-loop fusion), ``"batch-chunk"`` (lane-minor batched
+    fusion) or ``"batch-loop"`` (lane-masked batched whole-loop
     fusion). ``lens`` is the runtime ``L`` table the generated code
     indexes its loop bounds from; ``consts`` the batched ``S``
-    constant table; ``s_entries``/``charges``/``loops`` the loop
-    tier's scalar-slot, charge-slot and trip-counter tables.
+    constant table; ``s_entries`` the solo loop tier's scalar-slot
+    table and ``charges``/``loops`` both loop tiers' charge-slot and
+    trip-counter tables.
     """
 
     tier: str
@@ -143,9 +146,9 @@ class EffectIR:
     consts: tuple[float, ...] = ()
     #: Loop tier: per-S-slot ``("reg", name)`` / ``("lit", value)``.
     s_entries: tuple[tuple[str, Any], ...] = ()
-    #: Loop tier: per-CT-slot ``(cycles, by_class, instructions)``.
+    #: Loop tiers: per-CT-slot ``(cycles, by_class, instructions)``.
     charges: tuple[tuple[int, dict, int], ...] = ()
-    #: Loop tier: ``(IT slot, loop name, max_iter)`` per nested loop.
+    #: Loop tiers: ``(IT slot, loop name, max_iter)`` per nested loop.
     loops: tuple[tuple[int, str, int], ...] = ()
     reg_reads: frozenset = frozenset()
     reg_writes: frozenset = frozenset()

@@ -66,6 +66,7 @@ class PDQPAccelerator(Accelerator):
     reload_names = ("q", "l", "u")
     anchors = (("x0", "x"), ("y0", "y"))
     restart_scalars = (("hk", 2.0),)  # Halpern k + 2, k = 0
+    step_name = "omega"
 
     def __init__(self, problem: QProblem,
                  customization: ProblemCustomization | None = None,
@@ -116,7 +117,7 @@ class PDQPAccelerator(Accelerator):
         adapted primal weight survives the refresh (step sizes are
         re-derived from it against the new operator norms), which is
         the warm-start-friendly default for streaming re-solves."""
-        self._refresh(problem, self.omega if carry_omega else None)
+        self.refresh(problem, carry_step=carry_omega)
 
     def _download(self) -> None:
         """Host -> HBM data movement and scalar register setup."""

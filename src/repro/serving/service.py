@@ -611,6 +611,7 @@ class SolverService:
                 self.metrics.counter(
                     "serving_faults_injected_total").inc(faults_fired)
             self.metrics.counter("serving_requests_total").inc()
+            self._count_selected(lane["algorithm"])
             self.metrics.counter("serving_batched_requests_total").inc()
             self.metrics.counter(
                 "serving_cache_hits_total" if lane_tier == TIER_HIT
@@ -650,9 +651,7 @@ class SolverService:
         t_start = time.perf_counter()
         self.metrics.counter("serving_requests_total").inc()
         c, fingerprint, algorithm, key = self._route(problem)
-        self.metrics.counter("serving_algo_selected_total").inc()
-        self.metrics.counter(
-            f"serving_algo_selected_{algorithm}_total").inc()
+        self._count_selected(algorithm)
 
         poisoned = self._apply_poisons(request_id, key)
         if deadline is None:
@@ -703,6 +702,13 @@ class SolverService:
             compile_seconds=artifact.compile_seconds if built else 0.0,
             solve_seconds=t_done - t_ready,
             total_seconds=t_done - submitted, **fields), raw)
+
+    def _count_selected(self, algorithm: str) -> None:
+        """Tally one request's algorithm, whether it is served batched
+        or solo (a batch lane that falls back counts in ``_handle``)."""
+        self.metrics.counter("serving_algo_selected_total").inc()
+        self.metrics.counter(
+            f"serving_algo_selected_{algorithm}_total").inc()
 
     def _file(self, record: ServeRecord, raw,
               staged: bool = True) -> ServeResult:

@@ -193,13 +193,7 @@ class SolverSession:
                              "q, l, u, P_data, A_data")
         problem = updated_problem(self._problem, q=q, l=l, u=u,
                                   P_data=P_data, A_data=A_data)
-        accelerator = self._accelerator
-        if self.algorithm == "pdqp":
-            accelerator.refresh_numeric(problem,
-                                        carry_omega=self.carry_state)
-        else:
-            accelerator.refresh_numeric(problem,
-                                        carry_rho=self.carry_state)
+        self._accelerator.refresh(problem, carry_step=self.carry_state)
         self._problem = problem
         self._needs_download = False
         self.updates += 1

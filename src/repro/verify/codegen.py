@@ -2,10 +2,12 @@
 
 The compiled backends in :mod:`repro.hw.compiled` (solo chunk fusion
 and whole-loop fusion) and :mod:`repro.hw.batched` (lane-minor batch
-chunk fusion) generate C source at runtime. Each builder emits an
+chunk fusion and batched whole-loop fusion) generate C source at
+runtime — four tiers in all. Each builder emits an
 :class:`~repro.hw.effect_ir.EffectIR` alongside that source — a
 per-statement record of effects — and this pass proves, before a
-generated kernel ever runs, four independent properties:
+generated kernel ever runs, four independent properties (plus lane
+masking for the batched whole-loop tier):
 
 **Equivalence** (``codegen-expression-mismatch`` /
 ``codegen-kernel-body-drift``)
@@ -38,11 +40,19 @@ generated kernel ever runs, four independent properties:
     snapshot-restore machinery relies on.
 
 **Cycle-accounting consistency** (``codegen-cycle-mismatch``)
-    The whole-loop tier's ``CT`` charge table must reconcile, slot by
+    The whole-loop tiers' ``CT`` charge table must reconcile, slot by
     slot, with the static decomposition
     (:func:`repro.verify.cycles.loop_charge_slots`) of the same loop
     body under the same cost context, and its ``IT`` trip-counter
     table must name the nested loops in emission order.
+
+**Lane masking** (``codegen-lane-mask-missing``)
+    In the batched whole-loop tier every write, DIV/SQRT trap and
+    Control exit must be guarded by the active-lane mask of the
+    innermost enclosing loop frame (``m{k}``, frame ``k`` being the
+    loop with ``IT`` slot ``k``), and a Control must leave through its
+    own frame's exit label. That is what keeps a frozen lane's columns
+    exactly at their exit state without a snapshot.
 
 Entry points: :func:`ensure_codegen_verified` is the compile-time
 guard the builders call (memoized per IR digest);
@@ -61,7 +71,8 @@ import numpy as np
 
 from ..hw import cjit
 from ..hw.batched import (BatchExecutor, BatchMachine, _BatchChunkBuilder,
-                          _batch_chunkable, static_write_set)
+                          _BatchLoopBuilder, _batch_chunkable,
+                          static_write_set)
 from ..hw.compiled import (CompiledExecutor, _ChunkBuilder, _LoopBuilder,
                            _chunkable, literal_operand)
 from ..hw.effect_ir import EFFECT_IR_VERSION, EffectIR, EffectStatement
@@ -74,6 +85,9 @@ from .program import contract_for_algorithm
 
 __all__ = ["ensure_codegen_verified", "verify_effect_ir",
            "verify_codegen", "codegen_report_for_artifact"]
+
+#: Every generated-C tier this pass proves.
+TIERS = ("chunk", "loop", "batch-chunk", "batch-loop")
 
 #: Accepted verdicts, memoized per :meth:`EffectIR.digest` — two units
 #: with equal digests are verdict-equivalent by construction (the
@@ -158,6 +172,58 @@ _BATCH_DOT = ("    {\n"
               "                o[j] += ai[j] * bi[j];\n"
               "        }\n"
               "    }\n")
+
+# Batched whole-loop kernels accumulate into a local lane vector and
+# copy only the frame's active lanes out; ``{m}`` is that frame's mask.
+_BATCH_LOOP_DOT = ("    {{\n"
+                   "        const double *a = T;\n"
+                   "        const double *b = T;\n"
+                   "        double * restrict o = T;\n"
+                   "        const long n = T;\n"
+                   "        const long bt = T;\n"
+                   "        double acc[bt];\n"
+                   "        for (long j = 0; j < bt; ++j)\n"
+                   "            acc[j] = 0.0;\n"
+                   "        for (long i = 0; i < n; ++i) {{\n"
+                   "            const double *ai = a + i * bt;\n"
+                   "            const double *bi = b + i * bt;\n"
+                   "            for (long j = 0; j < bt; ++j)\n"
+                   "                acc[j] += ai[j] * bi[j];\n"
+                   "        }}\n"
+                   "        for (long j = 0; j < bt; ++j)\n"
+                   "            if ({m}[j]) o[j] = acc[j];\n"
+                   "    }}\n")
+
+_BATCH_LOOP_SPMV = ("    {{\n"
+                    "        const double * restrict v = T;\n"
+                    "        const long *col = T;\n"
+                    "        const long *ip = T;\n"
+                    "        const double * restrict xx = T;\n"
+                    "        double * restrict yy = T;\n"
+                    "        const long nrows = T;\n"
+                    "        const long bt = T;\n"
+                    "        double acc[bt];\n"
+                    "        for (long r = 0; r < nrows; ++r) {{\n"
+                    "            double * restrict yr = yy + r * bt;\n"
+                    "            for (long j = 0; j < bt; ++j)\n"
+                    "                acc[j] = 0.0;\n"
+                    "            for (long k = ip[r]; k < ip[r + 1]; ++k) {{\n"
+                    "                const double * restrict vk = v + k * bt;\n"
+                    "                const double * restrict xk"
+                    " = xx + col[k] * bt;\n"
+                    "                for (long j = 0; j < bt; ++j)\n"
+                    "                    acc[j] += vk[j] * xk[j];\n"
+                    "            }}\n"
+                    "            for (long j = 0; j < bt; ++j)\n"
+                    "                if ({m}[j]) yr[j] = acc[j];\n"
+                    "        }}\n"
+                    "    }}\n")
+
+#: The batched whole-loop CLIP statement (np.clip, NaN passthrough).
+_BATCH_LOOP_CLIP = ("{ const double av = a[i]; "
+                    "const double c = isnan(av) ? av : "
+                    "(av > lo[i] ? av : lo[i]); "
+                    "d[i] = isnan(c) ? c : (c < hi[i] ? c : hi[i]); }")
 
 _BATCH_SPMV = ("    {\n"
                "        const double * restrict v = T;\n"
@@ -271,29 +337,47 @@ def _batch_vector_plan(instr: VectorOp) -> tuple[str, str, list] | None:
     return None
 
 
+def _scalar_trap(op: ScalarOpKind, a: str,
+                 b: str | None) -> tuple[str, int] | None:
+    """``(condition, return code)`` of a trapping ScalarOp, else None."""
+    if op is ScalarOpKind.DIV:
+        return f"{b} == 0.0", 1
+    if op is ScalarOpKind.SQRT:
+        return f"{a} < 0.0", 2
+    return None
+
+
 def _loop_scalar_expr(op: ScalarOpKind, a: str,
                       b: str | None) -> tuple[str, str] | None:
     """Expected C expression of a loop-tier ScalarOp, given the emitted
     operand tokens; returns ``(guard, expr)`` or None."""
+    trap = _scalar_trap(op, a, b)
+    guard = f"    if ({trap[0]}) return {trap[1]};\n" if trap else ""
     if op is ScalarOpKind.ADD:
-        return "", f"{a} + {b}"
+        return guard, f"{a} + {b}"
     if op is ScalarOpKind.SUB:
-        return "", f"{a} - {b}"
+        return guard, f"{a} - {b}"
     if op is ScalarOpKind.MUL:
-        return "", f"{a} * {b}"
+        return guard, f"{a} * {b}"
     if op is ScalarOpKind.DIV:
-        return f"    if ({b} == 0.0) return 1;\n", f"{a} / {b}"
+        return guard, f"{a} / {b}"
     if op is ScalarOpKind.MAX:
-        return "", f"({b} > {a}) ? {b} : {a}"
+        return guard, f"({b} > {a}) ? {b} : {a}"
     if op is ScalarOpKind.SQRT:
-        return f"    if ({a} < 0.0) return 2;\n", f"sqrt({a})"
+        return guard, f"sqrt({a})"
     if op is ScalarOpKind.MOV:
-        return "", a
+        return guard, a
     return None
 
 
-def _batch_scalar_expr(op: ScalarOpKind, a: str,
-                       b: str | None) -> str | None:
+def _batch_scalar_expr(op: ScalarOpKind, a: str, b: str | None,
+                       traps: bool = False) -> str | None:
+    """Expected batched ScalarOp statement; DIV/SQRT only where the
+    tier can trap (the whole-loop tier)."""
+    if traps and op is ScalarOpKind.DIV:
+        return f"d[j] = {a} / {b}"
+    if traps and op is ScalarOpKind.SQRT:
+        return f"d[j] = sqrt({a})"
     if op is ScalarOpKind.MOV:
         return f"d[j] = {a}"
     if op is ScalarOpKind.MAX:
@@ -311,20 +395,23 @@ def _batch_scalar_expr(op: ScalarOpKind, a: str,
 # expected emission walk
 
 def _loop_walk(items: list) -> tuple[list, list]:
-    """Mirror ``_LoopBuilder._emit_body``: the exact statement order and
-    ``CT`` charge-slot assignment of a fused loop body.
+    """Mirror the whole-loop skeleton's ``_emit_body``: the exact
+    statement order, ``CT`` charge-slot assignment and loop frame of a
+    fused loop body.
 
     Returns ``(entries, loop_meta)`` where entries are
-    ``(instr_or_marker, charge_slot)`` in emission order (a nested
-    ``Loop`` appears as its own entry with slot ``None``, followed
-    inline by its body) and ``loop_meta`` is the expected
-    ``(IT slot, name, max_iter)`` trip-counter table in pre-order.
+    ``(instr_or_marker, charge_slot, frame)`` in emission order (a
+    nested ``Loop`` appears as its own entry with slot ``None`` in its
+    parent's frame, followed inline by its body in its own frame;
+    frame ``k`` is the loop with ``IT`` slot ``k``) and ``loop_meta``
+    is the expected ``(IT slot, name, max_iter)`` trip-counter table in
+    pre-order.
     """
     entries: list = []
     loop_meta: list = []
     n_charges = 0
 
-    def walk(block: list) -> None:
+    def walk(block: list, frame: int) -> None:
         nonlocal n_charges
         run: list = []
 
@@ -335,7 +422,7 @@ def _loop_walk(items: list) -> tuple[list, list]:
             slot = n_charges
             n_charges += 1
             for ins in run:
-                entries.append((ins, slot))
+                entries.append((ins, slot, frame))
             run.clear()
 
         for item in block:
@@ -343,18 +430,18 @@ def _loop_walk(items: list) -> tuple[list, list]:
                 flush()
                 slot = n_charges
                 n_charges += 1
-                entries.append((item, slot))
+                entries.append((item, slot, frame))
             elif isinstance(item, Loop):
                 flush()
                 loop_meta.append((1 + len(loop_meta), item.name,
                                   int(item.max_iter)))
-                entries.append((item, None))
-                walk(item.body)
+                entries.append((item, None, frame))
+                walk(item.body, len(loop_meta))
             else:
                 run.append(item)
         flush()
 
-    walk(items)
+    walk(items, 0)
     return entries, loop_meta
 
 
@@ -384,6 +471,11 @@ class _UnitChecker:
         self.const_count = 0
         # loop tier: S-slot table (register name -> slot).
         self.reg_slots: dict = {}
+        self.batch_tier = ir.tier.startswith("batch")
+        self.loop_tier = ir.tier in ("loop", "batch-loop")
+        # batch-loop tier: the active-lane mask of the statement's frame.
+        self.mask = "m0"
+        self.frame = 0
 
     # -- helpers ---------------------------------------------------------
     def _loc(self, stmt: EffectStatement) -> Location:
@@ -406,18 +498,27 @@ class _UnitChecker:
                 f"the verifier's {EFFECT_IR_VERSION!r}",
                 Location(f"codegen[{ir.tier}]"))
             return
-        if ir.tier not in ("chunk", "loop", "batch-chunk"):
+        if ir.tier not in TIERS:
             report.error(
                 "codegen-shape-mismatch",
                 f"unknown effect IR tier {ir.tier!r}",
                 Location("codegen"))
             return
-        if ir.tier == "loop":
+        if self.loop_tier:
             entries, loop_meta = _loop_walk(self.instrs)
-            self._load_reg_slots()
+            if ir.tier == "loop":
+                self._load_reg_slots()
         else:
-            entries = [(ins, None) for ins in self.instrs]
+            entries = [(ins, None, 0) for ins in self.instrs]
             loop_meta = []
+        if ir.tier == "batch-loop" and tuple(ir.lens[:1]) != (ir.batch,):
+            # L[0] bounds every mask and per-lane trip-counter loop.
+            report.error(
+                "codegen-shape-mismatch",
+                f"lane count slot L[0] holds {tuple(ir.lens[:1])} on a "
+                f"batch-{ir.batch} machine; the mask and trip-counter "
+                f"tables hold exactly {ir.batch} lanes per frame",
+                Location("codegen[batch-loop]"))
         stmts = list(ir.statements)
         if len(stmts) != len(entries):
             report.error(
@@ -428,7 +529,10 @@ class _UnitChecker:
                 hint="a builder emitted code without recording it (or "
                      "vice versa)")
             return
-        for pos, ((instr, slot), stmt) in enumerate(zip(entries, stmts)):
+        for pos, ((instr, slot, frame), stmt) in enumerate(
+                zip(entries, stmts)):
+            self.frame = frame
+            self.mask = f"m{frame}"
             if stmt.instr_index != pos:
                 self._err(
                     "codegen-order-mismatch", stmt,
@@ -436,7 +540,7 @@ class _UnitChecker:
                     f"{stmt.instr_index} but executes at {pos}; the "
                     f"generated code would reorder effects the solo "
                     f"interpreter sequences")
-            if ir.tier == "loop" and stmt.charge_slot != slot:
+            if self.loop_tier and stmt.charge_slot != slot:
                 self._err(
                     "codegen-cycle-mismatch", stmt,
                     f"statement charges CT slot {stmt.charge_slot} but "
@@ -444,7 +548,7 @@ class _UnitChecker:
             self._check_statement(instr, stmt)
             self._check_bounds(stmt)
         self._check_writes()
-        if ir.tier == "loop":
+        if self.loop_tier:
             self._check_charges(loop_meta)
 
     def _load_reg_slots(self) -> None:
@@ -662,6 +766,21 @@ class _UnitChecker:
             return False
         return True
 
+    def _check_masked(self, stmt: EffectStatement, *guards: str) -> None:
+        """Batch-loop tier: every ``guards`` line must appear verbatim,
+        each one gating its effect on the frame's mask."""
+        if self.ir.tier != "batch-loop":
+            return
+        for guard in guards:
+            if guard not in stmt.text:
+                self._err(
+                    "codegen-lane-mask-missing", stmt,
+                    f"expected {guard!r} in the generated statement; "
+                    f"lanes outside frame {self.frame}'s mask "
+                    f"{self.mask} would be touched",
+                    hint="every batched whole-loop write, trap and exit "
+                         "must test the innermost frame's mask")
+
     def _check_template(self, stmt: EffectStatement,
                         template: str) -> None:
         if _norm(stmt.text) != template:
@@ -672,8 +791,8 @@ class _UnitChecker:
                 "bit-exactness-pinned kernel shape")
 
     def _check_vecdup(self, instr: VecDup, stmt: EffectStatement) -> None:
-        batch = self.ir.tier == "batch-chunk"
-        self._check_index_kind(stmt, "flat" if batch else "elementwise")
+        self._check_index_kind(stmt,
+                               "flat" if self.batch_tier else "elementwise")
         self._check_dst(stmt, "cvb", instr.cvb)
         self._check_srcs(stmt, (instr.src,))
         self._resolve_operands(stmt, [])
@@ -681,10 +800,11 @@ class _UnitChecker:
             self._err(
                 "codegen-expression-mismatch", stmt,
                 f"VecDup must copy verbatim; generated {stmt.expr!r}")
+        self._check_masked(stmt, f"if ({self.mask}[j]) d[i] = a[i];")
 
     def _check_elementwise(self, instr: VectorOp,
                            stmt: EffectStatement) -> None:
-        if self.ir.tier == "batch-chunk":
+        if self.batch_tier:
             plan = _batch_vector_plan(instr)
             if plan is None:
                 self._err("codegen-expression-mismatch", stmt,
@@ -716,18 +836,28 @@ class _UnitChecker:
                 f"ISA fold {expected!r}",
                 hint="reassociation/contraction at the source level "
                      "breaks the bit-exactness contract")
+        self._check_masked(stmt, f"if ({self.mask}[j]) {expected};")
 
     def _check_clip(self, instr: VectorOp, stmt: EffectStatement) -> None:
-        if self.ir.tier != "loop":
+        if not self.loop_tier:
             self._err("codegen-expression-mismatch", stmt,
                       "CLIP is only loop-fusable; no other tier may "
                       "emit it")
             return
-        self._check_index_kind(stmt, "elementwise")
+        self._check_index_kind(stmt, "flat" if self.batch_tier
+                               else "elementwise")
         self._check_dst(stmt, "vb", instr.dst)
         self._check_srcs(stmt, tuple(instr.srcs[:3]))
         self._resolve_operands(stmt, [])
-        self._check_template(stmt, _LOOP_CLIP)
+        if not self.batch_tier:
+            self._check_template(stmt, _LOOP_CLIP)
+            return
+        if stmt.expr != _BATCH_LOOP_CLIP:
+            self._err(
+                "codegen-expression-mismatch", stmt,
+                f"generated clip {stmt.expr!r} differs from the "
+                f"np.clip lowering {_BATCH_LOOP_CLIP!r}")
+        self._check_masked(stmt, f"if ({self.mask}[j]) {_BATCH_LOOP_CLIP};")
 
     def _check_dot(self, instr: VectorOp, stmt: EffectStatement) -> None:
         tier = self.ir.tier
@@ -760,7 +890,11 @@ class _UnitChecker:
                     "codegen-scalar-slot-mismatch", stmt,
                     f"batched DOT writes {writes} but must accumulate "
                     f"into the {instr.dst!r} register buffer")
-            self._check_template(stmt, _BATCH_DOT)
+            if tier == "batch-chunk":
+                self._check_template(stmt, _BATCH_DOT)
+            else:
+                self._check_masked(stmt, f"if ({self.mask}[j]) o[j] = acc[j];")
+                self._check_template(stmt, _BATCH_LOOP_DOT.format(m=self.mask))
 
     def _check_spmv(self, instr: SpMV, stmt: EffectStatement) -> None:
         self._check_index_kind(stmt, "gather")
@@ -772,8 +906,12 @@ class _UnitChecker:
                 "codegen-expression-mismatch", stmt,
                 f"statement streams matrix {stmt.matrix!r} but the "
                 f"instruction names {instr.matrix!r}")
-        batch = self.ir.tier == "batch-chunk"
-        self._check_template(stmt, _BATCH_SPMV if batch else _SOLO_SPMV)
+        if self.ir.tier == "batch-loop":
+            self._check_masked(stmt, f"if ({self.mask}[j]) yr[j] = acc[j];")
+            self._check_template(stmt, _BATCH_LOOP_SPMV.format(m=self.mask))
+        else:
+            self._check_template(stmt, _BATCH_SPMV if self.batch_tier
+                                 else _SOLO_SPMV)
 
     def _check_scalar(self, instr: ScalarOp, stmt: EffectStatement) -> None:
         tier = self.ir.tier
@@ -813,7 +951,8 @@ class _UnitChecker:
                     f"emitted scalar statement {stmt.text!r} differs "
                     f"from the expected lowering")
         else:
-            expected = _batch_scalar_expr(instr.op, a, b)
+            expected = _batch_scalar_expr(instr.op, a, b,
+                                          traps=tier == "batch-loop")
             if expected is None:
                 self._err("codegen-expression-mismatch", stmt,
                           f"scalar op {instr.op.value!r} is not batch-"
@@ -824,6 +963,10 @@ class _UnitChecker:
                     "codegen-scalar-slot-mismatch", stmt,
                     f"batched scalar op writes {writes} but must "
                     f"target the {instr.dst!r} register buffer lanes")
+            trap = _scalar_trap(instr.op, a, b)
+            self._check_masked(stmt, f"if ({self.mask}[j]) {expected};",
+                               *([f"if ({self.mask}[j] && {trap[0]}) "
+                                  f"return {trap[1]};"] if trap else []))
         if stmt.expr != expected:
             self._err(
                 "codegen-expression-mismatch", stmt,
@@ -842,6 +985,10 @@ class _UnitChecker:
                 "codegen-expression-mismatch", stmt,
                 f"exit test {stmt.expr!r} differs from the ISA "
                 f"condition {expected!r}")
+        m = self.mask
+        self._check_masked(stmt, f"if ({m}[j] && {expected}) {m}[j] = 0;",
+                           f"live |= {m}[j];",
+                           f"if (!live) goto loop_exit_{self.frame};")
 
     def _check_loop_marker(self, instr: Loop, stmt: EffectStatement) -> None:
         self._check_index_kind(stmt, "loop")
@@ -924,8 +1071,7 @@ class _UnitChecker:
                         "codegen-shape-mismatch", stmt,
                         f"reduction bound {stmt.bound} does not cover "
                         f"{ref.space}:{ref.name} of {ref.length}")
-            if (self.ir.tier == "batch-chunk"
-                    and stmt.lane_bound != batch):
+            if self.batch_tier and stmt.lane_bound != batch:
                 self._err(
                     "codegen-shape-mismatch", stmt,
                     f"batched reduction runs {stmt.lane_bound} lanes "
@@ -933,8 +1079,7 @@ class _UnitChecker:
         elif index == "gather":
             self._check_gather_bounds(stmt)
         elif index == "scalar":
-            if (self.ir.tier == "batch-chunk"
-                    and stmt.lane_bound != batch):
+            if self.batch_tier and stmt.lane_bound != batch:
                 self._err(
                     "codegen-shape-mismatch", stmt,
                     f"scalar lane loop runs {stmt.lane_bound} lanes "
@@ -999,7 +1144,7 @@ class _UnitChecker:
                 "codegen-shape-mismatch", stmt,
                 f"machine holds no matrix resource {stmt.matrix!r}")
             return
-        if self.ir.tier == "batch-chunk":
+        if self.batch_tier:
             shape = tuple(int(s) for s in resource.shape)
         else:
             shape = tuple(int(s) for s in resource.matrix.shape)
@@ -1044,7 +1189,7 @@ class _UnitChecker:
     # -- cycle accounting --------------------------------------------------
     def _check_charges(self, loop_meta: list) -> None:
         ir = self.ir
-        loc = Location("codegen[loop]")
+        loc = Location(f"codegen[{ir.tier}]")
         expected = loop_charge_slots(self.instrs, self.machine)
         got = list(ir.charges)
         if len(got) != len(expected):
@@ -1307,7 +1452,7 @@ def _solo_units(executor: CompiledExecutor, items: list, units: list,
             try:
                 builder.emit_body_ir(item.body)
             except Exception:
-                # Mirrors _fuse_loop: an unfusable body stays on the
+                # Mirrors fuse_loop: an unfusable body stays on the
                 # node path, whose segments chunk-fuse individually.
                 skipped[0] += 1
                 _solo_units(executor, item.body, units, skipped)
@@ -1336,6 +1481,16 @@ def _batch_units(executor: BatchExecutor, items: list, units: list,
     for item in items:
         if isinstance(item, Loop):
             flush()
+            builder = _BatchLoopBuilder(executor)
+            try:
+                builder.emit_body_ir(item.body)
+            except Exception:
+                skipped[0] += 1
+            else:
+                units.append((builder.effect_ir(), item.body,
+                              executor.machine))
+            # The first (node-path) run chunk-fuses the body's segments
+            # before the whole loop fuses, so both tiers run.
             _batch_units(executor, item.body, units, skipped)
         elif isinstance(item, Control):
             flush()
@@ -1352,11 +1507,11 @@ def verify_codegen(compiled: Any, matrices: dict, *,
     ``matrices`` maps streamed-matrix names (``P``/``A``/``At``) to
     their :class:`~repro.sparse.csr.CSRMatrix` structures. Both the
     solo tiers (straight-line chunks + whole-loop fusion) and the
-    batched tier (lane-minor chunks at the given ``batch`` width) are
-    lifted exactly as the runtime builders would emit them — same
-    predicates, same builders — but against statically seeded machines,
-    so this needs no C toolchain and runs identically in a
-    cffi-less environment.
+    batched tiers (lane-minor chunks + lane-masked whole-loop fusion
+    at the given ``batch`` width) are lifted exactly as the runtime
+    builders would emit them — same predicates, same builders — but
+    against statically seeded machines, so this needs no C toolchain
+    and runs identically in a cffi-less environment.
     """
     report = VerificationReport(
         subject=f"codegen:{getattr(compiled, 'algorithm', 'admm')}",
@@ -1380,17 +1535,17 @@ def verify_codegen(compiled: Any, matrices: dict, *,
     _batch_units(batch_exec, compiled.program.instructions, units,
                  skipped)
 
-    counts = {"chunk": 0, "loop": 0, "batch-chunk": 0}
+    counts = dict.fromkeys(TIERS, 0)
     for ir, instrs, machine in units:
-        counts[ir.tier] = counts.get(ir.tier, 0) + 1
+        counts[ir.tier] += 1
         report.extend(verify_effect_ir(ir, instrs, machine))
     report.info(
         "codegen-coverage",
         f"analyzed {len(units)} generated unit(s): "
-        f"{counts.get('chunk', 0)} chunk, {counts.get('loop', 0)} "
-        f"whole-loop, {counts.get('batch-chunk', 0)} batch-chunk "
-        f"(batch={batch}); {skipped[0]} run(s) stay on the closure "
-        f"fallback",
+        f"{counts['chunk']} chunk, {counts['loop']} whole-loop, "
+        f"{counts['batch-chunk']} batch-chunk, {counts['batch-loop']} "
+        f"batch whole-loop (batch={batch}); {skipped[0]} run(s) stay "
+        f"on the closure fallback",
         Location("codegen"))
     return report
 

@@ -131,6 +131,9 @@ DIAGNOSTIC_CODES: dict[str, str] = {
                                  "from the canonical cjit template",
     "codegen-cycle-mismatch": "an effect-IR charge table entry "
                               "disagrees with the static cost model",
+    "codegen-lane-mask-missing": "a batched whole-loop statement "
+                                 "writes, traps or exits on lanes "
+                                 "outside its frame's active-lane mask",
     "codegen-coverage": "summary of generated units the codegen pass "
                         "analyzed (info)",
 }

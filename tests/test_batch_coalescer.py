@@ -172,6 +172,24 @@ class TestServingBatchSemantics:
         assert c['serving_batch_lane_fallbacks_total{reason="deadline"}'] == 1
         assert c["serving_deadline_misses_total"] == 1
 
+    def test_algorithm_counters_count_every_request_once(self):
+        from repro.problems import generate
+        base = generate("eqqp", 16, seed=0)
+        problems = [perturb_numeric(base, seed=s) for s in range(1, 5)]
+        with service() as svc:
+            svc.solve(base)
+            # Three lanes are served batched; the zero-deadline lane
+            # falls back to the solo path alone.
+            svc.solve_batch(problems, deadlines=[None, 0.0, None, None])
+            counters = svc.metrics.snapshot()["counters"]
+        requests = counters["serving_requests_total"]
+        assert requests == 5
+        assert counters["serving_batched_requests_total"] == 3
+        assert counters["serving_algo_selected_total"] == requests
+        assert sum(value for name, value in counters.items()
+                   if name.startswith("serving_algo_selected_")
+                   and name != "serving_algo_selected_total") == requests
+
 
 class TestFlushCallback:
     def collect(self):

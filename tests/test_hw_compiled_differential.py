@@ -22,7 +22,9 @@ from repro.exceptions import SimulationError
 from repro.hw import (Control, DataTransfer, Loop, Machine, MatrixResource,
                       Program, ScalarOp, ScalarOpKind, SpMV, VecDup,
                       VectorOp, VectorOpKind)
+from repro.hw import cjit
 from repro.hw.accelerator import RSQPAccelerator
+from repro.hw.batched import BatchExecutor, BatchMachine
 from repro.hw.compiled import CompiledExecutor
 from repro.hw.spmv_engine import simulate_spmv
 from repro.problems import generate
@@ -557,3 +559,128 @@ class TestFusedLoopErrors:
         op = ScalarOp(ScalarOpKind.SQRT, "s2", "s0")
         errors = self._drive(op, lambda m: m.set_scalar("s0", -1.0))
         assert "sqrt" in str(errors["compiled"])
+
+
+needs_jit = pytest.mark.skipif(not cjit.available(),
+                               reason="no C toolchain for the fused tier")
+
+
+@needs_jit
+class TestBatchLoopFusion:
+    """Batched whole-loop fusion vs the batched node path.
+
+    The fused tier masks writes instead of snapshotting frozen lanes;
+    it must leave every lane, every per-lane trip counter and every
+    wall statistic exactly where the node path (``jit=False``) does.
+    """
+
+    def _run(self, probs, cust, settings, algorithm, compiled, jit):
+        from repro.batch import BatchAccelerator
+        accel = BatchAccelerator(probs, cust, settings, compiled=compiled,
+                                 algorithm=algorithm)
+        if not jit:
+            accel.executor = BatchExecutor(accel.machine, jit=False)
+        return accel, accel.run()
+
+    @pytest.mark.parametrize("family,size,batch,algorithm", [
+        ("eqqp", 16, 2, "admm"), ("eqqp", 16, 8, "admm"),
+        ("eqqp", 16, 32, "admm"), ("control", 4, 8, "admm"),
+        ("control", 4, 8, "pdqp"),
+    ])
+    def test_fused_matches_node_path(self, family, size, batch, algorithm):
+        from repro.hw import accelerator_class
+        from repro.problems import perturb_numeric
+        from repro.solver import OSQPSettings
+        from repro.solver.algorithms import get_algorithm
+        template = generate(family, size, seed=0)
+        probs = [template] + [perturb_numeric(template, seed=s)
+                              for s in range(1, batch)]
+        cust = customize_problem(probs[0], 8)
+        settings = get_algorithm(algorithm).coerce_settings(OSQPSettings())
+        compiled = accelerator_class(algorithm)(
+            probs[0], customization=cust, settings=settings,
+            backend="compiled").compiled
+        fused, fres = self._run(probs, cust, settings, algorithm, compiled,
+                                jit=True)
+        node, nres = self._run(probs, cust, settings, algorithm, compiled,
+                               jit=False)
+        assert any(entry[1] for entry in fused.executor._loop_fused.values())
+        assert not node.executor._loop_fused
+        for fr, nr in zip(fres.results, nres.results):
+            assert fr.x.tobytes() == nr.x.tobytes()
+            assert fr.y.tobytes() == nr.y.tobytes()
+            assert fr.z.tobytes() == nr.z.tobytes()
+        f_lanes = fused.machine.lane_loop_iterations
+        n_lanes = node.machine.lane_loop_iterations
+        assert f_lanes.keys() == n_lanes.keys()
+        for name in n_lanes:
+            assert np.array_equal(f_lanes[name], n_lanes[name])
+        fs, ns = fused.machine.stats, node.machine.stats
+        assert fs.total_cycles == ns.total_cycles
+        assert fs.by_class == ns.by_class
+        assert fs.instructions_executed == ns.instructions_executed
+        assert fs.loop_iterations == ns.loop_iterations
+
+
+@needs_jit
+class TestFusedBatchLoopErrors:
+    """DIV/SQRT traps inside the batched fused body fire per active lane.
+
+    A zero divisor (negative radicand) in an active lane raises the
+    node path's SimulationError from the fused body; the same value in
+    a lane whose Control already fired this run is never observed.
+    """
+
+    OPS = {"div": (ScalarOp(ScalarOpKind.DIV, "q", "s0", "s1"), "s1", 0.0,
+                   "division"),
+           "sqrt": (ScalarOp(ScalarOpKind.SQRT, "q", "s0"), "s0", -1.0,
+                    "sqrt")}
+
+    def _setup(self, kind, jit):
+        op, _reg, _bad, _msg = self.OPS[kind]
+        # Lanes whose c < thr leave at the Control, before the op runs.
+        program = Program([Loop(body=[Control("c", "thr"), op],
+                                max_iter=4, name="l")])
+        machine = BatchMachine(4, {}, 2)
+        for name, value in (("s0", 4.0), ("s1", 2.0), ("c", 1.0),
+                            ("thr", 0.0)):
+            for lane in range(2):
+                machine.set_scalar_lane(name, lane, value)
+        executor = BatchExecutor(machine, jit=jit)
+        everyone = np.ones(2, dtype=bool)
+        executor.run(program, everyone)
+        executor.run(program, everyone)
+        if jit:
+            # The second clean run went through the fused body, or this
+            # test proves nothing.
+            assert any(entry[1] for entry in executor._loop_fused.values())
+        return program, machine, executor, everyone
+
+    @pytest.mark.parametrize("kind", ["div", "sqrt"])
+    def test_active_lane_traps(self, kind):
+        _op, reg, bad, msg = self.OPS[kind]
+        errors = {}
+        for jit in (True, False):
+            program, machine, executor, everyone = self._setup(kind, jit)
+            machine.set_scalar_lane(reg, 0, bad)
+            with pytest.raises(SimulationError) as exc_info:
+                executor.run(program, everyone)
+            errors[jit] = exc_info.value
+        assert type(errors[True]) is type(errors[False])
+        assert msg in str(errors[True])
+
+    @pytest.mark.parametrize("kind", ["div", "sqrt"])
+    def test_frozen_lane_never_traps(self, kind):
+        _op, reg, bad, _msg = self.OPS[kind]
+        results = {}
+        for jit in (True, False):
+            program, machine, executor, everyone = self._setup(kind, jit)
+            machine.set_scalar_lane("c", 1, -1.0)  # lane 1 exits at once
+            machine.set_scalar_lane(reg, 1, bad)
+            executor.run(program, everyone)
+            results[jit] = (machine.scalars["q"].tobytes(),
+                            machine.lane_loop_iterations["l"].copy(),
+                            dict(machine.stats.loop_iterations))
+        assert results[True][0] == results[False][0]
+        assert np.array_equal(results[True][1], results[False][1])
+        assert results[True][2] == results[False][2]

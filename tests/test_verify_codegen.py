@@ -7,7 +7,7 @@ an off-by-one loop bound, a dropped write-set entry, a reassociated
 expression, a mischarged cycle slot — and assert the verifier reports
 a *located* diagnostic with the stable code for exactly that defect
 class. The sweep tests assert the converse: every unit the backends
-would actually fuse, for both algorithms and all three tiers,
+would actually fuse, for both algorithms and all four tiers,
 verifies with zero errors (no false positives).
 
 Runs without hypothesis (the property variants skip) and without
@@ -47,7 +47,7 @@ CODEGEN_CODES = (
     "codegen-stale-scalar-read", "codegen-scalar-slot-mismatch",
     "codegen-write-set-miss", "codegen-expression-mismatch",
     "codegen-kernel-body-drift", "codegen-cycle-mismatch",
-    "codegen-coverage",
+    "codegen-lane-mask-missing", "codegen-coverage",
 )
 
 
@@ -112,7 +112,8 @@ def codes_of(report):
 
 @pytest.mark.parametrize("tier,algorithm",
                          [("batch-chunk", "admm"), ("loop", "admm"),
-                          ("chunk", "pdqp")])
+                          ("chunk", "pdqp"), ("batch-loop", "admm"),
+                          ("batch-loop", "pdqp")])
 def test_seeded_off_by_one_bound_is_caught(tier, algorithm):
     ir, instrs, machine = unit_for(tier, algorithm)
     pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
@@ -153,7 +154,8 @@ def test_seeded_phantom_vector_write_is_caught():
 
 @pytest.mark.parametrize("tier,algorithm",
                          [("batch-chunk", "admm"), ("loop", "admm"),
-                          ("chunk", "pdqp")])
+                          ("chunk", "pdqp"), ("batch-loop", "admm"),
+                          ("batch-loop", "pdqp")])
 def test_seeded_rewritten_expression_is_caught(tier, algorithm):
     ir, instrs, machine = unit_for(tier, algorithm)
     pos, stmt = next(
@@ -172,14 +174,51 @@ def test_seeded_rewritten_expression_is_caught(tier, algorithm):
 
 
 def test_seeded_mischarged_cycle_slot_is_caught():
-    ir, instrs, machine = unit_for("loop")
-    assert ir.charges, "loop unit has no charge table"
-    charges = list(ir.charges)
-    cycles, by_class, count = charges[0]
-    charges[0] = (cycles + 1, by_class, count)
-    mutated = replace(ir, statements=list(ir.statements), charges=charges)
+    for tier in ("loop", "batch-loop"):
+        ir, instrs, machine = unit_for(tier)
+        assert ir.charges, f"{tier} unit has no charge table"
+        charges = list(ir.charges)
+        cycles, by_class, count = charges[0]
+        charges[0] = (cycles + 1, by_class, count)
+        mutated = replace(ir, statements=list(ir.statements),
+                          charges=charges)
+        report = verify_effect_ir(mutated, instrs, machine)
+        assert "codegen-cycle-mismatch" in codes_of(report), \
+            report.render()
+
+
+@pytest.mark.parametrize("op,guard", [
+    ("axpby", "if (m0[j]) "),         # an elementwise write
+    ("dot", "if (m1[j]) "),           # a reduction's commit (PCG frame)
+    ("control", "if (m0[j] && "),     # an exit test
+    ("scalar:div", "if (m1[j] && "),  # a trap check (PCG frame)
+])
+def test_seeded_unmasked_batch_loop_statement_is_caught(op, guard):
+    ir, instrs, machine = unit_for("batch-loop")
+    pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
+                     if s.op == op and guard in s.text)
+    mutated = clone(ir)
+    # Drop the mask: a guarded write becomes unconditional, a masked
+    # test tests every lane.
+    unguarded = "if (" if guard.endswith("&& ") else ""
+    mutated.statements[pos] = replace(
+        stmt, text=stmt.text.replace(guard, unguarded, 1))
     report = verify_effect_ir(mutated, instrs, machine)
-    assert "codegen-cycle-mismatch" in codes_of(report), report.render()
+    found = [d for d in report.errors
+             if d.code == "codegen-lane-mask-missing"]
+    assert found, report.render()
+    assert str(stmt.instr_index) in found[0].location.path
+
+
+def test_seeded_wrong_frame_exit_is_caught():
+    ir, instrs, machine = unit_for("batch-loop")
+    pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
+                     if s.op == "control" and "goto loop_exit_1" in s.text)
+    mutated = clone(ir)
+    mutated.statements[pos] = replace(
+        stmt, text=stmt.text.replace("loop_exit_1", "loop_exit_0"))
+    report = verify_effect_ir(mutated, instrs, machine)
+    assert "codegen-lane-mask-missing" in codes_of(report), report.render()
 
 
 def test_seeded_reordered_statements_are_caught():
@@ -238,10 +277,11 @@ def test_every_lifted_unit_verifies_clean(algorithm):
         assert not report.errors, report.render()
 
 
-def test_all_three_tiers_are_covered():
+def test_all_four_tiers_are_covered():
     tiers = {ir.tier for algorithm in ("admm", "pdqp")
              for ir, _instrs, _machine in lifted_units(algorithm)}
-    assert tiers == {"chunk", "loop", "batch-chunk"}
+    assert tiers == {"chunk", "loop", "batch-chunk", "batch-loop"}
+    assert tiers == set(cg.TIERS)
 
 
 @pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
