@@ -12,6 +12,12 @@ throughput on the compute-dominated case, and writes
 ``BENCH_BATCH.json`` at the repo root for the perf trajectory,
 together with the host it ran on (cores, CPU, C compiler, REPRO_JIT).
 
+The ``resident_rerun`` rows time what the serving layer's pooled batch
+machines save per burst: binding a fresh ``BatchAccelerator`` and
+running it, against refreshing an already-run machine with the same
+burst and re-running it (median and IQR over ``RESIDENT_REPEATS``
+interleaved bursts, lanes asserted bitwise equal).
+
 Respects ``REPRO_BENCH_COUNT`` / ``REPRO_BENCH_SCALE`` (see conftest).
 """
 
@@ -44,12 +50,55 @@ COMPUTE_DOMINATED = ("eqqp",)
 BATCH = 32
 SPEEDUP_FLOOR = 5.0
 
+#: Bursts per ``resident_rerun`` case (median and IQR need >= 5).
+RESIDENT_REPEATS = 7
+
 
 def _stream(family, size, batch):
     """Same-fingerprint stream: one template plus perturbed variants."""
     template = generate(family, size, seed=0)
     return [template] + [perturb_numeric(template, seed=s)
                          for s in range(1, batch)]
+
+
+def _quartiles(samples):
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return round(float(median), 3), round(float(q3 - q1), 3)
+
+
+def _resident_rerun(family, size, settings):
+    """Fresh bind+run vs refresh+run of one burst, interleaved."""
+    template = generate(family, size, seed=0)
+    cust = customize_problem(template, 8)
+    compiled = RSQPAccelerator(template, customization=cust,
+                               settings=settings).compiled
+    resident = BatchAccelerator(_stream(family, size, BATCH), cust,
+                                settings, compiled=compiled)
+    resident.run()
+    fresh_ms, refresh_ms = [], []
+    for repeat in range(RESIDENT_REPEATS):
+        burst = [perturb_numeric(template, seed=1000 * (repeat + 1) + s)
+                 for s in range(BATCH)]
+        t0 = time.perf_counter()
+        fres = BatchAccelerator(burst, cust, settings,
+                                compiled=compiled).run()
+        t1 = time.perf_counter()
+        resident.refresh(burst)
+        rres = resident.run()
+        t2 = time.perf_counter()
+        fresh_ms.append((t1 - t0) * 1e3)
+        refresh_ms.append((t2 - t1) * 1e3)
+        for lane, (f, r) in enumerate(zip(fres.results, rres.results)):
+            assert f.x.tobytes() == r.x.tobytes(), (family, lane)
+            assert f.total_cycles == r.total_cycles, (family, lane)
+        assert fres.wall_cycles == rres.wall_cycles
+    fresh, fresh_iqr = _quartiles(fresh_ms)
+    refresh, refresh_iqr = _quartiles(refresh_ms)
+    return {"family": family, "size": size, "batch": BATCH,
+            "repeats": RESIDENT_REPEATS,
+            "fresh_bind_run_ms": fresh, "fresh_bind_run_iqr_ms": fresh_iqr,
+            "refresh_run_ms": refresh, "refresh_run_iqr_ms": refresh_iqr,
+            "resident_speedup_x": round(fresh / refresh, 2)}
 
 
 def test_batch_throughput(benchmark):
@@ -112,6 +161,10 @@ def test_batch_throughput(benchmark):
         })
 
     print_rows("Batched lockstep: request throughput", rows)
+    resident_rows = [_resident_rerun(family, size, settings)
+                     for family, size in cases]
+    print_rows("Resident batch machine: refresh+run vs bind+run",
+               resident_rows)
 
     floor_rows = [r for r in rows if r["compute_dominated"]]
     assert floor_rows, "no compute-dominated case measured"
@@ -144,6 +197,7 @@ def test_batch_throughput(benchmark):
         "bench_count": count,
         "bench_scale": scale,
         "cases": rows,
+        "resident_rerun": resident_rows,
         "min_compute_dominated_throughput_x": min(
             r["request_throughput_x"] for r in floor_rows),
         "geomean_throughput_x": round(float(np.exp(np.mean(

@@ -9,7 +9,7 @@ convergence masking and per-instance cycle accounting
 
 from .coalescer import Coalescer, PendingEntry
 from .runner import (LANE_DEADLINE, LANE_FAULT, BatchAccelerator,
-                     BatchResult, solve_batch_job)
+                     BatchResult, bind_batch, solve_batch_job)
 
 __all__ = [
     "BatchAccelerator",
@@ -18,5 +18,6 @@ __all__ = [
     "PendingEntry",
     "LANE_DEADLINE",
     "LANE_FAULT",
+    "bind_batch",
     "solve_batch_job",
 ]

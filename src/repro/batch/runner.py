@@ -49,7 +49,8 @@ from ..qp import ruiz_equilibrate_batch
 from ..solver import OSQPSettings
 from ..solver.algorithms import get_algorithm
 
-__all__ = ["BatchResult", "BatchAccelerator", "solve_batch_job"]
+__all__ = ["BatchResult", "BatchAccelerator", "bind_batch",
+           "solve_batch_job"]
 
 #: ``lane_errors`` entries a frozen lane can carry.
 LANE_FAULT = "fault"
@@ -112,6 +113,11 @@ class BatchAccelerator:
     are optional per-lane lists (``None`` entries disable the feature
     for that lane; ``deadline_ats`` holds absolute
     ``time.perf_counter()`` timestamps).
+
+    A machine that ran can be loaded again with :meth:`refresh`: B new
+    same-structure problems, bound closures and fused loops kept, and
+    the next run bitwise the one a fresh accelerator makes (see
+    ``docs/BATCH.md``).
     """
 
     def __init__(self, problems, customization, settings, *,
@@ -129,39 +135,20 @@ class BatchAccelerator:
             get_algorithm(algorithm).coerce_settings(settings)
         self.customization = customization
         self.compiled = compiled
-        warm_starts = list(warm_starts or [None] * batch)
         self.injectors = list(injectors or [None] * batch)
-        self.deadline_ats = list(deadline_ats or [None] * batch)
-        if not (len(warm_starts) == len(self.injectors)
-                == len(self.deadline_ats) == batch):
+        if len(self.injectors) != batch:
             raise ValueError("per-lane argument lists must match the "
                              "number of problems")
 
         # Per-lane solo accelerators perform host setup + download with
         # exactly the solo float paths; the batch machine stacks them.
-        # The one vectorized piece of setup is Ruiz equilibration —
-        # computed for all lanes at once (bit-identical per lane to the
-        # solo call, see :func:`repro.qp.ruiz_equilibrate_batch`) and
-        # injected into each lane's host setup. Structure mismatches
-        # fall back to per-lane scaling; the stacked matrix resources
-        # below still enforce the shared-sparsity precondition.
-        scalings = [None] * batch
-        if batch > 1:
-            try:
-                scalings = ruiz_equilibrate_batch(
-                    problems, settings.scaling)
-            except ValueError:
-                pass
-        self.lanes = []
-        for problem, warm, scaling in zip(problems, warm_starts, scalings):
-            lane = lane_type.bind(
-                problem, customization, settings, compiled,
-                pcg_eps=pcg_eps, max_pcg_iter=max_pcg_iter,
-                backend="interpret", verify=False, scaling=scaling)
-            if warm is not None:
-                x0, y0 = warm
-                lane.warm_start(x=x0, y=y0)
-            self.lanes.append(lane)
+        self.lanes = [
+            lane_type.bind(problem, customization, settings, compiled,
+                           pcg_eps=pcg_eps, max_pcg_iter=max_pcg_iter,
+                           backend="interpret", verify=False,
+                           scaling=scaling)
+            for problem, scaling in zip(problems,
+                                        self._equilibrate(problems))]
         first = self.lanes[0]
         for lane in self.lanes[1:]:
             if (lane.work.n, lane.work.m) != (first.work.n, first.work.m):
@@ -174,14 +161,77 @@ class BatchAccelerator:
             name: BatchMatrixResource(
                 name, [lane.machine.matrices[name] for lane in self.lanes])
             for name in MATRICES}, batch)
-        for b, lane in enumerate(self.lanes):
-            for name, values in lane.machine.hbm.items():
-                self.machine.write_hbm_lane(name, b, values)
-            for name, value in lane.machine.scalars.items():
-                self.machine.set_scalar_lane(name, b, value)
         if any(inj is not None for inj in self.injectors):
             self.machine.injectors = self.injectors
         self.executor = BatchExecutor(self.machine)
+        self._load(warm_starts, deadline_ats)
+
+    def _equilibrate(self, problems) -> list:
+        """Per-lane Ruiz scalings from one batched pass.
+
+        The one vectorized piece of host setup: bit-identical per lane
+        to the solo call (see :func:`repro.qp.ruiz_equilibrate_batch`)
+        and injected into each lane's host setup. ``None`` entries —
+        a single lane, or a structure mismatch — make the lanes scale
+        themselves; the stacked matrix resources still enforce the
+        shared-sparsity precondition.
+        """
+        if len(problems) > 1:
+            try:
+                return ruiz_equilibrate_batch(problems,
+                                              self.settings.scaling)
+            except ValueError:
+                pass
+        return [None] * len(problems)
+
+    def refresh(self, problems, warm_starts=None,
+                deadline_ats=None) -> None:
+        """Install B new same-structure problems on the bound machine.
+
+        Every lane re-runs its solo :meth:`~repro.hw.accelerator.
+        Accelerator.refresh` (the lane structure check included) with
+        its share of one batched Ruiz pass; the stacked matrix values,
+        HBM columns and scalar registers are then rewritten in place,
+        so every lowered closure and fused C unit stays bound. The
+        next :meth:`run` is bitwise the run a freshly constructed
+        accelerator on ``problems`` makes. The per-lane injectors
+        chosen at construction stay armed.
+        """
+        problems = list(problems)
+        if len(problems) != self.batch:
+            raise ValueError(
+                f"machine has {self.batch} lanes, got {len(problems)} "
+                "problems")
+        for lane, problem, scaling in zip(self.lanes, problems,
+                                          self._equilibrate(problems)):
+            lane.refresh(problem, scaling=scaling)
+        for resource in self.machine.matrices.values():
+            resource.update_values()
+        self._load(warm_starts, deadline_ats)
+
+    def _load(self, warm_starts, deadline_ats) -> None:
+        """Stack the lanes' downloads onto the batch machine and clear
+        its accounting — the one load path construction and
+        :meth:`refresh` share. Arrays are written in place: lowered
+        closures and the fused loops' trip tables point at them."""
+        batch = self.batch
+        warm_starts = list(warm_starts or [None] * batch)
+        self.deadline_ats = list(deadline_ats or [None] * batch)
+        if not len(warm_starts) == len(self.deadline_ats) == batch:
+            raise ValueError("per-lane argument lists must match the "
+                             "number of problems")
+        machine = self.machine
+        for b, (lane, warm) in enumerate(zip(self.lanes, warm_starts)):
+            if warm is not None:
+                x0, y0 = warm
+                lane.warm_start(x=x0, y=y0)
+            for name, values in lane.machine.hbm.items():
+                machine.write_hbm_lane(name, b, values)
+            for name, value in lane.machine.scalars.items():
+                machine.set_scalar_lane(name, b, value)
+        machine.stats.reset()
+        for trips in machine.lane_loop_iterations.values():
+            trips.fill(0)
 
     # ------------------------------------------------------------------
     def _run(self, program, mask) -> None:
@@ -343,7 +393,7 @@ class BatchAccelerator:
                 stats=stats, fault_events=events,
                 algorithm=self.algorithm, restarts=lane.restarts))
         return BatchResult(results, lane_errors,
-                           wall_stats=machine.stats,
+                           wall_stats=machine.stats.copy(),
                            fmax_mhz=clock, power_watts=power,
                            algorithm=self.algorithm)
 
@@ -364,11 +414,18 @@ def solve_batch_job(problems, artifact, settings: OSQPSettings,
     if verify:
         from ..verify import ensure_batch_verified
         ensure_batch_verified(artifact, problems)
-    accelerator = BatchAccelerator(
+    return bind_batch(problems, artifact, settings, pcg_eps,
+                      warm_starts=warm_starts, injectors=injectors,
+                      deadline_ats=deadline_ats).run()
+
+
+def bind_batch(problems, artifact, settings: OSQPSettings,
+               pcg_eps: float = 1e-7, **lanes) -> BatchAccelerator:
+    """Construct the artifact's batched machine around ``problems``;
+    ``lanes`` passes ``warm_starts`` / ``injectors`` /
+    ``deadline_ats`` through."""
+    return BatchAccelerator(
         problems, artifact.customization, settings,
         compiled=artifact.compiled,
         algorithm=getattr(artifact, "algorithm", "admm"),
-        pcg_eps=pcg_eps, max_pcg_iter=artifact.max_pcg_iter,
-        warm_starts=warm_starts, injectors=injectors,
-        deadline_ats=deadline_ats)
-    return accelerator.run()
+        pcg_eps=pcg_eps, max_pcg_iter=artifact.max_pcg_iter, **lanes)

@@ -374,14 +374,18 @@ class Accelerator:
                     "updates")
 
     def refresh(self, problem: QProblem, *,
-                carry_step: bool = False) -> None:
+                carry_step: bool = False, scaling=None) -> None:
         """:meth:`refresh_numeric` under one name for every algorithm:
         ``carry_step`` keeps the adapted step size (the ``step_name``
-        attribute: rho, omega) instead of the cold-start one."""
+        attribute: rho, omega) instead of the cold-start one;
+        ``scaling`` injects a precomputed Ruiz scaling of ``problem``
+        (a batch lane's share of one batched pass), as at construction."""
         self._refresh(problem,
-                      getattr(self, self.step_name) if carry_step else None)
+                      getattr(self, self.step_name) if carry_step else None,
+                      scaling)
 
-    def _refresh(self, problem: QProblem, carried_step) -> None:
+    def _refresh(self, problem: QProblem, carried_step,
+                 scaling=None) -> None:
         """Install new numeric data for the *same* structure, in place.
 
         Re-runs the host setup (Ruiz equilibration depends on ``q``, so
@@ -396,7 +400,7 @@ class Accelerator:
         """
         self._check_same_structure(problem)
         self.problem = problem
-        self._precomputed_scaling = None
+        self._precomputed_scaling = scaling
         self._host_setup()
         self.restarts = self.step_updates = 0
         if carried_step is not None:

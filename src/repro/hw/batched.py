@@ -149,9 +149,7 @@ class BatchMatrixResource:
         self._kernel = None
         engine = cjit.engine()
         if engine is not None:
-            val = np.ascontiguousarray(np.stack(
-                [np.asarray(lane.matrix.data, dtype=np.float64)
-                 for lane in lanes], axis=1))
+            val = np.empty((indices.size, len(lanes)))
             col = np.ascontiguousarray(indices, dtype=np.int64)
             ip = np.ascontiguousarray(indptr, dtype=np.int64)
             ffi = engine.ffi
@@ -162,6 +160,20 @@ class BatchMatrixResource:
             self._cffi = ffi
             self._nnz = int(val.shape[0])
             self._kernel = engine.lib.k_csr_matvec_batch
+            self.update_values()
+
+    def update_values(self) -> None:
+        """Restack the lanes' current matrix values into the C value
+        block, in place — the batched analogue of
+        :meth:`~repro.hw.machine.MatrixResource.update_values`. The
+        block keeps its identity, so every pointer bound by
+        :meth:`bind` stays valid; the lanes' own resources must already
+        hold the new values (same pattern)."""
+        if self._kernel is None:
+            return  # per-lane fallback reads the lanes' values directly
+        val = self._carrays[0]
+        for b, lane in enumerate(self.lanes):
+            val[:, b] = lane.matrix.data
 
     def bind(self, x: np.ndarray, out: np.ndarray):
         """Prebound ``out[:, b] = matrix_b @ x[:, b]`` closure for

@@ -205,7 +205,8 @@ class ArchCache:
 
     Each entry also owns up to ``resident_slots`` idle resident
     accelerators (:class:`~repro.serving.pool.Resident`) bound to its
-    artifact. They leave with the entry — eviction, :meth:`invalidate`
+    artifact, per width: solo machines, and batched machines per lane
+    count B. They leave with the entry — eviction, :meth:`invalidate`
     or replacement — and ``on_discard(reason, count)`` hears of it.
     """
 
@@ -295,17 +296,23 @@ class ArchCache:
             return self._entries.pop(key, None) is not None
 
     # -- resident accelerators -------------------------------------------
-    def lease(self, key: str, artifact: ArchArtifact):
-        """An idle resident bound to exactly ``artifact``, or None."""
+    def lease(self, key: str, artifact: ArchArtifact, width=None):
+        """An idle resident bound to exactly ``artifact``, or None.
+
+        ``width`` selects the kind: None for a solo machine, B for a
+        batched machine of exactly B lanes."""
         with self._lock:
-            idle = self._idle.get(key)
-            if idle and idle[-1].artifact is artifact:
-                return idle.pop()
+            idle = self._idle.get(key, [])
+            for i in range(len(idle) - 1, -1, -1):
+                resident = idle[i]
+                if resident.width == width and resident.artifact is artifact:
+                    return idle.pop(i)
         return None
 
     def release(self, key: str, resident) -> None:
         """Take a leased resident back while its artifact is still this
-        entry's and a slot is free; otherwise it is dropped."""
+        entry's and a slot of its width is free; otherwise it is
+        dropped."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not resident.artifact:
@@ -313,7 +320,8 @@ class ArchCache:
                     "evicted" if entry is None else "invalidated", 1)
                 return
             idle = self._idle.setdefault(key, [])
-            if len(idle) < self.resident_slots:
+            if sum(r.width == resident.width
+                   for r in idle) < self.resident_slots:
                 idle.append(resident)
 
     def _drop_residents(self, key: str, reason: str) -> None:

@@ -7,7 +7,8 @@ customization and compiled program (host scaling, rho selection, HBM
 download — no search, no scheduling, no compilation), optionally warm
 starts, and runs. It is what a process pool ships to its workers; in
 process, a :class:`Resident` keeps that accelerator between solves and
-only refreshes its numbers.
+only refreshes its numbers; a :class:`BatchResident` does the same for
+a batched machine of one lane count.
 
 Execution modes:
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 from concurrent.futures import (Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
 
+from ..batch import LANE_DEADLINE, LANE_FAULT
 from ..exceptions import DeadlineExceededError
 from ..hw import accelerator_class
 from ..hw.accelerator import RSQPResult
@@ -36,8 +38,8 @@ from ..qp import QProblem
 from ..solver import OSQPSettings
 from .arch_cache import ArchArtifact
 
-__all__ = ["WorkerPool", "Resident", "bind_accelerator", "solve_job",
-           "reference_job"]
+__all__ = ["WorkerPool", "Resident", "BatchResident", "bind_accelerator",
+           "solve_job", "reference_job"]
 
 _MODES = ("thread", "process", "serial")
 
@@ -114,6 +116,10 @@ class Resident:
 
     __slots__ = ("accelerator", "artifact", "spoiled")
 
+    #: Pool key next to the artifact: None for a solo machine, the lane
+    #: count for a :class:`BatchResident`.
+    width: int | None = None
+
     def __init__(self, accelerator, artifact: ArchArtifact):
         self.accelerator = accelerator
         self.artifact = artifact
@@ -150,6 +156,32 @@ class Resident:
             self.spoiled = "fault"
         raw.stats = raw.stats.copy()
         return raw
+
+
+class BatchResident(Resident):
+    """A bound :class:`~repro.batch.BatchAccelerator` kept between
+    batch groups. Its lane count B is baked into the buffers and the
+    generated C, so it only serves groups of exactly B lanes."""
+
+    __slots__ = ()
+
+    @property
+    def width(self) -> int:
+        return self.accelerator.batch
+
+    def run(self):
+        """One batched run of the loaded lanes. A run that raised, or
+        froze a lane (fault or deadline), spoils the machine."""
+        try:
+            result = self.accelerator.run()
+        except BaseException:
+            self.spoiled = LANE_FAULT
+            raise
+        for reason in (LANE_FAULT, LANE_DEADLINE):
+            if reason in result.lane_errors:
+                self.spoiled = reason
+                break
+        return result
 
 
 def reference_job(problem: QProblem, settings: OSQPSettings,

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..batch import LANE_FAULT, bind_batch
 from ..exceptions import (DeadlineExceededError, FaultDetectedError,
                           SimulationError)
 from ..experiments.runner import choose_width
@@ -44,8 +45,8 @@ from .arch_cache import (ArchArtifact, ArchCache, CacheStats,
                          build_artifact)
 from .fingerprint import StructureFingerprint, fingerprint_problem
 from .metrics import MetricsRegistry
-from .pool import (Resident, WorkerPool, bind_accelerator, reference_job,
-                   solve_job)
+from .pool import (BatchResident, Resident, WorkerPool, bind_accelerator,
+                   reference_job, solve_job)
 
 __all__ = ["ServeRecord", "ServeResult", "SolverService"]
 
@@ -351,8 +352,9 @@ class SolverService:
     def open_batch_session(self, problems):
         """Bind a lockstep
         :class:`~repro.serving.session.BatchSolverSession` to a fleet
-        of same-structure problems (one artifact, one batched run per
-        resolve). Every lane must share one artifact cache key.
+        of same-structure problems: one artifact and one leased
+        batched resident of ``len(problems)`` lanes, pinned until the
+        session closes. Every lane must share one artifact cache key.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -370,8 +372,9 @@ class SolverService:
         artifact, tier = self._ensure_artifact(problems[0], fingerprint,
                                                c, algorithm)
         self.metrics.counter("serving_session_opened_total").inc()
-        return BatchSolverSession(self, problems, artifact, tier,
-                                  fingerprint, c, algorithm)
+        return BatchSolverSession(self, problems, key,
+                                  self._lease_batch(key, artifact, problems),
+                                  tier, fingerprint, c, algorithm)
 
     # ------------------------------------------------------------------
     # request lifecycle
@@ -449,11 +452,13 @@ class SolverService:
         fingerprint + width + algorithm) through
         :class:`repro.batch.Coalescer` — a group ships the moment it
         reaches ``max_batch`` lanes and the remainder flushes when the
-        synchronous call has queued everything. Each group solves as
-        one :func:`repro.batch.solve_batch_job` run (lane results are
-        bitwise identical to solo solves); a lane the batch freezes —
-        injected fault, missed ``deadline`` — falls back to the solo
-        resilient path alone, without disturbing its batchmates.
+        synchronous call has queued everything. Each group runs once
+        on a batched resident of its width, leased from the cache
+        entry and refreshed in place, or bound when none is idle (lane
+        results are bitwise identical to solo solves); a lane the
+        batch freezes — injected fault, missed ``deadline`` — falls
+        back to the solo resilient path alone, without disturbing its
+        batchmates.
         ``deadlines`` are per-request budgets in seconds, as in
         :meth:`submit`. ``coalesce=False`` restores the per-request
         submit/result path. ``request_ids`` imposes caller-chosen ids
@@ -536,7 +541,6 @@ class SolverService:
         if len(group) == 1:
             solo(group[0])
             return
-        from ..batch import solve_batch_job
         first = group[0]
         t_start = time.perf_counter()
         try:
@@ -559,19 +563,26 @@ class SolverService:
         plan = self.fault_plan
         injectors = [plan.injector_for(lane["rid"], 0)
                      if plan is not None else None for lane in group]
+        problems = [lane["problem"] for lane in group]
+        resident = None
         try:
-            bres = solve_batch_job(
-                [lane["problem"] for lane in group], artifact,
-                self.settings,
+            if self.verify:
+                from ..verify import ensure_batch_verified
+                ensure_batch_verified(artifact, problems)
+            resident = self._lease_batch(
+                key, artifact, problems,
                 warm_starts=[lane["warm"] for lane in group],
-                pcg_eps=self.pcg_eps, verify=self.verify,
-                injectors=injectors,
-                deadline_ats=[lane["deadline_at"] for lane in group])
+                deadline_ats=[lane["deadline_at"] for lane in group],
+                injectors=injectors)
+            bres = resident.run()
         except Exception:
             self.metrics.counter("serving_batch_aborts_total").inc()
             for lane in group:
                 solo(lane)
             return
+        finally:
+            if resident is not None:
+                self._give_back(key, resident)
         t_done = time.perf_counter()
         self.metrics.counter("serving_batches_total").inc()
         self.metrics.histogram("serving_batch_width").observe(len(group))
@@ -906,6 +917,32 @@ class SolverService:
         return Resident(bind_accelerator(problem, artifact, self.settings,
                                          self.pcg_eps, self.backend),
                         artifact)
+
+    def _lease_batch(self, key: str, artifact: ArchArtifact, problems, *,
+                     warm_starts=None, deadline_ats=None,
+                     injectors=None) -> BatchResident:
+        """A batched resident of ``len(problems)`` lanes bound to
+        ``artifact`` and loaded with ``problems``: an idle one
+        refreshed in place, else a newly bound one. A group with an
+        armed injector always binds — chunk fusion and fault hooks are
+        fixed when the machine lowers — and its machine is spoiled
+        from the start, so it never joins the pool."""
+        armed = injectors is not None and any(
+            injector is not None for injector in injectors)
+        if not armed:
+            resident = self.cache.lease(key, artifact, len(problems))
+            if resident is not None:
+                resident.accelerator.refresh(problems, warm_starts,
+                                             deadline_ats)
+                return resident
+        self.metrics.counter("serving_accelerator_binds_total").inc()
+        resident = BatchResident(bind_batch(
+            problems, artifact, self.settings, self.pcg_eps,
+            warm_starts=warm_starts, injectors=injectors,
+            deadline_ats=deadline_ats), artifact)
+        if armed:
+            resident.spoiled = LANE_FAULT
+        return resident
 
     def _give_back(self, key: str, resident: Resident) -> None:
         """End a lease: a spoiled machine is dropped, never pooled."""

@@ -31,8 +31,9 @@ resolve is accounted in the service's records and metrics
 per-algorithm resolve-latency histogram).
 
 :class:`BatchSolverSession` is the lockstep counterpart for fleets of
-same-structure streams (e.g. many MPC plants): one artifact, one
-lane-minor batched run per :meth:`BatchSolverSession.resolve_all`.
+same-structure streams (e.g. many MPC plants): one pinned batched
+resident, refreshed and re-run per
+:meth:`BatchSolverSession.resolve_all`.
 """
 
 from __future__ import annotations
@@ -288,21 +289,26 @@ class SolverSession:
 class BatchSolverSession:
     """A lockstep session over a fleet of same-structure streams.
 
-    Binds one artifact to ``len(problems)`` lanes; every
-    :meth:`resolve_all` runs one lane-minor batched solve
-    (:func:`repro.batch.solve_batch_job`) over the current per-lane
-    numeric data, warm-started from each lane's previous solution by
-    default. Lane results are bitwise identical to solo solves on the
-    same data (the batched runner's contract).
+    A pinned batch lease: created by
+    :meth:`SolverService.open_batch_session` around one leased batched
+    resident (:class:`~repro.serving.pool.BatchResident`) of
+    ``len(problems)`` lanes, which every :meth:`resolve_all` refreshes
+    with the current per-lane numeric data and re-runs, warm-started
+    from each lane's previous solution by default. :meth:`close` hands
+    the machine back to the pool. Lane results are bitwise identical
+    to solo solves on the same data (the batched runner's contract).
     """
 
-    def __init__(self, service: "SolverService", problems, artifact,
-                 tier: str, fingerprint, c: int, algorithm: str):
+    def __init__(self, service: "SolverService", problems, key: str,
+                 resident, tier: str, fingerprint, c: int,
+                 algorithm: str):
         self._service = service
         self._problems = list(problems)
         if not self._problems:
             raise ValueError("a batch session needs at least one lane")
-        self.artifact = artifact
+        self._key = key
+        self._resident = resident
+        self.artifact = resident.artifact
         self.open_tier = tier
         self.fingerprint = fingerprint
         self.c = c
@@ -310,6 +316,7 @@ class BatchSolverSession:
         self.resolves = 0
         self.updates = 0
         self._last: list | None = None
+        self._needs_refresh = False
         self._closed = False
 
     @property
@@ -337,6 +344,7 @@ class BatchSolverSession:
         self._problems[lane] = updated_problem(
             self._problems[lane], q=q, l=l, u=u, P_data=P_data,
             A_data=A_data)
+        self._needs_refresh = True
         self.updates += 1
         self._service.metrics.counter(
             "serving_session_updates_total").inc()
@@ -346,16 +354,16 @@ class BatchSolverSession:
         results in lane order."""
         self._ensure_open()
         service = self._service
-        from ..batch import solve_batch_job
         if warm_starts == "auto":
             warm_starts = ([(r.x, r.y) for r in self._last]
-                           if self._last is not None
-                           else [None] * len(self._problems))
+                           if self._last is not None else None)
         t_start = time.perf_counter()
-        batch = solve_batch_job(self._problems, self.artifact,
-                                service.settings,
-                                warm_starts=warm_starts,
-                                pcg_eps=service.pcg_eps, verify=False)
+        # The machine holds the open-time data until its first run;
+        # after that every resolve reloads the current lanes.
+        if self._needs_refresh or warm_starts is not None:
+            self._resident.accelerator.refresh(self._problems, warm_starts)
+        self._needs_refresh = True
+        batch = self._resident.run()
         elapsed = time.perf_counter() - t_start
         self._last = list(batch.results)
         self.resolves += 1
@@ -369,9 +377,12 @@ class BatchSolverSession:
         return self._last
 
     def close(self) -> None:
+        """Hand the batched resident back to the pool (dropped instead
+        if a resolve spoiled it); idempotent."""
         if self._closed:
             return
         self._closed = True
+        self._service._give_back(self._key, self._resident)
 
     def __enter__(self) -> "BatchSolverSession":
         return self

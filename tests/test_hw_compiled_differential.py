@@ -348,6 +348,95 @@ class TestBatchDifferential:
             assert any(acc.omega_updates > 0 for acc in solos)
 
 
+class TestBatchRefresh:
+    """A refreshed batched machine vs a freshly constructed one.
+
+    ``BatchAccelerator.refresh`` reloads B new problems onto a machine
+    that already ran — closures lowered, loops fused, step sizes
+    adapted, PDQP restarts taken — and the next run must be bitwise
+    the run a fresh accelerator makes on the same problems: every lane,
+    every per-lane trip counter and every wall statistic.
+    """
+
+    CASES = {"admm": ("eqqp", 16), "pdqp": ("control", 4)}
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("batch", [2, 8, 32])
+    @pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
+    def test_refreshed_run_equals_fresh(self, algorithm, batch, warm):
+        import dataclasses
+        from repro.batch import BatchAccelerator
+        from repro.hw import accelerator_class
+        from repro.problems import perturb_numeric
+        from repro.solver import OSQPSettings
+        from repro.solver.algorithms import get_algorithm
+        family, size = self.CASES[algorithm]
+        template = generate(family, size, seed=0)
+        before = [perturb_numeric(template, seed=s)
+                  for s in range(1, batch + 1)]
+        after = [perturb_numeric(template, seed=s)
+                 for s in range(100, batch + 100)]
+        cust = customize_problem(template, 8)
+        settings = get_algorithm(algorithm).coerce_settings(OSQPSettings())
+        if algorithm == "pdqp":
+            settings = dataclasses.replace(settings, omega_tolerance=1.5)
+        compiled = accelerator_class(algorithm)(
+            template, customization=cust, settings=settings).compiled
+
+        def bind(problems, warm_starts=None):
+            return BatchAccelerator(problems, cust, settings,
+                                    compiled=compiled, algorithm=algorithm,
+                                    warm_starts=warm_starts)
+
+        machine = bind(before)
+        first = machine.run()
+        # The earlier run left adapted state behind for refresh to clear.
+        assert any(lane.step_updates for lane in machine.lanes)
+        if algorithm == "pdqp":
+            assert any(lane.restarts for lane in machine.lanes)
+        starts = [(r.x, r.y) for r in first.results] if warm else None
+        machine.refresh(after, starts)
+        rres = machine.run()
+        fresh = bind(after, starts)
+        fres = fresh.run()
+
+        assert rres.lane_errors == fres.lane_errors == [None] * batch
+        for rr, fr in zip(rres.results, fres.results):
+            assert rr.x.tobytes() == fr.x.tobytes()
+            assert rr.y.tobytes() == fr.y.tobytes()
+            assert rr.z.tobytes() == fr.z.tobytes()
+            assert rr.converged == fr.converged
+            assert rr.admm_iterations == fr.admm_iterations
+            assert rr.pcg_iterations == fr.pcg_iterations
+            assert rr.total_cycles == fr.total_cycles
+            assert rr.restarts == fr.restarts
+        r_lanes = machine.machine.lane_loop_iterations
+        f_lanes = fresh.machine.lane_loop_iterations
+        assert r_lanes.keys() == f_lanes.keys()
+        for name in f_lanes:
+            assert np.array_equal(r_lanes[name], f_lanes[name])
+        rs, fs = rres.wall_stats, fres.wall_stats
+        assert rres.wall_cycles == fres.wall_cycles
+        assert rs.by_class == fs.by_class
+        assert rs.instructions_executed == fs.instructions_executed
+        assert rs.loop_iterations == fs.loop_iterations
+        # The first answer kept its own accounting.
+        assert first.wall_stats.total_cycles == first.wall_cycles
+
+    def test_refresh_rejects_a_different_width(self):
+        from repro.batch import BatchAccelerator
+        from repro.problems import perturb_numeric
+        from repro.solver import OSQPSettings
+        template = generate("eqqp", 16, seed=0)
+        probs = [perturb_numeric(template, seed=s) for s in range(3)]
+        cust = customize_problem(template, 8)
+        compiled = RSQPAccelerator(template, customization=cust).compiled
+        machine = BatchAccelerator(probs[:2], cust, OSQPSettings(),
+                                   compiled=compiled)
+        with pytest.raises(ValueError, match="2 lanes"):
+            machine.refresh(probs)
+
+
 class TestSpMVEngineDifferential:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.sampled_from([4, 8, 16]),
