@@ -59,8 +59,7 @@ def test_fleet_match_routing_beats_round_robin(benchmark):
     def replay_all():
         reports = {}
         for policy in ("match", "least-loaded", "round-robin"):
-            flt = FleetService(policy=policy, settings=SETTINGS,
-                               solve_mode="calibrated", seed=SEED)
+            flt = FleetService(policy=policy, settings=SETTINGS, seed=SEED)
             for template in templates:
                 flt.commission(template)
             flt.replay_closed(stream, clients=CLIENTS)
@@ -103,8 +102,7 @@ def test_fleet_autoscaling_converges_to_matching_arch(benchmark):
         # The whole initial fleet is pinned to the *popular* arch; the
         # unpopular structure starts out 100% mismatched.
         flt = FleetService(policy="match", settings=SETTINGS,
-                           solve_mode="calibrated", autoscaler=scaler,
-                           queue_weight=0.0, seed=SEED)
+                           autoscaler=scaler, queue_weight=0.0, seed=SEED)
         flt.commission(templates[0])
         flt.commission(templates[0])
         flt.replay_closed(stream, clients=CLIENTS)

@@ -14,7 +14,9 @@ writes ``BENCH_SHARD.json`` at the repo root.
 
 The >= 2x RPS floor is asserted only when the host actually has >= 4
 CPU cores — process sharding cannot beat a thread pool on a one-core
-box, and the report stays honest either way.
+box, and the report stays honest either way: ``rps_gate`` reads
+``"unmeasured"`` below that core count, and ``host`` records the
+machine the numbers came from.
 
 Respects ``REPRO_BENCH_COUNT`` / ``REPRO_BENCH_SCALE`` (see conftest).
 """
@@ -26,7 +28,7 @@ import time
 
 import numpy as np
 
-from conftest import bench_scale, print_rows
+from conftest import bench_scale, host_info, print_rows
 
 from repro.problems import generate, perturb_numeric
 from repro.serving import ShardedSolverService, SolverService
@@ -139,7 +141,9 @@ def test_shard_throughput():
         "requests": len(problems),
         "structures": len(FAMILIES),
         "cpu_cores": cores,
+        "host": host_info(),
         "rps_gate_applied": gated,
+        "rps_gate": "measured" if gated else "unmeasured",
         "rps_floor_x": RPS_FLOOR,
         "single_process": {"rps": round(single_rps, 2),
                            "p99_ms": round(_p99(single_lat) * 1e3, 2),

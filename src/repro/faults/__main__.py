@@ -128,7 +128,6 @@ def fleet_chaos(args, templates, problems, backend: str) -> dict:
     settings = OSQPSettings(eps_abs=args.eps, eps_rel=args.eps)
     silent = 0
     with FleetService(policy="match", c=args.c, settings=settings,
-                      solve_mode="calibrated",
                       admission=AdmissionController(),
                       seed=args.seed, backend=backend,
                       fault_plan=plan) as fleet:

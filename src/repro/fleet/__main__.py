@@ -73,7 +73,6 @@ def run_replay(args, policy: str, templates, problems) -> FleetService:
                                 build_seconds=args.build_seconds,
                                 max_nodes=args.max_nodes)
     fleet = FleetService(policy=policy, c=args.c, settings=settings,
-                         solve_mode=args.solve_mode,
                          admission=admission, autoscaler=autoscaler,
                          spill_servers=args.spill_servers,
                          queue_weight=args.queue_weight,
@@ -121,11 +120,6 @@ def main(argv=None) -> int:
                         help="closed-loop concurrent clients")
     parser.add_argument("--think", type=float, default=0.0,
                         help="closed-loop think time (simulated seconds)")
-    parser.add_argument("--solve-mode", choices=("calibrated", "exact"),
-                        default="calibrated",
-                        help="calibrated reuses one numeric solve per "
-                             "(structure, architecture); exact solves "
-                             "every request")
     parser.add_argument("--queue-weight", type=float, default=1.0,
                         help="backlog discount of the match-score router")
     parser.add_argument("--admission-rate", type=float, default=None,

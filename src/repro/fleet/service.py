@@ -27,13 +27,13 @@ reservoirs by default — fleet traffic is unbounded); and
 :meth:`fleet_report` exports utilization, latency percentiles and the
 η-weighted throughput the routing policies compete on.
 
-Solve modes: ``"exact"`` numerically solves every request on its
-assigned node (results are real solutions); ``"calibrated"``
-numerically solves the *first* request per (structure, architecture)
-pair and reuses its cycle count as the service time for repeats — the
-capacity-planning mode for large traffic replays, where per-request
-numerics would dominate wall time without changing the queueing
-picture.
+The fleet is a capacity-planning simulator: it numerically solves the
+*first* request per (structure, architecture) pair and reuses that
+solve's cycle count as the service time for every repeat, because
+per-request numerics would dominate wall time without changing the
+queueing picture. A repeat therefore carries no solution; callers who
+need every answer use :class:`~repro.serving.SolverService` or
+:class:`~repro.serving.ShardedSolverService`.
 """
 
 from __future__ import annotations
@@ -68,8 +68,6 @@ __all__ = ["FleetRequest", "FleetRecord", "FleetResult", "FleetService",
 LANE_NODE = "node"    # served by an accelerator node
 LANE_SPILL = "spill"  # diverted to the reference-solver spill lane
 LANE_SHED = "shed"    # rejected by admission control (no solve)
-
-_SOLVE_MODES = ("exact", "calibrated")
 
 
 @dataclass
@@ -124,8 +122,6 @@ class FleetRecord:
     #: Answered by the spill lane as an explicit degraded-mode result
     #: after node attempts were exhausted (never a silent wrong answer).
     degraded: bool = False
-    #: Lockstep batch width this request solved at (1 = solo).
-    batch_width: int = 1
 
 
 @dataclass
@@ -159,8 +155,6 @@ class FleetService:
     c:
         Datapath width for dedicated architectures; ``None`` picks per
         problem by nnz.
-    solve_mode:
-        ``"exact"`` or ``"calibrated"`` (see module docstring).
     admission:
         An :class:`AdmissionController`; ``None`` admits everything.
     autoscaler:
@@ -201,17 +195,15 @@ class FleetService:
         Solver algorithm for node-lane solves. ``"admm"`` (default)
         and ``"pdqp"`` pin every solve; ``"auto"`` picks per structure
         via :func:`repro.solver.choose_algorithm`; ``"race"``
-        (calibrated mode only) numerically runs *both* algorithms on
-        the first solve of each structure and pins the structure to
-        the cycle winner for all repeats — the measured, rather than
-        heuristic, form of auto-selection. Race calibration solves are
-        plain measurement runs: fault injection applies only to
-        already-pinned solves.
+        numerically runs *both* algorithms on the first solve of each
+        structure and pins the structure to the cycle winner for all
+        repeats — the measured, rather than heuristic, form of
+        auto-selection. Race calibration solves are plain measurement
+        runs: fault injection applies only to already-pinned solves.
     """
 
     def __init__(self, *, policy: str = "match", c: int | None = None,
                  settings: OSQPSettings | None = None,
-                 solve_mode: str = "exact",
                  admission: AdmissionController | None = None,
                  autoscaler: Autoscaler | None = None,
                  spill_servers: int = 1,
@@ -227,11 +219,7 @@ class FleetService:
                  breaker_threshold: int = 3,
                  breaker_reset_seconds: float = 0.05,
                  max_attempts: int = 3,
-                 algorithm: str = "admm",
-                 max_batch: int = 32):
-        if solve_mode not in _SOLVE_MODES:
-            raise ValueError(f"solve_mode must be one of {_SOLVE_MODES}, "
-                             f"got {solve_mode!r}")
+                 algorithm: str = "admm"):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if (algorithm not in ("auto", "race")
@@ -239,25 +227,16 @@ class FleetService:
             raise ValueError(
                 f"algorithm must be 'auto', 'race' or one of "
                 f"{available_algorithms()}, got {algorithm!r}")
-        if algorithm == "race" and solve_mode != "calibrated":
-            raise ValueError(
-                "algorithm='race' requires solve_mode='calibrated': the "
-                "race reuses its measurement solves as calibration")
         self.algorithm = algorithm
         self.backend = validate_backend(backend)
         self.verify = bool(verify)
         self.policy = policy
         self.c = c
         self.settings = settings if settings is not None else OSQPSettings()
-        self.solve_mode = solve_mode
         self.admission = (admission if admission is not None
                           else AdmissionController())
         self.autoscaler = autoscaler
         self.queue_weight = float(queue_weight)
-        #: Widest lockstep batch a node pump may coalesce from its own
-        #: queue (same fingerprint, exact mode, no fault plan armed);
-        #: < 2 disables coalescing.
-        self.max_batch = int(max_batch)
         self.pcg_eps = float(pcg_eps)
         self.max_pcg_iter = int(max_pcg_iter)
         self.metrics = MetricsRegistry(default_reservoir=reservoir,
@@ -463,6 +442,9 @@ class FleetService:
         problems = list(problems)
         if warm_starts is None:
             warm_starts = [None] * len(problems)
+        elif len(warm_starts) != len(problems):
+            raise ValueError("per-request argument lists must match the "
+                             "number of problems")
         ids = [self.submit(p, warm_start=w)
                for p, w in zip(problems, warm_starts)]
         return [self.result(i) for i in ids]
@@ -611,11 +593,8 @@ class FleetService:
         requeue = []
         aborted = node.abort_service(now)
         if aborted is not None:
-            payload = self._in_flight.pop(node.node_id, None)
-            if payload is not None and isinstance(payload[0], list):
-                requeue.extend(payload[0])  # every lane of the batch
-            else:
-                requeue.append(aborted)
+            self._in_flight.pop(node.node_id, None)
+            requeue.append(aborted)
         while node.queue:
             requeue.append(node.queue.popleft())
         self._events.push(node.failed_until, "node-recover",
@@ -655,9 +634,6 @@ class FleetService:
         if not node.online(now):
             return  # failed with queued work; the crash handler requeues
         request = node.queue.popleft()
-        mates = self._coalesce_mates(node, request)
-        if mates and self._pump_batch(node, request, mates, now):
-            return
         try:
             raw, eta, calibrated = self._node_solve(request, node)
         except VerificationError as exc:
@@ -678,83 +654,6 @@ class FleetService:
         finish = node.start_service(now, request, raw.solve_seconds, eta)
         self._in_flight[node.node_id] = (request, raw, eta, calibrated, now)
         self._events.push(finish, "node-done", (node, node.epoch))
-
-    def _coalesce_mates(self, node: AcceleratorNode,
-                        request: FleetRequest) -> list:
-        """Pull same-fingerprint requests behind ``request`` off the
-        node's queue for one lockstep batch.
-
-        Opportunistic and conservative: exact mode only (calibrated
-        mode reuses measured solves, there is nothing to batch), never
-        with a fault plan armed (per-attempt injectors address solo
-        node attempts), never in race mode before a winner is pinned.
-        """
-        if (self.max_batch < 2 or self.solve_mode != "exact"
-                or self.fault_plan is not None or not node.queue
-                or self._algorithm_for(request) is None):
-            return []
-        mates = [r for r in node.queue
-                 if r.fingerprint.key == request.fingerprint.key]
-        mates = mates[:self.max_batch - 1]
-        for mate in mates:
-            node.queue.remove(mate)
-        return mates
-
-    def _pump_batch(self, node: AcceleratorNode, request: FleetRequest,
-                    mates: list, now: float) -> bool:
-        """Serve ``request`` and its queue-mates as one lockstep batch.
-
-        Returns True when the batch was dispatched (service started,
-        shed, or requeued); False re-queues the mates and lets the
-        caller fall through to the solo path.
-        """
-        from ..batch import solve_batch_job
-        lanes = [request] + mates
-        algorithm = self._algorithm_for(request)
-        try:
-            artifact = self._bind(request.problem, request.fingerprint,
-                                  node.architecture, algorithm)
-            bres = solve_batch_job(
-                [r.problem for r in lanes], artifact, self.settings,
-                warm_starts=[r.warm_start for r in lanes],
-                pcg_eps=self.pcg_eps, verify=self.verify)
-        except VerificationError as exc:
-            self.metrics.counter("fleet_verify_rejects_total").inc()
-            codes = (",".join(sorted(d.code for d in exc.report.errors))
-                     if exc.report is not None else "rejected")
-            for lane in lanes:
-                self._finalize_shed(lane, f"verify:{codes}")
-            self._pump(node)
-            return True
-        except (FaultDetectedError, SimulationError):
-            self.metrics.counter("fleet_solve_failures_total").inc()
-            self._breaker_failure(node, now)
-            for lane in lanes:
-                self._requeue(lane, node)
-            self._pump(node)
-            return True
-        except Exception:
-            # Unexpected batch failure: put the mates back and let the
-            # solo path (with its own error handling) serve the head.
-            for mate in reversed(mates):
-                node.queue.appendleft(mate)
-            return False
-        for _ in lanes:
-            self._count_selected(algorithm)
-        eta = self._eta[(request.fingerprint.key, node.arch_string)]
-        self.metrics.counter("fleet_batches_total").inc()
-        self.metrics.counter("fleet_batched_requests_total").inc(
-            len(lanes))
-        self.metrics.histogram("fleet_batch_width").observe(len(lanes))
-        # The node is busy for the batch's *wall* time — the lockstep
-        # stream issues once, whatever the lane count — but served /
-        # eta tallies stay per *request*, like the report they feed.
-        finish = node.start_service(now, request, bres.wall_seconds, eta)
-        node.served += len(mates)
-        node.eta_sum += eta * len(mates)
-        self._in_flight[node.node_id] = (lanes, bres, eta, False, now)
-        self._events.push(finish, "node-done", (node, node.epoch))
-        return True
 
     def _algorithm_for(self, request: FleetRequest) -> str | None:
         """Resolve the algorithm for one solve; None = race pending."""
@@ -806,7 +705,7 @@ class FleetService:
     def _node_solve(self, request: FleetRequest, node: AcceleratorNode):
         """Run (or reuse) the numeric solve backing a node service."""
         key = (request.fingerprint.key, node.arch_string)
-        if self.solve_mode == "calibrated" and key in self._calibration:
+        if key in self._calibration:
             return self._calibration[key], self._eta[key], True
         algorithm = self._algorithm_for(request)
         if algorithm is None:  # race mode, winner not yet measured
@@ -814,8 +713,8 @@ class FleetService:
         self._count_selected(algorithm)
         artifact = self._bind(request.problem, request.fingerprint,
                               node.architecture, algorithm)
-        # Hardware fault injection only applies to real numeric solves
-        # (exact mode, or the first calibration solve of a pair).
+        # Hardware fault injection only applies to real numeric solves:
+        # the first calibration solve of a pair.
         injector = (self.fault_plan.injector_for(request.request_id,
                                                  request.attempts)
                     if self.fault_plan is not None else None)
@@ -839,8 +738,7 @@ class FleetService:
                 f"request {request.request_id} on node {node.node_id}: "
                 "solution failed the host-side KKT re-check",
                 events=tuple(injector.events))
-        if self.solve_mode == "calibrated":
-            self._calibration[key] = raw
+        self._calibration[key] = raw
         return raw, self._eta[key], False
 
     def _on_node_done(self, payload) -> None:
@@ -856,9 +754,6 @@ class FleetService:
             breaker.record_success(now)
         request, raw, eta, calibrated, start = self._in_flight.pop(
             node.node_id)
-        if isinstance(request, list):
-            self._finalize_batch(node, request, raw, eta, start, now)
-            return
         matched = (self._dedicated.get(request.fingerprint.key)
                    == node.arch_string)
         record = FleetRecord(
@@ -885,51 +780,6 @@ class FleetService:
             self.autoscaler.observe(
                 now, request.fingerprint.key, request.problem,
                 cycles=record.simulated_cycles, eta=eta, matched=matched)
-            self._autoscale_tick()
-        if node.draining and node.busy_with is None and not node.queue:
-            self._retire(node)
-        else:
-            self._pump(node)
-
-    def _finalize_batch(self, node: AcceleratorNode, lanes: list,
-                        bres, eta: float, start: float,
-                        now: float) -> None:
-        """Per-lane records for one completed lockstep batch.
-
-        Every lane shares the batch's wall service window; its
-        ``simulated_cycles`` are the lane's *effective* solo-equivalent
-        cycles. A lane the runner froze (defensive — no injectors or
-        deadlines ride the fleet batch path) is requeued alone.
-        """
-        matched = (self._dedicated.get(lanes[0].fingerprint.key)
-                   == node.arch_string)
-        for lane, raw in zip(lanes, bres.results):
-            if raw is None:
-                self._requeue(lane, node)
-                continue
-            record = FleetRecord(
-                request_id=lane.request_id,
-                problem_name=lane.problem.name,
-                fingerprint_key=lane.fingerprint.key,
-                lane=LANE_NODE, arrival=lane.arrival, start=start,
-                finish=now, node_id=node.node_id,
-                architecture=node.arch_string, eta=eta, matched=matched,
-                queue_seconds=start - lane.arrival,
-                service_seconds=now - start,
-                latency_seconds=now - lane.arrival,
-                simulated_cycles=raw.total_cycles,
-                admm_iterations=raw.admm_iterations,
-                converged=raw.converged, backend="rsqp",
-                calibrated=False, attempts=lane.attempts,
-                batch_width=len(lanes))
-            self._finalize(lane, record, FleetResult(
-                x=raw.x, y=raw.y, z=raw.z, converged=raw.converged,
-                backend="rsqp", record=record, raw=raw))
-            if self.autoscaler is not None:
-                self.autoscaler.observe(
-                    now, lane.fingerprint.key, lane.problem,
-                    cycles=raw.total_cycles, eta=eta, matched=matched)
-        if self.autoscaler is not None:
             self._autoscale_tick()
         if node.draining and node.busy_with is None and not node.queue:
             self._retire(node)
@@ -1085,7 +935,6 @@ class FleetService:
 
         return {
             "policy": self.policy,
-            "solve_mode": self.solve_mode,
             "algorithm": self.algorithm,
             "race_winners": dict(self._race_winners),
             "requests": len(records),
@@ -1131,8 +980,7 @@ class FleetService:
         rep = self.fleet_report()
         lat = rep["latency_seconds"]
         lines = [
-            f"policy                 : {rep['policy']} "
-            f"({rep['solve_mode']} mode)",
+            f"policy                 : {rep['policy']}",
             f"requests               : {rep['requests']} "
             f"({rep['completed']} on-node, {rep['spilled']} spilled, "
             f"{rep['shed']} shed)",

@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=1.0,
                         help="size multiplier on the suite instances")
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--mode", choices=("thread", "process", "serial"),
+    parser.add_argument("--mode", choices=("thread", "serial"),
                         default="thread")
     parser.add_argument("--shards", type=int, default=0,
                         help="run the process-sharded front door with N "

@@ -5,21 +5,17 @@ A *solve job* takes a frozen
 problem instance, constructs a simulated accelerator around the cached
 customization and compiled program (host scaling, rho selection, HBM
 download — no search, no scheduling, no compilation), optionally warm
-starts, and runs. It is what a process pool ships to its workers; in
-process, a :class:`Resident` keeps that accelerator between solves and
-only refreshes its numbers; a :class:`BatchResident` does the same for
-a batched machine of one lane count.
+starts, and runs. The fleet's calibration runs use it, and tests use it
+as the fresh-bind oracle. Serving keeps that accelerator between solves
+in a :class:`Resident` and only refreshes its numbers; a
+:class:`BatchResident` does the same for a batched machine of one lane
+count.
 
 Execution modes:
 
 ``thread`` (default)
     A :class:`~concurrent.futures.ThreadPoolExecutor`; numpy kernels
     release the GIL, so concurrent simulated solves overlap well.
-``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor`; each job ships
-    ``(problem, artifact)`` to a worker process — higher per-job cost,
-    true parallelism for CPU-bound Python portions. Jobs must be
-    module-level functions (ours are).
 ``serial``
     Run the job in the caller immediately and return an
     already-resolved future: deterministic, used by the tests.
@@ -27,8 +23,7 @@ Execution modes:
 
 from __future__ import annotations
 
-from concurrent.futures import (Future, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import Future, ThreadPoolExecutor
 
 from ..batch import LANE_DEADLINE, LANE_FAULT
 from ..exceptions import DeadlineExceededError
@@ -41,7 +36,7 @@ from .arch_cache import ArchArtifact
 __all__ = ["WorkerPool", "Resident", "BatchResident", "bind_accelerator",
            "solve_job", "reference_job"]
 
-_MODES = ("thread", "process", "serial")
+_MODES = ("thread", "serial")
 
 
 def solve_job(problem: QProblem, artifact: ArchArtifact,
@@ -55,12 +50,12 @@ def solve_job(problem: QProblem, artifact: ArchArtifact,
               deadline_seconds: float | None = None) -> RSQPResult:
     """Bind a cached artifact to ``problem`` and run the accelerator.
 
-    Module-level so process pools can pickle it. The injected compiled
-    program is validated against the problem inside the accelerator —
-    a structure mismatch (wrong artifact for this problem) raises
-    rather than silently mis-costing. ``backend`` selects the program
-    execution backend (``"interpret"`` or ``"compiled"``), orthogonal
-    to the artifact's precompiled *program*.
+    The injected compiled program is validated against the problem
+    inside the accelerator — a structure mismatch (wrong artifact for
+    this problem) raises rather than silently mis-costing. ``backend``
+    selects the program execution backend (``"interpret"`` or
+    ``"compiled"``), orthogonal to the artifact's precompiled
+    *program*.
 
     With ``verify`` (default), the artifact passes the static
     verification suite (:mod:`repro.verify`) before any solve touches
@@ -198,7 +193,7 @@ def reference_job(problem: QProblem, settings: OSQPSettings,
 
 
 class WorkerPool:
-    """Uniform submit interface over serial/thread/process execution."""
+    """Uniform submit interface over serial/thread execution."""
 
     def __init__(self, workers: int = 2, mode: str = "thread"):
         if mode not in _MODES:
@@ -211,8 +206,6 @@ class WorkerPool:
         if mode == "thread":
             self._executor = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="rsqp-serving")
-        elif mode == "process":
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
         else:
             self._executor = None
 

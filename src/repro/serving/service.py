@@ -46,7 +46,7 @@ from .arch_cache import (ArchArtifact, ArchCache, CacheStats,
 from .fingerprint import StructureFingerprint, fingerprint_problem
 from .metrics import MetricsRegistry
 from .pool import (BatchResident, Resident, WorkerPool, bind_accelerator,
-                   reference_job, solve_job)
+                   reference_job)
 
 __all__ = ["ServeRecord", "ServeResult", "SolverService"]
 
@@ -129,13 +129,11 @@ class SolverService:
     settings:
         Solver settings shared by accelerator and reference backends.
     workers, mode:
-        Worker pool size and execution mode (``"thread"``,
-        ``"process"`` or ``"serial"``); see
-        :class:`repro.serving.pool.WorkerPool`. In process mode
-        request handling stays on threads and only the numeric solves
-        fan out to worker processes. ``workers`` also caps the idle
-        resident accelerators each cache entry keeps for in-process
-        solves.
+        Worker pool size and execution mode (``"thread"`` or
+        ``"serial"``); see :class:`repro.serving.pool.WorkerPool`.
+        ``workers`` also caps the idle resident accelerators each cache
+        entry keeps. For more than one process, use
+        :class:`~repro.serving.sharded.ShardedSolverService`.
     cache_capacity, cache_path:
         LRU capacity and optional JSON persistence file for the
         architecture cache (loaded on construction if it exists,
@@ -224,12 +222,7 @@ class SolverService:
         self.cache = ArchCache(capacity=cache_capacity, path=cache_path,
                                resident_slots=workers,
                                on_discard=self._count_discard)
-        # Request handling always runs on threads (it touches the
-        # in-process cache); process mode adds a solve-only pool.
-        dispatch_mode = "thread" if mode == "process" else mode
-        self._dispatch = WorkerPool(workers=workers, mode=dispatch_mode)
-        self._solve_pool = (WorkerPool(workers=workers, mode="process")
-                            if mode == "process" else None)
+        self._dispatch = WorkerPool(workers=workers, mode=mode)
         self.mode = mode
         self._lock = threading.Lock()
         self._next_id = 0
@@ -802,12 +795,12 @@ class SolverService:
                 raw = attempt_fn(injector, remaining)
             except DeadlineExceededError as exc:
                 last_exc = exc
-                self._count_injected(injector, exc, resil)
+                self._count_injected(injector, resil)
                 self._record_deadline_miss(deadline_at, resil)
                 break  # no budget left for another attempt
             except (FaultDetectedError, SimulationError) as exc:
                 last_exc = exc
-                self._count_injected(injector, exc, resil)
+                self._count_injected(injector, resil)
                 attempt += 1
                 if attempt > res.max_retries:
                     break
@@ -820,7 +813,7 @@ class SolverService:
                 if delay > 0:
                     time.sleep(delay)
                 continue
-            self._count_injected(injector, None, resil, raw=raw)
+            self._count_injected(injector, resil)
             resil["rollbacks"] += raw.rollbacks
             if raw.rollbacks:
                 self.metrics.counter(
@@ -858,20 +851,11 @@ class SolverService:
         raw = self._run_reference(problem, warm_start, algorithm)
         return raw, {**resil, **_outcome(raw, reference=True)}
 
-    def _count_injected(self, injector, exc, resil, raw=None) -> None:
-        """Tally faults fired during one attempt, whatever its outcome.
-
-        In-process execution fills the injector's own event log; with a
-        process pool the injector object lives in the worker and the
-        local log stays empty, so the count rides back on the result
-        (or the raised fault error).
-        """
+    def _count_injected(self, injector, resil) -> None:
+        """Tally faults fired during one attempt, whatever its outcome."""
         if injector is None:
             return
         fired = len(injector.events)
-        if not fired:
-            fired = len(raw.fault_events if raw is not None
-                        else getattr(exc, "events", ()))
         if fired:
             resil["faults_injected"] += fired
             self.metrics.counter(
@@ -888,17 +872,7 @@ class SolverService:
 
     def _run_accelerator(self, key, problem, artifact, warm_start,
                          injector=None, deadline_seconds=None):
-        """One attempt: in-process on a leased resident, or a fresh
-        accelerator in a worker process with a process pool."""
-        if self._solve_pool is not None:
-            # _ensure_artifact already verified (and memoized) the
-            # artifact, so the job itself skips the re-check.
-            self.metrics.counter("serving_accelerator_binds_total").inc()
-            return self._solve_pool.submit(
-                solve_job, problem, artifact, self.settings, warm_start,
-                self.pcg_eps, self.backend, False,
-                injector=injector,
-                deadline_seconds=deadline_seconds).result()
+        """One attempt on a leased resident."""
         resident = self._lease(key, artifact, problem)
         try:
             return resident.run(warm_start, injector, deadline_seconds)
@@ -956,10 +930,6 @@ class SolverService:
                              labels={"reason": reason}).inc(count)
 
     def _run_reference(self, problem, warm_start, algorithm="admm"):
-        if self._solve_pool is not None:
-            return self._solve_pool.submit(
-                reference_job, problem, self.settings, warm_start,
-                algorithm).result()
         return reference_job(problem, self.settings, warm_start, algorithm)
 
     # ------------------------------------------------------------------
@@ -1061,8 +1031,6 @@ class SolverService:
                 raise
             self._closed = True
             self._dispatch.shutdown(wait=True, cancel_pending=True)
-            if self._solve_pool is not None:
-                self._solve_pool.shutdown(wait=True, cancel_pending=True)
             if self.cache.path is not None:
                 self.cache.save()
             return
@@ -1070,8 +1038,6 @@ class SolverService:
         if self.cache.path is not None:
             self.cache.save()
         self._dispatch.shutdown()
-        if self._solve_pool is not None:
-            self._solve_pool.shutdown()
 
     def __enter__(self) -> "SolverService":
         return self

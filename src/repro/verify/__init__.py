@@ -22,10 +22,11 @@ diagnostic vocabulary and pre-execution guard entry points:
 
 ``python -m repro.verify`` runs every pass over compiler-emitted
 programs and customizations for the problem suite — the CI gate.
-Guards in :class:`~repro.hw.RSQPAccelerator`,
-:func:`~repro.serving.pool.solve_job` and the fleet dispatch path call
-:func:`ensure_artifact_verified` so malformed artifacts are rejected
-with structured diagnostics before they reach an accelerator.
+Guards in :class:`~repro.hw.RSQPAccelerator`, the serving cache's
+admission of a new artifact, and :func:`~repro.serving.pool.solve_job`
+(the fleet's calibration solves) call :func:`ensure_artifact_verified`
+so malformed artifacts are rejected with structured diagnostics before
+they reach an accelerator.
 """
 
 from .artifact import (ensure_artifact_verified, verify_artifact,

@@ -23,7 +23,6 @@ SETTINGS = OSQPSettings(eps_abs=1e-4, eps_rel=1e-4, max_iter=3000)
 
 def fleet(**kwargs):
     kwargs.setdefault("settings", SETTINGS)
-    kwargs.setdefault("solve_mode", "exact")
     return FleetService(**kwargs)
 
 
@@ -185,8 +184,7 @@ class TestChaosReplay:
         def run():
             plan = FaultPlan.generate(11, 16, stalls=2, nodes=2,
                                       horizon=16 / 2000.0, poisons=0)
-            with fleet(solve_mode="calibrated", seed=3, policy="match",
-                       fault_plan=plan) as flt:
+            with fleet(seed=3, policy="match", fault_plan=plan) as flt:
                 flt.commission(ctrl)
                 flt.commission(lasso)
                 stream = [perturb_numeric((ctrl, lasso)[i % 2], seed=i)
@@ -209,8 +207,7 @@ class TestChaosReplay:
         def run():
             plan = FaultPlan.generate(11, 12, stalls=1, nodes=2,
                                       horizon=12 / 2000.0, poisons=0)
-            with fleet(solve_mode="calibrated", seed=3,
-                       fault_plan=plan) as flt:
+            with fleet(seed=3, fault_plan=plan) as flt:
                 flt.commission(ctrl)
                 flt.commission(lasso)
                 stream = [perturb_numeric((ctrl, lasso)[i % 2], seed=i)

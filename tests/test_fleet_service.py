@@ -23,7 +23,6 @@ SETTINGS = OSQPSettings(eps_abs=1e-4, eps_rel=1e-4, max_iter=3000)
 
 def fleet(**kwargs):
     kwargs.setdefault("settings", SETTINGS)
-    kwargs.setdefault("solve_mode", "exact")
     return FleetService(**kwargs)
 
 
@@ -74,6 +73,13 @@ class TestCorrectness:
             ["ctrl", "lasso", "ctrl"]
         assert all(r.converged for r in results)
 
+    def test_solve_batch_rejects_mismatched_warm_starts(self, ctrl, lasso):
+        with fleet() as flt:
+            flt.commission(ctrl)
+            with pytest.raises(ValueError, match="must match"):
+                flt.solve_batch([ctrl, lasso, ctrl], warm_starts=[None])
+            assert flt.records() == []
+
 
 class TestPlacement:
     def test_match_routes_to_dedicated_node(self, ctrl, lasso):
@@ -109,7 +115,7 @@ class TestPlacement:
 
 class TestCalibratedMode:
     def test_repeats_reuse_service_time(self, ctrl):
-        with fleet(solve_mode="calibrated") as flt:
+        with fleet() as flt:
             flt.commission(ctrl)
             r1 = flt.solve(ctrl)
             r2 = flt.solve(perturb_numeric(ctrl, seed=7))
@@ -118,13 +124,9 @@ class TestCalibratedMode:
         assert r2.record.service_seconds == r1.record.service_seconds
         assert r2.x is None                  # ...but not its solution
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            FleetService(solve_mode="psychic")
-
     def test_replay_is_deterministic(self, ctrl, lasso):
         def run():
-            with fleet(solve_mode="calibrated", seed=3) as flt:
+            with fleet(seed=3) as flt:
                 flt.commission(ctrl)
                 flt.commission(lasso)
                 stream = [perturb_numeric((ctrl, lasso)[i % 2], seed=i)

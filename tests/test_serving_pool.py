@@ -1,4 +1,4 @@
-"""WorkerPool across serial/thread/process modes: job correctness,
+"""WorkerPool across serial/thread modes: job correctness,
 crash propagation through futures, and shutdown semantics."""
 
 import operator
@@ -14,10 +14,9 @@ from repro.solver import OSQPSettings
 
 SETTINGS = OSQPSettings(eps_abs=1e-4, eps_rel=1e-4, max_iter=3000)
 
-MODES = ("serial", "thread", "process")
+MODES = ("serial", "thread")
 
 
-# Module-level so the process pool can pickle them.
 def _square(x):
     return x * x
 
@@ -77,7 +76,6 @@ class TestCrashPropagation:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_picklable_builtin_crash(self, mode):
-        # operator.truediv is importable from any worker process.
         with WorkerPool(workers=1, mode=mode) as pool:
             future = pool.submit(operator.truediv, 1, 0)
             with pytest.raises(ZeroDivisionError):
@@ -121,12 +119,11 @@ class TestShutdown:
 
 
 class TestHardShutdown:
-    @pytest.mark.parametrize("mode", ("thread", "process"))
+    @pytest.mark.parametrize("mode", ("thread",))
     def test_cancel_pending_leaves_no_unresolved_futures(self, mode):
         import time as _time
 
         with WorkerPool(workers=1, mode=mode) as warm:
-            # Prime the process pool outside the timed region.
             warm.submit(_square, 1).result(timeout=60)
         pool = WorkerPool(workers=1, mode=mode)
         blocker = pool.submit(_time.sleep, 0.5)

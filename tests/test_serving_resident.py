@@ -10,7 +10,6 @@ numeric data in place and re-runs it. The invariants under test:
 * a machine bound to a replaced (poisoned) artifact never answers again;
 * a machine whose attempt faulted or ran out of time is dropped;
 * LRU eviction drops the evicted key's machines;
-* process mode keeps binding a fresh accelerator per attempt;
 * after warm-up a repeated-structure stream binds nothing.
 
 ``solve_batch()`` groups and batch sessions lease batched residents,
@@ -216,20 +215,6 @@ def test_lru_eviction_drops_the_keys_machines():
         svc.solve(second)
         assert key_of(svc, first) not in svc.cache._idle
         assert counters(svc)[discards("evicted")] == 1
-
-
-def test_process_mode_binds_a_fresh_accelerator_per_attempt():
-    base = generate_lasso(8, seed=0)
-    problems = [perturb_numeric(base, seed=s) for s in (1, 2)]
-    with service(mode="process") as svc:
-        svc.solve(base)
-        results = [svc.solve(p) for p in problems]
-        artifact = svc.cache.peek(key_of(svc, base))
-        assert counters(svc)[BINDS] == 3
-        assert not svc.cache._idle
-    for problem, result in zip(problems, results):
-        assert_bitwise(result, solve_job(problem, artifact, SETTINGS,
-                                         verify=False))
 
 
 def test_repeated_structure_stream_binds_once_per_structure():

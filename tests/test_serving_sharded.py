@@ -114,6 +114,27 @@ class TestCleanPath:
             # Each structure was submitted 3x; no batch can be wider.
             assert all(w <= 3 for ws in widths.values() for w in ws)
 
+    def test_shard_workers_bind_once_per_structure(self):
+        # Solo requests (max_batch=1) on two structures: each shard
+        # worker keeps its resident machines, so after the warm-up the
+        # merged per-shard bind counters stay at one per structure.
+        templates = (generate_svm(10, seed=0), generate_lasso(8, seed=0))
+        service = ShardedSolverService(shards=2, max_batch=1, **FAST)
+        try:
+            for template in templates:
+                service.solve(template, timeout=120.0)
+            perturbed = [perturb_numeric(t, seed=s)
+                         for s in range(1, 7) for t in templates]
+            results = service.solve_batch(perturbed, timeout=120.0)
+            assert all(r.converged for r in results)
+        finally:
+            service.close(timeout=60.0)
+        counters = service.metrics_snapshot()["counters"]
+        binds = {sample: value for sample, value in counters.items()
+                 if sample.startswith("serving_accelerator_binds_total{")}
+        assert binds and all('shard="' in sample for sample in binds)
+        assert sum(binds.values()) == len(templates)
+
     def test_submit_after_close_raises(self):
         service = ShardedSolverService(shards=1, **FAST)
         service.close(timeout=60.0)

@@ -314,8 +314,7 @@ class TestServing:
     def test_fleet_race_pins_cycle_winner(self):
         from repro.fleet import FleetService
         prob = generate("lasso", 16, seed=0)
-        svc = FleetService(solve_mode="calibrated", algorithm="race",
-                           policy="match")
+        svc = FleetService(algorithm="race", policy="match")
         svc.commission(prob)
         first = svc.solve(prob)
         repeat = svc.solve(prob)
@@ -330,11 +329,6 @@ class TestServing:
         # The race measured both algorithms; the winner must not cost
         # more cycles than the measured loser.
         svc.close()
-
-    def test_fleet_race_requires_calibrated(self):
-        from repro.fleet import FleetService
-        with pytest.raises(ValueError):
-            FleetService(algorithm="race", solve_mode="exact")
 
 
 # ---------------------------------------------------------------------------
