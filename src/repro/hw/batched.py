@@ -7,10 +7,9 @@ module is the machine layer of :mod:`repro.batch`:
 
 * :class:`BatchMatrixResource` — per-lane CSR data stacked into one
   contiguous lane-minor ``(nnz, B)`` value block (the sparsity pattern
-  is shared by construction), applied through the engine library's
-  ``k_csr_matvec_batch`` when the C JIT is available, else per lane
-  through each lane's own solo :class:`~repro.hw.machine.
-  MatrixResource` (so the kernel *choice* matches a solo run exactly).
+  is shared by construction), applied through the lane-minor
+  :class:`~repro.sparse.kernels.CSRKernel`, whose per-lane order is
+  the solo kernel's on every host.
 * :class:`BatchMachine` — HBM/VB/CVB as stable ``(len, B)`` buffers,
   scalar registers as ``(B,)`` arrays, wall-clock
   :class:`~repro.hw.machine.ExecutionStats` plus per-lane loop trip
@@ -99,6 +98,8 @@ import os
 import numpy as np
 
 from ..exceptions import ShapeError, SimulationError, VerificationError
+from ..sparse import kernels
+from ..sparse.kernels import CSRKernel
 from . import cjit
 from .compiled import (SCALAR_C, _CBuilder, _FusedLoop, _LoopSkeleton,
                        fuse_loop, literal_operand)
@@ -124,7 +125,9 @@ class BatchMatrixResource:
     accelerators); their matrices must share the sparsity pattern —
     same-fingerprint problems do by construction (Ruiz scaling only
     rescales values), and the constructor verifies it. Values are
-    stacked lane-minor: ``(nnz, B)``.
+    stacked lane-minor, ``(nnz, B)``, into ``kernel``: a lane-minor
+    :class:`~repro.sparse.kernels.CSRKernel` whose lane ``b`` is
+    bit-identical to a solo SpMV on lane ``b``'s data.
     """
 
     def __init__(self, name: str, lanes: list):
@@ -146,80 +149,21 @@ class BatchMatrixResource:
                 raise SimulationError(
                     f"batched matrix {name!r}: lanes do not share one "
                     "sparsity structure")
-        self._kernel = None
-        engine = cjit.engine()
-        if engine is not None:
-            val = np.empty((indices.size, len(lanes)))
-            col = np.ascontiguousarray(indices, dtype=np.int64)
-            ip = np.ascontiguousarray(indptr, dtype=np.int64)
-            ffi = engine.ffi
-            self._carrays = (val, col, ip)  # keep the memory alive
-            self._cptrs = (ffi.cast("double *", val.ctypes.data),
-                           ffi.cast("long *", col.ctypes.data),
-                           ffi.cast("long *", ip.ctypes.data))
-            self._cffi = ffi
-            self._nnz = int(val.shape[0])
-            self._kernel = engine.lib.k_csr_matvec_batch
-            self.update_values()
+        self.kernel = CSRKernel(self.shape,
+                                np.empty((indices.size, len(lanes))),
+                                indices, indptr)
+        self.update_values()
 
     def update_values(self) -> None:
-        """Restack the lanes' current matrix values into the C value
-        block, in place — the batched analogue of
+        """Restack the lanes' current matrix values into the lane-minor
+        value block, in place — the batched analogue of
         :meth:`~repro.hw.machine.MatrixResource.update_values`. The
-        block keeps its identity, so every pointer bound by
-        :meth:`bind` stays valid; the lanes' own resources must already
+        block keeps its identity, so every closure bound to ``kernel``
+        stays valid; the lanes' own resources must already
         hold the new values (same pattern)."""
-        if self._kernel is None:
-            return  # per-lane fallback reads the lanes' values directly
-        val = self._carrays[0]
+        val = self.kernel.val
         for b, lane in enumerate(self.lanes):
             val[:, b] = lane.matrix.data
-
-    def bind(self, x: np.ndarray, out: np.ndarray):
-        """Prebound ``out[:, b] = matrix_b @ x[:, b]`` closure for
-        *stable* buffers: the C pointers are cast once at lowering
-        time, so the per-call cost is exactly one kernel invocation.
-        ``x``/``out`` must be the long-lived executor buffers (they
-        are — lowering allocates them once per name)."""
-        m, n = self.shape
-        batch = len(self.lanes)
-        if x.shape != (n, batch):
-            raise ShapeError(
-                f"batched matvec: expected ({n}, {batch}) input, "
-                f"got shape {x.shape}")
-        if self._kernel is not None:
-            ffi = self._cffi
-            kernel = self._kernel
-            cptrs = self._cptrs
-            px = ffi.cast("double *", x.ctypes.data)
-            po = ffi.cast("double *", out.ctypes.data)
-            nnz = self._nnz
-
-            def run() -> None:
-                kernel(*cptrs, px, po, m, n, nnz, batch)
-            return run
-        return lambda: self.apply_batch(x, out)
-
-    def apply_batch(self, x: np.ndarray, out: np.ndarray) -> None:
-        """``out[:, b] = matrix_b @ x[:, b]`` for every lane, in place."""
-        m, n = self.shape
-        batch = len(self.lanes)
-        if x.shape != (n, batch):
-            raise ShapeError(
-                f"batched matvec: expected ({n}, {batch}) input, "
-                f"got shape {x.shape}")
-        if self._kernel is not None:
-            ffi = self._cffi
-            self._kernel(*self._cptrs,
-                         ffi.cast("double *", x.ctypes.data),
-                         ffi.cast("double *", out.ctypes.data),
-                         m, n, self._nnz, batch)
-            return
-        # Per-lane solo kernels: each lane keeps exactly the kernel its
-        # solo MatrixResource chose; contiguous per-lane copies keep
-        # the solo code path (and bits) untouched.
-        for b, lane in enumerate(self.lanes):
-            out[:, b] = lane.apply(np.ascontiguousarray(x[:, b]))
 
 
 class BatchMachine:
@@ -953,31 +897,8 @@ class BatchExecutor:
         a = self._resident(instr.srcs[0])
         b = self._resident(instr.srcs[1])
         dst = machine.scalar_buffer(instr.dst)
-        engine = cjit.engine()
-        if engine is not None and a.shape == b.shape:
-            # Lane-minor k_dot_batch: per lane the i-loop accumulates
-            # in exactly the solo k_dot order; the kernel writes the
-            # (B,) register directly.
-            ffi = engine.ffi
-            k_dot_batch = engine.lib.k_dot_batch
-            pa = ffi.cast("double *", a.ctypes.data)
-            pb = ffi.cast("double *", b.ctypes.data)
-            po = ffi.cast("double *", dst.ctypes.data)
-            n = int(a.shape[0])
-            batch = machine.batch
-
-            def fn(_hold=(a, b, dst)):
-                k_dot_batch(pa, pb, n, batch, po)
-            return fn
-
-        def fn():
-            # Contiguous per-lane copies keep numpy's solo np.dot code
-            # path, hence the solo bits.
-            for lane in range(machine.batch):
-                dst[lane] = float(np.dot(
-                    np.ascontiguousarray(a[:, lane]),
-                    np.ascontiguousarray(b[:, lane])))
-        return fn
+        # Per lane the solo k_dot order; writes the (B,) register.
+        return kernels.bind_dot(a, b, dst)
 
     # -- transfers / CVB / SpMV -----------------------------------------
     def _lower_transfer(self, instr: DataTransfer):
@@ -1022,7 +943,8 @@ class BatchExecutor:
                 f"matvec: expected vector of length {cols}, "
                 f"got length {src.shape[0]}")
         dst = self._dst_buffer(machine.vb, instr.dst, rows)
-        fn = resource.bind(src, dst)
+        # Lane b is bit-identical to a solo SpMV on lane b's data.
+        fn = resource.kernel.bind(src, dst)
         return self._hooked(fn, "on_spmv", instr.dst, dst)
 
 
@@ -1058,8 +980,7 @@ def _batch_chunkable(executor: "BatchExecutor", instr) -> bool:
     if isinstance(instr, ScalarOp):
         return instr.op in _BATCH_CHUNK_SCALAR_OPS
     if isinstance(instr, SpMV):
-        resource = executor.machine.matrices.get(instr.matrix)
-        return resource is not None and resource._kernel is not None
+        return instr.matrix in executor.machine.matrices
     return False
 
 
@@ -1427,14 +1348,13 @@ class _BatchChunkBuilder(_CBuilder):
     def _emit_spmv(self, instr: SpMV) -> None:
         machine = self.machine
         resource = machine.matrices[instr.matrix]
-        if resource._kernel is None:
-            raise SimulationError("SpMV resource has no batched C kernel")
         src = machine.cvb.get(instr.src)
         if src is None:
             raise SimulationError(f"SpMV source {instr.src!r} not in CVB")
         rows = int(resource.shape[0])
         dst = self.executor._dst_buffer(machine.vb, instr.dst, rows)
-        val, col, ip = resource._carrays
+        kernel = resource.kernel
+        val, col, ip = kernel.val, kernel.col, kernel.ip
         # The engine library's k_csr_matvec_batch body: per lane the
         # k-loop accumulates in exactly the solo row-sum order.
         acc, decl, commit = self._accumulator("yr", "            ")

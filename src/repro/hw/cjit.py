@@ -6,9 +6,10 @@ hot loop pays one foreign call instead of one Python dispatch per
 instruction. This module owns the build machinery:
 
 * :func:`available` — probe once whether a working C toolchain exists.
-* :func:`engine` — the process-wide generic kernel library (the shared
-  CSR matvec both backends route SpMV through, keeping them
-  bit-identical by construction).
+* :func:`engine` — the process-wide generic kernel library
+  (``k_csr_matvec[_batch]``, ``k_dot[_batch]``), which
+  :mod:`repro.sparse.kernels` calls for every SpMV and DOT when it is
+  available.
 * :func:`compile_module` — hash-addressed, disk-cached compilation of
   generated chunk sources (same source is compiled at most once per
   cache directory, ever).
@@ -25,8 +26,9 @@ numerics engine-faithful when the JIT is active.
 
 Everything degrades gracefully: no compiler, an unwritable cache
 directory, or ``REPRO_JIT=0`` in the environment simply means
-:func:`available` returns False and both backends fall back to their
-pure-numpy paths (which are likewise bit-identical to each other).
+:func:`available` returns False. Nothing fuses, and
+:mod:`repro.sparse.kernels` runs its numpy implementation, which sums
+in the same order, so the bits do not change.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ CSR_MATVEC_BODY = """\
 #: Canonical dot-product loop (strictly sequential, left to right).
 #: Both backends route DOT through ``k_dot`` when the JIT is active, and
 #: chunk codegen embeds this exact shape, so a DOT fused into a chunk
-#: produces the same bits as the engine library call.
+#: produces the same bits as the engine library call (and as the numpy
+#: fallback of :mod:`repro.sparse.kernels`).
 DOT_BODY = """\
     double acc = 0.0;
     for (long i = 0; i < n; ++i)
@@ -250,7 +253,7 @@ def engine() -> Any:
 
     Probed exactly once per process; a failed probe (missing compiler,
     read-only filesystem, ``REPRO_JIT=0``) pins the process to the
-    numpy fallback so both backends stay mutually consistent.
+    numpy kernels of :mod:`repro.sparse.kernels` (same bits).
     """
     if not _state["probed"]:
         _state["engine"] = (

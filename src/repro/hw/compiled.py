@@ -69,6 +69,7 @@ import os
 import numpy as np
 
 from ..exceptions import ShapeError, SimulationError, VerificationError
+from ..sparse import kernels
 from . import cjit
 from .effect_ir import BufferRef, EffectIR, EffectStatement
 from .isa import (BINARY_SCALAR_OPS, Control, DataTransfer, Loop, Program,
@@ -565,26 +566,13 @@ class CompiledExecutor:
         kind = instr.op
         srcs = instr.srcs
         if kind is VectorOpKind.DOT:
-            a = self._resident(srcs[0])
-            b = self._resident(srcs[1])
+            kernel = kernels.bind_dot(self._resident(srcs[0]),
+                                      self._resident(srcs[1]))
             scalars = machine.scalars
             dst = instr.dst
-            engine = cjit.engine()
-            if engine is not None and a.shape == b.shape:
-                # Same sequential kernel the interpreter's dot() calls,
-                # with both pointers prebound to the stable buffers.
-                ffi = engine.ffi
-                k_dot = engine.lib.k_dot
-                pa = ffi.cast("double *", a.ctypes.data)
-                pb = ffi.cast("double *", b.ctypes.data)
-                n = a.size
-
-                def fn(_hold=(a, b)):
-                    scalars[dst] = k_dot(pa, pb, n)
-                return fn
 
             def fn():
-                scalars[dst] = float(np.dot(a, b))
+                scalars[dst] = kernel()
             return fn
         if kind is VectorOpKind.AXPBY:
             a = self._resident(srcs[0])
@@ -742,46 +730,7 @@ class CompiledExecutor:
                 f"matvec: expected vector of length {matrix.shape[1]}, "
                 f"got shape {src.shape}")
         dst = self._dst_buffer(machine.vb, instr.dst, rows)
-        ckernel = resource.ckernel
-        if ckernel is not None:
-            # Same C row-sum kernel the interpreter's resource.apply()
-            # calls, with every pointer prebound to the stable buffers.
-            ffi = resource._cffi
-            pv, pc, pi = resource._cptrs
-            px = ffi.cast("double *", src.ctypes.data)
-            py = ffi.cast("double *", dst.ctypes.data)
-
-            def fn(_hold=(src, dst)):
-                ckernel(pv, pc, pi, px, py, rows)
-            return self._hooked(fn, "on_spmv", instr.dst, dst)
-        dense = resource.dense
-        if dense is not None:
-            # Same BLAS gemv the interpreter's resource.apply() calls,
-            # writing into the preallocated destination buffer.
-            def fn():
-                np.dot(dense, src, out=dst)
-            return self._hooked(fn, "on_spmv", instr.dst, dst)
-        # Inline CSRMatrix.matvec with preallocated scratch: the same
-        # gather -> multiply -> cumsum -> endpoint-difference sequence
-        # (bit-identical to the interpreter's matvec call), minus the
-        # per-call allocations and wrapper checks.
-        data = matrix.data
-        indices = matrix.indices
-        ip0 = matrix.indptr[:-1]
-        ip1 = matrix.indptr[1:]
-        nnz = int(data.size)
-        if nnz == 0:
-            def fn():
-                dst[:] = 0.0
-            return self._hooked(fn, "on_spmv", instr.dst, dst)
-        products = np.empty(nnz)
-        running = np.zeros(nnz + 1)
-        run_view = running[1:]
-
-        def fn():
-            np.multiply(data, src[indices], out=products)
-            np.copyto(run_view, products.cumsum())
-            np.subtract(running[ip1], running[ip0], out=dst)
+        fn = resource.kernel.bind(src, dst)
         return self._hooked(fn, "on_spmv", instr.dst, dst)
 
 
@@ -805,8 +754,7 @@ def _chunkable(executor: CompiledExecutor, instr) -> bool:
     if isinstance(instr, VectorOp):
         return instr.op in _CHUNKABLE_VECTOR_OPS
     if isinstance(instr, SpMV):
-        resource = executor.machine.matrices.get(instr.matrix)
-        return resource is not None and resource.ckernel is not None
+        return instr.matrix in executor.machine.matrices
     return False
 
 
@@ -1122,14 +1070,13 @@ class _ChunkBuilder(_CBuilder):
     def _emit_spmv(self, instr: SpMV) -> None:
         machine = self.machine
         resource = machine.matrices[instr.matrix]
-        if resource.ckernel is None:
-            raise SimulationError("SpMV resource has no C kernel")
         src = machine.cvb.get(instr.src)
         if src is None:
             raise SimulationError(f"SpMV source {instr.src!r} not in CVB")
         rows = int(resource.matrix.shape[0])
         dst = self.executor._dst_buffer(machine.vb, instr.dst, rows)
-        val, col, ip = resource._carrays
+        kernel = resource.kernel
+        val, col, ip = kernel.val, kernel.col, kernel.ip
         body = "".join("    " + line + "\n" if line.strip() else line
                        for line in cjit.CSR_MATVEC_BODY.splitlines())
         block = (

@@ -25,132 +25,54 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ShapeError, SimulationError
-from . import cjit
+from ..sparse.csr import CSRMatrix
+from ..sparse.kernels import dot
 from .isa import (BINARY_SCALAR_OPS, Control, DataTransfer, Instruction,
                   Loop, Program, ScalarOp, ScalarOpKind, SpMV, VecDup,
                   VectorOp, VectorOpKind)
 
-__all__ = ["MatrixResource", "Machine", "ExecutionStats", "CYCLE_CLASSES",
-           "DENSE_SPMV_LIMIT", "dot"]
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """The DOT kernel shared by the interpreter and the compiled backend.
-
-    Routes through the engine library's sequential ``k_dot`` when the C
-    JIT is available (the same loop shape chunk codegen embeds, so fused
-    and unfused DOTs agree bit for bit), else ``np.dot``. Mismatched
-    shapes fall through to ``np.dot`` to preserve its error.
-    """
-    engine = cjit.engine()
-    if engine is None or a.shape != b.shape or a.ndim != 1:
-        return float(np.dot(a, b))
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    ffi = engine.ffi
-    return engine.lib.k_dot(ffi.cast("double *", a.ctypes.data),
-                            ffi.cast("double *", b.ctypes.data), a.size)
-
-
-#: Matrices with at most this many dense elements get a densified BLAS
-#: matvec kernel (2 MiB of float64). The choice of numerical kernel is a
-#: functional-simulator implementation detail: cycle accounting always
-#: uses the *scheduled* pack count, never the kernel's own cost.
-DENSE_SPMV_LIMIT = 1 << 18
+__all__ = ["MatrixResource", "Machine", "ExecutionStats", "CYCLE_CLASSES"]
 
 
 @dataclass
 class MatrixResource:
     """A matrix streamed from HBM with its schedule and CVB layout.
 
-    ``apply`` is the SpMV kernel shared by the interpreter and the
-    compiled backend, which keeps the two backends bit-identical by
-    construction. The kernel is chosen once at resource build, in
-    priority order:
-
-    1. the :mod:`repro.hw.cjit` C row-sum kernel (engine-faithful
-       sequential per-row accumulation, O(nnz)), when a C toolchain is
-       available;
-    2. a densified BLAS gemv for small matrices
-       (``m * n <= DENSE_SPMV_LIMIT``);
-    3. the numpy CSR matvec.
+    SpMV goes through the matrix's own :class:`~repro.sparse.kernels.
+    CSRKernel` (``kernel``): the sequential row order the interpreter,
+    the compiled backend, the batch lanes and the host's
+    ``CSRMatrix.matvec`` all share, with or without a C compiler.
+    Cycle accounting uses the *scheduled* pack count, never the
+    kernel's own cost.
     """
 
     name: str
-    matrix: object        # CSRMatrix
+    matrix: CSRMatrix
     spmv_cycles: int      # scheduled pack count (nnz + Ep) / C
     cvb_depth: int        # compressed duplication depth
-    dense: np.ndarray | None = field(default=None, repr=False,
-                                     compare=False)
 
     def __post_init__(self):
-        self.ckernel = None
-        self._carrays = None
-        self._cptrs = None
-        engine = cjit.engine()
-        m, n = self.matrix.shape
-        if engine is not None:
-            val = np.ascontiguousarray(self.matrix.data, dtype=np.float64)
-            col = np.ascontiguousarray(self.matrix.indices, dtype=np.int64)
-            ip = np.ascontiguousarray(self.matrix.indptr, dtype=np.int64)
-            ffi = engine.ffi
-            self._carrays = (val, col, ip)  # keep the memory alive
-            self._cptrs = (ffi.cast("double *", val.ctypes.data),
-                           ffi.cast("long *", col.ctypes.data),
-                           ffi.cast("long *", ip.ctypes.data))
-            self._cffi = ffi
-            self.ckernel = engine.lib.k_csr_matvec
-        elif self.dense is None and m * n <= DENSE_SPMV_LIMIT:
-            dense = np.zeros((m, n))
-            rows = np.repeat(np.arange(m), np.diff(self.matrix.indptr))
-            np.add.at(dense, (rows, self.matrix.indices), self.matrix.data)
-            self.dense = dense
+        self.kernel = self.matrix.kernel()
 
     def update_values(self, data) -> None:
         """Install new numeric values for the *same* sparsity pattern.
 
-        Strictly in place: every value array keeps its identity (and
-        therefore its base address), so compiled closures, generated-C
-        pointer tables, and cffi casts bound to this resource stay
+        Strictly in place: the value array keeps its identity (and
+        therefore its base address), so the kernel, compiled closures
+        and generated-C pointer tables bound to this resource stay
         valid. The caller guarantees the pattern is unchanged — only
         the value array's shape is checked here.
         """
         data = np.asarray(data, dtype=np.float64)
-        if data.shape != self.matrix.data.shape:
+        if data.shape != self.kernel.val.shape:
             raise ShapeError(
                 f"matrix {self.name!r}: got {data.size} values for a "
-                f"pattern with {self.matrix.data.size} stored entries")
-        self.matrix.data[...] = data
-        if self._carrays is not None:
-            self._carrays[0][...] = data
-        if self.dense is not None:
-            m, _ = self.matrix.shape
-            self.dense[...] = 0.0
-            rows = np.repeat(np.arange(m), np.diff(self.matrix.indptr))
-            np.add.at(self.dense, (rows, self.matrix.indices), data)
+                f"pattern with {self.kernel.val.size} stored entries")
+        self.kernel.val[...] = data
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``matrix @ x`` through the resource's chosen kernel."""
-        m, n = self.matrix.shape
-        if self.ckernel is not None:
-            if x.shape != (n,):
-                raise ShapeError(
-                    f"matvec: expected vector of length {n}, "
-                    f"got shape {x.shape}")
-            x = np.ascontiguousarray(x, dtype=np.float64)
-            y = np.empty(m)
-            ffi = self._cffi
-            self.ckernel(*self._cptrs,
-                         ffi.cast("double *", x.ctypes.data),
-                         ffi.cast("double *", y.ctypes.data), m)
-            return y
-        if self.dense is not None:
-            if x.shape != (n,):
-                raise ShapeError(
-                    f"matvec: expected vector of length {n}, "
-                    f"got shape {x.shape}")
-            return np.dot(self.dense, x)
-        return self.matrix.matvec(x)
+        """``matrix @ x`` through the shared kernel."""
+        return self.kernel.apply(x)
 
 
 #: The cycle-accounting classes an execution may charge, keyed by the

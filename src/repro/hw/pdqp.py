@@ -19,23 +19,13 @@ import numpy as np
 
 from ..customization import ProblemCustomization
 from ..qp import QProblem
-from ..solver.pdqp import PDQPSolver
+from ..solver.pdqp import PDQPSolver, pdqp_step_sizes
 from ..solver.settings import OMEGA_MAX, OMEGA_MIN, PDQPSettings
 from .accelerator import (Accelerator, attach_customization_costs,
                           balanced_step)
 from .compiler import PDHG_LOOP, CompiledProgram, compile_pdqp_program
 
-__all__ = ["PDQPAccelerator", "compile_pdqp_for_customization",
-           "pdqp_step_sizes"]
-
-
-def pdqp_step_sizes(omega: float, norm_a: float, lam_p: float,
-                    tau_scale: float) -> tuple[float, float]:
-    """``(tau, sigma)`` for a primal weight, as the reference derives."""
-    denom = omega * norm_a + lam_p
-    tau = tau_scale / max(denom, 1e-15)
-    sigma = omega / norm_a if norm_a > 1e-15 else omega
-    return tau, sigma
+__all__ = ["PDQPAccelerator", "compile_pdqp_for_customization"]
 
 
 class PDQPAccelerator(Accelerator):

@@ -43,7 +43,8 @@ from .algorithms import SolverAlgorithm, register_algorithm
 from .results import SolverInfo, SolverResult, SolverStatus
 from .settings import OMEGA_MAX, OMEGA_MIN, PDQPSettings
 
-__all__ = ["PDQPSolver", "solve_pdqp", "estimate_operator_norms"]
+__all__ = ["PDQPSolver", "solve_pdqp", "estimate_operator_norms",
+           "pdqp_step_sizes"]
 
 #: Residuals within this factor of the tolerance at max_iter still count
 #: as an (inaccurate) solution — same convention as the ADMM solver.
@@ -88,9 +89,10 @@ def estimate_operator_norms(p_mat, a_mat, at_mat, *,
     return norm_a, lam_p
 
 
-def _steps(omega: float, norm_a: float, lam_p: float,
-           tau_scale: float) -> Tuple[float, float]:
-    """(tau, sigma) satisfying the Condat-Vu condition for ``omega``."""
+def pdqp_step_sizes(omega: float, norm_a: float, lam_p: float,
+                    tau_scale: float) -> Tuple[float, float]:
+    """(tau, sigma) satisfying the Condat-Vu condition for ``omega``
+    (shared by the reference solver and the accelerator host)."""
     if norm_a <= _DIV_GUARD:
         # No (or zero) constraints: pure gradient descent on the
         # quadratic; sigma is inert but must stay finite.
@@ -129,8 +131,8 @@ class PDQPSolver:
             self.work.P, self.work.A, self.at,
             iterations=self.settings.power_iterations)
         self.omega = float(self.settings.omega)
-        self.tau, self.sigma = _steps(self.omega, self.norm_a, self.lam_p,
-                                      self.settings.tau_scale)
+        self.tau, self.sigma = pdqp_step_sizes(
+            self.omega, self.norm_a, self.lam_p, self.settings.tau_scale)
         n, m = problem.n, problem.m
         self.x = np.zeros(n)
         self.y = np.zeros(m)
@@ -149,8 +151,8 @@ class PDQPSolver:
     def update_omega(self, omega: float) -> None:
         """Install a new primal weight (recomputes both step sizes)."""
         self.omega = float(np.clip(omega, OMEGA_MIN, OMEGA_MAX))
-        self.tau, self.sigma = _steps(self.omega, self.norm_a, self.lam_p,
-                                      self.settings.tau_scale)
+        self.tau, self.sigma = pdqp_step_sizes(
+            self.omega, self.norm_a, self.lam_p, self.settings.tau_scale)
 
     def update(self, q=None, l=None, u=None) -> None:
         """Update problem vectors in place (parametric re-solve).

@@ -11,6 +11,7 @@ import numpy as np
 
 from ..exceptions import ShapeError
 from .csr import CSRMatrix, _validated_perm
+from .kernels import CSRKernel
 
 __all__ = ["CSCMatrix"]
 
@@ -108,15 +109,16 @@ class CSCMatrix:
         return out
 
     def rmatvec(self, y) -> np.ndarray:
-        """Compute ``A.T @ y`` by per-column segmented reduction."""
+        """Compute ``A.T @ y``, each column summed top to bottom in the
+        sequential order of :mod:`repro.sparse.kernels`."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.shape[0],):
             raise ShapeError(
                 f"rmatvec: expected vector of length {self.shape[0]}, "
                 f"got shape {y.shape}")
-        products = self.data * y[self.indices]
-        running = np.concatenate(([0.0], np.cumsum(products)))
-        return running[self.indptr[1:]] - running[self.indptr[:-1]]
+        m, n = self.shape
+        return CSRKernel((n, m), self.data, self.indices,
+                         self.indptr).apply(y)
 
     def __matmul__(self, x):
         return self.matvec(x)

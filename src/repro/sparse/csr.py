@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ShapeError
+from .kernels import CSRKernel
 
 __all__ = ["CSRMatrix"]
 
@@ -36,16 +37,26 @@ class CSRMatrix:
     strictly increasing within each row (canonical form).
     """
 
-    __slots__ = ("shape", "data", "indices", "indptr")
+    __slots__ = ("shape", "data", "indices", "indptr", "_kernel")
 
     def __init__(self, shape, data, indices, indptr, *, check: bool = True):
         m, n = int(shape[0]), int(shape[1])
         self.shape = (m, n)
-        self.data = np.asarray(data, dtype=np.float64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
+        # Contiguous storage lets the SpMV kernel view it, not copy it.
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        self._kernel = None
         if check:
             self._check()
+
+    def __getstate__(self):
+        # The cached kernel holds C pointers; the receiver rebuilds it.
+        return self.shape, self.data, self.indices, self.indptr
+
+    def __setstate__(self, state):
+        self.shape, self.data, self.indices, self.indptr = state
+        self._kernel = None
 
     # ------------------------------------------------------------------
     # construction
@@ -143,20 +154,24 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     # linear operations
     # ------------------------------------------------------------------
-    def matvec(self, x) -> np.ndarray:
-        """Compute ``A @ x`` in O(nnz) with vectorized numpy.
+    def kernel(self) -> CSRKernel:
+        """This matrix's SpMV kernel (:mod:`repro.sparse.kernels`).
 
-        Uses a cumulative-sum segmented reduction so empty rows are
-        handled correctly (``np.add.reduceat`` mis-handles them).
+        Cached while the storage arrays keep their identity; in-place
+        value writes into ``data`` reach it without a rebuild.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.shape[1],):
-            raise ShapeError(
-                f"matvec: expected vector of length {self.shape[1]}, "
-                f"got shape {x.shape}")
-        products = self.data * x[self.indices]
-        running = np.concatenate(([0.0], np.cumsum(products)))
-        return running[self.indptr[1:]] - running[self.indptr[:-1]]
+        kernel = self._kernel
+        if kernel is None or not kernel.views(self.data, self.indices,
+                                              self.indptr):
+            kernel = self._kernel = CSRKernel(self.shape, self.data,
+                                              self.indices, self.indptr)
+        return kernel
+
+    def matvec(self, x) -> np.ndarray:
+        """Compute ``A @ x``, each row summed left to right from
+        ``+0.0`` — the accelerator's order, on every host (see
+        :mod:`repro.sparse.kernels`)."""
+        return self.kernel().apply(x)
 
     def rmatvec(self, y) -> np.ndarray:
         """Compute ``A.T @ y`` without materializing the transpose."""

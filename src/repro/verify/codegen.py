@@ -70,15 +70,15 @@ from typing import Any
 import numpy as np
 
 from ..hw import cjit
-from ..hw.batched import (BatchExecutor, BatchMachine, _BatchChunkBuilder,
-                          _BatchLoopBuilder, _batch_chunkable,
-                          static_write_set)
+from ..hw.batched import (BatchExecutor, BatchMachine, BatchMatrixResource,
+                          _BatchChunkBuilder, _BatchLoopBuilder,
+                          _batch_chunkable, static_write_set)
 from ..hw.compiled import (CompiledExecutor, _ChunkBuilder, _LoopBuilder,
                            _chunkable, literal_operand)
 from ..hw.effect_ir import EFFECT_IR_VERSION, EffectIR, EffectStatement
 from ..hw.isa import (Control, DataTransfer, Loop, ScalarOp, ScalarOpKind,
                       SpMV, VecDup, VectorOp, VectorOpKind)
-from ..hw.machine import Machine
+from ..hw.machine import Machine, MatrixResource
 from .cycles import loop_charge_slots
 from .diagnostics import Location, VerificationReport
 from .program import contract_for_algorithm
@@ -1144,10 +1144,7 @@ class _UnitChecker:
                 "codegen-shape-mismatch", stmt,
                 f"machine holds no matrix resource {stmt.matrix!r}")
             return
-        if self.batch_tier:
-            shape = tuple(int(s) for s in resource.shape)
-        else:
-            shape = tuple(int(s) for s in resource.matrix.shape)
+        shape = resource.kernel.shape
         if shape != tuple(stmt.spmv_shape):
             self._err(
                 "codegen-shape-mismatch", stmt,
@@ -1261,59 +1258,18 @@ def ensure_codegen_verified(ir: EffectIR, instrs: list, machine: Any, *,
 # static lifting: emit effect IR for every unit the backends would fuse,
 # without executing anything and without a C toolchain
 
-#: Truthy kernel sentinel: lets the chunkability predicates see an
-#: "available" SpMV kernel without cffi. The lifter never compiles or
-#: calls anything, so the sentinel is never invoked.
-_STATIC_KERNEL = object()
-
-
-class _StaticResource:
-    """Duck-typed :class:`~repro.hw.machine.MatrixResource` stand-in."""
-
-    def __init__(self, name: str, matrix: Any, spmv_cycles: int,
-                 cvb_depth: int):
-        self.name = name
-        self.matrix = matrix
-        self.spmv_cycles = int(spmv_cycles)
-        self.cvb_depth = int(cvb_depth)
-        self.ckernel = _STATIC_KERNEL
-        self._carrays = (
-            np.ascontiguousarray(matrix.data, dtype=np.float64),
-            np.ascontiguousarray(matrix.indices, dtype=np.int64),
-            np.ascontiguousarray(matrix.indptr, dtype=np.int64))
-
-
-class _StaticBatchResource:
-    """Duck-typed :class:`~repro.hw.batched.BatchMatrixResource`."""
-
-    def __init__(self, name: str, matrix: Any, spmv_cycles: int,
-                 cvb_depth: int, batch: int):
-        self.name = name
-        self.shape = tuple(int(s) for s in matrix.shape)
-        self.spmv_cycles = int(spmv_cycles)
-        self.cvb_depth = int(cvb_depth)
-        self._kernel = _STATIC_KERNEL
-        self._carrays = (
-            np.zeros((int(matrix.data.size), int(batch))),
-            np.ascontiguousarray(matrix.indices, dtype=np.int64),
-            np.ascontiguousarray(matrix.indptr, dtype=np.int64))
-
-
 def _static_resources(compiled: Any, matrices: dict,
                       batch: int | None = None) -> dict:
     ctx = compiled.context
     resources: dict = {}
     for name, matrix in matrices.items():
         try:
-            spmv = ctx.spmv_cycles(name)
-            depth = ctx.cvb_depth(name)
+            solo = MatrixResource(name, matrix, ctx.spmv_cycles(name),
+                                  ctx.cvb_depth(name))
         except KeyError:
             continue
-        if batch is None:
-            resources[name] = _StaticResource(name, matrix, spmv, depth)
-        else:
-            resources[name] = _StaticBatchResource(name, matrix, spmv,
-                                                   depth, batch)
+        resources[name] = (solo if batch is None
+                           else BatchMatrixResource(name, [solo] * batch))
     return resources
 
 
@@ -1400,9 +1356,7 @@ def _prepare_buffers(machine: Any, items: list,
         elif isinstance(item, SpMV):
             resource = machine.matrices.get(item.matrix)
             if resource is not None:
-                rows = (resource.shape[0] if batch is not None
-                        else resource.matrix.shape[0])
-                make(machine.vb, item.dst, int(rows))
+                make(machine.vb, item.dst, resource.kernel.shape[0])
 
 
 def _lift_chunk(executor: Any, builder_cls: Any, run: list,

@@ -599,6 +599,11 @@ class TestFaultHookEquivalence:
         assert_states_equal(mi, mc)
 
 
+needs_jit = pytest.mark.skipif(not cjit.available(),
+                               reason="no C toolchain for the fused tier")
+
+
+@needs_jit
 class TestFusedLoopErrors:
     """DIV/SQRT guards inside the whole-loop fused body.
 
@@ -648,10 +653,6 @@ class TestFusedLoopErrors:
         op = ScalarOp(ScalarOpKind.SQRT, "s2", "s0")
         errors = self._drive(op, lambda m: m.set_scalar("s0", -1.0))
         assert "sqrt" in str(errors["compiled"])
-
-
-needs_jit = pytest.mark.skipif(not cjit.available(),
-                               reason="no C toolchain for the fused tier")
 
 
 @needs_jit
