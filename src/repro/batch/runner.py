@@ -45,7 +45,7 @@ from ..hw.compiler import PCG_LOOP
 from ..hw.frequency import fmax_mhz
 from ..hw.machine import ExecutionStats
 from ..hw.power import fpga_power_watts
-from ..qp import ruiz_equilibrate_batch
+from ..qp import RuizPlan, ruiz_equilibrate_batch
 from ..solver import OSQPSettings
 from ..solver.algorithms import get_algorithm
 
@@ -107,11 +107,11 @@ class BatchAccelerator:
 
     Parameters mirror the solo accelerators where they overlap;
     ``problems`` must share one structure (the artifact's fingerprint
-    guarantees it on the serving path; the stacked matrices verify the
-    sparsity pattern regardless). ``settings`` of any algorithm are
-    coerced to ``algorithm``'s type. ``injectors`` / ``deadline_ats``
-    are optional per-lane lists (``None`` entries disable the feature
-    for that lane; ``deadline_ats`` holds absolute
+    guarantees it on the serving path; construction and :meth:`refresh`
+    raise :class:`~repro.exceptions.ShapeError` otherwise). ``settings``
+    of any algorithm are coerced to ``algorithm``'s type. ``injectors``
+    / ``deadline_ats`` are optional per-lane lists (``None`` entries
+    disable the feature for that lane; ``deadline_ats`` holds absolute
     ``time.perf_counter()`` timestamps).
 
     A machine that ran can be loaded again with :meth:`refresh`: B new
@@ -140,6 +140,8 @@ class BatchAccelerator:
             raise ValueError("per-lane argument lists must match the "
                              "number of problems")
 
+        # One Ruiz plan for the bound structure, reused by every refresh.
+        self._ruiz_plan = RuizPlan.for_problem(problems[0])
         # Per-lane solo accelerators perform host setup + download with
         # exactly the solo float paths; the batch machine stacks them.
         self.lanes = [
@@ -149,13 +151,6 @@ class BatchAccelerator:
                            scaling=scaling)
             for problem, scaling in zip(problems,
                                         self._equilibrate(problems))]
-        first = self.lanes[0]
-        for lane in self.lanes[1:]:
-            if (lane.work.n, lane.work.m) != (first.work.n, first.work.m):
-                raise ValueError(
-                    "batched lanes disagree on problem dimensions: "
-                    f"({lane.work.n}, {lane.work.m}) vs "
-                    f"({first.work.n}, {first.work.m})")
 
         self.machine = BatchMachine(customization.c, {
             name: BatchMatrixResource(
@@ -167,35 +162,27 @@ class BatchAccelerator:
         self._load(warm_starts, deadline_ats)
 
     def _equilibrate(self, problems) -> list:
-        """Per-lane Ruiz scalings from one batched pass.
-
-        The one vectorized piece of host setup: bit-identical per lane
-        to the solo call (see :func:`repro.qp.ruiz_equilibrate_batch`)
-        and injected into each lane's host setup. ``None`` entries —
-        a single lane, or a structure mismatch — make the lanes scale
-        themselves; the stacked matrix resources still enforce the
-        shared-sparsity precondition.
-        """
-        if len(problems) > 1:
-            try:
-                return ruiz_equilibrate_batch(problems,
-                                              self.settings.scaling)
-            except ValueError:
-                pass
-        return [None] * len(problems)
+        """Per-lane Ruiz scalings from one lane-stacked pass over the
+        bound structure's plan: bit-identical per lane to the solo call,
+        they go into each lane's host setup. A problem of another
+        structure raises :class:`~repro.exceptions.ShapeError`."""
+        return ruiz_equilibrate_batch(problems, self.settings.scaling,
+                                      plan=self._ruiz_plan)
 
     def refresh(self, problems, warm_starts=None,
                 deadline_ats=None) -> None:
         """Install B new same-structure problems on the bound machine.
 
         Every lane re-runs its solo :meth:`~repro.hw.accelerator.
-        Accelerator.refresh` (the lane structure check included) with
-        its share of one batched Ruiz pass; the stacked matrix values,
-        HBM columns and scalar registers are then rewritten in place,
-        so every lowered closure and fused C unit stays bound. The
-        next :meth:`run` is bitwise the run a freshly constructed
-        accelerator on ``problems`` makes. The per-lane injectors
-        chosen at construction stay armed.
+        Accelerator.refresh` with its share of one batched Ruiz pass
+        over the plan derived at construction (a problem of another
+        structure raises :class:`~repro.exceptions.ShapeError`, as at
+        construction); the stacked matrix values, HBM columns and
+        scalar registers are then rewritten in place, so every lowered
+        closure and fused C unit stays bound. The next :meth:`run` is
+        bitwise the run a freshly constructed accelerator on
+        ``problems`` makes. The per-lane injectors chosen at
+        construction stay armed.
         """
         problems = list(problems)
         if len(problems) != self.batch:

@@ -3,11 +3,14 @@
 Mirrors the paper's deployment, whatever the algorithm: the CPU host
 performs setup (Ruiz scaling, step-size choice, data download) and the
 FPGA executes the iteration loop from its instruction ROM, in fixed-
-length segments with a host step between them. :class:`Accelerator` is
-that shared driver — machine bind, backend dispatch, program checks,
-the segment loop with its deadline and rollback handling, and result
-assembly. Each algorithm subclasses it with only what differs: host
-setup, the download set, warm start and the between-segment step.
+length segments with a host step between them. The setup is the
+reference solvers' own: :func:`repro.qp.ruiz_equilibrate` and the step
+functions of :mod:`repro.solver.host`, with no solver object built.
+:class:`Accelerator` is that shared driver — host setup, machine bind,
+backend dispatch, program checks, the segment loop with its deadline
+and rollback handling, and result assembly. Each algorithm subclasses
+it with only what differs: the initial step sizes, the download set,
+warm start and the between-segment step.
 :class:`RSQPAccelerator` runs OSQP's ADMM + PCG loop with host-side
 adaptive rho; :class:`repro.hw.pdqp.PDQPAccelerator` runs restarted
 PDHG. The drivers return the *unscaled* solution plus the cycle
@@ -24,10 +27,10 @@ import numpy as np
 
 from ..customization import ProblemCustomization, customize_problem
 from ..exceptions import DeadlineExceededError, FaultDetectedError
-from ..qp import QProblem, RuizPlan, ruiz_equilibrate
+from ..qp import QProblem, RuizPlan, check_same_structure, ruiz_equilibrate
 from ..solver import OSQPSettings
 from ..solver.algorithms import get_algorithm
-from ..solver.osqp import OSQPSolver
+from ..solver.host import admm_initial_step, balanced_step, rho_vector
 from ..solver.settings import RHO_MAX, RHO_MIN
 from .compiled import CompiledExecutor, validate_backend
 from .compiler import (ADMM_LOOP, PCG_LOOP, CompiledProgram, attach_costs,
@@ -39,7 +42,6 @@ from .power import fpga_power_watts
 
 __all__ = ["RSQPResult", "Accelerator", "RSQPAccelerator",
            "compile_for_customization", "attach_customization_costs",
-           "balanced_step", "rho_vector_for",
            "jacobi_preconditioner"]
 
 #: Streamed matrices every algorithm binds; each owns a CVB bank group.
@@ -47,28 +49,6 @@ MATRICES = ("P", "A", "At")
 
 #: Device residual scalars a between-segment step size is balanced on.
 RESIDUALS = ("rp", "rdual", "npz", "nd_all")
-
-
-def balanced_step(step: float, rp: float, rdual: float, npz: float,
-                  nd_all: float, lo: float, hi: float) -> float:
-    """Residual-balanced step-size estimate (exact float path): OSQP's
-    adaptive-rho rule, also PDQP's primal-weight rule, clipped to
-    ``[lo, hi]``."""
-    pri_norm = max(npz, 1e-15)
-    dua_norm = max(nd_all, 1e-15)
-    estimate = step * np.sqrt((rp / pri_norm)
-                              / max(rdual / dua_norm, 1e-15))
-    return float(np.clip(estimate, lo, hi))
-
-
-def rho_vector_for(work, estimate: float) -> np.ndarray:
-    """Constraint-wise rho: stiffened equalities, loose rows relaxed."""
-    rho_vec = np.full(work.m, estimate)
-    eq = work.equality_mask()
-    rho_vec[eq] = np.clip(estimate * 1e3, 1e-6, 1e6)
-    loose = np.isneginf(work.l) & np.isposinf(work.u)
-    rho_vec[loose] = 1e-6
-    return rho_vec
 
 
 def jacobi_preconditioner(work, sigma: float,
@@ -141,10 +121,10 @@ class Accelerator:
     """Simulated RSQP card solving one QP structure: the shared driver.
 
     A subclass runs one algorithm: it declares the program layout and
-    host protocol as class data and implements host setup, the
-    download, warm start and the step-size hooks of the between-segment
-    step. The batch runner drives its lanes through the same hooks, so
-    a lane's host step is the solo one.
+    host protocol as class data and implements its initial step sizes,
+    the download, warm start and the step-size hooks of the
+    between-segment step. The batch runner drives its lanes through the
+    same hooks, so a lane's host step is the solo one.
 
     Parameters
     ----------
@@ -209,7 +189,7 @@ class Accelerator:
     #: PCG trip budget (only ADMM's program has a PCG loop).
     max_pcg_iter: int = 0
 
-    # Bound by the subclass's ``_host_setup``.
+    # Bound by ``_host_setup``.
     scaling: Any
     work: Any
     _work_at: Any
@@ -278,8 +258,10 @@ class Accelerator:
                    compiled=compiled, **arm)
 
     # ------------------------------------------------------------------
-    def _equilibrate(self):
-        """Ruiz scaling for host setup (or the one given at construction)."""
+    def _host_setup(self) -> None:
+        """Scale the problem (or adopt the scaling given at construction
+        or refresh) and pick the initial step sizes, through the host
+        functions the reference solvers call."""
         scaling = self._precomputed_scaling
         if scaling is None:
             # The equilibration plan depends only on the bound sparsity
@@ -289,10 +271,13 @@ class Accelerator:
                 self._ruiz_plan = RuizPlan.for_problem(self.problem)
             scaling = ruiz_equilibrate(self.problem, self.settings.scaling,
                                        plan=self._ruiz_plan)
-        return scaling
+        self.scaling = scaling
+        self.work = scaling.problem
+        self._work_at = self.work.A.transpose()
+        self._initial_step()
 
-    def _host_setup(self) -> None:
-        """Scale the problem and pick step sizes like the reference."""
+    def _initial_step(self) -> None:
+        """Derive the cold-start step sizes from the scaled problem."""
         raise NotImplementedError
 
     def _build_machine(self) -> None:
@@ -353,26 +338,6 @@ class Accelerator:
         return program
 
     # ------------------------------------------------------------------
-    def _check_same_structure(self, problem: QProblem) -> None:
-        """Reject numeric updates that change the bound structure."""
-        old = self.problem
-        if problem.n != old.n or problem.m != old.m:
-            raise ValueError(
-                f"session is bound to n={old.n}, m={old.m}; update has "
-                f"n={problem.n}, m={problem.m}")
-        for name in ("P", "A"):
-            new_mat = getattr(problem, name)
-            old_mat = getattr(old, name)
-            if (new_mat.indptr.shape != old_mat.indptr.shape
-                    or new_mat.indices.shape != old_mat.indices.shape
-                    or not np.array_equal(new_mat.indptr, old_mat.indptr)
-                    or not np.array_equal(new_mat.indices,
-                                          old_mat.indices)):
-                raise ValueError(
-                    f"sparsity pattern of {name} changed; a bound "
-                    "accelerator only accepts same-structure numeric "
-                    "updates")
-
     def refresh(self, problem: QProblem, *,
                 carry_step: bool = False, scaling=None) -> None:
         """:meth:`refresh_numeric` under one name for every algorithm:
@@ -398,7 +363,7 @@ class Accelerator:
         ``problem``, except that a ``carried_step`` (not None) replaces
         the cold-start step size.
         """
-        self._check_same_structure(problem)
+        check_same_structure(self.problem, problem)
         self.problem = problem
         self._precomputed_scaling = scaling
         self._host_setup()
@@ -745,15 +710,8 @@ class RSQPAccelerator(Accelerator):
         """Host-driven rho changes in the last run."""
         return self.step_updates
 
-    def _host_setup(self) -> None:
-        """Scale the problem and pick rho exactly like the software solver."""
-        helper = OSQPSolver(self.problem, self.settings,
-                            scaling=self._equilibrate())
-        self.scaling = helper.scaling
-        self.work = helper.work
-        self._work_at = helper.at
-        self.rho = helper.rho
-        self.rho_vec = helper.rho_vec
+    def _initial_step(self) -> None:
+        self.rho, self.rho_vec = admm_initial_step(self.work, self.settings)
 
     def refresh_numeric(self, problem: QProblem, *,
                         carry_rho: bool = False) -> None:
@@ -821,7 +779,7 @@ class RSQPAccelerator(Accelerator):
 
     def _adopt_step(self, step: float) -> None:
         self.rho = step
-        self.rho_vec = rho_vector_for(self.work, step)
+        self.rho_vec = rho_vector(self.work, step)
 
     def _step_data(self) -> tuple[dict, dict]:
         return {"rho": self.rho_vec,

@@ -124,7 +124,8 @@ class BatchMatrixResource:
     objects of the B instances (typically borrowed from per-lane
     accelerators); their matrices must share the sparsity pattern —
     same-fingerprint problems do by construction (Ruiz scaling only
-    rescales values), and the constructor verifies it. Values are
+    rescales values), and :class:`repro.batch.BatchAccelerator` checks
+    its lanes before binding any. Values are
     stacked lane-minor, ``(nnz, B)``, into ``kernel``: a lane-minor
     :class:`~repro.sparse.kernels.CSRKernel` whose lane ``b`` is
     bit-identical to a solo SpMV on lane ``b``'s data.
@@ -142,13 +143,6 @@ class BatchMatrixResource:
         self.shape = tuple(int(s) for s in matrix.shape)
         indices = np.asarray(matrix.indices)
         indptr = np.asarray(matrix.indptr)
-        for lane in lanes[1:]:
-            if (tuple(int(s) for s in lane.matrix.shape) != self.shape
-                    or not np.array_equal(lane.matrix.indices, indices)
-                    or not np.array_equal(lane.matrix.indptr, indptr)):
-                raise SimulationError(
-                    f"batched matrix {name!r}: lanes do not share one "
-                    "sparsity structure")
         self.kernel = CSRKernel(self.shape,
                                 np.empty((indices.size, len(lanes))),
                                 indices, indptr)

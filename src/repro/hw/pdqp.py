@@ -3,14 +3,15 @@
 The second algorithm on the customized datapaths: restarted Halpern
 PDHG (:mod:`repro.solver.pdqp`) lowered by
 :func:`repro.hw.compiler.compile_pdqp_program`. The host performs the
-setup the reference solver does (Ruiz scaling, power-iteration step
-sizes, data download); the card runs the anchored PDHG loop in
-fixed-length segments, and the host performs the restart between
-segments — anchor refresh, Halpern-counter reset and optional primal
-weight rebalancing — through the segment driver it shares with the
-ADMM card (:class:`repro.hw.accelerator.Accelerator`). Both the
-interpreter and the compiled backend execute the same instruction
-stream bit-identically.
+setup the reference solver does, through the same functions (Ruiz
+scaling, power-iteration step sizes, then the data download); the card
+runs the anchored PDHG loop in fixed-length segments, and the host
+performs the restart between segments — anchor refresh, Halpern-counter
+reset and optional primal weight rebalancing — through the segment
+driver it shares with the ADMM card
+(:class:`repro.hw.accelerator.Accelerator`). Both the interpreter and
+the compiled backend execute the same instruction stream
+bit-identically.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 
 from ..customization import ProblemCustomization
 from ..qp import QProblem
-from ..solver.pdqp import PDQPSolver, pdqp_step_sizes
+from ..solver.host import (balanced_step, pdqp_initial_steps,
+                           pdqp_step_sizes)
 from ..solver.settings import OMEGA_MAX, OMEGA_MIN, PDQPSettings
-from .accelerator import (Accelerator, attach_customization_costs,
-                          balanced_step)
+from .accelerator import Accelerator, attach_customization_costs
 from .compiler import PDHG_LOOP, CompiledProgram, compile_pdqp_program
 
 __all__ = ["PDQPAccelerator", "compile_pdqp_for_customization"]
@@ -87,18 +88,10 @@ class PDQPAccelerator(Accelerator):
         """Host-driven primal-weight changes in the last run."""
         return self.step_updates
 
-    def _host_setup(self) -> None:
-        """Scale the problem and derive step sizes like the reference."""
-        helper = PDQPSolver(self.problem, self.settings,
-                            scaling=self._equilibrate())
-        self.scaling = helper.scaling
-        self.work = helper.work
-        self._work_at = helper.at
-        self.norm_a = helper.norm_a
-        self.lam_p = helper.lam_p
-        self.omega = helper.omega
-        self.tau = helper.tau
-        self.sigma = helper.sigma
+    def _initial_step(self) -> None:
+        (self.norm_a, self.lam_p, self.omega, self.tau,
+         self.sigma) = pdqp_initial_steps(self.work, self._work_at,
+                                          self.settings)
 
     def refresh_numeric(self, problem: QProblem, *,
                         carry_omega: bool = False) -> None:

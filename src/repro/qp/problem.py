@@ -20,7 +20,7 @@ import numpy as np
 from ..exceptions import ShapeError
 from ..sparse import CSRMatrix
 
-__all__ = ["QProblem"]
+__all__ = ["QProblem", "updated_vectors", "check_same_structure"]
 
 
 @dataclass
@@ -162,3 +162,44 @@ class QProblem:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"QProblem(name={self.name!r}, n={self.n}, m={self.m}, "
                 f"nnz={self.nnz})")
+
+
+def _vector(value, length: int, name: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != (length,):
+        raise ShapeError(
+            f"{name} must have length {length}, got shape {arr.shape}")
+    return arr
+
+
+def updated_vectors(problem: QProblem, q=None, l=None, u=None):
+    """``(q, l, u)`` for a numeric update of ``problem``, checked as the
+    constructor checks them: lengths, NaN-free bounds, ``l <= u``.
+    ``None`` keeps the current vector; raises :class:`ShapeError`."""
+    q_new = problem.q if q is None else _vector(q, problem.n, "q")
+    l_new = problem.l if l is None else _vector(l, problem.m, "l")
+    u_new = problem.u if u is None else _vector(u, problem.m, "u")
+    if l is not None or u is not None:
+        if np.any(np.isnan(l_new)) or np.any(np.isnan(u_new)):
+            raise ShapeError("bounds must not contain NaN")
+        if np.any(l_new > u_new):
+            raise ShapeError("every lower bound must satisfy l <= u")
+    return q_new, l_new, u_new
+
+
+def check_same_structure(bound: QProblem, problem: QProblem) -> None:
+    """Raise :class:`ShapeError` unless ``problem`` has ``bound``'s
+    dimensions and ``P`` / ``A`` sparsity patterns — the precondition
+    of every same-structure numeric update of a bound machine."""
+    if problem.n != bound.n or problem.m != bound.m:
+        raise ShapeError(
+            f"bound to n={bound.n}, m={bound.m}; got "
+            f"n={problem.n}, m={problem.m}")
+    for name in ("P", "A"):
+        new_mat = getattr(problem, name)
+        old_mat = getattr(bound, name)
+        if not (np.array_equal(new_mat.indptr, old_mat.indptr)
+                and np.array_equal(new_mat.indices, old_mat.indices)):
+            raise ShapeError(
+                f"sparsity pattern of {name} changed; a bound "
+                "machine only accepts same-structure numeric updates")

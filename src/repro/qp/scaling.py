@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse import CSRMatrix
-from .problem import QProblem
+from .problem import QProblem, check_same_structure
 
 __all__ = ["Scaling", "RuizPlan", "ruiz_equilibrate", "ruiz_equilibrate_batch"]
 
@@ -65,6 +65,15 @@ class Scaling:
 
     def scale_y(self, y) -> np.ndarray:
         return self.c * self.einv * y
+
+    def scale_bounds(self, l, u) -> tuple[np.ndarray, np.ndarray]:
+        """``(E l, E u)`` with infinite bounds kept infinite."""
+        with np.errstate(invalid="ignore"):
+            l_s = self.e * l
+            u_s = self.e * u
+        l_s[np.isneginf(l)] = -np.inf
+        u_s[np.isposinf(u)] = np.inf
+        return l_s, u_s
 
 
 def _limit(v: np.ndarray) -> np.ndarray:
@@ -111,11 +120,13 @@ class RuizPlan:
     """Pattern-derived index plans for :func:`ruiz_equilibrate`.
 
     Everything here depends only on the sparsity structure of ``(P, A)``,
-    so a bound accelerator (:meth:`repro.hw.accelerator.RSQPAccelerator.
-    refresh_numeric`) computes it once and reuses it for every numeric
-    refresh of the same structure.
+    so a bound accelerator (:meth:`repro.hw.accelerator.Accelerator.
+    refresh`) or a batched one (:class:`repro.batch.BatchAccelerator`)
+    computes it once and reuses it for every numeric refresh of the
+    same structure.
     """
 
+    structure: QProblem       # the problem the plan was derived from
     nnz_p: int
     rid: np.ndarray           # per-entry row-factor index into [d, e]
     cid: np.ndarray           # per-entry column-factor index into d
@@ -131,10 +142,85 @@ class RuizPlan:
         a_row = np.repeat(np.arange(m), np.diff(A.indptr))
         rid = np.concatenate([p_row, n + a_row])
         cid = np.concatenate([P.indices, A.indices])
-        return cls(nnz_p=P.nnz, rid=rid, cid=cid,
+        return cls(structure=problem, nnz_p=P.nnz, rid=rid, cid=cid,
                    stacked_by_col=_segment_plan(cid, n),
                    a_by_row=_segment_plan(a_row, m),
                    p_by_col=_segment_plan(P.indices, n))
+
+
+def _ruiz(vals: np.ndarray, q: np.ndarray, plan: RuizPlan,
+          iterations: int):
+    """The modified Ruiz iteration over lane-minor values.
+
+    ``vals`` stacks P's and A's values (``vals[:nnz_p]`` is P) and ``q``
+    is the cost vector: 1-D for one problem, ``(nnz, B)`` / ``(n, B)``
+    for B problems of the plan's structure. Every step is elementwise
+    per lane or an order-free maximum, and each lane's cost mean
+    reduces a contiguous row, so lane ``b`` of a batched call is the
+    solo call on lane ``b``'s data, bit for bit. Returns the scaled
+    ``(vals, q)``, the stacked scaling ``[d, e]`` and the cost scale
+    ``c``.
+    """
+    n, m, nnz_p = plan.structure.n, plan.structure.m, plan.nnz_p
+    lanes = vals.shape[1:]
+    # `de` holds [delta for the n variables, delta for the m
+    # constraints]; `rid` maps each entry to its row factor in it (A
+    # rows offset by n) and `cid` to its column factor.
+    de = np.ones((n + m,) + lanes)
+    c = 1.0
+    rid, cid = plan.rid, plan.cid
+    for _ in range(iterations):
+        # Column infinity norms of the stacked matrix [[P, A'], [A, 0]]:
+        # the first n columns see P's and A's columns, the last m see
+        # A's rows.
+        abs_vals = np.abs(vals)
+        norm_n = _segment_max(abs_vals, plan.stacked_by_col)
+        norm_m = _segment_max(abs_vals[nnz_p:], plan.a_by_row)
+        ext = 1.0 / np.sqrt(_limit(np.concatenate([norm_n, norm_m])))
+        delta_n = ext[:n]
+
+        vals = (vals * ext[rid]) * delta_n[cid]
+        q = q * delta_n
+        de *= ext
+
+        # Cost normalization (OSQP's gamma step) applies to P only.
+        if not n:
+            continue
+        p_col_norms = _segment_max(np.abs(vals[:nnz_p]), plan.p_by_col)
+        mean_p = np.add.reduce(np.ascontiguousarray(p_col_norms.T),
+                               axis=-1) / n
+        # Per lane: max(mean_p, q_norm), a NaN q_norm losing; a zero
+        # denominator (P and q vanish) leaves the cost unscaled. Plain
+        # ufuncs, so a solo call stays on cheap numpy scalars.
+        denominator = np.maximum(mean_p,
+                                 np.fmax(np.abs(q).max(axis=0), 0.0))
+        denominator = denominator + (denominator == 0.0)
+        gamma = 1.0 / np.minimum(np.maximum(denominator, _MIN_SCALE),
+                                 _MAX_SCALE)
+        vals[:nnz_p] *= gamma
+        q = q * gamma
+        c = c * gamma
+    return vals, q, de, c
+
+
+def _scaled(problem: QProblem, vals: np.ndarray, q: np.ndarray,
+            de: np.ndarray, c) -> Scaling:
+    """One problem's :class:`Scaling` from its share of :func:`_ruiz`."""
+    n = problem.n
+    P, A = problem.P, problem.A
+    nnz_p = P.nnz
+    scaling = Scaling(problem=None, d=np.ascontiguousarray(de[:n]),
+                      e=np.ascontiguousarray(de[n:]), c=float(c))
+    p_mat = CSRMatrix(P.shape, np.ascontiguousarray(vals[:nnz_p]),
+                      P.indices.copy(), P.indptr.copy(), check=False)
+    a_mat = CSRMatrix(A.shape, np.ascontiguousarray(vals[nnz_p:]),
+                      A.indices.copy(), A.indptr.copy(), check=False)
+    # Diagonal scaling of a validated problem preserves every QProblem
+    # invariant, so skip re-validation (it would transpose P per call).
+    scaling.problem = QProblem._trusted(
+        p_mat, np.ascontiguousarray(q), a_mat,
+        *scaling.scale_bounds(problem.l, problem.u), problem.name)
+    return scaling
 
 
 def ruiz_equilibrate(problem: QProblem, iterations: int = 10, *,
@@ -156,197 +242,36 @@ def ruiz_equilibrate(problem: QProblem, iterations: int = 10, *,
     callers that equilibrate one structure repeatedly pass a cached
     :class:`RuizPlan` to skip even the pattern analysis.
     """
-    n, m = problem.n, problem.m
-    P, A = problem.P, problem.A
-    p_ind, p_ip = P.indices, P.indptr
-    a_ind, a_ip = A.indices, A.indptr
-    q = problem.q.copy()
-    c = 1.0
     if plan is None:
         plan = RuizPlan.for_problem(problem)
-
-    # P's and A's values iterate in lockstep, so stack them into one
-    # array: `vals[:nnz_p]` is P, the rest is A. The combined scaling
-    # vector `de` holds [delta for the n variables, delta for the m
-    # constraints]; `rid` maps each entry to its row factor in that
-    # vector (A rows offset by n) and `cid` to its column factor.
-    nnz_p = plan.nnz_p
-    vals = np.concatenate([P.data, A.data])
-    de = np.ones(n + m)
-    rid = plan.rid
-    cid = plan.cid
-    # Column infinity norms of the stacked matrix [[P, A'], [A, 0]]:
-    # first n columns see P's columns and A's columns (one segment plan
-    # over the combined entries); last m columns see A's rows.
-    stacked_by_col = plan.stacked_by_col
-    a_by_row = plan.a_by_row
-    p_by_col = plan.p_by_col
-
-    for _ in range(iterations):
-        abs_vals = np.abs(vals)
-        norm_n = _segment_max(abs_vals, stacked_by_col)
-        norm_m = _segment_max(abs_vals[nnz_p:], a_by_row)
-        ext = 1.0 / np.sqrt(_limit(np.concatenate([norm_n, norm_m])))
-        delta_n = ext[:n]
-
-        vals = (vals * ext[rid]) * delta_n[cid]
-        q = q * delta_n
-        de *= ext
-
-        # Cost normalization (OSQP's gamma step) applies to P only.
-        p_col_norms = _segment_max(np.abs(vals[:nnz_p]), p_by_col)
-        mean_p = float(p_col_norms.mean()) if n else 1.0
-        q_norm = float(np.abs(q).max()) if n else 1.0
-        gamma_denominator = max(mean_p, q_norm)
-        if gamma_denominator <= 0.0:
-            gamma = 1.0
-        else:
-            gamma = 1.0 / min(max(gamma_denominator, _MIN_SCALE), _MAX_SCALE)
-        vals[:nnz_p] *= gamma
-        q = q * gamma
-        c *= gamma
-
-    d = np.ascontiguousarray(de[:n])
-    e = np.ascontiguousarray(de[n:])
-
-    # Bounds are scaled once with the final E (infinities stay infinite).
-    with np.errstate(invalid="ignore"):
-        l_s = e * problem.l
-        u_s = e * problem.u
-    l_s[np.isneginf(problem.l)] = -np.inf
-    u_s[np.isposinf(problem.u)] = np.inf
-
-    p_mat = CSRMatrix(P.shape, np.ascontiguousarray(vals[:nnz_p]),
-                      p_ind.copy(), p_ip.copy(), check=False)
-    a_mat = CSRMatrix(A.shape, np.ascontiguousarray(vals[nnz_p:]),
-                      a_ind.copy(), a_ip.copy(), check=False)
-    # Diagonal scaling of a validated problem preserves every QProblem
-    # invariant, so skip re-validation (it would transpose P per call).
-    scaled = QProblem._trusted(p_mat, q, a_mat, l_s, u_s, problem.name)
-    return Scaling(problem=scaled, d=d, e=e, c=c)
+    vals, q, de, c = _ruiz(np.concatenate([problem.P.data, problem.A.data]),
+                           problem.q.copy(), plan, iterations)
+    return _scaled(problem, vals, q, de, c)
 
 
-def ruiz_equilibrate_batch(problems, iterations: int = 10) -> list[Scaling]:
-    """Equilibrate B same-sparsity QPs in one vectorized pass.
+def ruiz_equilibrate_batch(problems, iterations: int = 10, *,
+                           plan: RuizPlan | None = None) -> list[Scaling]:
+    """Equilibrate B problems of one sparsity structure in one pass.
 
-    Returns per-problem :class:`Scaling` objects bit-identical to
-    calling :func:`ruiz_equilibrate` on each problem individually. The
-    batched math stacks every lane's numeric data lane-minor —
-    ``(nnz, B)`` / ``(n, B)`` arrays — and mirrors the solo operation
-    sequence exactly:
-
-    * infinity norms use ``np.maximum.at`` with the shared index
-      vectors (max is order-insensitive, so the per-lane result is the
-      solo result to the bit);
-    * the row/column scalings apply as the same two elementwise
-      multiplies ``data * delta[row_of]`` then ``data * delta[indices]``
-      that :meth:`CSRMatrix.scale_rows` / ``scale_cols`` perform;
-    * the gamma step computes each lane's mean on a contiguous copy of
-      its column (numpy's pairwise summation blocking differs between
-      contiguous and strided reductions) and runs the scalar
-      clip/branch per lane, exactly like the solo code.
-
-    All problems must share one sparsity structure (same ``indices`` /
-    ``indptr`` for both P and A) — the same precondition the batched
-    accelerator imposes; raises :class:`ValueError` otherwise.
+    The lanes' values run through the solo iteration stacked
+    lane-minor, ``(nnz, B)``, so each returned :class:`Scaling` is
+    bit-identical to :func:`ruiz_equilibrate` on that problem alone.
+    ``plan`` is derived from the first problem when omitted; a problem
+    whose structure is not the plan's raises :class:`ShapeError`.
     """
     problems = list(problems)
     if not problems:
         raise ValueError("ruiz_equilibrate_batch needs at least one problem")
-    first = problems[0]
+    if plan is None:
+        plan = RuizPlan.for_problem(problems[0])
+    for pr in problems:
+        check_same_structure(plan.structure, pr)
     if len(problems) == 1:
-        return [ruiz_equilibrate(first, iterations)]
-    n, m = first.n, first.m
-    bsz = len(problems)
-    p_ind, p_ip = first.P.indices, first.P.indptr
-    a_ind, a_ip = first.A.indices, first.A.indptr
-    for pr in problems[1:]:
-        if (pr.n != n or pr.m != m
-                or not np.array_equal(pr.P.indices, p_ind)
-                or not np.array_equal(pr.P.indptr, p_ip)
-                or not np.array_equal(pr.A.indices, a_ind)
-                or not np.array_equal(pr.A.indptr, a_ip)):
-            raise ValueError(
-                "batched equilibration requires one shared sparsity "
-                f"structure; problem {pr.name!r} differs from "
-                f"{first.name!r}")
-
-    pd = np.stack([np.asarray(pr.P.data, dtype=np.float64)
-                   for pr in problems], axis=1)
-    ad = np.stack([np.asarray(pr.A.data, dtype=np.float64)
-                   for pr in problems], axis=1)
-    q = np.stack([np.asarray(pr.q, dtype=np.float64)
-                  for pr in problems], axis=1)
-    d = np.ones((n, bsz))
-    e = np.ones((m, bsz))
-    c = np.ones(bsz)
-    p_row = np.repeat(np.arange(n), np.diff(p_ip))
-    a_row = np.repeat(np.arange(m), np.diff(a_ip))
-
-    # Segment-max plans: grouping each matrix's entries by column (and
-    # A's by row — already grouped in CSR order) turns the per-column /
-    # per-row infinity norms into `maximum.reduceat` calls over the
-    # lane axis (same plans the solo path uses, applied lane-wide).
-    p_by_col = _segment_plan(p_ind, n)
-    a_by_col = _segment_plan(a_ind, n)
-    a_by_row = _segment_plan(a_row, m)
-
-    for _ in range(iterations):
-        norm_n = np.maximum(_segment_max(np.abs(pd), p_by_col),
-                            _segment_max(np.abs(ad), a_by_col))
-        norm_m = _segment_max(np.abs(ad), a_by_row)
-        delta_n = 1.0 / np.sqrt(_limit(norm_n))
-        delta_m = 1.0 / np.sqrt(_limit(norm_m))
-
-        pd = (pd * delta_n[p_row]) * delta_n[p_ind]
-        q = q * delta_n
-        ad = (ad * delta_m[a_row]) * delta_n[a_ind]
-        d *= delta_n
-        e *= delta_m
-
-        p_col = _segment_max(np.abs(pd), p_by_col)
-        if n:
-            # Sum each lane along rows of the transposed copy: the solo
-            # mean reduces a contiguous vector with numpy's pairwise
-            # blocking, and an axis reduction over contiguous rows uses
-            # the identical blocking per output element.
-            mean_p = np.add.reduce(np.ascontiguousarray(p_col.T),
-                                   axis=1) / n
-            q_norm = np.abs(q).max(axis=0)
-        else:
-            mean_p = np.ones(bsz)
-            q_norm = np.ones(bsz)
-        gd = np.where(q_norm > mean_p, q_norm, mean_p)
-        gammas = np.where(gd <= 0.0, 1.0,
-                          1.0 / np.clip(gd, _MIN_SCALE, _MAX_SCALE))
-        pd = pd * gammas
-        q = q * gammas
-        c *= gammas
-
-    l = np.stack([np.asarray(pr.l, dtype=np.float64)
-                  for pr in problems], axis=1)
-    u = np.stack([np.asarray(pr.u, dtype=np.float64)
-                  for pr in problems], axis=1)
-    with np.errstate(invalid="ignore"):
-        l_s = e * l
-        u_s = e * u
-    l_s[np.isneginf(l)] = -np.inf
-    u_s[np.isposinf(u)] = np.inf
-
-    out = []
-    for b, pr in enumerate(problems):
-        p_mat = CSRMatrix(first.P.shape, np.ascontiguousarray(pd[:, b]),
-                          p_ind.copy(), p_ip.copy(), check=False)
-        a_mat = CSRMatrix(first.A.shape, np.ascontiguousarray(ad[:, b]),
-                          a_ind.copy(), a_ip.copy(), check=False)
-        # Diagonal scaling of validated problems preserves every
-        # QProblem invariant, so skip the per-lane re-validation.
-        scaled = QProblem._trusted(
-            p_mat, np.ascontiguousarray(q[:, b]), a_mat,
-            np.ascontiguousarray(l_s[:, b]),
-            np.ascontiguousarray(u_s[:, b]), name=pr.name)
-        out.append(Scaling(problem=scaled,
-                           d=np.ascontiguousarray(d[:, b]),
-                           e=np.ascontiguousarray(e[:, b]),
-                           c=float(c[b])))
-    return out
+        return [ruiz_equilibrate(problems[0], iterations, plan=plan)]
+    vals = np.stack([np.concatenate([pr.P.data, pr.A.data])
+                     for pr in problems], axis=1)
+    q = np.stack([pr.q for pr in problems], axis=1)
+    vals, q, de, c = _ruiz(vals, q, plan, iterations)
+    c = np.broadcast_to(c, len(problems))
+    return [_scaled(pr, vals[:, b], q[:, b], de[:, b], c[b])
+            for b, pr in enumerate(problems)]

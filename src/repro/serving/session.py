@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..qp import QProblem
+from ..qp import QProblem, updated_vectors
 from ..sparse import CSRMatrix
 from .service import ServeRecord, ServeResult
 
@@ -58,14 +58,6 @@ __all__ = ["SolverSession", "BatchSolverSession", "TIER_SESSION"]
 TIER_SESSION = "session"
 
 
-def _vector(value, length: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (length,):
-        raise ShapeError(
-            f"{name} must have length {length}, got shape {arr.shape}")
-    return arr
-
-
 def updated_problem(current: QProblem, q=None, l=None, u=None,
                     P_data=None, A_data=None) -> QProblem:
     """A same-structure copy of ``current`` with new numeric data.
@@ -77,14 +69,7 @@ def updated_problem(current: QProblem, q=None, l=None, u=None,
     vector comparisons, so this stays cheap enough for a per-step
     parametric update.
     """
-    q_new = current.q if q is None else _vector(q, current.n, "q")
-    l_new = current.l if l is None else _vector(l, current.m, "l")
-    u_new = current.u if u is None else _vector(u, current.m, "u")
-    if l is not None or u is not None:
-        if np.any(np.isnan(l_new)) or np.any(np.isnan(u_new)):
-            raise ShapeError("bounds must not contain NaN")
-        if np.any(l_new > u_new):
-            raise ShapeError("every lower bound must satisfy l <= u")
+    q_new, l_new, u_new = updated_vectors(current, q, l, u)
     if P_data is None and A_data is None:
         return QProblem._trusted(current.P, q_new, current.A, l_new,
                                  u_new, current.name)

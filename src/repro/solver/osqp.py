@@ -15,18 +15,19 @@ import numpy as np
 
 from ..qp import QProblem, ruiz_equilibrate
 from .algorithms import SolverAlgorithm, register_algorithm
+from .host import (admm_initial_step, apply_update, balanced_step,
+                   rho_vector)
 from .infeasibility import is_dual_infeasible, is_primal_infeasible
 from .linsys import make_backend
 from .polish import polish
 from .results import OSQPResult, SolverInfo, SolverStatus
-from .settings import RHO_EQ_FACTOR, RHO_MAX, RHO_MIN, OSQPSettings
+from .settings import RHO_MAX, RHO_MIN, OSQPSettings
 
 __all__ = ["OSQPSolver", "solve", "ADMMAlgorithm"]
 
 #: Residuals within this factor of the tolerance at max_iter still count
 #: as an (inaccurate) solution.
 _INACCURATE_FACTOR = 10.0
-_DIV_GUARD = 1e-15
 
 
 class OSQPSolver:
@@ -51,53 +52,22 @@ class OSQPSolver:
     """
 
     def __init__(self, problem: QProblem,
-                 settings: OSQPSettings | None = None,
-                 *, scaling=None):
+                 settings: OSQPSettings | None = None):
         t0 = time.perf_counter()
         self.problem = problem
         self.settings = settings if settings is not None else OSQPSettings()
-        # ``scaling`` accepts a precomputed Scaling for this problem
-        # (the batched setup path equilibrates all lanes in one
-        # vectorized pass, bit-identical to the solo call below).
-        self.scaling = (scaling if scaling is not None
-                        else ruiz_equilibrate(problem, self.settings.scaling))
+        self.scaling = ruiz_equilibrate(problem, self.settings.scaling)
         self.work = self.scaling.problem
-        self.rho = float(self.settings.rho)
-        self.rho_vec = self._build_rho_vec(self.rho)
+        self.rho, self.rho_vec = admm_initial_step(self.work, self.settings)
         self.at = self.work.A.transpose()
-        self._backend = None
+        self.backend = make_backend(self.work.P, self.work.A, self.work.q,
+                                    self.settings, self.rho_vec,
+                                    a_transpose=self.at)
         n, m = problem.n, problem.m
         self.x = np.zeros(n)
         self.z = np.zeros(m)
         self.y = np.zeros(m)
         self._setup_seconds = time.perf_counter() - t0
-
-    @property
-    def backend(self):
-        """Linear-system backend, built on first use.
-
-        Lazy because the accelerators borrow this class purely for
-        host setup (scaling, rho selection) and never solve the KKT
-        system in software — constructing the operator there would be
-        pure overhead, paid B times per batched solve.
-        """
-        if self._backend is None:
-            self._backend = make_backend(self.work.P, self.work.A,
-                                         self.work.q, self.settings,
-                                         self.rho_vec,
-                                         a_transpose=self.at)
-        return self._backend
-
-    # ------------------------------------------------------------------
-    def _build_rho_vec(self, rho: float) -> np.ndarray:
-        """Per-constraint step size: stiffer on equalities, soft on free rows."""
-        rho = float(np.clip(rho, RHO_MIN, RHO_MAX))
-        vec = np.full(self.work.m, rho)
-        eq = self.work.equality_mask()
-        vec[eq] = np.clip(rho * RHO_EQ_FACTOR, RHO_MIN, RHO_MAX)
-        loose = np.isneginf(self.work.l) & np.isposinf(self.work.u)
-        vec[loose] = RHO_MIN
-        return vec
 
     def warm_start(self, x=None, y=None) -> None:
         """Provide initial iterates in the *original* (unscaled) space."""
@@ -112,7 +82,7 @@ class OSQPSolver:
     def update_rho(self, rho: float) -> None:
         """Install a new step size (refactorize / refresh the operator)."""
         self.rho = float(np.clip(rho, RHO_MIN, RHO_MAX))
-        self.rho_vec = self._build_rho_vec(self.rho)
+        self.rho_vec = rho_vector(self.work, self.rho)
         self.backend.update_rho(self.rho_vec)
 
     def update(self, q=None, l=None, u=None) -> None:
@@ -124,34 +94,12 @@ class OSQPSolver:
         solves. The current iterates are kept, so the next
         :meth:`solve` is warm-started automatically.
         """
-        s = self.scaling
+        bounds = apply_update(self.problem, self.scaling, q, l, u)
         if q is not None:
-            q = np.asarray(q, dtype=np.float64)
-            if q.shape != (self.problem.n,):
-                raise ValueError(f"q must have length {self.problem.n}")
-            self.problem.q = q.copy()
-            self.work.q = s.c * s.d * q
             self.backend.q = self.work.q
-        if l is not None or u is not None:
-            new_l = np.asarray(l, dtype=np.float64) if l is not None \
-                else self.problem.l
-            new_u = np.asarray(u, dtype=np.float64) if u is not None \
-                else self.problem.u
-            if new_l.shape != (self.problem.m,) \
-                    or new_u.shape != (self.problem.m,):
-                raise ValueError(f"bounds must have length {self.problem.m}")
-            if np.any(new_l > new_u):
-                raise ValueError("every lower bound must satisfy l <= u")
-            self.problem.l = new_l.copy()
-            self.problem.u = new_u.copy()
-            l_s = s.e * new_l
-            u_s = s.e * new_u
-            l_s[np.isneginf(new_l)] = -np.inf
-            u_s[np.isposinf(new_u)] = np.inf
-            self.work.l = l_s
-            self.work.u = u_s
+        if bounds:
             # Equality/loose-row pattern may have changed with the bounds.
-            new_rho_vec = self._build_rho_vec(self.rho)
+            new_rho_vec = rho_vector(self.work, self.rho)
             if not np.array_equal(new_rho_vec, self.rho_vec):
                 self.rho_vec = new_rho_vec
                 self.backend.update_rho(new_rho_vec)
@@ -195,12 +143,6 @@ class OSQPSolver:
         dua_res = float(np.abs(dua_vec).max()) if dua_vec.size else 0.0
         dua_norm = max(_abs_max(px), _abs_max(aty), _abs_max(q))
         return pri_res, dua_res, pri_norm, dua_norm
-
-    def _rho_estimate(self, pri_res, dua_res, pri_norm, dua_norm) -> float:
-        num = pri_res / max(pri_norm, _DIV_GUARD)
-        den = dua_res / max(dua_norm, _DIV_GUARD)
-        estimate = self.rho * np.sqrt(num / max(den, _DIV_GUARD))
-        return float(np.clip(estimate, RHO_MIN, RHO_MAX))
 
     # ------------------------------------------------------------------
     def solve(self) -> OSQPResult:
@@ -264,8 +206,9 @@ class OSQPSolver:
                 if (settings.adaptive_rho
                         and settings.adaptive_rho_interval > 0
                         and k % settings.adaptive_rho_interval == 0):
-                    estimate = self._rho_estimate(pri_res, dua_res,
-                                                  pri_norm, dua_norm)
+                    estimate = balanced_step(self.rho, pri_res, dua_res,
+                                             pri_norm, dua_norm,
+                                             RHO_MIN, RHO_MAX)
                     tol = settings.adaptive_rho_tolerance
                     if (estimate > tol * self.rho
                             or estimate < self.rho / tol):

@@ -34,74 +34,22 @@ terminates at ``max_iter``).
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..qp import QProblem, ruiz_equilibrate
 from .algorithms import SolverAlgorithm, register_algorithm
+from .host import (DIV_GUARD, apply_update, balanced_step,
+                   pdqp_initial_steps, pdqp_step_sizes)
 from .results import SolverInfo, SolverResult, SolverStatus
 from .settings import OMEGA_MAX, OMEGA_MIN, PDQPSettings
 
-__all__ = ["PDQPSolver", "solve_pdqp", "estimate_operator_norms",
-           "pdqp_step_sizes"]
+__all__ = ["PDQPSolver", "solve_pdqp"]
 
 #: Residuals within this factor of the tolerance at max_iter still count
 #: as an (inaccurate) solution — same convention as the ADMM solver.
 _INACCURATE_FACTOR = 10.0
-_DIV_GUARD = 1e-15
-
-
-def estimate_operator_norms(p_mat, a_mat, at_mat, *,
-                            iterations: int = 50,
-                            seed: int = 0) -> Tuple[float, float]:
-    """Power-iteration estimates of ``||A||_2`` and ``lambda_max(P)``.
-
-    Deterministic (fixed seed) so a given structure always produces
-    the same step sizes — the property the serving cache and the
-    bit-identity tests rely on.
-    """
-    rng = np.random.default_rng(seed)
-    n = p_mat.shape[0]
-    m = a_mat.shape[0]
-
-    norm_a = 0.0
-    if m > 0 and n > 0:
-        v = rng.standard_normal(n)
-        for _ in range(iterations):
-            nv = float(np.linalg.norm(v))
-            if nv <= _DIV_GUARD:
-                break
-            v /= nv
-            v = at_mat.matvec(a_mat.matvec(v))
-        norm_a = float(np.sqrt(max(np.linalg.norm(v), 0.0)))
-
-    lam_p = 0.0
-    if n > 0:
-        v = rng.standard_normal(n)
-        for _ in range(iterations):
-            nv = float(np.linalg.norm(v))
-            if nv <= _DIV_GUARD:
-                break
-            v /= nv
-            v = p_mat.matvec(v)
-        lam_p = float(np.linalg.norm(v))
-    return norm_a, lam_p
-
-
-def pdqp_step_sizes(omega: float, norm_a: float, lam_p: float,
-                    tau_scale: float) -> Tuple[float, float]:
-    """(tau, sigma) satisfying the Condat-Vu condition for ``omega``
-    (shared by the reference solver and the accelerator host)."""
-    if norm_a <= _DIV_GUARD:
-        # No (or zero) constraints: pure gradient descent on the
-        # quadratic; sigma is inert but must stay finite.
-        sigma = omega
-    else:
-        sigma = omega / norm_a
-    denom = omega * norm_a + lam_p
-    tau = tau_scale / max(denom, _DIV_GUARD)
-    return tau, sigma
 
 
 class PDQPSolver:
@@ -115,24 +63,15 @@ class PDQPSolver:
     """
 
     def __init__(self, problem: QProblem,
-                 settings: Optional[PDQPSettings] = None,
-                 *, scaling=None):
+                 settings: Optional[PDQPSettings] = None):
         t0 = time.perf_counter()
         self.problem = problem
         self.settings = settings if settings is not None else PDQPSettings()
-        # ``scaling`` accepts a precomputed Scaling for this problem
-        # (the batched setup path equilibrates all lanes in one
-        # vectorized pass, bit-identical to the solo call below).
-        self.scaling = (scaling if scaling is not None
-                        else ruiz_equilibrate(problem, self.settings.scaling))
+        self.scaling = ruiz_equilibrate(problem, self.settings.scaling)
         self.work = self.scaling.problem
         self.at = self.work.A.transpose()
-        self.norm_a, self.lam_p = estimate_operator_norms(
-            self.work.P, self.work.A, self.at,
-            iterations=self.settings.power_iterations)
-        self.omega = float(self.settings.omega)
-        self.tau, self.sigma = pdqp_step_sizes(
-            self.omega, self.norm_a, self.lam_p, self.settings.tau_scale)
+        (self.norm_a, self.lam_p, self.omega, self.tau,
+         self.sigma) = pdqp_initial_steps(self.work, self.at, self.settings)
         n, m = problem.n, problem.m
         self.x = np.zeros(n)
         self.y = np.zeros(m)
@@ -164,31 +103,7 @@ class PDQPSolver:
         primal weight) are kept, so the next :meth:`solve` is
         warm-started automatically.
         """
-        s = self.scaling
-        if q is not None:
-            q = np.asarray(q, dtype=np.float64)
-            if q.shape != (self.problem.n,):
-                raise ValueError(f"q must have length {self.problem.n}")
-            self.problem.q = q.copy()
-            self.work.q = s.c * s.d * q
-        if l is not None or u is not None:
-            new_l = np.asarray(l, dtype=np.float64) if l is not None \
-                else self.problem.l
-            new_u = np.asarray(u, dtype=np.float64) if u is not None \
-                else self.problem.u
-            if new_l.shape != (self.problem.m,) \
-                    or new_u.shape != (self.problem.m,):
-                raise ValueError(f"bounds must have length {self.problem.m}")
-            if np.any(new_l > new_u):
-                raise ValueError("every lower bound must satisfy l <= u")
-            self.problem.l = new_l.copy()
-            self.problem.u = new_u.copy()
-            l_s = s.e * new_l
-            u_s = s.e * new_u
-            l_s[np.isneginf(new_l)] = -np.inf
-            u_s[np.isposinf(new_u)] = np.inf
-            self.work.l = l_s
-            self.work.u = u_s
+        if apply_update(self.problem, self.scaling, q, l, u):
             # The iteration's box projections read the clipped copies.
             self._l = np.nan_to_num(self.work.l, neginf=-1e30)
             self._u = np.nan_to_num(self.work.u, posinf=1e30)
@@ -227,13 +142,6 @@ class PDQPSolver:
         dua_res = _abs_max(px + q + aty)
         dua_norm = max(_abs_max(px), _abs_max(aty), _abs_max(q))
         return pri_res, dua_res, pri_norm, dua_norm, z_s
-
-    def _omega_estimate(self, pri_res, dua_res, pri_norm, dua_norm) -> float:
-        """Residual-balance primal weight (the adaptive-rho analogue)."""
-        num = pri_res / max(pri_norm, _DIV_GUARD)
-        den = dua_res / max(dua_norm, _DIV_GUARD)
-        estimate = self.omega * np.sqrt(num / max(den, _DIV_GUARD))
-        return float(np.clip(estimate, OMEGA_MIN, OMEGA_MAX))
 
     # ------------------------------------------------------------------
     def solve(self) -> SolverResult:
@@ -285,8 +193,8 @@ class PDQPSolver:
                     print(f"iter {k:6d}  pri {pri_res:.3e}  "
                           f"dua {dua_res:.3e}  omega {self.omega:.3e}")
 
-                worst = max(pri_res / max(eps_prim, _DIV_GUARD),
-                            dua_res / max(eps_dual, _DIV_GUARD))
+                worst = max(pri_res / max(eps_prim, DIV_GUARD),
+                            dua_res / max(eps_dual, DIV_GUARD))
                 if self._should_restart(since_restart, worst,
                                         last_restart_worst):
                     x0 = self.x.copy()
@@ -296,8 +204,9 @@ class PDQPSolver:
                     last_restart_worst = worst
                     info.restarts += 1
                     if settings.omega_adaptive:
-                        estimate = self._omega_estimate(
-                            pri_res, dua_res, pri_norm, dua_norm)
+                        estimate = balanced_step(
+                            self.omega, pri_res, dua_res, pri_norm,
+                            dua_norm, OMEGA_MIN, OMEGA_MAX)
                         tol = settings.omega_tolerance
                         if (estimate > tol * self.omega
                                 or estimate < self.omega / tol):

@@ -18,7 +18,7 @@ from repro.customization import (baseline_architecture, build_cvb,
                                  customize_problem, schedule,
                                  search_architecture)
 from repro.encoding import encode_matrix
-from repro.exceptions import SimulationError
+from repro.exceptions import ShapeError, SimulationError
 from repro.hw import (Control, DataTransfer, Loop, Machine, MatrixResource,
                       Program, ScalarOp, ScalarOpKind, SpMV, VecDup,
                       VectorOp, VectorOpKind)
@@ -27,10 +27,10 @@ from repro.hw.accelerator import RSQPAccelerator
 from repro.hw.batched import BatchExecutor, BatchMachine
 from repro.hw.compiled import CompiledExecutor
 from repro.hw.spmv_engine import simulate_spmv
-from repro.problems import generate
+from repro.problems import FAMILIES, generate
 from repro.sparse import CSRMatrix
 
-from helpers import random_dense
+from helpers import edge_case_problem, random_dense
 
 N = 6
 VECS = ("v0", "v1", "v2", "v3")
@@ -435,6 +435,113 @@ class TestBatchRefresh:
                                    compiled=compiled)
         with pytest.raises(ValueError, match="2 lanes"):
             machine.refresh(probs)
+
+    def test_mixed_structures_raise_shape_error(self):
+        # Lanes of different sparsity patterns fail with one typed
+        # error, at construction and at refresh alike, before any lane
+        # scales itself or binds a matrix.
+        from repro.batch import BatchAccelerator
+        from repro.problems import perturb_numeric
+        from repro.solver import OSQPSettings
+        template = generate("eqqp", 16, seed=0)
+        other = generate("eqqp", 16, seed=1)
+        assert (other.n, other.m) == (template.n, template.m)
+        assert not np.array_equal(other.A.indices, template.A.indices)
+        cust = customize_problem(template, 8)
+        compiled = RSQPAccelerator(template, customization=cust).compiled
+        with pytest.raises(ShapeError, match="sparsity pattern"):
+            BatchAccelerator([template, other], cust, OSQPSettings(),
+                             compiled=compiled)
+        machine = BatchAccelerator(
+            [template, perturb_numeric(template, seed=1)], cust,
+            OSQPSettings(), compiled=compiled)
+        with pytest.raises(ShapeError, match="sparsity pattern"):
+            machine.refresh([perturb_numeric(template, seed=2), other])
+
+
+def _parity_problem(family):
+    """A generator family, or the hand-built edge case as a seventh."""
+    if family == "edge":
+        return edge_case_problem()
+    size = {"control": 2, "eqqp": 16}.get(family, 6)
+    return generate(family, size, seed=3)
+
+
+PARITY_FAMILIES = [*FAMILIES, "edge"]
+
+
+def _assert_same_scaling(acc, ref):
+    """Scaling data and the scaled problem, bit for bit."""
+    assert acc.scaling.d.tobytes() == ref.scaling.d.tobytes()
+    assert acc.scaling.e.tobytes() == ref.scaling.e.tobytes()
+    assert acc.scaling.c == ref.scaling.c
+    for name in ("q", "l", "u"):
+        assert getattr(acc.work, name).tobytes() == \
+            getattr(ref.work, name).tobytes()
+    for name in ("P", "A"):
+        assert getattr(acc.work, name).data.tobytes() == \
+            getattr(ref.work, name).data.tobytes()
+
+
+class TestHostSetupParity:
+    """The cards' host setup is the reference solvers' host setup.
+
+    Both call the same host functions (:mod:`repro.solver.host`,
+    :func:`repro.qp.ruiz_equilibrate`), so the scaling, the scaled
+    problem and every step-size datum the download carries agree bit
+    for bit with what the reference solver derives.
+    """
+
+    @pytest.mark.parametrize("family", PARITY_FAMILIES)
+    def test_admm_host_setup_matches_reference(self, family):
+        from repro.customization import baseline_customization
+        from repro.solver import OSQPSettings, OSQPSolver
+        problem = _parity_problem(family)
+        settings = OSQPSettings()
+        ref = OSQPSolver(problem, settings)
+        acc = RSQPAccelerator(problem, baseline_customization(problem, 8),
+                              settings)
+        _assert_same_scaling(acc, ref)
+        assert acc.rho == ref.rho
+        assert acc.rho_vec.tobytes() == ref.rho_vec.tobytes()
+        hbm = acc.machine.hbm
+        assert hbm["rho"].tobytes() == ref.rho_vec.tobytes()
+        minv = ref.backend.preconditioner.apply(np.ones(problem.n))
+        assert hbm["minv"].tobytes() == minv.tobytes()
+
+    @pytest.mark.parametrize("family", PARITY_FAMILIES)
+    def test_pdqp_host_setup_matches_reference(self, family):
+        from repro.customization import baseline_customization
+        from repro.hw.pdqp import PDQPAccelerator
+        from repro.solver import PDQPSettings, PDQPSolver
+        problem = _parity_problem(family)
+        settings = PDQPSettings()
+        ref = PDQPSolver(problem, settings)
+        acc = PDQPAccelerator(problem, baseline_customization(problem, 8),
+                              settings)
+        _assert_same_scaling(acc, ref)
+        for name in ("norm_a", "lam_p", "omega", "tau", "sigma"):
+            assert getattr(acc, name) == getattr(ref, name), name
+        scalars = acc.machine.scalars
+        assert scalars["neg_tau"] == -ref.tau
+        assert scalars["sigma"] == ref.sigma
+
+    @pytest.mark.parametrize("rho", [0.1, 1e7], ids=["default", "clipped"])
+    def test_refresh_carrying_rho_equals_fresh_bind(self, rho):
+        # Carrying a never-adapted rho through a refresh must write the
+        # rho vector a fresh bind writes: clipped to RHO_MAX, not 1e7.
+        from repro.problems import perturb_numeric
+        from repro.solver import OSQPSettings
+        problem = generate("control", 2, seed=0)
+        nearby = perturb_numeric(problem, seed=1)
+        settings = OSQPSettings(rho=rho)
+        cust = customize_problem(problem, 8)
+        bound = RSQPAccelerator(problem, cust, settings)
+        bound.refresh_numeric(nearby, carry_rho=True)
+        fresh = RSQPAccelerator(nearby, cust, settings)
+        for name in ("rho", "rho_inv", "minv"):
+            assert bound.machine.hbm[name].tobytes() == \
+                fresh.machine.hbm[name].tobytes(), name
 
 
 class TestSpMVEngineDifferential:

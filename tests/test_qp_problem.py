@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
-from repro.qp import QProblem, ruiz_equilibrate
+from repro.problems import generate
+from repro.qp import QProblem, ruiz_equilibrate, ruiz_equilibrate_batch
 from repro.sparse import CSRMatrix, eye
 
-from helpers import random_dense, random_spd_dense
+from helpers import edge_case_problem, random_dense, random_spd_dense
 
 
 def make_problem(rng, n=6, m=4):
@@ -94,6 +95,25 @@ class TestQProblem:
                           prob.primal_residual(x))
 
 
+def _lanes(base, count=8):
+    """``count`` problems of ``base``'s structure with rescaled values
+    (bounds keep their infinities, equality rows stay equalities)."""
+    rng = np.random.default_rng(7)
+    lanes = [base]
+    for _ in range(count - 1):
+        p_scale = float(np.exp(rng.standard_normal()))
+        row = np.exp(rng.standard_normal(base.m))
+        lanes.append(QProblem(
+            P=CSRMatrix(base.P.shape, base.P.data * p_scale,
+                        base.P.indices, base.P.indptr, check=False),
+            q=base.q * rng.uniform(0.5, 2.0, base.n),
+            A=CSRMatrix(base.A.shape,
+                        base.A.data * rng.uniform(0.5, 2.0, base.A.nnz),
+                        base.A.indices, base.A.indptr, check=False),
+            l=base.l * row, u=base.u * row))
+    return lanes
+
+
 class TestRuizScaling:
     def test_identity_when_disabled(self, rng):
         prob = make_problem(rng)
@@ -165,3 +185,28 @@ class TestRuizScaling:
         x_bar = s.scale_x(x)
         assert np.isclose(s.problem.objective(x_bar),
                           s.c * prob.objective(x))
+
+
+    # Each lane of a batched Ruiz call is its solo call, bit for bit.
+    @pytest.mark.parametrize("case,iterations", [
+        ("lasso", 10), ("control", 10), ("edge", 10), ("edge", 1),
+        ("control", 0)],
+        ids=["lasso", "control", "edge", "edge-1-iteration", "scaling0"])
+    def test_lanes_match_solo(self, case, iterations):
+        base = (edge_case_problem() if case == "edge"
+                else generate(case, 6, seed=0))
+        lanes = _lanes(base)
+        batched = ruiz_equilibrate_batch(lanes, iterations)
+        assert len(batched) == len(lanes)
+        for lane, got in zip(lanes, batched):
+            want = ruiz_equilibrate(lane, iterations)
+            for name in ("d", "e"):
+                assert getattr(got, name).tobytes() == \
+                    getattr(want, name).tobytes()
+            assert repr(got.c) == repr(want.c)
+            for name in ("q", "l", "u"):
+                assert getattr(got.problem, name).tobytes() == \
+                    getattr(want.problem, name).tobytes()
+            for name in ("P", "A"):
+                assert getattr(got.problem, name).data.tobytes() == \
+                    getattr(want.problem, name).data.tobytes()

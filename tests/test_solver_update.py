@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import ShapeError
+from repro.problems import generate
 from repro.qp import QProblem
-from repro.solver import OSQPSettings, OSQPSolver
+from repro.solver import OSQPSettings, OSQPSolver, PDQPSettings, PDQPSolver
 from repro.sparse import CSRMatrix, eye
 
 from helpers import random_dense, random_spd_dense
@@ -63,10 +65,34 @@ class TestUpdate:
         with pytest.raises(ValueError):
             solver.update(l=np.zeros(prob.m - 1))
 
-    def test_update_rejects_crossed_bounds(self, rng):
-        prob, solver = make_solver(rng)
-        with pytest.raises(ValueError):
-            solver.update(l=prob.u + 1.0, u=prob.u)
+    @pytest.mark.parametrize("solver_type,settings", [
+        (OSQPSolver, OSQPSettings), (PDQPSolver, PDQPSettings)],
+        ids=["osqp", "pdqp"])
+    @pytest.mark.parametrize("bad", ["crossed", "nan_l", "nan_u"])
+    def test_update_rejects_invalid_bounds(self, solver_type, settings,
+                                           bad):
+        # The same checks as serving's updated_problem, and nothing
+        # changes before they pass (a NaN bound would otherwise reach
+        # the solve as a non-finite iterate).
+        prob = generate("control", 2, seed=0)
+        solver = solver_type(prob, settings())
+        before = [arr.copy() for arr in (prob.q, prob.l, prob.u,
+                                         solver.work.q, solver.work.l,
+                                         solver.work.u)]
+        new_l, new_u = prob.l.copy(), prob.u.copy()
+        if bad == "crossed":
+            new_l = new_u + 1.0
+        elif bad == "nan_l":
+            new_l[0] = np.nan
+        else:
+            new_u[0] = np.nan
+        with pytest.raises(ShapeError):
+            solver.update(q=prob.q * 2.0, l=new_l, u=new_u)
+        after = (prob.q, prob.l, prob.u, solver.work.q, solver.work.l,
+                 solver.work.u)
+        for old, new in zip(before, after):
+            assert old.tobytes() == new.tobytes()
+        assert solver.solve().status.is_optimal
 
     def test_update_bounds_refreshes_rho_pattern(self, rng):
         prob, solver = make_solver(rng)
