@@ -8,15 +8,21 @@ per-instance convergence masking inside the ADMM / PDHG loops
 
 Each lane is a solo accelerator, built from the algorithm table
 (:func:`repro.hw.accelerator_class`) exactly as the serving layer
-builds one: host scaling, step-size selection and the HBM download
-run through the solo code, and the batch machine stacks those lanes'
-HBM images and scalar registers. The between-segment host step is the
-solo one too — restarts, and each lane's adaptive rho / primal-weight
+builds one; after construction a lane is the host state of one
+instance — its problem, scaling and step sizes — and its own machine
+never runs. The batch machine is loaded by one lane-stacked host pass:
+one Ruiz pass over the ``(nnz, B)`` values, the ``A'`` gather, the
+step data of :mod:`repro.solver.host` over ``(m, B)`` bounds, and the
+download image the solo card writes, built by the same hook over
+lane-minor arrays. Those functions are elementwise per lane or
+accumulate per lane in the solo order, so each lane's data is the
+solo download bit for bit. The between-segment host step is the solo
+one too — restarts, and each lane's adaptive rho / primal-weight
 decision through the same :meth:`~repro.hw.accelerator.Accelerator.
 _rebalance` the solo driver calls. What stays batch-specific is the
 masked apply of that step, the per-lane freeze and the wall
 accounting. That is what makes the batched run bit-identical to B
-solo runs — there is no separate batched host path to drift.
+solo runs.
 
 Cycle accounting: the returned :class:`BatchResult` carries the wall
 stats of the B-wide virtual fleet (every lockstep trip charges the
@@ -135,37 +141,44 @@ class BatchAccelerator:
             get_algorithm(algorithm).coerce_settings(settings)
         self.customization = customization
         self.compiled = compiled
-        self.injectors = list(injectors or [None] * batch)
-        if len(self.injectors) != batch:
-            raise ValueError("per-lane argument lists must match the "
-                             "number of problems")
+        self.injectors, warm_starts, deadline_ats = self._lane_lists(
+            injectors, warm_starts, deadline_ats)
 
         # One Ruiz plan for the bound structure, reused by every refresh.
         self._ruiz_plan = RuizPlan.for_problem(problems[0])
-        # Per-lane solo accelerators perform host setup + download with
-        # exactly the solo float paths; the batch machine stacks them.
+        scaled = self._equilibrate(problems)
+        # Per-lane solo accelerators: the host state of each instance,
+        # and the programs and cycle model every lane shares.
         self.lanes = [
             lane_type.bind(problem, customization, settings, compiled,
                            pcg_eps=pcg_eps, max_pcg_iter=max_pcg_iter,
                            backend="interpret", verify=False,
                            scaling=scaling)
-            for problem, scaling in zip(problems,
-                                        self._equilibrate(problems))]
+            for problem, scaling in zip(problems, scaled[0])]
 
         self.machine = BatchMachine(customization.c, {
             name: BatchMatrixResource(
-                name, [lane.machine.matrices[name] for lane in self.lanes])
+                name, self.lanes[0].machine.matrices[name], batch)
             for name in MATRICES}, batch)
         if any(inj is not None for inj in self.injectors):
             self.machine.injectors = self.injectors
         self.executor = BatchExecutor(self.machine)
-        self._load(warm_starts, deadline_ats)
+        self._load(problems, scaled, warm_starts, deadline_ats)
 
-    def _equilibrate(self, problems) -> list:
-        """Per-lane Ruiz scalings from one lane-stacked pass over the
-        bound structure's plan: bit-identical per lane to the solo call,
-        they go into each lane's host setup. A problem of another
-        structure raises :class:`~repro.exceptions.ShapeError`."""
+    def _lane_lists(self, *lists) -> list:
+        """Per-lane argument lists (``None`` -> all-``None``), checked
+        against the width before anything is changed."""
+        lists = [list(values or [None] * self.batch) for values in lists]
+        if any(len(values) != self.batch for values in lists):
+            raise ValueError("per-lane argument lists must match the "
+                             "number of problems")
+        return lists
+
+    def _equilibrate(self, problems) -> tuple:
+        """One lane-stacked Ruiz pass over the bound structure's plan
+        (:func:`~repro.qp.ruiz_equilibrate_batch`; a problem of
+        another structure raises :class:`~repro.exceptions.
+        ShapeError`)."""
         return ruiz_equilibrate_batch(problems, self.settings.scaling,
                                       plan=self._ruiz_plan)
 
@@ -173,49 +186,61 @@ class BatchAccelerator:
                 deadline_ats=None) -> None:
         """Install B new same-structure problems on the bound machine.
 
-        Every lane re-runs its solo :meth:`~repro.hw.accelerator.
-        Accelerator.refresh` with its share of one batched Ruiz pass
-        over the plan derived at construction (a problem of another
-        structure raises :class:`~repro.exceptions.ShapeError`, as at
-        construction); the stacked matrix values, HBM columns and
-        scalar registers are then rewritten in place, so every lowered
-        closure and fused C unit stays bound. The next :meth:`run` is
-        bitwise the run a freshly constructed accelerator on
-        ``problems`` makes. The per-lane injectors chosen at
-        construction stay armed.
+        One host pass over the lanes, as at construction: a batched
+        Ruiz pass over the plan derived at construction (a problem of
+        another structure raises :class:`~repro.exceptions.ShapeError`),
+        then the lane-stacked step data and download, written in place
+        into the value blocks, HBM buffers and scalar registers, so
+        every lowered closure and fused C unit stays bound. Arguments
+        are checked before anything changes: a rejected refresh leaves
+        the machine as it was. The next :meth:`run` is bitwise the run
+        a freshly constructed accelerator on ``problems`` makes. The
+        per-lane injectors chosen at construction stay armed.
         """
         problems = list(problems)
         if len(problems) != self.batch:
             raise ValueError(
                 f"machine has {self.batch} lanes, got {len(problems)} "
                 "problems")
-        for lane, problem, scaling in zip(self.lanes, problems,
-                                          self._equilibrate(problems)):
-            lane.refresh(problem, scaling=scaling)
-        for resource in self.machine.matrices.values():
-            resource.update_values()
-        self._load(warm_starts, deadline_ats)
+        warm_starts, deadline_ats = self._lane_lists(warm_starts,
+                                                     deadline_ats)
+        self._load(problems, self._equilibrate(problems), warm_starts,
+                   deadline_ats)
 
-    def _load(self, warm_starts, deadline_ats) -> None:
-        """Stack the lanes' downloads onto the batch machine and clear
-        its accounting — the one load path construction and
-        :meth:`refresh` share. Arrays are written in place: lowered
+    def _load(self, problems, scaled, warm_starts, deadline_ats) -> None:
+        """Load the batch machine from one lane-stacked host pass and
+        clear its accounting — the one load path construction and
+        :meth:`refresh` share. ``scaled`` is :meth:`_equilibrate`'s
+        output for ``problems``. Arrays are written in place: lowered
         closures and the fused loops' trip tables point at them."""
-        batch = self.batch
-        warm_starts = list(warm_starts or [None] * batch)
-        self.deadline_ats = list(deadline_ats or [None] * batch)
-        if not len(warm_starts) == len(self.deadline_ats) == batch:
-            raise ValueError("per-lane argument lists must match the "
-                             "number of problems")
+        scalings, vals, q, l, u = scaled
+        lanes, first, plan = self.lanes, self.lanes[0], self._ruiz_plan
+        # Warm iterates first: a bad one raises before anything changes.
+        warm = [{} if start is None else first._warm_vectors(scaling, *start)
+                for scaling, start in zip(scalings, warm_starts)]
+        for lane, problem, scaling in zip(lanes, problems, scalings):
+            lane.problem, lane.scaling, lane.work = (problem, scaling,
+                                                     scaling.problem)
+            lane.restarts = lane.step_updates = 0
+        vectors, registers = first._device_image(
+            q, l, u,
+            np.array([np.linalg.norm(scaling.problem.q)
+                      for scaling in scalings]),
+            first._start_lanes(lanes, plan, vals, l, u))
+
         machine = self.machine
-        for b, (lane, warm) in enumerate(zip(self.lanes, warm_starts)):
-            if warm is not None:
-                x0, y0 = warm
-                lane.warm_start(x=x0, y=y0)
-            for name, values in lane.machine.hbm.items():
+        a_vals = vals[plan.nnz_p:]
+        for name, values in (("P", vals[:plan.nnz_p]), ("A", a_vals),
+                             ("At", plan.at_values(a_vals))):
+            machine.matrices[name].kernel.val[...] = values
+        for name, values in vectors.items():
+            machine.write_hbm(name, values)
+        for b, lane_vectors in enumerate(warm):
+            for name, values in lane_vectors.items():
                 machine.write_hbm_lane(name, b, values)
-            for name, value in lane.machine.scalars.items():
-                machine.set_scalar_lane(name, b, value)
+        for name, value in registers.items():
+            machine.scalar_buffer(name)[...] = value
+        self.deadline_ats = deadline_ats
         machine.stats.reset()
         for trips in machine.lane_loop_iterations.values():
             trips.fill(0)

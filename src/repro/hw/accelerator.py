@@ -30,7 +30,8 @@ from ..exceptions import DeadlineExceededError, FaultDetectedError
 from ..qp import QProblem, RuizPlan, check_same_structure, ruiz_equilibrate
 from ..solver import OSQPSettings
 from ..solver.algorithms import get_algorithm
-from ..solver.host import admm_initial_step, balanced_step, rho_vector
+from ..solver.host import (admm_initial_step, admm_step_vectors,
+                           balanced_step, rho_vector)
 from ..solver.settings import RHO_MAX, RHO_MIN
 from .compiled import CompiledExecutor, validate_backend
 from .compiler import (ADMM_LOOP, PCG_LOOP, CompiledProgram, attach_costs,
@@ -41,22 +42,13 @@ from .machine import ExecutionStats, Machine, MatrixResource
 from .power import fpga_power_watts
 
 __all__ = ["RSQPResult", "Accelerator", "RSQPAccelerator",
-           "compile_for_customization", "attach_customization_costs",
-           "jacobi_preconditioner"]
+           "compile_for_customization", "attach_customization_costs"]
 
 #: Streamed matrices every algorithm binds; each owns a CVB bank group.
 MATRICES = ("P", "A", "At")
 
 #: Device residual scalars a between-segment step size is balanced on.
 RESIDUALS = ("rp", "rdual", "npz", "nd_all")
-
-
-def jacobi_preconditioner(work, sigma: float,
-                          rho_vec: np.ndarray) -> np.ndarray:
-    """``1 / diag(K)`` for ``K = P + sigma I + A' diag(rho) A``."""
-    weighted = work.A.scale_rows(np.sqrt(rho_vec))
-    diag_k = work.P.diagonal() + sigma + weighted.column_sq_sums()
-    return 1.0 / diag_k
 
 
 @dataclass
@@ -124,7 +116,8 @@ class Accelerator:
     host protocol as class data and implements its initial step sizes,
     the download, warm start and the step-size hooks of the
     between-segment step. The batch runner drives its lanes through the
-    same hooks, so a lane's host step is the solo one.
+    same hooks, so a lane's host step is the solo one; the download
+    hooks take lane-minor data, so the batch loads B lanes in one call.
 
     Parameters
     ----------
@@ -201,7 +194,6 @@ class Accelerator:
                  deadline_seconds: float | None, scaling):
         self.problem = problem
         self.settings = settings
-        self._precomputed_scaling = scaling
         self._ruiz_plan: RuizPlan | None = None
         if customization is None:
             customization = customize_problem(problem, c)
@@ -224,7 +216,7 @@ class Accelerator:
         #: Host steps of the last run: restarts and step-size changes.
         self.restarts = self.step_updates = 0
 
-        self._host_setup()
+        self._host_setup(scaling)
         self._build_machine()
         if compiled is None:
             compiled = self.compile_program(
@@ -258,22 +250,19 @@ class Accelerator:
                    compiled=compiled, **arm)
 
     # ------------------------------------------------------------------
-    def _host_setup(self) -> None:
-        """Scale the problem (or adopt the scaling given at construction
-        or refresh) and pick the initial step sizes, through the host
-        functions the reference solvers call."""
-        scaling = self._precomputed_scaling
+    def _host_setup(self, scaling=None) -> None:
+        """Scale the problem (or adopt a precomputed ``scaling`` of it)
+        and pick the initial step sizes, through the host functions the
+        reference solvers call."""
         if scaling is None:
-            # The equilibration plan depends only on the bound sparsity
-            # pattern: compute it once, reuse it on every numeric
-            # refresh of this structure.
-            if self._ruiz_plan is None:
-                self._ruiz_plan = RuizPlan.for_problem(self.problem)
             scaling = ruiz_equilibrate(self.problem, self.settings.scaling,
                                        plan=self._ruiz_plan)
+        # The plan depends only on the bound sparsity pattern: kept, it
+        # serves every numeric refresh of this structure, A' included.
+        self._ruiz_plan = scaling.plan
         self.scaling = scaling
         self.work = scaling.problem
-        self._work_at = self.work.A.transpose()
+        self._work_at = scaling.plan.transpose(self.work.A.data)
         self._initial_step()
 
     def _initial_step(self) -> None:
@@ -339,18 +328,14 @@ class Accelerator:
 
     # ------------------------------------------------------------------
     def refresh(self, problem: QProblem, *,
-                carry_step: bool = False, scaling=None) -> None:
+                carry_step: bool = False) -> None:
         """:meth:`refresh_numeric` under one name for every algorithm:
         ``carry_step`` keeps the adapted step size (the ``step_name``
-        attribute: rho, omega) instead of the cold-start one;
-        ``scaling`` injects a precomputed Ruiz scaling of ``problem``
-        (a batch lane's share of one batched pass), as at construction."""
+        attribute: rho, omega) instead of the cold-start one."""
         self._refresh(problem,
-                      getattr(self, self.step_name) if carry_step else None,
-                      scaling)
+                      getattr(self, self.step_name) if carry_step else None)
 
-    def _refresh(self, problem: QProblem, carried_step,
-                 scaling=None) -> None:
+    def _refresh(self, problem: QProblem, carried_step) -> None:
         """Install new numeric data for the *same* structure, in place.
 
         Re-runs the host setup (Ruiz equilibration depends on ``q``, so
@@ -365,7 +350,6 @@ class Accelerator:
         """
         check_same_structure(self.problem, problem)
         self.problem = problem
-        self._precomputed_scaling = scaling
         self._host_setup()
         self.restarts = self.step_updates = 0
         if carried_step is not None:
@@ -416,25 +400,57 @@ class Accelerator:
     # ------------------------------------------------------------------
     def _download(self) -> None:
         """Host -> HBM data movement and scalar register setup."""
+        work = self.work
+        vectors, registers = self._device_image(
+            work.q, work.l, work.u, float(np.linalg.norm(work.q)),
+            self._step_data())
+        for name, values in vectors.items():
+            self.machine.write_hbm(name, values)
+        for name, value in registers.items():
+            self.machine.set_scalar(name, value)
+
+    def _device_image(self, q, l, u, nq, step: tuple) -> tuple[dict, dict]:
+        """``(hbm vectors, scalar registers)`` of a cold download: the
+        scaled problem vectors ``q`` / ``l`` / ``u`` with ``q``'s norm
+        ``nq``, the ``step`` data, zero iterates and the constant
+        registers. Lane-minor: 1-D vectors and float registers for one
+        problem, ``(len, B)`` and ``(B,)`` for a batch. A subclass adds
+        its iterates and constants to the problem vectors and the
+        termination registers every algorithm reads, set here."""
+        vectors, registers = step
+        s = self.settings
+        return ({"q": q, "l": np.nan_to_num(l, neginf=-1e30),
+                 "u": np.nan_to_num(u, posinf=1e30), **vectors},
+                {"eps_rel": s.eps_rel,
+                 "eps_abs_m": s.eps_abs * np.sqrt(max(self.work.m, 1)),
+                 "eps_abs_n": s.eps_abs * np.sqrt(max(self.work.n, 1)),
+                 "nq": nq, **registers})
+
+    def warm_start(self, x=None, y=None) -> None:
+        """Provide initial iterates (unscaled), as for repeated solves.
+
+        The backtesting/MPC amortization workloads solve long sequences
+        of same-structure problems; warm-starting from the previous
+        solution is how the host exploits that on the card.
+        """
+        vectors = self._warm_vectors(self.scaling, x, y)
+        for name, values in vectors.items():
+            self.machine.write_hbm(name, values)
+
+    def _warm_vectors(self, scaling, x=None, y=None) -> dict:
+        """The HBM iterates a warm start from ``x`` / ``y`` (unscaled)
+        writes, scaled by ``scaling``."""
         raise NotImplementedError
 
-    def _download_problem(self) -> None:
-        """Write the problem vectors every algorithm downloads first."""
-        work = self.work
-        machine = self.machine
-        machine.write_hbm("q", work.q)
-        machine.write_hbm("l", np.nan_to_num(work.l, neginf=-1e30))
-        machine.write_hbm("u", np.nan_to_num(work.u, posinf=1e30))
-
-    def _download_tolerances(self) -> None:
-        """Set the termination scalar registers every algorithm reads."""
-        work = self.work
-        machine = self.machine
-        s = self.settings
-        machine.set_scalar("eps_rel", s.eps_rel)
-        machine.set_scalar("eps_abs_m", s.eps_abs * np.sqrt(max(work.m, 1)))
-        machine.set_scalar("eps_abs_n", s.eps_abs * np.sqrt(max(work.n, 1)))
-        machine.set_scalar("nq", float(np.linalg.norm(work.q)))
+    def _start_lanes(self, lanes: list, plan: RuizPlan, vals: np.ndarray,
+                     l: np.ndarray, u: np.ndarray) -> tuple[dict, dict]:
+        """Cold-start the step sizes of ``lanes`` — accelerators of this
+        algorithm whose ``work`` holds their newly scaled problem — in
+        one host pass, and return their lane-minor step data (what
+        :meth:`_step_data` returns for one). ``vals`` are the lanes'
+        scaled ``P`` then ``A`` values ``(nnz, B)``, ``l`` / ``u`` their
+        scaled bounds ``(m, B)``."""
+        raise NotImplementedError
 
     # -- the between-segment host step ----------------------------------
     def _segment_length(self) -> int:
@@ -711,7 +727,16 @@ class RSQPAccelerator(Accelerator):
         return self.step_updates
 
     def _initial_step(self) -> None:
-        self.rho, self.rho_vec = admm_initial_step(self.work, self.settings)
+        self.rho, self.rho_vec = admm_initial_step(self.work.l, self.work.u,
+                                                   self.settings)
+
+    def _start_lanes(self, lanes, plan, vals, l, u):
+        rho, rho_vec = admm_initial_step(l, u, self.settings)
+        for b, lane in enumerate(lanes):
+            lane.rho, lane.rho_vec = rho, rho_vec[:, b]
+        return admm_step_vectors(plan.structure, vals[:plan.nnz_p],
+                                 vals[plan.nnz_p:], self.settings.sigma,
+                                 rho_vec), {}
 
     def refresh_numeric(self, problem: QProblem, *,
                         carry_rho: bool = False) -> None:
@@ -721,42 +746,24 @@ class RSQPAccelerator(Accelerator):
         cold-start estimate."""
         self.refresh(problem, carry_step=carry_rho)
 
-    def _download(self) -> None:
-        """Host -> HBM data movement and scalar register setup."""
-        machine = self.machine
-        n, m = self.work.n, self.work.m
-        self._download_problem()
-        # rho, its inverse and the Jacobi preconditioner of
-        # K = P + sigma I + A' diag(rho) A.
-        self._install_step()
-        machine.write_hbm("x", np.zeros(n))
-        machine.write_hbm("z", np.zeros(m))
-        machine.write_hbm("y", np.zeros(m))
-
+    def _device_image(self, q, l, u, nq, step):
+        vectors, registers = super()._device_image(q, l, u, nq, step)
+        vectors.update(x=np.zeros(np.shape(q)), z=np.zeros(np.shape(l)),
+                       y=np.zeros(np.shape(l)))
         s = self.settings
-        machine.set_scalar("sigma", s.sigma)
-        machine.set_scalar("alpha_relax", s.alpha)
-        machine.set_scalar("one_m_alpha", 1.0 - s.alpha)
-        self._download_tolerances()
-        machine.set_scalar("one", 1.0)
-        machine.set_scalar("tiny", 1e-30)
-        machine.set_scalar("pcg_eps2", self.pcg_eps ** 2)
+        registers.update(sigma=s.sigma, alpha_relax=s.alpha,
+                         one_m_alpha=1.0 - s.alpha, one=1.0, tiny=1e-30,
+                         pcg_eps2=self.pcg_eps ** 2)
+        return vectors, registers
 
-    def warm_start(self, x=None, y=None) -> None:
-        """Provide initial iterates (unscaled), as for repeated solves.
-
-        The backtesting/MPC amortization workloads solve long sequences
-        of same-structure problems; warm-starting from the previous
-        solution is how the host exploits that on the card.
-        """
-        machine = self.machine
+    def _warm_vectors(self, scaling, x=None, y=None):
+        vectors = {}
         if x is not None:
-            x_s = self.scaling.scale_x(np.asarray(x, dtype=np.float64))
-            machine.write_hbm("x", x_s)
-            machine.write_hbm("z", self.work.A.matvec(x_s))
+            x_s = scaling.scale_x(np.asarray(x, dtype=np.float64))
+            vectors.update(x=x_s, z=scaling.problem.A.matvec(x_s))
         if y is not None:
-            machine.write_hbm("y", self.scaling.scale_y(
-                np.asarray(y, dtype=np.float64)))
+            vectors["y"] = scaling.scale_y(np.asarray(y, dtype=np.float64))
+        return vectors
 
     # -- adaptive rho (OSQP's rule, residuals read off-chip) -------------
     # The paper motivates PCG precisely because rho updates avoid the
@@ -779,13 +786,14 @@ class RSQPAccelerator(Accelerator):
 
     def _adopt_step(self, step: float) -> None:
         self.rho = step
-        self.rho_vec = rho_vector(self.work, step)
+        self.rho_vec = rho_vector(self.work.l, self.work.u, step)
 
     def _step_data(self) -> tuple[dict, dict]:
-        return {"rho": self.rho_vec,
-                "rho_inv": 1.0 / self.rho_vec,
-                "minv": jacobi_preconditioner(
-                    self.work, self.settings.sigma, self.rho_vec)}, {}
+        # rho, its inverse and the Jacobi preconditioner of
+        # K = P + sigma I + A' diag(rho) A.
+        work = self.work
+        return admm_step_vectors(work, work.P.data, work.A.data,
+                                 self.settings.sigma, self.rho_vec), {}
 
     def estimate_cycles(self, admm_iterations: int, pcg_iterations: int,
                         rho_updates: int = 0) -> int:

@@ -5,7 +5,7 @@ share one fingerprint can execute the identical compiled program in
 lockstep over batched float64 buffers — the batched-SpMV regime. This
 module is the machine layer of :mod:`repro.batch`:
 
-* :class:`BatchMatrixResource` — per-lane CSR data stacked into one
+* :class:`BatchMatrixResource` — B lanes' CSR values as one
   contiguous lane-minor ``(nnz, B)`` value block (the sparsity pattern
   is shared by construction), applied through the lane-minor
   :class:`~repro.sparse.kernels.CSRKernel`, whose per-lane order is
@@ -118,46 +118,29 @@ class _BatchLoopExit(Exception):
 
 
 class BatchMatrixResource:
-    """Per-lane matrices with one shared structure, batched SpMV.
+    """B matrices of one sparsity structure, batched SpMV.
 
-    ``lanes`` are the solo :class:`~repro.hw.machine.MatrixResource`
-    objects of the B instances (typically borrowed from per-lane
-    accelerators); their matrices must share the sparsity pattern —
-    same-fingerprint problems do by construction (Ruiz scaling only
-    rescales values), and :class:`repro.batch.BatchAccelerator` checks
-    its lanes before binding any. Values are
-    stacked lane-minor, ``(nnz, B)``, into ``kernel``: a lane-minor
-    :class:`~repro.sparse.kernels.CSRKernel` whose lane ``b`` is
-    bit-identical to a solo SpMV on lane ``b``'s data.
+    ``solo`` is a :class:`~repro.hw.machine.MatrixResource` of the
+    structure: its pattern, schedule cost and CVB depth are every
+    lane's (same-fingerprint problems share the pattern by
+    construction — Ruiz scaling only rescales values — and
+    :class:`repro.batch.BatchAccelerator` checks its lanes before
+    loading any). The ``batch`` lanes' values live lane-minor,
+    ``(nnz, B)``, in ``kernel.val`` (zeros until the host writes them,
+    in place, so every closure bound to the kernel stays valid): a
+    lane-minor :class:`~repro.sparse.kernels.CSRKernel` whose lane
+    ``b`` is bit-identical to a solo SpMV on lane ``b``'s data.
     """
 
-    def __init__(self, name: str, lanes: list):
-        if not lanes:
-            raise ValueError("batch needs at least one lane")
+    def __init__(self, name: str, solo, batch: int):
         self.name = name
-        self.lanes = list(lanes)
-        first = lanes[0]
-        self.spmv_cycles = first.spmv_cycles
-        self.cvb_depth = first.cvb_depth
-        matrix = first.matrix
+        self.spmv_cycles = solo.spmv_cycles
+        self.cvb_depth = solo.cvb_depth
+        matrix = solo.matrix
         self.shape = tuple(int(s) for s in matrix.shape)
-        indices = np.asarray(matrix.indices)
-        indptr = np.asarray(matrix.indptr)
         self.kernel = CSRKernel(self.shape,
-                                np.empty((indices.size, len(lanes))),
-                                indices, indptr)
-        self.update_values()
-
-    def update_values(self) -> None:
-        """Restack the lanes' current matrix values into the lane-minor
-        value block, in place — the batched analogue of
-        :meth:`~repro.hw.machine.MatrixResource.update_values`. The
-        block keeps its identity, so every closure bound to ``kernel``
-        stays valid; the lanes' own resources must already
-        hold the new values (same pattern)."""
-        val = self.kernel.val
-        for b, lane in enumerate(self.lanes):
-            val[:, b] = lane.matrix.data
+                                np.zeros((matrix.indices.size, batch)),
+                                matrix.indices, matrix.indptr)
 
 
 class BatchMachine:
@@ -190,6 +173,16 @@ class BatchMachine:
         self.injectors: list | None = None
 
     # -- host-side state helpers ----------------------------------------
+    def write_hbm(self, name: str, values) -> None:
+        """Host write of every lane, lane-minor ``(len, B)`` values (CPU
+        -> HBM, not charged), in place once the buffer exists: lowered
+        closures and the fused loops point at it."""
+        values = np.asarray(values, dtype=np.float64)
+        buf = self.hbm.get(name)
+        if buf is None:
+            buf = self.hbm[name] = np.empty(values.shape)
+        buf[...] = values
+
     def write_hbm_lane(self, name: str, lane: int, values) -> None:
         """Host write of one lane's column (CPU -> HBM, not charged)."""
         col = np.asarray(values, dtype=np.float64)

@@ -21,7 +21,7 @@ import numpy as np
 from ..customization import ProblemCustomization
 from ..qp import QProblem
 from ..solver.host import (balanced_step, pdqp_initial_steps,
-                           pdqp_step_sizes)
+                           pdqp_step_registers, pdqp_step_sizes)
 from ..solver.settings import OMEGA_MAX, OMEGA_MIN, PDQPSettings
 from .accelerator import Accelerator, attach_customization_costs
 from .compiler import PDHG_LOOP, CompiledProgram, compile_pdqp_program
@@ -102,32 +102,35 @@ class PDQPAccelerator(Accelerator):
         the warm-start-friendly default for streaming re-solves."""
         self.refresh(problem, carry_step=carry_omega)
 
-    def _download(self) -> None:
-        """Host -> HBM data movement and scalar register setup."""
-        machine = self.machine
-        n, m = self.work.n, self.work.m
-        self._download_problem()
-        machine.write_hbm("x", np.zeros(n))
-        machine.write_hbm("y", np.zeros(m))
-        machine.write_hbm("x0", np.zeros(n))
-        machine.write_hbm("y0", np.zeros(m))
+    def _device_image(self, q, l, u, nq, step):
+        vectors, registers = super()._device_image(q, l, u, nq, step)
+        vectors.update(x=np.zeros(np.shape(q)), y=np.zeros(np.shape(l)),
+                       x0=np.zeros(np.shape(q)), y0=np.zeros(np.shape(l)))
+        registers.update(hk=2.0, one=1.0)  # Halpern k + 2, k = 0
+        return vectors, registers
 
-        self._install_step()
-        machine.set_scalar("hk", 2.0)  # Halpern k + 2, k = 0
-        machine.set_scalar("one", 1.0)
-        self._download_tolerances()
-
-    def warm_start(self, x=None, y=None) -> None:
-        """Provide initial iterates (unscaled); anchors follow them."""
-        machine = self.machine
+    def _warm_vectors(self, scaling, x=None, y=None):
+        """The iterates, with the anchors following them."""
+        vectors = {}
         if x is not None:
-            x_s = self.scaling.scale_x(np.asarray(x, dtype=np.float64))
-            machine.write_hbm("x", x_s)
-            machine.write_hbm("x0", x_s.copy())
+            x_s = scaling.scale_x(np.asarray(x, dtype=np.float64))
+            vectors.update(x=x_s, x0=x_s)
         if y is not None:
-            y_s = self.scaling.scale_y(np.asarray(y, dtype=np.float64))
-            machine.write_hbm("y", y_s)
-            machine.write_hbm("y0", y_s.copy())
+            y_s = scaling.scale_y(np.asarray(y, dtype=np.float64))
+            vectors.update(y=y_s, y0=y_s)
+        return vectors
+
+    def _start_lanes(self, lanes, plan, vals, l, u):
+        # The solo power iteration, once per lane: its norms are BLAS
+        # dot products over each lane's own contiguous vectors.
+        for lane in lanes:
+            work = lane.work
+            (lane.norm_a, lane.lam_p, lane.omega, lane.tau,
+             lane.sigma) = pdqp_initial_steps(
+                 work, plan.transpose(work.A.data), self.settings)
+        return {}, pdqp_step_registers(
+            np.array([lane.tau for lane in lanes]),
+            np.array([lane.sigma for lane in lanes]))
 
     # -- restart + primal-weight rebalance -------------------------------
     # Every segment boundary is a restart (the fixed-frequency flavor),
@@ -154,9 +157,7 @@ class PDQPAccelerator(Accelerator):
             step, self.norm_a, self.lam_p, self.settings.tau_scale)
 
     def _step_data(self) -> tuple[dict, dict]:
-        return {}, {"neg_tau": -self.tau, "sigma": self.sigma,
-                    "sigma_inv": 1.0 / self.sigma,
-                    "neg_sigma": -self.sigma}
+        return {}, pdqp_step_registers(self.tau, self.sigma)
 
     def estimate_cycles(self, iterations: int, restarts: int = 0) -> int:
         """Analytic cycle count (exact; see :mod:`repro.hw.compiler`).

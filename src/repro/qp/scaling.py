@@ -37,6 +37,7 @@ class Scaling:
     d: np.ndarray      # variable scaling (length n)
     e: np.ndarray      # constraint scaling (length m)
     c: float           # cost scaling
+    plan: "RuizPlan"   # the structure's plan the scaling was derived with
 
     @property
     def dinv(self) -> np.ndarray:
@@ -68,12 +69,18 @@ class Scaling:
 
     def scale_bounds(self, l, u) -> tuple[np.ndarray, np.ndarray]:
         """``(E l, E u)`` with infinite bounds kept infinite."""
-        with np.errstate(invalid="ignore"):
-            l_s = self.e * l
-            u_s = self.e * u
-        l_s[np.isneginf(l)] = -np.inf
-        u_s[np.isposinf(u)] = np.inf
-        return l_s, u_s
+        return _scale_bounds(self.e, l, u)
+
+
+def _scale_bounds(e, l, u) -> tuple[np.ndarray, np.ndarray]:
+    """``(E l, E u)`` with infinite bounds kept infinite; elementwise,
+    so lane-minor ``(m, B)`` operands scale every lane at once."""
+    with np.errstate(invalid="ignore"):
+        l_s = e * l
+        u_s = e * u
+    l_s[np.isneginf(l)] = -np.inf
+    u_s[np.isposinf(u)] = np.inf
+    return l_s, u_s
 
 
 def _limit(v: np.ndarray) -> np.ndarray:
@@ -123,7 +130,8 @@ class RuizPlan:
     so a bound accelerator (:meth:`repro.hw.accelerator.Accelerator.
     refresh`) or a batched one (:class:`repro.batch.BatchAccelerator`)
     computes it once and reuses it for every numeric refresh of the
-    same structure.
+    same structure. That includes ``A'``: its pattern and the
+    permutation gathering its values from ``A``'s.
     """
 
     structure: QProblem       # the problem the plan was derived from
@@ -133,6 +141,7 @@ class RuizPlan:
     stacked_by_col: tuple     # segment plan over P&A entries by column
     a_by_row: tuple           # segment plan over A entries by row
     p_by_col: tuple           # segment plan over P entries by column
+    at_pattern: tuple         # A.transpose_pattern(): A' and its gather
 
     @classmethod
     def for_problem(cls, problem: QProblem) -> "RuizPlan":
@@ -145,7 +154,22 @@ class RuizPlan:
         return cls(structure=problem, nnz_p=P.nnz, rid=rid, cid=cid,
                    stacked_by_col=_segment_plan(cid, n),
                    a_by_row=_segment_plan(a_row, m),
-                   p_by_col=_segment_plan(P.indices, n))
+                   p_by_col=_segment_plan(P.indices, n),
+                   at_pattern=A.transpose_pattern())
+
+    def at_values(self, a_vals: np.ndarray) -> np.ndarray:
+        """``A'``'s values from ``A``'s, lane-minor: ``(nnz,)`` or
+        ``(nnz, B)``. The gather :meth:`CSRMatrix.transpose` does,
+        bit for bit."""
+        return a_vals[self.at_pattern[0]] + 0.0
+
+    def transpose(self, a_vals: np.ndarray) -> CSRMatrix:
+        """``A'`` of the structure's ``A`` carrying the values
+        ``a_vals``, without re-deriving the pattern."""
+        _, indices, indptr = self.at_pattern
+        m, n = self.structure.A.shape
+        return CSRMatrix((n, m), self.at_values(a_vals), indices, indptr,
+                         check=False)
 
 
 def _ruiz(vals: np.ndarray, q: np.ndarray, plan: RuizPlan,
@@ -204,13 +228,15 @@ def _ruiz(vals: np.ndarray, q: np.ndarray, plan: RuizPlan,
 
 
 def _scaled(problem: QProblem, vals: np.ndarray, q: np.ndarray,
-            de: np.ndarray, c) -> Scaling:
-    """One problem's :class:`Scaling` from its share of :func:`_ruiz`."""
+            de: np.ndarray, c, plan: RuizPlan, l: np.ndarray,
+            u: np.ndarray) -> Scaling:
+    """One problem's :class:`Scaling` from its share of :func:`_ruiz`
+    and its scaled bounds ``l`` / ``u``."""
     n = problem.n
     P, A = problem.P, problem.A
     nnz_p = P.nnz
     scaling = Scaling(problem=None, d=np.ascontiguousarray(de[:n]),
-                      e=np.ascontiguousarray(de[n:]), c=float(c))
+                      e=np.ascontiguousarray(de[n:]), c=float(c), plan=plan)
     p_mat = CSRMatrix(P.shape, np.ascontiguousarray(vals[:nnz_p]),
                       P.indices.copy(), P.indptr.copy(), check=False)
     a_mat = CSRMatrix(A.shape, np.ascontiguousarray(vals[nnz_p:]),
@@ -218,8 +244,8 @@ def _scaled(problem: QProblem, vals: np.ndarray, q: np.ndarray,
     # Diagonal scaling of a validated problem preserves every QProblem
     # invariant, so skip re-validation (it would transpose P per call).
     scaling.problem = QProblem._trusted(
-        p_mat, np.ascontiguousarray(q), a_mat,
-        *scaling.scale_bounds(problem.l, problem.u), problem.name)
+        p_mat, np.ascontiguousarray(q), a_mat, np.ascontiguousarray(l),
+        np.ascontiguousarray(u), problem.name)
     return scaling
 
 
@@ -246,18 +272,23 @@ def ruiz_equilibrate(problem: QProblem, iterations: int = 10, *,
         plan = RuizPlan.for_problem(problem)
     vals, q, de, c = _ruiz(np.concatenate([problem.P.data, problem.A.data]),
                            problem.q.copy(), plan, iterations)
-    return _scaled(problem, vals, q, de, c)
+    return _scaled(problem, vals, q, de, c, plan,
+                   *_scale_bounds(de[problem.n:], problem.l, problem.u))
 
 
 def ruiz_equilibrate_batch(problems, iterations: int = 10, *,
-                           plan: RuizPlan | None = None) -> list[Scaling]:
+                           plan: RuizPlan | None = None) -> tuple:
     """Equilibrate B problems of one sparsity structure in one pass.
 
     The lanes' values run through the solo iteration stacked
-    lane-minor, ``(nnz, B)``, so each returned :class:`Scaling` is
+    lane-minor, ``(nnz, B)``, so each lane's :class:`Scaling` is
     bit-identical to :func:`ruiz_equilibrate` on that problem alone.
-    ``plan`` is derived from the first problem when omitted; a problem
-    whose structure is not the plan's raises :class:`ShapeError`.
+    Returns ``(scalings, vals, q, l, u)``: the B scalings and the
+    lane-minor arrays they were cut from — the scaled ``P`` then ``A``
+    values ``(nnz, B)``, costs ``(n, B)`` and bounds ``(m, B)``.
+    ``plan`` is derived from the first problem when omitted; every
+    problem is checked against the plan's structure before any scaling
+    runs (:class:`ShapeError` on a mismatch).
     """
     problems = list(problems)
     if not problems:
@@ -266,12 +297,15 @@ def ruiz_equilibrate_batch(problems, iterations: int = 10, *,
         plan = RuizPlan.for_problem(problems[0])
     for pr in problems:
         check_same_structure(plan.structure, pr)
-    if len(problems) == 1:
-        return [ruiz_equilibrate(problems[0], iterations, plan=plan)]
     vals = np.stack([np.concatenate([pr.P.data, pr.A.data])
                      for pr in problems], axis=1)
     q = np.stack([pr.q for pr in problems], axis=1)
     vals, q, de, c = _ruiz(vals, q, plan, iterations)
     c = np.broadcast_to(c, len(problems))
-    return [_scaled(pr, vals[:, b], q[:, b], de[:, b], c[b])
-            for b, pr in enumerate(problems)]
+    l, u = _scale_bounds(de[plan.structure.n:],
+                         np.stack([pr.l for pr in problems], axis=1),
+                         np.stack([pr.u for pr in problems], axis=1))
+    scalings = [_scaled(pr, vals[:, b], q[:, b], de[:, b], c[b], plan,
+                        l[:, b], u[:, b])
+                for b, pr in enumerate(problems)]
+    return scalings, vals, q, l, u

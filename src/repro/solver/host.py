@@ -9,10 +9,18 @@ and both simulated cards (:mod:`repro.hw.accelerator`,
 :mod:`repro.hw.pdqp`), so one place decides how the host derives
 device data whatever the front door. Ruiz scaling itself is
 :func:`repro.qp.ruiz_equilibrate`.
+
+The step functions work over lane-minor data: bounds ``(m,)`` and
+matrix values ``(nnz,)`` for one problem, ``(m, B)`` and ``(nnz, B)``
+for B problems of one structure (column ``b`` is lane ``b``). Every
+operation is elementwise per lane or a per-lane accumulation in entry
+order, so lane ``b`` of a stacked call is the one-problem call on lane
+``b``'s data, bit for bit — the batched card's refresh is one call.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Tuple
 
 import numpy as np
@@ -21,8 +29,9 @@ from ..qp import QProblem, Scaling, updated_vectors
 from .settings import RHO_EQ_FACTOR, RHO_MAX, RHO_MIN
 
 __all__ = ["balanced_step", "rho_vector", "admm_initial_step",
+           "jacobi_preconditioner", "admm_step_vectors",
            "estimate_operator_norms", "pdqp_step_sizes",
-           "pdqp_initial_steps", "apply_update"]
+           "pdqp_initial_steps", "pdqp_step_registers", "apply_update"]
 
 DIV_GUARD = 1e-15
 
@@ -40,22 +49,55 @@ def balanced_step(step: float, rp: float, rdual: float, npz: float,
     return float(np.clip(estimate, lo, hi))
 
 
-def rho_vector(work: QProblem, rho: float) -> np.ndarray:
-    """Per-constraint ADMM step: ``rho`` clipped to ``[RHO_MIN,
-    RHO_MAX]``, stiffened by ``RHO_EQ_FACTOR`` on equality rows and
-    ``RHO_MIN`` on free rows of the scaled problem ``work``."""
+def rho_vector(l: np.ndarray, u: np.ndarray, rho: float) -> np.ndarray:
+    """Per-constraint ADMM step for the scaled bounds ``l`` / ``u``
+    (lane-minor): ``rho`` clipped to ``[RHO_MIN, RHO_MAX]``, stiffened
+    by ``RHO_EQ_FACTOR`` on equality rows and ``RHO_MIN`` on free
+    rows."""
     rho = float(np.clip(rho, RHO_MIN, RHO_MAX))
-    vec = np.full(work.m, rho)
-    vec[work.equality_mask()] = np.clip(rho * RHO_EQ_FACTOR, RHO_MIN,
-                                        RHO_MAX)
-    vec[np.isneginf(work.l) & np.isposinf(work.u)] = RHO_MIN
+    vec = np.full(np.shape(l), rho)
+    vec[l == u] = np.clip(rho * RHO_EQ_FACTOR, RHO_MIN, RHO_MAX)
+    vec[np.isneginf(l) & np.isposinf(u)] = RHO_MIN
     return vec
 
 
-def admm_initial_step(work: QProblem, settings) -> Tuple[float, np.ndarray]:
-    """``(rho, rho_vec)`` an ADMM solve starts from (``settings.rho``)."""
+def admm_initial_step(l: np.ndarray, u: np.ndarray,
+                      settings) -> Tuple[float, np.ndarray]:
+    """``(rho, rho_vec)`` an ADMM solve on the scaled bounds ``l`` /
+    ``u`` starts from (``settings.rho``)."""
     rho = float(settings.rho)
-    return rho, rho_vector(work, rho)
+    return rho, rho_vector(l, u, rho)
+
+
+def jacobi_preconditioner(structure: QProblem, p_vals: np.ndarray,
+                          a_vals: np.ndarray, sigma: float,
+                          rho_vec: np.ndarray) -> np.ndarray:
+    """``1 / diag(K)`` for ``K = P + sigma I + A' diag(rho) A``, with
+    ``structure``'s sparsity pattern carrying the lane-minor values
+    ``p_vals`` / ``a_vals``. The same float ops as
+    :meth:`repro.qp.ReducedKKTOperator.diagonal`: ``A``'s columns
+    accumulate their squared weighted entries in entry order."""
+    P, A = structure.P, structure.A
+    n, m = P.shape[0], A.shape[0]
+    lanes = np.shape(p_vals)[1:]
+    p_row = np.repeat(np.arange(n), np.diff(P.indptr))
+    on_diag = p_row == P.indices
+    diag_k = np.zeros((n,) + lanes)
+    diag_k[P.indices[on_diag]] = p_vals[on_diag]
+    a_row = np.repeat(np.arange(m), np.diff(A.indptr))
+    col_sq = np.zeros((n,) + lanes)
+    np.add.at(col_sq, A.indices, (a_vals * np.sqrt(rho_vec)[a_row]) ** 2)
+    return 1.0 / (diag_k + sigma + col_sq)
+
+
+def admm_step_vectors(structure: QProblem, p_vals: np.ndarray,
+                      a_vals: np.ndarray, sigma: float,
+                      rho_vec: np.ndarray) -> dict:
+    """The HBM vectors an ADMM step puts on the card (lane-minor): the
+    rho vector, its inverse and the Jacobi preconditioner."""
+    return {"rho": rho_vec, "rho_inv": 1.0 / rho_vec,
+            "minv": jacobi_preconditioner(structure, p_vals, a_vals, sigma,
+                                          rho_vec)}
 
 
 def estimate_operator_norms(p_mat, a_mat, at_mat, *,
@@ -65,7 +107,10 @@ def estimate_operator_norms(p_mat, a_mat, at_mat, *,
 
     Deterministic (fixed seed) so a given structure always produces
     the same step sizes — the property the serving cache and the
-    bit-identity tests rely on.
+    bit-identity tests rely on. Each product is a kernel closure bound
+    once over persistent buffers (:meth:`repro.sparse.kernels.
+    CSRKernel.bind`); a norm is ``sqrt(v.dot(v))``, which is what
+    ``np.linalg.norm`` computes for a 1-D float64 vector.
     """
     rng = np.random.default_rng(seed)
     n = p_mat.shape[0]
@@ -74,25 +119,33 @@ def estimate_operator_norms(p_mat, a_mat, at_mat, *,
     norm_a = 0.0
     if m > 0 and n > 0:
         v = rng.standard_normal(n)
-        for _ in range(iterations):
-            nv = float(np.linalg.norm(v))
-            if nv <= DIV_GUARD:
-                break
-            v /= nv
-            v = at_mat.matvec(a_mat.matvec(v))
-        norm_a = float(np.sqrt(max(np.linalg.norm(v), 0.0)))
+        av = np.empty(m)
+        norm_a = float(np.sqrt(max(_power_norm(
+            v, (a_mat.kernel().bind(v, av), at_mat.kernel().bind(av, v)),
+            iterations), 0.0)))
 
     lam_p = 0.0
     if n > 0:
         v = rng.standard_normal(n)
-        for _ in range(iterations):
-            nv = float(np.linalg.norm(v))
-            if nv <= DIV_GUARD:
-                break
-            v /= nv
-            v = p_mat.matvec(v)
-        lam_p = float(np.linalg.norm(v))
+        pv = np.empty(n)
+        lam_p = float(_power_norm(
+            v, (p_mat.kernel().bind(v, pv), partial(np.copyto, v, pv)),
+            iterations))
     return norm_a, lam_p
+
+
+def _power_norm(v: np.ndarray, steps: tuple, iterations: int):
+    """``||v||`` after up to ``iterations`` rounds of normalizing ``v``
+    and running ``steps``, which leave the operator applied to it in
+    ``v``; stops early once ``v`` vanishes."""
+    for _ in range(iterations):
+        nv = float(np.sqrt(v.dot(v)))
+        if nv <= DIV_GUARD:
+            break
+        v /= nv
+        for step in steps:
+            step()
+    return np.sqrt(v.dot(v))
 
 
 def pdqp_step_sizes(omega: float, norm_a: float, lam_p: float,
@@ -107,6 +160,13 @@ def pdqp_step_sizes(omega: float, norm_a: float, lam_p: float,
     denom = omega * norm_a + lam_p
     tau = tau_scale / max(denom, DIV_GUARD)
     return tau, sigma
+
+
+def pdqp_step_registers(tau, sigma) -> dict:
+    """The scalar registers a PDQP step puts on the card: floats for
+    one problem, ``(B,)`` arrays for B."""
+    return {"neg_tau": -tau, "sigma": sigma, "sigma_inv": 1.0 / sigma,
+            "neg_sigma": -sigma}
 
 
 def pdqp_initial_steps(work: QProblem, at, settings) -> tuple:

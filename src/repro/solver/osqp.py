@@ -58,7 +58,8 @@ class OSQPSolver:
         self.settings = settings if settings is not None else OSQPSettings()
         self.scaling = ruiz_equilibrate(problem, self.settings.scaling)
         self.work = self.scaling.problem
-        self.rho, self.rho_vec = admm_initial_step(self.work, self.settings)
+        self.rho, self.rho_vec = admm_initial_step(self.work.l, self.work.u,
+                                                   self.settings)
         self.at = self.work.A.transpose()
         self.backend = make_backend(self.work.P, self.work.A, self.work.q,
                                     self.settings, self.rho_vec,
@@ -82,7 +83,7 @@ class OSQPSolver:
     def update_rho(self, rho: float) -> None:
         """Install a new step size (refactorize / refresh the operator)."""
         self.rho = float(np.clip(rho, RHO_MIN, RHO_MAX))
-        self.rho_vec = rho_vector(self.work, self.rho)
+        self.rho_vec = rho_vector(self.work.l, self.work.u, self.rho)
         self.backend.update_rho(self.rho_vec)
 
     def update(self, q=None, l=None, u=None) -> None:
@@ -99,7 +100,7 @@ class OSQPSolver:
             self.backend.q = self.work.q
         if bounds:
             # Equality/loose-row pattern may have changed with the bounds.
-            new_rho_vec = rho_vector(self.work, self.rho)
+            new_rho_vec = rho_vector(self.work.l, self.work.u, self.rho)
             if not np.array_equal(new_rho_vec, self.rho_vec):
                 self.rho_vec = new_rho_vec
                 self.backend.update_rho(new_rho_vec)

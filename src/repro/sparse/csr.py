@@ -209,6 +209,15 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     def transpose(self) -> "CSRMatrix":
         """Return ``A.T`` as a new canonical CSR matrix."""
+        order, indices, indptr = self.transpose_pattern()
+        # `+ 0.0` flushes -0.0 entries exactly like the COO-merge
+        # accumulation this replaces, keeping old transposes bitwise.
+        return CSRMatrix(self.shape[::-1], self.data[order] + 0.0, indices,
+                         indptr, check=False)
+
+    def transpose_pattern(self) -> tuple:
+        """``(order, indices, indptr)`` of ``A.T``: its pattern, and the
+        permutation that gathers its values, ``data[order]``."""
         m, n = self.shape
         row_of = np.repeat(np.arange(m), np.diff(self.indptr))
         # Entries are already row-ordered, so a stable sort by column
@@ -217,10 +226,7 @@ class CSRMatrix:
         order = np.argsort(self.indices, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(np.bincount(self.indices, minlength=n))
-        # `+ 0.0` flushes -0.0 entries exactly like the COO-merge
-        # accumulation this replaces, keeping old transposes bitwise.
-        return CSRMatrix((n, m), self.data[order] + 0.0, row_of[order],
-                         indptr, check=False)
+        return order, row_of[order], indptr
 
     def permute_rows(self, perm) -> "CSRMatrix":
         """Return the matrix with row ``perm[i]`` of ``self`` as new row ``i``."""

@@ -1269,7 +1269,7 @@ def _static_resources(compiled: Any, matrices: dict,
         except KeyError:
             continue
         resources[name] = (solo if batch is None
-                           else BatchMatrixResource(name, [solo] * batch))
+                           else BatchMatrixResource(name, solo, batch))
     return resources
 
 

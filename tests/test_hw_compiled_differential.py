@@ -360,10 +360,9 @@ class TestBatchRefresh:
 
     CASES = {"admm": ("eqqp", 16), "pdqp": ("control", 4)}
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    @pytest.mark.parametrize("batch", [2, 8, 32])
-    @pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
-    def test_refreshed_run_equals_fresh(self, algorithm, batch, warm):
+    def _setup(self, algorithm, batch):
+        """``(bind, before, after)``: a binder of batched machines for
+        ``algorithm`` and two disjoint sets of ``batch`` problems."""
         import dataclasses
         from repro.batch import BatchAccelerator
         from repro.hw import accelerator_class
@@ -387,7 +386,31 @@ class TestBatchRefresh:
             return BatchAccelerator(problems, cust, settings,
                                     compiled=compiled, algorithm=algorithm,
                                     warm_starts=warm_starts)
+        return bind, before, after
 
+    @staticmethod
+    def _assert_same_results(rres, fres):
+        assert rres.lane_errors == fres.lane_errors == [None] * rres.batch
+        for rr, fr in zip(rres.results, fres.results):
+            assert rr.x.tobytes() == fr.x.tobytes()
+            assert rr.y.tobytes() == fr.y.tobytes()
+            assert rr.z.tobytes() == fr.z.tobytes()
+            assert rr.converged == fr.converged
+            assert rr.admm_iterations == fr.admm_iterations
+            assert rr.pcg_iterations == fr.pcg_iterations
+            assert rr.total_cycles == fr.total_cycles
+            assert rr.restarts == fr.restarts
+        rs, fs = rres.wall_stats, fres.wall_stats
+        assert rres.wall_cycles == fres.wall_cycles
+        assert rs.by_class == fs.by_class
+        assert rs.instructions_executed == fs.instructions_executed
+        assert rs.loop_iterations == fs.loop_iterations
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("batch", [1, 2, 8, 32])
+    @pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
+    def test_refreshed_run_equals_fresh(self, algorithm, batch, warm):
+        bind, before, after = self._setup(algorithm, batch)
         machine = bind(before)
         first = machine.run()
         # The earlier run left adapted state behind for refresh to clear.
@@ -400,28 +423,59 @@ class TestBatchRefresh:
         fresh = bind(after, starts)
         fres = fresh.run()
 
-        assert rres.lane_errors == fres.lane_errors == [None] * batch
-        for rr, fr in zip(rres.results, fres.results):
-            assert rr.x.tobytes() == fr.x.tobytes()
-            assert rr.y.tobytes() == fr.y.tobytes()
-            assert rr.z.tobytes() == fr.z.tobytes()
-            assert rr.converged == fr.converged
-            assert rr.admm_iterations == fr.admm_iterations
-            assert rr.pcg_iterations == fr.pcg_iterations
-            assert rr.total_cycles == fr.total_cycles
-            assert rr.restarts == fr.restarts
+        self._assert_same_results(rres, fres)
         r_lanes = machine.machine.lane_loop_iterations
         f_lanes = fresh.machine.lane_loop_iterations
         assert r_lanes.keys() == f_lanes.keys()
         for name in f_lanes:
             assert np.array_equal(r_lanes[name], f_lanes[name])
-        rs, fs = rres.wall_stats, fres.wall_stats
-        assert rres.wall_cycles == fres.wall_cycles
-        assert rs.by_class == fs.by_class
-        assert rs.instructions_executed == fs.instructions_executed
-        assert rs.loop_iterations == fs.loop_iterations
         # The first answer kept its own accounting.
         assert first.wall_stats.total_cycles == first.wall_cycles
+
+    @pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
+    def test_refresh_loads_fresh_machine_state(self, algorithm):
+        # After a run that adapted rho / omega, a refresh leaves the
+        # machine itself — value blocks, download buffers, registers,
+        # each lane's host state — as a fresh construction builds it.
+        bind, before, after = self._setup(algorithm, 8)
+        machine = bind(before)
+        machine.run()
+        assert any(lane.step_updates for lane in machine.lanes)
+        machine.refresh(after)
+        fresh = bind(after)
+        refreshed, built = machine.machine, fresh.machine
+        for name, resource in built.matrices.items():
+            assert refreshed.matrices[name].kernel.val.tobytes() == \
+                resource.kernel.val.tobytes(), name
+        assert built.hbm.keys() <= refreshed.hbm.keys()
+        for name, values in built.hbm.items():
+            assert refreshed.hbm[name].tobytes() == values.tobytes(), name
+        assert built.scalars.keys() <= refreshed.scalars.keys()
+        for name, values in built.scalars.items():
+            assert refreshed.scalars[name].tobytes() == \
+                values.tobytes(), name
+        step = ("rho", "rho_vec") if algorithm == "admm" else (
+            "norm_a", "lam_p", "omega", "tau", "sigma")
+        for lane, new in zip(machine.lanes, fresh.lanes):
+            assert lane.restarts == lane.step_updates == 0
+            for name in step:
+                assert np.asarray(getattr(lane, name)).tobytes() == \
+                    np.asarray(getattr(new, name)).tobytes(), name
+            assert lane.scaling.d.tobytes() == new.scaling.d.tobytes()
+
+    @pytest.mark.parametrize("bad", ["warm_starts", "deadline_ats"])
+    def test_rejected_refresh_changes_nothing(self, bad):
+        # A refresh whose per-lane lists do not match the width raises
+        # before any lane or buffer changes: the next run is the run
+        # the machine would have made without it.
+        bind, before, after = self._setup("admm", 2)
+        machine = bind(before)
+        machine.run()
+        machine.refresh(before)
+        reference = bind(before).run()
+        with pytest.raises(ValueError, match="per-lane"):
+            machine.refresh(after, **{bad: [None]})
+        self._assert_same_results(machine.run(), reference)
 
     def test_refresh_rejects_a_different_width(self):
         from repro.batch import BatchAccelerator
@@ -525,6 +579,54 @@ class TestHostSetupParity:
         scalars = acc.machine.scalars
         assert scalars["neg_tau"] == -ref.tau
         assert scalars["sigma"] == ref.sigma
+
+    @pytest.mark.parametrize("case", ["family", "zero_a", "zero_p", "m0",
+                                      "edge"])
+    def test_operator_norms_match_plain_loop(self, case):
+        # The prebound power iteration is the plain loop over
+        # np.linalg.norm and fresh matvecs, bit for bit — including the
+        # early exit once the iterate vanishes and the skipped A pass of
+        # a problem without constraints.
+        from repro.qp import QProblem
+        from repro.solver.host import DIV_GUARD, estimate_operator_norms
+        from repro.sparse import eye
+        problem = (edge_case_problem() if case == "edge"
+                   else generate("lasso", 6, seed=3))
+        p_mat, a_mat = problem.P, problem.A
+        if case == "zero_a":
+            a_mat = CSRMatrix.zeros(a_mat.shape)
+        elif case == "zero_p":
+            p_mat = CSRMatrix.zeros(p_mat.shape)
+        elif case == "m0":
+            problem = QProblem(P=eye(3), q=np.ones(3),
+                               A=CSRMatrix.zeros((0, 3)), l=np.zeros(0),
+                               u=np.zeros(0))
+            p_mat, a_mat = problem.P, problem.A
+        at_mat = a_mat.transpose()
+
+        def plain(apply, rng, n, iterations=50):
+            v = rng.standard_normal(n)
+            for _ in range(iterations):
+                nv = float(np.linalg.norm(v))
+                if nv <= DIV_GUARD:
+                    break
+                v /= nv
+                v = apply(v)
+            return np.linalg.norm(v)
+
+        n, m = p_mat.shape[0], a_mat.shape[0]
+        rng = np.random.default_rng(0)
+        norm_a = 0.0
+        if m > 0:
+            norm_a = float(np.sqrt(max(plain(
+                lambda v: at_mat.matvec(a_mat.matvec(v)), rng, n), 0.0)))
+        lam_p = float(plain(p_mat.matvec, rng, n))
+        got = estimate_operator_norms(p_mat, a_mat, at_mat)
+        assert repr(got) == repr((norm_a, lam_p))
+        if case in ("zero_a", "m0"):
+            assert got[0] == 0.0
+        if case == "zero_p":
+            assert got[1] == 0.0
 
     @pytest.mark.parametrize("rho", [0.1, 1e7], ids=["default", "clipped"])
     def test_refresh_carrying_rho_equals_fresh_bind(self, rho):

@@ -196,7 +196,7 @@ class TestRuizScaling:
         base = (edge_case_problem() if case == "edge"
                 else generate(case, 6, seed=0))
         lanes = _lanes(base)
-        batched = ruiz_equilibrate_batch(lanes, iterations)
+        batched = ruiz_equilibrate_batch(lanes, iterations)[0]
         assert len(batched) == len(lanes)
         for lane, got in zip(lanes, batched):
             want = ruiz_equilibrate(lane, iterations)
