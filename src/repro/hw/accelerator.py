@@ -27,7 +27,7 @@ import numpy as np
 
 from ..customization import ProblemCustomization, customize_problem
 from ..exceptions import DeadlineExceededError, FaultDetectedError
-from ..qp import QProblem, RuizPlan, check_same_structure, ruiz_equilibrate
+from ..qp import QProblem, RuizPlan, ruiz_equilibrate
 from ..solver import OSQPSettings
 from ..solver.algorithms import get_algorithm
 from ..solver.host import (admm_initial_step, admm_step_vectors,
@@ -194,7 +194,6 @@ class Accelerator:
                  deadline_seconds: float | None, scaling):
         self.problem = problem
         self.settings = settings
-        self._ruiz_plan: RuizPlan | None = None
         if customization is None:
             customization = customize_problem(problem, c)
         self.customization = customization
@@ -250,23 +249,22 @@ class Accelerator:
                    compiled=compiled, **arm)
 
     # ------------------------------------------------------------------
-    def _host_setup(self, scaling=None) -> None:
+    def _host_setup(self, scaling=None, carried_step=None) -> None:
         """Scale the problem (or adopt a precomputed ``scaling`` of it)
-        and pick the initial step sizes, through the host functions the
-        reference solvers call."""
+        and pick the step sizes, through the host functions the
+        reference solvers call. The scaling's plan depends only on the
+        bound sparsity pattern, so it serves every numeric refresh of
+        this structure, ``A'`` included."""
         if scaling is None:
-            scaling = ruiz_equilibrate(self.problem, self.settings.scaling,
-                                       plan=self._ruiz_plan)
-        # The plan depends only on the bound sparsity pattern: kept, it
-        # serves every numeric refresh of this structure, A' included.
-        self._ruiz_plan = scaling.plan
+            scaling = ruiz_equilibrate(self.problem, self.settings.scaling)
         self.scaling = scaling
         self.work = scaling.problem
         self._work_at = scaling.plan.transpose(self.work.A.data)
-        self._initial_step()
+        self._initial_step(carried_step)
 
-    def _initial_step(self) -> None:
-        """Derive the cold-start step sizes from the scaled problem."""
+    def _initial_step(self, carried_step=None) -> None:
+        """Derive the step sizes from the scaled problem: the
+        cold-start ones, or ``carried_step`` adopted when not None."""
         raise NotImplementedError
 
     def _build_machine(self) -> None:
@@ -348,12 +346,12 @@ class Accelerator:
         ``problem``, except that a ``carried_step`` (not None) replaces
         the cold-start step size.
         """
-        check_same_structure(self.problem, problem)
+        # The plan's structure check raises before anything changes.
+        scaling = ruiz_equilibrate(problem, self.settings.scaling,
+                                   plan=self.scaling.plan)
         self.problem = problem
-        self._host_setup()
+        self._host_setup(scaling, carried_step)
         self.restarts = self.step_updates = 0
-        if carried_step is not None:
-            self._adopt_step(carried_step)
         machine = self.machine
         machine.matrices["P"].update_values(self.work.P.data)
         machine.matrices["A"].update_values(self.work.A.data)
@@ -726,7 +724,10 @@ class RSQPAccelerator(Accelerator):
         """Host-driven rho changes in the last run."""
         return self.step_updates
 
-    def _initial_step(self) -> None:
+    def _initial_step(self, carried_step=None) -> None:
+        if carried_step is not None:
+            self._adopt_step(carried_step)
+            return
         self.rho, self.rho_vec = admm_initial_step(self.work.l, self.work.u,
                                                    self.settings)
 
@@ -734,7 +735,7 @@ class RSQPAccelerator(Accelerator):
         rho, rho_vec = admm_initial_step(l, u, self.settings)
         for b, lane in enumerate(lanes):
             lane.rho, lane.rho_vec = rho, rho_vec[:, b]
-        return admm_step_vectors(plan.structure, vals[:plan.nnz_p],
+        return admm_step_vectors(plan, vals[:plan.nnz_p],
                                  vals[plan.nnz_p:], self.settings.sigma,
                                  rho_vec), {}
 
@@ -792,7 +793,7 @@ class RSQPAccelerator(Accelerator):
         # rho, its inverse and the Jacobi preconditioner of
         # K = P + sigma I + A' diag(rho) A.
         work = self.work
-        return admm_step_vectors(work, work.P.data, work.A.data,
+        return admm_step_vectors(self.scaling.plan, work.P.data, work.A.data,
                                  self.settings.sigma, self.rho_vec), {}
 
     def estimate_cycles(self, admm_iterations: int, pcg_iterations: int,

@@ -9,7 +9,9 @@ instruction. This module owns the build machinery:
 * :func:`engine` — the process-wide generic kernel library
   (``k_csr_matvec[_batch]``, ``k_dot[_batch]``), which
   :mod:`repro.sparse.kernels` calls for every SpMV and DOT when it is
-  available.
+  available, and ``k_ruiz``, the whole modified Ruiz iteration that
+  :mod:`repro.qp.scaling` runs in one call for a solo or a batched
+  refresh.
 * :func:`compile_module` — hash-addressed, disk-cached compilation of
   generated chunk sources (same source is compiled at most once per
   cache directory, ever).
@@ -22,13 +24,16 @@ FMA is disabled), and reduction loops stay strictly sequential (the
 compiler may not reassociate floating-point addition). The CSR matvec
 accumulates each row left to right — the same order as the SpMV
 engine's per-chunk MAC accumulation, which makes the machine's SpMV
-numerics engine-faithful when the JIT is active.
+numerics engine-faithful when the JIT is active. ``k_ruiz`` is the one
+exception to sequential sums: its cost mean ports numpy's pairwise
+order, because it must match ``np.add.reduce`` in the numpy Ruiz.
 
 Everything degrades gracefully: no compiler, an unwritable cache
 directory, or ``REPRO_JIT=0`` in the environment simply means
 :func:`available` returns False. Nothing fuses, and
-:mod:`repro.sparse.kernels` runs its numpy implementation, which sums
-in the same order, so the bits do not change.
+:mod:`repro.sparse.kernels` and :mod:`repro.qp.scaling` run their numpy
+implementations, which sum in the same orders, so the bits do not
+change.
 """
 
 from __future__ import annotations
@@ -69,6 +74,144 @@ DOT_BODY = """\
         acc += a[i] * b[i];
 """
 
+# The modified Ruiz iteration of :mod:`repro.qp.scaling` (its numpy
+# implementation, ``numpy_ruiz``, is the reference), lane-minor like
+# the batched kernels, so ``batch == 1`` is the solo call. Maxima are
+# ``np.maximum``/``np.minimum`` written out (a NaN on either side
+# wins; C's ``fmax`` would drop it), and ``fmax`` appears only where
+# numpy uses ``np.fmax``: the ``||q||_inf`` guard, where a NaN lane
+# counts as 0. The cost mean is not a sequential sum: numpy reduces
+# each lane's contiguous row of P's column norms with ``np.add.reduce``,
+# which is ``0.0 + pairwise(row)`` — below 8 entries a loop from
+# ``-0.0``, up to 128 eight accumulators combined in a fixed tree and
+# then the tail, above that a split at ``n/2 - (n/2) % 8``.
+# ``k_pairwise_sum`` is that order with stride ``batch``.
+_RUIZ_SOURCE = """
+#include <math.h>
+
+static inline double k_maximum(double a, double b)
+{
+    return (a >= b || a != a) ? a : b;
+}
+
+static inline double k_minimum(double a, double b)
+{
+    return (a <= b || a != a) ? a : b;
+}
+
+static double k_pairwise_sum(const double *a, long n, long stride)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (long i = 0; i < n; ++i)
+            res += a[i * stride];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        long i;
+        for (long j = 0; j < 8; ++j)
+            r[j] = a[j * stride];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (long j = 0; j < 8; ++j)
+                r[j] += a[(i + j) * stride];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i)
+            res += a[i * stride];
+        return res;
+    }
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return k_pairwise_sum(a, n2, stride)
+           + k_pairwise_sum(a + n2 * stride, n - n2, stride);
+}
+
+/* In place on vals (nnz: P's entries, then A's) and q (n); fills
+ * de = [d, e] (n + m) and the cost scale c (one per lane). rid maps an
+ * entry to its row factor in de (A's rows offset by n), cid to its
+ * column. work holds (2n + m + 1) * batch doubles. */
+void k_ruiz(double *vals, double *q, double *de, double *c,
+            const long *rid, const long *cid, long n, long m, long nnz_p,
+            long nnz, long batch, long iterations, double lo, double hi,
+            double *work)
+{
+    const long nm = (n + m) * batch;
+    double * restrict v = vals;
+    double * restrict qq = q;
+    double * restrict ext = work;
+    double * restrict pn = work + nm;
+    double * restrict gamma = pn + n * batch;
+    for (long i = 0; i < nm; ++i)
+        de[i] = 1.0;
+    for (long b = 0; b < batch; ++b)
+        c[b] = 1.0;
+    for (long it = 0; it < iterations; ++it) {
+        /* Column infinity norms of [[P, A'], [A, 0]]: the first n
+         * columns see P's and A's columns, the last m A's rows. */
+        for (long i = 0; i < nm; ++i)
+            ext[i] = 0.0;
+        for (long k = 0; k < nnz; ++k) {
+            const double *vk = v + k * batch;
+            double *col = ext + cid[k] * batch;
+            for (long b = 0; b < batch; ++b)
+                col[b] = k_maximum(col[b], fabs(vk[b]));
+            if (k >= nnz_p) {
+                double *row = ext + rid[k] * batch;
+                for (long b = 0; b < batch; ++b)
+                    row[b] = k_maximum(row[b], fabs(vk[b]));
+            }
+        }
+        for (long i = 0; i < nm; ++i) {
+            double x = ext[i] == 0.0 ? 1.0 : ext[i];
+            ext[i] = 1.0 / sqrt(k_minimum(k_maximum(x, lo), hi));
+        }
+        for (long k = 0; k < nnz; ++k) {
+            double *vk = v + k * batch;
+            const double *er = ext + rid[k] * batch;
+            const double *ec = ext + cid[k] * batch;
+            for (long b = 0; b < batch; ++b)
+                vk[b] = (vk[b] * er[b]) * ec[b];
+        }
+        for (long i = 0; i < n * batch; ++i)
+            qq[i] = qq[i] * ext[i];
+        for (long i = 0; i < nm; ++i)
+            de[i] = de[i] * ext[i];
+
+        /* Cost normalization (OSQP's gamma step) applies to P only. */
+        if (!n)
+            continue;
+        for (long i = 0; i < n * batch; ++i)
+            pn[i] = 0.0;
+        for (long k = 0; k < nnz_p; ++k) {
+            const double *vk = v + k * batch;
+            double *col = pn + cid[k] * batch;
+            for (long b = 0; b < batch; ++b)
+                col[b] = k_maximum(col[b], fabs(vk[b]));
+        }
+        for (long b = 0; b < batch; ++b) {
+            double mean = (0.0 + k_pairwise_sum(pn + b, n, batch)) / n;
+            double qmax = 0.0;
+            for (long i = 0; i < n; ++i)
+                qmax = k_maximum(qmax, fabs(qq[i * batch + b]));
+            double d = k_maximum(mean, fmax(qmax, 0.0));
+            d = d + (d == 0.0);
+            gamma[b] = 1.0 / k_minimum(k_maximum(d, lo), hi);
+        }
+        for (long k = 0; k < nnz_p; ++k) {
+            double *vk = v + k * batch;
+            for (long b = 0; b < batch; ++b)
+                vk[b] = vk[b] * gamma[b];
+        }
+        for (long i = 0; i < n; ++i)
+            for (long b = 0; b < batch; ++b)
+                qq[i * batch + b] = qq[i * batch + b] * gamma[b];
+        for (long b = 0; b < batch; ++b)
+            c[b] = c[b] * gamma[b];
+    }
+}
+"""
+
 _ENGINE_CDEF = """
 void k_csr_matvec(const double *val, const long *col, const long *ip,
                   const double *x, double *y, long nrows);
@@ -78,6 +221,10 @@ void k_csr_matvec_batch(const double *val, const long *col,
                         long nrows, long ncols, long nnz, long batch);
 void k_dot_batch(const double *a, const double *b, long n, long batch,
                  double *out);
+void k_ruiz(double *vals, double *q, double *de, double *c,
+            const long *rid, const long *cid, long n, long m, long nnz_p,
+            long nnz, long batch, long iterations, double lo, double hi,
+            double *work);
 """
 
 # The batched kernels operate on lane-minor buffers — element i of lane
@@ -135,7 +282,7 @@ void k_dot_batch(const double *a, const double *b, long n, long batch,
             oo[j] += ai[j] * bi[j];
     }
 }
-""" % (CSR_MATVEC_BODY, DOT_BODY)
+%s""" % (CSR_MATVEC_BODY, DOT_BODY, _RUIZ_SOURCE)
 
 _COMPILE_ARGS = ["-O2", "-ffp-contract=off"]
 
@@ -258,9 +405,10 @@ def engine() -> Any:
     if not _state["probed"]:
         _state["engine"] = (
             compile_module(_ENGINE_CDEF, _ENGINE_SOURCE, tag="engine",
-                           args=_ENGINE_COMPILE_ARGS)
+                           args=_ENGINE_COMPILE_ARGS, libraries=("m",))
             or compile_module(_ENGINE_CDEF, _ENGINE_SOURCE, tag="engine",
-                              args=_ENGINE_FALLBACK_ARGS))
+                              args=_ENGINE_FALLBACK_ARGS,
+                              libraries=("m",)))
         _state["probed"] = True
     return _state["engine"]
 

@@ -88,10 +88,12 @@ class PDQPAccelerator(Accelerator):
         """Host-driven primal-weight changes in the last run."""
         return self.step_updates
 
-    def _initial_step(self) -> None:
+    def _initial_step(self, carried_step=None) -> None:
         (self.norm_a, self.lam_p, self.omega, self.tau,
          self.sigma) = pdqp_initial_steps(self.work, self._work_at,
                                           self.settings)
+        if carried_step is not None:
+            self._adopt_step(carried_step)
 
     def refresh_numeric(self, problem: QProblem, *,
                         carry_omega: bool = False) -> None:

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sparse import CSRMatrix
+from ..exceptions import ShapeError
+from ..sparse import CSRMatrix, kernels
 from .problem import QProblem, check_same_structure
 
-__all__ = ["Scaling", "RuizPlan", "ruiz_equilibrate", "ruiz_equilibrate_batch"]
+__all__ = ["Scaling", "RuizPlan", "ruiz_equilibrate", "ruiz_equilibrate_batch",
+           "numpy_ruiz"]
 
 #: Bounds on individual scaling factors (same spirit as OSQP's limits).
 _MIN_SCALE = 1e-4
@@ -138,6 +140,8 @@ class RuizPlan:
     nnz_p: int
     rid: np.ndarray           # per-entry row-factor index into [d, e]
     cid: np.ndarray           # per-entry column-factor index into d
+    a_row: np.ndarray         # row of each A entry
+    p_diag: np.ndarray        # positions of P's diagonal entries
     stacked_by_col: tuple     # segment plan over P&A entries by column
     a_by_row: tuple           # segment plan over A entries by row
     p_by_col: tuple           # segment plan over P entries by column
@@ -147,11 +151,14 @@ class RuizPlan:
     def for_problem(cls, problem: QProblem) -> "RuizPlan":
         n, m = problem.n, problem.m
         P, A = problem.P, problem.A
-        p_row = np.repeat(np.arange(n), np.diff(P.indptr))
-        a_row = np.repeat(np.arange(m), np.diff(A.indptr))
+        p_row = np.repeat(np.arange(n, dtype=np.int64), np.diff(P.indptr))
+        a_row = np.repeat(np.arange(m, dtype=np.int64), np.diff(A.indptr))
+        # int64 and contiguous: the engine's k_ruiz reads them.
         rid = np.concatenate([p_row, n + a_row])
-        cid = np.concatenate([P.indices, A.indices])
+        cid = np.concatenate([P.indices, A.indices]).astype(np.int64)
         return cls(structure=problem, nnz_p=P.nnz, rid=rid, cid=cid,
+                   a_row=a_row,
+                   p_diag=np.flatnonzero(p_row == P.indices),
                    stacked_by_col=_segment_plan(cid, n),
                    a_by_row=_segment_plan(a_row, m),
                    p_by_col=_segment_plan(P.indices, n),
@@ -178,12 +185,47 @@ def _ruiz(vals: np.ndarray, q: np.ndarray, plan: RuizPlan,
 
     ``vals`` stacks P's and A's values (``vals[:nnz_p]`` is P) and ``q``
     is the cost vector: 1-D for one problem, ``(nnz, B)`` / ``(n, B)``
-    for B problems of the plan's structure. Every step is elementwise
-    per lane or an order-free maximum, and each lane's cost mean
-    reduces a contiguous row, so lane ``b`` of a batched call is the
-    solo call on lane ``b``'s data, bit for bit. Returns the scaled
+    for B problems of the plan's structure. Returns the scaled
     ``(vals, q)``, the stacked scaling ``[d, e]`` and the cost scale
-    ``c``.
+    ``c`` (a float for one problem, ``(B,)`` for B); ``vals`` and ``q``
+    belong to the caller and may be scaled in place.
+
+    With a C compiler this is one call of the engine's ``k_ruiz``
+    (:mod:`repro.hw.cjit`), whose lane-minor loop is the solo loop at
+    ``B == 1``; without one, :func:`numpy_ruiz`. Both give the same
+    bits.
+    """
+    library = kernels.engine()
+    if library is None:
+        return numpy_ruiz(vals, q, plan, iterations)
+    n, m, nnz = plan.structure.n, plan.structure.m, plan.rid.size
+    lanes = vals.shape[1:]
+    if vals.shape != (nnz,) + lanes or q.shape != (n,) + lanes:
+        raise ShapeError(f"ruiz: plan is for nnz={nnz}, n={n}; got values "
+                         f"{vals.shape} and q {q.shape}")
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    width = lanes[0] if lanes else 1
+    de = np.empty((n + m,) + lanes)
+    c = np.empty(width)
+    # Scratch per call: a plan may be shared between threads.
+    work = np.empty((2 * n + m + 1) * width)
+    buf = library.ffi.from_buffer
+    library.lib.k_ruiz(
+        buf("double[]", vals), buf("double[]", q), buf("double[]", de),
+        buf("double[]", c), buf("long[]", plan.rid),
+        buf("long[]", plan.cid), n, m, plan.nnz_p, nnz, width, iterations,
+        _MIN_SCALE, _MAX_SCALE, buf("double[]", work))
+    return vals, q, de, (c if lanes else c[0])
+
+
+def numpy_ruiz(vals: np.ndarray, q: np.ndarray, plan: RuizPlan,
+               iterations: int):
+    """The no-compiler implementation of :func:`_ruiz`, same bits.
+
+    Every step is elementwise per lane or an order-free maximum, and
+    each lane's cost mean reduces a contiguous row, so lane ``b`` of a
+    batched call is the solo call on lane ``b``'s data, bit for bit.
     """
     n, m, nnz_p = plan.structure.n, plan.structure.m, plan.nnz_p
     lanes = vals.shape[1:]
@@ -256,20 +298,24 @@ def ruiz_equilibrate(problem: QProblem, iterations: int = 10, *,
     ``iterations == 0`` returns an identity scaling (useful to disable
     scaling uniformly through one code path).
 
-    The iteration works on raw value arrays with segment plans computed
+    The iteration works on raw value arrays with index plans computed
     once from the (loop-invariant) sparsity pattern: the row/column
     scalings are the same two elementwise multiplies
     ``data * delta[row_of]`` then ``data * delta[indices]`` that
     :meth:`CSRMatrix.scale_rows` / ``scale_cols`` perform, and the
     infinity norms are order-insensitive maxima — so the result is
     bit-identical to equilibrating through matrix objects while doing
-    none of the per-iteration structure copies. This function sits on
-    the session re-solve hot path (:mod:`repro.serving.session`);
+    none of the per-iteration structure copies. With a C compiler the
+    whole iteration is one engine call (:func:`_ruiz`). This function
+    sits on the session re-solve hot path (:mod:`repro.serving.session`);
     callers that equilibrate one structure repeatedly pass a cached
-    :class:`RuizPlan` to skip even the pattern analysis.
+    :class:`RuizPlan` to skip even the pattern analysis. A problem of
+    another structure than the plan's raises :class:`ShapeError`.
     """
     if plan is None:
         plan = RuizPlan.for_problem(problem)
+    else:
+        check_same_structure(plan.structure, problem)
     vals, q, de, c = _ruiz(np.concatenate([problem.P.data, problem.A.data]),
                            problem.q.copy(), plan, iterations)
     return _scaled(problem, vals, q, de, c, plan,

@@ -25,7 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..qp import QProblem, Scaling, updated_vectors
+from ..qp import QProblem, RuizPlan, Scaling, updated_vectors
 from .settings import RHO_EQ_FACTOR, RHO_MAX, RHO_MIN
 
 __all__ = ["balanced_step", "rho_vector", "admm_initial_step",
@@ -69,34 +69,32 @@ def admm_initial_step(l: np.ndarray, u: np.ndarray,
     return rho, rho_vector(l, u, rho)
 
 
-def jacobi_preconditioner(structure: QProblem, p_vals: np.ndarray,
+def jacobi_preconditioner(plan: RuizPlan, p_vals: np.ndarray,
                           a_vals: np.ndarray, sigma: float,
                           rho_vec: np.ndarray) -> np.ndarray:
     """``1 / diag(K)`` for ``K = P + sigma I + A' diag(rho) A``, with
-    ``structure``'s sparsity pattern carrying the lane-minor values
-    ``p_vals`` / ``a_vals``. The same float ops as
+    the sparsity pattern of ``plan``'s structure carrying the
+    lane-minor values ``p_vals`` / ``a_vals`` (P's diagonal entries and
+    A's row ids come from the plan). The same float ops as
     :meth:`repro.qp.ReducedKKTOperator.diagonal`: ``A``'s columns
     accumulate their squared weighted entries in entry order."""
-    P, A = structure.P, structure.A
-    n, m = P.shape[0], A.shape[0]
+    P, A = plan.structure.P, plan.structure.A
     lanes = np.shape(p_vals)[1:]
-    p_row = np.repeat(np.arange(n), np.diff(P.indptr))
-    on_diag = p_row == P.indices
-    diag_k = np.zeros((n,) + lanes)
-    diag_k[P.indices[on_diag]] = p_vals[on_diag]
-    a_row = np.repeat(np.arange(m), np.diff(A.indptr))
-    col_sq = np.zeros((n,) + lanes)
-    np.add.at(col_sq, A.indices, (a_vals * np.sqrt(rho_vec)[a_row]) ** 2)
+    diag_k = np.zeros((P.shape[0],) + lanes)
+    diag_k[P.indices[plan.p_diag]] = p_vals[plan.p_diag]
+    col_sq = np.zeros((P.shape[0],) + lanes)
+    np.add.at(col_sq, A.indices,
+              (a_vals * np.sqrt(rho_vec)[plan.a_row]) ** 2)
     return 1.0 / (diag_k + sigma + col_sq)
 
 
-def admm_step_vectors(structure: QProblem, p_vals: np.ndarray,
+def admm_step_vectors(plan: RuizPlan, p_vals: np.ndarray,
                       a_vals: np.ndarray, sigma: float,
                       rho_vec: np.ndarray) -> dict:
     """The HBM vectors an ADMM step puts on the card (lane-minor): the
     rho vector, its inverse and the Jacobi preconditioner."""
     return {"rho": rho_vec, "rho_inv": 1.0 / rho_vec,
-            "minv": jacobi_preconditioner(structure, p_vals, a_vals, sigma,
+            "minv": jacobi_preconditioner(plan, p_vals, a_vals, sigma,
                                           rho_vec)}
 
 

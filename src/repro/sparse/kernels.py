@@ -24,6 +24,13 @@ BLAS) never appears here: numpy sums a contiguous axis pairwise and
 BLAS blocks, either of which would be another order. The numpy path is
 public (:meth:`CSRKernel.numpy_apply`, :func:`numpy_dot`) so tests can
 pin both implementations in one process.
+
+The same engine also carries the modified Ruiz iteration of
+:mod:`repro.qp.scaling` (``k_ruiz``), whose numpy twin is
+``repro.qp.scaling.numpy_ruiz``; :func:`engine` is how that module
+finds it. Ruiz is the one place the engine does *not* sum in sequence:
+its cost mean follows numpy's own pairwise order, because the numpy
+implementation it must match is an ``np.add.reduce``.
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ from ..exceptions import ShapeError
 __all__ = ["CSRKernel", "dot", "bind_dot", "numpy_dot"]
 
 
-def _engine() -> Any:
+def engine() -> Any:
+    """The engine library of :mod:`repro.hw.cjit`, or ``None`` when
+    this process runs the numpy implementations."""
     # Imported lazily: repro.hw imports this package.
     from ..hw import cjit
     return cjit.engine()
@@ -71,9 +80,9 @@ class CSRKernel:
         self.col = np.ascontiguousarray(indices, dtype=np.int64)
         self.ip = np.ascontiguousarray(indptr, dtype=np.int64)
         self._ell = None
-        self._engine = engine = _engine()
-        if engine is not None:
-            buf = engine.ffi.from_buffer
+        self._engine = engine()
+        if self._engine is not None:
+            buf = self._engine.ffi.from_buffer
             self._ptrs = (buf("double[]", self.val),
                           buf("long[]", self.col), buf("long[]", self.ip))
 
@@ -168,14 +177,14 @@ def bind_dot(a: np.ndarray, b: np.ndarray,
     _stable(b, a.shape, "dot operand")
     if a.ndim == 2:
         _stable(out, a.shape[1:], "dot output")
-    engine = _engine()
-    if engine is None:
+    library = engine()
+    if library is None:
         return partial(numpy_dot, a, b, out)
-    buf = engine.ffi.from_buffer
+    buf = library.ffi.from_buffer
     if a.ndim == 1:
-        return partial(engine.lib.k_dot, buf("double[]", a),
+        return partial(library.lib.k_dot, buf("double[]", a),
                        buf("double[]", b), a.shape[0])
-    return partial(engine.lib.k_dot_batch, buf("double[]", a),
+    return partial(library.lib.k_dot_batch, buf("double[]", a),
                    buf("double[]", b), a.shape[0], a.shape[1],
                    buf("double[]", out))
 

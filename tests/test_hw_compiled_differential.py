@@ -645,6 +645,27 @@ class TestHostSetupParity:
             assert bound.machine.hbm[name].tobytes() == \
                 fresh.machine.hbm[name].tobytes(), name
 
+    def test_carried_refresh_builds_rho_vector_once(self, monkeypatch):
+        # A carried refresh derives its rho vector from the carried
+        # step alone, not also from the cold-start rho it replaces.
+        import repro.hw.accelerator as accelerator
+        import repro.solver.host as host
+        from repro.problems import perturb_numeric
+        problem = generate("control", 2, seed=0)
+        bound = RSQPAccelerator(problem, customize_problem(problem, 8))
+        bound.rho = 0.37
+        calls = []
+
+        def counted(l, u, rho, build=host.rho_vector):
+            calls.append(rho)
+            return build(l, u, rho)
+
+        monkeypatch.setattr(accelerator, "rho_vector", counted)
+        monkeypatch.setattr(host, "rho_vector", counted)
+        bound.refresh_numeric(perturb_numeric(problem, seed=1),
+                              carry_rho=True)
+        assert calls == [0.37]
+
 
 class TestSpMVEngineDifferential:
     @settings(max_examples=20, deadline=None)

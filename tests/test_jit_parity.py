@@ -1,11 +1,13 @@
 """A request's answer does not depend on whether its host has a compiler.
 
-The same ADMM and PDQP ``solve()`` requests and one B=4 ``solve_batch``
-run in two fresh interpreters, one with ``REPRO_JIT=0`` (numpy
-kernels) and one with ``REPRO_JIT=1`` (C kernels). Every SpMV and DOT
-goes through :mod:`repro.sparse.kernels` in one summation order, so the
-answers must match byte for byte, with the same iteration and cycle
-counts.
+The same ADMM and PDQP ``solve()`` requests, one B=4 ``solve_batch``
+and one session ``update`` + ``resolve`` (a refresh carrying the
+adapted rho) run in two fresh interpreters, one with ``REPRO_JIT=0``
+(numpy kernels) and one with ``REPRO_JIT=1`` (C kernels). Every SpMV
+and DOT goes through :mod:`repro.sparse.kernels` in one summation
+order and Ruiz scaling runs the engine's ``k_ruiz`` or its numpy
+twin, so the answers must match byte for byte, with the same
+iteration and cycle counts.
 """
 
 import json
@@ -38,6 +40,16 @@ batch = [perturb_numeric(base, seed=s) for s in range(4)]
 with SolverService(mode="serial", workers=1, c=8, algorithm="admm",
                    max_batch=4) as service:
     out["batch"] = [digest(r) for r in service.solve_batch(batch)]
+base = generate("control", 2, seed=0)
+nearby = perturb_numeric(base, seed=1)
+with SolverService(mode="serial", workers=1, c=8,
+                   algorithm="admm") as service:
+    session = service.open_session(base)
+    first = digest(session.resolve())
+    session.update(q=nearby.q, l=nearby.l, u=nearby.u,
+                   P_data=nearby.P.data, A_data=nearby.A.data)
+    out["session"] = [first, digest(session.resolve())]
+    session.close()
 json.dump(out, sys.stdout)
 """
 
@@ -57,5 +69,7 @@ def test_answers_identical_with_and_without_jit(tmp_path):
     with_jit = run("1", tmp_path / "cache")
     assert without == with_jit
     assert len(with_jit["batch"]) == 4
+    assert len(with_jit["session"]) == 2
     assert all(entry["converged"] for entry in
-               [with_jit["admm"], with_jit["pdqp"], *with_jit["batch"]])
+               [with_jit["admm"], with_jit["pdqp"], *with_jit["batch"],
+                *with_jit["session"]])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
-from repro.problems import generate
-from repro.qp import QProblem, ruiz_equilibrate, ruiz_equilibrate_batch
-from repro.sparse import CSRMatrix, eye
+from repro.problems import FAMILIES, generate, perturb_numeric
+from repro.qp import (QProblem, RuizPlan, ruiz_equilibrate,
+                      ruiz_equilibrate_batch)
+from repro.qp.scaling import _ruiz, numpy_ruiz
+from repro.sparse import CSRMatrix, eye, kernels
 
 from helpers import edge_case_problem, random_dense, random_spd_dense
 
@@ -199,14 +201,177 @@ class TestRuizScaling:
         batched = ruiz_equilibrate_batch(lanes, iterations)[0]
         assert len(batched) == len(lanes)
         for lane, got in zip(lanes, batched):
-            want = ruiz_equilibrate(lane, iterations)
-            for name in ("d", "e"):
-                assert getattr(got, name).tobytes() == \
-                    getattr(want, name).tobytes()
-            assert repr(got.c) == repr(want.c)
-            for name in ("q", "l", "u"):
-                assert getattr(got.problem, name).tobytes() == \
-                    getattr(want.problem, name).tobytes()
-            for name in ("P", "A"):
-                assert getattr(got.problem, name).data.tobytes() == \
-                    getattr(want.problem, name).data.tobytes()
+            _assert_same_scaling(got, ruiz_equilibrate(lane, iterations))
+
+    def test_plan_of_another_structure_raises(self):
+        # Same n, m and nnz, rows in another order: the plan's index
+        # arrays would scale the wrong entries (or, read by the C
+        # kernel, out of bounds for another nnz).
+        problem = generate("control", 2, seed=0)
+        permuted = problem.permute_constraints(np.arange(problem.m)[::-1])
+        assert (permuted.n, permuted.m, permuted.A.nnz) == \
+            (problem.n, problem.m, problem.A.nnz)
+        plan = RuizPlan.for_problem(problem)
+        with pytest.raises(ShapeError, match="sparsity pattern"):
+            ruiz_equilibrate(permuted, plan=plan)
+        _assert_same_scaling(ruiz_equilibrate(problem, plan=plan),
+                             ruiz_equilibrate(problem))
+
+
+def _assert_same_scaling(got, want):
+    """Two scalings agree byte for byte."""
+    for name in ("d", "e"):
+        assert getattr(got, name).tobytes() == \
+            getattr(want, name).tobytes()
+    assert repr(got.c) == repr(want.c)
+    for name in ("q", "l", "u"):
+        assert getattr(got.problem, name).tobytes() == \
+            getattr(want.problem, name).tobytes()
+    for name in ("P", "A"):
+        assert getattr(got.problem, name).data.tobytes() == \
+            getattr(want.problem, name).data.tobytes()
+
+
+def _family_problem(family):
+    """A generator family, or the hand-built edge case."""
+    if family == "edge":
+        return edge_case_problem()
+    return generate(family, {"control": 2, "eqqp": 16}.get(family, 6),
+                    seed=3)
+
+
+def _diagonal_problem(n, seed=0):
+    """Diagonal ``P`` spanning many decades under a dense ``A``, so
+    P's scaled column norms differ in their low bits and the order of
+    the cost mean's sum shows."""
+    rng = np.random.default_rng(seed)
+    diag = np.exp(rng.uniform(-20.0, 20.0, n))
+    return QProblem(P=CSRMatrix.from_dense(np.diag(diag)),
+                    q=rng.standard_normal(n) * 1e-3,
+                    A=CSRMatrix.from_dense(rng.standard_normal((3, n))),
+                    l=-np.ones(3), u=np.ones(3))
+
+
+class TestRuizEngineParity:
+    """The engine's ``k_ruiz`` is :func:`numpy_ruiz`, bit for bit.
+
+    Compared on the raw outputs ``(vals, q, de, c)`` and on the
+    :class:`Scaling` of :func:`ruiz_equilibrate` with and without the
+    engine. Skipped where this process has no C engine (the numpy
+    implementation is then the only one).
+    """
+
+    @pytest.fixture(autouse=True)
+    def _engine(self):
+        if kernels.engine() is None:
+            pytest.skip("no C engine in this process")
+
+    @staticmethod
+    def _assert_same(vals, q, plan, iterations):
+        got = _ruiz(vals.copy(), q.copy(), plan, iterations)
+        want = numpy_ruiz(vals.copy(), q.copy(), plan, iterations)
+        for name, a, b in zip(("vals", "q", "de", "c"), got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        return got
+
+    @staticmethod
+    def _stacked(problem):
+        return np.concatenate([problem.P.data, problem.A.data]), problem.q
+
+    @pytest.mark.parametrize("iterations", [0, 1, 10])
+    @pytest.mark.parametrize("family", [*FAMILIES, "edge"])
+    def test_families(self, family, iterations, monkeypatch):
+        base = _family_problem(family)
+        problems = [base] + [perturb_numeric(base, seed=s, magnitude=0.3)
+                             for s in range(3)]
+        plan = RuizPlan.for_problem(base)
+        for problem in problems:
+            self._assert_same(*self._stacked(problem), plan, iterations)
+        with_engine = [ruiz_equilibrate(pr, iterations, plan=plan)
+                       for pr in problems]
+        monkeypatch.setattr(kernels, "engine", lambda: None)
+        for pr, got in zip(problems, with_engine):
+            _assert_same_scaling(got, ruiz_equilibrate(pr, iterations,
+                                                       plan=plan))
+
+    @pytest.mark.parametrize("case", [
+        "nan_p", "nan_a", "nan_q", "inf_p", "neginf_a", "inf_q",
+        "negzero_q", "huge", "tiny"])
+    @pytest.mark.parametrize("family", ["lasso", "edge"])
+    def test_special_values(self, family, case):
+        problem = _family_problem(family)
+        vals, q = self._stacked(problem)
+        vals, q, nnz_p = vals.copy(), q.copy(), problem.P.nnz
+        if case == "nan_p":
+            vals[nnz_p // 2] = np.nan
+        elif case == "nan_a":
+            vals[nnz_p] = np.nan
+        elif case == "nan_q":
+            q[0] = np.nan
+        elif case == "inf_p":
+            vals[0] = np.inf
+        elif case == "neginf_a":
+            vals[-1] = -np.inf
+        elif case == "inf_q":
+            q[-1] = -np.inf
+        elif case == "negzero_q":
+            q[:] = -0.0
+        elif case == "huge":
+            vals, q = vals * 1e300, q * 1e-300
+        else:
+            vals, q = vals * 1e-300, q * 1e300
+        self._assert_same(vals, q, RuizPlan.for_problem(problem), 10)
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (0, 3), (3, 0), (4, 2)],
+                             ids=["n0m0", "n0", "m0", "all_zero"])
+    def test_degenerate_dimensions(self, n, m, monkeypatch):
+        # Empty matrices: every row and column is empty.
+        problem = QProblem(P=CSRMatrix.zeros((n, n)), q=np.ones(n),
+                           A=CSRMatrix.zeros((m, n)), l=-np.ones(m),
+                           u=np.ones(m))
+        plan = RuizPlan.for_problem(problem)
+        self._assert_same(*self._stacked(problem), plan, 10)
+        got = ruiz_equilibrate(problem)
+        monkeypatch.setattr(kernels, "engine", lambda: None)
+        _assert_same_scaling(got, ruiz_equilibrate(problem))
+
+    @pytest.mark.parametrize("batch", [1, 3, 32])
+    @pytest.mark.parametrize("family", ["control", "edge"])
+    def test_lanes_are_solo_calls(self, family, batch):
+        problem = _family_problem(family)
+        plan = RuizPlan.for_problem(problem)
+        vals, q = self._stacked(problem)
+        rng = np.random.default_rng(batch)
+        vals = vals[:, None] * rng.uniform(0.2, 5.0, (vals.size, batch))
+        q = q[:, None] * rng.uniform(0.2, 5.0, (q.size, batch))
+        got = self._assert_same(vals, q, plan, 10)
+        for b in range(batch):
+            solo = _ruiz(vals[:, b].copy(), q[:, b].copy(), plan, 10)
+            for name, lane, one in zip(("vals", "q", "de", "c"), got,
+                                       solo):
+                assert lane[..., b].tobytes() == \
+                    np.asarray(one).tobytes(), name
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 128, 129, 257])
+    def test_pairwise_block_edges(self, n):
+        # The cost mean is numpy's pairwise sum: a loop below 8
+        # entries, eight accumulators up to 128, a split above.
+        problem = _diagonal_problem(n, seed=n)
+        plan = RuizPlan.for_problem(problem)
+        vals, q = self._stacked(problem)
+        for iterations in (1, 10):
+            self._assert_same(vals, q, plan, iterations)
+        rng = np.random.default_rng(n)
+        self._assert_same(
+            vals[:, None] * rng.uniform(0.2, 5.0, (vals.size, 3)),
+            q[:, None] * rng.uniform(0.2, 5.0, (n, 3)), plan, 10)
+
+    def test_wrong_length_values_raise(self):
+        # A C pointer never sees arrays of another length than the plan.
+        problem = _family_problem("lasso")
+        plan = RuizPlan.for_problem(problem)
+        vals, q = self._stacked(problem)
+        with pytest.raises(ShapeError):
+            _ruiz(vals[:-1].copy(), q.copy(), plan, 10)
+        with pytest.raises(ShapeError):
+            _ruiz(vals.copy(), q[:-1].copy(), plan, 10)
