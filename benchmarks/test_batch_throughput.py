@@ -119,7 +119,7 @@ def test_batch_throughput(benchmark):
         compiled = RSQPAccelerator(probs[0], customization=cust,
                                    settings=settings).compiled
 
-        # Warm up both paths: C chunk compilation amortizes across a
+        # Warm up both paths: C loop compilation amortizes across a
         # serving-style stream, exactly like the cached artifact does.
         RSQPAccelerator(probs[0], customization=cust, settings=settings,
                         compiled=compiled).run()

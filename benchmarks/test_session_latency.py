@@ -109,8 +109,8 @@ def test_session_latency(benchmark):
                        mode="serial") as svc:
         for family, size in cases:
             problems = _stream(family, size, steps)
-            # Warm the per-request path once: artifact build, C chunk
-            # + fused loop compilation, disk JIT cache. The session
+            # Warm the per-request path once: artifact build, fused
+            # loop compilation, disk JIT cache. The session
             # pass primes its own resident executor before timing.
             svc.solve(problems[0])
 

@@ -3,10 +3,10 @@
 The compiled backend's contract is *same bits, same cycle counts,
 faster wall clock*: per-solve Python dispatch (one ``isinstance`` walk
 and ``stats.charge`` per instruction in the interpreter) collapses into
-fused closures and generated C chunks. This benchmark measures full
-accelerator solves — lowering and kernel compilation are warmed up
-first and amortize across the serving-style repeat pattern — asserts
-the contract held bit for bit, asserts >= 5x speedup on the
+bound closures and one generated C function per loop. This benchmark
+measures full accelerator solves — lowering and kernel compilation are
+warmed up first and amortize across the serving-style repeat pattern —
+asserts the contract held bit for bit, asserts >= 5x speedup on the
 PCG-dominated cases, and writes ``BENCH_SIM.json`` at the repo root so
 future PRs have a perf trajectory.
 
@@ -43,7 +43,7 @@ SPEEDUP_FLOOR = 5.0
 
 def _solve(problem, cust, backend, repeats):
     acc = RSQPAccelerator(problem, customization=cust, backend=backend)
-    result = acc.run()  # warm-up: lowering + C chunk compile amortized
+    result = acc.run()  # warm-up: lowering + C loop compile amortized
     t0 = time.perf_counter()
     for _ in range(repeats):
         acc = RSQPAccelerator(problem, customization=cust,

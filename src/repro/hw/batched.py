@@ -16,9 +16,9 @@ module is the machine layer of :mod:`repro.batch`:
   counters.
 * :class:`BatchExecutor` — the batched lowering of
   :class:`~repro.hw.compiled.CompiledExecutor`: basic blocks become
-  fused numpy/C closures with deferred block charging, and a loop
-  whose body has bound becomes one lane-masked generated C function
-  (the batched whole-loop tier, :class:`_BatchLoopBuilder`).
+  numpy closures with deferred block charging, and a loop whose body
+  has bound becomes one lane-masked generated C function (the batched
+  whole-loop tier, :class:`_BatchLoopBuilder`).
 
 Memory layout: lane-minor
 -------------------------
@@ -97,13 +97,13 @@ import os
 
 import numpy as np
 
-from ..exceptions import ShapeError, SimulationError, VerificationError
+from ..exceptions import ShapeError, SimulationError
 from ..sparse import kernels
 from ..sparse.kernels import CSRKernel
 from . import cjit
-from .compiled import (SCALAR_C, _CBuilder, _FusedLoop, _LoopSkeleton,
-                       fuse_loop, literal_operand)
-from .effect_ir import BufferRef, EffectIR
+from .compiled import (SCALAR_C, _CBuilder, _FusedLoop, fuse_loop,
+                       literal_operand, vector_fold)
+from .effect_ir import BufferRef
 from .isa import (BINARY_SCALAR_OPS, Control, DataTransfer, Loop, Program,
                   ScalarOp, ScalarOpKind, SpMV, VecDup, VectorOp,
                   VectorOpKind)
@@ -328,11 +328,6 @@ class _Segment:
             total += cycles
             by_class[kind] = by_class.get(kind, 0) + cycles
         self._count = len(fns)
-        # Chunk fusion collapses many ops into one C call with no
-        # per-op hook points, so armed per-lane fault injectors keep
-        # the unfused closures (which share the same bits anyway).
-        if executor.jit and machine.injectors is None:
-            fns = _fuse_batch_chunks(executor, self._instructions, fns)
         self._fns = fns
         self._cycles = total
         self._by_class = by_class
@@ -936,482 +931,12 @@ class BatchExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Batched C chunk fusion (cjit): collapse straight-line runs into one
-# generated C call over the lane-minor buffers. The per-element
-# expressions are exactly the ones the numpy closures evaluate (see the
-# fold tables above) and the DOT/SpMV bodies are the engine library's
-# batched kernels, so fused chunks produce the same bits as the
-# unfused closures — and hence as B solo runs.
-
-_BATCH_CHUNK_CDEF = """
-void chunk_run(double **B, long **IA, const long *L, const double *S);
-"""
-
-_BATCH_CHUNK_VECTOR_OPS = frozenset({VectorOpKind.AXPBY, VectorOpKind.EWMUL,
-                                     VectorOpKind.SCALE_ADD,
-                                     VectorOpKind.COPY, VectorOpKind.DOT})
-
-#: Trap-free scalar ops only: DIV/SQRT carry active-lane trap checks a
-#: fused chunk could not replicate, so they stay numpy closures (and
-#: break fusion runs, exactly like solo non-chunkable instructions).
-_BATCH_CHUNK_SCALAR_OPS = frozenset({ScalarOpKind.MOV, ScalarOpKind.ADD,
-                                     ScalarOpKind.SUB, ScalarOpKind.MUL,
-                                     ScalarOpKind.MAX})
-
-
-def _batch_chunkable(executor: "BatchExecutor", instr) -> bool:
-    if isinstance(instr, VecDup):
-        return True
-    if isinstance(instr, VectorOp):
-        return instr.op in _BATCH_CHUNK_VECTOR_OPS
-    if isinstance(instr, ScalarOp):
-        return instr.op in _BATCH_CHUNK_SCALAR_OPS
-    if isinstance(instr, SpMV):
-        return instr.matrix in executor.machine.matrices
-    return False
-
-
-def _fuse_batch_chunks(executor: "BatchExecutor", instrs: list,
-                       fns: list) -> list:
-    """Replace runs of >= 2 chunkable closures with one C call each.
-
-    Any failure (unsupported pattern, compile error) keeps the numpy
-    closures for that run — the fallback is always correct, the fusion
-    is only faster.
-    """
-    out: list = []
-    i, n = 0, len(instrs)
-    while i < n:
-        j = i
-        while j < n and _batch_chunkable(executor, instrs[j]):
-            j += 1
-        if j - i >= 2:
-            fn = _build_batch_chunk(executor, instrs[i:j])
-            if fn is not None:
-                out.append(fn)
-            else:
-                out.extend(fns[i:j])
-        else:
-            out.extend(fns[i:j if j > i else i + 1])
-        i = max(j, i + 1)
-    return out
-
-
-def _build_batch_chunk(executor: "BatchExecutor", instrs: list):
-    try:
-        builder = _BatchChunkBuilder(executor)
-        for instr in instrs:
-            builder.emit(instr)
-        if executor.verify:
-            from ..verify.codegen import ensure_codegen_verified
-            ensure_codegen_verified(builder.effect_ir(), instrs,
-                                    executor.machine)
-        return builder.finish()
-    except VerificationError:
-        # A rejected unit is a genuine codegen defect, never a "fall
-        # back to closures" situation: fail loudly.
-        raise
-    except Exception:
-        return None
-
-
-class _BatchChunkBuilder(_CBuilder):
-    """Generate one C function for a run of batched instructions.
-
-    Mirrors :class:`repro.hw.compiled._ChunkBuilder` with two
-    lane-minor twists: scalar registers are stable ``(B,)`` buffers
-    mutated in place, so they travel through the ``B`` pointer table
-    like any other operand (no staleness — a register a DOT writes
-    earlier in the chunk is simply read through its buffer pointer by
-    later blocks); and every per-element expression gains an inner
-    lane loop over the contiguous trailing axis. Only float *literals*
-    go through the ``S`` constant table, keeping the source canonical
-    per instruction pattern for the hash-addressed module cache.
-    """
-
-    def __init__(self, executor: "BatchExecutor"):
-        super().__init__(executor)
-        self.consts: list = []
-        self._sregs = 0
-
-    def effect_ir(self) -> EffectIR:
-        return EffectIR(tier="batch-chunk", batch=self.machine.batch,
-                        statements=list(self.effects),
-                        lens=tuple(self.lens),
-                        consts=tuple(self.consts),
-                        source="".join(self.blocks))
-
-    # -- operand tables --------------------------------------------------
-    def const(self, value: float) -> str:
-        self.consts.append(float(value))
-        token = f"S[{len(self.consts) - 1}]"
-        self._pending_reads.append(("lit", float(value), token))
-        return token
-
-    def sreg(self, ref):
-        """A scalar operand: ``(decls, token, lane_varying)``.
-
-        A register resolves to its stable ``(B,)`` buffer (token indexes
-        the lane ``[j]``); a literal resolves to an ``S`` constant.
-        """
-        operand = self.executor._scalar_operand(ref)
-        if isinstance(operand, float):
-            return [], self.const(operand), False
-        name = f"s{self._sregs}"
-        self._sregs += 1
-        token = f"{name}[j]"
-        self._pending_reads.append(("reg", ref, token))
-        return ([f"const double *{name} = {self.buf(operand)};"],
-                token, True)
-
-    # -- emission --------------------------------------------------------
-    def _lane_mask(self) -> str | None:
-        """The active-lane mask guarding writes (whole-loop tier only)."""
-        return None
-
-    def _masked(self, stmt: str) -> str:
-        """``stmt`` (lane index ``j``) guarded by the active-lane mask."""
-        mask = self._lane_mask()
-        return stmt if mask is None else f"if ({mask}[j]) {stmt}"
-
-    def _accumulator(self, dst: str, indent: str) -> tuple:
-        """``(name, declaration, commit)`` of a kernel's lane
-        accumulator: ``dst`` itself when unmasked, else a local lane
-        vector whose active lanes are copied to ``dst`` (the commit is
-        indented by ``indent``)."""
-        if self._lane_mask() is None:
-            return dst, "", ""
-        return ("acc", "        double acc[bt];\n",
-                f"{indent}for (long j = 0; j < bt; ++j)\n"
-                f"{indent}    {self._masked(f'{dst}[j] = acc[j]')};\n")
-
-    def _flat(self, total: int, decls: list, expr: str) -> None:
-        """One loop over all ``len * batch`` contiguous elements (row by
-        row with the lane index ``j`` when writes are masked)."""
-        body = "".join(f"        {line}\n" for line in decls)
-        if self._lane_mask() is None:
-            loop = ("        for (long i = 0; i < t; ++i)\n"
-                    f"            {expr};\n")
-        else:
-            loop = ("        for (long i0 = 0; i0 < t; i0 += bt)\n"
-                    "            for (long j = 0; j < bt; ++j) {\n"
-                    "                const long i = i0 + j;\n"
-                    f"                {self._masked(expr)};\n"
-                    "            }\n")
-        self.blocks.append(
-            "    {\n"
-            f"        const long t = {self.length(total)};\n"
-            + body + loop +
-            "    }\n")
-
-    def _laned(self, n: int, decls: list, rowptrs: list, expr: str) -> None:
-        """Row loop with an inner lane loop (lane-varying coefficients).
-
-        ``rowptrs`` maps row-pointer names to base pointer names, e.g.
-        ``[("ai", "a"), ("di", "d")]``; ``expr`` indexes them ``[j]``.
-        """
-        body = "".join(f"        {line}\n" for line in decls)
-        rows = "".join(
-            f"            {'double' if name.startswith('d') else 'const double'}"
-            f" *{name} = {base} + i * bt;\n"
-            for name, base in rowptrs)
-        self.blocks.append(
-            "    {\n"
-            f"        const long n = {self.length(n)};\n"
-            f"        const long bt = {self.length(self.machine.batch)};\n"
-            + body +
-            "        for (long i = 0; i < n; ++i) {\n"
-            + rows +
-            "            for (long j = 0; j < bt; ++j)\n"
-            f"                {self._masked(expr)};\n"
-            "        }\n"
-            "    }\n")
-
-    def _scalar_block(self, decls: list, expr: str,
-                      guard: str = "") -> None:
-        """One lane loop over a ``(B,)`` register destination, after
-        the optional per-lane trap ``guard`` loop."""
-        body = "".join(f"        {line}\n" for line in decls)
-        self.blocks.append(
-            "    {\n"
-            f"        const long bt = {self.length(self.machine.batch)};\n"
-            + body + guard +
-            "        for (long j = 0; j < bt; ++j)\n"
-            f"            {self._masked(expr)};\n"
-            "    }\n")
-
-    def emit(self, instr) -> None:
-        self._instr_index += 1
-        if isinstance(instr, VecDup):
-            src = self.executor._resident(instr.src)
-            dst = self.executor._dst_buffer(
-                self.machine.cvb, instr.cvb, int(src.shape[0]))
-            total = int(src.shape[0]) * self.machine.batch
-            self._flat(total, [
-                f"const double *a = {self.buf(src)};",
-                f"double *d = {self.buf(dst)};",
-            ], "d[i] = a[i]")
-            self._record(
-                "vecdup", "flat", total,
-                dst=BufferRef("cvb", instr.cvb, int(dst.shape[0])),
-                srcs=(self._src_ref(instr.src, src),),
-                expr="d[i] = a[i]", text=self.blocks[-1],
-                site=getattr(instr, "site", None))
-            return
-        if isinstance(instr, SpMV):
-            self._emit_spmv(instr)
-            return
-        if isinstance(instr, VectorOp):
-            self._emit_vector(instr)
-            return
-        if isinstance(instr, ScalarOp):
-            self._emit_scalar(instr)
-            return
-        raise SimulationError(f"instruction not chunkable: {instr!r}")
-
-    def _emit_scalar(self, instr: ScalarOp) -> None:
-        op = instr.op
-        if op in BINARY_SCALAR_OPS and instr.src2 is None:
-            raise SimulationError("binary scalar op missing src2")
-        template, trap = SCALAR_C[op]
-        if trap is not None and self._lane_mask() is None:
-            # A chunk returns nothing, so only the whole-loop tier can
-            # report a DIV/SQRT trap.
-            raise SimulationError(f"scalar op not chunkable: {op}")
-        decls_a, a, _ = self.sreg(instr.src1)
-        decls = list(decls_a)
-        b = None
-        if instr.src2 is not None:
-            decls_b, b, _ = self.sreg(instr.src2)
-            decls += decls_b
-        dst = self.machine.scalar_buffer(instr.dst)
-        decls.append(f"double *d = {self.buf(dst)};")
-        # MAX is Python's max(a, b): b only when b > a (NaN-asymmetric),
-        # the same as the closure's where(b > a, b, a).
-        expr = "d[j] = " + template.format(a=a, b=b)
-        guard = ""
-        if trap is not None:
-            # Traps fire for active lanes only, before any lane writes.
-            cond, rc = trap
-            guard = ("        for (long j = 0; j < bt; ++j)\n"
-                     f"            if ({self._lane_mask()}[j] && "
-                     f"{cond.format(a=a, b=b)}) return {rc};\n")
-        self._scalar_block(decls, expr, guard)
-        self._record(f"scalar:{op.value}", "scalar", 0, expr=expr,
-                     text=self.blocks[-1],
-                     lane_bound=self.machine.batch,
-                     sreg_writes=((instr.dst, "d[j]"),),
-                     site=getattr(instr, "site", None))
-
-    def _emit_vector(self, instr: VectorOp) -> None:
-        executor = self.executor
-        machine = self.machine
-        kind = instr.op
-        site = getattr(instr, "site", None)
-        a = executor._resident(instr.srcs[0])
-        a_ref = self._src_ref(instr.srcs[0], a)
-        n = int(a.shape[0])
-        total = n * machine.batch
-        if kind is VectorOpKind.COPY:
-            dst = executor._dst_buffer(machine.vb, instr.dst, n)
-            self._flat(total, [
-                f"const double *a = {self.buf(a)};",
-                f"double *d = {self.buf(dst)};",
-            ], "d[i] = a[i]")
-            self._record(
-                "copy", "flat", total,
-                dst=BufferRef("vb", instr.dst, int(dst.shape[0])),
-                srcs=(a_ref,), expr="d[i] = a[i]",
-                text=self.blocks[-1], site=site)
-            return
-        b = executor._resident(instr.srcs[1])
-        b_ref = self._src_ref(instr.srcs[1], b)
-        if kind is VectorOpKind.DOT:
-            if a.shape != b.shape:
-                raise SimulationError("dot operand shapes differ")
-            dst = machine.scalar_buffer(instr.dst)
-            acc, decl, commit = self._accumulator("o", "        ")
-            self.blocks.append(
-                "    {\n"
-                f"        const double *a = {self.buf(a)};\n"
-                f"        const double *b = {self.buf(b)};\n"
-                f"        double * restrict o = {self.buf(dst)};\n"
-                f"        const long n = {self.length(n)};\n"
-                f"        const long bt = {self.length(machine.batch)};\n"
-                + decl +
-                "        for (long j = 0; j < bt; ++j)\n"
-                f"            {acc}[j] = 0.0;\n"
-                "        for (long i = 0; i < n; ++i) {\n"
-                "            const double *ai = a + i * bt;\n"
-                "            const double *bi = b + i * bt;\n"
-                "            for (long j = 0; j < bt; ++j)\n"
-                f"                {acc}[j] += ai[j] * bi[j];\n"
-                "        }\n"
-                + commit +
-                "    }\n")
-            self._record("dot", "reduce", n, srcs=(a_ref, b_ref),
-                         text=self.blocks[-1],
-                         lane_bound=machine.batch,
-                         sreg_writes=((instr.dst, "o"),), site=site)
-            return
-        dst = executor._dst_buffer(machine.vb, instr.dst, n)
-        dst_ref = BufferRef("vb", instr.dst, int(dst.shape[0]))
-        flat_decls = [f"const double *a = {self.buf(a)};",
-                      f"const double *b = {self.buf(b)};",
-                      f"double *d = {self.buf(dst)};"]
-
-        def record_flat(op, expr):
-            self._record(op, "flat", total, dst=dst_ref,
-                         srcs=(a_ref, b_ref), expr=expr,
-                         text=self.blocks[-1], site=site)
-
-        if kind is VectorOpKind.EWMUL:
-            self._flat(total, flat_decls, "d[i] = a[i] * b[i]")
-            record_flat("ewmul", "d[i] = a[i] * b[i]")
-            return
-
-        def laned(op, coeff_decls, expr):
-            self._laned(n, flat_decls + coeff_decls,
-                        [("ai", "a"), ("bi", "b"), ("di", "d")], expr)
-            self._record(op, "laned", n, dst=dst_ref,
-                         srcs=(a_ref, b_ref), expr=expr,
-                         text=self.blocks[-1],
-                         lane_bound=machine.batch, site=site)
-
-        if kind is VectorOpKind.SCALE_ADD:
-            al = literal_operand(instr.alpha)
-            if al == 1.0:
-                self._flat(total, flat_decls, "d[i] = a[i] + b[i]")
-                record_flat("scale_add", "d[i] = a[i] + b[i]")
-            elif al == -1.0:
-                self._flat(total, flat_decls, "d[i] = a[i] - b[i]")
-                record_flat("scale_add", "d[i] = a[i] - b[i]")
-            else:
-                decls, s0, _ = self.sreg(instr.alpha)
-                laned("scale_add", decls,
-                      f"di[j] = ai[j] + bi[j] * {self._lane(s0)}")
-            return
-        if kind is VectorOpKind.AXPBY:
-            al = literal_operand(instr.alpha)
-            be = literal_operand(instr.beta)
-            if al == 1.0 and be == 1.0:
-                self._flat(total, flat_decls, "d[i] = a[i] + b[i]")
-                record_flat("axpby", "d[i] = a[i] + b[i]")
-            elif al == 1.0 and be == -1.0:
-                self._flat(total, flat_decls, "d[i] = a[i] - b[i]")
-                record_flat("axpby", "d[i] = a[i] - b[i]")
-            elif al == 1.0:
-                decls, s0, _ = self.sreg(instr.beta)
-                laned("axpby", decls,
-                      f"di[j] = ai[j] + bi[j] * {self._lane(s0)}")
-            elif be == 1.0:
-                decls, s0, _ = self.sreg(instr.alpha)
-                laned("axpby", decls,
-                      f"di[j] = ai[j] * {self._lane(s0)} + bi[j]")
-            elif be == -1.0:
-                decls, s0, _ = self.sreg(instr.alpha)
-                laned("axpby", decls,
-                      f"di[j] = ai[j] * {self._lane(s0)} - bi[j]")
-            elif al == -1.0:
-                decls, s0, _ = self.sreg(instr.beta)
-                laned("axpby", decls,
-                      f"di[j] = bi[j] * {self._lane(s0)} - ai[j]")
-            else:
-                decls_a, s0, _ = self.sreg(instr.alpha)
-                decls_b, s1, _ = self.sreg(instr.beta)
-                laned("axpby", decls_a + decls_b,
-                      f"di[j] = ai[j] * {self._lane(s0)} + "
-                      f"bi[j] * {self._lane(s1)}")
-            return
-        raise SimulationError(f"vector op not chunkable: {kind}")
-
-    @staticmethod
-    def _lane(token: str) -> str:
-        # sreg tokens already index the lane for register operands and
-        # are lane-invariant S constants otherwise — both valid inside
-        # the lane loop as-is.
-        return token
-
-    def _emit_spmv(self, instr: SpMV) -> None:
-        machine = self.machine
-        resource = machine.matrices[instr.matrix]
-        src = machine.cvb.get(instr.src)
-        if src is None:
-            raise SimulationError(f"SpMV source {instr.src!r} not in CVB")
-        rows = int(resource.shape[0])
-        dst = self.executor._dst_buffer(machine.vb, instr.dst, rows)
-        kernel = resource.kernel
-        val, col, ip = kernel.val, kernel.col, kernel.ip
-        # The engine library's k_csr_matvec_batch body: per lane the
-        # k-loop accumulates in exactly the solo row-sum order.
-        acc, decl, commit = self._accumulator("yr", "            ")
-        self.blocks.append(
-            "    {\n"
-            f"        const double * restrict v = {self.buf(val)};\n"
-            f"        const long *col = {self.iarr(col)};\n"
-            f"        const long *ip = {self.iarr(ip)};\n"
-            f"        const double * restrict xx = {self.buf(src)};\n"
-            f"        double * restrict yy = {self.buf(dst)};\n"
-            f"        const long nrows = {self.length(rows)};\n"
-            f"        const long bt = {self.length(machine.batch)};\n"
-            + decl +
-            "        for (long r = 0; r < nrows; ++r) {\n"
-            "            double * restrict yr = yy + r * bt;\n"
-            "            for (long j = 0; j < bt; ++j)\n"
-            f"                {acc}[j] = 0.0;\n"
-            "            for (long k = ip[r]; k < ip[r + 1]; ++k) {\n"
-            "                const double * restrict vk = v + k * bt;\n"
-            "                const double * restrict xk = xx + col[k] * bt;\n"
-            "                for (long j = 0; j < bt; ++j)\n"
-            f"                    {acc}[j] += vk[j] * xk[j];\n"
-            "            }\n"
-            + commit +
-            "        }\n"
-            "    }\n")
-        self._record(
-            "spmv", "gather", rows,
-            dst=BufferRef("vb", instr.dst, int(dst.shape[0])),
-            srcs=(BufferRef("matrix", instr.matrix, int(val.shape[0])),
-                  BufferRef("cvb", instr.src, int(src.shape[0]))),
-            text=self.blocks[-1], site=getattr(instr, "site", None),
-            matrix=instr.matrix,
-            spmv_shape=(rows, int(resource.shape[1])),
-            index_arrays=(col, ip), nnz=int(val.shape[0]),
-            lane_bound=machine.batch)
-
-    # -- finish ----------------------------------------------------------
-    def finish(self):
-        source = ("void chunk_run(double **B, long **IA, const long *L,\n"
-                  "               const double *S)\n{\n"
-                  + "".join(self.blocks) + "}\n")
-        module = (cjit.compile_module(_BATCH_CHUNK_CDEF, source,
-                                      tag="bchunk",
-                                      args=cjit._ENGINE_COMPILE_ARGS)
-                  or cjit.compile_module(_BATCH_CHUNK_CDEF, source,
-                                         tag="bchunk",
-                                         args=cjit._ENGINE_FALLBACK_ARGS))
-        if module is None:
-            return None
-        ffi = module.ffi
-        run = module.lib.chunk_run
-        pB = ffi.new("double *[]",
-                     [ffi.cast("double *", a.ctypes.data)
-                      for a in self.bufs] or [ffi.NULL])
-        pI = ffi.new("long *[]",
-                     [ffi.cast("long *", a.ctypes.data)
-                      for a in self.iarrs] or [ffi.NULL])
-        pL = ffi.new("long[]", self.lens or [0])
-        pS = ffi.new("double[]", self.consts or [0.0])
-        hold = (tuple(self.bufs), tuple(self.iarrs), pB, pI, pL, pS)
-
-        def fn(_hold=hold):
-            run(pB, pI, pL, pS)
-        return fn
-
-
-# ---------------------------------------------------------------------------
-# Batched whole-loop fusion: the solo whole-loop skeleton over the lane-minor
-# chunk emitters, with masked writes instead of snapshot/restore.
+# Batched whole-loop fusion: the solo whole-loop walk over lane-minor
+# emitters, with masked writes instead of snapshot/restore. The
+# per-element expressions are exactly the ones the numpy closures
+# evaluate (see the fold tables above) and the DOT/SpMV bodies are the
+# engine library's batched kernels, so a fused loop produces the same
+# bits as the node path, and hence as B solo runs.
 
 _BATCH_LOOP_CDEF = """
 long loop_run(double **B, long **IA, const long *L, const double *S,
@@ -1459,8 +984,15 @@ class _FusedBatchLoop(_FusedLoop):
         return True
 
 
-class _BatchLoopBuilder(_LoopSkeleton, _BatchChunkBuilder):
+class _BatchLoopBuilder(_CBuilder):
     """Generate one lane-masked C function for an entire batched Loop.
+
+    Scalar registers are stable ``(B,)`` buffers mutated in place, so
+    they travel through the ``B`` pointer table like any other operand
+    and every per-element expression gains an inner lane loop over the
+    contiguous trailing axis. Only float *literals* go through the
+    ``S`` constant table, keeping the source canonical per instruction
+    pattern for the hash-addressed module cache.
 
     Frame ``k`` (the loop with ``IT`` slot ``k``; 0 is the fused loop
     itself) keeps its active lanes in ``m{k}``. Every emitted write is
@@ -1481,22 +1013,47 @@ class _BatchLoopBuilder(_LoopSkeleton, _BatchChunkBuilder):
 
     def __init__(self, executor: "BatchExecutor"):
         super().__init__(executor)
+        self.consts: list = []
+        self._sregs = 0
         self._batch = self.machine.batch
         # L[0] is the function-level lane count ``bt`` the mask and
         # trip-counter loops run over.
         self.length(self._batch)
         self._pending_lens.clear()
 
-    def _lane_mask(self) -> str:
-        return f"m{self._frame}"
-
     def _scalar_tables(self) -> dict:
         return {"consts": tuple(self.consts)}
 
-    # -- skeleton hooks --------------------------------------------------
+    # -- operand tables --------------------------------------------------
+    def const(self, value: float) -> str:
+        self.consts.append(float(value))
+        token = f"S[{len(self.consts) - 1}]"
+        self._pending_reads.append(("lit", float(value), token))
+        return token
+
+    def sreg(self, ref) -> tuple:
+        """A scalar operand: ``(decls, token)``.
+
+        A register resolves to its stable ``(B,)`` buffer (token indexes
+        the lane ``[j]``); a literal resolves to an ``S`` constant.
+        """
+        operand = self.executor._scalar_operand(ref)
+        if isinstance(operand, float):
+            return [], self.const(operand)
+        name = f"s{self._sregs}"
+        self._sregs += 1
+        token = f"{name}[j]"
+        self._pending_reads.append(("reg", ref, token))
+        return [f"const double *{name} = {self.buf(operand)};"], token
+
+    # -- frame hooks -----------------------------------------------------
+    def _masked(self, stmt: str) -> str:
+        """``stmt`` (lane index ``j``) guarded by the frame's mask."""
+        return f"if (m{self._frame}[j]) {stmt}"
+
     def _frame_enter(self, slot: int) -> str:
         return ("    for (long j = 0; j < bt; ++j)\n"
-                f"        m{slot}[j] = {self._lane_mask()}[j];\n")
+                f"        m{slot}[j] = m{self._frame}[j];\n")
 
     def _trip_head(self, slot: int) -> str:
         return ("    {\n"
@@ -1510,10 +1067,10 @@ class _BatchLoopBuilder(_LoopSkeleton, _BatchChunkBuilder):
                 f"    IT[{slot}]++;\n")
 
     def _control_test(self, instr: Control) -> tuple:
-        decls_v, value, _ = self.sreg(instr.reg)
-        decls_t, threshold, _ = self.sreg(instr.threshold_reg)
+        decls_v, value = self.sreg(instr.reg)
+        decls_t, threshold = self.sreg(instr.threshold_reg)
         expr = f"{value} < {threshold}"
-        m = self._lane_mask()
+        m = f"m{self._frame}"
         return expr, (
             "    {\n"
             + "".join(f"        {line}\n" for line in decls_v + decls_t) +
@@ -1525,35 +1082,211 @@ class _BatchLoopBuilder(_LoopSkeleton, _BatchChunkBuilder):
             f"        if (!live) goto loop_exit_{self._frame};\n"
             "    }\n")
 
-    def _emit_vector(self, instr: VectorOp) -> None:
-        # The generated loops never broadcast; refuse what numpy would.
-        executor = self.executor
-        srcs = [executor._resident(name) for name in instr.srcs]
-        if any(arr.shape != srcs[0].shape for arr in srcs[1:]):
-            raise SimulationError("vector operand shapes differ")
-        if instr.op is not VectorOpKind.CLIP:
-            super()._emit_vector(instr)
-            return
-        a, lo, hi = srcs
-        n = int(a.shape[0])
-        dst = executor._dst_buffer(self.machine.vb, instr.dst, n)
-        # max-then-min with NaN passthrough: np.clip exactly, as in the
-        # solo whole-loop tier.
-        expr = ("{ const double av = a[i]; "
-                "const double c = isnan(av) ? av : (av > lo[i] ? av : lo[i]); "
-                "d[i] = isnan(c) ? c : (c < hi[i] ? c : hi[i]); }")
-        self._flat(n * self._batch, [
-            f"const double *a = {self.buf(a)};",
-            f"const double *lo = {self.buf(lo)};",
-            f"const double *hi = {self.buf(hi)};",
+    # -- emission --------------------------------------------------------
+    def _flat(self, total: int, decls: list, expr: str) -> None:
+        """One loop over all ``len * batch`` contiguous elements, row by
+        row with the lane index ``j`` for the mask."""
+        body = "".join(f"        {line}\n" for line in decls)
+        self.code.append(
+            "    {\n"
+            f"        const long t = {self.length(total)};\n"
+            + body +
+            "        for (long i0 = 0; i0 < t; i0 += bt)\n"
+            "            for (long j = 0; j < bt; ++j) {\n"
+            "                const long i = i0 + j;\n"
+            f"                {self._masked(expr)};\n"
+            "            }\n"
+            "    }\n")
+
+    def _laned(self, n: int, decls: list, expr: str) -> None:
+        """Row loop with an inner lane loop (lane-varying coefficients);
+        ``expr`` indexes the row pointers ``ai``/``bi``/``di`` by ``[j]``."""
+        body = "".join(f"        {line}\n" for line in decls)
+        self.code.append(
+            "    {\n"
+            f"        const long n = {self.length(n)};\n"
+            f"        const long bt = {self.length(self._batch)};\n"
+            + body +
+            "        for (long i = 0; i < n; ++i) {\n"
+            "            const double *ai = a + i * bt;\n"
+            "            const double *bi = b + i * bt;\n"
+            "            double *di = d + i * bt;\n"
+            "            for (long j = 0; j < bt; ++j)\n"
+            f"                {self._masked(expr)};\n"
+            "        }\n"
+            "    }\n")
+
+    def _emit_vecdup(self, instr: VecDup) -> None:
+        src = self.executor._resident(instr.src)
+        dst = self.executor._dst_buffer(
+            self.machine.cvb, instr.cvb, int(src.shape[0]))
+        total = int(src.shape[0]) * self._batch
+        self._flat(total, [
+            f"const double *a = {self.buf(src)};",
             f"double *d = {self.buf(dst)};",
-        ], expr)
-        self._record("clip", "flat", n * self._batch,
-                     dst=BufferRef("vb", instr.dst, n),
-                     srcs=tuple(self._src_ref(name, arr)
-                                for name, arr in zip(instr.srcs, srcs)),
-                     expr=expr, text=self.blocks[-1],
+        ], "d[i] = a[i]")
+        self._record(
+            "vecdup", "flat", total,
+            dst=BufferRef("cvb", instr.cvb, int(dst.shape[0])),
+            srcs=(self._src_ref(instr.src, src),),
+            expr="d[i] = a[i]", text=self.code[-1],
+            site=getattr(instr, "site", None))
+
+    def _emit_scalar(self, instr: ScalarOp) -> None:
+        op = instr.op
+        if op in BINARY_SCALAR_OPS and instr.src2 is None:
+            raise SimulationError("binary scalar op missing src2")
+        template, trap = SCALAR_C[op]
+        decls, a = self.sreg(instr.src1)
+        b = None
+        if instr.src2 is not None:
+            decls_b, b = self.sreg(instr.src2)
+            decls = decls + decls_b
+        dst = self.machine.scalar_buffer(instr.dst)
+        decls.append(f"double *d = {self.buf(dst)};")
+        # MAX is Python's max(a, b): b only when b > a (NaN-asymmetric),
+        # the same as the closure's where(b > a, b, a).
+        expr = "d[j] = " + template.format(a=a, b=b)
+        guard = ""
+        if trap is not None:
+            # Traps fire for active lanes only, before any lane writes.
+            cond, rc = trap
+            guard = ("        for (long j = 0; j < bt; ++j)\n"
+                     f"            if (m{self._frame}[j] && "
+                     f"{cond.format(a=a, b=b)}) return {rc};\n")
+        self.code.append(
+            "    {\n"
+            f"        const long bt = {self.length(self._batch)};\n"
+            + "".join(f"        {line}\n" for line in decls) + guard +
+            "        for (long j = 0; j < bt; ++j)\n"
+            f"            {self._masked(expr)};\n"
+            "    }\n")
+        self._record(f"scalar:{op.value}", "scalar", 0, expr=expr,
+                     text=self.code[-1], lane_bound=self._batch,
+                     sreg_writes=((instr.dst, "d[j]"),),
                      site=getattr(instr, "site", None))
+
+    def _emit_vector(self, instr: VectorOp) -> None:
+        executor = self.executor
+        kind = instr.op
+        site = getattr(instr, "site", None)
+        srcs = self._vector_operands(instr)
+        refs = tuple(self._src_ref(name, arr)
+                     for name, arr in zip(instr.srcs, srcs))
+        a = srcs[0]
+        n = int(a.shape[0])
+        total = n * self._batch
+        if kind is VectorOpKind.DOT:
+            dst = self.machine.scalar_buffer(instr.dst)
+            self.code.append(
+                "    {\n"
+                f"        const double *a = {self.buf(a)};\n"
+                f"        const double *b = {self.buf(srcs[1])};\n"
+                f"        double * restrict o = {self.buf(dst)};\n"
+                f"        const long n = {self.length(n)};\n"
+                f"        const long bt = {self.length(self._batch)};\n"
+                "        double acc[bt];\n"
+                "        for (long j = 0; j < bt; ++j)\n"
+                "            acc[j] = 0.0;\n"
+                "        for (long i = 0; i < n; ++i) {\n"
+                "            const double *ai = a + i * bt;\n"
+                "            const double *bi = b + i * bt;\n"
+                "            for (long j = 0; j < bt; ++j)\n"
+                "                acc[j] += ai[j] * bi[j];\n"
+                "        }\n"
+                "        for (long j = 0; j < bt; ++j)\n"
+                f"            {self._masked('o[j] = acc[j]')};\n"
+                "    }\n")
+            self._record("dot", "reduce", n, srcs=refs,
+                         text=self.code[-1], lane_bound=self._batch,
+                         sreg_writes=((instr.dst, "o"),), site=site)
+            return
+        dst = executor._dst_buffer(self.machine.vb, instr.dst, n)
+        dst_ref = BufferRef("vb", instr.dst, int(dst.shape[0]))
+        if kind is VectorOpKind.CLIP:
+            # max-then-min with NaN passthrough: np.clip exactly, as in
+            # the solo whole-loop tier.
+            expr = ("{ const double av = a[i]; "
+                    "const double c = isnan(av) ? av : "
+                    "(av > lo[i] ? av : lo[i]); "
+                    "d[i] = isnan(c) ? c : (c < hi[i] ? c : hi[i]); }")
+            self._flat(total, [
+                f"const double *{name} = {self.buf(arr)};"
+                for name, arr in zip(("a", "lo", "hi"), srcs)
+            ] + [f"double *d = {self.buf(dst)};"], expr)
+            self._record("clip", "flat", total, dst=dst_ref, srcs=refs,
+                         expr=expr, text=self.code[-1], site=site)
+            return
+        form, scalars = vector_fold(instr)
+        decls = [f"const double *{name} = {self.buf(arr)};"
+                 for name, arr in zip("ab", srcs)]
+        decls.append(f"double *d = {self.buf(dst)};")
+        if not scalars:
+            expr = "d[i] = " + form.format(a="a[i]", b="b[i]")
+            self._flat(total, decls, expr)
+            self._record(kind.value, "flat", total, dst=dst_ref,
+                         srcs=refs, expr=expr, text=self.code[-1],
+                         site=site)
+            return
+        # A (B,) register indexes its lane [j]; a literal is an S
+        # constant, lane-invariant.
+        tokens = []
+        for ref in scalars:
+            more, token = self.sreg(ref)
+            decls += more
+            tokens.append(token)
+        expr = "di[j] = " + form.format(*tokens, a="ai[j]", b="bi[j]")
+        self._laned(n, decls, expr)
+        self._record(kind.value, "laned", n, dst=dst_ref, srcs=refs,
+                     expr=expr, text=self.code[-1],
+                     lane_bound=self._batch, site=site)
+
+    def _emit_spmv(self, instr: SpMV) -> None:
+        machine = self.machine
+        resource = machine.matrices[instr.matrix]
+        src = machine.cvb.get(instr.src)
+        if src is None:
+            raise SimulationError(f"SpMV source {instr.src!r} not in CVB")
+        rows = int(resource.shape[0])
+        dst = self.executor._dst_buffer(machine.vb, instr.dst, rows)
+        kernel = resource.kernel
+        val, col, ip = kernel.val, kernel.col, kernel.ip
+        # The engine library's k_csr_matvec_batch body: per lane the
+        # k-loop accumulates in exactly the solo row-sum order.
+        self.code.append(
+            "    {\n"
+            f"        const double * restrict v = {self.buf(val)};\n"
+            f"        const long *col = {self.iarr(col)};\n"
+            f"        const long *ip = {self.iarr(ip)};\n"
+            f"        const double * restrict xx = {self.buf(src)};\n"
+            f"        double * restrict yy = {self.buf(dst)};\n"
+            f"        const long nrows = {self.length(rows)};\n"
+            f"        const long bt = {self.length(self._batch)};\n"
+            "        double acc[bt];\n"
+            "        for (long r = 0; r < nrows; ++r) {\n"
+            "            double * restrict yr = yy + r * bt;\n"
+            "            for (long j = 0; j < bt; ++j)\n"
+            "                acc[j] = 0.0;\n"
+            "            for (long k = ip[r]; k < ip[r + 1]; ++k) {\n"
+            "                const double * restrict vk = v + k * bt;\n"
+            "                const double * restrict xk = xx + col[k] * bt;\n"
+            "                for (long j = 0; j < bt; ++j)\n"
+            "                    acc[j] += vk[j] * xk[j];\n"
+            "            }\n"
+            "            for (long j = 0; j < bt; ++j)\n"
+            f"                {self._masked('yr[j] = acc[j]')};\n"
+            "        }\n"
+            "    }\n")
+        self._record(
+            "spmv", "gather", rows,
+            dst=BufferRef("vb", instr.dst, int(dst.shape[0])),
+            srcs=(BufferRef("matrix", instr.matrix, int(val.shape[0])),
+                  BufferRef("cvb", instr.src, int(src.shape[0]))),
+            text=self.code[-1], site=getattr(instr, "site", None),
+            matrix=instr.matrix,
+            spmv_shape=(rows, int(resource.shape[1])),
+            index_arrays=(col, ip), nnz=int(val.shape[0]),
+            lane_bound=self._batch)
 
     # -- finish ----------------------------------------------------------
     def _loop_source(self) -> str:

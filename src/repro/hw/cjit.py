@@ -1,9 +1,10 @@
 """Optional C kernel layer for the functional simulator (cffi + cc).
 
-The compiled backend (:mod:`repro.hw.compiled`) lowers straight-line
-runs of vector instructions into a single C function so the per-solve
-hot loop pays one foreign call instead of one Python dispatch per
-instruction. This module owns the build machinery:
+The compiled backends (:mod:`repro.hw.compiled`,
+:mod:`repro.hw.batched`) lower a whole loop body into a single C
+function, so the per-solve hot loop pays one foreign call instead of
+one Python dispatch per instruction. This module owns the build
+machinery:
 
 * :func:`available` — probe once whether a working C toolchain exists.
 * :func:`engine` — the process-wide generic kernel library
@@ -13,7 +14,7 @@ instruction. This module owns the build machinery:
   :mod:`repro.qp.scaling` runs in one call for a solo or a batched
   refresh.
 * :func:`compile_module` — hash-addressed, disk-cached compilation of
-  generated chunk sources (same source is compiled at most once per
+  generated loop sources (same source is compiled at most once per
   cache directory, ever).
 
 Bit-exactness contract: kernels are compiled with ``-O2
@@ -50,8 +51,8 @@ from .effect_ir import EFFECT_IR_VERSION
 __all__ = ["available", "engine", "compile_module", "CSR_MATVEC_BODY",
            "DOT_BODY", "CODEGEN_VERSION", "cache_dir"]
 
-#: Canonical CSR row-sum loop. Chunk codegen embeds this exact shape so
-#: an SpMV fused into a chunk produces the same bits as the engine
+#: Canonical CSR row-sum loop. Loop codegen embeds this exact shape so
+#: an SpMV fused into a loop produces the same bits as the engine
 #: library's ``k_csr_matvec`` (sequential accumulation may not be
 #: reassociated by the compiler, so the source shape pins the result).
 CSR_MATVEC_BODY = """\
@@ -65,7 +66,7 @@ CSR_MATVEC_BODY = """\
 
 #: Canonical dot-product loop (strictly sequential, left to right).
 #: Both backends route DOT through ``k_dot`` when the JIT is active, and
-#: chunk codegen embeds this exact shape, so a DOT fused into a chunk
+#: loop codegen embeds this exact shape, so a DOT fused into a loop
 #: produces the same bits as the engine library call (and as the numpy
 #: fallback of :mod:`repro.sparse.kernels`).
 DOT_BODY = """\
@@ -293,7 +294,7 @@ CODEGEN_VERSION = "1"
 
 #: Fingerprint of the kernel layer a generated module may embed or
 #: call into. Keying the disk cache on this (not just the generated
-#: chunk source) means a cached ``.so`` can never be reused after
+#: loop source) means a cached ``.so`` can never be reused after
 #: ``k_csr_matvec`` / ``k_dot``, the codegen contract, or the effect-IR
 #: schema changes — a stale binary would silently break either the
 #: bit-exactness guarantee or the static verifier's assumptions about
@@ -333,7 +334,7 @@ def compile_module(cdef: str, source: str, tag: str = "k",
 
     Returns the imported module (``.lib`` / ``.ffi`` attributes) or
     ``None`` when the toolchain is unavailable or the build fails.
-    Modules are stateless by contract — chunk functions receive their
+    Modules are stateless by contract — loop functions receive their
     pointer tables as arguments — so one compiled module is safely
     shared by every executor (and thread) whose generated source
     matches. ``args`` overrides the compiler flags; ``libraries`` adds

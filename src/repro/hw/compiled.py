@@ -29,31 +29,24 @@ What lowering precomputes:
   :meth:`~repro.hw.machine.ExecutionStats.charge_block` call per block
   execution instead of N ``charge`` calls. Only Control exits are
   evaluated numerically each iteration.
-* **C chunk fusion** — when a C toolchain is available (see
-  :mod:`repro.hw.cjit`), straight-line runs of two or more vector
-  instructions (VecDup, SpMV, AXPBY/EWMUL/SCALE_ADD/COPY/DOT) are
-  compiled into one generated C function per run and become a single
-  foreign call. The generated per-element expressions replicate the
-  closure fold table below exactly, SpMV embeds the engine library's
-  row-sum body, and DOT embeds its sequential ``k_dot`` body — so
-  fused, unfused, and interpreted execution all produce the same bits.
-  Scalar inputs stream through an ``S`` table filled from the register
-  file before each call; DOT results return through an ``O`` table
-  (read in-chunk by later fused consumers) and are written back to the
-  register file after the call. Chunk sources depend only on the
-  instruction pattern, so the hash-addressed disk cache compiles each
-  program shape once, ever.
-* **Whole-loop fusion** — one tier above chunks: an entire
-  :class:`~repro.hw.isa.Loop` body (vector ops, SpMV, scalar
-  arithmetic, Control exit tests, nested loops, cycle accounting)
-  compiles into a single C function entered once per loop execution,
-  so the hot ADMM/PDHG iteration pays zero Python dispatch. Built only
-  after the body's segments have bound (one node-path run), bypassed
-  whenever a fault injector is armed, and falls back to the node path
-  on any unsupported body — same bits either way. The loop walk, the
-  ``CT``/``IT`` accounting and the call protocol (``_LoopSkeleton``,
-  ``_FusedLoop``) are shared with the lane-masked batch variant in
-  :mod:`repro.hw.batched`.
+* **Whole-loop fusion** — when a C toolchain is available (see
+  :mod:`repro.hw.cjit`), an entire :class:`~repro.hw.isa.Loop` body
+  (vector ops, SpMV, scalar arithmetic, Control exit tests, nested
+  loops, cycle accounting) compiles into a single generated C function
+  entered once per loop execution, so the hot ADMM/PDHG iteration pays
+  zero Python dispatch. The generated per-element expressions
+  replicate the closure fold table below exactly, SpMV embeds the
+  engine library's row-sum body and DOT its sequential ``k_dot`` body,
+  so fused, unfused and interpreted execution all produce the same
+  bits. Built only after the body's segments have bound (one node-path
+  run), bypassed whenever a fault injector is armed, and falls back to
+  the node path on any unsupported body — same bits either way. Loop
+  sources depend only on the instruction pattern, so the
+  hash-addressed disk cache compiles each program shape once, ever.
+  Everything outside a fused loop (prologues, epilogues, a loop's
+  first run) runs as the closures. The loop walk, the ``CT``/``IT``
+  accounting and the call protocol (``_CBuilder``, ``_FusedLoop``) are
+  shared with the lane-masked batch variant in :mod:`repro.hw.batched`.
 
 The interpreter remains the differential-testing oracle: on error-free
 runs the compiled backend produces bit-identical machine state and
@@ -219,11 +212,6 @@ class _Segment:
             total += cycles
             by_class[kind] = by_class.get(kind, 0) + cycles
         self._count = len(fns)
-        # Chunk fusion collapses many ops into one C call with no
-        # per-op hook points, so an armed fault injector keeps the
-        # unfused closures (which share the same bits anyway).
-        if executor.jit and machine.injector is None:
-            fns = _fuse_chunks(executor, self._instructions, fns)
         self._fns = fns
         self._cycles = total
         self._by_class = by_class
@@ -371,9 +359,9 @@ class CompiledExecutor:
     def __init__(self, machine: Machine, jit: bool | None = None,
                  verify: bool | None = None):
         self.machine = machine
-        # Fault hooks and the chunk-fusion decision bind the armed
-        # injector when a block lowers, so each injector gets its own
-        # lowering (see run). The fault-free one is kept for reuse.
+        # Fault hooks bind the armed injector when a block lowers, so
+        # each injector gets its own lowering (see run). The
+        # fault-free one is kept for reuse.
         self._clean_blocks: dict = {}
         self._blocks = self._clean_blocks
         self._lowered_for = None
@@ -735,411 +723,6 @@ class CompiledExecutor:
 
 
 # ---------------------------------------------------------------------------
-# C chunk fusion (cjit): collapse straight-line runs of vector-engine
-# instructions into one generated C function call.
-
-_CHUNK_CDEF = """
-void chunk_run(double **B, long **IA, const long *L, const double *S,
-               double *O);
-"""
-
-_CHUNKABLE_VECTOR_OPS = frozenset({VectorOpKind.AXPBY, VectorOpKind.EWMUL,
-                                   VectorOpKind.SCALE_ADD,
-                                   VectorOpKind.COPY, VectorOpKind.DOT})
-
-
-def _chunkable(executor: CompiledExecutor, instr) -> bool:
-    if isinstance(instr, VecDup):
-        return True
-    if isinstance(instr, VectorOp):
-        return instr.op in _CHUNKABLE_VECTOR_OPS
-    if isinstance(instr, SpMV):
-        return instr.matrix in executor.machine.matrices
-    return False
-
-
-def _fuse_chunks(executor: CompiledExecutor, instrs: list,
-                 fns: list) -> list:
-    """Replace runs of >= 2 chunkable closures with one C call each.
-
-    Any failure (unsupported pattern, compile error) keeps the numpy
-    closures for that run — the fallback is always correct, the fusion
-    is only faster.
-    """
-    out: list = []
-    i, n = 0, len(instrs)
-    while i < n:
-        j = i
-        while j < n and _chunkable(executor, instrs[j]):
-            j += 1
-        if j - i >= 2:
-            fn = _build_chunk(executor, instrs[i:j])
-            if fn is not None:
-                out.append(fn)
-            else:
-                out.extend(fns[i:j])
-        else:
-            out.extend(fns[i:j if j > i else i + 1])
-        i = max(j, i + 1)
-    return out
-
-
-def _build_chunk(executor: CompiledExecutor, instrs: list):
-    try:
-        builder = _ChunkBuilder(executor)
-        for instr in instrs:
-            builder.emit(instr)
-        if executor.verify:
-            from ..verify.codegen import ensure_codegen_verified
-            ensure_codegen_verified(builder.effect_ir(), instrs,
-                                    executor.machine)
-        return builder.finish()
-    except VerificationError:
-        # A rejected unit is a genuine codegen defect, never a "fall
-        # back to closures" situation: fail loudly.
-        raise
-    except Exception:
-        return None
-
-
-class _CBuilder:
-    """Operand tables and effect recording shared by every C builder.
-
-    Buffers, index arrays and loop bounds reach the generated code
-    through the ``B``/``IA``/``L`` pointer tables, one slot per
-    distinct array (``L``: one slot per use), so the source depends
-    only on the instruction pattern. :meth:`_record` files one
-    :class:`~repro.hw.effect_ir.EffectStatement` per emitted statement
-    together with the scalar reads and ``L`` slots it consumed.
-    """
-
-    def __init__(self, executor):
-        self.executor = executor
-        self.machine = executor.machine
-        self.bufs: list = []
-        self._buf_ids: dict = {}
-        self.iarrs: list = []
-        self._iarr_ids: dict = {}
-        self.lens: list = []
-        self.blocks: list = []
-        # effect-IR recording (consumed by repro.verify.codegen)
-        self.effects: list = []
-        self._pending_reads: list = []  # ("reg"|"lit", ref, token)
-        self._pending_lens: list = []   # (L slot, value)
-        self._instr_index = -1
-        self._charge_slot: int | None = None
-
-    # -- effect recording ------------------------------------------------
-    def _src_ref(self, name: str, arr: np.ndarray) -> BufferRef:
-        space = "vb" if name in self.machine.vb else "cvb"
-        return BufferRef(space, name, int(arr.shape[0]))
-
-    def _record(self, op: str, index: str, bound: int, *, dst=None,
-                srcs=(), expr: str = "", text: str = "", site=None,
-                matrix=None, spmv_shape=None, index_arrays=None,
-                nnz: int = 0, sreg_writes=(), lane_bound: int = 0) -> None:
-        reads = self._pending_reads
-        self._pending_reads = []
-        len_slots = tuple(self._pending_lens)
-        self._pending_lens = []
-        self.effects.append(EffectStatement(
-            op=op, index=index, bound=int(bound), dst=dst,
-            srcs=tuple(srcs), expr=expr, text=text,
-            lane_bound=int(lane_bound),
-            sreg_reads=tuple((ref, tok) for kind, ref, tok in reads
-                             if kind == "reg"),
-            lit_reads=tuple((ref, tok) for kind, ref, tok in reads
-                            if kind == "lit"),
-            sreg_writes=tuple(sreg_writes), len_slots=len_slots,
-            instr_index=self._instr_index, site=site, matrix=matrix,
-            spmv_shape=spmv_shape, index_arrays=index_arrays, nnz=nnz,
-            charge_slot=self._charge_slot))
-
-    # -- operand tables --------------------------------------------------
-    def buf(self, arr: np.ndarray) -> str:
-        if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"]:
-            raise SimulationError("chunk operand must be contiguous f64")
-        key = id(arr)
-        idx = self._buf_ids.get(key)
-        if idx is None:
-            idx = len(self.bufs)
-            self.bufs.append(arr)
-            self._buf_ids[key] = idx
-        return f"B[{idx}]"
-
-    def iarr(self, arr: np.ndarray) -> str:
-        if arr.dtype != np.int64 or not arr.flags["C_CONTIGUOUS"]:
-            raise SimulationError("chunk index array must be contiguous i64")
-        key = id(arr)
-        idx = self._iarr_ids.get(key)
-        if idx is None:
-            idx = len(self.iarrs)
-            self.iarrs.append(arr)
-            self._iarr_ids[key] = idx
-        return f"IA[{idx}]"
-
-    def length(self, n: int) -> str:
-        # one slot per use: keeps the source canonical per pattern even
-        # when two operand lengths happen to coincide at runtime
-        self.lens.append(int(n))
-        slot = len(self.lens) - 1
-        self._pending_lens.append((slot, int(n)))
-        return f"L[{slot}]"
-
-    # -- emission (per tier) ---------------------------------------------
-    def emit(self, instr) -> None:
-        raise NotImplementedError
-
-    def _emit_scalar(self, instr: ScalarOp) -> None:
-        raise NotImplementedError
-
-
-class _ChunkBuilder(_CBuilder):
-    """Generate one C function for a run of vector instructions.
-
-    The generated source depends only on the instruction *pattern*
-    (opcodes, operand folds, and which operands share buffers) — never
-    on vector lengths, scalar values, or pointer addresses, which are
-    all passed through the bound ``B``/``IA``/``L``/``S``/``O``
-    tables. Equal
-    patterns therefore hash to the same cached module, so a process
-    compiles each program shape at most once ever per cache directory.
-
-    Bit-exactness: every emitted per-element expression is exactly the
-    expression the numpy closure path evaluates (see the AXPBY fold
-    table in ``_lower_vector``), and the embedded SpMV loop is the
-    engine library's ``k_csr_matvec`` body, so fused chunks produce the
-    same bits as both the unfused closures and the interpreter.
-    """
-
-    def __init__(self, executor: CompiledExecutor):
-        super().__init__(executor)
-        self.getters: list = []
-        self.outs: list = []          # scalar register names, per O slot
-        self._scalar_slots: dict = {}  # register -> freshest O slot
-
-    def effect_ir(self) -> EffectIR:
-        return EffectIR(tier="chunk", batch=1,
-                        statements=list(self.effects),
-                        lens=tuple(self.lens),
-                        source="".join(self.blocks))
-
-    def scalar(self, ref) -> str:
-        # A register a DOT earlier in this chunk wrote must be read from
-        # its O slot — the S table is filled before the call and would
-        # be stale.
-        if isinstance(ref, str) and ref in self._scalar_slots:
-            token = f"O[{self._scalar_slots[ref]}]"
-            self._pending_reads.append(("reg", ref, token))
-            return token
-        self.getters.append(self.executor._scalar_getter(ref))
-        token = f"S[{len(self.getters) - 1}]"
-        if isinstance(ref, str):
-            self._pending_reads.append(("reg", ref, token))
-        else:
-            self._pending_reads.append(("lit", float(ref), token))
-        return token
-
-    # -- emission --------------------------------------------------------
-    def _elementwise(self, n: int, decls: list, expr: str) -> None:
-        body = "".join(f"        {line}\n" for line in decls)
-        self.blocks.append(
-            "    {\n"
-            f"        const long n = {self.length(n)};\n"
-            + body +
-            "        for (long i = 0; i < n; ++i)\n"
-            f"            {expr};\n"
-            "    }\n")
-
-    def emit(self, instr) -> None:
-        self._instr_index += 1
-        if isinstance(instr, VecDup):
-            src = self.executor._resident(instr.src)
-            dst = self.executor._dst_buffer(self.machine.cvb, instr.cvb,
-                                            src.size)
-            self._elementwise(src.size, [
-                f"const double *a = {self.buf(src)};",
-                f"double *d = {self.buf(dst)};",
-            ], "d[i] = a[i]")
-            self._record("vecdup", "elementwise", src.size,
-                         dst=BufferRef("cvb", instr.cvb, dst.shape[0]),
-                         srcs=(self._src_ref(instr.src, src),),
-                         expr="d[i] = a[i]",
-                         site=getattr(instr, "site", None))
-            return
-        if isinstance(instr, SpMV):
-            self._emit_spmv(instr)
-            return
-        if isinstance(instr, VectorOp):
-            self._emit_vector(instr)
-            return
-        raise SimulationError(f"instruction not chunkable: {instr!r}")
-
-    def _emit_vector(self, instr: VectorOp) -> None:
-        executor = self.executor
-        kind = instr.op
-        site = getattr(instr, "site", None)
-        a = executor._resident(instr.srcs[0])
-        a_ref = self._src_ref(instr.srcs[0], a)
-        if kind is VectorOpKind.COPY:
-            dst = executor._dst_buffer(self.machine.vb, instr.dst, a.size)
-            self._elementwise(a.size, [
-                f"const double *a = {self.buf(a)};",
-                f"double *d = {self.buf(dst)};",
-            ], "d[i] = a[i]")
-            self._record("copy", "elementwise", a.size,
-                         dst=BufferRef("vb", instr.dst, dst.shape[0]),
-                         srcs=(a_ref,), expr="d[i] = a[i]", site=site)
-            return
-        b = executor._resident(instr.srcs[1])
-        b_ref = self._src_ref(instr.srcs[1], b)
-        if kind is VectorOpKind.DOT:
-            if a.shape != b.shape:
-                raise SimulationError("dot operand shapes differ")
-            slot = len(self.outs)
-            self.outs.append(instr.dst)
-            body = "".join("    " + line + "\n" if line.strip() else line
-                           for line in cjit.DOT_BODY.splitlines())
-            block = (
-                "    {\n"
-                f"        const double *a = {self.buf(a)};\n"
-                f"        const double *b = {self.buf(b)};\n"
-                f"        const long n = {self.length(a.size)};\n"
-                + body +
-                f"        O[{slot}] = acc;\n"
-                "    }\n")
-            self.blocks.append(block)
-            self._record("dot", "reduce", a.size, srcs=(a_ref, b_ref),
-                         text=block,
-                         sreg_writes=((instr.dst, f"O[{slot}]"),),
-                         site=site)
-            self._scalar_slots[instr.dst] = slot
-            return
-        dst = executor._dst_buffer(self.machine.vb, instr.dst, a.size)
-        dst_ref = BufferRef("vb", instr.dst, dst.shape[0])
-        decls = [f"const double *a = {self.buf(a)};",
-                 f"const double *b = {self.buf(b)};",
-                 f"double *d = {self.buf(dst)};"]
-        if kind is VectorOpKind.EWMUL:
-            self._elementwise(a.size, decls, "d[i] = a[i] * b[i]")
-            self._record("ewmul", "elementwise", a.size, dst=dst_ref,
-                         srcs=(a_ref, b_ref), expr="d[i] = a[i] * b[i]",
-                         site=site)
-            return
-        if kind is VectorOpKind.SCALE_ADD:
-            al = _literal(instr.alpha)
-            if al == 1.0:
-                expr = "d[i] = a[i] + b[i]"
-            elif al == -1.0:
-                expr = "d[i] = a[i] - b[i]"
-            else:
-                decls.append(f"const double s0 = {self.scalar(instr.alpha)};")
-                expr = "d[i] = a[i] + b[i] * s0"
-            self._elementwise(a.size, decls, expr)
-            self._record("scale_add", "elementwise", a.size, dst=dst_ref,
-                         srcs=(a_ref, b_ref), expr=expr, site=site)
-            return
-        if kind is VectorOpKind.AXPBY:
-            al, be = _literal(instr.alpha), _literal(instr.beta)
-            if al == 1.0 and be == 1.0:
-                expr = "d[i] = a[i] + b[i]"
-            elif al == 1.0 and be == -1.0:
-                expr = "d[i] = a[i] - b[i]"
-            elif al == 1.0:
-                decls.append(f"const double s0 = {self.scalar(instr.beta)};")
-                expr = "d[i] = a[i] + b[i] * s0"
-            elif be == 1.0:
-                decls.append(f"const double s0 = {self.scalar(instr.alpha)};")
-                expr = "d[i] = a[i] * s0 + b[i]"
-            elif be == -1.0:
-                decls.append(f"const double s0 = {self.scalar(instr.alpha)};")
-                expr = "d[i] = a[i] * s0 - b[i]"
-            elif al == -1.0:
-                decls.append(f"const double s0 = {self.scalar(instr.beta)};")
-                expr = "d[i] = b[i] * s0 - a[i]"
-            else:
-                decls.append(f"const double s0 = {self.scalar(instr.alpha)};")
-                decls.append(f"const double s1 = {self.scalar(instr.beta)};")
-                expr = "d[i] = a[i] * s0 + b[i] * s1"
-            self._elementwise(a.size, decls, expr)
-            self._record("axpby", "elementwise", a.size, dst=dst_ref,
-                         srcs=(a_ref, b_ref), expr=expr, site=site)
-            return
-        raise SimulationError(f"vector op not chunkable: {kind}")
-
-    def _emit_spmv(self, instr: SpMV) -> None:
-        machine = self.machine
-        resource = machine.matrices[instr.matrix]
-        src = machine.cvb.get(instr.src)
-        if src is None:
-            raise SimulationError(f"SpMV source {instr.src!r} not in CVB")
-        rows = int(resource.matrix.shape[0])
-        dst = self.executor._dst_buffer(machine.vb, instr.dst, rows)
-        kernel = resource.kernel
-        val, col, ip = kernel.val, kernel.col, kernel.ip
-        body = "".join("    " + line + "\n" if line.strip() else line
-                       for line in cjit.CSR_MATVEC_BODY.splitlines())
-        block = (
-            "    {\n"
-            f"        const double *val = {self.buf(val)};\n"
-            f"        const long *col = {self.iarr(col)};\n"
-            f"        const long *ip = {self.iarr(ip)};\n"
-            f"        const double *x = {self.buf(src)};\n"
-            f"        double *y = {self.buf(dst)};\n"
-            f"        const long nrows = {self.length(rows)};\n"
-            + body +
-            "    }\n")
-        self.blocks.append(block)
-        shape = (rows, int(resource.matrix.shape[1]))
-        self._record(
-            "spmv", "gather", rows,
-            dst=BufferRef("vb", instr.dst, dst.shape[0]),
-            srcs=(BufferRef("matrix", instr.matrix, int(val.shape[0])),
-                  BufferRef("cvb", instr.src, int(src.shape[0]))),
-            text=block, site=getattr(instr, "site", None),
-            matrix=instr.matrix, spmv_shape=shape,
-            index_arrays=(col, ip), nnz=int(val.shape[0]))
-
-    # -- finish ----------------------------------------------------------
-    def finish(self):
-        source = ("void chunk_run(double **B, long **IA, const long *L,\n"
-                  "               const double *S, double *O)\n{\n"
-                  + "".join(self.blocks) + "}\n")
-        module = cjit.compile_module(_CHUNK_CDEF, source, tag="chunk")
-        if module is None:
-            return None
-        ffi = module.ffi
-        run = module.lib.chunk_run
-        pB = ffi.new("double *[]",
-                     [ffi.cast("double *", a.ctypes.data)
-                      for a in self.bufs] or [ffi.NULL])
-        pI = ffi.new("long *[]",
-                     [ffi.cast("long *", a.ctypes.data)
-                      for a in self.iarrs] or [ffi.NULL])
-        pL = ffi.new("long[]", self.lens or [0])
-        s_np = np.zeros(max(1, len(self.getters)))
-        pS = ffi.cast("double *", s_np.ctypes.data)
-        o_np = np.zeros(max(1, len(self.outs)))
-        pO = ffi.cast("double *", o_np.ctypes.data)
-        getters = tuple(self.getters)
-        outs = tuple(enumerate(self.outs))
-        scalars = self.machine.scalars
-        hold = (tuple(self.bufs), tuple(self.iarrs), s_np, o_np)
-        if not getters and not outs:
-            def fn(_hold=hold):
-                run(pB, pI, pL, pS, pO)
-            return fn
-
-        def fn(_hold=hold):
-            for k, get in enumerate(getters):
-                s_np[k] = get()
-            run(pB, pI, pL, pS, pO)
-            for k, name in outs:
-                scalars[name] = float(o_np[k])
-        return fn
-
-
-# ---------------------------------------------------------------------------
 # Whole-loop C fusion: one generated C function per (loop body, schedule),
 # covering loop control, vector ops, SpMV, scalar arithmetic, Control exit
 # tests, nested loops and cycle accounting. The host enters C once per
@@ -1170,6 +753,46 @@ SCALAR_C: dict[ScalarOpKind, tuple[str, tuple[str, int] | None]] = {
 }
 
 _TRAP_ERRORS = {1: "scalar division by zero", 2: "sqrt of a negative scalar"}
+
+
+def vector_fold(instr: VectorOp) -> tuple[str, tuple]:
+    """The closure fold table of a lane-wise vector op, as C.
+
+    Returns ``(form, scalars)``: ``form`` is the per-element expression
+    over the source elements ``{a}``/``{b}`` and the scalar operands
+    ``{0}``/``{1}``, which are ``scalars`` in order. Coefficients of
+    exactly ``+-1.0`` fold their multiply away, as in
+    :meth:`CompiledExecutor._lower_vector`. Shared by the solo and
+    batch builders, which substitute their own element tokens.
+    """
+    kind = instr.op
+    if kind is VectorOpKind.COPY:
+        return "{a}", ()
+    if kind is VectorOpKind.EWMUL:
+        return "{a} * {b}", ()
+    al = _literal(instr.alpha)
+    if kind is VectorOpKind.SCALE_ADD:
+        if al == 1.0:
+            return "{a} + {b}", ()
+        if al == -1.0:
+            return "{a} - {b}", ()
+        return "{a} + {b} * {0}", (instr.alpha,)
+    if kind is VectorOpKind.AXPBY:
+        be = _literal(instr.beta)
+        if al == 1.0 and be == 1.0:
+            return "{a} + {b}", ()
+        if al == 1.0 and be == -1.0:
+            return "{a} - {b}", ()
+        if al == 1.0:
+            return "{a} + {b} * {0}", (instr.beta,)
+        if be == 1.0:
+            return "{a} * {0} + {b}", (instr.alpha,)
+        if be == -1.0:
+            return "{a} * {0} - {b}", (instr.alpha,)
+        if al == -1.0:
+            return "{b} * {0} - {a}", (instr.beta,)
+        return "{a} * {0} + {b} * {1}", (instr.alpha, instr.beta)
+    raise SimulationError(f"vector op not loop-fusable: {kind}")
 
 
 class _FusedLoop:
@@ -1279,17 +902,24 @@ class _FusedSoloLoop(_FusedLoop):
         return True
 
 
-class _LoopSkeleton(_CBuilder):
+class _CBuilder:
     """The whole-loop lowering shared by the solo and batch builders.
 
-    Placed in front of a chunk builder in the MRO (which supplies the
-    vector/SpMV emission), it walks a Loop body once:
-    maximal straight-line runs become one ``CT`` charge slot each,
-    every Control gets its own one-cycle slot, and nested loops get an
-    ``IT`` trip-counter slot in pre-order, with their bodies emitted
-    inline. Subclasses supply the per-frame hooks (:meth:`_frame_enter`,
-    :meth:`_trip_head`, :meth:`_control_test`), scalar emission, the
-    function source and the fused unit's host tables.
+    Buffers, index arrays and loop bounds reach the generated code
+    through the ``B``/``IA``/``L`` pointer tables, one slot per
+    distinct array (``L``: one slot per use), so the source depends
+    only on the instruction pattern: equal patterns hash to the same
+    cached module. :meth:`_record` files one
+    :class:`~repro.hw.effect_ir.EffectStatement` per emitted statement
+    together with the scalar reads and ``L`` slots it consumed.
+
+    :meth:`emit_body_ir` walks a Loop body once: maximal straight-line
+    runs become one ``CT`` charge slot each, every Control gets its own
+    one-cycle slot, and nested loops get an ``IT`` trip-counter slot in
+    pre-order, with their bodies emitted inline. Subclasses supply the
+    per-instruction emitters, the per-frame hooks (:meth:`_frame_enter`,
+    :meth:`_trip_head`, :meth:`_control_test`), the function source and
+    the fused unit's host tables.
     """
 
     _LOOP_TIER = "loop"
@@ -1300,12 +930,24 @@ class _LoopSkeleton(_CBuilder):
     _batch = 1
 
     def __init__(self, executor):
-        super().__init__(executor)
+        self.executor = executor
+        self.machine = executor.machine
+        self.bufs: list = []
+        self._buf_ids: dict = {}
+        self.iarrs: list = []
+        self._iarr_ids: dict = {}
+        self.lens: list = []
         self.code: list = []
         self.charges: list = []       # per CT slot: (cycles, by_class, n)
         self.loops: list = []         # (IT slot, name) for nested loops
         self.loop_meta: list = []     # (IT slot, name, max_iter)
         self._frame = 0               # IT slot of the innermost loop
+        # effect-IR recording (consumed by repro.verify.codegen)
+        self.effects: list = []
+        self._pending_reads: list = []  # ("reg"|"lit", ref, token)
+        self._pending_lens: list = []   # (L slot, value)
+        self._instr_index = -1
+        self._charge_slot: int | None = None
 
     def effect_ir(self) -> EffectIR:
         return EffectIR(tier=self._LOOP_TIER, batch=self._batch,
@@ -1316,8 +958,87 @@ class _LoopSkeleton(_CBuilder):
                         source="".join(self.code),
                         **self._scalar_tables())
 
+    # -- effect recording ------------------------------------------------
+    def _src_ref(self, name: str, arr: np.ndarray) -> BufferRef:
+        space = "vb" if name in self.machine.vb else "cvb"
+        return BufferRef(space, name, int(arr.shape[0]))
+
+    def _record(self, op: str, index: str, bound: int, *, dst=None,
+                srcs=(), expr: str = "", text: str = "", site=None,
+                matrix=None, spmv_shape=None, index_arrays=None,
+                nnz: int = 0, sreg_writes=(), lane_bound: int = 0) -> None:
+        reads = self._pending_reads
+        self._pending_reads = []
+        len_slots = tuple(self._pending_lens)
+        self._pending_lens = []
+        self.effects.append(EffectStatement(
+            op=op, index=index, bound=int(bound), dst=dst,
+            srcs=tuple(srcs), expr=expr, text=text,
+            lane_bound=int(lane_bound),
+            sreg_reads=tuple((ref, tok) for kind, ref, tok in reads
+                             if kind == "reg"),
+            lit_reads=tuple((ref, tok) for kind, ref, tok in reads
+                            if kind == "lit"),
+            sreg_writes=tuple(sreg_writes), len_slots=len_slots,
+            instr_index=self._instr_index, site=site, matrix=matrix,
+            spmv_shape=spmv_shape, index_arrays=index_arrays, nnz=nnz,
+            charge_slot=self._charge_slot))
+
+    # -- operand tables --------------------------------------------------
+    def buf(self, arr: np.ndarray) -> str:
+        if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"]:
+            raise SimulationError("loop operand must be contiguous f64")
+        key = id(arr)
+        idx = self._buf_ids.get(key)
+        if idx is None:
+            idx = len(self.bufs)
+            self.bufs.append(arr)
+            self._buf_ids[key] = idx
+        return f"B[{idx}]"
+
+    def iarr(self, arr: np.ndarray) -> str:
+        if arr.dtype != np.int64 or not arr.flags["C_CONTIGUOUS"]:
+            raise SimulationError("loop index array must be contiguous i64")
+        key = id(arr)
+        idx = self._iarr_ids.get(key)
+        if idx is None:
+            idx = len(self.iarrs)
+            self.iarrs.append(arr)
+            self._iarr_ids[key] = idx
+        return f"IA[{idx}]"
+
+    def length(self, n: int) -> str:
+        # one slot per use: keeps the source canonical per pattern even
+        # when two operand lengths happen to coincide at runtime
+        self.lens.append(int(n))
+        slot = len(self.lens) - 1
+        self._pending_lens.append((slot, int(n)))
+        return f"L[{slot}]"
+
+    def _vector_operands(self, instr: VectorOp) -> list:
+        """The source buffers of ``instr``, all of one shape: the
+        generated loops never broadcast, while the closure path would
+        (via numpy), so refuse what numpy would broadcast and let the
+        node path raise or broadcast as it always did."""
+        srcs = [self.executor._resident(name) for name in instr.srcs]
+        if any(arr.shape != srcs[0].shape for arr in srcs[1:]):
+            raise SimulationError("vector operand shapes differ")
+        return srcs
+
     # -- per-builder hooks -----------------------------------------------
     def _scalar_tables(self) -> dict:
+        raise NotImplementedError
+
+    def _emit_scalar(self, instr: ScalarOp) -> None:
+        raise NotImplementedError
+
+    def _emit_vecdup(self, instr: VecDup) -> None:
+        raise NotImplementedError
+
+    def _emit_spmv(self, instr: SpMV) -> None:
+        raise NotImplementedError
+
+    def _emit_vector(self, instr: VectorOp) -> None:
         raise NotImplementedError
 
     def _frame_enter(self, slot: int) -> str:
@@ -1378,18 +1099,20 @@ class _LoopSkeleton(_CBuilder):
         self.code.append(f"    CT[{slot}]++;\n")
         self._charge_slot = slot
         for instr in run:
+            self._instr_index += 1
             if isinstance(instr, ScalarOp):
-                self._instr_index += 1
                 self._emit_scalar(instr)
-            elif isinstance(instr, (VectorOp, VecDup, SpMV)):
-                self.emit(instr)
+            elif isinstance(instr, VectorOp):
+                self._emit_vector(instr)
+            elif isinstance(instr, VecDup):
+                self._emit_vecdup(instr)
+            elif isinstance(instr, SpMV):
+                self._emit_spmv(instr)
             else:
                 # DataTransfer (host/HBM traffic) and anything unknown
                 # stay on the node path.
                 raise SimulationError(
                     f"instruction not loop-fusable: {instr!r}")
-        self.code.extend(self.blocks)
-        self.blocks.clear()
 
     def _emit_control(self, instr: Control) -> None:
         slot = len(self.charges)
@@ -1456,26 +1179,25 @@ class _LoopSkeleton(_CBuilder):
             ct, it, (tuple(self.bufs), tuple(self.iarrs)))
 
 
-class _LoopBuilder(_LoopSkeleton, _ChunkBuilder):
+class _LoopBuilder(_CBuilder):
     """Generate one C function for an entire Loop body.
 
-    Extends the chunk builder's operand tables (``B``/``IA``/``L``)
-    with a read-write scalar table: every distinct scalar *register*
-    gets one ``S`` slot (written in C with its ``W`` flag set; read
-    in C after an in-loop write sees the fresh value, exactly like
-    the interpreter's register file), and every literal occurrence
-    gets its own ``S`` slot so the source stays pattern-canonical.
-    Per-block charge counters (``CT``) and per-loop trip counters
-    (``IT``) make the cycle accounting exact without any host work
-    inside the loop.
+    The operand tables (``B``/``IA``/``L``) come with a read-write
+    scalar table: every distinct scalar *register* gets one ``S`` slot
+    (written in C with its ``W`` flag set; read in C after an in-loop
+    write sees the fresh value, exactly like the interpreter's register
+    file), and every literal occurrence gets its own ``S`` slot so the
+    source stays pattern-canonical. Per-block charge counters (``CT``)
+    and per-loop trip counters (``IT``) make the cycle accounting exact
+    without any host work inside the loop.
 
-    Bit-exactness carries over from the chunk layer: vector
-    expressions are the closure fold table verbatim, SpMV/DOT embed
-    the engine kernel bodies, CLIP's ternary chain evaluates
-    ``np.clip`` exactly (NaN and signed-zero included), and scalar
-    C arithmetic on IEEE doubles (`+ - * /`, ``sqrt``, the ``MAX``
-    ternary) reproduces the Python float kernels bit for bit, with
-    ``-ffp-contract=off`` ruling out FMA contraction.
+    Bit-exactness: every per-element expression is the closure fold
+    table verbatim (:func:`vector_fold`), SpMV/DOT embed the engine
+    kernel bodies, CLIP's ternary chain evaluates ``np.clip`` exactly
+    (NaN and signed-zero included), and scalar C arithmetic on IEEE
+    doubles (`+ - * /`, ``sqrt``, the ``MAX`` ternary) reproduces the
+    Python float kernels bit for bit, with ``-ffp-contract=off`` ruling
+    out FMA contraction.
     """
 
     _LOOP_CDEF = _LOOP_CDEF
@@ -1487,7 +1209,7 @@ class _LoopBuilder(_LoopSkeleton, _ChunkBuilder):
         self.reg_reads: set = set()
         self.reg_writes: set = set()
 
-    # -- scalar table (replaces the chunk S/O split) ---------------------
+    # -- scalar table ----------------------------------------------------
     def _reg_slot(self, name: str) -> int:
         slot = self._reg_slots.get(name)
         if slot is None:
@@ -1513,7 +1235,7 @@ class _LoopBuilder(_LoopSkeleton, _ChunkBuilder):
                 "reg_reads": frozenset(self.reg_reads),
                 "reg_writes": frozenset(self.reg_writes)}
 
-    # -- skeleton hooks --------------------------------------------------
+    # -- frame hooks -----------------------------------------------------
     def _frame_enter(self, slot: int) -> str:
         return ""
 
@@ -1526,6 +1248,7 @@ class _LoopBuilder(_LoopSkeleton, _ChunkBuilder):
         expr = f"{value} < {threshold}"
         return expr, f"    if ({expr}) goto loop_exit_{self._frame};\n"
 
+    # -- emission --------------------------------------------------------
     def _emit_scalar(self, instr: ScalarOp) -> None:
         if instr.op in BINARY_SCALAR_OPS and instr.src2 is None:
             raise SimulationError(
@@ -1542,20 +1265,45 @@ class _LoopBuilder(_LoopSkeleton, _ChunkBuilder):
         dst = self._reg_slot(instr.dst)
         self.reg_writes.add(instr.dst)
         text = guard + f"    S[{dst}] = {expr}; W[{dst}] = 1;\n"
-        self.blocks.append(text)
+        self.code.append(text)
         self._record(f"scalar:{instr.op.value}", "scalar", 0, expr=expr,
                      text=text,
                      sreg_writes=((instr.dst, f"S[{dst}]"),),
                      site=getattr(instr, "site", None))
 
+    def _elementwise(self, n: int, decls: list, expr: str) -> None:
+        body = "".join(f"        {line}\n" for line in decls)
+        self.code.append(
+            "    {\n"
+            f"        const long n = {self.length(n)};\n"
+            + body +
+            "        for (long i = 0; i < n; ++i)\n"
+            f"            {expr};\n"
+            "    }\n")
+
+    def _emit_vecdup(self, instr: VecDup) -> None:
+        src = self.executor._resident(instr.src)
+        dst = self.executor._dst_buffer(self.machine.cvb, instr.cvb,
+                                        src.size)
+        self._elementwise(src.size, [
+            f"const double *a = {self.buf(src)};",
+            f"double *d = {self.buf(dst)};",
+        ], "d[i] = a[i]")
+        self._record("vecdup", "elementwise", src.size,
+                     dst=BufferRef("cvb", instr.cvb, dst.shape[0]),
+                     srcs=(self._src_ref(instr.src, src),),
+                     expr="d[i] = a[i]",
+                     site=getattr(instr, "site", None))
+
     def _emit_vector(self, instr: VectorOp) -> None:
         executor = self.executor
         kind = instr.op
+        site = getattr(instr, "site", None)
+        srcs = self._vector_operands(instr)
+        refs = tuple(self._src_ref(name, arr)
+                     for name, arr in zip(instr.srcs, srcs))
+        a = srcs[0]
         if kind is VectorOpKind.DOT:
-            a = executor._resident(instr.srcs[0])
-            b = executor._resident(instr.srcs[1])
-            if a.shape != b.shape:
-                raise SimulationError("dot operand shapes differ")
             slot = self._reg_slot(instr.dst)
             self.reg_writes.add(instr.dst)
             body = "".join("    " + line + "\n" if line.strip() else line
@@ -1563,27 +1311,21 @@ class _LoopBuilder(_LoopSkeleton, _ChunkBuilder):
             block = (
                 "    {\n"
                 f"        const double *a = {self.buf(a)};\n"
-                f"        const double *b = {self.buf(b)};\n"
+                f"        const double *b = {self.buf(srcs[1])};\n"
                 f"        const long n = {self.length(a.size)};\n"
                 + body +
                 f"        S[{slot}] = acc;\n"
                 f"        W[{slot}] = 1;\n"
                 "    }\n")
-            self.blocks.append(block)
-            self._record("dot", "reduce", a.size,
-                         srcs=(self._src_ref(instr.srcs[0], a),
-                               self._src_ref(instr.srcs[1], b)),
-                         text=block,
+            self.code.append(block)
+            self._record("dot", "reduce", a.size, srcs=refs, text=block,
                          sreg_writes=((instr.dst, f"S[{slot}]"),),
-                         site=getattr(instr, "site", None))
+                         site=site)
             return
+        dst = executor._dst_buffer(self.machine.vb, instr.dst, a.size)
+        dst_ref = BufferRef("vb", instr.dst, dst.shape[0])
         if kind is VectorOpKind.CLIP:
-            a = executor._resident(instr.srcs[0])
-            lo = executor._resident(instr.srcs[1])
-            hi = executor._resident(instr.srcs[2])
-            if lo.shape != a.shape or hi.shape != a.shape:
-                raise SimulationError("clip operand shapes differ")
-            dst = executor._dst_buffer(self.machine.vb, instr.dst, a.size)
+            lo, hi = srcs[1], srcs[2]
             # max-then-min with NaN passthrough: evaluates np.clip
             # exactly (verified over all special-value triples).
             block = (
@@ -1600,23 +1342,54 @@ class _LoopBuilder(_LoopSkeleton, _ChunkBuilder):
                 "            d[i] = isnan(t) ? t : (t < hi[i] ? t : hi[i]);\n"
                 "        }\n"
                 "    }\n")
-            self.blocks.append(block)
-            self._record("clip", "elementwise", a.size,
-                         dst=BufferRef("vb", instr.dst, dst.shape[0]),
-                         srcs=(self._src_ref(instr.srcs[0], a),
-                               self._src_ref(instr.srcs[1], lo),
-                               self._src_ref(instr.srcs[2], hi)),
-                         text=block, site=getattr(instr, "site", None))
+            self.code.append(block)
+            self._record("clip", "elementwise", a.size, dst=dst_ref,
+                         srcs=refs, text=block, site=site)
             return
-        # The generated elementwise loops never broadcast; the closure
-        # path would (via numpy), so refuse non-conforming shapes here
-        # and let the node path raise or broadcast as it always did.
-        if len(instr.srcs) >= 2:
-            a = executor._resident(instr.srcs[0])
-            b = executor._resident(instr.srcs[1])
-            if a.shape != b.shape:
-                raise SimulationError("vector operand shapes differ")
-        super()._emit_vector(instr)
+        form, scalars = vector_fold(instr)
+        decls = [f"const double *{name} = {self.buf(arr)};"
+                 for name, arr in zip("ab", srcs)]
+        decls.append(f"double *d = {self.buf(dst)};")
+        tokens = [f"s{k}" for k in range(len(scalars))]
+        decls += [f"const double {tok} = {self.scalar(ref)};"
+                  for tok, ref in zip(tokens, scalars)]
+        expr = "d[i] = " + form.format(*tokens, a="a[i]", b="b[i]")
+        self._elementwise(a.size, decls, expr)
+        self._record(kind.value, "elementwise", a.size, dst=dst_ref,
+                     srcs=refs, expr=expr, site=site)
+
+    def _emit_spmv(self, instr: SpMV) -> None:
+        machine = self.machine
+        resource = machine.matrices[instr.matrix]
+        src = machine.cvb.get(instr.src)
+        if src is None:
+            raise SimulationError(f"SpMV source {instr.src!r} not in CVB")
+        rows = int(resource.matrix.shape[0])
+        dst = self.executor._dst_buffer(machine.vb, instr.dst, rows)
+        kernel = resource.kernel
+        val, col, ip = kernel.val, kernel.col, kernel.ip
+        body = "".join("    " + line + "\n" if line.strip() else line
+                       for line in cjit.CSR_MATVEC_BODY.splitlines())
+        block = (
+            "    {\n"
+            f"        const double *val = {self.buf(val)};\n"
+            f"        const long *col = {self.iarr(col)};\n"
+            f"        const long *ip = {self.iarr(ip)};\n"
+            f"        const double *x = {self.buf(src)};\n"
+            f"        double *y = {self.buf(dst)};\n"
+            f"        const long nrows = {self.length(rows)};\n"
+            + body +
+            "    }\n")
+        self.code.append(block)
+        shape = (rows, int(resource.matrix.shape[1]))
+        self._record(
+            "spmv", "gather", rows,
+            dst=BufferRef("vb", instr.dst, dst.shape[0]),
+            srcs=(BufferRef("matrix", instr.matrix, int(val.shape[0])),
+                  BufferRef("cvb", instr.src, int(src.shape[0]))),
+            text=block, site=getattr(instr, "site", None),
+            matrix=instr.matrix, spmv_shape=shape,
+            index_arrays=(col, ip), nnz=int(val.shape[0]))
 
     # -- finish ----------------------------------------------------------
     def _loop_source(self) -> str:

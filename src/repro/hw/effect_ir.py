@@ -1,15 +1,14 @@
 """Effect IR: the statically checkable record of generated C code.
 
-Every C code generator in the simulator — the solo chunk builder and
-whole-loop builder in :mod:`repro.hw.compiled` and the batched chunk
-and whole-loop builders in :mod:`repro.hw.batched` — emits an
-:class:`EffectIR`
-alongside the source text it generates. The IR is a per-statement
+Both C code generators in the simulator — the solo whole-loop builder
+in :mod:`repro.hw.compiled` and the lane-masked batched whole-loop
+builder in :mod:`repro.hw.batched` — emit an :class:`EffectIR`
+alongside the source text they generate. The IR is a per-statement
 record of *effects*: which buffers each emitted loop reads and writes,
 the loop bound it runs over, the scalar registers/literals it consumes
 (and through which table token), the per-element expression text, and
-— for the whole-loop tier — the charge-slot and trip-counter tables
-the cycle accounting is applied from.
+the charge-slot and trip-counter tables the cycle accounting is
+applied from.
 
 :mod:`repro.verify.codegen` consumes this IR to prove, before a
 generated kernel ever runs, that every index stays in bounds, that no
@@ -82,10 +81,9 @@ class EffectStatement:
         a scalar-register statement (no vector loop; ``lane_bound``
         is the lane count for the batched tier).
     ``"control"``
-        a Control exit test (loop tiers).
+        a Control exit test.
     ``"loop"``
-        a nested-loop entry marker (loop tiers; ``bound`` is
-        ``max_iter``).
+        a nested-loop entry marker (``bound`` is ``max_iter``).
     """
 
     op: str
@@ -114,7 +112,7 @@ class EffectStatement:
     #: ``(col, ip)`` int64 index arrays of the embedded CSR gather.
     index_arrays: tuple[Any, Any] | None = None
     nnz: int = 0
-    #: CT charge slot this statement's cost accrues to (loop tiers).
+    #: CT charge slot this statement's cost accrues to.
     charge_slot: int | None = None
 
     def vector_writes(self) -> tuple[tuple[str, str], ...]:
@@ -128,14 +126,13 @@ class EffectStatement:
 class EffectIR:
     """The full effect record of one generated C unit.
 
-    ``tier`` is ``"chunk"`` (solo straight-line fusion), ``"loop"``
-    (whole-loop fusion), ``"batch-chunk"`` (lane-minor batched
-    fusion) or ``"batch-loop"`` (lane-masked batched whole-loop
-    fusion). ``lens`` is the runtime ``L`` table the generated code
-    indexes its loop bounds from; ``consts`` the batched ``S``
-    constant table; ``s_entries`` the solo loop tier's scalar-slot
-    table and ``charges``/``loops`` both loop tiers' charge-slot and
-    trip-counter tables.
+    ``tier`` is ``"loop"`` (solo whole-loop fusion) or
+    ``"batch-loop"`` (lane-masked batched whole-loop fusion).
+    ``lens`` is the runtime ``L`` table the generated code indexes its
+    loop bounds from; ``consts`` the batched ``S`` constant table;
+    ``s_entries`` the solo tier's scalar-slot table and
+    ``charges``/``loops`` both tiers' charge-slot and trip-counter
+    tables.
     """
 
     tier: str
@@ -144,11 +141,11 @@ class EffectIR:
     statements: list[EffectStatement] = field(default_factory=list)
     lens: tuple[int, ...] = ()
     consts: tuple[float, ...] = ()
-    #: Loop tier: per-S-slot ``("reg", name)`` / ``("lit", value)``.
+    #: Solo tier: per-S-slot ``("reg", name)`` / ``("lit", value)``.
     s_entries: tuple[tuple[str, Any], ...] = ()
-    #: Loop tiers: per-CT-slot ``(cycles, by_class, instructions)``.
+    #: Per-CT-slot ``(cycles, by_class, instructions)``.
     charges: tuple[tuple[int, dict, int], ...] = ()
-    #: Loop tiers: ``(IT slot, loop name, max_iter)`` per nested loop.
+    #: ``(IT slot, loop name, max_iter)`` per nested loop.
     loops: tuple[tuple[int, str, int], ...] = ()
     reg_reads: frozenset = frozenset()
     reg_writes: frozenset = frozenset()

@@ -898,9 +898,10 @@ class SolverService:
         """A batched resident of ``len(problems)`` lanes bound to
         ``artifact`` and loaded with ``problems``: an idle one
         refreshed in place, else a newly bound one. A group with an
-        armed injector always binds — chunk fusion and fault hooks are
-        fixed when the machine lowers — and its machine is spoiled
-        from the start, so it never joins the pool."""
+        armed injector always binds — fault hooks are fixed when the
+        machine lowers, and an armed machine fuses no loop — and its
+        machine is spoiled from the start, so it never joins the
+        pool."""
         armed = injectors is not None and any(
             injector is not None for injector in injectors)
         if not armed:

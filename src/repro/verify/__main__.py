@@ -13,10 +13,10 @@ ERROR-severity diagnostic, so CI can run this as a gate::
     python -m repro.verify --codegen --count 2
     python -m repro.verify --codes
 
-``--codegen`` additionally lifts every generated-C unit (solo chunk,
-whole-loop, and lane-minor batch tiers) of each artifact's program —
-for the default ADMM program *and* a PDQP build of the same problem —
-and runs the effect-IR analyses of :mod:`repro.verify.codegen` over
+``--codegen`` additionally lifts every generated-C unit (solo and
+lane-masked batch whole-loop fusion, for every loop of the nest) of
+each artifact's program — for the default ADMM program *and* a PDQP
+build of the same problem — and runs the effect-IR analyses of :mod:`repro.verify.codegen` over
 them. ``--codes`` prints the registered diagnostic-code table and
 exits (used by the docs drift test).
 """
@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
                              "cycle analyses) for ADMM and PDQP builds "
                              "of every suite problem")
     parser.add_argument("--batch", type=int, default=2,
-                        help="batch width for the --codegen lane-minor "
+                        help="batch width for the --codegen batch "
                              "tier (default 2)")
     parser.add_argument("--codes", action="store_true",
                         help="print the diagnostic-code table and exit")

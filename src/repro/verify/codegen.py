@@ -1,13 +1,12 @@
 """Pass 4: static verification of the generated-C (codegen) tier.
 
-The compiled backends in :mod:`repro.hw.compiled` (solo chunk fusion
-and whole-loop fusion) and :mod:`repro.hw.batched` (lane-minor batch
-chunk fusion and batched whole-loop fusion) generate C source at
-runtime — four tiers in all. Each builder emits an
-:class:`~repro.hw.effect_ir.EffectIR` alongside that source — a
-per-statement record of effects — and this pass proves, before a
+The compiled backends in :mod:`repro.hw.compiled` (solo whole-loop
+fusion) and :mod:`repro.hw.batched` (lane-masked batched whole-loop
+fusion) generate C source at runtime — two tiers in all. Each builder
+emits an :class:`~repro.hw.effect_ir.EffectIR` alongside that source —
+a per-statement record of effects — and this pass proves, before a
 generated kernel ever runs, four independent properties (plus lane
-masking for the batched whole-loop tier):
+masking for the batched tier):
 
 **Equivalence** (``codegen-expression-mismatch`` /
 ``codegen-kernel-body-drift``)
@@ -29,25 +28,24 @@ masking for the batched whole-loop tier):
     gather may not write a buffer it reads.
 
 **Ordering and scalar-table soundness** (``codegen-order-mismatch`` /
-``codegen-stale-scalar-read`` / ``codegen-scalar-slot-mismatch`` /
-``codegen-write-set-miss``)
+``codegen-scalar-slot-mismatch`` / ``codegen-write-set-miss``)
     Generated statements must execute in exactly the order the solo
-    interpreter would execute the instructions; a chunk that reads a
-    scalar register an earlier in-chunk DOT wrote must read the fresh
-    ``O`` slot, never the stale pre-call ``S`` table; and the effect
-    IR's write-set must be covered by the static write-set
+    interpreter would execute the instructions; every scalar operand
+    must be read through the table slot its register or literal owns;
+    and the effect IR's write-set must be covered by the static
+    write-set
     (:func:`repro.hw.batched.static_write_set`) that the batch
     snapshot-restore machinery relies on.
 
 **Cycle-accounting consistency** (``codegen-cycle-mismatch``)
-    The whole-loop tiers' ``CT`` charge table must reconcile, slot by
+    Each tier's ``CT`` charge table must reconcile, slot by
     slot, with the static decomposition
     (:func:`repro.verify.cycles.loop_charge_slots`) of the same loop
     body under the same cost context, and its ``IT`` trip-counter
     table must name the nested loops in emission order.
 
 **Lane masking** (``codegen-lane-mask-missing``)
-    In the batched whole-loop tier every write, DIV/SQRT trap and
+    In the batched tier every write, DIV/SQRT trap and
     Control exit must be guarded by the active-lane mask of the
     innermost enclosing loop frame (``m{k}``, frame ``k`` being the
     loop with ``IT`` slot ``k``), and a Control must leave through its
@@ -71,10 +69,8 @@ import numpy as np
 
 from ..hw import cjit
 from ..hw.batched import (BatchExecutor, BatchMachine, BatchMatrixResource,
-                          _BatchChunkBuilder, _BatchLoopBuilder,
-                          _batch_chunkable, static_write_set)
-from ..hw.compiled import (CompiledExecutor, _ChunkBuilder, _LoopBuilder,
-                           _chunkable, literal_operand)
+                          _BatchLoopBuilder, static_write_set)
+from ..hw.compiled import CompiledExecutor, _LoopBuilder, literal_operand
 from ..hw.effect_ir import EFFECT_IR_VERSION, EffectIR, EffectStatement
 from ..hw.isa import (Control, DataTransfer, Loop, ScalarOp, ScalarOpKind,
                       SpMV, VecDup, VectorOp, VectorOpKind)
@@ -87,7 +83,7 @@ __all__ = ["ensure_codegen_verified", "verify_effect_ir",
            "verify_codegen", "codegen_report_for_artifact"]
 
 #: Every generated-C tier this pass proves.
-TIERS = ("chunk", "loop", "batch-chunk", "batch-loop")
+TIERS = ("loop", "batch-loop")
 
 #: Accepted verdicts, memoized per :meth:`EffectIR.digest` — two units
 #: with equal digests are verdict-equivalent by construction (the
@@ -101,9 +97,9 @@ _VERIFIED_CAP = 4096
 # canonical kernel-body templates (token-normalized)
 
 #: Operand-table tokens (``B[0]``, ``IA[2]``, ``L[1]``, ``S[3]``,
-#: ``O[0]``, ``W[4]``) are slot-numbered per unit; normalize them to a
-#: fixed placeholder so one template matches every unit.
-_TOKEN_RE = re.compile(r"\b(?:B|IA|L|S|O|W)\[\d+\]")
+#: ``W[4]``) are slot-numbered per unit; normalize them to a fixed
+#: placeholder so one template matches every unit.
+_TOKEN_RE = re.compile(r"\b(?:B|IA|L|S|W)\[\d+\]")
 
 
 def _norm(text: str) -> str:
@@ -115,14 +111,6 @@ def _embed(body: str) -> str:
     return "".join("    " + line + "\n" if line.strip() else line
                    for line in body.splitlines())
 
-
-_CHUNK_DOT = ("    {\n"
-              "        const double *a = T;\n"
-              "        const double *b = T;\n"
-              "        const long n = T;\n"
-              + _embed(cjit.DOT_BODY) +
-              "        T = acc;\n"
-              "    }\n")
 
 _LOOP_DOT = ("    {\n"
              "        const double *a = T;\n"
@@ -154,22 +142,6 @@ _LOOP_CLIP = ("    {\n"
               "            const double t = isnan(av) ? av"
               " : (av > lo[i] ? av : lo[i]);\n"
               "            d[i] = isnan(t) ? t : (t < hi[i] ? t : hi[i]);\n"
-              "        }\n"
-              "    }\n")
-
-_BATCH_DOT = ("    {\n"
-              "        const double *a = T;\n"
-              "        const double *b = T;\n"
-              "        double * restrict o = T;\n"
-              "        const long n = T;\n"
-              "        const long bt = T;\n"
-              "        for (long j = 0; j < bt; ++j)\n"
-              "            o[j] = 0.0;\n"
-              "        for (long i = 0; i < n; ++i) {\n"
-              "            const double *ai = a + i * bt;\n"
-              "            const double *bi = b + i * bt;\n"
-              "            for (long j = 0; j < bt; ++j)\n"
-              "                o[j] += ai[j] * bi[j];\n"
               "        }\n"
               "    }\n")
 
@@ -224,29 +196,6 @@ _BATCH_LOOP_CLIP = ("{ const double av = a[i]; "
                     "const double c = isnan(av) ? av : "
                     "(av > lo[i] ? av : lo[i]); "
                     "d[i] = isnan(c) ? c : (c < hi[i] ? c : hi[i]); }")
-
-_BATCH_SPMV = ("    {\n"
-               "        const double * restrict v = T;\n"
-               "        const long *col = T;\n"
-               "        const long *ip = T;\n"
-               "        const double * restrict xx = T;\n"
-               "        double * restrict yy = T;\n"
-               "        const long nrows = T;\n"
-               "        const long bt = T;\n"
-               "        for (long r = 0; r < nrows; ++r) {\n"
-               "            double * restrict yr = yy + r * bt;\n"
-               "            for (long j = 0; j < bt; ++j)\n"
-               "                yr[j] = 0.0;\n"
-               "            for (long k = ip[r]; k < ip[r + 1]; ++k) {\n"
-               "                const double * restrict vk = v + k * bt;\n"
-               "                const double * restrict xk"
-               " = xx + col[k] * bt;\n"
-               "                for (long j = 0; j < bt; ++j)\n"
-               "                    yr[j] += vk[j] * xk[j];\n"
-               "            }\n"
-               "        }\n"
-               "    }\n")
-
 
 # ---------------------------------------------------------------------------
 # expected-form tables (the verifier's independent re-derivation of the
@@ -370,13 +319,12 @@ def _loop_scalar_expr(op: ScalarOpKind, a: str,
     return None
 
 
-def _batch_scalar_expr(op: ScalarOpKind, a: str, b: str | None,
-                       traps: bool = False) -> str | None:
-    """Expected batched ScalarOp statement; DIV/SQRT only where the
-    tier can trap (the whole-loop tier)."""
-    if traps and op is ScalarOpKind.DIV:
+def _batch_scalar_expr(op: ScalarOpKind, a: str,
+                       b: str | None) -> str | None:
+    """Expected batched ScalarOp statement."""
+    if op is ScalarOpKind.DIV:
         return f"d[j] = {a} / {b}"
-    if traps and op is ScalarOpKind.SQRT:
+    if op is ScalarOpKind.SQRT:
         return f"d[j] = sqrt({a})"
     if op is ScalarOpKind.MOV:
         return f"d[j] = {a}"
@@ -461,19 +409,13 @@ class _UnitChecker:
         self.instrs = list(instrs)
         self.machine = machine
         self.report = report
-        # chunk tier: registers written by in-chunk DOTs -> O slot, the
-        # running getter count (S table), and the DOT counter.
-        self.dot_slots: dict = {}
-        self.dot_count = 0
-        self.s_count = 0
         # batch tier: running sreg-pointer and S-constant counters.
         self.sreg_count = 0
         self.const_count = 0
-        # loop tier: S-slot table (register name -> slot).
+        # solo tier: S-slot table (register name -> slot).
         self.reg_slots: dict = {}
-        self.batch_tier = ir.tier.startswith("batch")
-        self.loop_tier = ir.tier in ("loop", "batch-loop")
-        # batch-loop tier: the active-lane mask of the statement's frame.
+        self.batch_tier = ir.tier == "batch-loop"
+        # batch tier: the active-lane mask of the statement's frame.
         self.mask = "m0"
         self.frame = 0
 
@@ -504,14 +446,10 @@ class _UnitChecker:
                 f"unknown effect IR tier {ir.tier!r}",
                 Location("codegen"))
             return
-        if self.loop_tier:
-            entries, loop_meta = _loop_walk(self.instrs)
-            if ir.tier == "loop":
-                self._load_reg_slots()
-        else:
-            entries = [(ins, None, 0) for ins in self.instrs]
-            loop_meta = []
-        if ir.tier == "batch-loop" and tuple(ir.lens[:1]) != (ir.batch,):
+        entries, loop_meta = _loop_walk(self.instrs)
+        if not self.batch_tier:
+            self._load_reg_slots()
+        elif tuple(ir.lens[:1]) != (ir.batch,):
             # L[0] bounds every mask and per-lane trip-counter loop.
             report.error(
                 "codegen-shape-mismatch",
@@ -540,7 +478,7 @@ class _UnitChecker:
                     f"{stmt.instr_index} but executes at {pos}; the "
                     f"generated code would reorder effects the solo "
                     f"interpreter sequences")
-            if self.loop_tier and stmt.charge_slot != slot:
+            if stmt.charge_slot != slot:
                 self._err(
                     "codegen-cycle-mismatch", stmt,
                     f"statement charges CT slot {stmt.charge_slot} but "
@@ -548,8 +486,7 @@ class _UnitChecker:
             self._check_statement(instr, stmt)
             self._check_bounds(stmt)
         self._check_writes()
-        if self.loop_tier:
-            self._check_charges(loop_meta)
+        self._check_charges(loop_meta)
 
     def _load_reg_slots(self) -> None:
         for slot, entry in enumerate(self.ir.s_entries):
@@ -626,8 +563,7 @@ class _UnitChecker:
 
     def _check_reg_token(self, stmt: EffectStatement, reg: str,
                          token: str) -> None:
-        tier = self.ir.tier
-        if tier == "loop":
+        if not self.batch_tier:
             match = _SLOT_RE.match(token)
             slot = self.reg_slots.get(reg)
             if match is None or slot is None or int(match.group(1)) != slot:
@@ -636,33 +572,7 @@ class _UnitChecker:
                     f"register {reg!r} read through token {token} but "
                     f"its S slot is {slot}")
             return
-        if tier == "chunk":
-            if reg in self.dot_slots:
-                expected = f"O[{self.dot_slots[reg]}]"
-                if token.startswith("S["):
-                    self._err(
-                        "codegen-stale-scalar-read", stmt,
-                        f"register {reg!r} was written by an earlier "
-                        f"DOT in this chunk but is read through the "
-                        f"pre-call S table ({token}); the generated "
-                        f"code would observe the stale pre-chunk value",
-                        hint="in-chunk DOT results must be read from "
-                             "their O slot")
-                elif token != expected:
-                    self._err(
-                        "codegen-scalar-slot-mismatch", stmt,
-                        f"register {reg!r} read through {token} but "
-                        f"the freshest in-chunk DOT wrote {expected}")
-                return
-            expected = f"S[{self.s_count}]"
-            if token != expected:
-                self._err(
-                    "codegen-scalar-slot-mismatch", stmt,
-                    f"register {reg!r} read through {token} but its "
-                    f"getter occupies {expected}")
-            self.s_count += 1
-            return
-        # batch-chunk: registers are (B,) buffers bound as sN pointers.
+        # batch: registers are (B,) buffers bound as sN pointers.
         match = _BATCH_REG_RE.match(token)
         if match is None or int(match.group(1)) != self.sreg_count:
             self._err(
@@ -674,9 +584,8 @@ class _UnitChecker:
 
     def _check_lit_token(self, stmt: EffectStatement, value: float,
                          token: str) -> None:
-        tier = self.ir.tier
         match = _SLOT_RE.match(token)
-        if tier == "loop":
+        if not self.batch_tier:
             entries = self.ir.s_entries
             if (match is None or int(match.group(1)) >= len(entries)
                     or tuple(entries[int(match.group(1))])
@@ -685,15 +594,6 @@ class _UnitChecker:
                     "codegen-scalar-slot-mismatch", stmt,
                     f"literal {value!r} read through token {token} but "
                     f"that S slot holds a different entry")
-            return
-        if tier == "chunk":
-            expected = f"S[{self.s_count}]"
-            if token != expected:
-                self._err(
-                    "codegen-scalar-slot-mismatch", stmt,
-                    f"literal {value!r} read through {token} but its "
-                    f"getter occupies {expected}")
-            self.s_count += 1
             return
         consts = self.ir.consts
         if (match is None or int(match.group(1)) != self.const_count
@@ -767,9 +667,9 @@ class _UnitChecker:
         return True
 
     def _check_masked(self, stmt: EffectStatement, *guards: str) -> None:
-        """Batch-loop tier: every ``guards`` line must appear verbatim,
-        each one gating its effect on the frame's mask."""
-        if self.ir.tier != "batch-loop":
+        """Batch tier: every ``guards`` line must appear verbatim, each
+        one gating its effect on the frame's mask."""
+        if not self.batch_tier:
             return
         for guard in guards:
             if guard not in stmt.text:
@@ -839,11 +739,6 @@ class _UnitChecker:
         self._check_masked(stmt, f"if ({self.mask}[j]) {expected};")
 
     def _check_clip(self, instr: VectorOp, stmt: EffectStatement) -> None:
-        if not self.loop_tier:
-            self._err("codegen-expression-mismatch", stmt,
-                      "CLIP is only loop-fusable; no other tier may "
-                      "emit it")
-            return
         self._check_index_kind(stmt, "flat" if self.batch_tier
                                else "elementwise")
         self._check_dst(stmt, "vb", instr.dst)
@@ -860,22 +755,11 @@ class _UnitChecker:
         self._check_masked(stmt, f"if ({self.mask}[j]) {_BATCH_LOOP_CLIP};")
 
     def _check_dot(self, instr: VectorOp, stmt: EffectStatement) -> None:
-        tier = self.ir.tier
         self._check_index_kind(stmt, "reduce")
         self._check_srcs(stmt, tuple(instr.srcs[:2]))
         self._resolve_operands(stmt, [])
         writes = tuple(stmt.sreg_writes)
-        if tier == "chunk":
-            expected = ((instr.dst, f"O[{self.dot_count}]"),)
-            if writes != expected:
-                self._err(
-                    "codegen-scalar-slot-mismatch", stmt,
-                    f"DOT writes {writes} but emission order assigns "
-                    f"{expected}")
-            self.dot_slots[instr.dst] = self.dot_count
-            self.dot_count += 1
-            self._check_template(stmt, _CHUNK_DOT)
-        elif tier == "loop":
+        if not self.batch_tier:
             slot = self.reg_slots.get(instr.dst)
             expected = ((instr.dst, f"S[{slot}]"),)
             if slot is None or writes != expected:
@@ -890,11 +774,8 @@ class _UnitChecker:
                     "codegen-scalar-slot-mismatch", stmt,
                     f"batched DOT writes {writes} but must accumulate "
                     f"into the {instr.dst!r} register buffer")
-            if tier == "batch-chunk":
-                self._check_template(stmt, _BATCH_DOT)
-            else:
-                self._check_masked(stmt, f"if ({self.mask}[j]) o[j] = acc[j];")
-                self._check_template(stmt, _BATCH_LOOP_DOT.format(m=self.mask))
+            self._check_masked(stmt, f"if ({self.mask}[j]) o[j] = acc[j];")
+            self._check_template(stmt, _BATCH_LOOP_DOT.format(m=self.mask))
 
     def _check_spmv(self, instr: SpMV, stmt: EffectStatement) -> None:
         self._check_index_kind(stmt, "gather")
@@ -906,20 +787,13 @@ class _UnitChecker:
                 "codegen-expression-mismatch", stmt,
                 f"statement streams matrix {stmt.matrix!r} but the "
                 f"instruction names {instr.matrix!r}")
-        if self.ir.tier == "batch-loop":
+        if self.batch_tier:
             self._check_masked(stmt, f"if ({self.mask}[j]) yr[j] = acc[j];")
             self._check_template(stmt, _BATCH_LOOP_SPMV.format(m=self.mask))
         else:
-            self._check_template(stmt, _BATCH_SPMV if self.batch_tier
-                                 else _SOLO_SPMV)
+            self._check_template(stmt, _SOLO_SPMV)
 
     def _check_scalar(self, instr: ScalarOp, stmt: EffectStatement) -> None:
-        tier = self.ir.tier
-        if tier == "chunk":
-            self._err("codegen-expression-mismatch", stmt,
-                      "ScalarOps are not chunk-fusable; the chunk tier "
-                      "may not emit them")
-            return
         self._check_index_kind(stmt, "scalar")
         refs = [instr.src1]
         if instr.src2 is not None:
@@ -930,7 +804,7 @@ class _UnitChecker:
         a = tokens[0]
         b = tokens[1] if len(tokens) > 1 else None
         writes = tuple(stmt.sreg_writes)
-        if tier == "loop":
+        if not self.batch_tier:
             plan = _loop_scalar_expr(instr.op, a, b)
             if plan is None:
                 self._err("codegen-expression-mismatch", stmt,
@@ -951,12 +825,11 @@ class _UnitChecker:
                     f"emitted scalar statement {stmt.text!r} differs "
                     f"from the expected lowering")
         else:
-            expected = _batch_scalar_expr(instr.op, a, b,
-                                          traps=tier == "batch-loop")
+            expected = _batch_scalar_expr(instr.op, a, b)
             if expected is None:
                 self._err("codegen-expression-mismatch", stmt,
-                          f"scalar op {instr.op.value!r} is not batch-"
-                          f"chunkable")
+                          f"scalar op {instr.op.value!r} has no batched "
+                          f"codegen lowering")
                 return
             if writes != ((instr.dst, "d[j]"),):
                 self._err(
@@ -1163,7 +1036,7 @@ class _UnitChecker:
                 f"write-set omits it; a batch snapshot-restore frame "
                 f"would leak that buffer's frozen-lane columns",
                 loc)
-        if ir.tier != "loop":
+        if self.batch_tier:
             return
         declared = set(ir.reg_writes)
         recorded = {name for stmt in ir.statements
@@ -1223,8 +1096,7 @@ def verify_effect_ir(ir: EffectIR, instrs: list,
                      machine: Any) -> VerificationReport:
     """Verify one generated unit's effect IR against its instructions.
 
-    ``instrs`` is the instruction run (chunk tiers) or the loop body
-    (whole-loop tier) the unit was generated from; ``machine`` is the
+    ``instrs`` is the loop body the unit was generated from; ``machine`` is the
     machine (live or statically seeded) whose buffers and cost tables
     the generation consulted.
     """
@@ -1359,98 +1231,28 @@ def _prepare_buffers(machine: Any, items: list,
                 make(machine.vb, item.dst, resource.kernel.shape[0])
 
 
-def _lift_chunk(executor: Any, builder_cls: Any, run: list,
+def _loop_units(executor: Any, builder_cls: Any, items: list,
                 units: list, skipped: list) -> None:
-    builder = builder_cls(executor)
-    try:
-        for instr in run:
-            builder.emit(instr)
-    except Exception:
-        # The runtime falls back to numpy closures on any emit
-        # failure; an unliftable run is an unverified-but-unfused run,
-        # not a defect. Count it so coverage loss is visible.
-        skipped[0] += 1
-        return
-    units.append((builder.effect_ir(), run, executor.machine))
+    """Lift every Loop in ``items``, nested loops included.
 
-
-def _collect_chunk_units(executor: Any, chunkable: Any, builder_cls: Any,
-                         segment: list, units: list,
-                         skipped: list) -> None:
-    i, n = 0, len(segment)
-    while i < n:
-        j = i
-        while j < n and chunkable(executor, segment[j]):
-            j += 1
-        if j - i >= 2:
-            _lift_chunk(executor, builder_cls, segment[i:j], units,
-                        skipped)
-        i = max(j, i + 1)
-
-
-def _solo_units(executor: CompiledExecutor, items: list, units: list,
-                skipped: list) -> None:
-    segment: list = []
-
-    def flush() -> None:
-        nonlocal segment
-        if segment:
-            _collect_chunk_units(executor, _chunkable, _ChunkBuilder,
-                                 segment, units, skipped)
-            segment = []
-
+    A loop's first run takes the node path, and a nested loop's node
+    fuses on its own before the enclosing loop does, so the runtime can
+    build a unit for every loop of the nest: lift them all. A body the
+    builder refuses stays on the node path at runtime (``fuse_loop``);
+    count it so coverage loss is visible.
+    """
     for item in items:
-        if isinstance(item, Loop):
-            flush()
-            builder = _LoopBuilder(executor)
-            try:
-                builder.emit_body_ir(item.body)
-            except Exception:
-                # Mirrors fuse_loop: an unfusable body stays on the
-                # node path, whose segments chunk-fuse individually.
-                skipped[0] += 1
-                _solo_units(executor, item.body, units, skipped)
-            else:
-                units.append((builder.effect_ir(), item.body,
-                              executor.machine))
-        elif isinstance(item, Control):
-            flush()
+        if not isinstance(item, Loop):
+            continue
+        builder = builder_cls(executor)
+        try:
+            builder.emit_body_ir(item.body)
+        except Exception:
+            skipped[0] += 1
         else:
-            segment.append(item)
-    flush()
-
-
-def _batch_units(executor: BatchExecutor, items: list, units: list,
-                 skipped: list) -> None:
-    segment: list = []
-
-    def flush() -> None:
-        nonlocal segment
-        if segment:
-            _collect_chunk_units(executor, _batch_chunkable,
-                                 _BatchChunkBuilder, segment, units,
-                                 skipped)
-            segment = []
-
-    for item in items:
-        if isinstance(item, Loop):
-            flush()
-            builder = _BatchLoopBuilder(executor)
-            try:
-                builder.emit_body_ir(item.body)
-            except Exception:
-                skipped[0] += 1
-            else:
-                units.append((builder.effect_ir(), item.body,
-                              executor.machine))
-            # The first (node-path) run chunk-fuses the body's segments
-            # before the whole loop fuses, so both tiers run.
-            _batch_units(executor, item.body, units, skipped)
-        elif isinstance(item, Control):
-            flush()
-        else:
-            segment.append(item)
-    flush()
+            units.append((builder.effect_ir(), item.body,
+                          executor.machine))
+        _loop_units(executor, builder_cls, item.body, units, skipped)
 
 
 def verify_codegen(compiled: Any, matrices: dict, *,
@@ -1459,12 +1261,11 @@ def verify_codegen(compiled: Any, matrices: dict, *,
 
     ``compiled`` is a :class:`~repro.hw.compiler.CompiledProgram`;
     ``matrices`` maps streamed-matrix names (``P``/``A``/``At``) to
-    their :class:`~repro.sparse.csr.CSRMatrix` structures. Both the
-    solo tiers (straight-line chunks + whole-loop fusion) and the
-    batched tiers (lane-minor chunks + lane-masked whole-loop fusion
-    at the given ``batch`` width) are lifted exactly as the runtime
-    builders would emit them — same predicates, same builders — but
-    against statically seeded machines, so this needs no C toolchain
+    their :class:`~repro.sparse.csr.CSRMatrix` structures. Every loop
+    of the nest is lifted for both tiers (solo whole-loop fusion and
+    lane-masked batched whole-loop fusion at the given ``batch``
+    width) exactly as the runtime builders would emit it — same
+    builders — but against statically seeded machines, so this needs no C toolchain
     and runs identically in a cffi-less environment.
     """
     report = VerificationReport(
@@ -1478,7 +1279,8 @@ def verify_codegen(compiled: Any, matrices: dict, *,
     _seed_hbm(solo_machine, compiled, None)
     _prepare_buffers(solo_machine, compiled.program.instructions, None)
     solo_exec = CompiledExecutor(solo_machine, jit=False, verify=False)
-    _solo_units(solo_exec, compiled.program.instructions, units, skipped)
+    _loop_units(solo_exec, _LoopBuilder, compiled.program.instructions,
+                units, skipped)
 
     batch_machine = BatchMachine(
         compiled.context.c,
@@ -1486,8 +1288,8 @@ def verify_codegen(compiled: Any, matrices: dict, *,
     _seed_hbm(batch_machine, compiled, batch)
     _prepare_buffers(batch_machine, compiled.program.instructions, batch)
     batch_exec = BatchExecutor(batch_machine, jit=False, verify=False)
-    _batch_units(batch_exec, compiled.program.instructions, units,
-                 skipped)
+    _loop_units(batch_exec, _BatchLoopBuilder,
+                compiled.program.instructions, units, skipped)
 
     counts = dict.fromkeys(TIERS, 0)
     for ir, instrs, machine in units:
@@ -1496,10 +1298,9 @@ def verify_codegen(compiled: Any, matrices: dict, *,
     report.info(
         "codegen-coverage",
         f"analyzed {len(units)} generated unit(s): "
-        f"{counts['chunk']} chunk, {counts['loop']} whole-loop, "
-        f"{counts['batch-chunk']} batch-chunk, {counts['batch-loop']} "
-        f"batch whole-loop (batch={batch}); {skipped[0]} run(s) stay "
-        f"on the closure fallback",
+        f"{counts['loop']} whole-loop, {counts['batch-loop']} batch "
+        f"whole-loop (batch={batch}); {skipped[0]} loop(s) stay on "
+        f"the node path",
         Location("codegen"))
     return report
 

@@ -54,8 +54,8 @@ DIAGNOSTIC_CODES: dict[str, str] = {
                            "duplicated into its CVB bank",
     "bad-transfer-direction": "a DataTransfer direction is not "
                               "load/store",
-    "fusion-raw-hazard": "a fused run would read a value written "
-                         "earlier in the same run out of order",
+    "fusion-raw-hazard": "an SpMV reads a CVB bank before the VecDup "
+                         "that fills it in the same straight-line run",
     "unreachable-code": "instructions follow an unconditional loop "
                         "exit",
     "empty-loop": "a Loop has no body",
@@ -116,9 +116,6 @@ DIAGNOSTIC_CODES: dict[str, str] = {
     "codegen-order-mismatch": "generated statements execute in a "
                               "different order than the source "
                               "instructions",
-    "codegen-stale-scalar-read": "generated code reads a scalar "
-                                 "table entry that an earlier "
-                                 "statement already overwrote",
     "codegen-scalar-slot-mismatch": "a scalar-table slot binds a "
                                     "different register/literal than "
                                     "the emitted token claims",

@@ -18,12 +18,15 @@ without running anything:
   one or never);
 * **unreachable code** — loops with ``max_iter < 1`` never run their
   bodies;
-* **fusion RAW hazards** — inside each fusion window (the maximal runs
-  of chunkable instructions that :mod:`repro.hw.compiled` fuses into
-  one C call), an ``SpMV`` must not read a CVB bank that is only
-  duplicated *later* in the window: on a first iteration the bank is
-  missing (interpreter crash), on later iterations the SpMV silently
-  consumes the previous iteration's stale duplicate.
+* **fusion RAW hazards** — inside each vector window (a maximal
+  straight-line run of two or more vector-engine instructions:
+  ``VecDup``, ``SpMV`` and the lane-wise vector ops of
+  :data:`_WINDOW_VECTOR_OPS`, broken by any scalar op, transfer,
+  ``CLIP``, ``Control`` or loop), an ``SpMV`` must not read a CVB bank
+  that is only duplicated *later* in the window: on a first iteration
+  the bank is missing (interpreter crash), on later iterations the
+  SpMV silently consumes the previous iteration's stale duplicate, on
+  every backend alike.
 
 Loop bodies are analyzed against their *first-iteration* entry state,
 the conservative choice: anything a later iteration could rely on must
@@ -55,9 +58,9 @@ _VECTOR_ARITY = {
     VectorOpKind.SCALE_ADD: 2,
 }
 
-#: Vector ops the compiled backend may pull into a fusion window
-#: (mirror of ``repro.hw.compiled._CHUNKABLE_VECTOR_OPS``).
-_CHUNKABLE_VECTOR_OPS = frozenset({
+#: Lane-wise vector ops that extend a vector window (see the module
+#: docstring); ``CLIP`` ends one.
+_WINDOW_VECTOR_OPS = frozenset({
     VectorOpKind.AXPBY, VectorOpKind.EWMUL, VectorOpKind.SCALE_ADD,
     VectorOpKind.COPY, VectorOpKind.DOT,
 })
@@ -162,7 +165,7 @@ class _ProgramChecker:
                       state: _State) -> VerificationReport:
         self._check_block(program.instructions, state, trail="",
                           loop_depth=0)
-        self._scan_fusion_windows(program.instructions, trail="")
+        self._scan_vector_windows(program.instructions, trail="")
         return self.report
 
     def _check_block(self, items: list, state: _State, trail: str,
@@ -390,14 +393,14 @@ class _ProgramChecker:
                 hint="emit VecDup into the bank before the SpMV")
         state.vb.add(instr.dst)
 
-    # -- fusion-window hazard scan --------------------------------------
-    def _scan_fusion_windows(self, items: list, trail: str) -> None:
+    # -- vector-window hazard scan --------------------------------------
+    def _scan_vector_windows(self, items: list, trail: str) -> None:
         run: list = []  # (index, instr) pairs of the current window
         for index, item in enumerate(items):
             if isinstance(item, Loop):
                 self._flush_window(run, trail)
                 run = []
-                self._scan_fusion_windows(
+                self._scan_vector_windows(
                     item.body,
                     f"{trail}[{index}].{item.name}" if item.name
                     else f"{trail}[{index}]")
@@ -409,23 +412,19 @@ class _ProgramChecker:
         self._flush_window(run, trail)
 
     def _window_candidate(self, instr: object) -> bool:
-        """Conservative mirror of ``repro.hw.compiled._chunkable``.
-
-        SpMV fusability depends on whether the C kernel compiled in this
-        environment; assume it did (the superset), so hazards are
-        flagged regardless of which backend will run the program.
-        """
+        """True when ``instr`` extends the current vector window: a
+        VecDup, a window vector op, or an SpMV of a contract matrix."""
         if isinstance(instr, VecDup):
             return True
         if isinstance(instr, VectorOp):
-            return instr.op in _CHUNKABLE_VECTOR_OPS
+            return instr.op in _WINDOW_VECTOR_OPS
         if isinstance(instr, SpMV):
             return instr.matrix in self.contract.matrices
         return False
 
     def _flush_window(self, run: list, trail: str) -> None:
         if len(run) < 2:
-            return  # the backend only fuses runs of >= 2
+            return  # a hazard needs a VecDup and an SpMV
         dup_positions: dict[str, list[int]] = {}
         for pos, (_, instr) in enumerate(run):
             if isinstance(instr, VecDup):
@@ -440,7 +439,7 @@ class _ProgramChecker:
                 self.report.error(
                     "fusion-raw-hazard",
                     f"SpMV reads CVB bank {instr.src!r} before the "
-                    f"VecDup that populates it in the same fusion "
+                    f"VecDup that populates it in the same vector "
                     f"window; the multiply would consume a stale "
                     f"duplicate from a previous iteration (or crash "
                     f"on the first)",

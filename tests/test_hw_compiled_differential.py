@@ -161,8 +161,8 @@ class TestRandomPrograms:
                               st.integers(0, 7), st.integers(0, 7)),
                     min_size=2, max_size=10))
     def test_random_program_differential_jit(self, seed, specs):
-        """Same property with chunk fusion enabled (fixed-size pool so
-        the generated C sources stay few and cache-hot)."""
+        """Same property with whole-loop fusion enabled (fixed-size
+        pool so the generated C sources stay few and cache-hot)."""
         instrs = [build_instruction(*spec) for spec in specs]
         program = Program([Loop(instrs + [Control("s0", "s1")],
                                 max_iter=3, name="l")])
@@ -173,8 +173,9 @@ class TestRandomPrograms:
 
 class TestFusedPatterns:
     def test_pcg_like_body_bitwise(self):
-        """A PCG-shaped body: VecDup/SpMV/AXPBY/DOT runs fuse into C
-        chunks; results and accounting must still match the oracle."""
+        """A PCG-shaped body: after its first run the loop fuses into
+        one C function; results and accounting must still match the
+        oracle."""
         body = [
             VecDup("v0", "M"),
             SpMV("M", "M", "v1"),
@@ -193,8 +194,9 @@ class TestFusedPatterns:
         assert_states_equal(mi, mc)
 
     def test_dot_feeding_fused_consumer(self):
-        """A DOT result consumed by a later op in the same fused run
-        must read the fresh in-chunk value, not the stale register."""
+        """A DOT result consumed by a later op in the same straight-line
+        block (run as closures, outside any loop) must read the fresh
+        register value, not the stale one."""
         instrs = [
             VectorOp(VectorOpKind.DOT, "s0", ("v0", "v1")),
             VectorOp(VectorOpKind.SCALE_ADD, "v2", ("v2", "v1"),

@@ -7,8 +7,9 @@ an off-by-one loop bound, a dropped write-set entry, a reassociated
 expression, a mischarged cycle slot — and assert the verifier reports
 a *located* diagnostic with the stable code for exactly that defect
 class. The sweep tests assert the converse: every unit the backends
-would actually fuse, for both algorithms and all four tiers,
-verifies with zero errors (no false positives).
+would actually fuse, for both algorithms and both tiers, verifies
+with zero errors (no false positives), and every unit the runtime
+builds is among the lifted ones.
 
 Runs without hypothesis (the property variants skip) and without
 cffi (the lift is static by construction).
@@ -28,10 +29,13 @@ try:
 except ImportError:  # the CI lint job has no hypothesis
     HAVE_HYPOTHESIS = False
 
+from repro.batch import BatchAccelerator
 from repro.exceptions import VerificationError
 from repro.experiments.runner import choose_width
+from repro.hw import accelerator_class, cjit
 from repro.hw.compiled import CompiledExecutor
-from repro.problems import benchmark_suite
+from repro.problems import benchmark_suite, perturb_numeric
+from repro.solver import OSQPSettings
 from repro.serving.arch_cache import build_artifact
 from repro.verify import codegen as cg
 from repro.verify import (DIAGNOSTIC_CODES, Location, VerificationReport,
@@ -44,7 +48,7 @@ MUTABLE_BOUNDS = ("elementwise", "flat", "laned", "reduce")
 CODEGEN_CODES = (
     "codegen-shape-mismatch", "codegen-index-out-of-bounds",
     "codegen-alias-hazard", "codegen-order-mismatch",
-    "codegen-stale-scalar-read", "codegen-scalar-slot-mismatch",
+    "codegen-scalar-slot-mismatch",
     "codegen-write-set-miss", "codegen-expression-mismatch",
     "codegen-kernel-body-drift", "codegen-cycle-mismatch",
     "codegen-lane-mask-missing", "codegen-coverage",
@@ -77,7 +81,8 @@ def lifted_units(algorithm):
     cg._seed_hbm(solo, compiled, None)
     cg._prepare_buffers(solo, compiled.program.instructions, None)
     solo_exec = CompiledExecutor(solo, jit=False, verify=False)
-    cg._solo_units(solo_exec, compiled.program.instructions, units, skipped)
+    cg._loop_units(solo_exec, cg._LoopBuilder, compiled.program.instructions,
+                   units, skipped)
 
     bm = cg.BatchMachine(compiled.context.c,
                          cg._static_resources(compiled, matrices, batch=2),
@@ -85,16 +90,26 @@ def lifted_units(algorithm):
     cg._seed_hbm(bm, compiled, 2)
     cg._prepare_buffers(bm, compiled.program.instructions, 2)
     batch_exec = cg.BatchExecutor(bm, jit=False, verify=False)
-    cg._batch_units(batch_exec, compiled.program.instructions, units,
-                    skipped)
+    cg._loop_units(batch_exec, cg._BatchLoopBuilder,
+                   compiled.program.instructions, units, skipped)
     return tuple(units)
 
 
-def unit_for(tier, algorithm="admm"):
-    for ir, instrs, machine in lifted_units(algorithm):
-        if ir.tier == tier:
-            return ir, instrs, machine
-    pytest.skip(f"no {tier} unit in the {algorithm} program")
+def unit_for(tier, algorithm="admm", index=0):
+    """The ``index``-th lifted unit of ``tier`` in pre-order (for ADMM,
+    1 is the nested PCG loop)."""
+    units = [unit for unit in lifted_units(algorithm) if unit[0].tier == tier]
+    if index >= len(units):
+        pytest.skip(f"no {tier} unit #{index} in the {algorithm} program")
+    return units[index]
+
+
+#: Units the parametrized mutations run on: (tier, algorithm, index).
+MUTATED_UNITS = [("loop", "admm", 0), ("loop", "admm", 1),
+                 ("loop", "pdqp", 0), ("batch-loop", "admm", 0),
+                 ("batch-loop", "pdqp", 0)]
+MUTATED_IDS = ["loop-admm", "loop-admm-pcg", "loop-pdqp", "batch-loop-admm",
+               "batch-loop-pdqp"]
 
 
 def clone(ir):
@@ -110,12 +125,10 @@ def codes_of(report):
 # ---------------------------------------------------------------------------
 # seeded defects -> located diagnostics with stable codes
 
-@pytest.mark.parametrize("tier,algorithm",
-                         [("batch-chunk", "admm"), ("loop", "admm"),
-                          ("chunk", "pdqp"), ("batch-loop", "admm"),
-                          ("batch-loop", "pdqp")])
-def test_seeded_off_by_one_bound_is_caught(tier, algorithm):
-    ir, instrs, machine = unit_for(tier, algorithm)
+@pytest.mark.parametrize("tier,algorithm,index", MUTATED_UNITS,
+                         ids=MUTATED_IDS)
+def test_seeded_off_by_one_bound_is_caught(tier, algorithm, index):
+    ir, instrs, machine = unit_for(tier, algorithm, index)
     pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
                      if s.index in MUTABLE_BOUNDS and s.bound > 0)
     mutated = clone(ir)
@@ -142,7 +155,7 @@ def test_seeded_dropped_loop_writeback_is_caught():
 
 
 def test_seeded_phantom_vector_write_is_caught():
-    ir, instrs, machine = unit_for("batch-chunk")
+    ir, instrs, machine = unit_for("batch-loop")
     pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
                      if s.dst is not None and s.dst.space == "vb")
     mutated = clone(ir)
@@ -152,12 +165,10 @@ def test_seeded_phantom_vector_write_is_caught():
     assert "codegen-write-set-miss" in codes_of(report), report.render()
 
 
-@pytest.mark.parametrize("tier,algorithm",
-                         [("batch-chunk", "admm"), ("loop", "admm"),
-                          ("chunk", "pdqp"), ("batch-loop", "admm"),
-                          ("batch-loop", "pdqp")])
-def test_seeded_rewritten_expression_is_caught(tier, algorithm):
-    ir, instrs, machine = unit_for(tier, algorithm)
+@pytest.mark.parametrize("tier,algorithm,index", MUTATED_UNITS,
+                         ids=MUTATED_IDS)
+def test_seeded_rewritten_expression_is_caught(tier, algorithm, index):
+    ir, instrs, machine = unit_for(tier, algorithm, index)
     pos, stmt = next(
         (i, s) for i, s in enumerate(ir.statements)
         if s.expr and s.op in ("copy", "ewmul", "axpby", "scale_add",
@@ -222,7 +233,7 @@ def test_seeded_wrong_frame_exit_is_caught():
 
 
 def test_seeded_reordered_statements_are_caught():
-    ir, instrs, machine = unit_for("batch-chunk")
+    ir, instrs, machine = unit_for("batch-loop")
     mutated = clone(ir)
     a, b = mutated.statements[0], mutated.statements[1]
     mutated.statements[0] = replace(b)
@@ -238,7 +249,7 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_any_bound_inflation_is_caught(data):
-        ir, instrs, machine = unit_for("batch-chunk")
+        ir, instrs, machine = unit_for("batch-loop")
         candidates = [(i, s) for i, s in enumerate(ir.statements)
                       if s.index in MUTABLE_BOUNDS and s.bound > 0]
         pos, stmt = data.draw(st.sampled_from(candidates))
@@ -277,11 +288,42 @@ def test_every_lifted_unit_verifies_clean(algorithm):
         assert not report.errors, report.render()
 
 
-def test_all_four_tiers_are_covered():
+def test_both_tiers_are_covered():
     tiers = {ir.tier for algorithm in ("admm", "pdqp")
              for ir, _instrs, _machine in lifted_units(algorithm)}
-    assert tiers == {"chunk", "loop", "batch-chunk", "batch-loop"}
+    assert tiers == {"loop", "batch-loop"}
     assert tiers == set(cg.TIERS)
+
+
+@pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
+def test_runtime_units_are_lifted(algorithm, monkeypatch):
+    """Every unit a solo solve and a B=2 batch run build at runtime is
+    one the static lift verifies (nested loops included: a solo ADMM
+    solve fuses its PCG loop on its own)."""
+    if not cjit.available():
+        pytest.skip("no C toolchain: the runtime fuses no loop")
+    art = artifact(algorithm)
+    problem = suite_entry().problem
+    built = []
+    verify = cg.ensure_codegen_verified
+
+    def spy(ir, instrs, machine, **kwargs):
+        built.append((ir.tier, ir.digest()))
+        return verify(ir, instrs, machine, **kwargs)
+
+    monkeypatch.setattr(cg, "ensure_codegen_verified", spy)
+    settings = OSQPSettings()
+    accelerator_class(algorithm).bind(
+        problem, art.customization, settings, art.compiled,
+        max_pcg_iter=art.max_pcg_iter).run()
+    BatchAccelerator([problem, perturb_numeric(problem, seed=1)],
+                     art.customization, settings, compiled=art.compiled,
+                     algorithm=algorithm,
+                     max_pcg_iter=art.max_pcg_iter).run()
+    assert {tier for tier, _digest in built} == {"loop", "batch-loop"}
+    lifted = {(ir.tier, ir.digest())
+              for ir, _instrs, _machine in lifted_units(algorithm)}
+    assert set(built) <= lifted
 
 
 @pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
@@ -308,7 +350,7 @@ def test_ensure_codegen_verified_raises_with_report():
 
 
 def test_ensure_codegen_verified_memoizes_acceptance():
-    ir, instrs, machine = unit_for("chunk", "pdqp")
+    ir, instrs, machine = unit_for("loop", "pdqp")
     ensure_codegen_verified(ir, instrs, machine)
     assert cg._VERIFIED.get(ir.digest()) is True
     ensure_codegen_verified(ir, instrs, machine)  # cache hit, no raise
@@ -322,7 +364,7 @@ def test_batch_guard_runs_codegen_pass_once():
 
 
 def test_env_kill_switch_disables_runtime_guard(monkeypatch):
-    _ir, _instrs, machine = unit_for("chunk", "pdqp")
+    _ir, _instrs, machine = unit_for("loop", "pdqp")
     monkeypatch.setenv("REPRO_VERIFY_CODEGEN", "0")
     assert CompiledExecutor(machine, jit=False).verify is False
     monkeypatch.delenv("REPRO_VERIFY_CODEGEN")
