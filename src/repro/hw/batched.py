@@ -15,10 +15,12 @@ module is the machine layer of :mod:`repro.batch`:
   :class:`~repro.hw.machine.ExecutionStats` plus per-lane loop trip
   counters.
 * :class:`BatchExecutor` — the batched lowering of
-  :class:`~repro.hw.compiled.CompiledExecutor`: basic blocks become
-  numpy closures with deferred block charging, and a loop whose body
-  has bound becomes one lane-masked generated C function (the batched
-  whole-loop tier, :class:`_BatchLoopBuilder`).
+  :class:`~repro.hw.compiled.CompiledExecutor`, on the same node-path
+  scaffold: basic blocks become numpy closures with deferred block
+  charging, and a loop whose body has bound becomes one lane-masked
+  generated C function, emitted at this machine's lane count by the
+  one whole-loop builder (:class:`~repro.hw.compiled._LoopBuilder`),
+  whose B=1 case is also a solo machine's fused loop.
 
 Memory layout: lane-minor
 -------------------------
@@ -37,7 +39,7 @@ state bit-exactly while the remaining lanes iterate on. A fused whole
 loop masks its writes: each loop frame carries an active-lane mask,
 every generated write, DIV/SQRT trap check and Control test honors the
 innermost frame's mask, so a frozen lane's columns simply never change
-after it fires (see :class:`_BatchLoopBuilder`).
+after it fires (see :class:`~repro.hw.compiled._LoopBuilder`).
 
 The node path — a loop's first run, any run with a per-lane fault
 injector armed, and bodies the fused tier does not cover — inverts the
@@ -93,17 +95,12 @@ running batch.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..exceptions import ShapeError, SimulationError
 from ..sparse import kernels
 from ..sparse.kernels import CSRKernel
-from . import cjit
-from .compiled import (SCALAR_C, _CBuilder, _FusedLoop, fuse_loop,
-                       literal_operand, vector_fold)
-from .effect_ir import BufferRef
+from .compiled import _FusedLoop, _NodeExecutor, fuse_loop, literal_operand
 from .isa import (BINARY_SCALAR_OPS, Control, DataTransfer, Loop, Program,
                   ScalarOp, ScalarOpKind, SpMV, VecDup, VectorOp,
                   VectorOpKind)
@@ -267,71 +264,8 @@ def static_write_set(items) -> set:
 
 
 # ---------------------------------------------------------------------------
-# lowered nodes (lockstep analogues of repro.hw.compiled's node classes)
-
-class _Segment:
-    """A straight-line block, lazily lowered, charge deferred.
-
-    Lockstep wall accounting: the block charges its full cost per
-    execution whatever the lane mask — the sequencer issues every
-    instruction once per trip for however many lanes remain.
-    """
-
-    __slots__ = ("_executor", "_instructions", "_stats", "_fns",
-                 "_cycles", "_by_class", "_count", "pending")
-
-    def __init__(self, executor: "BatchExecutor", instructions: list):
-        self._executor = executor
-        self._instructions = instructions
-        self._stats = executor.machine.stats
-        self._fns = None
-        self.pending = 0
-
-    def run(self) -> None:
-        fns = self._fns
-        if fns is None:
-            self._bind()
-            return
-        for fn in fns:
-            fn()
-        if self.pending == 0:
-            self._executor._dirty.append(self)
-        self.pending += 1
-
-    def flush(self) -> None:
-        count = self.pending
-        if count:
-            self.pending = 0
-            if count == 1:
-                self._stats.charge_block(self._cycles, self._by_class,
-                                         self._count)
-            else:
-                self._stats.charge_block(
-                    count * self._cycles,
-                    {k: count * v for k, v in self._by_class.items()},
-                    count * self._count)
-
-    def _bind(self) -> None:
-        executor = self._executor
-        machine = executor.machine
-        stats = self._stats
-        fns: list = []
-        total = 0
-        by_class: dict = {}
-        for instr in self._instructions:
-            kind = type(instr).__name__
-            cycles = instr.cycles(machine)
-            stats.charge(kind, cycles)
-            fn = executor._lower_instruction(instr)
-            fn()
-            fns.append(fn)
-            total += cycles
-            by_class[kind] = by_class.get(kind, 0) + cycles
-        self._count = len(fns)
-        self._fns = fns
-        self._cycles = total
-        self._by_class = by_class
-
+# lowered nodes (lockstep analogues of repro.hw.compiled's node classes;
+# segments are the shared repro.hw.compiled._Segment)
 
 class _ControlNode:
     """A Control test, evaluated per lane; exits lanes individually.
@@ -395,8 +329,9 @@ class _LoopNode:
 
     As in the solo executor, once the body's segments have bound the
     whole loop is lowered into one lane-masked C function (see
-    :class:`_BatchLoopBuilder`), bypassed while any per-lane injector
-    is armed; an unsupported body stays on this node path.
+    :class:`~repro.hw.compiled._LoopBuilder`), bypassed while any
+    per-lane injector is armed; an unsupported body stays on this node
+    path.
     """
 
     __slots__ = ("_executor", "_loop", "_nodes", "_stats", "_writes",
@@ -418,8 +353,7 @@ class _LoopNode:
         if executor.jit and executor.machine.injectors is None:
             fused = self._fused
             if fused is None:
-                fused = fuse_loop(executor, _BatchLoopBuilder, loop.body,
-                                  self._nodes)
+                fused = fuse_loop(executor, loop.body, self._nodes)
                 if fused is not None:
                     self._fused = fused
             if fused and fused.run(loop):
@@ -460,8 +394,50 @@ class _LoopNode:
 
 
 # ---------------------------------------------------------------------------
+# Batched whole-loop fusion: the one whole-loop emitter
+# (repro.hw.compiled._LoopBuilder) at this machine's lane count, with
+# masked writes instead of snapshot/restore. The per-element expressions
+# are exactly the ones the numpy closures evaluate (see the fold tables
+# above) and the DOT/SpMV bodies are the engine library's batched
+# kernels, so a fused loop produces the same bits as the node path, and
+# hence as B solo runs.
 
-class BatchExecutor:
+class _FusedBatchLoop(_FusedLoop):
+    """Batch fused loop: the host stages only the lane mask.
+
+    Registers are the machine's stable ``(B,)`` buffers, read and
+    written in place, so there is no scalar prefill or write-back.
+    Row 0 of ``M`` is loaded with the executor's mask at entry; both
+    loop-iteration tables are updated exactly like the node path's.
+    """
+
+    __slots__ = ("_lanes",)
+
+    def __init__(self, run, args, builder, ct, it, m, lt, hold):
+        super().__init__(run, args, builder, ct, it, m, lt, hold)
+        self._lanes = builder.machine.lane_loop_iterations
+
+    def run(self, loop: Loop) -> bool:
+        np.copyto(self._m[0], self._executor._mask)
+        rc = self._call(loop)
+        it = self._it
+        lt = self._lt
+        lanes = self._lanes
+        for slot, name in ((0, loop.name),) + self._loops:
+            if slot and not it[slot]:
+                continue  # nested loop never entered: no key, as solo
+            counts = lanes.get(name)
+            if counts is None:
+                counts = np.zeros(lt.shape[1], dtype=np.int64)
+                lanes[name] = counts
+            counts += lt[slot]
+        self._raise_trap(rc)
+        return True
+
+
+# ---------------------------------------------------------------------------
+
+class BatchExecutor(_NodeExecutor):
     """Run programs against a :class:`BatchMachine` under a lane mask.
 
     The structure mirrors :class:`~repro.hw.compiled.CompiledExecutor`
@@ -474,24 +450,14 @@ class BatchExecutor:
     docstring).
     """
 
+    _CONTROL_NODE = _ControlNode
+    _LOOP_NODE = _LoopNode
+    _FUSED_LOOP = _FusedBatchLoop
+
     def __init__(self, machine: BatchMachine, jit: bool | None = None,
                  verify: bool | None = None):
-        self.machine = machine
-        self._blocks: dict = {}
-        self._loop_fused: dict = {}
-        self._dirty: list = []
-        if jit is None:
-            self.jit = cjit.available()
-        else:
-            self.jit = bool(jit) and cjit.available()
-        # Static codegen verification of every fused unit before its
-        # first execution (memoized per effect-IR digest; see
-        # repro.verify.codegen). REPRO_VERIFY_CODEGEN=0 is a global
-        # kill switch that overrides any caller.
-        if verify is None:
-            verify = True
-        self.verify = (bool(verify) and
-                       os.environ.get("REPRO_VERIFY_CODEGEN", "1") != "0")
+        super().__init__(machine, jit, verify)
+        self.batch = machine.batch
         #: Stack of (write_set, saved_columns) snapshot frames; the
         #: write set is the enclosing loop's (or the whole program's).
         self._frames: list = []
@@ -562,47 +528,7 @@ class BatchExecutor:
             self._flush()
         return self.machine.stats
 
-    def _flush(self) -> None:
-        dirty = self._dirty
-        if dirty:
-            for node in dirty:
-                node.flush()
-            dirty.clear()
-
-    def _lower_block(self, items: list) -> list:
-        key = id(items)
-        cached = self._blocks.get(key)
-        if cached is not None and cached[0] is items:
-            return cached[1]
-        nodes: list = []
-        current: list = []
-        for item in items:
-            if isinstance(item, Loop):
-                if current:
-                    nodes.append(_Segment(self, current))
-                    current = []
-                nodes.append(_LoopNode(self, item))
-            elif isinstance(item, Control):
-                if current:
-                    nodes.append(_Segment(self, current))
-                    current = []
-                nodes.append(_ControlNode(self, item))
-            else:
-                current.append(item)
-        if current:
-            nodes.append(_Segment(self, current))
-        self._blocks[key] = (items, nodes)
-        return nodes
-
     # -- operand binding -------------------------------------------------
-    def _resident(self, name: str) -> np.ndarray:
-        machine = self.machine
-        if name in machine.vb:
-            return machine.vb[name]
-        if name in machine.cvb:
-            return machine.cvb[name]
-        raise SimulationError(f"vector {name!r} not resident on chip")
-
     def _dst_buffer(self, space: dict, name: str, length: int) -> np.ndarray:
         batch = self.machine.batch
         buf = space.get(name)
@@ -613,25 +539,9 @@ class BatchExecutor:
         space[name] = buf
         return buf
 
-    def _scalar_reader(self, ref):
-        """Deferred reader: a ``(B,)`` register array or a literal.
-
-        Control nodes are constructed at block-lowering time, before
-        any instruction ran, so their operand registers may not exist
-        yet — hence deferred resolution (unlike segment instructions,
-        which bind at first execution and prebind their operands)."""
-        if isinstance(ref, str):
-            scalars = self.machine.scalars
-
-            def get():
-                try:
-                    return scalars[ref]
-                except KeyError:
-                    raise SimulationError(
-                        f"unknown scalar register {ref!r}") from None
-            return get
-        value = float(ref)
-        return lambda: value
+    def _register(self, name: str) -> np.ndarray:
+        """Register ``name``'s stable ``(B,)`` buffer."""
+        return self.machine.scalar_buffer(name)
 
     def _scalar_operand(self, ref):
         """Prebound operand for segment-time binding: the stable
@@ -648,19 +558,6 @@ class BatchExecutor:
         return buf
 
     # -- per-instruction lowering ---------------------------------------
-    def _lower_instruction(self, instr):
-        if isinstance(instr, ScalarOp):
-            return self._lower_scalar(instr)
-        if isinstance(instr, VectorOp):
-            return self._lower_vector(instr)
-        if isinstance(instr, DataTransfer):
-            return self._lower_transfer(instr)
-        if isinstance(instr, VecDup):
-            return self._lower_vecdup(instr)
-        if isinstance(instr, SpMV):
-            return self._lower_spmv(instr)
-        raise SimulationError(f"unknown instruction {instr!r}")
-
     def _hooked(self, fn, hook_name: str, site: str, buf: np.ndarray):
         """Per-lane fault hooks: fire on a lane's column view only
         while that lane is active, so op counting matches its solo
@@ -928,392 +825,3 @@ class BatchExecutor:
         # Lane b is bit-identical to a solo SpMV on lane b's data.
         fn = resource.kernel.bind(src, dst)
         return self._hooked(fn, "on_spmv", instr.dst, dst)
-
-
-# ---------------------------------------------------------------------------
-# Batched whole-loop fusion: the solo whole-loop walk over lane-minor
-# emitters, with masked writes instead of snapshot/restore. The
-# per-element expressions are exactly the ones the numpy closures
-# evaluate (see the fold tables above) and the DOT/SpMV bodies are the
-# engine library's batched kernels, so a fused loop produces the same
-# bits as the node path, and hence as B solo runs.
-
-_BATCH_LOOP_CDEF = """
-long loop_run(double **B, long **IA, const long *L, const double *S,
-              long *M, long *CT, long *IT, long *LT, long max_iter);
-"""
-
-
-class _FusedBatchLoop(_FusedLoop):
-    """Batch fused loop: the host stages only the lane mask.
-
-    Registers are the machine's stable ``(B,)`` buffers, read and
-    written in place, so there is no scalar prefill or write-back.
-    ``M`` row ``k`` is frame ``k``'s active-lane mask (row 0 is loaded
-    with the executor's mask at entry) and ``LT`` row ``k`` counts the
-    per-lane trips of frame ``k``; both loop-iteration tables are
-    updated exactly like the node path's.
-    """
-
-    __slots__ = ("_executor", "_m", "_lt", "_lanes")
-
-    def __init__(self, run, args, machine, builder, ct, it, hold,
-                 m, lt):
-        super().__init__(run, args, machine, builder, ct, it, hold)
-        self._executor = builder.executor
-        self._m = m
-        self._lt = lt
-        self._lanes = machine.lane_loop_iterations
-
-    def run(self, loop: Loop) -> bool:
-        np.copyto(self._m[0], self._executor._mask)
-        lt = self._lt
-        lt[:] = 0
-        rc = self._call(loop)
-        it = self._it
-        lanes = self._lanes
-        for slot, name in ((0, loop.name),) + self._loops:
-            if slot and not it[slot]:
-                continue  # nested loop never entered: no key, as solo
-            counts = lanes.get(name)
-            if counts is None:
-                counts = np.zeros(lt.shape[1], dtype=np.int64)
-                lanes[name] = counts
-            counts += lt[slot]
-        self._raise_trap(rc)
-        return True
-
-
-class _BatchLoopBuilder(_CBuilder):
-    """Generate one lane-masked C function for an entire batched Loop.
-
-    Scalar registers are stable ``(B,)`` buffers mutated in place, so
-    they travel through the ``B`` pointer table like any other operand
-    and every per-element expression gains an inner lane loop over the
-    contiguous trailing axis. Only float *literals* go through the
-    ``S`` constant table, keeping the source canonical per instruction
-    pattern for the hash-addressed module cache.
-
-    Frame ``k`` (the loop with ``IT`` slot ``k``; 0 is the fused loop
-    itself) keeps its active lanes in ``m{k}``. Every emitted write is
-    guarded by the innermost frame's mask, so a frozen lane's columns
-    never change after its Control fired — the snapshot/restore the
-    node path needs has nothing to undo. A Control clears its firing
-    lanes in its frame and jumps to the frame's exit label once none
-    is left; a nested loop starts from a copy of its parent's mask, so
-    the parent's mask is intact when it ends. Each trip adds its
-    active lanes to ``lt{k}`` and charges the wall ``CT``/``IT`` slots
-    once. DIV/SQRT check their trap on active lanes only.
-    """
-
-    _LOOP_TIER = "batch-loop"
-    _LOOP_TAG = "bloop"
-    _LOOP_CDEF = _BATCH_LOOP_CDEF
-    _LOOP_ARGS = (cjit._ENGINE_COMPILE_ARGS, cjit._ENGINE_FALLBACK_ARGS)
-
-    def __init__(self, executor: "BatchExecutor"):
-        super().__init__(executor)
-        self.consts: list = []
-        self._sregs = 0
-        self._batch = self.machine.batch
-        # L[0] is the function-level lane count ``bt`` the mask and
-        # trip-counter loops run over.
-        self.length(self._batch)
-        self._pending_lens.clear()
-
-    def _scalar_tables(self) -> dict:
-        return {"consts": tuple(self.consts)}
-
-    # -- operand tables --------------------------------------------------
-    def const(self, value: float) -> str:
-        self.consts.append(float(value))
-        token = f"S[{len(self.consts) - 1}]"
-        self._pending_reads.append(("lit", float(value), token))
-        return token
-
-    def sreg(self, ref) -> tuple:
-        """A scalar operand: ``(decls, token)``.
-
-        A register resolves to its stable ``(B,)`` buffer (token indexes
-        the lane ``[j]``); a literal resolves to an ``S`` constant.
-        """
-        operand = self.executor._scalar_operand(ref)
-        if isinstance(operand, float):
-            return [], self.const(operand)
-        name = f"s{self._sregs}"
-        self._sregs += 1
-        token = f"{name}[j]"
-        self._pending_reads.append(("reg", ref, token))
-        return [f"const double *{name} = {self.buf(operand)};"], token
-
-    # -- frame hooks -----------------------------------------------------
-    def _masked(self, stmt: str) -> str:
-        """``stmt`` (lane index ``j``) guarded by the frame's mask."""
-        return f"if (m{self._frame}[j]) {stmt}"
-
-    def _frame_enter(self, slot: int) -> str:
-        return ("    for (long j = 0; j < bt; ++j)\n"
-                f"        m{slot}[j] = m{self._frame}[j];\n")
-
-    def _trip_head(self, slot: int) -> str:
-        return ("    {\n"
-                "        long live = 0;\n"
-                "        for (long j = 0; j < bt; ++j) {\n"
-                f"            live |= m{slot}[j];\n"
-                f"            lt{slot}[j] += m{slot}[j];\n"
-                "        }\n"
-                f"        if (!live) goto loop_exit_{slot};\n"
-                "    }\n"
-                f"    IT[{slot}]++;\n")
-
-    def _control_test(self, instr: Control) -> tuple:
-        decls_v, value = self.sreg(instr.reg)
-        decls_t, threshold = self.sreg(instr.threshold_reg)
-        expr = f"{value} < {threshold}"
-        m = f"m{self._frame}"
-        return expr, (
-            "    {\n"
-            + "".join(f"        {line}\n" for line in decls_v + decls_t) +
-            "        long live = 0;\n"
-            "        for (long j = 0; j < bt; ++j) {\n"
-            f"            if ({m}[j] && {expr}) {m}[j] = 0;\n"
-            f"            live |= {m}[j];\n"
-            "        }\n"
-            f"        if (!live) goto loop_exit_{self._frame};\n"
-            "    }\n")
-
-    # -- emission --------------------------------------------------------
-    def _flat(self, total: int, decls: list, expr: str) -> None:
-        """One loop over all ``len * batch`` contiguous elements, row by
-        row with the lane index ``j`` for the mask."""
-        body = "".join(f"        {line}\n" for line in decls)
-        self.code.append(
-            "    {\n"
-            f"        const long t = {self.length(total)};\n"
-            + body +
-            "        for (long i0 = 0; i0 < t; i0 += bt)\n"
-            "            for (long j = 0; j < bt; ++j) {\n"
-            "                const long i = i0 + j;\n"
-            f"                {self._masked(expr)};\n"
-            "            }\n"
-            "    }\n")
-
-    def _laned(self, n: int, decls: list, expr: str) -> None:
-        """Row loop with an inner lane loop (lane-varying coefficients);
-        ``expr`` indexes the row pointers ``ai``/``bi``/``di`` by ``[j]``."""
-        body = "".join(f"        {line}\n" for line in decls)
-        self.code.append(
-            "    {\n"
-            f"        const long n = {self.length(n)};\n"
-            f"        const long bt = {self.length(self._batch)};\n"
-            + body +
-            "        for (long i = 0; i < n; ++i) {\n"
-            "            const double *ai = a + i * bt;\n"
-            "            const double *bi = b + i * bt;\n"
-            "            double *di = d + i * bt;\n"
-            "            for (long j = 0; j < bt; ++j)\n"
-            f"                {self._masked(expr)};\n"
-            "        }\n"
-            "    }\n")
-
-    def _emit_vecdup(self, instr: VecDup) -> None:
-        src = self.executor._resident(instr.src)
-        dst = self.executor._dst_buffer(
-            self.machine.cvb, instr.cvb, int(src.shape[0]))
-        total = int(src.shape[0]) * self._batch
-        self._flat(total, [
-            f"const double *a = {self.buf(src)};",
-            f"double *d = {self.buf(dst)};",
-        ], "d[i] = a[i]")
-        self._record(
-            "vecdup", "flat", total,
-            dst=BufferRef("cvb", instr.cvb, int(dst.shape[0])),
-            srcs=(self._src_ref(instr.src, src),),
-            expr="d[i] = a[i]", text=self.code[-1],
-            site=getattr(instr, "site", None))
-
-    def _emit_scalar(self, instr: ScalarOp) -> None:
-        op = instr.op
-        if op in BINARY_SCALAR_OPS and instr.src2 is None:
-            raise SimulationError("binary scalar op missing src2")
-        template, trap = SCALAR_C[op]
-        decls, a = self.sreg(instr.src1)
-        b = None
-        if instr.src2 is not None:
-            decls_b, b = self.sreg(instr.src2)
-            decls = decls + decls_b
-        dst = self.machine.scalar_buffer(instr.dst)
-        decls.append(f"double *d = {self.buf(dst)};")
-        # MAX is Python's max(a, b): b only when b > a (NaN-asymmetric),
-        # the same as the closure's where(b > a, b, a).
-        expr = "d[j] = " + template.format(a=a, b=b)
-        guard = ""
-        if trap is not None:
-            # Traps fire for active lanes only, before any lane writes.
-            cond, rc = trap
-            guard = ("        for (long j = 0; j < bt; ++j)\n"
-                     f"            if (m{self._frame}[j] && "
-                     f"{cond.format(a=a, b=b)}) return {rc};\n")
-        self.code.append(
-            "    {\n"
-            f"        const long bt = {self.length(self._batch)};\n"
-            + "".join(f"        {line}\n" for line in decls) + guard +
-            "        for (long j = 0; j < bt; ++j)\n"
-            f"            {self._masked(expr)};\n"
-            "    }\n")
-        self._record(f"scalar:{op.value}", "scalar", 0, expr=expr,
-                     text=self.code[-1], lane_bound=self._batch,
-                     sreg_writes=((instr.dst, "d[j]"),),
-                     site=getattr(instr, "site", None))
-
-    def _emit_vector(self, instr: VectorOp) -> None:
-        executor = self.executor
-        kind = instr.op
-        site = getattr(instr, "site", None)
-        srcs = self._vector_operands(instr)
-        refs = tuple(self._src_ref(name, arr)
-                     for name, arr in zip(instr.srcs, srcs))
-        a = srcs[0]
-        n = int(a.shape[0])
-        total = n * self._batch
-        if kind is VectorOpKind.DOT:
-            dst = self.machine.scalar_buffer(instr.dst)
-            self.code.append(
-                "    {\n"
-                f"        const double *a = {self.buf(a)};\n"
-                f"        const double *b = {self.buf(srcs[1])};\n"
-                f"        double * restrict o = {self.buf(dst)};\n"
-                f"        const long n = {self.length(n)};\n"
-                f"        const long bt = {self.length(self._batch)};\n"
-                "        double acc[bt];\n"
-                "        for (long j = 0; j < bt; ++j)\n"
-                "            acc[j] = 0.0;\n"
-                "        for (long i = 0; i < n; ++i) {\n"
-                "            const double *ai = a + i * bt;\n"
-                "            const double *bi = b + i * bt;\n"
-                "            for (long j = 0; j < bt; ++j)\n"
-                "                acc[j] += ai[j] * bi[j];\n"
-                "        }\n"
-                "        for (long j = 0; j < bt; ++j)\n"
-                f"            {self._masked('o[j] = acc[j]')};\n"
-                "    }\n")
-            self._record("dot", "reduce", n, srcs=refs,
-                         text=self.code[-1], lane_bound=self._batch,
-                         sreg_writes=((instr.dst, "o"),), site=site)
-            return
-        dst = executor._dst_buffer(self.machine.vb, instr.dst, n)
-        dst_ref = BufferRef("vb", instr.dst, int(dst.shape[0]))
-        if kind is VectorOpKind.CLIP:
-            # max-then-min with NaN passthrough: np.clip exactly, as in
-            # the solo whole-loop tier.
-            expr = ("{ const double av = a[i]; "
-                    "const double c = isnan(av) ? av : "
-                    "(av > lo[i] ? av : lo[i]); "
-                    "d[i] = isnan(c) ? c : (c < hi[i] ? c : hi[i]); }")
-            self._flat(total, [
-                f"const double *{name} = {self.buf(arr)};"
-                for name, arr in zip(("a", "lo", "hi"), srcs)
-            ] + [f"double *d = {self.buf(dst)};"], expr)
-            self._record("clip", "flat", total, dst=dst_ref, srcs=refs,
-                         expr=expr, text=self.code[-1], site=site)
-            return
-        form, scalars = vector_fold(instr)
-        decls = [f"const double *{name} = {self.buf(arr)};"
-                 for name, arr in zip("ab", srcs)]
-        decls.append(f"double *d = {self.buf(dst)};")
-        if not scalars:
-            expr = "d[i] = " + form.format(a="a[i]", b="b[i]")
-            self._flat(total, decls, expr)
-            self._record(kind.value, "flat", total, dst=dst_ref,
-                         srcs=refs, expr=expr, text=self.code[-1],
-                         site=site)
-            return
-        # A (B,) register indexes its lane [j]; a literal is an S
-        # constant, lane-invariant.
-        tokens = []
-        for ref in scalars:
-            more, token = self.sreg(ref)
-            decls += more
-            tokens.append(token)
-        expr = "di[j] = " + form.format(*tokens, a="ai[j]", b="bi[j]")
-        self._laned(n, decls, expr)
-        self._record(kind.value, "laned", n, dst=dst_ref, srcs=refs,
-                     expr=expr, text=self.code[-1],
-                     lane_bound=self._batch, site=site)
-
-    def _emit_spmv(self, instr: SpMV) -> None:
-        machine = self.machine
-        resource = machine.matrices[instr.matrix]
-        src = machine.cvb.get(instr.src)
-        if src is None:
-            raise SimulationError(f"SpMV source {instr.src!r} not in CVB")
-        rows = int(resource.shape[0])
-        dst = self.executor._dst_buffer(machine.vb, instr.dst, rows)
-        kernel = resource.kernel
-        val, col, ip = kernel.val, kernel.col, kernel.ip
-        # The engine library's k_csr_matvec_batch body: per lane the
-        # k-loop accumulates in exactly the solo row-sum order.
-        self.code.append(
-            "    {\n"
-            f"        const double * restrict v = {self.buf(val)};\n"
-            f"        const long *col = {self.iarr(col)};\n"
-            f"        const long *ip = {self.iarr(ip)};\n"
-            f"        const double * restrict xx = {self.buf(src)};\n"
-            f"        double * restrict yy = {self.buf(dst)};\n"
-            f"        const long nrows = {self.length(rows)};\n"
-            f"        const long bt = {self.length(self._batch)};\n"
-            "        double acc[bt];\n"
-            "        for (long r = 0; r < nrows; ++r) {\n"
-            "            double * restrict yr = yy + r * bt;\n"
-            "            for (long j = 0; j < bt; ++j)\n"
-            "                acc[j] = 0.0;\n"
-            "            for (long k = ip[r]; k < ip[r + 1]; ++k) {\n"
-            "                const double * restrict vk = v + k * bt;\n"
-            "                const double * restrict xk = xx + col[k] * bt;\n"
-            "                for (long j = 0; j < bt; ++j)\n"
-            "                    acc[j] += vk[j] * xk[j];\n"
-            "            }\n"
-            "            for (long j = 0; j < bt; ++j)\n"
-            f"                {self._masked('yr[j] = acc[j]')};\n"
-            "        }\n"
-            "    }\n")
-        self._record(
-            "spmv", "gather", rows,
-            dst=BufferRef("vb", instr.dst, int(dst.shape[0])),
-            srcs=(BufferRef("matrix", instr.matrix, int(val.shape[0])),
-                  BufferRef("cvb", instr.src, int(src.shape[0]))),
-            text=self.code[-1], site=getattr(instr, "site", None),
-            matrix=instr.matrix,
-            spmv_shape=(rows, int(resource.shape[1])),
-            index_arrays=(col, ip), nnz=int(val.shape[0]),
-            lane_bound=self._batch)
-
-    # -- finish ----------------------------------------------------------
-    def _loop_source(self) -> str:
-        frames = "".join(f"    long *m{k} = M + {k} * bt;\n"
-                         f"    long *lt{k} = LT + {k} * bt;\n"
-                         for k in range(1 + len(self.loops)))
-        return (
-            "#include <math.h>\n"
-            "\n"
-            "long loop_run(double **B, long **IA, const long *L,\n"
-            "              const double *S, long *M, long *CT,\n"
-            "              long *IT, long *LT, long max_iter)\n"
-            "{\n"
-            "    (void)B; (void)IA; (void)S;\n"
-            "    const long bt = L[0];\n"
-            + frames + "".join(self.code) +
-            "    return 0;\n"
-            "}\n")
-
-    def _fused_unit(self, run, ffi, tables: tuple, ct, it, hold):
-        frames = (1 + len(self.loops), self._batch)
-        m = np.zeros(frames, dtype=np.int64)
-        lt = np.zeros(frames, dtype=np.int64)
-        args = tables + (ffi.new("double[]", self.consts or [0.0]),
-                         ffi.cast("long *", m.ctypes.data),
-                         ffi.cast("long *", ct.ctypes.data),
-                         ffi.cast("long *", it.ctypes.data),
-                         ffi.cast("long *", lt.ctypes.data))
-        return _FusedBatchLoop(run, args, self.machine, self, ct, it, hold,
-                               m, lt)

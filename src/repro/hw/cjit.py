@@ -17,8 +17,9 @@ machinery:
   generated loop sources (same source is compiled at most once per
   cache directory, ever).
 
-Bit-exactness contract: kernels are compiled with ``-O2
--ffp-contract=off`` and no fast-math, so elementwise float64
+Bit-exactness contract: kernels are compiled with ``-O3
+-ffp-contract=off`` (plus ``-march=native`` when the toolchain accepts
+it) and no fast-math, so elementwise float64
 expressions evaluate exactly like the equivalent numpy ufunc sequence
 (IEEE-754 operations are order-free per element, and contraction into
 FMA is disabled), and reduction loops stay strictly sequential (the
@@ -230,7 +231,7 @@ void k_ruiz(double *vals, double *q, double *de, double *c,
 
 # The batched kernels operate on lane-minor buffers — element i of lane
 # b lives at [i * batch + b], so the innermost loops run across lanes
-# over contiguous memory (auto-vectorizable at -O2) while each lane's
+# over contiguous memory (auto-vectorizable) while each lane's
 # accumulation order stays exactly the solo kernels': the k/i loops
 # advance per lane precisely like CSR_MATVEC_BODY / DOT_BODY, and a
 # memory-resident float64 accumulator adds identically to a register
@@ -285,8 +286,6 @@ void k_dot_batch(const double *a, const double *b, long n, long batch,
 }
 %s""" % (CSR_MATVEC_BODY, DOT_BODY, _RUIZ_SOURCE)
 
-_COMPILE_ARGS = ["-O2", "-ffp-contract=off"]
-
 #: Bump when generated-code *semantics* change without the generated
 #: source text itself changing (codegen conventions, pointer-table
 #: ABI, charge accounting contracts). Part of every module's cache key.
@@ -303,15 +302,16 @@ _KERNEL_VERSION = hashlib.sha256("\x00".join(
     [CODEGEN_VERSION, EFFECT_IR_VERSION, _ENGINE_CDEF,
      _ENGINE_SOURCE]).encode()).hexdigest()
 
-#: The engine library compiles at -O3 (plus the host ISA when the
-#: toolchain accepts -march=native) so the batched kernels' lane loops
-#: (independent per iteration, `restrict`-qualified) vectorize across
-#: lanes at full SIMD width. Bit-exactness is unaffected: no -O level
-#: or ISA choice reassociates floating-point reductions without
-#: fast-math (and contraction stays off), so the sequential solo loops
-#: and each lane's accumulation order produce the same bits as at -O2.
-_ENGINE_COMPILE_ARGS = ["-O3", "-ffp-contract=off", "-march=native"]
-_ENGINE_FALLBACK_ARGS = ["-O3", "-ffp-contract=off"]
+#: Every module — the engine library and each generated loop — compiles
+#: at -O3 plus the host ISA, falling back to the portable flags when the
+#: toolchain rejects -march=native, so the lane loops (independent per
+#: iteration, `restrict`-qualified) vectorize across lanes at full SIMD
+#: width. Bit-exactness is unaffected: no -O level or ISA choice
+#: reassociates floating-point reductions without fast-math (and
+#: contraction stays off), so the sequential solo loops and each lane's
+#: accumulation order produce the same bits as at -O2.
+_COMPILE_ARGS = (("-O3", "-ffp-contract=off", "-march=native"),
+                 ("-O3", "-ffp-contract=off"))
 
 _state: dict[str, Any] = {"probed": False, "engine": None}
 
@@ -328,20 +328,19 @@ def _jit_enabled() -> bool:
 
 
 def compile_module(cdef: str, source: str, tag: str = "k",
-                   args: Sequence[str] | None = None,
                    libraries: Sequence[str] = ()) -> Any:
     """Compile (or load from cache) a cffi module for ``source``.
 
     Returns the imported module (``.lib`` / ``.ffi`` attributes) or
-    ``None`` when the toolchain is unavailable or the build fails.
-    Modules are stateless by contract — loop functions receive their
-    pointer tables as arguments — so one compiled module is safely
-    shared by every executor (and thread) whose generated source
-    matches. ``args`` overrides the compiler flags; ``libraries`` adds
-    link libraries (e.g. ``("m",)`` for libm). The cache key covers the
-    source, the flags, the libraries, and the kernel/codegen version
-    fingerprint, so a stale ``.so`` is never reused across kernel-body
-    or codegen-contract changes.
+    ``None`` when the toolchain is unavailable or the build fails under
+    every flag set of :data:`_COMPILE_ARGS`. Modules are stateless by
+    contract — loop functions receive their pointer tables as
+    arguments — so one compiled module is safely shared by every
+    executor (and thread) whose generated source matches.
+    ``libraries`` adds link libraries (e.g. ``("m",)`` for libm). The
+    cache key covers the source, the flags, the libraries, and the
+    kernel/codegen version fingerprint, so a stale ``.so`` is never
+    reused across kernel-body or codegen-contract changes.
     """
     if not _jit_enabled():
         return None
@@ -349,8 +348,16 @@ def compile_module(cdef: str, source: str, tag: str = "k",
         import cffi  # noqa: F401
     except ImportError:
         return None
-    compile_args = list(_COMPILE_ARGS if args is None else args)
-    libs = list(libraries)
+    for args in _COMPILE_ARGS:
+        module = _build(cffi, cdef, source, tag, list(args),
+                        list(libraries))
+        if module is not None:
+            return module
+    return None
+
+
+def _build(cffi: Any, cdef: str, source: str, tag: str,
+           compile_args: list, libs: list) -> Any:
     digest = hashlib.sha256(("\x00".join(
         [_KERNEL_VERSION, cdef, source] + compile_args + libs
     )).encode()).hexdigest()
@@ -404,12 +411,8 @@ def engine() -> Any:
     numpy kernels of :mod:`repro.sparse.kernels` (same bits).
     """
     if not _state["probed"]:
-        _state["engine"] = (
-            compile_module(_ENGINE_CDEF, _ENGINE_SOURCE, tag="engine",
-                           args=_ENGINE_COMPILE_ARGS, libraries=("m",))
-            or compile_module(_ENGINE_CDEF, _ENGINE_SOURCE, tag="engine",
-                              args=_ENGINE_FALLBACK_ARGS,
-                              libraries=("m",)))
+        _state["engine"] = compile_module(_ENGINE_CDEF, _ENGINE_SOURCE,
+                                          tag="engine", libraries=("m",))
         _state["probed"] = True
     return _state["engine"]
 

@@ -34,19 +34,24 @@ What lowering precomputes:
   (vector ops, SpMV, scalar arithmetic, Control exit tests, nested
   loops, cycle accounting) compiles into a single generated C function
   entered once per loop execution, so the hot ADMM/PDHG iteration pays
-  zero Python dispatch. The generated per-element expressions
-  replicate the closure fold table below exactly, SpMV embeds the
-  engine library's row-sum body and DOT its sequential ``k_dot`` body,
-  so fused, unfused and interpreted execution all produce the same
-  bits. Built only after the body's segments have bound (one node-path
+  zero Python dispatch. One builder (:class:`_LoopBuilder`) emits every
+  fused loop over lane-minor ``(len, B)`` buffers: the batch executor
+  in :mod:`repro.hw.batched` at its lane count, this executor as the
+  one-lane case, whose scalar registers travel through per-register
+  ``(1,)`` staging buffers (:class:`_StagedLoop`). The generated
+  per-element expressions replicate the closure fold table below
+  exactly and SpMV/DOT keep the engine kernels' sequential order, so
+  fused, unfused and interpreted execution all produce the same bits.
+  Built only after the body's segments have bound (one node-path
   run), bypassed whenever a fault injector is armed, and falls back to
   the node path on any unsupported body — same bits either way. Loop
-  sources depend only on the instruction pattern, so the
-  hash-addressed disk cache compiles each program shape once, ever.
+  sources depend only on the instruction pattern and the lane count,
+  so the hash-addressed disk cache compiles each program shape once,
+  ever, and a solo structure shares its module with a one-lane batch.
   Everything outside a fused loop (prologues, epilogues, a loop's
-  first run) runs as the closures. The loop walk, the ``CT``/``IT``
-  accounting and the call protocol (``_CBuilder``, ``_FusedLoop``) are
-  shared with the lane-masked batch variant in :mod:`repro.hw.batched`.
+  first run) runs as the closures. The node-path scaffold
+  (:class:`_NodeExecutor`, :class:`_Segment`) is shared with the batch
+  executor too.
 
 The interpreter remains the differential-testing oracle: on error-free
 runs the compiled backend produces bit-identical machine state and
@@ -157,14 +162,17 @@ class _Segment:
     an error leaves the stats); every later execution runs the fused
     closures and *defers* the block's pre-aggregated cycle cost: a
     pending execution counter accrues and the executor applies the
-    total with one ``charge_block`` per :meth:`CompiledExecutor.run`
-    (stats are only observed between runs, never mid-program).
+    total with one ``charge_block`` per run (stats are only observed
+    between runs, never mid-program). Shared by the solo and batch
+    executors: in lockstep the block charges its full cost per
+    execution whatever the lane mask, since the sequencer issues every
+    instruction once per trip for however many lanes remain.
     """
 
     __slots__ = ("_executor", "_instructions", "_stats", "_fns",
                  "_cycles", "_by_class", "_count", "pending")
 
-    def __init__(self, executor: "CompiledExecutor", instructions: list):
+    def __init__(self, executor: "_NodeExecutor", instructions: list):
         self._executor = executor
         self._instructions = instructions
         self._stats = executor.machine.stats
@@ -225,8 +233,8 @@ class _ControlNode:
     def __init__(self, executor: "CompiledExecutor", instr: Control):
         self._executor = executor
         self._stats = executor.machine.stats
-        self._value = executor._scalar_getter(instr.reg)
-        self._threshold = executor._scalar_getter(instr.threshold_reg)
+        self._value = executor._scalar_reader(instr.reg)
+        self._threshold = executor._scalar_reader(instr.threshold_reg)
         self.pending = 0
 
     def run(self) -> None:
@@ -271,8 +279,7 @@ class _LoopNode:
         if executor.jit and executor.machine.injector is None:
             fused = self._fused
             if fused is None:
-                fused = fuse_loop(executor, _LoopBuilder, self._loop.body,
-                                  self._nodes)
+                fused = fuse_loop(executor, self._loop.body, self._nodes)
                 if fused is not None:
                     self._fused = fused
             if fused and fused.run(self._loop):
@@ -307,7 +314,7 @@ def _nodes_bound(nodes: list) -> bool:
     return True
 
 
-def fuse_loop(executor, builder_cls, body: list, nodes: list):
+def fuse_loop(executor, body: list, nodes: list):
     """Whole-loop fusion for ``body`` (cached by list identity in
     ``executor._loop_fused``), shared by the solo and batch executors.
 
@@ -324,7 +331,7 @@ def fuse_loop(executor, builder_cls, body: list, nodes: list):
     if not _nodes_bound(nodes):
         return None
     try:
-        builder = builder_cls(executor)
+        builder = _LoopBuilder(executor)
         builder.emit_body_ir(body)
         if executor.verify:
             from ..verify.codegen import ensure_codegen_verified
@@ -343,28 +350,30 @@ def fuse_loop(executor, builder_cls, body: list, nodes: list):
 
 # ---------------------------------------------------------------------------
 
-class CompiledExecutor:
-    """Run :class:`~repro.hw.isa.Program` objects against a
-    :class:`~repro.hw.machine.Machine` through lowered basic blocks.
+class _NodeExecutor:
+    """The node-path scaffold shared by the solo and batch executors.
 
-    The executor shares the machine's state dicts and stats object, so
-    host-side interactions (``write_hbm``, scalar reads, warm starts)
-    work unchanged. Lowered blocks are cached by the identity of the
-    instruction *list* — the compiler's section lists are long-lived,
-    which is exactly what makes per-solve reuse pay; a strong reference
-    to the keyed list is kept so ``id()`` reuse after garbage
-    collection can never alias two different programs.
+    Lowers a block into :class:`_Segment`, Control and Loop nodes,
+    cached by the identity of the instruction *list* — the compiler's
+    section lists are long-lived, which is exactly what makes per-solve
+    reuse pay; a strong reference to the keyed list is kept so ``id()``
+    reuse after garbage collection can never alias two different
+    programs. Subclasses name their Control and Loop node types and
+    their fused-loop unit (float registers and lane masks really do
+    differ) and supply the per-instruction lowerings.
     """
 
-    def __init__(self, machine: Machine, jit: bool | None = None,
+    _CONTROL_NODE: type
+    _LOOP_NODE: type
+    _FUSED_LOOP: type
+    #: Lane count of the machine; the whole-loop builder specializes
+    #: the one-lane case.
+    batch = 1
+
+    def __init__(self, machine, jit: bool | None = None,
                  verify: bool | None = None):
         self.machine = machine
-        # Fault hooks bind the armed injector when a block lowers, so
-        # each injector gets its own lowering (see run). The
-        # fault-free one is kept for reuse.
-        self._clean_blocks: dict = {}
-        self._blocks = self._clean_blocks
-        self._lowered_for = None
+        self._blocks: dict = {}
         self._loop_fused: dict = {}
         self._dirty: list = []
         if jit is None:
@@ -379,25 +388,6 @@ class CompiledExecutor:
             verify = True
         self.verify = (bool(verify) and
                        os.environ.get("REPRO_VERIFY_CODEGEN", "1") != "0")
-
-    # -- execution -------------------------------------------------------
-    def run(self, program: Program):
-        """Execute ``program``; returns the machine's stats object.
-
-        A resident machine may be re-armed with a different injector
-        (or none) between runs; that switches to a lowering bound to
-        it, so hooks fire exactly as on a freshly built machine.
-        """
-        injector = self.machine.injector
-        if injector is not self._lowered_for:
-            self._lowered_for = injector
-            self._blocks = self._clean_blocks if injector is None else {}
-        try:
-            for node in self._lower_block(program.instructions):
-                node.run()
-        finally:
-            self._flush()
-        return self.machine.stats
 
     def _flush(self) -> None:
         """Apply deferred block charges; stats are exact between runs."""
@@ -419,12 +409,12 @@ class CompiledExecutor:
                 if current:
                     nodes.append(_Segment(self, current))
                     current = []
-                nodes.append(_LoopNode(self, item))
+                nodes.append(self._LOOP_NODE(self, item))
             elif isinstance(item, Control):
                 if current:
                     nodes.append(_Segment(self, current))
                     current = []
-                nodes.append(_ControlNode(self, item))
+                nodes.append(self._CONTROL_NODE(self, item))
             else:
                 current.append(item)
         if current:
@@ -441,18 +431,12 @@ class CompiledExecutor:
             return machine.cvb[name]
         raise SimulationError(f"vector {name!r} not resident on chip")
 
-    def _dst_buffer(self, space: dict, name: str, length: int) -> np.ndarray:
-        """The stable in-place destination buffer for ``name``."""
-        buf = space.get(name)
-        if (isinstance(buf, np.ndarray) and buf.dtype == np.float64
-                and buf.shape == (length,)):
-            return buf
-        buf = np.zeros(length)
-        space[name] = buf
-        return buf
+    def _scalar_reader(self, ref):
+        """Deferred reader of a scalar register or literal.
 
-    def _scalar_getter(self, ref):
-        """A zero-dispatch reader for a scalar register or literal."""
+        Control nodes are constructed at block-lowering time, before
+        any instruction ran, so their operand registers may not exist
+        yet — hence resolution at every read."""
         if isinstance(ref, str):
             scalars = self.machine.scalars
 
@@ -466,7 +450,6 @@ class CompiledExecutor:
         value = float(ref)
         return lambda: value
 
-    # -- per-instruction lowering ---------------------------------------
     def _lower_instruction(self, instr):
         if isinstance(instr, ScalarOp):
             return self._lower_scalar(instr)
@@ -480,6 +463,78 @@ class CompiledExecutor:
             return self._lower_spmv(instr)
         raise SimulationError(f"unknown instruction {instr!r}")
 
+
+class CompiledExecutor(_NodeExecutor):
+    """Run :class:`~repro.hw.isa.Program` objects against a
+    :class:`~repro.hw.machine.Machine` through lowered basic blocks.
+
+    The executor shares the machine's state dicts and stats object, so
+    host-side interactions (``write_hbm``, scalar reads, warm starts)
+    work unchanged. A fused loop is the one-lane case of the lane-minor
+    whole-loop unit: its scalar registers travel through per-register
+    ``(1,)`` staging buffers (:meth:`_register`) that the unit loads
+    from the register file before the call and writes back after it.
+    """
+
+    _CONTROL_NODE = _ControlNode
+    _LOOP_NODE = _LoopNode
+
+    def __init__(self, machine: Machine, jit: bool | None = None,
+                 verify: bool | None = None):
+        super().__init__(machine, jit, verify)
+        # Fault hooks bind the armed injector when a block lowers, so
+        # each injector gets its own lowering (see run). The
+        # fault-free one is kept for reuse.
+        self._clean_blocks = self._blocks
+        self._lowered_for = None
+        #: Register name -> its stable (1,) staging buffer.
+        self._staged: dict = {}
+
+    # -- execution -------------------------------------------------------
+    def run(self, program: Program):
+        """Execute ``program``; returns the machine's stats object.
+
+        A resident machine may be re-armed with a different injector
+        (or none) between runs; that switches to a lowering bound to
+        it, so hooks fire exactly as on a freshly built machine.
+        """
+        injector = self.machine.injector
+        if injector is not self._lowered_for:
+            self._lowered_for = injector
+            self._blocks = self._clean_blocks if injector is None else {}
+        try:
+            for node in self._lower_block(program.instructions):
+                node.run()
+        finally:
+            self._flush()
+        return self.machine.stats
+
+    # -- operand binding -------------------------------------------------
+    def _dst_buffer(self, space: dict, name: str, length: int) -> np.ndarray:
+        """The stable in-place destination buffer for ``name``."""
+        buf = space.get(name)
+        if (isinstance(buf, np.ndarray) and buf.dtype == np.float64
+                and buf.shape == (length,)):
+            return buf
+        buf = np.zeros(length)
+        space[name] = buf
+        return buf
+
+    def _register(self, name: str) -> np.ndarray:
+        """Register ``name``'s stable ``(1,)`` staging buffer, through
+        which fused loops read and write it."""
+        buf = self._staged.get(name)
+        if buf is None:
+            buf = self._staged[name] = np.zeros(1)
+        return buf
+
+    def _scalar_operand(self, ref):
+        """A fused loop's scalar operand: a float literal or the
+        register's staging buffer."""
+        lit = literal_operand(ref)
+        return self._register(ref) if lit is None else lit
+
+    # -- per-instruction lowering ---------------------------------------
     def _hooked(self, fn, hook_name: str, site: str, buf: np.ndarray):
         """Wrap a closure with the machine's fault-injection hook.
 
@@ -580,7 +635,7 @@ class CompiledExecutor:
                     np.subtract(a, b, out=dst)
                 return fn
             if al == 1.0:
-                beta = self._scalar_getter(instr.beta)
+                beta = self._scalar_reader(instr.beta)
                 t2 = np.empty_like(b)
 
                 def fn():
@@ -588,7 +643,7 @@ class CompiledExecutor:
                     np.add(a, t2, out=dst)
                 return fn
             if be == 1.0:
-                alpha = self._scalar_getter(instr.alpha)
+                alpha = self._scalar_reader(instr.alpha)
                 t1 = np.empty_like(a)
 
                 def fn():
@@ -596,7 +651,7 @@ class CompiledExecutor:
                     np.add(t1, b, out=dst)
                 return fn
             if be == -1.0:
-                alpha = self._scalar_getter(instr.alpha)
+                alpha = self._scalar_reader(instr.alpha)
                 t1 = np.empty_like(a)
 
                 def fn():
@@ -604,15 +659,15 @@ class CompiledExecutor:
                     np.subtract(t1, b, out=dst)
                 return fn
             if al == -1.0:
-                beta = self._scalar_getter(instr.beta)
+                beta = self._scalar_reader(instr.beta)
                 t2 = np.empty_like(b)
 
                 def fn():
                     np.multiply(b, beta(), out=t2)
                     np.subtract(t2, a, out=dst)
                 return fn
-            alpha = self._scalar_getter(instr.alpha)
-            beta = self._scalar_getter(instr.beta)
+            alpha = self._scalar_reader(instr.alpha)
+            beta = self._scalar_reader(instr.beta)
             t1 = np.empty_like(a)
             t2 = np.empty_like(b)
 
@@ -634,7 +689,7 @@ class CompiledExecutor:
                 def fn():
                     np.subtract(a, b, out=dst)
                 return fn
-            alpha = self._scalar_getter(instr.alpha)
+            alpha = self._scalar_reader(instr.alpha)
             t = np.empty_like(b)
 
             def fn():
@@ -723,23 +778,25 @@ class CompiledExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Whole-loop C fusion: one generated C function per (loop body, schedule),
-# covering loop control, vector ops, SpMV, scalar arithmetic, Control exit
-# tests, nested loops and cycle accounting. The host enters C once per
-# Loop node execution — per-iteration Python dispatch drops to zero.
+# Whole-loop C fusion: one generated C function per (loop body, lane
+# count), covering loop control, vector ops, SpMV, scalar arithmetic,
+# Control exit tests, nested loops and cycle accounting over lane-minor
+# (len, B) buffers. The host enters C once per Loop node execution —
+# per-iteration Python dispatch drops to zero. A solo loop is the B=1
+# unit.
 
 _LOOP_CDEF = """
-long loop_run(double **B, long **IA, const long *L, double *S,
-              unsigned char *W, long *CT, long *IT, long max_iter);
+long loop_run(double **B, long **IA, const long *L, const double *S,
+              long *M, long *CT, long *IT, long *LT, long max_iter);
 """
 
 _MISSING = object()
 
 #: ScalarOp -> (C expression, trap) over the emitted operand tokens
-#: ``{a}``/``{b}``, shared by every C builder. A trap is ``(condition,
-#: return code)``, checked before the write; the fused unit's host side
-#: raises the matching :class:`SimulationError`. Scalar C arithmetic on
-#: IEEE doubles reproduces the Python float kernels bit for bit.
+#: ``{a}``/``{b}``. A trap is ``(condition, return code)``, checked
+#: before the write; the fused unit's host side raises the matching
+#: :class:`SimulationError`. Scalar C arithmetic on IEEE doubles
+#: reproduces the Python float kernels bit for bit.
 SCALAR_C: dict[ScalarOpKind, tuple[str, tuple[str, int] | None]] = {
     ScalarOpKind.ADD: ("{a} + {b}", None),
     ScalarOpKind.SUB: ("{a} - {b}", None),
@@ -762,8 +819,7 @@ def vector_fold(instr: VectorOp) -> tuple[str, tuple]:
     over the source elements ``{a}``/``{b}`` and the scalar operands
     ``{0}``/``{1}``, which are ``scalars`` in order. Coefficients of
     exactly ``+-1.0`` fold their multiply away, as in
-    :meth:`CompiledExecutor._lower_vector`. Shared by the solo and
-    batch builders, which substitute their own element tokens.
+    :meth:`CompiledExecutor._lower_vector`.
     """
     kind = instr.op
     if kind is VectorOpKind.COPY:
@@ -798,10 +854,12 @@ def vector_fold(instr: VectorOp) -> tuple[str, tuple]:
 class _FusedLoop:
     """A compiled whole-loop unit plus its bound operand tables.
 
-    The shared half of the call protocol (:meth:`_call`): zero the
-    charge/trip counters, enter C once, then apply cycle accounting
+    The call protocol (:meth:`_call`): zero the charge, trip and
+    per-lane trip counters, enter C once, then apply cycle accounting
     from the ``CT`` block counters and loop trip counts from ``IT``.
-    Subclasses stage the scalar state around that call.
+    ``M`` row ``k`` is frame ``k``'s active-lane mask and ``LT`` row
+    ``k`` counts frame ``k``'s per-lane trips; subclasses load row 0
+    of ``M`` (and, solo, the staged registers) around the call.
 
     Accounting matches the node path exactly on error-free runs: each
     ``CT`` slot corresponds to one basic block (or Control test) with
@@ -814,15 +872,18 @@ class _FusedLoop:
     compiled backend generally.
     """
 
-    __slots__ = ("_run", "_args", "_stats", "_ct", "_it", "_charges",
-                 "_loops", "_hold")
+    __slots__ = ("_run", "_args", "_executor", "_stats", "_ct", "_it",
+                 "_m", "_lt", "_charges", "_loops", "_hold")
 
-    def __init__(self, run, args: tuple, machine, builder, ct, it, hold):
+    def __init__(self, run, args: tuple, builder, ct, it, m, lt, hold):
         self._run = run
         self._args = args
-        self._stats = machine.stats
+        self._executor = builder.executor
+        self._stats = builder.machine.stats
         self._ct = ct
         self._it = it
+        self._m = m
+        self._lt = lt
         self._charges = tuple(builder.charges)
         self._loops = tuple(builder.loops)
         self._hold = hold
@@ -832,6 +893,7 @@ class _FusedLoop:
         ct[:] = 0
         it = self._it
         it[:] = 0
+        self._lt[:] = 0
         rc = self._run(*self._args, loop.max_iter)
         total = 0
         instrs = 0
@@ -860,74 +922,100 @@ class _FusedLoop:
             raise SimulationError(_TRAP_ERRORS[rc])
 
 
-class _FusedSoloLoop(_FusedLoop):
-    """Solo fused loop: scalars travel through the ``S``/``W`` table.
+class _StagedLoop(_FusedLoop):
+    """A solo machine's fused loop: the B=1 unit over staged registers.
 
-    Prefill ``S`` from the register file (a missing register means the
-    machine is in a state the fused code cannot reproduce — return
-    False so the node path, which raises the interpreter's exact
-    error, runs instead), zero the write flags, :meth:`_call`, then
-    write back every scalar register the C code flagged in ``W``.
+    Load every register the unit reads or writes into its staging
+    buffer (a missing register means the machine is in a state the
+    fused code cannot reproduce — return False so the node path, which
+    raises the interpreter's exact error, runs instead), mark the one
+    lane live, :meth:`_call`, then write back every register the
+    unit's statements write. A register a run did not write still holds
+    its loaded value, so writing it back changes nothing.
     """
 
-    __slots__ = ("_scalars", "_s", "_w", "_prefill", "_writeback")
+    __slots__ = ("_scalars", "_prefill", "_writeback")
 
-    def __init__(self, run, args, machine, builder, ct, it, hold,
-                 s, w):
-        super().__init__(run, args, machine, builder, ct, it, hold)
-        self._scalars = machine.scalars
-        self._s = s
-        self._w = w
-        slots = builder._reg_slots
-        self._prefill = tuple((name, slots[name])
-                              for name in sorted(builder.reg_reads))
-        self._writeback = tuple((name, slots[name])
-                                for name in sorted(builder.reg_writes))
+    def __init__(self, run, args, builder, ct, it, m, lt, hold):
+        super().__init__(run, args, builder, ct, it, m, lt, hold)
+        self._scalars = builder.machine.scalars
+        reads = {name for stmt in builder.effects
+                 for name, _tok in stmt.sreg_reads}
+        writes = {name for stmt in builder.effects
+                  for name, _tok in stmt.sreg_writes}
+        staged = builder.executor._register
+        self._prefill = tuple((name, staged(name))
+                              for name in sorted(reads | writes))
+        self._writeback = tuple((name, staged(name))
+                                for name in sorted(writes))
 
     def run(self, loop: Loop) -> bool:
         scalars = self._scalars
-        s = self._s
-        for name, slot in self._prefill:
+        for name, buf in self._prefill:
             value = scalars.get(name, _MISSING)
             if value is _MISSING:
                 return False
-            s[slot] = value
-        self._w[:] = 0
+            buf[0] = value
+        self._m[0, 0] = 1
         rc = self._call(loop)
-        w = self._w
-        for name, slot in self._writeback:
-            if w[slot]:
-                scalars[name] = float(s[slot])
+        for name, buf in self._writeback:
+            scalars[name] = float(buf[0])
         self._raise_trap(rc)
         return True
 
 
-class _CBuilder:
-    """The whole-loop lowering shared by the solo and batch builders.
+CompiledExecutor._FUSED_LOOP = _StagedLoop
 
-    Buffers, index arrays and loop bounds reach the generated code
-    through the ``B``/``IA``/``L`` pointer tables, one slot per
-    distinct array (``L``: one slot per use), so the source depends
-    only on the instruction pattern: equal patterns hash to the same
-    cached module. :meth:`_record` files one
+
+class _LoopBuilder:
+    """Generate one lane-minor C function for an entire Loop body.
+
+    The one whole-loop emitter, for a batch machine of B lanes and for
+    a solo machine as the B=1 case. Buffers, index arrays and loop
+    bounds reach the generated code through the ``B``/``IA``/``L``
+    pointer tables, one slot per distinct array (``L``: one slot per
+    use), so the source depends only on the instruction pattern and
+    the lane count: equal patterns hash to the same cached module.
+    Scalar registers are stable ``(B,)`` buffers supplied by the
+    executor (:meth:`~CompiledExecutor._register`), travel through
+    ``B`` like any other operand, and every per-element expression
+    gains an inner lane loop over the contiguous trailing axis. Only
+    float *literals* go through the ``S`` constant table.
+    :meth:`_record` files one
     :class:`~repro.hw.effect_ir.EffectStatement` per emitted statement
     together with the scalar reads and ``L`` slots it consumed.
 
     :meth:`emit_body_ir` walks a Loop body once: maximal straight-line
     runs become one ``CT`` charge slot each, every Control gets its own
     one-cycle slot, and nested loops get an ``IT`` trip-counter slot in
-    pre-order, with their bodies emitted inline. Subclasses supply the
-    per-instruction emitters, the per-frame hooks (:meth:`_frame_enter`,
-    :meth:`_trip_head`, :meth:`_control_test`), the function source and
-    the fused unit's host tables.
-    """
+    pre-order, with their bodies emitted inline.
 
-    _LOOP_TIER = "loop"
-    _LOOP_CDEF = ""
-    _LOOP_TAG = "loop"
-    #: Compiler-flag sets to try in order (None: cjit's defaults).
-    _LOOP_ARGS: tuple = (None,)
-    _batch = 1
+    Frame ``k`` (the loop with ``IT`` slot ``k``; 0 is the fused loop
+    itself) keeps its active lanes in ``m{k}``. For B >= 2 every
+    emitted write is guarded by the innermost frame's mask, so a frozen
+    lane's columns never change after its Control fired — the
+    snapshot/restore the node path needs has nothing to undo. A Control
+    clears its firing lanes in its frame and jumps to the frame's exit
+    label once none is left; a nested loop starts from a copy of its
+    parent's mask, so the parent's mask is intact when it ends. Each
+    trip adds its active lanes to ``lt{k}`` and charges the wall
+    ``CT``/``IT`` slots once; it leaves the frame when no lane is
+    active. DIV/SQRT check their trap on active lanes only.
+
+    For B = 1 the lane count ``bt`` is the literal ``1`` and the write
+    and trap guards are left out: a statement only ever runs while the
+    single lane is live, because each trip head leaves an empty frame,
+    a Control that clears the lane jumps to its frame's exit, and a
+    nested frame starts as a copy of a live parent.
+
+    Bit-exactness: every per-element expression is the closure fold
+    table verbatim (:func:`vector_fold`), SpMV/DOT keep each lane's
+    accumulation in the engine kernels' sequential order, CLIP's
+    ternary chain evaluates ``np.clip`` exactly (NaN and signed-zero
+    included), and scalar C arithmetic on IEEE doubles (`+ - * /`,
+    ``sqrt``, the ``MAX`` ternary) reproduces the Python float kernels
+    bit for bit, with ``-ffp-contract=off`` ruling out FMA contraction.
+    """
 
     def __init__(self, executor):
         self.executor = executor
@@ -937,26 +1025,33 @@ class _CBuilder:
         self.iarrs: list = []
         self._iarr_ids: dict = {}
         self.lens: list = []
+        self.consts: list = []
         self.code: list = []
         self.charges: list = []       # per CT slot: (cycles, by_class, n)
         self.loops: list = []         # (IT slot, name) for nested loops
         self.loop_meta: list = []     # (IT slot, name, max_iter)
         self._frame = 0               # IT slot of the innermost loop
+        self._sregs = 0
+        self._batch = executor.batch
         # effect-IR recording (consumed by repro.verify.codegen)
         self.effects: list = []
         self._pending_reads: list = []  # ("reg"|"lit", ref, token)
         self._pending_lens: list = []   # (L slot, value)
         self._instr_index = -1
         self._charge_slot: int | None = None
+        if self._batch > 1:
+            # L[0] is the function-level lane count ``bt`` the mask and
+            # trip-counter loops run over.
+            self.length(self._batch)
+            self._pending_lens.clear()
 
     def effect_ir(self) -> EffectIR:
-        return EffectIR(tier=self._LOOP_TIER, batch=self._batch,
+        return EffectIR(tier="loop", batch=self._batch,
                         statements=list(self.effects),
-                        lens=tuple(self.lens),
+                        lens=tuple(self.lens), consts=tuple(self.consts),
                         charges=tuple(self.charges),
                         loops=tuple(self.loop_meta),
-                        source="".join(self.code),
-                        **self._scalar_tables())
+                        source=self._loop_source())
 
     # -- effect recording ------------------------------------------------
     def _src_ref(self, name: str, arr: np.ndarray) -> BufferRef:
@@ -1015,6 +1110,32 @@ class _CBuilder:
         self._pending_lens.append((slot, int(n)))
         return f"L[{slot}]"
 
+    def _lanes(self) -> str:
+        """The lane count of a block's ``bt``: the literal ``1`` for
+        one lane, else an ``L`` slot."""
+        return "1" if self._batch == 1 else self.length(self._batch)
+
+    def const(self, value: float) -> str:
+        self.consts.append(float(value))
+        token = f"S[{len(self.consts) - 1}]"
+        self._pending_reads.append(("lit", float(value), token))
+        return token
+
+    def sreg(self, ref) -> tuple:
+        """A scalar operand: ``(decls, token)``.
+
+        A register resolves to its stable ``(B,)`` buffer (token indexes
+        the lane ``[j]``); a literal resolves to an ``S`` constant.
+        """
+        operand = self.executor._scalar_operand(ref)
+        if isinstance(operand, float):
+            return [], self.const(operand)
+        name = f"s{self._sregs}"
+        self._sregs += 1
+        token = f"{name}[j]"
+        self._pending_reads.append(("reg", ref, token))
+        return [f"const double *{name} = {self.buf(operand)};"], token
+
     def _vector_operands(self, instr: VectorOp) -> list:
         """The source buffers of ``instr``, all of one shape: the
         generated loops never broadcast, while the closure path would
@@ -1025,41 +1146,46 @@ class _CBuilder:
             raise SimulationError("vector operand shapes differ")
         return srcs
 
-    # -- per-builder hooks -----------------------------------------------
-    def _scalar_tables(self) -> dict:
-        raise NotImplementedError
-
-    def _emit_scalar(self, instr: ScalarOp) -> None:
-        raise NotImplementedError
-
-    def _emit_vecdup(self, instr: VecDup) -> None:
-        raise NotImplementedError
-
-    def _emit_spmv(self, instr: SpMV) -> None:
-        raise NotImplementedError
-
-    def _emit_vector(self, instr: VectorOp) -> None:
-        raise NotImplementedError
+    # -- frame hooks -----------------------------------------------------
+    def _masked(self, stmt: str) -> str:
+        """``stmt`` (lane index ``j``) guarded by the frame's mask; a
+        single lane is live whenever a statement runs."""
+        if self._batch == 1:
+            return stmt
+        return f"if (m{self._frame}[j]) {stmt}"
 
     def _frame_enter(self, slot: int) -> str:
-        """Source opening frame ``slot`` (a nested loop's entry)."""
-        raise NotImplementedError
+        return ("    for (long j = 0; j < bt; ++j)\n"
+                f"        m{slot}[j] = m{self._frame}[j];\n")
 
     def _trip_head(self, slot: int) -> str:
-        """Source at the top of every trip of frame ``slot``."""
-        raise NotImplementedError
+        return ("    {\n"
+                "        long live = 0;\n"
+                "        for (long j = 0; j < bt; ++j) {\n"
+                f"            live |= m{slot}[j];\n"
+                f"            lt{slot}[j] += m{slot}[j];\n"
+                "        }\n"
+                f"        if (!live) goto loop_exit_{slot};\n"
+                "    }\n"
+                f"    IT[{slot}]++;\n")
 
     def _control_test(self, instr: Control) -> tuple:
-        """``(expr, source)`` of a Control exit test in this frame."""
-        raise NotImplementedError
+        decls_v, value = self.sreg(instr.reg)
+        decls_t, threshold = self.sreg(instr.threshold_reg)
+        expr = f"{value} < {threshold}"
+        m = f"m{self._frame}"
+        return expr, (
+            "    {\n"
+            + "".join(f"        {line}\n" for line in decls_v + decls_t) +
+            "        long live = 0;\n"
+            "        for (long j = 0; j < bt; ++j) {\n"
+            f"            if ({m}[j] && {expr}) {m}[j] = 0;\n"
+            f"            live |= {m}[j];\n"
+            "        }\n"
+            f"        if (!live) goto loop_exit_{self._frame};\n"
+            "    }\n")
 
-    def _loop_source(self) -> str:
-        raise NotImplementedError
-
-    def _fused_unit(self, run, ffi, tables: tuple, ct, it, hold):
-        raise NotImplementedError
-
-    # -- emission --------------------------------------------------------
+    # -- loop walk -------------------------------------------------------
     def emit_body_ir(self, body: list) -> None:
         """Emit the loop body's source and effect IR (no compilation)."""
         self.code.append(
@@ -1136,13 +1262,13 @@ class _CBuilder:
         var = f"it{it_slot}"
         self._charge_slot = None
         self._instr_index += 1
-        self.code.append(
-            "    {\n"
-            + self._frame_enter(it_slot) +
-            f"    const long n_{var} = {self.length(loop.max_iter)};\n"
-            f"    for (long {var} = 0; {var} < n_{var}; ++{var}) {{\n"
-            + self._trip_head(it_slot))
-        self._record("loop", "loop", loop.max_iter,
+        text = ("    {\n"
+                + self._frame_enter(it_slot) +
+                f"    const long n_{var} = {self.length(loop.max_iter)};\n"
+                f"    for (long {var} = 0; {var} < n_{var}; ++{var}) {{\n"
+                + self._trip_head(it_slot))
+        self.code.append(text)
+        self._record("loop", "loop", loop.max_iter, text=text,
                      site=getattr(loop, "site", None))
         parent, self._frame = self._frame, it_slot
         self._emit_body(loop.body)
@@ -1151,149 +1277,95 @@ class _CBuilder:
                          "    }\n"
                          f"    loop_exit_{it_slot}: ;\n")
 
-    # -- finish ----------------------------------------------------------
-    def _finish_loop(self):
-        source = self._loop_source()
-        module = None
-        for args in self._LOOP_ARGS:
-            module = cjit.compile_module(self._LOOP_CDEF, source,
-                                         tag=self._LOOP_TAG, args=args,
-                                         libraries=("m",))
-            if module is not None:
-                break
-        if module is None:
-            return None
-        ffi = module.ffi
+    # -- per-instruction emitters -----------------------------------------
+    def _flat(self, total: int, decls: list, expr: str) -> None:
+        """One loop over all ``len * batch`` contiguous elements, row by
+        row with the lane index ``j`` for the mask."""
+        body = "".join(f"        {line}\n" for line in decls)
+        self.code.append(
+            "    {\n"
+            f"        const long t = {self.length(total)};\n"
+            + body +
+            "        for (long i0 = 0; i0 < t; i0 += bt)\n"
+            "            for (long j = 0; j < bt; ++j) {\n"
+            "                const long i = i0 + j;\n"
+            f"                {self._masked(expr)};\n"
+            "            }\n"
+            "    }\n")
 
-        def table(ctype: str, arrays: list):
-            return ffi.new(f"{ctype} *[]",
-                           [ffi.cast(f"{ctype} *", arr.ctypes.data)
-                            for arr in arrays] or [ffi.NULL])
-
-        ct = np.zeros(max(1, len(self.charges)), dtype=np.int64)
-        it = np.zeros(1 + len(self.loops), dtype=np.int64)
-        return self._fused_unit(
-            module.lib.loop_run, ffi,
-            (table("double", self.bufs), table("long", self.iarrs),
-             ffi.new("long[]", self.lens or [0])),
-            ct, it, (tuple(self.bufs), tuple(self.iarrs)))
-
-
-class _LoopBuilder(_CBuilder):
-    """Generate one C function for an entire Loop body.
-
-    The operand tables (``B``/``IA``/``L``) come with a read-write
-    scalar table: every distinct scalar *register* gets one ``S`` slot
-    (written in C with its ``W`` flag set; read in C after an in-loop
-    write sees the fresh value, exactly like the interpreter's register
-    file), and every literal occurrence gets its own ``S`` slot so the
-    source stays pattern-canonical. Per-block charge counters (``CT``)
-    and per-loop trip counters (``IT``) make the cycle accounting exact
-    without any host work inside the loop.
-
-    Bit-exactness: every per-element expression is the closure fold
-    table verbatim (:func:`vector_fold`), SpMV/DOT embed the engine
-    kernel bodies, CLIP's ternary chain evaluates ``np.clip`` exactly
-    (NaN and signed-zero included), and scalar C arithmetic on IEEE
-    doubles (`+ - * /`, ``sqrt``, the ``MAX`` ternary) reproduces the
-    Python float kernels bit for bit, with ``-ffp-contract=off`` ruling
-    out FMA contraction.
-    """
-
-    _LOOP_CDEF = _LOOP_CDEF
-
-    def __init__(self, executor: CompiledExecutor):
-        super().__init__(executor)
-        self.s_entries: list = []     # ("reg", name) | ("lit", value)
-        self._reg_slots: dict = {}
-        self.reg_reads: set = set()
-        self.reg_writes: set = set()
-
-    # -- scalar table ----------------------------------------------------
-    def _reg_slot(self, name: str) -> int:
-        slot = self._reg_slots.get(name)
-        if slot is None:
-            slot = len(self.s_entries)
-            self.s_entries.append(("reg", name))
-            self._reg_slots[name] = slot
-        return slot
-
-    def scalar(self, ref) -> str:
-        if isinstance(ref, str):
-            self.reg_reads.add(ref)
-            token = f"S[{self._reg_slot(ref)}]"
-            self._pending_reads.append(("reg", ref, token))
-            return token
-        slot = len(self.s_entries)
-        self.s_entries.append(("lit", float(ref)))
-        token = f"S[{slot}]"
-        self._pending_reads.append(("lit", float(ref), token))
-        return token
-
-    def _scalar_tables(self) -> dict:
-        return {"s_entries": tuple(self.s_entries),
-                "reg_reads": frozenset(self.reg_reads),
-                "reg_writes": frozenset(self.reg_writes)}
-
-    # -- frame hooks -----------------------------------------------------
-    def _frame_enter(self, slot: int) -> str:
-        return ""
-
-    def _trip_head(self, slot: int) -> str:
-        return f"    IT[{slot}]++;\n"
-
-    def _control_test(self, instr: Control) -> tuple:
-        value = self.scalar(instr.reg)
-        threshold = self.scalar(instr.threshold_reg)
-        expr = f"{value} < {threshold}"
-        return expr, f"    if ({expr}) goto loop_exit_{self._frame};\n"
-
-    # -- emission --------------------------------------------------------
-    def _emit_scalar(self, instr: ScalarOp) -> None:
-        if instr.op in BINARY_SCALAR_OPS and instr.src2 is None:
-            raise SimulationError(
-                f"binary scalar op {instr.op.value!r} has no src2 "
-                f"operand (dst={instr.dst!r})")
-        a = self.scalar(instr.src1)
-        b = self.scalar(instr.src2) if instr.src2 is not None else None
-        template, trap = SCALAR_C[instr.op]
-        expr = template.format(a=a, b=b)
-        guard = ""
-        if trap is not None:
-            cond, rc = trap
-            guard = f"    if ({cond.format(a=a, b=b)}) return {rc};\n"
-        dst = self._reg_slot(instr.dst)
-        self.reg_writes.add(instr.dst)
-        text = guard + f"    S[{dst}] = {expr}; W[{dst}] = 1;\n"
-        self.code.append(text)
-        self._record(f"scalar:{instr.op.value}", "scalar", 0, expr=expr,
-                     text=text,
-                     sreg_writes=((instr.dst, f"S[{dst}]"),),
-                     site=getattr(instr, "site", None))
-
-    def _elementwise(self, n: int, decls: list, expr: str) -> None:
+    def _laned(self, n: int, decls: list, expr: str) -> None:
+        """Row loop with an inner lane loop (lane-varying coefficients);
+        ``expr`` indexes the row pointers ``ai``/``bi``/``di`` by ``[j]``."""
         body = "".join(f"        {line}\n" for line in decls)
         self.code.append(
             "    {\n"
             f"        const long n = {self.length(n)};\n"
+            f"        const long bt = {self._lanes()};\n"
             + body +
-            "        for (long i = 0; i < n; ++i)\n"
-            f"            {expr};\n"
+            "        for (long i = 0; i < n; ++i) {\n"
+            "            const double *ai = a + i * bt;\n"
+            "            const double *bi = b + i * bt;\n"
+            "            double *di = d + i * bt;\n"
+            "            for (long j = 0; j < bt; ++j)\n"
+            f"                {self._masked(expr)};\n"
+            "        }\n"
             "    }\n")
 
     def _emit_vecdup(self, instr: VecDup) -> None:
         src = self.executor._resident(instr.src)
-        dst = self.executor._dst_buffer(self.machine.cvb, instr.cvb,
-                                        src.size)
-        self._elementwise(src.size, [
+        dst = self.executor._dst_buffer(
+            self.machine.cvb, instr.cvb, int(src.shape[0]))
+        total = int(src.shape[0]) * self._batch
+        self._flat(total, [
             f"const double *a = {self.buf(src)};",
             f"double *d = {self.buf(dst)};",
         ], "d[i] = a[i]")
-        self._record("vecdup", "elementwise", src.size,
-                     dst=BufferRef("cvb", instr.cvb, dst.shape[0]),
-                     srcs=(self._src_ref(instr.src, src),),
-                     expr="d[i] = a[i]",
+        self._record(
+            "vecdup", "flat", total,
+            dst=BufferRef("cvb", instr.cvb, int(dst.shape[0])),
+            srcs=(self._src_ref(instr.src, src),),
+            expr="d[i] = a[i]", text=self.code[-1],
+            site=getattr(instr, "site", None))
+
+    def _emit_scalar(self, instr: ScalarOp) -> None:
+        op = instr.op
+        if op in BINARY_SCALAR_OPS and instr.src2 is None:
+            raise SimulationError("binary scalar op missing src2")
+        template, trap = SCALAR_C[op]
+        decls, a = self.sreg(instr.src1)
+        b = None
+        if instr.src2 is not None:
+            decls_b, b = self.sreg(instr.src2)
+            decls = decls + decls_b
+        dst = self.executor._register(instr.dst)
+        decls.append(f"double *d = {self.buf(dst)};")
+        # MAX is Python's max(a, b): b only when b > a (NaN-asymmetric),
+        # the same as the closure's where(b > a, b, a).
+        expr = "d[j] = " + template.format(a=a, b=b)
+        guard = ""
+        if trap is not None:
+            # Traps fire for active lanes only, before any lane writes.
+            cond, rc = trap
+            guard = ("        for (long j = 0; j < bt; ++j)\n"
+                     f"            if ({self._live_and(cond.format(a=a, b=b))}"
+                     f") return {rc};\n")
+        self.code.append(
+            "    {\n"
+            f"        const long bt = {self._lanes()};\n"
+            + "".join(f"        {line}\n" for line in decls) + guard +
+            "        for (long j = 0; j < bt; ++j)\n"
+            f"            {self._masked(expr)};\n"
+            "    }\n")
+        self._record(f"scalar:{op.value}", "scalar", 0, expr=expr,
+                     text=self.code[-1], lane_bound=self._batch,
+                     sreg_writes=((instr.dst, "d[j]"),),
                      site=getattr(instr, "site", None))
+
+    def _live_and(self, cond: str) -> str:
+        """``cond`` restricted to the frame's active lanes."""
+        if self._batch == 1:
+            return cond
+        return f"m{self._frame}[j] && {cond}"
 
     def _emit_vector(self, instr: VectorOp) -> None:
         executor = self.executor
@@ -1303,60 +1375,72 @@ class _LoopBuilder(_CBuilder):
         refs = tuple(self._src_ref(name, arr)
                      for name, arr in zip(instr.srcs, srcs))
         a = srcs[0]
+        n = int(a.shape[0])
+        total = n * self._batch
         if kind is VectorOpKind.DOT:
-            slot = self._reg_slot(instr.dst)
-            self.reg_writes.add(instr.dst)
-            body = "".join("    " + line + "\n" if line.strip() else line
-                           for line in cjit.DOT_BODY.splitlines())
-            block = (
+            dst = executor._register(instr.dst)
+            self.code.append(
                 "    {\n"
                 f"        const double *a = {self.buf(a)};\n"
                 f"        const double *b = {self.buf(srcs[1])};\n"
-                f"        const long n = {self.length(a.size)};\n"
-                + body +
-                f"        S[{slot}] = acc;\n"
-                f"        W[{slot}] = 1;\n"
+                f"        double * restrict o = {self.buf(dst)};\n"
+                f"        const long n = {self.length(n)};\n"
+                f"        const long bt = {self._lanes()};\n"
+                "        double acc[bt];\n"
+                "        for (long j = 0; j < bt; ++j)\n"
+                "            acc[j] = 0.0;\n"
+                "        for (long i = 0; i < n; ++i) {\n"
+                "            const double *ai = a + i * bt;\n"
+                "            const double *bi = b + i * bt;\n"
+                "            for (long j = 0; j < bt; ++j)\n"
+                "                acc[j] += ai[j] * bi[j];\n"
+                "        }\n"
+                "        for (long j = 0; j < bt; ++j)\n"
+                f"            {self._masked('o[j] = acc[j]')};\n"
                 "    }\n")
-            self.code.append(block)
-            self._record("dot", "reduce", a.size, srcs=refs, text=block,
-                         sreg_writes=((instr.dst, f"S[{slot}]"),),
-                         site=site)
+            self._record("dot", "reduce", n, srcs=refs,
+                         text=self.code[-1], lane_bound=self._batch,
+                         sreg_writes=((instr.dst, "o"),), site=site)
             return
-        dst = executor._dst_buffer(self.machine.vb, instr.dst, a.size)
-        dst_ref = BufferRef("vb", instr.dst, dst.shape[0])
+        dst = executor._dst_buffer(self.machine.vb, instr.dst, n)
+        dst_ref = BufferRef("vb", instr.dst, int(dst.shape[0]))
         if kind is VectorOpKind.CLIP:
-            lo, hi = srcs[1], srcs[2]
             # max-then-min with NaN passthrough: evaluates np.clip
             # exactly (verified over all special-value triples).
-            block = (
-                "    {\n"
-                f"        const double *a = {self.buf(a)};\n"
-                f"        const double *lo = {self.buf(lo)};\n"
-                f"        const double *hi = {self.buf(hi)};\n"
-                f"        double *d = {self.buf(dst)};\n"
-                f"        const long n = {self.length(a.size)};\n"
-                "        for (long i = 0; i < n; ++i) {\n"
-                "            const double av = a[i];\n"
-                "            const double t = isnan(av) ? av"
-                " : (av > lo[i] ? av : lo[i]);\n"
-                "            d[i] = isnan(t) ? t : (t < hi[i] ? t : hi[i]);\n"
-                "        }\n"
-                "    }\n")
-            self.code.append(block)
-            self._record("clip", "elementwise", a.size, dst=dst_ref,
-                         srcs=refs, text=block, site=site)
+            expr = ("{ const double av = a[i]; "
+                    "const double c = isnan(av) ? av : "
+                    "(av > lo[i] ? av : lo[i]); "
+                    "d[i] = isnan(c) ? c : (c < hi[i] ? c : hi[i]); }")
+            self._flat(total, [
+                f"const double *{name} = {self.buf(arr)};"
+                for name, arr in zip(("a", "lo", "hi"), srcs)
+            ] + [f"double *d = {self.buf(dst)};"], expr)
+            self._record("clip", "flat", total, dst=dst_ref, srcs=refs,
+                         expr=expr, text=self.code[-1], site=site)
             return
         form, scalars = vector_fold(instr)
         decls = [f"const double *{name} = {self.buf(arr)};"
                  for name, arr in zip("ab", srcs)]
         decls.append(f"double *d = {self.buf(dst)};")
-        tokens = [f"s{k}" for k in range(len(scalars))]
-        decls += [f"const double {tok} = {self.scalar(ref)};"
-                  for tok, ref in zip(tokens, scalars)]
-        expr = "d[i] = " + form.format(*tokens, a="a[i]", b="b[i]")
-        self._elementwise(a.size, decls, expr)
-        self._record(kind.value, "elementwise", a.size, dst=dst_ref,
-                     srcs=refs, expr=expr, site=site)
+        if not scalars:
+            expr = "d[i] = " + form.format(a="a[i]", b="b[i]")
+            self._flat(total, decls, expr)
+            self._record(kind.value, "flat", total, dst=dst_ref,
+                         srcs=refs, expr=expr, text=self.code[-1],
+                         site=site)
+            return
+        # A (B,) register indexes its lane [j]; a literal is an S
+        # constant, lane-invariant.
+        tokens = []
+        for ref in scalars:
+            more, token = self.sreg(ref)
+            decls += more
+            tokens.append(token)
+        expr = "di[j] = " + form.format(*tokens, a="ai[j]", b="bi[j]")
+        self._laned(n, decls, expr)
+        self._record(kind.value, "laned", n, dst=dst_ref, srcs=refs,
+                     expr=expr, text=self.code[-1],
+                     lane_bound=self._batch, site=site)
 
     def _emit_spmv(self, instr: SpMV) -> None:
         machine = self.machine
@@ -1364,57 +1448,88 @@ class _LoopBuilder(_CBuilder):
         src = machine.cvb.get(instr.src)
         if src is None:
             raise SimulationError(f"SpMV source {instr.src!r} not in CVB")
-        rows = int(resource.matrix.shape[0])
-        dst = self.executor._dst_buffer(machine.vb, instr.dst, rows)
         kernel = resource.kernel
+        rows = int(kernel.shape[0])
+        dst = self.executor._dst_buffer(machine.vb, instr.dst, rows)
         val, col, ip = kernel.val, kernel.col, kernel.ip
-        body = "".join("    " + line + "\n" if line.strip() else line
-                       for line in cjit.CSR_MATVEC_BODY.splitlines())
-        block = (
+        # The engine library's k_csr_matvec_batch body: per lane the
+        # k-loop accumulates in exactly the solo row-sum order.
+        self.code.append(
             "    {\n"
-            f"        const double *val = {self.buf(val)};\n"
+            f"        const double * restrict v = {self.buf(val)};\n"
             f"        const long *col = {self.iarr(col)};\n"
             f"        const long *ip = {self.iarr(ip)};\n"
-            f"        const double *x = {self.buf(src)};\n"
-            f"        double *y = {self.buf(dst)};\n"
+            f"        const double * restrict xx = {self.buf(src)};\n"
+            f"        double * restrict yy = {self.buf(dst)};\n"
             f"        const long nrows = {self.length(rows)};\n"
-            + body +
+            f"        const long bt = {self._lanes()};\n"
+            "        double acc[bt];\n"
+            "        for (long r = 0; r < nrows; ++r) {\n"
+            "            double * restrict yr = yy + r * bt;\n"
+            "            for (long j = 0; j < bt; ++j)\n"
+            "                acc[j] = 0.0;\n"
+            "            for (long k = ip[r]; k < ip[r + 1]; ++k) {\n"
+            "                const double * restrict vk = v + k * bt;\n"
+            "                const double * restrict xk = xx + col[k] * bt;\n"
+            "                for (long j = 0; j < bt; ++j)\n"
+            "                    acc[j] += vk[j] * xk[j];\n"
+            "            }\n"
+            "            for (long j = 0; j < bt; ++j)\n"
+            f"                {self._masked('yr[j] = acc[j]')};\n"
+            "        }\n"
             "    }\n")
-        self.code.append(block)
-        shape = (rows, int(resource.matrix.shape[1]))
         self._record(
             "spmv", "gather", rows,
-            dst=BufferRef("vb", instr.dst, dst.shape[0]),
+            dst=BufferRef("vb", instr.dst, int(dst.shape[0])),
             srcs=(BufferRef("matrix", instr.matrix, int(val.shape[0])),
                   BufferRef("cvb", instr.src, int(src.shape[0]))),
-            text=block, site=getattr(instr, "site", None),
-            matrix=instr.matrix, spmv_shape=shape,
-            index_arrays=(col, ip), nnz=int(val.shape[0]))
+            text=self.code[-1], site=getattr(instr, "site", None),
+            matrix=instr.matrix, spmv_shape=tuple(kernel.shape),
+            index_arrays=(col, ip), nnz=int(val.shape[0]),
+            lane_bound=self._batch)
 
     # -- finish ----------------------------------------------------------
     def _loop_source(self) -> str:
+        frames = "".join(f"    long *m{k} = M + {k} * bt;\n"
+                         f"    long *lt{k} = LT + {k} * bt;\n"
+                         for k in range(1 + len(self.loops)))
         return (
             "#include <math.h>\n"
             "\n"
-            "long loop_run(double **B, long **IA, const long *L, double *S,\n"
-            "              unsigned char *W, long *CT, long *IT,\n"
-            "              long max_iter)\n"
+            "long loop_run(double **B, long **IA, const long *L,\n"
+            "              const double *S, long *M, long *CT,\n"
+            "              long *IT, long *LT, long max_iter)\n"
             "{\n"
-            "    (void)B; (void)IA; (void)L; (void)W;\n"
-            + "".join(self.code) +
+            "    (void)B; (void)IA; (void)S;\n"
+            f"    const long bt = {'1' if self._batch == 1 else 'L[0]'};\n"
+            + frames + "".join(self.code) +
             "    return 0;\n"
             "}\n")
 
-    def _fused_unit(self, run, ffi, tables: tuple, ct, it, hold):
-        n_s = max(1, len(self.s_entries))
-        s_np = np.zeros(n_s)
-        for slot, (kind, value) in enumerate(self.s_entries):
-            if kind == "lit":
-                s_np[slot] = value
-        w_np = np.zeros(n_s, dtype=np.uint8)
-        args = tables + (ffi.cast("double *", s_np.ctypes.data),
-                         ffi.cast("unsigned char *", w_np.ctypes.data),
-                         ffi.cast("long *", ct.ctypes.data),
-                         ffi.cast("long *", it.ctypes.data))
-        return _FusedSoloLoop(run, args, self.machine, self, ct, it, hold,
-                              s_np, w_np)
+    def _finish_loop(self):
+        module = cjit.compile_module(_LOOP_CDEF, self._loop_source(),
+                                     tag="loop", libraries=("m",))
+        if module is None:
+            return None
+        ffi = module.ffi
+
+        def table(ctype: str, arrays: list):
+            return ffi.new(f"{ctype} *[]",
+                           [ffi.cast(f"{ctype} *", arr.ctypes.data)
+                            for arr in arrays] or [ffi.NULL])
+
+        def ptr(arr: np.ndarray):
+            return ffi.cast("long *", arr.ctypes.data)
+
+        ct = np.zeros(max(1, len(self.charges)), dtype=np.int64)
+        it = np.zeros(1 + len(self.loops), dtype=np.int64)
+        frames = (1 + len(self.loops), self._batch)
+        m = np.zeros(frames, dtype=np.int64)
+        lt = np.zeros(frames, dtype=np.int64)
+        args = (table("double", self.bufs), table("long", self.iarrs),
+                ffi.new("long[]", self.lens or [0]),
+                ffi.new("double[]", self.consts or [0.0]),
+                ptr(m), ptr(ct), ptr(it), ptr(lt))
+        return self.executor._FUSED_LOOP(
+            module.lib.loop_run, args, self, ct, it, m, lt,
+            (tuple(self.bufs), tuple(self.iarrs)))

@@ -1,14 +1,14 @@
 """Effect IR: the statically checkable record of generated C code.
 
-Both C code generators in the simulator — the solo whole-loop builder
-in :mod:`repro.hw.compiled` and the lane-masked batched whole-loop
-builder in :mod:`repro.hw.batched` — emit an :class:`EffectIR`
-alongside the source text they generate. The IR is a per-statement
-record of *effects*: which buffers each emitted loop reads and writes,
-the loop bound it runs over, the scalar registers/literals it consumes
-(and through which table token), the per-element expression text, and
-the charge-slot and trip-counter tables the cycle accounting is
-applied from.
+The simulator's one C code generator — the lane-minor whole-loop
+builder in :mod:`repro.hw.compiled`, which emits a solo machine's
+loops as the one-lane case and a batch machine's at its lane count —
+emits an :class:`EffectIR` alongside the source text it generates.
+The IR is a per-statement record of *effects*: which buffers each
+emitted loop reads and writes, the loop bound it runs over, the scalar
+registers/literals it consumes (and through which table token), the
+per-element expression text, and the charge-slot and trip-counter
+tables the cycle accounting is applied from.
 
 :mod:`repro.verify.codegen` consumes this IR to prove, before a
 generated kernel ever runs, that every index stays in bounds, that no
@@ -40,7 +40,7 @@ __all__ = ["EFFECT_IR_VERSION", "BufferRef", "EffectStatement",
 #: Schema version of the effect IR. Bump whenever the meaning of any
 #: field changes; part of the cjit disk-cache key so compiled modules
 #: and their IR can never disagree about the schema.
-EFFECT_IR_VERSION = "1"
+EFFECT_IR_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,6 @@ class EffectStatement:
 
     ``index`` names the iteration shape of the emitted code:
 
-    ``"elementwise"``
-        ``for i in [0, bound)`` over solo ``(len,)`` buffers.
     ``"flat"``
         one loop over all ``len * batch`` contiguous elements of
         lane-minor buffers (``bound`` is the flattened count).
@@ -79,11 +77,12 @@ class EffectStatement:
         the sequential DOT accumulation into a scalar.
     ``"scalar"``
         a scalar-register statement (no vector loop; ``lane_bound``
-        is the lane count for the batched tier).
+        is the lane count).
     ``"control"``
         a Control exit test.
     ``"loop"``
-        a nested-loop entry marker (``bound`` is ``max_iter``).
+        a nested-loop entry (``bound`` is ``max_iter``; ``text`` is
+        the frame's entry and trip head).
     """
 
     op: str
@@ -126,13 +125,12 @@ class EffectStatement:
 class EffectIR:
     """The full effect record of one generated C unit.
 
-    ``tier`` is ``"loop"`` (solo whole-loop fusion) or
-    ``"batch-loop"`` (lane-masked batched whole-loop fusion).
-    ``lens`` is the runtime ``L`` table the generated code indexes its
-    loop bounds from; ``consts`` the batched ``S`` constant table;
-    ``s_entries`` the solo tier's scalar-slot table and
-    ``charges``/``loops`` both tiers' charge-slot and trip-counter
-    tables.
+    ``tier`` is ``"loop"``, the one whole-loop tier; ``batch`` is the
+    unit's lane count (1 for a solo machine's loops). ``lens`` is the
+    runtime ``L`` table the generated code indexes its loop bounds
+    from, ``consts`` the ``S`` literal table, ``charges``/``loops`` the
+    charge-slot and trip-counter tables, and ``source`` the whole
+    generated function.
     """
 
     tier: str
@@ -141,14 +139,10 @@ class EffectIR:
     statements: list[EffectStatement] = field(default_factory=list)
     lens: tuple[int, ...] = ()
     consts: tuple[float, ...] = ()
-    #: Solo tier: per-S-slot ``("reg", name)`` / ``("lit", value)``.
-    s_entries: tuple[tuple[str, Any], ...] = ()
     #: Per-CT-slot ``(cycles, by_class, instructions)``.
     charges: tuple[tuple[int, dict, int], ...] = ()
     #: ``(IT slot, loop name, max_iter)`` per nested loop.
     loops: tuple[tuple[int, str, int], ...] = ()
-    reg_reads: frozenset = frozenset()
-    reg_writes: frozenset = frozenset()
     source: str = ""
 
     def writes(self) -> set:
@@ -173,12 +167,9 @@ class EffectIR:
         h.update(str(self.batch).encode())
         h.update(repr(self.lens).encode())
         h.update(repr(self.consts).encode())
-        h.update(repr(self.s_entries).encode())
         h.update(repr([(c, sorted(bc.items()), n)
                        for c, bc, n in self.charges]).encode())
         h.update(repr(self.loops).encode())
-        h.update(repr(sorted(self.reg_reads)).encode())
-        h.update(repr(sorted(self.reg_writes)).encode())
         for stmt in self.statements:
             h.update(repr((stmt.op, stmt.index, stmt.bound,
                            stmt.dst, stmt.srcs, stmt.expr, stmt.text,

@@ -13,10 +13,11 @@ ERROR-severity diagnostic, so CI can run this as a gate::
     python -m repro.verify --codegen --count 2
     python -m repro.verify --codes
 
-``--codegen`` additionally lifts every generated-C unit (solo and
-lane-masked batch whole-loop fusion, for every loop of the nest) of
-each artifact's program — for the default ADMM program *and* a PDQP
-build of the same problem — and runs the effect-IR analyses of :mod:`repro.verify.codegen` over
+``--codegen`` additionally lifts every generated-C unit of each
+artifact's program — the one whole-loop tier, for every loop of the
+nest, at one lane (a solo machine's unit) and at ``--batch`` lanes —
+for the default ADMM program *and* a PDQP build of the same problem,
+and runs the effect-IR analyses of :mod:`repro.verify.codegen` over
 them. ``--codes`` prints the registered diagnostic-code table and
 exits (used by the docs drift test).
 """
@@ -43,6 +44,19 @@ def _print_report(report: VerificationReport, threshold: Severity) -> None:
     for diag in report.diagnostics:
         if diag.severity >= threshold:
             print(f"  {diag.render()}")
+
+
+def _width(text: str) -> int:
+    """argparse type of a lane count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid lane count {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"lane count must be >= 1, got {value}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,9 +87,10 @@ def main(argv: list[str] | None = None) -> int:
                              "(effect-IR bounds/write-set/equivalence/"
                              "cycle analyses) for ADMM and PDQP builds "
                              "of every suite problem")
-    parser.add_argument("--batch", type=int, default=2,
-                        help="batch width for the --codegen batch "
-                             "tier (default 2)")
+    parser.add_argument("--batch", type=_width, default=2,
+                        help="second lane count --codegen lifts every "
+                             "loop at, besides 1 (the solo unit); "
+                             "default 2, and 1 lifts width 1 only")
     parser.add_argument("--codes", action="store_true",
                         help="print the diagnostic-code table and exit")
     parser.add_argument("--seed", type=int, default=42)

@@ -1,12 +1,13 @@
 """Pass 4: static verification of the generated-C (codegen) tier.
 
-The compiled backends in :mod:`repro.hw.compiled` (solo whole-loop
-fusion) and :mod:`repro.hw.batched` (lane-masked batched whole-loop
-fusion) generate C source at runtime — two tiers in all. Each builder
+The compiled backends generate C at runtime in one tier, ``loop``:
+whole fused loop bodies over lane-minor ``(len, B)`` buffers, emitted
+by one builder (:class:`repro.hw.compiled._LoopBuilder`) at a batch
+machine's lane count, and at one lane for a solo machine. The builder
 emits an :class:`~repro.hw.effect_ir.EffectIR` alongside that source —
-a per-statement record of effects — and this pass proves, before a
-generated kernel ever runs, four independent properties (plus lane
-masking for the batched tier):
+a per-statement record of effects, whose ``batch`` is the unit's
+width — and this pass proves, before a generated kernel ever runs,
+five independent properties:
 
 **Equivalence** (``codegen-expression-mismatch`` /
 ``codegen-kernel-body-drift``)
@@ -16,7 +17,8 @@ masking for the batched tier):
     the source-level half of the ``-ffp-contract=off`` bit-exactness
     contract), operand buffers must be the instruction's operands in
     order, and embedded DOT/SpMV/CLIP kernel bodies must match the
-    canonical :mod:`repro.hw.cjit` templates after table-token
+    canonical templates below (each lane accumulating in the
+    :mod:`repro.hw.cjit` kernels' sequential order) after table-token
     normalization.
 
 **Bounds and aliasing** (``codegen-index-out-of-bounds`` /
@@ -38,25 +40,30 @@ masking for the batched tier):
     snapshot-restore machinery relies on.
 
 **Cycle-accounting consistency** (``codegen-cycle-mismatch``)
-    Each tier's ``CT`` charge table must reconcile, slot by
+    Each unit's ``CT`` charge table must reconcile, slot by
     slot, with the static decomposition
     (:func:`repro.verify.cycles.loop_charge_slots`) of the same loop
     body under the same cost context, and its ``IT`` trip-counter
     table must name the nested loops in emission order.
 
 **Lane masking** (``codegen-lane-mask-missing``)
-    In the batched tier every write, DIV/SQRT trap and
-    Control exit must be guarded by the active-lane mask of the
-    innermost enclosing loop frame (``m{k}``, frame ``k`` being the
-    loop with ``IT`` slot ``k``), and a Control must leave through its
-    own frame's exit label. That is what keeps a frozen lane's columns
-    exactly at their exit state without a snapshot.
+    At every width each frame's trip head leaves the frame when its
+    active-lane mask (``m{k}``, frame ``k`` being the loop with ``IT``
+    slot ``k``) is empty, a nested frame starts as a copy of its
+    parent's mask, and a Control clears its firing lanes and leaves
+    through its own frame's exit label once none is live. For B >= 2
+    every write and DIV/SQRT trap is also guarded by the innermost
+    frame's mask: that keeps a frozen lane's columns exactly at their
+    exit state without a snapshot. For B = 1 the unit must emit the
+    unguarded forms exactly: the exits above make the one lane live
+    whenever a statement runs.
 
 Entry points: :func:`ensure_codegen_verified` is the compile-time
-guard the builders call (memoized per IR digest);
-:func:`verify_codegen` lifts every unit the backends would fuse for a
-compiled program *statically* — no C toolchain needed — and verifies
-them all; :func:`codegen_report_for_artifact` adapts that to a served
+guard the builder calls (memoized per IR digest); :func:`lift_units`
+lifts every unit the backends would fuse for a compiled program at
+given widths *statically* — no C toolchain needed — and
+:func:`verify_codegen` verifies them all at widths 1 and ``batch``;
+:func:`codegen_report_for_artifact` adapts that to a served
 :class:`~repro.serving.arch_cache.ArchArtifact`.
 """
 
@@ -67,23 +74,23 @@ from typing import Any
 
 import numpy as np
 
-from ..hw import cjit
 from ..hw.batched import (BatchExecutor, BatchMachine, BatchMatrixResource,
-                          _BatchLoopBuilder, static_write_set)
-from ..hw.compiled import CompiledExecutor, _LoopBuilder, literal_operand
+                          static_write_set)
+from ..hw.compiled import _LoopBuilder, literal_operand
 from ..hw.effect_ir import EFFECT_IR_VERSION, EffectIR, EffectStatement
 from ..hw.isa import (Control, DataTransfer, Loop, ScalarOp, ScalarOpKind,
                       SpMV, VecDup, VectorOp, VectorOpKind)
-from ..hw.machine import Machine, MatrixResource
+from ..hw.machine import MatrixResource
 from .cycles import loop_charge_slots
 from .diagnostics import Location, VerificationReport
 from .program import contract_for_algorithm
 
-__all__ = ["ensure_codegen_verified", "verify_effect_ir",
+__all__ = ["ensure_codegen_verified", "verify_effect_ir", "lift_units",
            "verify_codegen", "codegen_report_for_artifact"]
 
-#: Every generated-C tier this pass proves.
-TIERS = ("loop", "batch-loop")
+#: The one generated-C tier this pass proves (its width is
+#: :attr:`EffectIR.batch`).
+TIERS = ("loop",)
 
 #: Accepted verdicts, memoized per :meth:`EffectIR.digest` — two units
 #: with equal digests are verdict-equivalent by construction (the
@@ -96,106 +103,112 @@ _VERIFIED_CAP = 4096
 # ---------------------------------------------------------------------------
 # canonical kernel-body templates (token-normalized)
 
-#: Operand-table tokens (``B[0]``, ``IA[2]``, ``L[1]``, ``S[3]``,
-#: ``W[4]``) are slot-numbered per unit; normalize them to a fixed
-#: placeholder so one template matches every unit.
-_TOKEN_RE = re.compile(r"\b(?:B|IA|L|S|W)\[\d+\]")
+#: Operand-table tokens (``B[0]``, ``IA[2]``, ``L[1]``, ``S[3]``) are
+#: slot-numbered per unit; normalize them to a fixed placeholder so one
+#: template matches every unit.
+_TOKEN_RE = re.compile(r"\b(?:B|IA|L|S)\[\d+\]")
 
 
 def _norm(text: str) -> str:
     return _TOKEN_RE.sub("T", text)
 
 
-def _embed(body: str) -> str:
-    """Indent a cjit kernel body exactly like the builders do."""
-    return "".join("    " + line + "\n" if line.strip() else line
-                   for line in body.splitlines())
-
-
-_LOOP_DOT = ("    {\n"
+# Whole-loop kernels accumulate into a local lane vector and copy the
+# lanes out; ``{bt}`` is the lane count token (``T``, or ``1`` for one
+# lane) and ``{guard}`` the frame's mask test (empty for one lane).
+_LOOP_DOT = ("    {{\n"
              "        const double *a = T;\n"
              "        const double *b = T;\n"
+             "        double * restrict o = T;\n"
              "        const long n = T;\n"
-             + _embed(cjit.DOT_BODY) +
-             "        T = acc;\n"
-             "        T = 1;\n"
-             "    }\n")
+             "        const long bt = {bt};\n"
+             "        double acc[bt];\n"
+             "        for (long j = 0; j < bt; ++j)\n"
+             "            acc[j] = 0.0;\n"
+             "        for (long i = 0; i < n; ++i) {{\n"
+             "            const double *ai = a + i * bt;\n"
+             "            const double *bi = b + i * bt;\n"
+             "            for (long j = 0; j < bt; ++j)\n"
+             "                acc[j] += ai[j] * bi[j];\n"
+             "        }}\n"
+             "        for (long j = 0; j < bt; ++j)\n"
+             "            {guard}o[j] = acc[j];\n"
+             "    }}\n")
 
-_SOLO_SPMV = ("    {\n"
-              "        const double *val = T;\n"
+_LOOP_SPMV = ("    {{\n"
+              "        const double * restrict v = T;\n"
               "        const long *col = T;\n"
               "        const long *ip = T;\n"
-              "        const double *x = T;\n"
-              "        double *y = T;\n"
+              "        const double * restrict xx = T;\n"
+              "        double * restrict yy = T;\n"
               "        const long nrows = T;\n"
-              + _embed(cjit.CSR_MATVEC_BODY) +
-              "    }\n")
+              "        const long bt = {bt};\n"
+              "        double acc[bt];\n"
+              "        for (long r = 0; r < nrows; ++r) {{\n"
+              "            double * restrict yr = yy + r * bt;\n"
+              "            for (long j = 0; j < bt; ++j)\n"
+              "                acc[j] = 0.0;\n"
+              "            for (long k = ip[r]; k < ip[r + 1]; ++k) {{\n"
+              "                const double * restrict vk = v + k * bt;\n"
+              "                const double * restrict xk"
+              " = xx + col[k] * bt;\n"
+              "                for (long j = 0; j < bt; ++j)\n"
+              "                    acc[j] += vk[j] * xk[j];\n"
+              "            }}\n"
+              "            for (long j = 0; j < bt; ++j)\n"
+              "                {guard}yr[j] = acc[j];\n"
+              "        }}\n"
+              "    }}\n")
 
-_LOOP_CLIP = ("    {\n"
-              "        const double *a = T;\n"
-              "        const double *lo = T;\n"
-              "        const double *hi = T;\n"
-              "        double *d = T;\n"
-              "        const long n = T;\n"
-              "        for (long i = 0; i < n; ++i) {\n"
-              "            const double av = a[i];\n"
-              "            const double t = isnan(av) ? av"
-              " : (av > lo[i] ? av : lo[i]);\n"
-              "            d[i] = isnan(t) ? t : (t < hi[i] ? t : hi[i]);\n"
-              "        }\n"
-              "    }\n")
+#: The whole-loop CLIP statement (np.clip, NaN passthrough).
+_LOOP_CLIP = ("{ const double av = a[i]; "
+              "const double c = isnan(av) ? av : "
+              "(av > lo[i] ? av : lo[i]); "
+              "d[i] = isnan(c) ? c : (c < hi[i] ? c : hi[i]); }")
 
-# Batched whole-loop kernels accumulate into a local lane vector and
-# copy only the frame's active lanes out; ``{m}`` is that frame's mask.
-_BATCH_LOOP_DOT = ("    {{\n"
-                   "        const double *a = T;\n"
-                   "        const double *b = T;\n"
-                   "        double * restrict o = T;\n"
-                   "        const long n = T;\n"
-                   "        const long bt = T;\n"
-                   "        double acc[bt];\n"
-                   "        for (long j = 0; j < bt; ++j)\n"
-                   "            acc[j] = 0.0;\n"
-                   "        for (long i = 0; i < n; ++i) {{\n"
-                   "            const double *ai = a + i * bt;\n"
-                   "            const double *bi = b + i * bt;\n"
-                   "            for (long j = 0; j < bt; ++j)\n"
-                   "                acc[j] += ai[j] * bi[j];\n"
-                   "        }}\n"
-                   "        for (long j = 0; j < bt; ++j)\n"
-                   "            if ({m}[j]) o[j] = acc[j];\n"
-                   "    }}\n")
 
-_BATCH_LOOP_SPMV = ("    {{\n"
-                    "        const double * restrict v = T;\n"
-                    "        const long *col = T;\n"
-                    "        const long *ip = T;\n"
-                    "        const double * restrict xx = T;\n"
-                    "        double * restrict yy = T;\n"
-                    "        const long nrows = T;\n"
-                    "        const long bt = T;\n"
-                    "        double acc[bt];\n"
-                    "        for (long r = 0; r < nrows; ++r) {{\n"
-                    "            double * restrict yr = yy + r * bt;\n"
-                    "            for (long j = 0; j < bt; ++j)\n"
-                    "                acc[j] = 0.0;\n"
-                    "            for (long k = ip[r]; k < ip[r + 1]; ++k) {{\n"
-                    "                const double * restrict vk = v + k * bt;\n"
-                    "                const double * restrict xk"
-                    " = xx + col[k] * bt;\n"
-                    "                for (long j = 0; j < bt; ++j)\n"
-                    "                    acc[j] += vk[j] * xk[j];\n"
-                    "            }}\n"
-                    "            for (long j = 0; j < bt; ++j)\n"
-                    "                if ({m}[j]) yr[j] = acc[j];\n"
-                    "        }}\n"
-                    "    }}\n")
+def _trip_head(frame: int) -> str:
+    """Frame ``frame``'s trip head: count its live lanes, leave the
+    frame when none is live, count the trip."""
+    return ("    {\n"
+            "        long live = 0;\n"
+            "        for (long j = 0; j < bt; ++j) {\n"
+            f"            live |= m{frame}[j];\n"
+            f"            lt{frame}[j] += m{frame}[j];\n"
+            "        }\n"
+            f"        if (!live) goto loop_exit_{frame};\n"
+            "    }\n"
+            f"    IT[{frame}]++;\n")
 
-#: The batched whole-loop CLIP statement (np.clip, NaN passthrough).
-_BATCH_LOOP_CLIP = ("{ const double av = a[i]; "
-                    "const double c = isnan(av) ? av : "
-                    "(av > lo[i] ? av : lo[i]); "
-                    "d[i] = isnan(c) ? c : (c < hi[i] ? c : hi[i]); }")
+
+def _preamble(batch: int, frames: int) -> str:
+    """The unit's function head up to frame 0's first statement."""
+    return ("#include <math.h>\n"
+            "\n"
+            "long loop_run(double **B, long **IA, const long *L,\n"
+            "              const double *S, long *M, long *CT,\n"
+            "              long *IT, long *LT, long max_iter)\n"
+            "{\n"
+            "    (void)B; (void)IA; (void)S;\n"
+            f"    const long bt = {'1' if batch == 1 else 'L[0]'};\n"
+            + "".join(f"    long *m{k} = M + {k} * bt;\n"
+                      f"    long *lt{k} = LT + {k} * bt;\n"
+                      for k in range(frames))
+            + "    for (long it0 = 0; it0 < max_iter; ++it0) {\n"
+            + _trip_head(0))
+
+
+def _frame_entry(frame: int, parent: int) -> str:
+    """Nested frame ``frame``'s entry (token-normalized): a copy of its
+    parent's mask, then its trip loop and trip head."""
+    return ("    {\n"
+            "    for (long j = 0; j < bt; ++j)\n"
+            f"        m{frame}[j] = m{parent}[j];\n"
+            f"    const long n_it{frame} = T;\n"
+            f"    for (long it{frame} = 0; it{frame} < n_it{frame}; "
+            f"++it{frame}) {{\n"
+            + _trip_head(frame))
+
 
 # ---------------------------------------------------------------------------
 # expected-form tables (the verifier's independent re-derivation of the
@@ -218,42 +231,9 @@ def _expected_op(instr: Any) -> str | None:
     return None
 
 
-def _solo_vector_plan(instr: VectorOp) -> tuple[str, list] | None:
-    """``(expr, scalar_operands)`` of the solo elementwise fold table."""
-    kind = instr.op
-    if kind is VectorOpKind.COPY:
-        return "d[i] = a[i]", []
-    if kind is VectorOpKind.EWMUL:
-        return "d[i] = a[i] * b[i]", []
-    if kind is VectorOpKind.SCALE_ADD:
-        al = literal_operand(instr.alpha)
-        if al == 1.0:
-            return "d[i] = a[i] + b[i]", []
-        if al == -1.0:
-            return "d[i] = a[i] - b[i]", []
-        return "d[i] = a[i] + b[i] * s0", [instr.alpha]
-    if kind is VectorOpKind.AXPBY:
-        al = literal_operand(instr.alpha)
-        be = literal_operand(instr.beta)
-        if al == 1.0 and be == 1.0:
-            return "d[i] = a[i] + b[i]", []
-        if al == 1.0 and be == -1.0:
-            return "d[i] = a[i] - b[i]", []
-        if al == 1.0:
-            return "d[i] = a[i] + b[i] * s0", [instr.beta]
-        if be == 1.0:
-            return "d[i] = a[i] * s0 + b[i]", [instr.alpha]
-        if be == -1.0:
-            return "d[i] = a[i] * s0 - b[i]", [instr.alpha]
-        if al == -1.0:
-            return "d[i] = b[i] * s0 - a[i]", [instr.beta]
-        return "d[i] = a[i] * s0 + b[i] * s1", [instr.alpha, instr.beta]
-    return None
-
-
-def _batch_vector_plan(instr: VectorOp) -> tuple[str, str, list] | None:
-    """``(index_kind, expr_template, scalar_operands)`` of the batched
-    fold table; ``{0}``/``{1}`` substitute the emitted scalar tokens."""
+def _vector_plan(instr: VectorOp) -> tuple[str, str, list] | None:
+    """``(index_kind, expr_template, scalar_operands)`` of the fold
+    table; ``{0}``/``{1}`` substitute the emitted scalar tokens."""
     kind = instr.op
     if kind is VectorOpKind.COPY:
         return "flat", "d[i] = a[i]", []
@@ -296,32 +276,8 @@ def _scalar_trap(op: ScalarOpKind, a: str,
     return None
 
 
-def _loop_scalar_expr(op: ScalarOpKind, a: str,
-                      b: str | None) -> tuple[str, str] | None:
-    """Expected C expression of a loop-tier ScalarOp, given the emitted
-    operand tokens; returns ``(guard, expr)`` or None."""
-    trap = _scalar_trap(op, a, b)
-    guard = f"    if ({trap[0]}) return {trap[1]};\n" if trap else ""
-    if op is ScalarOpKind.ADD:
-        return guard, f"{a} + {b}"
-    if op is ScalarOpKind.SUB:
-        return guard, f"{a} - {b}"
-    if op is ScalarOpKind.MUL:
-        return guard, f"{a} * {b}"
-    if op is ScalarOpKind.DIV:
-        return guard, f"{a} / {b}"
-    if op is ScalarOpKind.MAX:
-        return guard, f"({b} > {a}) ? {b} : {a}"
-    if op is ScalarOpKind.SQRT:
-        return guard, f"sqrt({a})"
-    if op is ScalarOpKind.MOV:
-        return guard, a
-    return None
-
-
-def _batch_scalar_expr(op: ScalarOpKind, a: str,
-                       b: str | None) -> str | None:
-    """Expected batched ScalarOp statement."""
+def _scalar_expr(op: ScalarOpKind, a: str, b: str | None) -> str | None:
+    """Expected ScalarOp statement."""
     if op is ScalarOpKind.DIV:
         return f"d[j] = {a} / {b}"
     if op is ScalarOpKind.SQRT:
@@ -397,7 +353,7 @@ def _loop_walk(items: list) -> tuple[list, list]:
 # per-unit checker
 
 _SLOT_RE = re.compile(r"^S\[(\d+)\]$")
-_BATCH_REG_RE = re.compile(r"^s(\d+)\[j\]$")
+_REG_RE = re.compile(r"^s(\d+)\[j\]$")
 
 
 class _UnitChecker:
@@ -409,13 +365,13 @@ class _UnitChecker:
         self.instrs = list(instrs)
         self.machine = machine
         self.report = report
-        # batch tier: running sreg-pointer and S-constant counters.
+        self.lanes = int(ir.batch)
+        # running sreg-pointer and S-constant counters.
         self.sreg_count = 0
         self.const_count = 0
-        # solo tier: S-slot table (register name -> slot).
-        self.reg_slots: dict = {}
-        self.batch_tier = ir.tier == "batch-loop"
-        # batch tier: the active-lane mask of the statement's frame.
+        # nested frames entered so far (frame k has IT slot k).
+        self.frames_seen = 0
+        # the active-lane mask of the statement's frame.
         self.mask = "m0"
         self.frame = 0
 
@@ -429,6 +385,19 @@ class _UnitChecker:
              hint: str = "") -> None:
         self.report.error(code, message, self._loc(stmt), hint)
 
+    def _guarded(self, stmt: str) -> str:
+        """``stmt`` as the unit must emit it: behind the frame's mask,
+        or bare when the single lane is live whenever it runs."""
+        return stmt if self.lanes == 1 else f"if ({self.mask}[j]) {stmt}"
+
+    def _live_and(self, cond: str) -> str:
+        return cond if self.lanes == 1 else f"{self.mask}[j] && {cond}"
+
+    def _template(self, template: str) -> str:
+        return template.format(
+            bt="1" if self.lanes == 1 else "T",
+            guard="" if self.lanes == 1 else f"if ({self.mask}[j]) ")
+
     # -- entry -----------------------------------------------------------
     def check(self) -> None:
         ir = self.ir
@@ -440,23 +409,32 @@ class _UnitChecker:
                 f"the verifier's {EFFECT_IR_VERSION!r}",
                 Location(f"codegen[{ir.tier}]"))
             return
-        if ir.tier not in TIERS:
+        if ir.tier not in TIERS or self.lanes < 1:
             report.error(
                 "codegen-shape-mismatch",
-                f"unknown effect IR tier {ir.tier!r}",
+                f"unknown effect IR tier {ir.tier!r} at width "
+                f"{self.lanes}",
                 Location("codegen"))
             return
         entries, loop_meta = _loop_walk(self.instrs)
-        if not self.batch_tier:
-            self._load_reg_slots()
-        elif tuple(ir.lens[:1]) != (ir.batch,):
+        if self.lanes > 1 and tuple(ir.lens[:1]) != (self.lanes,):
             # L[0] bounds every mask and per-lane trip-counter loop.
             report.error(
                 "codegen-shape-mismatch",
                 f"lane count slot L[0] holds {tuple(ir.lens[:1])} on a "
-                f"batch-{ir.batch} machine; the mask and trip-counter "
-                f"tables hold exactly {ir.batch} lanes per frame",
-                Location("codegen[batch-loop]"))
+                f"batch-{self.lanes} machine; the mask and trip-counter "
+                f"tables hold exactly {self.lanes} lanes per frame",
+                Location("codegen[loop]"))
+        if not ir.source.startswith(_preamble(self.lanes,
+                                              1 + len(loop_meta))):
+            report.error(
+                "codegen-lane-mask-missing",
+                f"the unit's function head differs from the expected "
+                f"width-{self.lanes} lane count, frame tables and "
+                f"frame 0 trip head",
+                Location("codegen[loop]"),
+                hint="each trip must leave its frame when no lane is "
+                     "live")
         stmts = list(ir.statements)
         if len(stmts) != len(entries):
             report.error(
@@ -487,22 +465,6 @@ class _UnitChecker:
             self._check_bounds(stmt)
         self._check_writes()
         self._check_charges(loop_meta)
-
-    def _load_reg_slots(self) -> None:
-        for slot, entry in enumerate(self.ir.s_entries):
-            kind, value = entry
-            if kind != "reg":
-                continue
-            if value in self.reg_slots:
-                self.report.error(
-                    "codegen-scalar-slot-mismatch",
-                    f"scalar register {value!r} owns two S slots "
-                    f"({self.reg_slots[value]} and {slot}); in-loop "
-                    f"writes through one would be invisible through "
-                    f"the other",
-                    Location("codegen[loop]"))
-                continue
-            self.reg_slots[value] = slot
 
     # -- scalar-token resolution -----------------------------------------
     def _resolve_operands(self, stmt: EffectStatement,
@@ -563,17 +525,8 @@ class _UnitChecker:
 
     def _check_reg_token(self, stmt: EffectStatement, reg: str,
                          token: str) -> None:
-        if not self.batch_tier:
-            match = _SLOT_RE.match(token)
-            slot = self.reg_slots.get(reg)
-            if match is None or slot is None or int(match.group(1)) != slot:
-                self._err(
-                    "codegen-scalar-slot-mismatch", stmt,
-                    f"register {reg!r} read through token {token} but "
-                    f"its S slot is {slot}")
-            return
-        # batch: registers are (B,) buffers bound as sN pointers.
-        match = _BATCH_REG_RE.match(token)
+        # registers are (B,) buffers bound as sN pointers.
+        match = _REG_RE.match(token)
         if match is None or int(match.group(1)) != self.sreg_count:
             self._err(
                 "codegen-scalar-slot-mismatch", stmt,
@@ -585,16 +538,6 @@ class _UnitChecker:
     def _check_lit_token(self, stmt: EffectStatement, value: float,
                          token: str) -> None:
         match = _SLOT_RE.match(token)
-        if not self.batch_tier:
-            entries = self.ir.s_entries
-            if (match is None or int(match.group(1)) >= len(entries)
-                    or tuple(entries[int(match.group(1))])
-                    != ("lit", value)):
-                self._err(
-                    "codegen-scalar-slot-mismatch", stmt,
-                    f"literal {value!r} read through token {token} but "
-                    f"that S slot holds a different entry")
-            return
         consts = self.ir.consts
         if (match is None or int(match.group(1)) != self.const_count
                 or self.const_count >= len(consts)
@@ -666,20 +609,21 @@ class _UnitChecker:
             return False
         return True
 
-    def _check_masked(self, stmt: EffectStatement, *guards: str) -> None:
-        """Batch tier: every ``guards`` line must appear verbatim, each
-        one gating its effect on the frame's mask."""
-        if not self.batch_tier:
-            return
-        for guard in guards:
-            if guard not in stmt.text:
+    def _check_masked(self, stmt: EffectStatement, *lines: str) -> None:
+        """Every one of ``lines`` must be a whole line of the emitted
+        statement: each write, trap and exit in its exact masked form
+        (for one lane, its exact bare form)."""
+        emitted = {line.strip() for line in stmt.text.splitlines()}
+        for line in lines:
+            if line not in emitted:
                 self._err(
                     "codegen-lane-mask-missing", stmt,
-                    f"expected {guard!r} in the generated statement; "
-                    f"lanes outside frame {self.frame}'s mask "
-                    f"{self.mask} would be touched",
-                    hint="every batched whole-loop write, trap and exit "
-                         "must test the innermost frame's mask")
+                    f"expected the line {line!r} in the generated "
+                    f"statement; lanes outside frame {self.frame}'s "
+                    f"mask {self.mask} would be touched",
+                    hint="every whole-loop write and trap must test the "
+                         "innermost frame's mask (bare for one lane), "
+                         "and every exit must leave its own frame")
 
     def _check_template(self, stmt: EffectStatement,
                         template: str) -> None:
@@ -691,8 +635,7 @@ class _UnitChecker:
                 "bit-exactness-pinned kernel shape")
 
     def _check_vecdup(self, instr: VecDup, stmt: EffectStatement) -> None:
-        self._check_index_kind(stmt,
-                               "flat" if self.batch_tier else "elementwise")
+        self._check_index_kind(stmt, "flat")
         self._check_dst(stmt, "cvb", instr.cvb)
         self._check_srcs(stmt, (instr.src,))
         self._resolve_operands(stmt, [])
@@ -700,33 +643,22 @@ class _UnitChecker:
             self._err(
                 "codegen-expression-mismatch", stmt,
                 f"VecDup must copy verbatim; generated {stmt.expr!r}")
-        self._check_masked(stmt, f"if ({self.mask}[j]) d[i] = a[i];")
+        self._check_masked(stmt, self._guarded("d[i] = a[i];"))
 
     def _check_elementwise(self, instr: VectorOp,
                            stmt: EffectStatement) -> None:
-        if self.batch_tier:
-            plan = _batch_vector_plan(instr)
-            if plan is None:
-                self._err("codegen-expression-mismatch", stmt,
-                          f"vector op {instr.op.value!r} has no batched "
-                          f"codegen lowering")
-                return
-            index_kind, template, scalar_refs = plan
-            self._check_index_kind(stmt, index_kind)
-            tokens = self._resolve_operands(stmt, scalar_refs)
-            if any(t is None for t in tokens):
-                return
-            expected = template.format(*tokens)
-        else:
-            plan = _solo_vector_plan(instr)
-            if plan is None:
-                self._err("codegen-expression-mismatch", stmt,
-                          f"vector op {instr.op.value!r} has no solo "
-                          f"codegen lowering")
-                return
-            expected, scalar_refs = plan
-            self._check_index_kind(stmt, "elementwise")
-            self._resolve_operands(stmt, scalar_refs)
+        plan = _vector_plan(instr)
+        if plan is None:
+            self._err("codegen-expression-mismatch", stmt,
+                      f"vector op {instr.op.value!r} has no whole-loop "
+                      f"codegen lowering")
+            return
+        index_kind, template, scalar_refs = plan
+        self._check_index_kind(stmt, index_kind)
+        tokens = self._resolve_operands(stmt, scalar_refs)
+        if any(t is None for t in tokens):
+            return
+        expected = template.format(*tokens)
         self._check_dst(stmt, "vb", instr.dst)
         self._check_srcs(stmt, tuple(instr.srcs[:2]))
         if stmt.expr != expected:
@@ -736,46 +668,31 @@ class _UnitChecker:
                 f"ISA fold {expected!r}",
                 hint="reassociation/contraction at the source level "
                      "breaks the bit-exactness contract")
-        self._check_masked(stmt, f"if ({self.mask}[j]) {expected};")
+        self._check_masked(stmt, self._guarded(f"{expected};"))
 
     def _check_clip(self, instr: VectorOp, stmt: EffectStatement) -> None:
-        self._check_index_kind(stmt, "flat" if self.batch_tier
-                               else "elementwise")
+        self._check_index_kind(stmt, "flat")
         self._check_dst(stmt, "vb", instr.dst)
         self._check_srcs(stmt, tuple(instr.srcs[:3]))
         self._resolve_operands(stmt, [])
-        if not self.batch_tier:
-            self._check_template(stmt, _LOOP_CLIP)
-            return
-        if stmt.expr != _BATCH_LOOP_CLIP:
+        if stmt.expr != _LOOP_CLIP:
             self._err(
                 "codegen-expression-mismatch", stmt,
                 f"generated clip {stmt.expr!r} differs from the "
-                f"np.clip lowering {_BATCH_LOOP_CLIP!r}")
-        self._check_masked(stmt, f"if ({self.mask}[j]) {_BATCH_LOOP_CLIP};")
+                f"np.clip lowering {_LOOP_CLIP!r}")
+        self._check_masked(stmt, self._guarded(f"{_LOOP_CLIP};"))
 
     def _check_dot(self, instr: VectorOp, stmt: EffectStatement) -> None:
         self._check_index_kind(stmt, "reduce")
         self._check_srcs(stmt, tuple(instr.srcs[:2]))
         self._resolve_operands(stmt, [])
-        writes = tuple(stmt.sreg_writes)
-        if not self.batch_tier:
-            slot = self.reg_slots.get(instr.dst)
-            expected = ((instr.dst, f"S[{slot}]"),)
-            if slot is None or writes != expected:
-                self._err(
-                    "codegen-scalar-slot-mismatch", stmt,
-                    f"DOT writes {writes} but register {instr.dst!r} "
-                    f"owns S slot {slot}")
-            self._check_template(stmt, _LOOP_DOT)
-        else:
-            if writes != ((instr.dst, "o"),):
-                self._err(
-                    "codegen-scalar-slot-mismatch", stmt,
-                    f"batched DOT writes {writes} but must accumulate "
-                    f"into the {instr.dst!r} register buffer")
-            self._check_masked(stmt, f"if ({self.mask}[j]) o[j] = acc[j];")
-            self._check_template(stmt, _BATCH_LOOP_DOT.format(m=self.mask))
+        if tuple(stmt.sreg_writes) != ((instr.dst, "o"),):
+            self._err(
+                "codegen-scalar-slot-mismatch", stmt,
+                f"DOT writes {tuple(stmt.sreg_writes)} but must "
+                f"accumulate into the {instr.dst!r} register buffer")
+        self._check_masked(stmt, self._guarded("o[j] = acc[j];"))
+        self._check_template(stmt, self._template(_LOOP_DOT))
 
     def _check_spmv(self, instr: SpMV, stmt: EffectStatement) -> None:
         self._check_index_kind(stmt, "gather")
@@ -787,11 +704,8 @@ class _UnitChecker:
                 "codegen-expression-mismatch", stmt,
                 f"statement streams matrix {stmt.matrix!r} but the "
                 f"instruction names {instr.matrix!r}")
-        if self.batch_tier:
-            self._check_masked(stmt, f"if ({self.mask}[j]) yr[j] = acc[j];")
-            self._check_template(stmt, _BATCH_LOOP_SPMV.format(m=self.mask))
-        else:
-            self._check_template(stmt, _SOLO_SPMV)
+        self._check_masked(stmt, self._guarded("yr[j] = acc[j];"))
+        self._check_template(stmt, self._template(_LOOP_SPMV))
 
     def _check_scalar(self, instr: ScalarOp, stmt: EffectStatement) -> None:
         self._check_index_kind(stmt, "scalar")
@@ -803,43 +717,21 @@ class _UnitChecker:
             return
         a = tokens[0]
         b = tokens[1] if len(tokens) > 1 else None
-        writes = tuple(stmt.sreg_writes)
-        if not self.batch_tier:
-            plan = _loop_scalar_expr(instr.op, a, b)
-            if plan is None:
-                self._err("codegen-expression-mismatch", stmt,
-                          f"scalar op {instr.op.value!r} has no loop "
-                          f"codegen lowering")
-                return
-            guard, expected = plan
-            slot = self.reg_slots.get(instr.dst)
-            if slot is None or writes != ((instr.dst, f"S[{slot}]"),):
-                self._err(
-                    "codegen-scalar-slot-mismatch", stmt,
-                    f"scalar op writes {writes} but register "
-                    f"{instr.dst!r} owns S slot {slot}")
-            elif stmt.text != (guard + f"    S[{slot}] = {expected}; "
-                               f"W[{slot}] = 1;\n"):
-                self._err(
-                    "codegen-expression-mismatch", stmt,
-                    f"emitted scalar statement {stmt.text!r} differs "
-                    f"from the expected lowering")
-        else:
-            expected = _batch_scalar_expr(instr.op, a, b)
-            if expected is None:
-                self._err("codegen-expression-mismatch", stmt,
-                          f"scalar op {instr.op.value!r} has no batched "
-                          f"codegen lowering")
-                return
-            if writes != ((instr.dst, "d[j]"),):
-                self._err(
-                    "codegen-scalar-slot-mismatch", stmt,
-                    f"batched scalar op writes {writes} but must "
-                    f"target the {instr.dst!r} register buffer lanes")
-            trap = _scalar_trap(instr.op, a, b)
-            self._check_masked(stmt, f"if ({self.mask}[j]) {expected};",
-                               *([f"if ({self.mask}[j] && {trap[0]}) "
-                                  f"return {trap[1]};"] if trap else []))
+        expected = _scalar_expr(instr.op, a, b)
+        if expected is None:
+            self._err("codegen-expression-mismatch", stmt,
+                      f"scalar op {instr.op.value!r} has no whole-loop "
+                      f"codegen lowering")
+            return
+        if tuple(stmt.sreg_writes) != ((instr.dst, "d[j]"),):
+            self._err(
+                "codegen-scalar-slot-mismatch", stmt,
+                f"scalar op writes {tuple(stmt.sreg_writes)} but must "
+                f"target the {instr.dst!r} register buffer lanes")
+        trap = _scalar_trap(instr.op, a, b)
+        self._check_masked(stmt, self._guarded(f"{expected};"),
+                           *([f"if ({self._live_and(trap[0])}) "
+                              f"return {trap[1]};"] if trap else []))
         if stmt.expr != expected:
             self._err(
                 "codegen-expression-mismatch", stmt,
@@ -858,6 +750,8 @@ class _UnitChecker:
                 "codegen-expression-mismatch", stmt,
                 f"exit test {stmt.expr!r} differs from the ISA "
                 f"condition {expected!r}")
+        # Every width clears the firing lanes and leaves the frame once
+        # none is live: that is what lets one lane drop its guards.
         m = self.mask
         self._check_masked(stmt, f"if ({m}[j] && {expected}) {m}[j] = 0;",
                            f"live |= {m}[j];",
@@ -866,11 +760,18 @@ class _UnitChecker:
     def _check_loop_marker(self, instr: Loop, stmt: EffectStatement) -> None:
         self._check_index_kind(stmt, "loop")
         self._resolve_operands(stmt, [])
+        self.frames_seen += 1
         if stmt.bound != int(instr.max_iter):
             self._err(
                 "codegen-expression-mismatch", stmt,
                 f"nested loop marker records {stmt.bound} trips but "
                 f"{instr.name!r} bounds max_iter={instr.max_iter}")
+        if _norm(stmt.text) != _frame_entry(self.frames_seen, self.frame):
+            self._err(
+                "codegen-lane-mask-missing", stmt,
+                f"nested frame {self.frames_seen} must start as a copy "
+                f"of frame {self.frame}'s mask and leave at a trip "
+                f"with no live lane")
 
     # -- bounds / alias ---------------------------------------------------
     def _bound_refs(self, stmt: EffectStatement) -> list:
@@ -889,20 +790,8 @@ class _UnitChecker:
                     f"loop bound reads L slot {slot} as {value} but "
                     f"the runtime L table disagrees")
         index = stmt.index
-        batch = int(self.ir.batch)
-        if index == "elementwise":
-            for ref in self._bound_refs(stmt):
-                if stmt.bound > ref.length:
-                    self._err(
-                        "codegen-index-out-of-bounds", stmt,
-                        f"loop runs {stmt.bound} iterations over "
-                        f"{ref.space}:{ref.name} of length {ref.length}")
-                elif stmt.bound != ref.length:
-                    self._err(
-                        "codegen-shape-mismatch", stmt,
-                        f"loop bound {stmt.bound} does not cover "
-                        f"{ref.space}:{ref.name} of length {ref.length}")
-        elif index == "flat":
+        batch = self.lanes
+        if index == "flat":
             for ref in self._bound_refs(stmt):
                 total = ref.length * batch
                 if stmt.bound > total:
@@ -944,15 +833,15 @@ class _UnitChecker:
                         "codegen-shape-mismatch", stmt,
                         f"reduction bound {stmt.bound} does not cover "
                         f"{ref.space}:{ref.name} of {ref.length}")
-            if self.batch_tier and stmt.lane_bound != batch:
+            if stmt.lane_bound != batch:
                 self._err(
                     "codegen-shape-mismatch", stmt,
-                    f"batched reduction runs {stmt.lane_bound} lanes "
+                    f"reduction runs {stmt.lane_bound} lanes "
                     f"on a batch-{batch} machine")
         elif index == "gather":
             self._check_gather_bounds(stmt)
         elif index == "scalar":
-            if self.batch_tier and stmt.lane_bound != batch:
+            if stmt.lane_bound != batch:
                 self._err(
                     "codegen-shape-mismatch", stmt,
                     f"scalar lane loop runs {stmt.lane_bound} lanes "
@@ -1036,25 +925,6 @@ class _UnitChecker:
                 f"write-set omits it; a batch snapshot-restore frame "
                 f"would leak that buffer's frozen-lane columns",
                 loc)
-        if self.batch_tier:
-            return
-        declared = set(ir.reg_writes)
-        recorded = {name for stmt in ir.statements
-                    for name, _tok in stmt.sreg_writes}
-        for name in sorted(recorded - declared):
-            self.report.error(
-                "codegen-write-set-miss",
-                f"statements write scalar register {name!r} but the "
-                f"unit's write-back table omits it; the host register "
-                f"file would keep the stale value",
-                loc)
-        for name in sorted(declared - recorded):
-            self.report.error(
-                "codegen-write-set-miss",
-                f"write-back table names scalar register {name!r} that "
-                f"no statement writes; the host would write back an "
-                f"undefined S slot",
-                loc)
 
     # -- cycle accounting --------------------------------------------------
     def _check_charges(self, loop_meta: list) -> None:
@@ -1130,8 +1000,7 @@ def ensure_codegen_verified(ir: EffectIR, instrs: list, machine: Any, *,
 # static lifting: emit effect IR for every unit the backends would fuse,
 # without executing anything and without a C toolchain
 
-def _static_resources(compiled: Any, matrices: dict,
-                      batch: int | None = None) -> dict:
+def _static_resources(compiled: Any, matrices: dict, batch: int) -> dict:
     ctx = compiled.context
     resources: dict = {}
     for name, matrix in matrices.items():
@@ -1140,12 +1009,11 @@ def _static_resources(compiled: Any, matrices: dict,
                                   ctx.cvb_depth(name))
         except KeyError:
             continue
-        resources[name] = (solo if batch is None
-                           else BatchMatrixResource(name, solo, batch))
+        resources[name] = BatchMatrixResource(name, solo, batch)
     return resources
 
 
-def _seed_hbm(machine: Any, compiled: Any, batch: int | None) -> None:
+def _seed_hbm(machine: BatchMachine, compiled: Any) -> None:
     ctx = compiled.context
     contract = contract_for_algorithm(getattr(compiled, "algorithm",
                                               "admm"))
@@ -1154,18 +1022,13 @@ def _seed_hbm(machine: Any, compiled: Any, batch: int | None) -> None:
             length = int(ctx.vector_length(name))
         except KeyError:
             continue
-        machine.hbm[name] = (np.zeros(length) if batch is None
-                             else np.zeros((length, batch)))
+        machine.hbm[name] = np.zeros((length, machine.batch))
     for name in sorted(contract.scalars):
-        if batch is None:
-            machine.scalars[name] = 0.0
-        else:
-            machine.scalar_buffer(name)
+        machine.scalar_buffer(name)
 
 
-def _prepare_buffers(machine: Any, items: list,
-                     batch: int | None) -> None:
-    """Program-order walk creating every buffer the builders resolve.
+def _prepare_buffers(machine: BatchMachine, items: list) -> None:
+    """Program-order walk creating every buffer the builder resolves.
 
     Mirrors the executors' lazy ``_dst_buffer`` creation so that by
     lift time every operand is 'resident' exactly as it would be when
@@ -1178,14 +1041,14 @@ def _prepare_buffers(machine: Any, items: list,
         return None
 
     def make(space: dict, name: str, length: int) -> None:
-        shape = (length,) if batch is None else (length, batch)
+        shape = (length, machine.batch)
         buf = space.get(name)
         if not (isinstance(buf, np.ndarray) and buf.shape == shape):
             space[name] = np.zeros(shape)
 
     for item in items:
         if isinstance(item, Loop):
-            _prepare_buffers(machine, item.body, batch)
+            _prepare_buffers(machine, item.body)
         elif isinstance(item, DataTransfer):
             length = vec(item.name)
             if length is None:
@@ -1195,28 +1058,16 @@ def _prepare_buffers(machine: Any, items: list,
             else:
                 make(machine.hbm, item.name, length)
         elif isinstance(item, ScalarOp):
-            if batch is None:
-                machine.scalars.setdefault(item.dst, 0.0)
-                for ref in (item.src1, item.src2):
-                    if isinstance(ref, str):
-                        machine.scalars.setdefault(ref, 0.0)
-            else:
-                machine.scalar_buffer(item.dst)
-                for ref in (item.src1, item.src2):
-                    if isinstance(ref, str):
-                        machine.scalar_buffer(ref)
+            machine.scalar_buffer(item.dst)
+            for ref in (item.src1, item.src2):
+                if isinstance(ref, str):
+                    machine.scalar_buffer(ref)
         elif isinstance(item, VectorOp):
             for ref in (item.alpha, item.beta):
                 if isinstance(ref, str):
-                    if batch is None:
-                        machine.scalars.setdefault(ref, 0.0)
-                    else:
-                        machine.scalar_buffer(ref)
+                    machine.scalar_buffer(ref)
             if item.op is VectorOpKind.DOT:
-                if batch is None:
-                    machine.scalars.setdefault(item.dst, 0.0)
-                else:
-                    machine.scalar_buffer(item.dst)
+                machine.scalar_buffer(item.dst)
             else:
                 length = vec(item.srcs[0]) if item.srcs else None
                 if length is not None:
@@ -1231,9 +1082,9 @@ def _prepare_buffers(machine: Any, items: list,
                 make(machine.vb, item.dst, resource.kernel.shape[0])
 
 
-def _loop_units(executor: Any, builder_cls: Any, items: list,
-                units: list, skipped: list) -> None:
-    """Lift every Loop in ``items``, nested loops included.
+def _loop_units(executor: BatchExecutor, items: list, units: list) -> int:
+    """Lift every Loop in ``items``, nested loops included; returns how
+    many the builder refuses.
 
     A loop's first run takes the node path, and a nested loop's node
     fuses on its own before the enclosing loop does, so the runtime can
@@ -1241,66 +1092,73 @@ def _loop_units(executor: Any, builder_cls: Any, items: list,
     builder refuses stays on the node path at runtime (``fuse_loop``);
     count it so coverage loss is visible.
     """
+    skipped = 0
     for item in items:
         if not isinstance(item, Loop):
             continue
-        builder = builder_cls(executor)
+        builder = _LoopBuilder(executor)
         try:
             builder.emit_body_ir(item.body)
         except Exception:
-            skipped[0] += 1
+            skipped += 1
         else:
             units.append((builder.effect_ir(), item.body,
                           executor.machine))
-        _loop_units(executor, builder_cls, item.body, units, skipped)
+        skipped += _loop_units(executor, item.body, units)
+    return skipped
+
+
+def lift_units(compiled: Any, matrices: dict,
+               widths: tuple[int, ...] = (1, 2)) -> tuple[list, int]:
+    """Statically lift every whole-loop unit of a program at each width.
+
+    ``compiled`` is a :class:`~repro.hw.compiler.CompiledProgram`;
+    ``matrices`` maps streamed-matrix names (``P``/``A``/``At``) to
+    their :class:`~repro.sparse.csr.CSRMatrix` structures. For each
+    width, every loop of the nest is emitted by the runtime's one
+    builder against a statically seeded
+    :class:`~repro.hw.batched.BatchMachine` of that many lanes (width
+    1 is a solo machine's unit), so this needs no C toolchain. Returns
+    ``(units, skipped)``: ``(ir, instrs, machine)`` per unit, and the
+    number of loops the builder refused (they stay on the node path).
+    """
+    units: list = []
+    skipped = 0
+    for width in widths:
+        machine = BatchMachine(compiled.context.c,
+                               _static_resources(compiled, matrices, width),
+                               width)
+        _seed_hbm(machine, compiled)
+        _prepare_buffers(machine, compiled.program.instructions)
+        executor = BatchExecutor(machine, jit=False, verify=False)
+        skipped += _loop_units(executor, compiled.program.instructions,
+                               units)
+    return units, skipped
 
 
 def verify_codegen(compiled: Any, matrices: dict, *,
                    batch: int = 2) -> VerificationReport:
     """Statically lift and verify every generated-C unit of a program.
 
-    ``compiled`` is a :class:`~repro.hw.compiler.CompiledProgram`;
-    ``matrices`` maps streamed-matrix names (``P``/``A``/``At``) to
-    their :class:`~repro.sparse.csr.CSRMatrix` structures. Every loop
-    of the nest is lifted for both tiers (solo whole-loop fusion and
-    lane-masked batched whole-loop fusion at the given ``batch``
-    width) exactly as the runtime builders would emit it — same
-    builders — but against statically seeded machines, so this needs no C toolchain
-    and runs identically in a cffi-less environment.
+    Lifts (:func:`lift_units`) every loop of the nest at width 1 — the
+    unit a solo machine and a one-lane batch build — and at ``batch``
+    lanes, then verifies each unit.
     """
     report = VerificationReport(
         subject=f"codegen:{getattr(compiled, 'algorithm', 'admm')}",
         passes=["codegen"])
-    units: list = []
-    skipped = [0]
-
-    solo_machine = Machine(compiled.context.c,
-                           _static_resources(compiled, matrices))
-    _seed_hbm(solo_machine, compiled, None)
-    _prepare_buffers(solo_machine, compiled.program.instructions, None)
-    solo_exec = CompiledExecutor(solo_machine, jit=False, verify=False)
-    _loop_units(solo_exec, _LoopBuilder, compiled.program.instructions,
-                units, skipped)
-
-    batch_machine = BatchMachine(
-        compiled.context.c,
-        _static_resources(compiled, matrices, batch=batch), batch)
-    _seed_hbm(batch_machine, compiled, batch)
-    _prepare_buffers(batch_machine, compiled.program.instructions, batch)
-    batch_exec = BatchExecutor(batch_machine, jit=False, verify=False)
-    _loop_units(batch_exec, _BatchLoopBuilder,
-                compiled.program.instructions, units, skipped)
-
-    counts = dict.fromkeys(TIERS, 0)
+    widths = tuple(sorted({1, int(batch)}))
+    units, skipped = lift_units(compiled, matrices, widths)
+    counts = dict.fromkeys(widths, 0)
     for ir, instrs, machine in units:
-        counts[ir.tier] += 1
+        counts[ir.batch] += 1
         report.extend(verify_effect_ir(ir, instrs, machine))
+    per_width = ", ".join(f"{counts[width]} at B={width}"
+                          for width in widths)
     report.info(
         "codegen-coverage",
-        f"analyzed {len(units)} generated unit(s): "
-        f"{counts['loop']} whole-loop, {counts['batch-loop']} batch "
-        f"whole-loop (batch={batch}); {skipped[0]} loop(s) stay on "
-        f"the node path",
+        f"analyzed {len(units)} generated unit(s) of tier loop: "
+        f"{per_width}; {skipped} loop(s) stay on the node path",
         Location("codegen"))
     return report
 

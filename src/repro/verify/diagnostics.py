@@ -125,12 +125,13 @@ DIAGNOSTIC_CODES: dict[str, str] = {
                                    "differs from the ISA semantics "
                                    "of its instruction",
     "codegen-kernel-body-drift": "an embedded kernel body differs "
-                                 "from the canonical cjit template",
+                                 "from the canonical kernel template",
     "codegen-cycle-mismatch": "an effect-IR charge table entry "
                               "disagrees with the static cost model",
-    "codegen-lane-mask-missing": "a batched whole-loop statement "
-                                 "writes, traps or exits on lanes "
-                                 "outside its frame's active-lane mask",
+    "codegen-lane-mask-missing": "a whole-loop statement writes, traps "
+                                 "or exits on lanes outside its "
+                                 "frame's active-lane mask, or a frame "
+                                 "does not leave once no lane is live",
     "codegen-coverage": "summary of generated units the codegen pass "
                         "analyzed (info)",
 }

@@ -30,3 +30,22 @@ class TestVerifyCLI:
         with pytest.raises(SystemExit) as excinfo:
             main(["--families", "nonexistent"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("width", ["0", "-3", "two"])
+    def test_batch_below_one_is_usage_error(self, width, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--families", "control", "--count", "1", "--codegen",
+                  "--batch", width])
+        assert excinfo.value.code == 2
+        assert "--batch" in capsys.readouterr().err
+
+    def test_batch_one_lifts_width_one_only(self, capsys):
+        rc = main(["--families", "control", "--count", "1", "--codegen",
+                   "--batch", "1", "--show", "info"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        coverage = [line for line in out.splitlines()
+                    if "codegen-coverage" in line]
+        assert coverage
+        for line in coverage:
+            assert "at B=1;" in line and "B=2" not in line

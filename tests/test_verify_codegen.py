@@ -7,9 +7,9 @@ an off-by-one loop bound, a dropped write-set entry, a reassociated
 expression, a mischarged cycle slot — and assert the verifier reports
 a *located* diagnostic with the stable code for exactly that defect
 class. The sweep tests assert the converse: every unit the backends
-would actually fuse, for both algorithms and both tiers, verifies
-with zero errors (no false positives), and every unit the runtime
-builds is among the lifted ones.
+would actually fuse, for both algorithms at one lane (the solo unit)
+and at two, verifies with zero errors (no false positives), and every
+unit the runtime builds is among the lifted ones.
 
 Runs without hypothesis (the property variants skip) and without
 cffi (the lift is static by construction).
@@ -34,6 +34,7 @@ from repro.exceptions import VerificationError
 from repro.experiments.runner import choose_width
 from repro.hw import accelerator_class, cjit
 from repro.hw.compiled import CompiledExecutor
+from repro.hw.machine import Machine
 from repro.problems import benchmark_suite, perturb_numeric
 from repro.solver import OSQPSettings
 from repro.serving.arch_cache import build_artifact
@@ -43,7 +44,7 @@ from repro.verify import (DIAGNOSTIC_CODES, Location, VerificationReport,
                           ensure_batch_verified, ensure_codegen_verified,
                           verify_effect_ir)
 
-MUTABLE_BOUNDS = ("elementwise", "flat", "laned", "reduce")
+MUTABLE_BOUNDS = ("flat", "laned", "reduce")
 
 CODEGEN_CODES = (
     "codegen-shape-mismatch", "codegen-index-out-of-bounds",
@@ -69,45 +70,31 @@ def artifact(algorithm):
 
 @lru_cache(maxsize=None)
 def lifted_units(algorithm):
-    """Every unit the backends would fuse, as (ir, instrs, machine)."""
-    art = artifact(algorithm)
+    """Every unit the backends would fuse at widths 1 and 2, as
+    (ir, instrs, machine)."""
     problem = suite_entry().problem
-    compiled = art.compiled
     matrices = {"P": problem.P, "A": problem.A, "At": problem.A.transpose()}
-    units, skipped = [], [0]
-
-    solo = cg.Machine(compiled.context.c,
-                      cg._static_resources(compiled, matrices))
-    cg._seed_hbm(solo, compiled, None)
-    cg._prepare_buffers(solo, compiled.program.instructions, None)
-    solo_exec = CompiledExecutor(solo, jit=False, verify=False)
-    cg._loop_units(solo_exec, cg._LoopBuilder, compiled.program.instructions,
-                   units, skipped)
-
-    bm = cg.BatchMachine(compiled.context.c,
-                         cg._static_resources(compiled, matrices, batch=2),
-                         2)
-    cg._seed_hbm(bm, compiled, 2)
-    cg._prepare_buffers(bm, compiled.program.instructions, 2)
-    batch_exec = cg.BatchExecutor(bm, jit=False, verify=False)
-    cg._loop_units(batch_exec, cg._BatchLoopBuilder,
-                   compiled.program.instructions, units, skipped)
+    units, _skipped = cg.lift_units(artifact(algorithm).compiled, matrices,
+                                    (1, 2))
     return tuple(units)
 
 
-def unit_for(tier, algorithm="admm", index=0):
-    """The ``index``-th lifted unit of ``tier`` in pre-order (for ADMM,
-    1 is the nested PCG loop)."""
-    units = [unit for unit in lifted_units(algorithm) if unit[0].tier == tier]
+def unit_for(width, algorithm="admm", index=0):
+    """The ``index``-th lifted unit of ``width`` lanes in pre-order (for
+    ADMM, 1 is the nested PCG loop)."""
+    units = [unit for unit in lifted_units(algorithm)
+             if unit[0].batch == width]
     if index >= len(units):
-        pytest.skip(f"no {tier} unit #{index} in the {algorithm} program")
+        pytest.skip(f"no width-{width} unit #{index} in the {algorithm} "
+                    f"program")
     return units[index]
 
 
-#: Units the parametrized mutations run on: (tier, algorithm, index).
-MUTATED_UNITS = [("loop", "admm", 0), ("loop", "admm", 1),
-                 ("loop", "pdqp", 0), ("batch-loop", "admm", 0),
-                 ("batch-loop", "pdqp", 0)]
+#: Units the parametrized mutations run on: (width, algorithm, index);
+#: the ``loop-*`` ids are the width-1 units a solo machine runs.
+MUTATED_UNITS = [(1, "admm", 0), (1, "admm", 1),
+                 (1, "pdqp", 0), (2, "admm", 0),
+                 (2, "pdqp", 0)]
 MUTATED_IDS = ["loop-admm", "loop-admm-pcg", "loop-pdqp", "batch-loop-admm",
                "batch-loop-pdqp"]
 
@@ -125,10 +112,10 @@ def codes_of(report):
 # ---------------------------------------------------------------------------
 # seeded defects -> located diagnostics with stable codes
 
-@pytest.mark.parametrize("tier,algorithm,index", MUTATED_UNITS,
+@pytest.mark.parametrize("width,algorithm,index", MUTATED_UNITS,
                          ids=MUTATED_IDS)
-def test_seeded_off_by_one_bound_is_caught(tier, algorithm, index):
-    ir, instrs, machine = unit_for(tier, algorithm, index)
+def test_seeded_off_by_one_bound_is_caught(width, algorithm, index):
+    ir, instrs, machine = unit_for(width, algorithm, index)
     pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
                      if s.index in MUTABLE_BOUNDS and s.bound > 0)
     mutated = clone(ir)
@@ -141,21 +128,8 @@ def test_seeded_off_by_one_bound_is_caught(tier, algorithm, index):
     assert str(stmt.instr_index) in found[0].location.path
 
 
-def test_seeded_dropped_loop_writeback_is_caught():
-    ir, instrs, machine = unit_for("loop")
-    assert ir.reg_writes, "loop unit writes no scalar registers"
-    dropped = sorted(ir.reg_writes)[0]
-    mutated = replace(ir, statements=list(ir.statements),
-                      reg_writes=frozenset(ir.reg_writes - {dropped}))
-    report = verify_effect_ir(mutated, instrs, machine)
-    assert "codegen-write-set-miss" in codes_of(report), report.render()
-    miss = next(d for d in report.errors
-                if d.code == "codegen-write-set-miss")
-    assert dropped in miss.message
-
-
 def test_seeded_phantom_vector_write_is_caught():
-    ir, instrs, machine = unit_for("batch-loop")
+    ir, instrs, machine = unit_for(2)
     pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
                      if s.dst is not None and s.dst.space == "vb")
     mutated = clone(ir)
@@ -165,10 +139,10 @@ def test_seeded_phantom_vector_write_is_caught():
     assert "codegen-write-set-miss" in codes_of(report), report.render()
 
 
-@pytest.mark.parametrize("tier,algorithm,index", MUTATED_UNITS,
+@pytest.mark.parametrize("width,algorithm,index", MUTATED_UNITS,
                          ids=MUTATED_IDS)
-def test_seeded_rewritten_expression_is_caught(tier, algorithm, index):
-    ir, instrs, machine = unit_for(tier, algorithm, index)
+def test_seeded_rewritten_expression_is_caught(width, algorithm, index):
+    ir, instrs, machine = unit_for(width, algorithm, index)
     pos, stmt = next(
         (i, s) for i, s in enumerate(ir.statements)
         if s.expr and s.op in ("copy", "ewmul", "axpby", "scale_add",
@@ -185,9 +159,9 @@ def test_seeded_rewritten_expression_is_caught(tier, algorithm, index):
 
 
 def test_seeded_mischarged_cycle_slot_is_caught():
-    for tier in ("loop", "batch-loop"):
-        ir, instrs, machine = unit_for(tier)
-        assert ir.charges, f"{tier} unit has no charge table"
+    for width in (1, 2):
+        ir, instrs, machine = unit_for(width)
+        assert ir.charges, f"width-{width} unit has no charge table"
         charges = list(ir.charges)
         cycles, by_class, count = charges[0]
         charges[0] = (cycles + 1, by_class, count)
@@ -205,7 +179,7 @@ def test_seeded_mischarged_cycle_slot_is_caught():
     ("scalar:div", "if (m1[j] && "),  # a trap check (PCG frame)
 ])
 def test_seeded_unmasked_batch_loop_statement_is_caught(op, guard):
-    ir, instrs, machine = unit_for("batch-loop")
+    ir, instrs, machine = unit_for(2)
     pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
                      if s.op == op and guard in s.text)
     mutated = clone(ir)
@@ -222,7 +196,7 @@ def test_seeded_unmasked_batch_loop_statement_is_caught(op, guard):
 
 
 def test_seeded_wrong_frame_exit_is_caught():
-    ir, instrs, machine = unit_for("batch-loop")
+    ir, instrs, machine = unit_for(2)
     pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
                      if s.op == "control" and "goto loop_exit_1" in s.text)
     mutated = clone(ir)
@@ -232,8 +206,73 @@ def test_seeded_wrong_frame_exit_is_caught():
     assert "codegen-lane-mask-missing" in codes_of(report), report.render()
 
 
+def test_seeded_unguarded_b2_write_is_caught():
+    """Each guarded write of a two-lane unit, its guard removed."""
+    ir, instrs, machine = unit_for(2)
+    positions = [i for i, s in enumerate(ir.statements)
+                 if re.search(r"if \(m\d+\[j\]\) ", s.text)]
+    assert positions
+    for pos in positions:
+        stmt = ir.statements[pos]
+        mutated = clone(ir)
+        mutated.statements[pos] = replace(
+            stmt, text=re.sub(r"if \(m\d+\[j\]\) ", "", stmt.text,
+                              count=1))
+        report = verify_effect_ir(mutated, instrs, machine)
+        assert "codegen-lane-mask-missing" in codes_of(report), \
+            report.render()
+
+
+def test_seeded_b1_control_without_exit_is_caught():
+    """A one-lane unit drops its write guards only because a Control
+    that clears the lane leaves the frame: one that does not is
+    rejected."""
+    ir, instrs, machine = unit_for(1)
+    pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
+                     if s.op == "control")
+    exit_line = next(line for line in stmt.text.splitlines(True)
+                     if "goto loop_exit_" in line)
+    mutated = clone(ir)
+    mutated.statements[pos] = replace(stmt,
+                                      text=stmt.text.replace(exit_line, ""))
+    report = verify_effect_ir(mutated, instrs, machine)
+    found = [d for d in report.errors
+             if d.code == "codegen-lane-mask-missing"]
+    assert found, report.render()
+    assert str(stmt.instr_index) in found[0].location.path
+
+
+def test_seeded_b1_missing_trip_head_exit_is_caught():
+    """Every frame's trip head must leave the frame with no live lane:
+    the nested PCG frame's entry, and frame 0's in the function head."""
+    ir, instrs, machine = unit_for(1, "admm")
+    pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
+                     if s.op == "loop")
+    mutated = clone(ir)
+    mutated.statements[pos] = replace(
+        stmt, text=stmt.text.replace("if (!live) goto loop_exit_1;", ""))
+    report = verify_effect_ir(mutated, instrs, machine)
+    assert "codegen-lane-mask-missing" in codes_of(report), report.render()
+    headless = replace(ir, statements=list(ir.statements),
+                       source=ir.source.replace(
+                           "if (!live) goto loop_exit_0;", "", 1))
+    report = verify_effect_ir(headless, instrs, machine)
+    assert "codegen-lane-mask-missing" in codes_of(report), report.render()
+
+
+def test_b1_units_carry_no_guards():
+    """The one-lane unit is the solo fast path: a literal lane count
+    and no per-write or per-trap mask tests."""
+    for algorithm in ("admm", "pdqp"):
+        ir, _instrs, _machine = unit_for(1, algorithm)
+        assert "const long bt = 1;" in ir.source
+        assert "L[0]" not in ir.source.split("for (long it0", 1)[0]
+        assert not re.search(r"if \(m\d+\[j\]\) ", ir.source)
+        assert not re.search(r"m\d+\[j\] && .* return", ir.source)
+
+
 def test_seeded_reordered_statements_are_caught():
-    ir, instrs, machine = unit_for("batch-loop")
+    ir, instrs, machine = unit_for(2)
     mutated = clone(ir)
     a, b = mutated.statements[0], mutated.statements[1]
     mutated.statements[0] = replace(b)
@@ -249,7 +288,7 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_any_bound_inflation_is_caught(data):
-        ir, instrs, machine = unit_for("batch-loop")
+        ir, instrs, machine = unit_for(data.draw(st.sampled_from([1, 2])))
         candidates = [(i, s) for i, s in enumerate(ir.statements)
                       if s.index in MUTABLE_BOUNDS and s.bound > 0]
         pos, stmt = data.draw(st.sampled_from(candidates))
@@ -262,7 +301,7 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_any_charge_perturbation_is_caught(data):
-        ir, instrs, machine = unit_for("loop")
+        ir, instrs, machine = unit_for(1)
         charges = list(ir.charges)
         slot = data.draw(st.integers(min_value=0,
                                      max_value=len(charges) - 1))
@@ -288,18 +327,19 @@ def test_every_lifted_unit_verifies_clean(algorithm):
         assert not report.errors, report.render()
 
 
-def test_both_tiers_are_covered():
-    tiers = {ir.tier for algorithm in ("admm", "pdqp")
-             for ir, _instrs, _machine in lifted_units(algorithm)}
-    assert tiers == {"loop", "batch-loop"}
-    assert tiers == set(cg.TIERS)
+def test_both_widths_are_covered():
+    units = [ir for algorithm in ("admm", "pdqp")
+             for ir, _instrs, _machine in lifted_units(algorithm)]
+    assert {ir.tier for ir in units} == set(cg.TIERS) == {"loop"}
+    assert {ir.batch for ir in units} == {1, 2}
 
 
 @pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
 def test_runtime_units_are_lifted(algorithm, monkeypatch):
-    """Every unit a solo solve and a B=2 batch run build at runtime is
-    one the static lift verifies (nested loops included: a solo ADMM
-    solve fuses its PCG loop on its own)."""
+    """A solo solve builds exactly the units a one-lane batch builds,
+    and every unit the runtime builds is one the static lift verifies
+    at its width (nested loops included: a solo ADMM solve fuses its
+    PCG loop on its own)."""
     if not cjit.available():
         pytest.skip("no C toolchain: the runtime fuses no loop")
     art = artifact(algorithm)
@@ -308,22 +348,31 @@ def test_runtime_units_are_lifted(algorithm, monkeypatch):
     verify = cg.ensure_codegen_verified
 
     def spy(ir, instrs, machine, **kwargs):
-        built.append((ir.tier, ir.digest()))
+        built.append((ir.batch, ir.digest()))
         return verify(ir, instrs, machine, **kwargs)
+
+    def run(problems):
+        built.clear()
+        BatchAccelerator(problems, art.customization, settings,
+                         compiled=art.compiled, algorithm=algorithm,
+                         max_pcg_iter=art.max_pcg_iter).run()
+        return set(built)
 
     monkeypatch.setattr(cg, "ensure_codegen_verified", spy)
     settings = OSQPSettings()
     accelerator_class(algorithm).bind(
         problem, art.customization, settings, art.compiled,
         max_pcg_iter=art.max_pcg_iter).run()
-    BatchAccelerator([problem, perturb_numeric(problem, seed=1)],
-                     art.customization, settings, compiled=art.compiled,
-                     algorithm=algorithm,
-                     max_pcg_iter=art.max_pcg_iter).run()
-    assert {tier for tier, _digest in built} == {"loop", "batch-loop"}
-    lifted = {(ir.tier, ir.digest())
+    solo = set(built)
+    one_lane = run([problem])
+    two_lanes = run([problem, perturb_numeric(problem, seed=1)])
+    assert solo and solo == one_lane
+    assert {width for width, _digest in solo} == {1}
+    assert {width for width, _digest in two_lanes} == {2}
+    lifted = {(ir.batch, ir.digest())
               for ir, _instrs, _machine in lifted_units(algorithm)}
-    assert set(built) <= lifted
+    assert solo <= lifted
+    assert two_lanes <= lifted
 
 
 @pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
@@ -338,7 +387,7 @@ def test_artifact_report_passes(algorithm):
 # guard wiring
 
 def test_ensure_codegen_verified_raises_with_report():
-    ir, instrs, machine = unit_for("loop")
+    ir, instrs, machine = unit_for(1)
     charges = list(ir.charges)
     cycles, by_class, count = charges[0]
     charges[0] = (cycles + 3, by_class, count)
@@ -350,7 +399,7 @@ def test_ensure_codegen_verified_raises_with_report():
 
 
 def test_ensure_codegen_verified_memoizes_acceptance():
-    ir, instrs, machine = unit_for("loop", "pdqp")
+    ir, instrs, machine = unit_for(1, "pdqp")
     ensure_codegen_verified(ir, instrs, machine)
     assert cg._VERIFIED.get(ir.digest()) is True
     ensure_codegen_verified(ir, instrs, machine)  # cache hit, no raise
@@ -364,7 +413,7 @@ def test_batch_guard_runs_codegen_pass_once():
 
 
 def test_env_kill_switch_disables_runtime_guard(monkeypatch):
-    _ir, _instrs, machine = unit_for("loop", "pdqp")
+    machine = Machine(4, {})
     monkeypatch.setenv("REPRO_VERIFY_CODEGEN", "0")
     assert CompiledExecutor(machine, jit=False).verify is False
     monkeypatch.delenv("REPRO_VERIFY_CODEGEN")
