@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from conftest import bench_count, bench_scale, print_rows
+from conftest import bench_count, bench_scale, host_info, print_rows
 
 from repro.customization import customize_problem
 from repro.hw.accelerator import RSQPAccelerator
@@ -39,6 +39,9 @@ CASES = [("control", 8), ("eqqp", 40), ("huber", 40), ("lasso", 30),
 PCG_DOMINATED = ("control", "eqqp", "huber")
 
 SPEEDUP_FLOOR = 5.0
+
+#: Timed solves per case and backend, after one warm-up solve.
+REPEATS = 2
 
 
 def _solve(problem, cust, backend, repeats):
@@ -70,8 +73,8 @@ def test_sim_backend_speedup(benchmark):
     for family, size in cases:
         problem = generate(family, size, seed=0)
         cust = customize_problem(problem, 16)
-        ri, si, ti = _solve(problem, cust, "interpret", repeats=2)
-        rc, sc, tc = _solve(problem, cust, "compiled", repeats=2)
+        ri, si, ti = _solve(problem, cust, "interpret", REPEATS)
+        rc, sc, tc = _solve(problem, cust, "compiled", REPEATS)
 
         # The contract, not just a sanity check: same bits, same cycles.
         assert np.array_equal(ri.x, rc.x), (family, size)
@@ -111,6 +114,8 @@ def test_sim_backend_speedup(benchmark):
     benchmark(hot_solve)
 
     payload = {
+        "host": host_info(),
+        "repeats": REPEATS,
         "speedup_floor": SPEEDUP_FLOOR,
         "pcg_dominated_families": list(PCG_DOMINATED),
         "bench_count": count,

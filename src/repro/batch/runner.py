@@ -232,7 +232,7 @@ class BatchAccelerator:
         a_vals = vals[plan.nnz_p:]
         for name, values in (("P", vals[:plan.nnz_p]), ("A", a_vals),
                              ("At", plan.at_values(a_vals))):
-            machine.matrices[name].kernel.val[...] = values
+            machine.matrices[name].update_values(values)
         for name, values in vectors.items():
             machine.write_hbm(name, values)
         for b, lane_vectors in enumerate(warm):
@@ -241,9 +241,7 @@ class BatchAccelerator:
         for name, value in registers.items():
             machine.scalar_buffer(name)[...] = value
         self.deadline_ats = deadline_ats
-        machine.stats.reset()
-        for trips in machine.lane_loop_iterations.values():
-            trips.fill(0)
+        machine.reset_stats()
 
     # ------------------------------------------------------------------
     def _run(self, program, mask) -> None:
@@ -295,10 +293,9 @@ class BatchAccelerator:
         converged = np.zeros(batch, dtype=bool)
         missed = np.zeros(batch, dtype=bool)
         faulted = np.zeros(batch, dtype=bool)
-        everyone = np.ones(batch, dtype=bool)
         interval = max(first._segment_length(), 1)
 
-        self._run(first._prologue_program, everyone)
+        self._run(first._prologue_program, None)
         remaining = self.settings.max_iter
         while remaining > 0 and active.any():
             self._expire_deadlines(active, missed)
@@ -323,7 +320,7 @@ class BatchAccelerator:
                 break
             if remaining > 0:
                 self._segment_boundary(active)
-        self._run(first._epilogue_program, everyone)
+        self._run(first._epilogue_program, None)
         return self._collect(converged, missed, faulted)
 
     def _segment_boundary(self, active) -> None:

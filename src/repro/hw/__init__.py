@@ -6,7 +6,7 @@ from .accelerator import (Accelerator, RSQPAccelerator, RSQPResult,
 from .asm import (ROM_WORD_BYTES, decode_program, disassemble,
                   encode_program, rom_words)
 from .batched import BatchExecutor, BatchMachine, BatchMatrixResource
-from .compiled import BACKENDS, CompiledExecutor, validate_backend
+from .compiled import BACKENDS, validate_backend
 from .compiler import (ADMM_LOOP, PCG_LOOP, PDHG_LOOP, CompiledProgram,
                        attach_costs, compile_osqp_program,
                        compile_pdqp_program)
@@ -75,7 +75,6 @@ __all__ = [
     "ExecutionStats",
     "CYCLE_CLASSES",
     "BACKENDS",
-    "CompiledExecutor",
     "validate_backend",
     "BatchExecutor",
     "BatchMachine",

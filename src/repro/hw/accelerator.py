@@ -15,6 +15,17 @@ warm start and the between-segment step.
 adaptive rho; :class:`repro.hw.pdqp.PDQPAccelerator` runs restarted
 PDHG. The drivers return the *unscaled* solution plus the cycle
 statistics that drive the performance model.
+
+The ``"interpret"`` backend binds a :class:`~repro.hw.machine.Machine`
+and runs its instruction-at-a-time interpreter, the oracle. The
+``"compiled"`` backend binds one lane of a
+:class:`~repro.hw.batched.BatchMachine` — solo is a batch of one — and
+runs it through :class:`~repro.hw.batched.BatchExecutor`, the executor
+every batch uses. The driver reaches either machine through the same
+host accessors (``write_hbm``, ``read_hbm``, ``set_scalar``,
+``scalar``, ``injector``, ``reset_stats``) and restores checkpoints in
+place, since the compiled machine's closures and fused loops hold its
+buffers.
 """
 
 from __future__ import annotations
@@ -33,7 +44,8 @@ from ..solver.algorithms import get_algorithm
 from ..solver.host import (admm_initial_step, admm_step_vectors,
                            balanced_step, rho_vector)
 from ..solver.settings import RHO_MAX, RHO_MIN
-from .compiled import CompiledExecutor, validate_backend
+from .batched import BatchExecutor, BatchMachine, BatchMatrixResource
+from .compiled import validate_backend
 from .compiler import (ADMM_LOOP, PCG_LOOP, CompiledProgram, attach_costs,
                        compile_osqp_program)
 from .frequency import fmax_mhz
@@ -142,12 +154,13 @@ class Accelerator:
         skipped — the warm path that the serving layer's architecture
         cache amortizes across structurally identical problems.
     backend:
-        ``"compiled"`` (default) lowers programs to fused numpy
-        closures with bulk cycle accounting (see
-        :mod:`repro.hw.compiled`); ``"interpret"`` executes through
-        the per-instruction interpreter. Both produce bit-identical
-        solutions and identical cycle statistics; the interpreter is
-        kept as the differential-testing oracle.
+        ``"compiled"`` (default) runs the program on a one-lane
+        :class:`~repro.hw.batched.BatchMachine` through fused numpy
+        closures and whole-loop C units with bulk cycle accounting
+        (see :mod:`repro.hw.compiled`); ``"interpret"`` executes
+        through the per-instruction interpreter. Both produce
+        bit-identical solutions and identical cycle statistics; the
+        interpreter is kept as the differential-testing oracle.
     verify:
         When True (default), statically verify the program against
         the host download contract before any execution (see
@@ -186,6 +199,10 @@ class Accelerator:
     scaling: Any
     work: Any
     _work_at: Any
+    # Bound by ``_build_machine``: the card, and what runs its programs
+    # (the interpreter runs itself).
+    machine: "Machine | BatchMachine"
+    _executor: "Machine | BatchExecutor"
 
     def __init__(self, problem: QProblem,
                  customization: ProblemCustomization | None, settings,
@@ -268,26 +285,32 @@ class Accelerator:
         raise NotImplementedError
 
     def _build_machine(self) -> None:
-        """Bind the (numeric) scaled matrices to the simulated card."""
+        """Bind the (numeric) scaled matrices to the simulated card: the
+        interpreter's machine, or one lane of the compiled backend's."""
         customization = self.customization
         streams = {"P": self.work.P, "A": self.work.A, "At": self._work_at}
-        self.machine = Machine(self.c, {
+        resources = {
             name: MatrixResource(
                 name=name, matrix=streams[name],
                 spmv_cycles=customization.matrices[name].spmv_cycles,
                 cvb_depth=customization.matrices[name].duplication_cycles)
-            for name in MATRICES})
-        # Armed before the executor exists, so lowering sees the hook.
-        self.machine.injector = self.fault_injector
-        self._executor = (CompiledExecutor(self.machine,
-                                           verify=self._verify)
-                          if self.backend == "compiled" else None)
+            for name in MATRICES}
+        machine: Machine | BatchMachine
+        if self.backend == "compiled":
+            machine = BatchMachine(self.c, {
+                name: BatchMatrixResource(name, resource, 1)
+                for name, resource in resources.items()}, 1)
+            for name in MATRICES:
+                machine.matrices[name].update_values(streams[name].data)
+            self._executor = BatchExecutor(machine, verify=self._verify)
+        else:
+            machine = self._executor = Machine(self.c, resources)
+        machine.injector = self.fault_injector
+        self.machine = machine
 
     def _run_program(self, program) -> ExecutionStats:
         """Execute through the selected backend (shared machine state)."""
-        if self._executor is not None:
-            return self._executor.run(program)
-        return self.machine.run(program)
+        return self._executor.run(program)
 
     def _build_programs(self) -> None:
         """Construct every host-issued Program once, at bind time.
@@ -344,7 +367,8 @@ class Accelerator:
         vectors and scalar registers. After this call the machine is
         bit-identical to a freshly constructed accelerator for
         ``problem``, except that a ``carried_step`` (not None) replaces
-        the cold-start step size.
+        the cold-start step size, and its accounting restarts at zero,
+        so the next :meth:`run` reports what a fresh bind's does.
         """
         # The plan's structure check raises before anything changes.
         scaling = ruiz_equilibrate(problem, self.settings.scaling,
@@ -356,6 +380,7 @@ class Accelerator:
         machine.matrices["P"].update_values(self.work.P.data)
         machine.matrices["A"].update_values(self.work.A.data)
         machine.matrices["At"].update_values(self._work_at.data)
+        machine.reset_stats()
         self._download()
 
     def _check_compiled(self, compiled: CompiledProgram) -> None:
@@ -496,12 +521,12 @@ class Accelerator:
         if self.anchors:
             self._run_program(self._store_program)
             for anchor, iterate in self.anchors:
-                machine.write_hbm(anchor, machine.read_hbm(iterate).copy())
+                machine.write_hbm(anchor, machine.read_hbm(iterate))
             self._run_program(self._anchor_program)
             for name, value in self.restart_scalars:
                 machine.set_scalar(name, value)
             self.restarts += 1
-        if self._rebalance(*(machine.scalars.get(name, 0.0)
+        if self._rebalance(*(machine.scalar(name, 0.0)
                              for name in RESIDUALS)):
             self._install_step()
             if self.step_reload:
@@ -510,11 +535,11 @@ class Accelerator:
     # -- fault detection and recovery ----------------------------------
     def _snapshot_state(self) -> tuple:
         """Checkpoint of the cross-segment state (``state_names`` +
-        scalar registers), taken at segment boundaries."""
+        scalar register values), taken at segment boundaries."""
         machine = self.machine
         vb = {name: machine.vb[name].copy()
               for name in self.state_names if name in machine.vb}
-        return vb, dict(machine.scalars)
+        return vb, {name: machine.scalar(name) for name in machine.scalars}
 
     def _state_corrupted(self, prev_worst: float, recovery) -> bool:
         """Non-finite iterates / residuals, or residual divergence."""
@@ -523,7 +548,7 @@ class Accelerator:
             buf = machine.vb.get(name)
             if buf is not None and not np.all(np.isfinite(buf)):
                 return True
-        worst = machine.scalars.get("worst")
+        worst = machine.scalar("worst")
         if worst is not None and not np.isfinite(worst):
             return True
         if (worst is not None and np.isfinite(prev_worst)
@@ -539,6 +564,8 @@ class Accelerator:
         downloads the pristine HBM vectors and the accelerator reloads
         its on-chip copies (charged as data transfers — the reload is
         the rollback's bounded cost, on top of re-running one segment).
+        Buffers and registers are restored in place: the compiled
+        backend's closures and fused loops hold them.
         """
         machine = self.machine
         self._download()
@@ -550,8 +577,8 @@ class Accelerator:
                 np.copyto(buf, arr)  # keep compiled stable buffers
             else:
                 machine.vb[name] = arr.copy()
-        machine.scalars.clear()
-        machine.scalars.update(scalar_snap)
+        for name, value in scalar_snap.items():
+            machine.set_scalar(name, value)
 
     def run(self) -> RSQPResult:
         """Execute the solve: prologue, loop segments with the host step
@@ -609,7 +636,7 @@ class Accelerator:
                 self._rollback(checkpoint)
                 continue  # re-run the segment; budget stays
             remaining -= executed
-            if machine.scalars.get("worst", np.inf) < 1.0:
+            if machine.scalar("worst", np.inf) < 1.0:
                 converged = True
                 break
             if executed < segment:  # defensive: loop exited unconverged
@@ -618,7 +645,7 @@ class Accelerator:
                 self._segment_boundary()
             if guard:
                 checkpoint = self._snapshot_state()
-                worst = machine.scalars.get("worst")
+                worst = machine.scalar("worst")
                 if worst is not None and np.isfinite(worst):
                     prev_worst = worst
         self._run_program(self._epilogue_program)

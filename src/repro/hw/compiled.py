@@ -1,57 +1,45 @@
-"""Compiled execution backend: lower programs to fused numpy closures.
+"""Compiled execution backend: the shared lowering tables and the one
+whole-loop C emitter.
 
 The interpreter in :mod:`repro.hw.machine` pays a per-instruction
 Python ``isinstance`` dispatch, dict lookups for every operand, and a
 :meth:`~repro.hw.machine.ExecutionStats.charge` call per instruction —
-executed thousands of times per QP solve. This module mirrors the
-paper's one-time-customization / cheap-per-solve split at the simulator
-level: a :class:`CompiledExecutor` lowers each straight-line run of
-instructions ("basic block", split at :class:`~repro.hw.isa.Control`
-tests and nested :class:`~repro.hw.isa.Loop` nodes) into a list of
-fused closures, once, on the block's first execution.
+executed thousands of times per QP solve. The compiled backend mirrors
+the paper's one-time-customization / cheap-per-solve split at the
+simulator level. Its one executor,
+:class:`~repro.hw.batched.BatchExecutor`, runs every compiled program
+on a lane-minor :class:`~repro.hw.batched.BatchMachine`: B lockstep
+instances for a batch, and one lane for a solo accelerator — solo is a
+batch of one. It lowers each straight-line run of instructions (a
+"basic block", split at :class:`~repro.hw.isa.Control` tests and nested
+:class:`~repro.hw.isa.Loop` nodes) into fused numpy closures over
+stable in-place buffers, once, on the block's first execution, and
+charges a block's pre-aggregated cycle cost with one
+:meth:`~repro.hw.machine.ExecutionStats.charge_block` call.
 
-What lowering precomputes:
+This module holds what that lowering and the generated C share:
 
-* **Operand binding** — every vector operand resolves its buffer once;
-  closures capture the arrays directly. To make that sound, the
-  compiled backend maintains *one stable numpy buffer per VB/CVB name*
-  and performs all writes in place (``out=`` ufuncs / ``np.copyto``),
-  so a host re-download of e.g. ``rho`` lands in the very array the
-  ADMM-body closures already hold. Consequence: vector lengths are
-  static per name (the ISA programs we compile always are).
-* **Scalar ops** — operands that are literals are constant-folded;
-  register operands become direct dict accesses with no
-  ``isinstance`` test per execution.
-* **Cycle accounting** — per-instruction costs in this ISA are
-  state-independent (lengths are static), so a block's total cycles,
-  per-class breakdown and instruction count are computed during the
-  first (charging) execution and afterwards applied with a single
-  :meth:`~repro.hw.machine.ExecutionStats.charge_block` call per block
-  execution instead of N ``charge`` calls. Only Control exits are
-  evaluated numerically each iteration.
-* **Whole-loop fusion** — when a C toolchain is available (see
+* the backend names (:data:`BACKENDS`);
+* the scalar float kernels (``_s_*``), the C forms of the scalar ops
+  (:data:`SCALAR_C`) and the vector fold table (:func:`vector_fold`):
+  coefficients of exactly ``+-1.0`` fold their multiply away, an exact
+  IEEE identity, so every form emits the interpreter's bits;
+* **whole-loop fusion** — when a C toolchain is available (see
   :mod:`repro.hw.cjit`), an entire :class:`~repro.hw.isa.Loop` body
   (vector ops, SpMV, scalar arithmetic, Control exit tests, nested
   loops, cycle accounting) compiles into a single generated C function
   entered once per loop execution, so the hot ADMM/PDHG iteration pays
   zero Python dispatch. One builder (:class:`_LoopBuilder`) emits every
-  fused loop over lane-minor ``(len, B)`` buffers: the batch executor
-  in :mod:`repro.hw.batched` at its lane count, this executor as the
-  one-lane case, whose scalar registers travel through per-register
-  ``(1,)`` staging buffers (:class:`_StagedLoop`). The generated
-  per-element expressions replicate the closure fold table below
-  exactly and SpMV/DOT keep the engine kernels' sequential order, so
-  fused, unfused and interpreted execution all produce the same bits.
-  Built only after the body's segments have bound (one node-path
-  run), bypassed whenever a fault injector is armed, and falls back to
-  the node path on any unsupported body — same bits either way. Loop
-  sources depend only on the instruction pattern and the lane count,
-  so the hash-addressed disk cache compiles each program shape once,
-  ever, and a solo structure shares its module with a one-lane batch.
-  Everything outside a fused loop (prologues, epilogues, a loop's
-  first run) runs as the closures. The node-path scaffold
-  (:class:`_NodeExecutor`, :class:`_Segment`) is shared with the batch
-  executor too.
+  fused loop over lane-minor ``(len, B)`` buffers at the machine's lane
+  count; the B=1 unit is a solo solve's loop. The generated
+  per-element expressions replicate the closure fold table exactly and
+  SpMV/DOT keep the engine kernels' sequential order, so fused,
+  unfused and interpreted execution all produce the same bits. A unit
+  is built only after the body's segments have bound (one node-path
+  run), bypassed whenever a fault injector is armed, and the node path
+  stays on any unsupported body — same bits either way. Loop sources
+  depend only on the instruction pattern and the lane count, so the
+  hash-addressed disk cache compiles each program shape once, ever.
 
 The interpreter remains the differential-testing oracle: on error-free
 runs the compiled backend produces bit-identical machine state and
@@ -62,21 +50,15 @@ are applied after the block's closures run).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from ..exceptions import ShapeError, SimulationError, VerificationError
-from ..sparse import kernels
+from ..exceptions import SimulationError
 from . import cjit
 from .effect_ir import BufferRef, EffectIR, EffectStatement
-from .isa import (BINARY_SCALAR_OPS, Control, DataTransfer, Loop, Program,
-                  ScalarOp, ScalarOpKind, SpMV, VecDup, VectorOp,
-                  VectorOpKind)
-from .machine import Machine, _LoopExit
+from .isa import (BINARY_SCALAR_OPS, Control, Loop, ScalarOp, ScalarOpKind,
+                  SpMV, VecDup, VectorOp, VectorOpKind)
 
-__all__ = ["CompiledExecutor", "BACKENDS", "validate_backend",
-           "literal_operand"]
+__all__ = ["BACKENDS", "validate_backend", "literal_operand"]
 
 #: The two execution backends every runner exposes.
 BACKENDS = ("interpret", "compiled")
@@ -93,20 +75,17 @@ def validate_backend(backend: str) -> str:
 def literal_operand(ref) -> float | None:
     """The float value of a literal operand, or None for a register.
 
-    Shared with the batched lowering (:mod:`repro.hw.batched`), which
-    must fold exactly the same ``+-1.0`` coefficient cases to stay
-    bit-identical with this backend's closures.
+    The closures (:mod:`repro.hw.batched`) and the generated C
+    (:func:`vector_fold`) fold exactly the same ``+-1.0`` coefficient
+    cases.
     """
     if ref is None or isinstance(ref, str):
         return None
     return float(ref)
 
 
-_literal = literal_operand
-
-
 # ---------------------------------------------------------------------------
-# scalar arithmetic kernels (float-in/float-out, shared fold + closure path)
+# scalar arithmetic kernels (float-in/float-out, for one-lane closures)
 
 def _s_add(a, b):
     return float(a + b)
@@ -152,632 +131,6 @@ _SCALAR_KERNELS = {
 
 
 # ---------------------------------------------------------------------------
-# lowered program nodes
-
-class _Segment:
-    """A straight-line basic block, lazily lowered on first execution.
-
-    The first execution charges and runs instruction by instruction
-    (identical observable behaviour to the interpreter, including where
-    an error leaves the stats); every later execution runs the fused
-    closures and *defers* the block's pre-aggregated cycle cost: a
-    pending execution counter accrues and the executor applies the
-    total with one ``charge_block`` per run (stats are only observed
-    between runs, never mid-program). Shared by the solo and batch
-    executors: in lockstep the block charges its full cost per
-    execution whatever the lane mask, since the sequencer issues every
-    instruction once per trip for however many lanes remain.
-    """
-
-    __slots__ = ("_executor", "_instructions", "_stats", "_fns",
-                 "_cycles", "_by_class", "_count", "pending")
-
-    def __init__(self, executor: "_NodeExecutor", instructions: list):
-        self._executor = executor
-        self._instructions = instructions
-        self._stats = executor.machine.stats
-        self._fns = None
-        self.pending = 0
-
-    def run(self) -> None:
-        fns = self._fns
-        if fns is None:
-            self._bind()
-            return
-        for fn in fns:
-            fn()
-        if self.pending == 0:
-            self._executor._dirty.append(self)
-        self.pending += 1
-
-    def flush(self) -> None:
-        count = self.pending
-        if count:
-            self.pending = 0
-            if count == 1:
-                self._stats.charge_block(self._cycles, self._by_class,
-                                         self._count)
-            else:
-                self._stats.charge_block(
-                    count * self._cycles,
-                    {k: count * v for k, v in self._by_class.items()},
-                    count * self._count)
-
-    def _bind(self) -> None:
-        executor = self._executor
-        machine = executor.machine
-        stats = self._stats
-        fns: list = []
-        total = 0
-        by_class: dict = {}
-        for instr in self._instructions:
-            kind = type(instr).__name__
-            cycles = instr.cycles(machine)
-            stats.charge(kind, cycles)
-            fn = executor._lower_instruction(instr)
-            fn()
-            fns.append(fn)
-            total += cycles
-            by_class[kind] = by_class.get(kind, 0) + cycles
-        self._count = len(fns)
-        self._fns = fns
-        self._cycles = total
-        self._by_class = by_class
-
-
-class _ControlNode:
-    """A Control exit test: evaluated every execution, charge deferred."""
-
-    __slots__ = ("_executor", "_stats", "_value", "_threshold", "pending")
-
-    def __init__(self, executor: "CompiledExecutor", instr: Control):
-        self._executor = executor
-        self._stats = executor.machine.stats
-        self._value = executor._scalar_reader(instr.reg)
-        self._threshold = executor._scalar_reader(instr.threshold_reg)
-        self.pending = 0
-
-    def run(self) -> None:
-        if self.pending == 0:
-            self._executor._dirty.append(self)
-        self.pending += 1
-        if self._value() < self._threshold():
-            raise _LoopExit()
-
-    def flush(self) -> None:
-        count = self.pending
-        if count:
-            self.pending = 0
-            self._stats.charge_block(count, {"Control": count}, count)
-
-
-class _LoopNode:
-    """A Loop wrapper; the body's lowered nodes are shared via the
-    executor cache, while ``max_iter``/``name`` are read from this
-    node's own Loop object (the accelerator re-wraps the same body
-    list in fresh Loop objects per adaptive-rho segment).
-
-    Once the body's segments are all bound (i.e. after the first full
-    execution), the executor attempts *whole-loop fusion*: one
-    generated C function covering the entire loop — vector ops, SpMV,
-    scalar arithmetic, Control tests, nested loops and cycle
-    accounting — entered once per :meth:`run`. Fusion is bypassed
-    whenever a fault injector is armed (hooks fire on the node path)
-    and falls back permanently on any unsupported body."""
-
-    __slots__ = ("_executor", "_loop", "_nodes", "_stats", "_fused")
-
-    def __init__(self, executor: "CompiledExecutor", loop: Loop):
-        self._executor = executor
-        self._loop = loop
-        self._nodes = executor._lower_block(loop.body)
-        self._stats = executor.machine.stats
-        self._fused = None
-
-    def run(self) -> None:
-        executor = self._executor
-        if executor.jit and executor.machine.injector is None:
-            fused = self._fused
-            if fused is None:
-                fused = fuse_loop(executor, self._loop.body, self._nodes)
-                if fused is not None:
-                    self._fused = fused
-            if fused and fused.run(self._loop):
-                return
-        loop = self._loop
-        nodes = self._nodes
-        iterations = 0
-        for _ in range(loop.max_iter):
-            try:
-                for node in nodes:
-                    node.run()
-                iterations += 1
-            except _LoopExit:
-                iterations += 1
-                break
-        counts = self._stats.loop_iterations
-        counts[loop.name] = counts.get(loop.name, 0) + iterations
-
-
-def _nodes_bound(nodes: list) -> bool:
-    """True when every segment in ``nodes`` (recursively) has bound.
-
-    Duck-typed over the solo and batch node classes: segments carry
-    ``_fns`` (None until bound), loops carry their body's ``_nodes``.
-    """
-    for node in nodes:
-        if getattr(node, "_fns", True) is None:
-            return False
-        inner = getattr(node, "_nodes", None)
-        if inner is not None and not _nodes_bound(inner):
-            return False
-    return True
-
-
-def fuse_loop(executor, body: list, nodes: list):
-    """Whole-loop fusion for ``body`` (cached by list identity in
-    ``executor._loop_fused``), shared by the solo and batch executors.
-
-    Returns the fused unit, ``False`` when the body is permanently
-    unfusable (unsupported instruction, nested zero-trip loop, compile
-    failure — the node path stays), or ``None`` when the body's
-    segments have not all bound yet (the caller retries on a later
-    run; only genuine build verdicts are cached).
-    """
-    key = id(body)
-    cached = executor._loop_fused.get(key)
-    if cached is not None and cached[0] is body:
-        return cached[1]
-    if not _nodes_bound(nodes):
-        return None
-    try:
-        builder = _LoopBuilder(executor)
-        builder.emit_body_ir(body)
-        if executor.verify:
-            from ..verify.codegen import ensure_codegen_verified
-            ensure_codegen_verified(builder.effect_ir(), body,
-                                    executor.machine)
-        fused = builder._finish_loop()
-    except VerificationError:
-        raise
-    except Exception:
-        fused = None
-    if fused is None:
-        fused = False
-    executor._loop_fused[key] = (body, fused)
-    return fused
-
-
-# ---------------------------------------------------------------------------
-
-class _NodeExecutor:
-    """The node-path scaffold shared by the solo and batch executors.
-
-    Lowers a block into :class:`_Segment`, Control and Loop nodes,
-    cached by the identity of the instruction *list* — the compiler's
-    section lists are long-lived, which is exactly what makes per-solve
-    reuse pay; a strong reference to the keyed list is kept so ``id()``
-    reuse after garbage collection can never alias two different
-    programs. Subclasses name their Control and Loop node types and
-    their fused-loop unit (float registers and lane masks really do
-    differ) and supply the per-instruction lowerings.
-    """
-
-    _CONTROL_NODE: type
-    _LOOP_NODE: type
-    _FUSED_LOOP: type
-    #: Lane count of the machine; the whole-loop builder specializes
-    #: the one-lane case.
-    batch = 1
-
-    def __init__(self, machine, jit: bool | None = None,
-                 verify: bool | None = None):
-        self.machine = machine
-        self._blocks: dict = {}
-        self._loop_fused: dict = {}
-        self._dirty: list = []
-        if jit is None:
-            self.jit = cjit.available()
-        else:
-            self.jit = bool(jit) and cjit.available()
-        # Static codegen verification of every fused unit before its
-        # first execution (memoized per effect-IR digest; see
-        # repro.verify.codegen). REPRO_VERIFY_CODEGEN=0 is a global
-        # kill switch that overrides any caller.
-        if verify is None:
-            verify = True
-        self.verify = (bool(verify) and
-                       os.environ.get("REPRO_VERIFY_CODEGEN", "1") != "0")
-
-    def _flush(self) -> None:
-        """Apply deferred block charges; stats are exact between runs."""
-        dirty = self._dirty
-        if dirty:
-            for node in dirty:
-                node.flush()
-            dirty.clear()
-
-    def _lower_block(self, items: list) -> list:
-        key = id(items)
-        cached = self._blocks.get(key)
-        if cached is not None and cached[0] is items:
-            return cached[1]
-        nodes: list = []
-        current: list = []
-        for item in items:
-            if isinstance(item, Loop):
-                if current:
-                    nodes.append(_Segment(self, current))
-                    current = []
-                nodes.append(self._LOOP_NODE(self, item))
-            elif isinstance(item, Control):
-                if current:
-                    nodes.append(_Segment(self, current))
-                    current = []
-                nodes.append(self._CONTROL_NODE(self, item))
-            else:
-                current.append(item)
-        if current:
-            nodes.append(_Segment(self, current))
-        self._blocks[key] = (items, nodes)
-        return nodes
-
-    # -- operand binding -------------------------------------------------
-    def _resident(self, name: str) -> np.ndarray:
-        machine = self.machine
-        if name in machine.vb:
-            return machine.vb[name]
-        if name in machine.cvb:
-            return machine.cvb[name]
-        raise SimulationError(f"vector {name!r} not resident on chip")
-
-    def _scalar_reader(self, ref):
-        """Deferred reader of a scalar register or literal.
-
-        Control nodes are constructed at block-lowering time, before
-        any instruction ran, so their operand registers may not exist
-        yet — hence resolution at every read."""
-        if isinstance(ref, str):
-            scalars = self.machine.scalars
-
-            def get():
-                try:
-                    return scalars[ref]
-                except KeyError:
-                    raise SimulationError(
-                        f"unknown scalar register {ref!r}") from None
-            return get
-        value = float(ref)
-        return lambda: value
-
-    def _lower_instruction(self, instr):
-        if isinstance(instr, ScalarOp):
-            return self._lower_scalar(instr)
-        if isinstance(instr, VectorOp):
-            return self._lower_vector(instr)
-        if isinstance(instr, DataTransfer):
-            return self._lower_transfer(instr)
-        if isinstance(instr, VecDup):
-            return self._lower_vecdup(instr)
-        if isinstance(instr, SpMV):
-            return self._lower_spmv(instr)
-        raise SimulationError(f"unknown instruction {instr!r}")
-
-
-class CompiledExecutor(_NodeExecutor):
-    """Run :class:`~repro.hw.isa.Program` objects against a
-    :class:`~repro.hw.machine.Machine` through lowered basic blocks.
-
-    The executor shares the machine's state dicts and stats object, so
-    host-side interactions (``write_hbm``, scalar reads, warm starts)
-    work unchanged. A fused loop is the one-lane case of the lane-minor
-    whole-loop unit: its scalar registers travel through per-register
-    ``(1,)`` staging buffers (:meth:`_register`) that the unit loads
-    from the register file before the call and writes back after it.
-    """
-
-    _CONTROL_NODE = _ControlNode
-    _LOOP_NODE = _LoopNode
-
-    def __init__(self, machine: Machine, jit: bool | None = None,
-                 verify: bool | None = None):
-        super().__init__(machine, jit, verify)
-        # Fault hooks bind the armed injector when a block lowers, so
-        # each injector gets its own lowering (see run). The
-        # fault-free one is kept for reuse.
-        self._clean_blocks = self._blocks
-        self._lowered_for = None
-        #: Register name -> its stable (1,) staging buffer.
-        self._staged: dict = {}
-
-    # -- execution -------------------------------------------------------
-    def run(self, program: Program):
-        """Execute ``program``; returns the machine's stats object.
-
-        A resident machine may be re-armed with a different injector
-        (or none) between runs; that switches to a lowering bound to
-        it, so hooks fire exactly as on a freshly built machine.
-        """
-        injector = self.machine.injector
-        if injector is not self._lowered_for:
-            self._lowered_for = injector
-            self._blocks = self._clean_blocks if injector is None else {}
-        try:
-            for node in self._lower_block(program.instructions):
-                node.run()
-        finally:
-            self._flush()
-        return self.machine.stats
-
-    # -- operand binding -------------------------------------------------
-    def _dst_buffer(self, space: dict, name: str, length: int) -> np.ndarray:
-        """The stable in-place destination buffer for ``name``."""
-        buf = space.get(name)
-        if (isinstance(buf, np.ndarray) and buf.dtype == np.float64
-                and buf.shape == (length,)):
-            return buf
-        buf = np.zeros(length)
-        space[name] = buf
-        return buf
-
-    def _register(self, name: str) -> np.ndarray:
-        """Register ``name``'s stable ``(1,)`` staging buffer, through
-        which fused loops read and write it."""
-        buf = self._staged.get(name)
-        if buf is None:
-            buf = self._staged[name] = np.zeros(1)
-        return buf
-
-    def _scalar_operand(self, ref):
-        """A fused loop's scalar operand: a float literal or the
-        register's staging buffer."""
-        lit = literal_operand(ref)
-        return self._register(ref) if lit is None else lit
-
-    # -- per-instruction lowering ---------------------------------------
-    def _hooked(self, fn, hook_name: str, site: str, buf: np.ndarray):
-        """Wrap a closure with the machine's fault-injection hook.
-
-        Bound at lowering time, in the injector's own lowering (see
-        :meth:`run`), so the fault-free path pays nothing.
-        """
-        injector = self.machine.injector
-        if injector is None:
-            return fn
-        hook = getattr(injector, hook_name)
-
-        def hooked():
-            fn()
-            hook(site, buf)
-        return hooked
-
-    def _lower_scalar(self, instr: ScalarOp):
-        if instr.op in BINARY_SCALAR_OPS and instr.src2 is None:
-            raise SimulationError(
-                f"binary scalar op {instr.op.value!r} has no src2 "
-                f"operand (dst={instr.dst!r})")
-        scalars = self.machine.scalars
-        dst = instr.dst
-        kernel = _SCALAR_KERNELS[instr.op]
-        a, b = instr.src1, instr.src2
-        a_reg = isinstance(a, str)
-        b_reg = isinstance(b, str)
-        if not a_reg:
-            a = float(a)
-        if b is not None and not b_reg:
-            b = float(b)
-
-        if not a_reg and not b_reg:
-            try:
-                value = kernel(a, b)
-            except SimulationError:
-                value = None  # fold would trap: keep the trapping closure
-            if value is not None:
-                def fn():
-                    scalars[dst] = value
-                return fn
-
-            def fn():
-                scalars[dst] = kernel(a, b)
-            return fn
-
-        if a_reg and b_reg:
-            def fn():
-                try:
-                    scalars[dst] = kernel(scalars[a], scalars[b])
-                except KeyError as exc:
-                    raise SimulationError(
-                        f"unknown scalar register {exc.args[0]!r}") from None
-        elif a_reg:
-            def fn():
-                try:
-                    scalars[dst] = kernel(scalars[a], b)
-                except KeyError:
-                    raise SimulationError(
-                        f"unknown scalar register {a!r}") from None
-        else:
-            def fn():
-                try:
-                    scalars[dst] = kernel(a, scalars[b])
-                except KeyError:
-                    raise SimulationError(
-                        f"unknown scalar register {b!r}") from None
-        return fn
-
-    def _lower_vector(self, instr: VectorOp):
-        machine = self.machine
-        kind = instr.op
-        srcs = instr.srcs
-        if kind is VectorOpKind.DOT:
-            kernel = kernels.bind_dot(self._resident(srcs[0]),
-                                      self._resident(srcs[1]))
-            scalars = machine.scalars
-            dst = instr.dst
-
-            def fn():
-                scalars[dst] = kernel()
-            return fn
-        if kind is VectorOpKind.AXPBY:
-            a = self._resident(srcs[0])
-            b = self._resident(srcs[1])
-            dst = self._dst_buffer(machine.vb, instr.dst, a.size)
-            # alpha/beta of exactly +-1.0 fold away their multiply:
-            # x*1.0 == x, (-1.0)*x == -x and u + (-v) == u - v are all
-            # exact IEEE identities, so these emit the same bits as the
-            # interpreter's alpha*a + beta*b with fewer ufunc calls.
-            al, be = _literal(instr.alpha), _literal(instr.beta)
-            if al == 1.0 and be == 1.0:
-                def fn():
-                    np.add(a, b, out=dst)
-                return fn
-            if al == 1.0 and be == -1.0:
-                def fn():
-                    np.subtract(a, b, out=dst)
-                return fn
-            if al == 1.0:
-                beta = self._scalar_reader(instr.beta)
-                t2 = np.empty_like(b)
-
-                def fn():
-                    np.multiply(b, beta(), out=t2)
-                    np.add(a, t2, out=dst)
-                return fn
-            if be == 1.0:
-                alpha = self._scalar_reader(instr.alpha)
-                t1 = np.empty_like(a)
-
-                def fn():
-                    np.multiply(a, alpha(), out=t1)
-                    np.add(t1, b, out=dst)
-                return fn
-            if be == -1.0:
-                alpha = self._scalar_reader(instr.alpha)
-                t1 = np.empty_like(a)
-
-                def fn():
-                    np.multiply(a, alpha(), out=t1)
-                    np.subtract(t1, b, out=dst)
-                return fn
-            if al == -1.0:
-                beta = self._scalar_reader(instr.beta)
-                t2 = np.empty_like(b)
-
-                def fn():
-                    np.multiply(b, beta(), out=t2)
-                    np.subtract(t2, a, out=dst)
-                return fn
-            alpha = self._scalar_reader(instr.alpha)
-            beta = self._scalar_reader(instr.beta)
-            t1 = np.empty_like(a)
-            t2 = np.empty_like(b)
-
-            def fn():
-                np.multiply(a, alpha(), out=t1)
-                np.multiply(b, beta(), out=t2)
-                np.add(t1, t2, out=dst)
-            return fn
-        if kind is VectorOpKind.SCALE_ADD:
-            a = self._resident(srcs[0])
-            b = self._resident(srcs[1])
-            dst = self._dst_buffer(machine.vb, instr.dst, a.size)
-            al = _literal(instr.alpha)
-            if al == 1.0:
-                def fn():
-                    np.add(a, b, out=dst)
-                return fn
-            if al == -1.0:
-                def fn():
-                    np.subtract(a, b, out=dst)
-                return fn
-            alpha = self._scalar_reader(instr.alpha)
-            t = np.empty_like(b)
-
-            def fn():
-                np.multiply(b, alpha(), out=t)
-                np.add(a, t, out=dst)
-            return fn
-        if kind is VectorOpKind.EWMUL:
-            a = self._resident(srcs[0])
-            b = self._resident(srcs[1])
-            dst = self._dst_buffer(machine.vb, instr.dst, a.size)
-
-            def fn():
-                np.multiply(a, b, out=dst)
-            return fn
-        if kind is VectorOpKind.CLIP:
-            a = self._resident(srcs[0])
-            lo = self._resident(srcs[1])
-            hi = self._resident(srcs[2])
-            dst = self._dst_buffer(machine.vb, instr.dst, a.size)
-
-            def fn():
-                np.clip(a, lo, hi, out=dst)
-            return fn
-        if kind is VectorOpKind.COPY:
-            a = self._resident(srcs[0])
-            dst = self._dst_buffer(machine.vb, instr.dst, a.size)
-
-            def fn():
-                np.copyto(dst, a)
-            return fn
-        raise SimulationError(f"unknown vector op {kind}")
-
-    def _lower_transfer(self, instr: DataTransfer):
-        machine = self.machine
-        name = instr.name
-        if instr.direction == "load":
-            hbm = machine.hbm
-            if name not in hbm:
-                raise SimulationError(f"HBM vector {name!r} missing")
-            dst = self._dst_buffer(machine.vb, name, int(hbm[name].size))
-
-            def fn():
-                src = hbm.get(name)
-                if src is None:
-                    raise SimulationError(f"HBM vector {name!r} missing")
-                if src.shape != dst.shape:
-                    raise SimulationError(
-                        "compiled backend requires static vector lengths: "
-                        f"HBM vector {name!r} changed from {dst.size} "
-                        f"to {src.size} elements")
-                np.copyto(dst, src)
-            return self._hooked(fn, "on_load", name, dst)
-        if instr.direction == "store":
-            vec = self._resident(name)
-            hbm = machine.hbm
-
-            def fn():
-                hbm[name] = vec.copy()
-            return fn
-        raise SimulationError(f"bad transfer direction {instr.direction!r}")
-
-    def _lower_vecdup(self, instr: VecDup):
-        machine = self.machine
-        src = self._resident(instr.src)
-        dst = self._dst_buffer(machine.cvb, instr.cvb, src.size)
-
-        def fn():
-            np.copyto(dst, src)
-        return self._hooked(fn, "on_cvb", instr.cvb, dst)
-
-    def _lower_spmv(self, instr: SpMV):
-        machine = self.machine
-        resource = machine.matrices[instr.matrix]
-        src = machine.cvb.get(instr.src)
-        if src is None:
-            raise SimulationError(f"SpMV source {instr.src!r} not in CVB")
-        matrix = resource.matrix
-        rows = int(matrix.shape[0])
-        if src.shape != (matrix.shape[1],):
-            raise ShapeError(
-                f"matvec: expected vector of length {matrix.shape[1]}, "
-                f"got shape {src.shape}")
-        dst = self._dst_buffer(machine.vb, instr.dst, rows)
-        fn = resource.kernel.bind(src, dst)
-        return self._hooked(fn, "on_spmv", instr.dst, dst)
-
-
-# ---------------------------------------------------------------------------
 # Whole-loop C fusion: one generated C function per (loop body, lane
 # count), covering loop control, vector ops, SpMV, scalar arithmetic,
 # Control exit tests, nested loops and cycle accounting over lane-minor
@@ -789,8 +142,6 @@ _LOOP_CDEF = """
 long loop_run(double **B, long **IA, const long *L, const double *S,
               long *M, long *CT, long *IT, long *LT, long max_iter);
 """
-
-_MISSING = object()
 
 #: ScalarOp -> (C expression, trap) over the emitted operand tokens
 #: ``{a}``/``{b}``. A trap is ``(condition, return code)``, checked
@@ -818,15 +169,15 @@ def vector_fold(instr: VectorOp) -> tuple[str, tuple]:
     Returns ``(form, scalars)``: ``form`` is the per-element expression
     over the source elements ``{a}``/``{b}`` and the scalar operands
     ``{0}``/``{1}``, which are ``scalars`` in order. Coefficients of
-    exactly ``+-1.0`` fold their multiply away, as in
-    :meth:`CompiledExecutor._lower_vector`.
+    exactly ``+-1.0`` fold their multiply away, as the closures of
+    :meth:`~repro.hw.batched.BatchExecutor._lower_vector` do.
     """
     kind = instr.op
     if kind is VectorOpKind.COPY:
         return "{a}", ()
     if kind is VectorOpKind.EWMUL:
         return "{a} * {b}", ()
-    al = _literal(instr.alpha)
+    al = literal_operand(instr.alpha)
     if kind is VectorOpKind.SCALE_ADD:
         if al == 1.0:
             return "{a} + {b}", ()
@@ -834,7 +185,7 @@ def vector_fold(instr: VectorOp) -> tuple[str, tuple]:
             return "{a} - {b}", ()
         return "{a} + {b} * {0}", (instr.alpha,)
     if kind is VectorOpKind.AXPBY:
-        be = _literal(instr.beta)
+        be = literal_operand(instr.beta)
         if al == 1.0 and be == 1.0:
             return "{a} + {b}", ()
         if al == 1.0 and be == -1.0:
@@ -854,12 +205,14 @@ def vector_fold(instr: VectorOp) -> tuple[str, tuple]:
 class _FusedLoop:
     """A compiled whole-loop unit plus its bound operand tables.
 
-    The call protocol (:meth:`_call`): zero the charge, trip and
-    per-lane trip counters, enter C once, then apply cycle accounting
-    from the ``CT`` block counters and loop trip counts from ``IT``.
-    ``M`` row ``k`` is frame ``k``'s active-lane mask and ``LT`` row
-    ``k`` counts frame ``k``'s per-lane trips; subclasses load row 0
-    of ``M`` (and, solo, the staged registers) around the call.
+    :meth:`run` loads row 0 of ``M`` with the executor's lane mask,
+    zeroes the charge, trip and per-lane trip counters, enters C once,
+    then applies cycle accounting from the ``CT`` block counters, wall
+    loop trips from ``IT`` and per-lane trips from ``LT``. ``M`` row
+    ``k`` is frame ``k``'s active-lane mask and ``LT`` row ``k`` counts
+    frame ``k``'s per-lane trips. Registers are the machine's stable
+    ``(B,)`` buffers, read and written in place, so there is no scalar
+    staging around the call.
 
     Accounting matches the node path exactly on error-free runs: each
     ``CT`` slot corresponds to one basic block (or Control test) with
@@ -872,14 +225,15 @@ class _FusedLoop:
     compiled backend generally.
     """
 
-    __slots__ = ("_run", "_args", "_executor", "_stats", "_ct", "_it",
-                 "_m", "_lt", "_charges", "_loops", "_hold")
+    __slots__ = ("_run", "_args", "_executor", "_stats", "_lanes", "_ct",
+                 "_it", "_m", "_lt", "_charges", "_loops", "_hold")
 
     def __init__(self, run, args: tuple, builder, ct, it, m, lt, hold):
         self._run = run
         self._args = args
         self._executor = builder.executor
         self._stats = builder.machine.stats
+        self._lanes = builder.machine.lane_loop_iterations
         self._ct = ct
         self._it = it
         self._m = m
@@ -888,12 +242,12 @@ class _FusedLoop:
         self._loops = tuple(builder.loops)
         self._hold = hold
 
-    def _call(self, loop: Loop) -> int:
-        ct = self._ct
+    def run(self, loop: Loop) -> None:
+        ct, it, lt = self._ct, self._it, self._lt
+        self._m[0] = self._executor._mask
         ct[:] = 0
-        it = self._it
         it[:] = 0
-        self._lt[:] = 0
+        lt[:] = 0
         rc = self._run(*self._args, loop.max_iter)
         total = 0
         instrs = 0
@@ -909,78 +263,34 @@ class _FusedLoop:
         if instrs:
             self._stats.charge_block(total, by_class, instrs)
         counts = self._stats.loop_iterations
-        counts[loop.name] = counts.get(loop.name, 0) + int(it[0])
-        for slot, name in self._loops:
+        lanes = self._lanes
+        for slot, name in ((0, loop.name),) + self._loops:
             n = int(it[slot])
-            if n:
-                counts[name] = counts.get(name, 0) + n
-        return rc
-
-    @staticmethod
-    def _raise_trap(rc: int) -> None:
+            if slot and not n:
+                continue  # nested loop never entered: no key
+            counts[name] = counts.get(name, 0) + n
+            trips = lanes.get(name)
+            if trips is None:
+                trips = lanes[name] = np.zeros(lt.shape[1], dtype=np.int64)
+            trips += lt[slot]
         if rc in _TRAP_ERRORS:
             raise SimulationError(_TRAP_ERRORS[rc])
-
-
-class _StagedLoop(_FusedLoop):
-    """A solo machine's fused loop: the B=1 unit over staged registers.
-
-    Load every register the unit reads or writes into its staging
-    buffer (a missing register means the machine is in a state the
-    fused code cannot reproduce — return False so the node path, which
-    raises the interpreter's exact error, runs instead), mark the one
-    lane live, :meth:`_call`, then write back every register the
-    unit's statements write. A register a run did not write still holds
-    its loaded value, so writing it back changes nothing.
-    """
-
-    __slots__ = ("_scalars", "_prefill", "_writeback")
-
-    def __init__(self, run, args, builder, ct, it, m, lt, hold):
-        super().__init__(run, args, builder, ct, it, m, lt, hold)
-        self._scalars = builder.machine.scalars
-        reads = {name for stmt in builder.effects
-                 for name, _tok in stmt.sreg_reads}
-        writes = {name for stmt in builder.effects
-                  for name, _tok in stmt.sreg_writes}
-        staged = builder.executor._register
-        self._prefill = tuple((name, staged(name))
-                              for name in sorted(reads | writes))
-        self._writeback = tuple((name, staged(name))
-                                for name in sorted(writes))
-
-    def run(self, loop: Loop) -> bool:
-        scalars = self._scalars
-        for name, buf in self._prefill:
-            value = scalars.get(name, _MISSING)
-            if value is _MISSING:
-                return False
-            buf[0] = value
-        self._m[0, 0] = 1
-        rc = self._call(loop)
-        for name, buf in self._writeback:
-            scalars[name] = float(buf[0])
-        self._raise_trap(rc)
-        return True
-
-
-CompiledExecutor._FUSED_LOOP = _StagedLoop
 
 
 class _LoopBuilder:
     """Generate one lane-minor C function for an entire Loop body.
 
-    The one whole-loop emitter, for a batch machine of B lanes and for
-    a solo machine as the B=1 case. Buffers, index arrays and loop
-    bounds reach the generated code through the ``B``/``IA``/``L``
-    pointer tables, one slot per distinct array (``L``: one slot per
-    use), so the source depends only on the instruction pattern and
-    the lane count: equal patterns hash to the same cached module.
-    Scalar registers are stable ``(B,)`` buffers supplied by the
-    executor (:meth:`~CompiledExecutor._register`), travel through
-    ``B`` like any other operand, and every per-element expression
-    gains an inner lane loop over the contiguous trailing axis. Only
-    float *literals* go through the ``S`` constant table.
+    The one whole-loop emitter, for a machine of B lanes; B=1 is a solo
+    solve. Buffers, index arrays and loop bounds reach the generated
+    code through the ``B``/``IA``/``L`` pointer tables, one slot per
+    distinct array (``L``: one slot per use), so the source depends
+    only on the instruction pattern and the lane count: equal patterns
+    hash to the same cached module. Scalar registers are the machine's
+    stable ``(B,)`` buffers
+    (:meth:`~repro.hw.batched.BatchMachine.scalar_buffer`), travel
+    through ``B`` like any other operand, and every per-element
+    expression gains an inner lane loop over the contiguous trailing
+    axis. Only float *literals* go through the ``S`` constant table.
     :meth:`_record` files one
     :class:`~repro.hw.effect_ir.EffectStatement` per emitted statement
     together with the scalar reads and ``L`` slots it consumed.
@@ -1337,7 +647,7 @@ class _LoopBuilder:
         if instr.src2 is not None:
             decls_b, b = self.sreg(instr.src2)
             decls = decls + decls_b
-        dst = self.executor._register(instr.dst)
+        dst = self.machine.scalar_buffer(instr.dst)
         decls.append(f"double *d = {self.buf(dst)};")
         # MAX is Python's max(a, b): b only when b > a (NaN-asymmetric),
         # the same as the closure's where(b > a, b, a).
@@ -1378,7 +688,7 @@ class _LoopBuilder:
         n = int(a.shape[0])
         total = n * self._batch
         if kind is VectorOpKind.DOT:
-            dst = executor._register(instr.dst)
+            dst = self.machine.scalar_buffer(instr.dst)
             self.code.append(
                 "    {\n"
                 f"        const double *a = {self.buf(a)};\n"
@@ -1530,6 +840,6 @@ class _LoopBuilder:
                 ffi.new("long[]", self.lens or [0]),
                 ffi.new("double[]", self.consts or [0.0]),
                 ptr(m), ptr(ct), ptr(it), ptr(lt))
-        return self.executor._FUSED_LOOP(
+        return _FusedLoop(
             module.lib.loop_run, args, self, ct, it, m, lt,
             (tuple(self.bufs), tuple(self.iarrs)))

@@ -166,7 +166,8 @@ class Machine:
         #: call its hooks at the same logical points (after SpMV
         #: writes, HBM loads and CVB duplications), so an armed
         #: injector corrupts identically under either backend. It may
-        #: be swapped between runs; the compiled backend keeps one
+        #: be swapped between runs; the compiled backend's one-lane
+        #: machine (:class:`repro.hw.batched.BatchMachine`) keeps one
         #: lowering per armed injector.
         self.injector = None
 
@@ -180,6 +181,15 @@ class Machine:
 
     def set_scalar(self, name: str, value: float) -> None:
         self.scalars[name] = float(value)
+
+    def scalar(self, name: str, default=None):
+        """Register ``name`` as a float, or ``default`` when unset."""
+        value = self.scalars.get(name)
+        return default if value is None else float(value)
+
+    def reset_stats(self) -> None:
+        """Zero the accounting in place (see :meth:`ExecutionStats.reset`)."""
+        self.stats.reset()
 
     def vector_length(self, name: str) -> int:
         for space in (self.vb, self.hbm, self.cvb):

@@ -10,8 +10,8 @@ performs the restart between segments — anchor refresh, Halpern-counter
 reset and optional primal weight rebalancing — through the segment
 driver it shares with the ADMM card
 (:class:`repro.hw.accelerator.Accelerator`). Both the interpreter and
-the compiled backend execute the same instruction stream
-bit-identically.
+the compiled backend (one lane of a batch machine) execute the same
+instruction stream bit-identically.
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ class Resident:
         """
         accelerator = self.accelerator
         machine = accelerator.machine
-        machine.stats.reset()
+        machine.reset_stats()
         if warm_start is not None:
             x0, y0 = warm_start
             accelerator.warm_start(x=x0, y=y0)

@@ -117,10 +117,14 @@ class CSRKernel:
         _stable(out, out_shape, "matvec output")
         engine = self._engine
         if engine is None:
+            if self.val.ndim == 2 and self.val.shape[1] == 1:
+                # One lane: the 1-D sum over column views.
+                return partial(self.numpy_apply, x[:, 0], out[:, 0])
             return partial(self.numpy_apply, x, out)
         buf = engine.ffi.from_buffer
         m, n = self.shape
-        if self.val.ndim == 1:
+        if self.val.ndim == 1 or self.val.shape[1] == 1:
+            # One lane's (len, 1) memory is the 1-D layout.
             return partial(engine.lib.k_csr_matvec, *self._ptrs,
                            buf("double[]", x), buf("double[]", out), m)
         nnz, lanes = self.val.shape
@@ -132,9 +136,10 @@ class CSRKernel:
         """The no-compiler implementation of :meth:`apply`, same bits."""
         slots, depth = self._layout()
         m = self.shape[0]
-        lanes = self.val.shape[1:]
+        val = self.val if x.ndim == self.val.ndim else self.val[:, 0]
+        lanes = val.shape[1:]
         block = np.zeros((depth * m,) + lanes)
-        block[slots] = self.val * x[self.col]
+        block[slots] = val * x[self.col]
         out[...] = np.cumsum(block.reshape((depth, m) + lanes),
                              axis=0)[-1]
         return out
@@ -179,6 +184,9 @@ def bind_dot(a: np.ndarray, b: np.ndarray,
         _stable(out, a.shape[1:], "dot output")
     library = engine()
     if library is None:
+        if a.ndim == 2 and a.shape[1] == 1 and out is not None:
+            # One lane: the 1-D sum over column views.
+            return partial(_numpy_dot_into, a[:, 0], b[:, 0], out)
         return partial(numpy_dot, a, b, out)
     buf = library.ffi.from_buffer
     if a.ndim == 1:
@@ -201,3 +209,7 @@ def numpy_dot(a: np.ndarray, b: np.ndarray,
         return total
     out[...] = total
     return out
+
+
+def _numpy_dot_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    out[0] = numpy_dot(a, b)

@@ -1089,7 +1089,8 @@ def _loop_units(executor: BatchExecutor, items: list, units: list) -> int:
     A loop's first run takes the node path, and a nested loop's node
     fuses on its own before the enclosing loop does, so the runtime can
     build a unit for every loop of the nest: lift them all. A body the
-    builder refuses stays on the node path at runtime (``fuse_loop``);
+    builder refuses stays on the node path at runtime
+    (:meth:`~repro.hw.batched.BatchExecutor._fuse`);
     count it so coverage loss is visible.
     """
     skipped = 0

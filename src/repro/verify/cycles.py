@@ -214,9 +214,9 @@ def _verify_fused_sections(compiled: CompiledProgram,
                            sections: dict, claimed: dict) -> None:
     """Reconcile the whole-loop-fused tier's analytic charges.
 
-    The fused tier (``repro.hw.compiled.fuse_loop``) does not charge
-    per section — it applies a static charge-slot table per loop body
-    trip. Prove that table's decomposition consistent with the
+    The fused tier (``repro.hw.batched.BatchExecutor._fuse``) does not
+    charge per section — it applies a static charge-slot table per loop
+    body trip. Prove that table's decomposition consistent with the
     per-section costs ``estimate_cycles`` uses (depth-0 slot mass ==
     the loop section's claimed cycles) and with the
     :func:`program_bounds` bracket (one full trip, aggregated from the

@@ -1,12 +1,14 @@
 """Differential tests: compiled backend vs the interpreter oracle.
 
 The compiled executor's contract is *bit-identical machine state and
-identical cycle accounting* on every error-free run. These tests drive
-randomly generated ISA programs, real compiled solver programs, and
-random SpMV schedules through both backends and compare exhaustively.
-Error runs only guarantee the same exception type (a lowered block that
-faults mid-loop after its first iteration has already deferred its
-charges — documented in :mod:`repro.hw.compiled`).
+identical cycle accounting* on every error-free run. A solo program
+runs on a one-lane :class:`~repro.hw.batched.BatchMachine`, so these
+tests compare the interpreter's state with that machine's lane 0. They
+drive randomly generated ISA programs, real compiled solver programs,
+and random SpMV schedules through both backends and compare
+exhaustively. Error runs only guarantee the same exception type (a
+lowered block that faults mid-loop after its first iteration has
+already deferred its charges — documented in :mod:`repro.hw.compiled`).
 """
 
 import numpy as np
@@ -24,8 +26,7 @@ from repro.hw import (Control, DataTransfer, Loop, Machine, MatrixResource,
                       VectorOp, VectorOpKind)
 from repro.hw import cjit
 from repro.hw.accelerator import RSQPAccelerator
-from repro.hw.batched import BatchExecutor, BatchMachine
-from repro.hw.compiled import CompiledExecutor
+from repro.hw.batched import BatchExecutor, BatchMachine, BatchMatrixResource
 from repro.hw.spmv_engine import simulate_spmv
 from repro.problems import FAMILIES, generate
 from repro.sparse import CSRMatrix
@@ -54,6 +55,23 @@ def fresh_machine(seed):
         machine.set_scalar(name, float(rng.standard_normal() + k))
     machine.hbm["v0"] = rng.standard_normal(N)
     return machine
+
+
+def one_lane(machine):
+    """A one-lane BatchMachine holding ``machine``'s state as lane 0."""
+    lane = BatchMachine(machine.c, {
+        name: BatchMatrixResource(name, resource, 1)
+        for name, resource in machine.matrices.items()}, 1)
+    for name, resource in machine.matrices.items():
+        lane.matrices[name].update_values(resource.matrix.data)
+    for space in ("hbm", "vb", "cvb"):
+        getattr(lane, space).update(
+            (name, vec[:, None].copy())
+            for name, vec in getattr(machine, space).items())
+    for name, value in machine.scalars.items():
+        lane.set_scalar(name, value)
+    lane.injector = machine.injector
+    return lane
 
 
 def build_instruction(draw_op, p1, p2, p3):
@@ -94,10 +112,11 @@ def build_instruction(draw_op, p1, p2, p3):
 
 
 def run_both(program, seed, jit=False):
-    """Execute on two fresh identical machines; return both machines."""
+    """Execute on the interpreter and on a one-lane machine holding the
+    same state; return both machines."""
     mi = fresh_machine(seed)
-    mc = fresh_machine(seed)
-    executor = CompiledExecutor(mc, jit=jit)
+    mc = one_lane(fresh_machine(seed))
+    executor = BatchExecutor(mc, jit=jit)
     err_i = err_c = None
     try:
         mi.run(program)
@@ -115,19 +134,32 @@ def run_both(program, seed, jit=False):
     return mi, mc, err_i
 
 
+def machine_state(machine):
+    """Every buffer and register as ``(shape, bytes)``; a one-lane
+    machine's lane 0, so it compares with the interpreter's state."""
+    lane = isinstance(machine, BatchMachine)
+    state = {}
+    for space in ("vb", "cvb", "hbm"):
+        for name, buf in getattr(machine, space).items():
+            if lane:
+                assert buf.shape[1:] == (1,), (space, name)
+                buf = buf[:, 0]
+            state[space, name] = (buf.shape, buf.tobytes())
+    for name, value in machine.scalars.items():
+        if lane:
+            assert value.shape == (1,), name
+            value = value[0]
+        state["scalars", name] = np.float64(value).tobytes()
+    return state
+
+
 def assert_states_equal(mi, mc):
     # tobytes() compares true bit patterns: NaN payloads and signed
     # zeros included, which array_equal would mis-handle.
-    for space in ("vb", "cvb", "hbm"):
-        di, dc = getattr(mi, space), getattr(mc, space)
-        assert di.keys() == dc.keys()
-        for name in di:
-            assert di[name].shape == dc[name].shape, (space, name)
-            assert di[name].tobytes() == dc[name].tobytes(), (space, name)
-    assert mi.scalars.keys() == mc.scalars.keys()
-    for name in mi.scalars:
-        assert (np.float64(mi.scalars[name]).tobytes()
-                == np.float64(mc.scalars[name]).tobytes()), name
+    si, sc = machine_state(mi), machine_state(mc)
+    assert si.keys() == sc.keys()
+    for key in si:
+        assert si[key] == sc[key], key
     si, sc = mi.stats, mc.stats
     assert si.total_cycles == sc.total_cycles
     assert si.by_class == sc.by_class
@@ -796,13 +828,13 @@ class TestFaultHookEquivalence:
         base_i, base_c, err = run_both(program, seed=9)
         assert err is None
         armed_i = fresh_machine(9)
-        armed_c = fresh_machine(9)
+        armed_c = one_lane(fresh_machine(9))
         # One injector per machine: op counters are per-run state.
         armed_i.injector = FaultInjector(
             [Fault(kind="mac-flip", op_index=10 ** 9)])
         armed_c.injector = FaultInjector(
             [Fault(kind="mac-flip", op_index=10 ** 9)])
-        executor = CompiledExecutor(armed_c)
+        executor = BatchExecutor(armed_c)
         armed_i.run(program)
         executor.run(program)
         armed_i.run(program)
@@ -820,10 +852,10 @@ class TestFaultHookEquivalence:
                   Fault(kind="hbm-read", op_index=0, element=1, bit=12),
                   Fault(kind="cvb-read", op_index=0, element=0, bit=7)]
         mi = fresh_machine(3)
-        mc = fresh_machine(3)
+        mc = one_lane(fresh_machine(3))
         mi.injector = FaultInjector(list(faults))
         mc.injector = FaultInjector(list(faults))
-        executor = CompiledExecutor(mc)
+        executor = BatchExecutor(mc)
         mi.run(program)
         executor.run(program)
         assert mi.injector.events == mc.injector.events
@@ -858,7 +890,8 @@ class TestFusedLoopErrors:
             machine.set_scalar("s1", 2.0)
             machine.set_scalar("s3", -1e18)  # Control never exits
             if mode == "compiled":
-                executor = CompiledExecutor(machine, jit=True)
+                machine = one_lane(machine)
+                executor = BatchExecutor(machine, jit=True)
                 runner = executor.run
             else:
                 runner = machine.run
@@ -885,6 +918,129 @@ class TestFusedLoopErrors:
         op = ScalarOp(ScalarOpKind.SQRT, "s2", "s0")
         errors = self._drive(op, lambda m: m.set_scalar("s0", -1.0))
         assert "sqrt" in str(errors["compiled"])
+
+
+class TestOneLaneMachine:
+    """A solo accelerator's compiled machine is one batch lane.
+
+    Host code reaches it through the interpreter's accessors, a
+    resident machine is refreshed and re-armed in place, and every run
+    must still be the one a freshly bound accelerator makes."""
+
+    CASES = {"admm": ("eqqp", 16), "pdqp": ("control", 2)}
+
+    def _bound(self, algorithm):
+        from repro.hw import accelerator_class
+        from repro.problems import perturb_numeric
+        family, size = self.CASES[algorithm]
+        problem = generate(family, size, seed=0)
+        cust = customize_problem(problem, 8)
+        cls = accelerator_class(algorithm)
+
+        def bind(prob, **arm):
+            return cls(prob, customization=cust, **arm)
+        return bind, problem, perturb_numeric(problem, seed=1)
+
+    @pytest.mark.parametrize("backend", ["compiled", "interpret"])
+    @pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
+    def test_refresh_then_run_equals_fresh_bind(self, algorithm, backend):
+        bind, problem, nearby = self._bound(algorithm)
+        acc = bind(problem, backend=backend)
+        acc.run()
+        acc.refresh(nearby)
+        got = acc.run()
+        fresh = bind(nearby, backend=backend)
+        want = fresh.run()
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.admm_iterations == want.admm_iterations
+        assert got.total_cycles == want.total_cycles
+        assert got.stats.by_class == want.stats.by_class
+        assert got.stats.loop_iterations == want.stats.loop_iterations
+        if backend == "compiled":
+            lanes = acc.machine.lane_loop_iterations
+            assert lanes.keys() == fresh.machine.lane_loop_iterations.keys()
+            for name, trips in fresh.machine.lane_loop_iterations.items():
+                assert np.array_equal(lanes[name], trips), name
+
+    @pytest.mark.parametrize("resident", [False, True],
+                             ids=["fresh", "after-fusion"])
+    def test_rollback_matches_interpreter(self, resident):
+        from repro.faults import Fault, FaultInjector
+        # An exponent-bit flip in an early HBM load: the state goes
+        # non-finite within one segment and the driver rolls back.
+        violent = [Fault(kind="hbm-read", op_index=2, element=1, bit=62)]
+        bind, problem, nearby = self._bound("admm")
+        if resident:
+            acc = bind(problem)
+            acc.run()
+            if cjit.available():
+                assert any(entry[1] for entry in
+                           acc._executor._loop_fused.values())
+            acc.refresh(nearby)
+            acc.fault_injector = acc.machine.injector = \
+                FaultInjector(violent)
+        else:
+            acc = bind(nearby, fault_injector=FaultInjector(violent))
+        with np.errstate(all="ignore"):
+            got = acc.run()
+            want = bind(nearby, backend="interpret",
+                        fault_injector=FaultInjector(violent)).run()
+        assert got.rollbacks >= 1 and got.rollbacks == want.rollbacks
+        assert got.fault_events == want.fault_events
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.total_cycles == want.total_cycles
+        # Disarmed, the fused loops run on the restored registers.
+        acc.fault_injector = acc.machine.injector = None
+        acc.refresh(nearby)
+        clean = acc.run()
+        assert clean.x.tobytes() == bind(nearby).run().x.tobytes()
+
+    def test_rearmed_resident_fires_hooks_as_fresh_machines(self):
+        from repro.faults import Fault, FaultInjector
+        plans = [[Fault(kind="mac-flip", op_index=3, element=2, bit=20)],
+                 None,
+                 [Fault(kind="cvb-read", op_index=5, element=0, bit=30),
+                  Fault(kind="hbm-read", op_index=1, element=3, bit=25)]]
+        bind, problem, _nearby = self._bound("admm")
+        resident = bind(problem)
+        resident.run()
+        for faults in plans:
+            injector = None if faults is None else FaultInjector(faults)
+            resident.refresh(problem)
+            resident.fault_injector = resident.machine.injector = injector
+            got = resident.run()
+            want = bind(problem, fault_injector=None if faults is None
+                        else FaultInjector(faults)).run()
+            assert got.fault_events == want.fault_events
+            assert len(got.fault_events) == (0 if faults is None
+                                             else len(faults))
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.total_cycles == want.total_cycles
+            assert got.rollbacks == want.rollbacks
+
+    def test_write_set_walked_once_per_program(self, monkeypatch):
+        import repro.hw.batched as batched
+        walks = []
+        walk = batched._collect_writes
+
+        def counted(items, writes):
+            walks.append(len(items))
+            walk(items, writes)
+
+        monkeypatch.setattr(batched, "_collect_writes", counted)
+        program = Program([ScalarOp(ScalarOpKind.MOV, "d", "s"),
+                           Loop([ScalarOp(ScalarOpKind.ADD, "d", "d", "s"),
+                                 Control("d", "s")], max_iter=3,
+                                name="l")])
+        machine = BatchMachine(4, {}, 2)
+        machine.set_scalar("s", 1.0)
+        executor = BatchExecutor(machine, jit=False)
+        mask = np.array([True, False])
+        executor.run(program, mask)
+        assert walks
+        walks.clear()
+        executor.run(program, mask)
+        assert walks == []
 
 
 @needs_jit
@@ -1006,3 +1162,39 @@ class TestFusedBatchLoopErrors:
         assert results[True][0] == results[False][0]
         assert np.array_equal(results[True][1], results[False][1])
         assert results[True][2] == results[False][2]
+
+
+class TestControlSnapshots:
+    """A Control snapshots its firing lanes only when others go on."""
+
+    def _run(self, c_values, monkeypatch):
+        saved = []
+        freeze = BatchExecutor._freeze_lanes
+
+        def spy(executor, fired):
+            saved.append(fired.copy())
+            freeze(executor, fired)
+
+        monkeypatch.setattr(BatchExecutor, "_freeze_lanes", spy)
+        program = Program([Loop([ScalarOp(ScalarOpKind.ADD, "c", "c", -1.0),
+                                 Control("c", "thr")], max_iter=5,
+                                name="l")])
+        machine = BatchMachine(4, {}, 2)
+        for lane, value in enumerate(c_values):
+            machine.set_scalar_lane("c", lane, value)
+        machine.set_scalar("thr", 0.0)
+        BatchExecutor(machine, jit=False).run(program)
+        return saved, machine
+
+    def test_lanes_firing_together_save_no_columns(self, monkeypatch):
+        saved, machine = self._run([0.5, 0.5], monkeypatch)
+        assert saved == []
+        assert machine.scalars["c"].tolist() == [-0.5, -0.5]
+        assert machine.lane_loop_iterations["l"].tolist() == [1, 1]
+
+    def test_lane_firing_alone_is_snapshotted(self, monkeypatch):
+        saved, machine = self._run([0.5, 2.5], monkeypatch)
+        assert [fired.tolist() for fired in saved] == [[True, False]]
+        # The early lane keeps its at-fire value; the late one iterates.
+        assert machine.scalars["c"].tolist() == [-0.5, -0.5]
+        assert machine.lane_loop_iterations["l"].tolist() == [1, 3]

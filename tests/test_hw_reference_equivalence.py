@@ -42,7 +42,8 @@ class TestPCGEquivalence:
             eps_abs=1e-4, eps_rel=1e-4, max_iter=1, adaptive_rho=False),
             pcg_eps=1e-7)
         acc.run()
-        machine_xt = acc.machine.vb["xt"]
+        # The compiled machine is one lane: xt is its (n, 1) column.
+        machine_xt = acc.machine.vb["xt"][:, 0]
         np.testing.assert_allclose(machine_xt, ref.x, atol=1e-5)
 
     def test_full_solve_iterate_counts_comparable(self):

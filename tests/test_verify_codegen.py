@@ -33,8 +33,7 @@ from repro.batch import BatchAccelerator
 from repro.exceptions import VerificationError
 from repro.experiments.runner import choose_width
 from repro.hw import accelerator_class, cjit
-from repro.hw.compiled import CompiledExecutor
-from repro.hw.machine import Machine
+from repro.hw.batched import BatchExecutor, BatchMachine
 from repro.problems import benchmark_suite, perturb_numeric
 from repro.solver import OSQPSettings
 from repro.serving.arch_cache import build_artifact
@@ -413,11 +412,11 @@ def test_batch_guard_runs_codegen_pass_once():
 
 
 def test_env_kill_switch_disables_runtime_guard(monkeypatch):
-    machine = Machine(4, {})
+    machine = BatchMachine(4, {}, 1)  # a solo machine: one lane
     monkeypatch.setenv("REPRO_VERIFY_CODEGEN", "0")
-    assert CompiledExecutor(machine, jit=False).verify is False
+    assert BatchExecutor(machine, jit=False).verify is False
     monkeypatch.delenv("REPRO_VERIFY_CODEGEN")
-    assert CompiledExecutor(machine, jit=False).verify is True
+    assert BatchExecutor(machine, jit=False).verify is True
 
 
 # ---------------------------------------------------------------------------

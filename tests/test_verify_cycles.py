@@ -19,7 +19,8 @@ class TestBoundsVsInterpreter:
         lambda: generate_control(4, horizon=4, seed=1),
     ])
     def test_dynamic_count_within_static_bounds(self, make_problem):
-        acc = RSQPAccelerator(make_problem(), settings=SETTINGS)
+        acc = RSQPAccelerator(make_problem(), settings=SETTINGS,
+                              backend="interpret")
         bounds = program_bounds(acc.compiled.program,
                                 acc.compiled.context)
         assert 0 < bounds.min_cycles <= bounds.max_cycles
@@ -33,7 +34,8 @@ class TestBoundsVsInterpreter:
 
     def test_unconverging_run_still_bracketed(self):
         tight = OSQPSettings(eps_abs=1e-14, eps_rel=1e-14, max_iter=40)
-        acc = RSQPAccelerator(generate_svm(10, seed=2), settings=tight)
+        acc = RSQPAccelerator(generate_svm(10, seed=2), settings=tight,
+                              backend="interpret")
         bounds = program_bounds(acc.compiled.program,
                                 acc.compiled.context)
         stats = acc.machine.run(acc.compiled.program)
