@@ -6,23 +6,16 @@ instruction stream advances B problem instances in lockstep, with
 per-instance convergence masking inside the ADMM / PDHG loops
 (converged lanes freeze, the loop exits when the mask empties).
 
-Each lane is a solo accelerator, built from the algorithm table
-(:func:`repro.hw.accelerator_class`) exactly as the serving layer
-builds one; after construction a lane is the host state of one
-instance — its problem, scaling and step sizes — and its own machine
-never runs. The batch machine is loaded by one lane-stacked host pass:
-one Ruiz pass over the ``(nnz, B)`` values, the ``A'`` gather, the
-step data of :mod:`repro.solver.host` over ``(m, B)`` bounds, and the
-download image the solo card writes, built by the same hook over
-lane-minor arrays. Those functions are elementwise per lane or
-accumulate per lane in the solo order, so each lane's data is the
-solo download bit for bit. The between-segment host step is the solo
-one too — restarts, and each lane's adaptive rho / primal-weight
-decision through the same :meth:`~repro.hw.accelerator.Accelerator.
-_rebalance` the solo driver calls. What stays batch-specific is the
-masked apply of that step, the per-lane freeze and the wall
-accounting. That is what makes the batched run bit-identical to B
-solo runs.
+Each lane is the host half of one instance
+(:meth:`repro.hw.accelerator.Accelerator.lane`): problem, scaling,
+step sizes and the algorithm's hooks, and no machine. The batch
+machine is loaded by one lane-stacked host pass — one Ruiz pass over
+the ``(nnz, B)`` values, the ``A'`` gather, the step data of
+:mod:`repro.solver.host` over ``(m, B)`` bounds and the solo download
+image over lane-minor arrays — whose functions are elementwise or
+accumulate per lane in the solo order. The run is the solo one: the
+segment driver (:class:`~repro.hw.driver.SegmentDriver`) at B lanes.
+So each lane is its solo run bit for bit.
 
 Cycle accounting: the returned :class:`BatchResult` carries the wall
 stats of the B-wide virtual fleet (every lockstep trip charges the
@@ -31,36 +24,27 @@ RSQPResult` whose ``total_cycles`` are that lane's effective cycles —
 the analytic count for its own trip/refresh tallies, equal to what the
 lane's solo run measures.
 
-Faults and deadlines address lanes individually: per-lane injectors
-corrupt only their lane's rows, a corrupted or deadline-expired lane
-is frozen and reported in ``lane_errors`` while the rest of the batch
-keeps running (the serving layer re-solves such lanes through the solo
-resilient path).
+Per-lane injectors corrupt only their lane's rows. A corrupted or
+deadline-expired lane freezes (a batch lane has no rollback budget)
+and is reported in ``lane_errors`` while the rest keep running; the
+serving layer re-solves it through the solo resilient path.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..hw import accelerator_class
-from ..hw.accelerator import MATRICES, RESIDUALS, RSQPResult
-from ..hw.batched import BatchExecutor, BatchMachine, BatchMatrixResource
-from ..hw.compiler import PCG_LOOP
-from ..hw.frequency import fmax_mhz
+from ..hw.accelerator import card_matrices
+from ..hw.batched import BatchExecutor, BatchMachine
+from ..hw.driver import LANE_DEADLINE, LANE_FAULT, SegmentDriver
 from ..hw.machine import ExecutionStats
-from ..hw.power import fpga_power_watts
 from ..qp import RuizPlan, ruiz_equilibrate_batch
 from ..solver import OSQPSettings
 from ..solver.algorithms import get_algorithm
 
 __all__ = ["BatchResult", "BatchAccelerator", "bind_batch",
-           "solve_batch_job"]
-
-#: ``lane_errors`` entries a frozen lane can carry.
-LANE_FAULT = "fault"
-LANE_DEADLINE = "deadline"
+           "solve_batch_job", "LANE_FAULT", "LANE_DEADLINE"]
 
 
 class BatchResult:
@@ -83,11 +67,6 @@ class BatchResult:
         self.fmax_mhz = fmax_mhz
         self.power_watts = power_watts
         self.algorithm = algorithm
-
-    @property
-    def wall_seconds(self) -> float:
-        """Modeled wall time of the whole batch at the design clock."""
-        return self.wall_cycles / (self.fmax_mhz * 1e6)
 
     @property
     def lane_cycles(self) -> tuple:
@@ -145,24 +124,25 @@ class BatchAccelerator:
             injectors, warm_starts, deadline_ats)
 
         # One Ruiz plan for the bound structure, reused by every refresh.
-        self._ruiz_plan = RuizPlan.for_problem(problems[0])
+        self._ruiz_plan = plan = RuizPlan.for_problem(problems[0])
         scaled = self._equilibrate(problems)
-        # Per-lane solo accelerators: the host state of each instance,
-        # and the programs and cycle model every lane shares.
-        self.lanes = [
-            lane_type.bind(problem, customization, settings, compiled,
-                           pcg_eps=pcg_eps, max_pcg_iter=max_pcg_iter,
-                           backend="interpret", verify=False,
-                           scaling=scaling)
-            for problem, scaling in zip(problems, scaled[0])]
-
-        self.machine = BatchMachine(customization.c, {
-            name: BatchMatrixResource(
-                name, self.lanes[0].machine.matrices[name], batch)
-            for name in MATRICES}, batch)
+        structure = plan.structure
+        lane_type.check_compiled(compiled, customization, structure.n,
+                                 structure.m)
+        # Each lane is the host half of one instance; the load binds
+        # its problem, scaling and step state.
+        self.lanes = [lane_type.lane(settings, pcg_eps=pcg_eps)
+                      for _ in problems]
+        self.machine = BatchMachine(customization.c, card_matrices(
+            customization, {"P": structure.P, "A": structure.A,
+                            "At": plan.transpose(structure.A.data)},
+            batch), batch)
         if any(inj is not None for inj in self.injectors):
             self.machine.injectors = self.injectors
         self.executor = BatchExecutor(self.machine)
+        self.driver = SegmentDriver(lane_type, compiled,
+                                    customization.architecture,
+                                    self.machine, self.executor)
         self._load(problems, scaled, warm_starts, deadline_ats)
 
     def _lane_lists(self, *lists) -> list:
@@ -239,171 +219,37 @@ class BatchAccelerator:
             for name, values in lane_vectors.items():
                 machine.write_hbm_lane(name, b, values)
         for name, value in registers.items():
-            machine.scalar_buffer(name)[...] = value
+            machine.set_scalar(name, value)
         self.deadline_ats = deadline_ats
         machine.reset_stats()
 
     # ------------------------------------------------------------------
-    def _run(self, program, mask) -> None:
-        self.executor.run(program, mask)
-
-    def _expire_deadlines(self, active, missed) -> None:
-        if not any(d is not None for d in self.deadline_ats):
-            return
-        now = time.perf_counter()
-        for b, deadline_at in enumerate(self.deadline_ats):
-            if deadline_at is not None and active[b] and now > deadline_at:
-                active[b] = False
-                missed[b] = True
-
-    def _guard_lanes(self, active, faulted) -> None:
-        """Freeze lanes whose persistent state went non-finite.
-
-        Batched runs do not roll back (the serving layer re-solves a
-        faulted lane through the solo resilient path, which does);
-        detection mirrors the solo `_state_corrupted` finiteness
-        checks, applied per lane.
-        """
-        if self.machine.injectors is None:
-            return
-        machine = self.machine
-        worst = machine.scalars.get("worst")
-        for b in np.flatnonzero(active):
-            bad = worst is not None and not np.isfinite(worst[b])
-            if not bad:
-                for name in self.lanes[0].state_names:
-                    buf = machine.vb.get(name)
-                    if buf is not None and not np.all(
-                            np.isfinite(buf[:, b])):
-                        bad = True
-                        break
-            if bad:
-                active[b] = False
-                faulted[b] = True
-
-    # ------------------------------------------------------------------
     def run(self) -> BatchResult:
-        """The solo segment loop (:meth:`~repro.hw.accelerator.
-        Accelerator.run`) over the active-lane mask."""
-        machine = self.machine
-        first = self.lanes[0]
-        loop_name = first.loop_name
-        batch = self.batch
-        active = np.ones(batch, dtype=bool)
-        converged = np.zeros(batch, dtype=bool)
-        missed = np.zeros(batch, dtype=bool)
-        faulted = np.zeros(batch, dtype=bool)
-        interval = max(first._segment_length(), 1)
+        """One lockstep run of every lane: the segment driver at B."""
+        return self._collect(self.driver.run(self.lanes, self.deadline_ats))
 
-        self._run(first._prologue_program, None)
-        remaining = self.settings.max_iter
-        while remaining > 0 and active.any():
-            self._expire_deadlines(active, missed)
-            if not active.any():
-                break
-            segment = min(interval, remaining)
-            before = machine.stats.loop_iterations.get(loop_name, 0)
-            self._run(first._segment_program(segment), active)
-            executed = machine.stats.loop_iterations.get(loop_name,
-                                                         0) - before
-            self._guard_lanes(active, faulted)
-            remaining -= executed
-            worst = machine.scalars.get("worst")
-            if worst is not None:
-                with np.errstate(invalid="ignore"):
-                    done = active & (worst < 1.0)
-                converged |= done
-                active &= ~done
-            if not active.any():
-                break
-            if executed < segment:  # defensive: mirrors the solo loop
-                break
-            if remaining > 0:
-                self._segment_boundary(active)
-        self._run(first._epilogue_program, None)
-        return self._collect(converged, missed, faulted)
-
-    def _segment_boundary(self, active) -> None:
-        """The solo host step (:meth:`~repro.hw.accelerator.Accelerator.
-        _segment_boundary`), applied per lane under the mask.
-
-        Each transfer runs once, masked, for every active lane (the
-        wall pays it once); the restart copy and the step-size
-        decision are each lane's own.
-        """
-        machine = self.machine
-        hbm = machine.hbm
-        first = self.lanes[0]
-        lanes = np.flatnonzero(active)
-        if first.anchors:
-            self._run(first._store_program, active)
-            for b in lanes:
-                for anchor, iterate in first.anchors:
-                    hbm[anchor][:, b] = hbm[iterate][:, b]
-                self.lanes[b].restarts += 1
-            self._run(first._anchor_program, active)
-            for name, value in first.restart_scalars:
-                machine.scalar_buffer(name)[active] = value
-        changed = False
-        for b in lanes:
-            lane = self.lanes[b]
-            if not lane._rebalance(*(machine.scalar_lane(name, b, 0.0)
-                                     for name in RESIDUALS)):
-                continue
-            vectors, registers = lane._step_data()
-            for name, values in vectors.items():
-                hbm[name][:, b] = values
-            for name, value in registers.items():
-                machine.set_scalar_lane(name, b, value)
-            changed = True
-        if changed and first.step_reload:
-            # One masked reload refreshes every active lane; lanes whose
-            # step did not change reload bit-identical data (harmless),
-            # and the wall pays the transfer once.
-            self._run(first._step_program, active)
-
-    # ------------------------------------------------------------------
-    def _collect(self, converged, missed, faulted) -> BatchResult:
-        machine = self.machine
-        arch = self.customization.architecture
-        clock = fmax_mhz(arch)
-        power = fpga_power_watts(arch)
+    def _collect(self, out) -> BatchResult:
+        machine, driver = self.machine, self.driver
         no_trips = np.zeros(self.batch, dtype=np.int64)
         lane_trips = {name: machine.lane_loop_iterations.get(name, no_trips)
                       for name in self.compiled.loop_sections}
         results: list = []
-        lane_errors: list = []
         for b, lane in enumerate(self.lanes):
-            if faulted[b] or missed[b]:
+            if out.errors[b] is not None:
                 results.append(None)
-                lane_errors.append(LANE_FAULT if faulted[b]
-                                   else LANE_DEADLINE)
                 continue
-            lane_errors.append(None)
             loops = {name: int(trips[b])
                      for name, trips in lane_trips.items()}
-            effective = lane._estimate(loops, restarts=lane.restarts,
-                                       step_updates=lane.step_updates)
-            injector = self.injectors[b]
-            events = tuple(injector.events) if injector is not None else ()
-            stats = ExecutionStats(
-                total_cycles=effective,
-                by_class={}, instructions_executed=0,
-                loop_iterations=loops)
-            results.append(RSQPResult(
-                x=lane.scaling.unscale_x(machine.read_hbm_lane("x", b)),
-                y=lane.scaling.unscale_y(machine.read_hbm_lane("y", b)),
-                z=lane.scaling.unscale_z(machine.read_hbm_lane("z", b)),
-                converged=bool(converged[b]),
-                admm_iterations=loops[lane.loop_name],
-                pcg_iterations=loops.get(PCG_LOOP, 0),
-                total_cycles=effective,
-                fmax_mhz=clock, power_watts=power,
-                stats=stats, fault_events=events,
-                algorithm=self.algorithm, restarts=lane.restarts))
-        return BatchResult(results, lane_errors,
+            effective = driver.estimate(loops, restarts=lane.restarts,
+                                        step_updates=lane.step_updates)
+            results.append(driver.result(lane, b, ExecutionStats(
+                total_cycles=effective, by_class={},
+                instructions_executed=0, loop_iterations=loops),
+                out.converged[b]))
+        return BatchResult(results, out.errors,
                            wall_stats=machine.stats.copy(),
-                           fmax_mhz=clock, power_watts=power,
+                           fmax_mhz=driver.fmax_mhz,
+                           power_watts=driver.power_watts,
                            algorithm=self.algorithm)
 
 

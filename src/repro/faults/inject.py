@@ -1,8 +1,9 @@
 """The shared datapath injection hook both backends call.
 
-A :class:`FaultInjector` is armed on a :class:`~repro.hw.machine.
-Machine` (``machine.injector``). Both execution backends call the same
-three hooks at the same logical points of the instruction stream:
+A :class:`FaultInjector` is armed on the machine, one per lane
+(``machine.injectors``; an accelerator's ``fault_injector`` arms its
+one lane). Both execution backends call the same three hooks at the
+same logical points of the instruction stream:
 
 * :meth:`on_spmv` — after an SpMV writes its result vector
   (``mac-flip``: a MAC-tree upset corrupts one output element);

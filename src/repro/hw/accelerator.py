@@ -6,32 +6,27 @@ FPGA executes the iteration loop from its instruction ROM, in fixed-
 length segments with a host step between them. The setup is the
 reference solvers' own: :func:`repro.qp.ruiz_equilibrate` and the step
 functions of :mod:`repro.solver.host`, with no solver object built.
-:class:`Accelerator` is that shared driver — host setup, machine bind,
-backend dispatch, program checks, the segment loop with its deadline
-and rollback handling, and result assembly. Each algorithm subclasses
-it with only what differs: the initial step sizes, the download set,
-warm start and the between-segment step.
+:class:`Accelerator` binds one instance to a card and runs it through
+the one segment driver (:class:`~repro.hw.driver.SegmentDriver`) at
+B=1; each algorithm subclasses it with only what differs: the initial
+step sizes, the download set, warm start and the between-segment step.
 :class:`RSQPAccelerator` runs OSQP's ADMM + PCG loop with host-side
 adaptive rho; :class:`repro.hw.pdqp.PDQPAccelerator` runs restarted
-PDHG. The drivers return the *unscaled* solution plus the cycle
-statistics that drive the performance model.
+PDHG. Results are *unscaled*, with the cycle statistics of the
+performance model.
 
-The ``"interpret"`` backend binds a :class:`~repro.hw.machine.Machine`
-and runs its instruction-at-a-time interpreter, the oracle. The
-``"compiled"`` backend binds one lane of a
-:class:`~repro.hw.batched.BatchMachine` — solo is a batch of one — and
-runs it through :class:`~repro.hw.batched.BatchExecutor`, the executor
-every batch uses. The driver reaches either machine through the same
-host accessors (``write_hbm``, ``read_hbm``, ``set_scalar``,
-``scalar``, ``injector``, ``reset_stats``) and restores checkpoints in
-place, since the compiled machine's closures and fused loops hold its
-buffers.
+The host half of an accelerator (problem, scaling, step state, hooks)
+is all a batch lane is (:meth:`Accelerator.lane`). The card half binds
+the ``"interpret"`` backend's :class:`~repro.hw.machine.Machine`, the
+oracle, or the ``"compiled"`` backend's one-lane
+:class:`~repro.hw.batched.BatchMachine` — solo is a batch of one —
+over the matrix resources :func:`card_matrices` builds at any width.
+An armed fault injector lives on the machine only.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
 import numpy as np
@@ -48,88 +43,39 @@ from .batched import BatchExecutor, BatchMachine, BatchMatrixResource
 from .compiled import validate_backend
 from .compiler import (ADMM_LOOP, PCG_LOOP, CompiledProgram, attach_costs,
                        compile_osqp_program)
-from .frequency import fmax_mhz
-from .isa import DataTransfer, Loop, Program
-from .machine import ExecutionStats, Machine, MatrixResource
-from .power import fpga_power_watts
+from .driver import (LANE_DEADLINE, LANE_FAULT, RSQPResult, SegmentDriver,
+                     write_lane)
+from .machine import Machine, MatrixResource
 
-__all__ = ["RSQPResult", "Accelerator", "RSQPAccelerator",
+__all__ = ["RSQPResult", "Accelerator", "RSQPAccelerator", "card_matrices",
            "compile_for_customization", "attach_customization_costs"]
 
 #: Streamed matrices every algorithm binds; each owns a CVB bank group.
 MATRICES = ("P", "A", "At")
 
-#: Device residual scalars a between-segment step size is balanced on.
-RESIDUALS = ("rp", "rdual", "npz", "nd_all")
 
-
-@dataclass
-class RSQPResult:
-    """Solution and performance data from one accelerator run.
-
-    ``admm_iterations`` counts the *outer* loop trips whatever the
-    algorithm (PDHG iterations for ``algorithm="pdqp"``); the uniform
-    ``status`` / ``iterations`` / ``termination_reason`` properties
-    match :class:`repro.solver.results.OSQPResult`, so callers can
-    treat reference and accelerator results interchangeably.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    converged: bool
-    admm_iterations: int
-    pcg_iterations: int
-    total_cycles: int
-    fmax_mhz: float
-    power_watts: float
-    stats: ExecutionStats
-    #: Segment rollbacks the run performed (checkpoint recovery).
-    rollbacks: int = 0
-    #: Fault-injection event records from the run's injector, if any.
-    fault_events: tuple = field(default_factory=tuple)
-    #: Which algorithm produced this result ("admm" or "pdqp").
-    algorithm: str = "admm"
-    #: Host-driven restarts (PDQP) — 0 for the ADMM path.
-    restarts: int = 0
-
-    @property
-    def solve_seconds(self) -> float:
-        """Wall time at the modeled clock."""
-        return self.total_cycles / (self.fmax_mhz * 1e6)
-
-    @property
-    def energy_joules(self) -> float:
-        return self.solve_seconds * self.power_watts
-
-    # -- uniform result surface (matches OSQPResult) --------------------
-    @property
-    def status(self) -> "SolverStatus":
-        """:class:`~repro.solver.results.SolverStatus` equivalent."""
-        from ..solver.results import SolverStatus
-        return (SolverStatus.SOLVED if self.converged
-                else SolverStatus.MAX_ITER_REACHED)
-
-    @property
-    def iterations(self) -> int:
-        """Outer-loop iterations, algorithm-agnostic."""
-        return self.admm_iterations
-
-    @property
-    def termination_reason(self) -> str:
-        """One of :data:`repro.solver.results.TERMINATION_REASONS`."""
-        return self.status.reason
+def card_matrices(customization: ProblemCustomization, patterns: dict,
+                  batch: int) -> dict:
+    """The card's streamed matrices at width ``batch`` (the solo
+    compiled bind's B=1 and every batch): each of ``patterns``' sparsity
+    with the customization's SpMV cost and CVB depth, values zero."""
+    return {name: BatchMatrixResource(
+                name, patterns[name],
+                customization.matrices[name].spmv_cycles,
+                customization.matrices[name].duplication_cycles, batch)
+            for name in MATRICES}
 
 
 class Accelerator:
-    """Simulated RSQP card solving one QP structure: the shared driver.
+    """Simulated RSQP card solving one QP structure.
 
     A subclass runs one algorithm: it declares the program layout and
     host protocol as class data and implements its initial step sizes,
     the download, warm start and the step-size hooks of the
-    between-segment step. The batch runner drives its lanes through the
-    same hooks, so a lane's host step is the solo one; the download
-    hooks take lane-minor data, so the batch loads B lanes in one call.
+    between-segment step. A batch lane is the host half of this class
+    (:meth:`lane`), and the segment driver calls the same hooks for it,
+    so a lane's host step is the solo one; the download hooks take
+    lane-minor data, so the batch loads B lanes in one call.
 
     Parameters
     ----------
@@ -192,33 +138,36 @@ class Accelerator:
     #: host copies, and the scalar registers it resets.
     anchors: ClassVar[tuple[tuple[str, str], ...]] = ()
     restart_scalars: ClassVar[tuple[tuple[str, float], ...]] = ()
-    #: PCG trip budget (only ADMM's program has a PCG loop).
+    #: PCG tolerance and trip budget (only ADMM's program has a PCG loop).
+    pcg_eps: float = 0.0
     max_pcg_iter: int = 0
 
-    # Bound by ``_host_setup``.
+    # Bound by ``_host_setup`` (a batch lane: by the batch's load).
+    problem: QProblem
     scaling: Any
     work: Any
     _work_at: Any
-    # Bound by ``_build_machine``: the card, and what runs its programs
-    # (the interpreter runs itself).
+    # Bound by ``_build_machine``: the card, what runs its programs
+    # (the interpreter runs itself) and the segment driver.
     machine: "Machine | BatchMachine"
     _executor: "Machine | BatchExecutor"
+    _driver: SegmentDriver
 
     def __init__(self, problem: QProblem,
-                 customization: ProblemCustomization | None, settings,
-                 *, c: int, compiled: CompiledProgram | None,
-                 backend: str, verify: bool, fault_injector, recovery,
-                 deadline_seconds: float | None, scaling):
+                 customization: ProblemCustomization | None = None,
+                 settings=None, *, c: int = 16,
+                 compiled: CompiledProgram | None = None,
+                 backend: str = "compiled", verify: bool = True,
+                 fault_injector=None, recovery=None,
+                 deadline_seconds: float | None = None, scaling=None):
         self.problem = problem
-        self.settings = settings
+        self.settings = (settings if settings is not None else
+                         get_algorithm(self.algorithm).default_settings())
         if customization is None:
             customization = customize_problem(problem, c)
         self.customization = customization
         self.c = customization.c
         self.backend = validate_backend(backend)
-        #: Optional FaultInjector armed on the machine before any
-        #: execution; arms detection + checkpoint/rollback too.
-        self.fault_injector = fault_injector
         #: RecoveryPolicy; None with no injector disables the per-
         #: segment corruption guard entirely (the fault-free path does
         #: not pay for checkpoints it will never restore).
@@ -234,17 +183,23 @@ class Accelerator:
 
         self._host_setup(scaling)
         self._build_machine()
+        #: Optional FaultInjector, armed on the machine before any
+        #: execution; arms detection + checkpoint/rollback too.
+        self.fault_injector = fault_injector
         if compiled is None:
             compiled = self.compile_program(
                 customization, self.work.n, self.work.m,
                 max_iter=self.settings.max_iter,
                 max_pcg_iter=self.max_pcg_iter)
         else:
-            self._check_compiled(compiled)
+            self.check_compiled(compiled, customization, self.work.n,
+                                self.work.m)
         self.compiled: CompiledProgram = compiled
         if verify:
             self._verify_compiled(compiled)
-        self._build_programs()
+        self._driver = SegmentDriver(type(self), compiled,
+                                     customization.architecture,
+                                     self.machine, self._executor)
         self._download()
 
     @classmethod
@@ -258,12 +213,36 @@ class Accelerator:
     def bind(cls, problem: QProblem, customization, settings,
              compiled: CompiledProgram, *, pcg_eps: float = 1e-7,
              max_pcg_iter: int = 500, **arm) -> "Accelerator":
-        """Construct around a prebuilt program (serving and batch lanes):
+        """Construct around a prebuilt program (the serving layer):
         ``settings`` are coerced to this algorithm's type, ``pcg_eps`` /
         ``max_pcg_iter`` reach only ADMM, ``arm`` passes through."""
         return cls(problem, customization,
                    get_algorithm(cls.algorithm).coerce_settings(settings),
                    compiled=compiled, **arm)
+
+    @classmethod
+    def lane(cls, settings, *, pcg_eps: float = 1e-7) -> "Accelerator":
+        """The host half of one instance, with no card: a batch lane.
+        The batch's load binds its ``problem``, ``scaling`` and ``work``,
+        and :meth:`_start_lanes` its step state; ``pcg_eps`` reaches
+        only ADMM."""
+        lane = cls.__new__(cls)
+        lane.settings = get_algorithm(cls.algorithm).coerce_settings(
+            settings)
+        lane.pcg_eps = float(pcg_eps)
+        lane.restarts = lane.step_updates = 0
+        return lane
+
+    @property
+    def fault_injector(self):
+        """The armed :class:`~repro.faults.FaultInjector`, or None: it
+        lives on the machine, and assigning arms (or disarms) that."""
+        injectors = self.machine.injectors
+        return injectors[0] if injectors else None
+
+    @fault_injector.setter
+    def fault_injector(self, injector) -> None:
+        self.machine.injectors = None if injector is None else [injector]
 
     # ------------------------------------------------------------------
     def _host_setup(self, scaling=None, carried_step=None) -> None:
@@ -289,63 +268,21 @@ class Accelerator:
         interpreter's machine, or one lane of the compiled backend's."""
         customization = self.customization
         streams = {"P": self.work.P, "A": self.work.A, "At": self._work_at}
-        resources = {
-            name: MatrixResource(
-                name=name, matrix=streams[name],
-                spmv_cycles=customization.matrices[name].spmv_cycles,
-                cvb_depth=customization.matrices[name].duplication_cycles)
-            for name in MATRICES}
         machine: Machine | BatchMachine
         if self.backend == "compiled":
-            machine = BatchMachine(self.c, {
-                name: BatchMatrixResource(name, resource, 1)
-                for name, resource in resources.items()}, 1)
+            machine = BatchMachine(
+                self.c, card_matrices(customization, streams, 1), 1)
             for name in MATRICES:
                 machine.matrices[name].update_values(streams[name].data)
             self._executor = BatchExecutor(machine, verify=self._verify)
         else:
-            machine = self._executor = Machine(self.c, resources)
-        machine.injector = self.fault_injector
+            costs = customization.matrices
+            machine = self._executor = Machine(self.c, {
+                name: MatrixResource(name, streams[name],
+                                     costs[name].spmv_cycles,
+                                     costs[name].duplication_cycles)
+                for name in MATRICES})
         self.machine = machine
-
-    def _run_program(self, program) -> ExecutionStats:
-        """Execute through the selected backend (shared machine state)."""
-        return self._executor.run(program)
-
-    def _build_programs(self) -> None:
-        """Construct every host-issued Program once, at bind time.
-
-        Stability matters beyond allocation: the compiled executor
-        caches lowered blocks and whole-loop fusions by instruction-
-        list identity, so stable Program/Loop objects let every
-        segment of every re-solve hit the same bound nodes (and keep
-        the executor's cache bounded across a long-lived session).
-        """
-        def transfers(direction, names):
-            return Program([DataTransfer(direction, name)
-                            for name in names])
-
-        sections = self.compiled._sections
-        self._step_program = transfers("load", self.step_reload)
-        self._reload_program = transfers("load", self.reload_names)
-        self._store_program = transfers(
-            "store", [iterate for _, iterate in self.anchors])
-        self._anchor_program = transfers(
-            "load", [anchor for anchor, _ in self.anchors])
-        self._prologue_program = Program(list(sections["prologue"]))
-        self._epilogue_program = Program(list(sections["epilogue"]))
-        self._loop_body = sections[self.compiled.body_section]
-        self._segment_programs: dict = {}
-
-    def _segment_program(self, segment: int):
-        """The Program wrapping the iteration body at this trip count."""
-        program = self._segment_programs.get(segment)
-        if program is None:
-            program = Program([Loop(body=self._loop_body,
-                                    max_iter=segment,
-                                    name=self.loop_name)])
-            self._segment_programs[segment] = program
-        return program
 
     # ------------------------------------------------------------------
     def refresh(self, problem: QProblem, *,
@@ -383,31 +320,34 @@ class Accelerator:
         machine.reset_stats()
         self._download()
 
-    def _check_compiled(self, compiled: CompiledProgram) -> None:
-        """Validate an injected program against this problem + width."""
-        if compiled.algorithm != self.algorithm:
+    @classmethod
+    def check_compiled(cls, compiled: CompiledProgram,
+                       customization: ProblemCustomization, n: int,
+                       m: int) -> None:
+        """Validate an injected program against a problem's dimensions
+        and customization (width and matrix costs)."""
+        if compiled.algorithm != cls.algorithm:
             raise ValueError(
                 f"compiled program implements {compiled.algorithm!r}, "
-                f"{type(self).__name__} needs a {self.algorithm!r} program")
+                f"{cls.__name__} needs a {cls.algorithm!r} program")
         ctx = compiled.context
-        if ctx.c != self.c:
+        if ctx.c != customization.c:
             raise ValueError(
                 f"compiled program was costed for C={ctx.c}, "
-                f"customization has C={self.c}")
-        if (ctx.vector_length("x") != self.work.n
-                or ctx.vector_length("y") != self.work.m):
+                f"customization has C={customization.c}")
+        if ctx.vector_length("x") != n or ctx.vector_length("y") != m:
             raise ValueError(
                 f"compiled program is for n={ctx.vector_length('x')}, "
                 f"m={ctx.vector_length('y')}; problem has "
-                f"n={self.work.n}, m={self.work.m}")
+                f"n={n}, m={m}")
         for name in MATRICES:
             if ctx.spmv_cycles(name) != \
-                    self.customization.matrices[name].spmv_cycles:
+                    customization.matrices[name].spmv_cycles:
                 raise ValueError(
                     f"compiled program's {name} SpMV cost disagrees with "
                     "the customization — was it built for this structure?")
             if ctx.cvb_depth(name) != \
-                    self.customization.matrices[name].duplication_cycles:
+                    customization.matrices[name].duplication_cycles:
                 raise ValueError(
                     f"compiled program's {name} CVB depth disagrees with "
                     "the customization — VecDup would be mis-charged")
@@ -421,16 +361,15 @@ class Accelerator:
         report.raise_if_failed("accelerator program rejected")
 
     # ------------------------------------------------------------------
-    def _download(self) -> None:
-        """Host -> HBM data movement and scalar register setup."""
+    def _download(self, machine=None, lane: int = 0) -> None:
+        """Host -> HBM data movement and scalar register setup: this
+        instance's cold download into lane ``lane`` of ``machine``
+        (default: its own card)."""
         work = self.work
-        vectors, registers = self._device_image(
-            work.q, work.l, work.u, float(np.linalg.norm(work.q)),
-            self._step_data())
-        for name, values in vectors.items():
-            self.machine.write_hbm(name, values)
-        for name, value in registers.items():
-            self.machine.set_scalar(name, value)
+        write_lane(self.machine if machine is None else machine, lane,
+                   self._device_image(work.q, work.l, work.u,
+                                      float(np.linalg.norm(work.q)),
+                                      self._step_data()))
 
     def _device_image(self, q, l, u, nq, step: tuple) -> tuple[dict, dict]:
         """``(hbm vectors, scalar registers)`` of a cold download: the
@@ -456,9 +395,8 @@ class Accelerator:
         of same-structure problems; warm-starting from the previous
         solution is how the host exploits that on the card.
         """
-        vectors = self._warm_vectors(self.scaling, x, y)
-        for name, values in vectors.items():
-            self.machine.write_hbm(name, values)
+        for name, values in self._warm_vectors(self.scaling, x, y).items():
+            self.machine.write_hbm_lane(name, 0, values)
 
     def _warm_vectors(self, scaling, x=None, y=None) -> dict:
         """The HBM iterates a warm start from ``x`` / ``y`` (unscaled)
@@ -483,9 +421,9 @@ class Accelerator:
     def _rebalance(self, rp: float, rdual: float, npz: float,
                    nd_all: float) -> bool:
         """If adaptive, residual-balance the step size from the
-        :data:`RESIDUALS` read off the device; adopt and count it when
-        it moves past the tolerance. The one decision the solo driver
-        and every batch lane take."""
+        :data:`~repro.hw.driver.RESIDUALS` read off the device; adopt
+        and count it when it moves past the tolerance. The one decision
+        every lane of the segment driver takes, solo or batch."""
         raise NotImplementedError
 
     def _adopt_step(self, step: float) -> None:
@@ -497,92 +435,9 @@ class Accelerator:
         puts on the device."""
         raise NotImplementedError
 
-    def _install_step(self) -> None:
-        """Write the current step size's device data (host side)."""
-        vectors, registers = self._step_data()
-        for name, values in vectors.items():
-            self.machine.write_hbm(name, values)
-        for name, value in registers.items():
-            self.machine.set_scalar(name, value)
-
-    def _segment_boundary(self) -> None:
-        """The host step between two segments.
-
-        Algorithms with ``anchors`` restart first: the card stores the
-        iterates to HBM (charged), the host copies them into the anchor
-        slots, the card reloads the anchors (charged) and the restart
-        registers reset — the next segment continues from the very same
-        iterate with a fresh anchor. Then, if adaptive, the host
-        rebalances the step size from the residuals read off the
-        device; a change is written and the card reloads
-        ``step_reload`` (charged as data transfers).
-        """
-        machine = self.machine
-        if self.anchors:
-            self._run_program(self._store_program)
-            for anchor, iterate in self.anchors:
-                machine.write_hbm(anchor, machine.read_hbm(iterate))
-            self._run_program(self._anchor_program)
-            for name, value in self.restart_scalars:
-                machine.set_scalar(name, value)
-            self.restarts += 1
-        if self._rebalance(*(machine.scalar(name, 0.0)
-                             for name in RESIDUALS)):
-            self._install_step()
-            if self.step_reload:
-                self._run_program(self._step_program)
-
-    # -- fault detection and recovery ----------------------------------
-    def _snapshot_state(self) -> tuple:
-        """Checkpoint of the cross-segment state (``state_names`` +
-        scalar register values), taken at segment boundaries."""
-        machine = self.machine
-        vb = {name: machine.vb[name].copy()
-              for name in self.state_names if name in machine.vb}
-        return vb, {name: machine.scalar(name) for name in machine.scalars}
-
-    def _state_corrupted(self, prev_worst: float, recovery) -> bool:
-        """Non-finite iterates / residuals, or residual divergence."""
-        machine = self.machine
-        for name in self.state_names:
-            buf = machine.vb.get(name)
-            if buf is not None and not np.all(np.isfinite(buf)):
-                return True
-        worst = machine.scalar("worst")
-        if worst is not None and not np.isfinite(worst):
-            return True
-        if (worst is not None and np.isfinite(prev_worst)
-                and worst > recovery.divergence_factor
-                * max(prev_worst, 1.0)):
-            return True
-        return False
-
-    def _rollback(self, checkpoint: tuple) -> None:
-        """Restore the last good segment boundary.
-
-        Heals possible problem-data corruption too: the host re-
-        downloads the pristine HBM vectors and the accelerator reloads
-        its on-chip copies (charged as data transfers — the reload is
-        the rollback's bounded cost, on top of re-running one segment).
-        Buffers and registers are restored in place: the compiled
-        backend's closures and fused loops hold them.
-        """
-        machine = self.machine
-        self._download()
-        self._run_program(self._reload_program)
-        vb_snap, scalar_snap = checkpoint
-        for name, arr in vb_snap.items():
-            buf = machine.vb.get(name)
-            if isinstance(buf, np.ndarray) and buf.shape == arr.shape:
-                np.copyto(buf, arr)  # keep compiled stable buffers
-            else:
-                machine.vb[name] = arr.copy()
-        for name, value in scalar_snap.items():
-            machine.set_scalar(name, value)
-
     def run(self) -> RSQPResult:
-        """Execute the solve: prologue, loop segments with the host step
-        between them, epilogue. Returns the unscaled result.
+        """Execute the solo solve: the segment driver at B=1. Returns
+        the unscaled result.
 
         With a fault injector (or an explicit recovery policy) armed,
         each segment boundary checks the persistent state for
@@ -593,94 +448,22 @@ class Accelerator:
         deadline is checked cooperatively between segments and raises
         :class:`~repro.exceptions.DeadlineExceededError`.
         """
-        interval = max(self._segment_length(), 1)
-        machine = self.machine
-        loop_name = self.loop_name
         self.restarts = self.step_updates = 0
-        guard = (self.fault_injector is not None
-                 or self.recovery is not None)
-        recovery = self.recovery
-        if guard and recovery is None:
-            from ..faults.policy import RecoveryPolicy
-            recovery = RecoveryPolicy()
         deadline_at = (time.perf_counter() + self.deadline_seconds
                        if self.deadline_seconds is not None else None)
-        rollbacks = 0
-
-        def _events():
-            return (tuple(self.fault_injector.events)
-                    if self.fault_injector is not None else ())
-
-        self._run_program(self._prologue_program)
-        checkpoint = self._snapshot_state() if guard else None
-        prev_worst = np.inf
-        remaining = self.settings.max_iter
-        converged = False
-        while remaining > 0:
-            if (deadline_at is not None
-                    and time.perf_counter() > deadline_at):
-                raise DeadlineExceededError(
-                    f"solve overran its {self.deadline_seconds:.3g}s "
-                    f"deadline with {remaining} iterations to go")
-            segment = min(interval, remaining)
-            before = machine.stats.loop_iterations.get(loop_name, 0)
-            self._run_program(self._segment_program(segment))
-            executed = machine.stats.loop_iterations.get(loop_name,
-                                                         0) - before
-            if guard and self._state_corrupted(prev_worst, recovery):
-                if rollbacks >= recovery.max_rollbacks:
-                    raise FaultDetectedError(
-                        f"{loop_name.upper()} state corrupted after "
-                        f"{rollbacks} rollbacks", events=_events())
-                rollbacks += 1
-                self._rollback(checkpoint)
-                continue  # re-run the segment; budget stays
-            remaining -= executed
-            if machine.scalar("worst", np.inf) < 1.0:
-                converged = True
-                break
-            if executed < segment:  # defensive: loop exited unconverged
-                break
-            if remaining > 0:
-                self._segment_boundary()
-            if guard:
-                checkpoint = self._snapshot_state()
-                worst = machine.scalar("worst")
-                if worst is not None and np.isfinite(worst):
-                    prev_worst = worst
-        self._run_program(self._epilogue_program)
-
-        stats = machine.stats
-        arch = self.customization.architecture
-        return RSQPResult(
-            x=self.scaling.unscale_x(machine.read_hbm("x")),
-            y=self.scaling.unscale_y(machine.read_hbm("y")),
-            z=self.scaling.unscale_z(machine.read_hbm("z")),
-            converged=converged,
-            admm_iterations=stats.loop_iterations.get(loop_name, 0),
-            pcg_iterations=stats.loop_iterations.get(PCG_LOOP, 0),
-            total_cycles=stats.total_cycles,
-            fmax_mhz=fmax_mhz(arch),
-            power_watts=fpga_power_watts(arch),
-            stats=stats, rollbacks=rollbacks,
-            fault_events=_events(),
-            algorithm=self.algorithm, restarts=self.restarts)
-
-    def _estimate(self, loops: dict, *, restarts: int = 0,
-                  step_updates: int = 0) -> int:
-        """Analytic cycle count (exact; see :mod:`repro.hw.compiler`):
-        the program at these loop trips, plus the transfers each
-        restart and each step-size reload charge."""
-        ctx = self.compiled.context
-
-        def cycles(*programs):
-            return sum(item.cycles(ctx) for program in programs
-                       for item in program.instructions)
-
-        return (self.compiled.estimate_cycles_for(loops)
-                + restarts * cycles(self._store_program,
-                                    self._anchor_program)
-                + step_updates * cycles(self._step_program))
+        driver = self._driver
+        out = driver.run([self], [deadline_at], self.recovery,
+                         rollback=True)
+        if out.errors[0] == LANE_DEADLINE:
+            raise DeadlineExceededError(
+                f"solve overran its {self.deadline_seconds:.3g}s "
+                f"deadline with {out.left[0]} iterations to go")
+        if out.errors[0] == LANE_FAULT:
+            raise FaultDetectedError(
+                f"{self.loop_name.upper()} state corrupted after "
+                f"{out.rollbacks[0]} rollbacks", events=driver.events(0))
+        return driver.result(self, 0, self.machine.stats,
+                             out.converged[0], out.rollbacks[0])
 
 
 class RSQPAccelerator(Accelerator):
@@ -714,24 +497,11 @@ class RSQPAccelerator(Accelerator):
 
     def __init__(self, problem: QProblem,
                  customization: ProblemCustomization | None = None,
-                 settings: OSQPSettings | None = None,
-                 *, c: int = 16, pcg_eps: float = 1e-7,
-                 max_pcg_iter: int = 500,
-                 compiled: CompiledProgram | None = None,
-                 backend: str = "compiled",
-                 verify: bool = True,
-                 fault_injector=None,
-                 recovery=None,
-                 deadline_seconds: float | None = None,
-                 scaling=None):
+                 settings: OSQPSettings | None = None, *,
+                 pcg_eps: float = 1e-7, max_pcg_iter: int = 500, **card):
         self.pcg_eps = float(pcg_eps)
         self.max_pcg_iter = int(max_pcg_iter)
-        super().__init__(
-            problem, customization,
-            settings if settings is not None else OSQPSettings(),
-            c=c, compiled=compiled, backend=backend, verify=verify,
-            fault_injector=fault_injector, recovery=recovery,
-            deadline_seconds=deadline_seconds, scaling=scaling)
+        super().__init__(problem, customization, settings, **card)
 
     @classmethod
     def compile_program(cls, customization, n, m, *, max_iter,
@@ -745,6 +515,7 @@ class RSQPAccelerator(Accelerator):
              pcg_eps=1e-7, max_pcg_iter=500, **arm):
         return cls(problem, customization, settings, pcg_eps=pcg_eps,
                    max_pcg_iter=max_pcg_iter, compiled=compiled, **arm)
+
 
     @property
     def rho_updates(self) -> int:
@@ -830,9 +601,9 @@ class RSQPAccelerator(Accelerator):
         ``rho_updates`` charges the three-vector reload each host-driven
         step-size change costs.
         """
-        return self._estimate({ADMM_LOOP: admm_iterations,
-                               PCG_LOOP: pcg_iterations},
-                              step_updates=rho_updates)
+        return self._driver.estimate({ADMM_LOOP: admm_iterations,
+                                      PCG_LOOP: pcg_iterations},
+                                     step_updates=rho_updates)
 
 
 def attach_customization_costs(compiled: CompiledProgram,

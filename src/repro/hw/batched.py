@@ -120,7 +120,7 @@ from .compiled import _SCALAR_KERNELS, _LoopBuilder, literal_operand
 from .isa import (BINARY_SCALAR_OPS, Control, DataTransfer, Loop, Program,
                   ScalarOp, ScalarOpKind, SpMV, VecDup, VectorOp,
                   VectorOpKind)
-from .machine import ExecutionStats, _LoopExit
+from .machine import CardState, ExecutionStats, _LoopExit
 
 __all__ = ["BatchMatrixResource", "BatchMachine", "BatchExecutor",
            "static_write_set"]
@@ -129,10 +129,10 @@ __all__ = ["BatchMatrixResource", "BatchMachine", "BatchExecutor",
 class BatchMatrixResource:
     """B matrices of one sparsity structure, batched SpMV.
 
-    ``solo`` is a :class:`~repro.hw.machine.MatrixResource` of the
-    structure: its pattern, schedule cost and CVB depth are every
-    lane's (same-fingerprint problems share the pattern by
-    construction — Ruiz scaling only rescales values — and
+    ``matrix`` gives the structure's pattern, and ``spmv_cycles`` /
+    ``cvb_depth`` its scheduled cost; all are every lane's
+    (same-fingerprint problems share the pattern by construction —
+    Ruiz scaling only rescales values — and
     :class:`repro.batch.BatchAccelerator` checks its lanes before
     loading any). The ``batch`` lanes' values live lane-minor,
     ``(nnz, B)``, in ``kernel.val`` (zeros until the host writes them,
@@ -142,11 +142,11 @@ class BatchMatrixResource:
     bit-identical to a solo SpMV on lane ``b``'s data.
     """
 
-    def __init__(self, name: str, solo, batch: int):
+    def __init__(self, name: str, matrix, spmv_cycles: int,
+                 cvb_depth: int, batch: int):
         self.name = name
-        self.spmv_cycles = solo.spmv_cycles
-        self.cvb_depth = solo.cvb_depth
-        matrix = solo.matrix
+        self.spmv_cycles = spmv_cycles
+        self.cvb_depth = cvb_depth
         self.shape = tuple(int(s) for s in matrix.shape)
         self.kernel = CSRKernel(self.shape,
                                 np.zeros((matrix.indices.size, batch)),
@@ -166,31 +166,21 @@ class BatchMatrixResource:
         val[...] = data
 
 
-class BatchMachine:
+class BatchMachine(CardState):
     """State container for B lockstep instances of one structure.
 
-    Mirrors the :class:`~repro.hw.machine.Machine` interface the cycle
-    model reads (``c`` / ``vector_length`` / ``spmv_cycles`` /
-    ``cvb_depth``) while holding every vector as a lane-minor
-    ``(len, B)`` buffer. Execution goes through :class:`BatchExecutor`
-    only — the per-instruction interpreter stays single-instance. A
-    solo accelerator's compiled machine is one lane: it reaches it
-    through the interpreter's host accessors (:meth:`write_hbm` with a
-    1-D vector, :meth:`read_hbm`, :meth:`set_scalar`, :meth:`scalar`,
-    :attr:`injector`, :meth:`reset_stats`); reads address lane 0.
+    The :class:`~repro.hw.machine.CardState` the cycle model reads,
+    with every vector a lane-minor ``(len, B)`` buffer; execution goes
+    through :class:`BatchExecutor` only. The segment driver reaches a
+    lane through the lane accessors the interpreter's machine answers
+    too; a solo compiled accelerator is lane 0 of a one-lane machine.
     """
 
     def __init__(self, c: int, matrices: dict, batch: int):
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        self.c = int(c)
+        super().__init__(c, matrices)
         self.batch = int(batch)
-        self.matrices: dict[str, BatchMatrixResource] = dict(matrices)
-        self.hbm: dict[str, np.ndarray] = {}
-        self.vb: dict[str, np.ndarray] = {}
-        self.cvb: dict[str, np.ndarray] = {}
-        self.scalars: dict[str, np.ndarray] = {}
-        self.stats = ExecutionStats()
         #: Per-lane loop trip counts, ``name -> (B,) int64`` (the wall
         #: trips live in ``stats.loop_iterations`` as usual).
         self.lane_loop_iterations: dict[str, np.ndarray] = {}
@@ -201,18 +191,34 @@ class BatchMachine:
 
     # -- host-side state helpers ----------------------------------------
     def write_hbm(self, name: str, values) -> None:
-        """Host write of every lane, lane-minor ``(len, B)`` values — or
-        one lane's 1-D vector on a one-lane machine — (CPU -> HBM, not
-        charged), in place once the buffer exists: lowered closures and
-        the fused loops point at it."""
+        """Host write of every lane, lane-minor ``(len, B)`` values (CPU
+        -> HBM, not charged), in place once the buffer exists: lowered
+        closures and the fused loops point at it."""
         values = np.asarray(values, dtype=np.float64)
-        if values.ndim == 1 and self.batch == 1:
-            values = values[:, None]
         buf = self.hbm.get(name)
         if buf is None:
             buf = self.hbm[name] = np.empty(values.shape)
         buf[...] = values
 
+    def scalar_buffer(self, name: str) -> np.ndarray:
+        buf = self.scalars.get(name)
+        if buf is None:
+            buf = np.zeros(self.batch)
+            self.scalars[name] = buf
+        return buf
+
+    def set_scalar(self, name: str, value) -> None:
+        """Set register ``name`` in every lane, in place: one value, or
+        lane-minor ``(B,)`` values."""
+        self.scalar_buffer(name)[...] = value
+
+    def reset_stats(self) -> None:
+        """Zero the wall stats and the per-lane trips, in place."""
+        super().reset_stats()
+        for trips in self.lane_loop_iterations.values():
+            trips.fill(0)
+
+    # -- the lane accessors of repro.hw.driver --------------------------
     def write_hbm_lane(self, name: str, lane: int, values) -> None:
         """Host write of one lane's column (CPU -> HBM, not charged)."""
         col = np.asarray(values, dtype=np.float64)
@@ -225,61 +231,18 @@ class BatchMachine:
     def read_hbm_lane(self, name: str, lane: int) -> np.ndarray:
         return self.hbm[name][:, lane].copy()
 
-    def scalar_buffer(self, name: str) -> np.ndarray:
-        buf = self.scalars.get(name)
-        if buf is None:
-            buf = np.zeros(self.batch)
-            self.scalars[name] = buf
-        return buf
-
-    def set_scalar_lane(self, name: str, lane: int, value: float) -> None:
+    def set_scalar_lane(self, name: str, lane, value: float) -> None:
+        """Set register ``name`` of one lane, or of a lane mask."""
         self.scalar_buffer(name)[lane] = float(value)
 
-    def scalar_lane(self, name: str, lane: int, default=None):
-        buf = self.scalars.get(name)
-        if buf is None:
-            return default
-        return float(buf[lane])
+    def scalar_lanes(self, name: str) -> np.ndarray | None:
+        """Register ``name``'s live ``(B,)`` buffer, or None when unset."""
+        return self.scalars.get(name)
 
-    def reset_stats(self) -> None:
-        """Zero the wall stats and the per-lane trips, in place."""
-        self.stats.reset()
-        for trips in self.lane_loop_iterations.values():
-            trips.fill(0)
-
-    # -- a one-lane machine through the interpreter's host interface ----
-    def read_hbm(self, name: str) -> np.ndarray:
-        return self.read_hbm_lane(name, 0)
-
-    def set_scalar(self, name: str, value: float) -> None:
-        """Set register ``name`` in every lane, in place."""
-        self.scalar_buffer(name)[...] = float(value)
-
-    def scalar(self, name: str, default=None):
-        """Lane 0 of register ``name`` as a float, or ``default``."""
-        return self.scalar_lane(name, 0, default)
-
-    @property
-    def injector(self):
-        """The one armed injector (lane 0), or None."""
-        return self.injectors[0] if self.injectors else None
-
-    @injector.setter
-    def injector(self, injector) -> None:
-        self.injectors = None if injector is None else [injector]
-
-    # -- cycle-model context (per-lane lengths, like a solo machine) ----
-    def vector_length(self, name: str) -> int:
-        for space in (self.vb, self.hbm, self.cvb):
-            if name in space:
-                return int(space[name].shape[0])
-        raise SimulationError(f"unknown vector {name!r}")
-
-    def spmv_cycles(self, matrix: str) -> int:
-        return self.matrices[matrix].spmv_cycles
-
-    def cvb_depth(self, matrix: str) -> int:
-        return self.matrices[matrix].cvb_depth
+    def vb_lane(self, name: str, lane: int) -> np.ndarray | None:
+        """Lane ``lane``'s column view of VB buffer ``name``, if any."""
+        buf = self.vb.get(name)
+        return None if buf is None else buf[:, lane]
 
 
 # ---------------------------------------------------------------------------

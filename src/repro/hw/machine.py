@@ -31,7 +31,8 @@ from .isa import (BINARY_SCALAR_OPS, Control, DataTransfer, Instruction,
                   Loop, Program, ScalarOp, ScalarOpKind, SpMV, VecDup,
                   VectorOp, VectorOpKind)
 
-__all__ = ["MatrixResource", "Machine", "ExecutionStats", "CYCLE_CLASSES"]
+__all__ = ["MatrixResource", "CardState", "Machine", "ExecutionStats",
+           "CYCLE_CLASSES"]
 
 
 @dataclass
@@ -151,17 +152,43 @@ class _LoopExit(Exception):
     """Internal: raised by Control to exit the enclosing loop."""
 
 
-class Machine:
-    """The RSQP accelerator: instruction interpreter + cycle counter."""
+class CardState:
+    """The state both machines hold and the cycle model reads: the
+    width ``c``, the streamed matrices, the HBM / VB / CVB vectors
+    (each lane's length is the first axis), the scalar registers and
+    the accounting."""
 
     def __init__(self, c: int, matrices: dict):
         self.c = int(c)
-        self.matrices: dict[str, MatrixResource] = dict(matrices)
+        self.matrices: dict = dict(matrices)
         self.hbm: dict[str, np.ndarray] = {}
         self.vb: dict[str, np.ndarray] = {}
         self.cvb: dict[str, np.ndarray] = {}
-        self.scalars: dict[str, float] = {}
+        self.scalars: dict = {}
         self.stats = ExecutionStats()
+
+    def reset_stats(self) -> None:
+        """Zero the accounting in place (see :meth:`ExecutionStats.reset`)."""
+        self.stats.reset()
+
+    def vector_length(self, name: str) -> int:
+        for space in (self.vb, self.hbm, self.cvb):
+            if name in space:
+                return int(space[name].shape[0])
+        raise SimulationError(f"unknown vector {name!r}")
+
+    def spmv_cycles(self, matrix: str) -> int:
+        return self.matrices[matrix].spmv_cycles
+
+    def cvb_depth(self, matrix: str) -> int:
+        return self.matrices[matrix].cvb_depth
+
+
+class Machine(CardState):
+    """The RSQP accelerator: instruction interpreter + cycle counter."""
+
+    def __init__(self, c: int, matrices: dict):
+        super().__init__(c, matrices)
         #: Optional :class:`repro.faults.FaultInjector`. Both backends
         #: call its hooks at the same logical points (after SpMV
         #: writes, HBM loads and CVB duplications), so an armed
@@ -182,26 +209,31 @@ class Machine:
     def set_scalar(self, name: str, value: float) -> None:
         self.scalars[name] = float(value)
 
-    def scalar(self, name: str, default=None):
-        """Register ``name`` as a float, or ``default`` when unset."""
+    # -- the lane accessors of repro.hw.driver; the one lane is lane 0 --
+    @property
+    def injectors(self) -> list | None:
+        return None if self.injector is None else [self.injector]
+
+    @injectors.setter
+    def injectors(self, injectors) -> None:
+        self.injector = injectors[0] if injectors else None
+
+    def write_hbm_lane(self, name: str, lane, values) -> None:
+        self.write_hbm(name, values)
+
+    def read_hbm_lane(self, name: str, lane) -> np.ndarray:
+        return self.read_hbm(name)
+
+    def set_scalar_lane(self, name: str, lane, value: float) -> None:
+        self.set_scalar(name, value)
+
+    def scalar_lanes(self, name: str) -> np.ndarray | None:
+        """Register ``name`` as a ``(1,)`` array, or None when unset."""
         value = self.scalars.get(name)
-        return default if value is None else float(value)
+        return None if value is None else np.array([value])
 
-    def reset_stats(self) -> None:
-        """Zero the accounting in place (see :meth:`ExecutionStats.reset`)."""
-        self.stats.reset()
-
-    def vector_length(self, name: str) -> int:
-        for space in (self.vb, self.hbm, self.cvb):
-            if name in space:
-                return int(space[name].size)
-        raise SimulationError(f"unknown vector {name!r}")
-
-    def spmv_cycles(self, matrix: str) -> int:
-        return self.matrices[matrix].spmv_cycles
-
-    def cvb_depth(self, matrix: str) -> int:
-        return self.matrices[matrix].cvb_depth
+    def vb_lane(self, name: str, lane) -> np.ndarray | None:
+        return self.vb.get(name)
 
     def _vector(self, name: str) -> np.ndarray:
         if name in self.vb:

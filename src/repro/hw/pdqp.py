@@ -8,8 +8,8 @@ scaling, power-iteration step sizes, then the data download); the card
 runs the anchored PDHG loop in fixed-length segments, and the host
 performs the restart between segments — anchor refresh, Halpern-counter
 reset and optional primal weight rebalancing — through the segment
-driver it shares with the ADMM card
-(:class:`repro.hw.accelerator.Accelerator`). Both the interpreter and
+driver every card and every batch shares
+(:class:`repro.hw.driver.SegmentDriver`). Both the interpreter and
 the compiled backend (one lane of a batch machine) execute the same
 instruction stream bit-identically.
 """
@@ -22,7 +22,7 @@ from ..customization import ProblemCustomization
 from ..qp import QProblem
 from ..solver.host import (balanced_step, pdqp_initial_steps,
                            pdqp_step_registers, pdqp_step_sizes)
-from ..solver.settings import OMEGA_MAX, OMEGA_MIN, PDQPSettings
+from ..solver.settings import OMEGA_MAX, OMEGA_MIN
 from .accelerator import Accelerator, attach_customization_costs
 from .compiler import PDHG_LOOP, CompiledProgram, compile_pdqp_program
 
@@ -58,24 +58,6 @@ class PDQPAccelerator(Accelerator):
     anchors = (("x0", "x"), ("y0", "y"))
     restart_scalars = (("hk", 2.0),)  # Halpern k + 2, k = 0
     step_name = "omega"
-
-    def __init__(self, problem: QProblem,
-                 customization: ProblemCustomization | None = None,
-                 settings: PDQPSettings | None = None,
-                 *, c: int = 16,
-                 compiled: CompiledProgram | None = None,
-                 backend: str = "compiled",
-                 verify: bool = True,
-                 fault_injector=None,
-                 recovery=None,
-                 deadline_seconds: float | None = None,
-                 scaling=None):
-        super().__init__(
-            problem, customization,
-            settings if settings is not None else PDQPSettings(),
-            c=c, compiled=compiled, backend=backend, verify=verify,
-            fault_injector=fault_injector, recovery=recovery,
-            deadline_seconds=deadline_seconds, scaling=scaling)
 
     @classmethod
     def compile_program(cls, customization, n, m, *, max_iter,
@@ -167,7 +149,8 @@ class PDQPAccelerator(Accelerator):
         ``restarts`` charges the store/load anchor round-trip each
         host-driven restart costs.
         """
-        return self._estimate({PDHG_LOOP: iterations}, restarts=restarts)
+        return self._driver.estimate({PDHG_LOOP: iterations},
+                                     restarts=restarts)
 
 
 def compile_pdqp_for_customization(customization: ProblemCustomization,

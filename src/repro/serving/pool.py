@@ -129,12 +129,11 @@ class Resident:
         An attempt that raised, or fired faults, spoils the machine.
         """
         accelerator = self.accelerator
-        machine = accelerator.machine
-        machine.reset_stats()
+        accelerator.machine.reset_stats()
         if warm_start is not None:
             x0, y0 = warm_start
             accelerator.warm_start(x=x0, y=y0)
-        accelerator.fault_injector = machine.injector = injector
+        accelerator.fault_injector = injector
         accelerator.deadline_seconds = deadline_seconds
         try:
             raw = accelerator.run()
@@ -145,7 +144,7 @@ class Resident:
             self.spoiled = "fault"
             raise
         finally:
-            accelerator.fault_injector = machine.injector = None
+            accelerator.fault_injector = None
             accelerator.deadline_seconds = None
         if raw.fault_events or raw.rollbacks:
             self.spoiled = "fault"

@@ -80,7 +80,6 @@ from ..hw.compiled import _LoopBuilder, literal_operand
 from ..hw.effect_ir import EFFECT_IR_VERSION, EffectIR, EffectStatement
 from ..hw.isa import (Control, DataTransfer, Loop, ScalarOp, ScalarOpKind,
                       SpMV, VecDup, VectorOp, VectorOpKind)
-from ..hw.machine import MatrixResource
 from .cycles import loop_charge_slots
 from .diagnostics import Location, VerificationReport
 from .program import contract_for_algorithm
@@ -1005,11 +1004,10 @@ def _static_resources(compiled: Any, matrices: dict, batch: int) -> dict:
     resources: dict = {}
     for name, matrix in matrices.items():
         try:
-            solo = MatrixResource(name, matrix, ctx.spmv_cycles(name),
-                                  ctx.cvb_depth(name))
+            costs = ctx.spmv_cycles(name), ctx.cvb_depth(name)
         except KeyError:
             continue
-        resources[name] = BatchMatrixResource(name, solo, batch)
+        resources[name] = BatchMatrixResource(name, matrix, *costs, batch)
     return resources
 
 

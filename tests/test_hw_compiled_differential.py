@@ -60,7 +60,8 @@ def fresh_machine(seed):
 def one_lane(machine):
     """A one-lane BatchMachine holding ``machine``'s state as lane 0."""
     lane = BatchMachine(machine.c, {
-        name: BatchMatrixResource(name, resource, 1)
+        name: BatchMatrixResource(name, resource.matrix,
+                                  resource.spmv_cycles, resource.cvb_depth, 1)
         for name, resource in machine.matrices.items()}, 1)
     for name, resource in machine.matrices.items():
         lane.matrices[name].update_values(resource.matrix.data)
@@ -70,7 +71,7 @@ def one_lane(machine):
             for name, vec in getattr(machine, space).items())
     for name, value in machine.scalars.items():
         lane.set_scalar(name, value)
-    lane.injector = machine.injector
+    lane.injectors = machine.injectors
     return lane
 
 
@@ -832,15 +833,15 @@ class TestFaultHookEquivalence:
         # One injector per machine: op counters are per-run state.
         armed_i.injector = FaultInjector(
             [Fault(kind="mac-flip", op_index=10 ** 9)])
-        armed_c.injector = FaultInjector(
-            [Fault(kind="mac-flip", op_index=10 ** 9)])
+        armed_c.injectors = [FaultInjector(
+            [Fault(kind="mac-flip", op_index=10 ** 9)])]
         executor = BatchExecutor(armed_c)
         armed_i.run(program)
         executor.run(program)
         armed_i.run(program)
         executor.run(program)
         assert not armed_i.injector.events
-        assert not armed_c.injector.events
+        assert not armed_c.injectors[0].events
         assert_states_equal(armed_i, armed_c)
         assert_states_equal(base_i, armed_i)
         assert_states_equal(base_c, armed_c)
@@ -854,11 +855,11 @@ class TestFaultHookEquivalence:
         mi = fresh_machine(3)
         mc = one_lane(fresh_machine(3))
         mi.injector = FaultInjector(list(faults))
-        mc.injector = FaultInjector(list(faults))
+        mc.injectors = [FaultInjector(list(faults))]
         executor = BatchExecutor(mc)
         mi.run(program)
         executor.run(program)
-        assert mi.injector.events == mc.injector.events
+        assert mi.injector.events == mc.injectors[0].events
         assert len(mi.injector.events) == 3
         assert_states_equal(mi, mc)
 
@@ -977,8 +978,7 @@ class TestOneLaneMachine:
                 assert any(entry[1] for entry in
                            acc._executor._loop_fused.values())
             acc.refresh(nearby)
-            acc.fault_injector = acc.machine.injector = \
-                FaultInjector(violent)
+            acc.fault_injector = FaultInjector(violent)
         else:
             acc = bind(nearby, fault_injector=FaultInjector(violent))
         with np.errstate(all="ignore"):
@@ -990,7 +990,7 @@ class TestOneLaneMachine:
         assert got.x.tobytes() == want.x.tobytes()
         assert got.total_cycles == want.total_cycles
         # Disarmed, the fused loops run on the restored registers.
-        acc.fault_injector = acc.machine.injector = None
+        acc.fault_injector = None
         acc.refresh(nearby)
         clean = acc.run()
         assert clean.x.tobytes() == bind(nearby).run().x.tobytes()
@@ -1007,7 +1007,7 @@ class TestOneLaneMachine:
         for faults in plans:
             injector = None if faults is None else FaultInjector(faults)
             resident.refresh(problem)
-            resident.fault_injector = resident.machine.injector = injector
+            resident.fault_injector = injector
             got = resident.run()
             want = bind(problem, fault_injector=None if faults is None
                         else FaultInjector(faults)).run()

@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.faults import Fault, FaultPlan, ResiliencePolicy
-from repro.hw.accelerator import RSQPAccelerator
+from repro.hw.driver import SegmentDriver
 from repro.problems import generate_lasso, generate_svm, perturb_numeric
 from repro.batch import solve_batch_job
 from repro.serving import SolverService, solve_job
@@ -189,13 +189,13 @@ def test_deadline_expired_attempt_discards_its_machine(monkeypatch):
         key = key_of(svc, base)
         svc.solve(base)
         (pooled,) = svc.cache._idle[key]
-        real = RSQPAccelerator._run_program
+        real = SegmentDriver.run_program
 
-        def slow(self, program):
+        def slow(self, *args):
             time.sleep(0.2)
-            return real(self, program)
+            return real(self, *args)
 
-        monkeypatch.setattr(RSQPAccelerator, "_run_program", slow)
+        monkeypatch.setattr(SegmentDriver, "run_program", slow)
         late = svc.solve(perturb_numeric(base, seed=1), deadline=0.1)
         monkeypatch.undo()
         assert late.record.deadline_missed and late.record.degraded

@@ -54,9 +54,7 @@ def matvec(impl: str, matrix: CSRMatrix, x) -> np.ndarray:
 
 
 def batch_matvec(impl: str, mats: list, xs: list) -> np.ndarray:
-    resource = BatchMatrixResource(
-        "M", MatrixResource("M", mats[0], spmv_cycles=1, cvb_depth=1),
-        len(mats))
+    resource = BatchMatrixResource("M", mats[0], 1, 1, len(mats))
     resource.kernel.val[...] = np.stack([mat.data for mat in mats], axis=1)
     x = np.ascontiguousarray(np.stack(xs, axis=1))
     out = np.empty((mats[0].shape[0], len(mats)))
