@@ -4,24 +4,21 @@ Mirrors the paper's deployment, whatever the algorithm: the CPU host
 performs setup (Ruiz scaling, step-size choice, data download) and the
 FPGA executes the iteration loop from its instruction ROM, in fixed-
 length segments with a host step between them. The setup is the
-reference solvers' own: :func:`repro.qp.ruiz_equilibrate` and the step
-functions of :mod:`repro.solver.host`, with no solver object built.
-:class:`Accelerator` binds one instance to a card and runs it through
-the one segment driver (:class:`~repro.hw.driver.SegmentDriver`) at
-B=1; each algorithm subclasses it with only what differs: the initial
-step sizes, the download set, warm start and the between-segment step.
-:class:`RSQPAccelerator` runs OSQP's ADMM + PCG loop with host-side
-adaptive rho; :class:`repro.hw.pdqp.PDQPAccelerator` runs restarted
-PDHG. Results are *unscaled*, with the cycle statistics of the
-performance model.
-
-The host half of an accelerator (problem, scaling, step state, hooks)
-is all a batch lane is (:meth:`Accelerator.lane`). The card half binds
-the ``"interpret"`` backend's :class:`~repro.hw.machine.Machine`, the
-oracle, or the ``"compiled"`` backend's one-lane
-:class:`~repro.hw.batched.BatchMachine` — solo is a batch of one —
-over the matrix resources :func:`card_matrices` builds at any width.
-An armed fault injector lives on the machine only.
+reference solvers' own: :func:`repro.qp.ruiz_equilibrate_batch` and the
+step functions of :mod:`repro.solver.host`, with no solver object built.
+One card class owns the machine, segment driver and host load at every
+width (:class:`repro.hw.card.BatchAccelerator`); an :class:`Accelerator`
+is lane 0 of that card at width 1 — solo is a batch of one — on the
+``"interpret"`` backend's :class:`~repro.hw.machine.Machine`, the
+oracle, or a one-lane :class:`~repro.hw.batched.BatchMachine`. Each
+algorithm subclasses it with only its hooks: the step sizes, the
+download set, warm start and the between-segment step, which the card
+and the driver call for every lane, and which are all a batch lane is
+(:meth:`Accelerator.lane`). :class:`RSQPAccelerator` runs OSQP's ADMM +
+PCG loop with host-side adaptive rho; :class:`repro.hw.pdqp.
+PDQPAccelerator` runs restarted PDHG. Results are *unscaled*, with the
+cycle statistics of the performance model. An armed fault injector
+lives on the machine only.
 """
 
 from __future__ import annotations
@@ -33,49 +30,45 @@ import numpy as np
 
 from ..customization import ProblemCustomization, customize_problem
 from ..exceptions import DeadlineExceededError, FaultDetectedError
-from ..qp import QProblem, RuizPlan, ruiz_equilibrate
+from ..qp import QProblem, RuizPlan
 from ..solver import OSQPSettings
 from ..solver.algorithms import get_algorithm
-from ..solver.host import (admm_initial_step, admm_step_vectors,
-                           balanced_step, rho_vector)
+from ..solver.host import admm_step_vectors, balanced_step, rho_vector
 from ..solver.settings import RHO_MAX, RHO_MIN
-from .batched import BatchExecutor, BatchMachine, BatchMatrixResource
+from .card import MATRICES, BatchAccelerator
 from .compiled import validate_backend
 from .compiler import (ADMM_LOOP, PCG_LOOP, CompiledProgram, attach_costs,
                        compile_osqp_program)
-from .driver import (LANE_DEADLINE, LANE_FAULT, RSQPResult, SegmentDriver,
-                     write_lane)
-from .machine import Machine, MatrixResource
+from .driver import LANE_DEADLINE, LANE_FAULT, RSQPResult, write_lane
 
-__all__ = ["RSQPResult", "Accelerator", "RSQPAccelerator", "card_matrices",
+__all__ = ["RSQPResult", "Accelerator", "RSQPAccelerator",
            "compile_for_customization", "attach_customization_costs"]
 
-#: Streamed matrices every algorithm binds; each owns a CVB bank group.
-MATRICES = ("P", "A", "At")
+
+#: What :func:`numpy.nan_to_num` writes for an infinity by default.
+_MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
-def card_matrices(customization: ProblemCustomization, patterns: dict,
-                  batch: int) -> dict:
-    """The card's streamed matrices at width ``batch`` (the solo
-    compiled bind's B=1 and every batch): each of ``patterns``' sparsity
-    with the customization's SpMV cost and CVB depth, values zero."""
-    return {name: BatchMatrixResource(
-                name, patterns[name],
-                customization.matrices[name].spmv_cycles,
-                customization.matrices[name].duplication_cycles, batch)
-            for name in MATRICES}
+def _finite(v: np.ndarray, posinf: float, neginf: float) -> np.ndarray:
+    """``np.nan_to_num(v, posinf=posinf, neginf=neginf)``, bit for bit,
+    in a third of the numpy calls: the download bounds the card reads."""
+    out = np.array(v, dtype=np.float64)
+    out[v == np.inf] = posinf
+    out[v == -np.inf] = neginf
+    out[v != v] = 0.0
+    return out
 
 
 class Accelerator:
     """Simulated RSQP card solving one QP structure.
 
     A subclass runs one algorithm: it declares the program layout and
-    host protocol as class data and implements its initial step sizes,
-    the download, warm start and the step-size hooks of the
-    between-segment step. A batch lane is the host half of this class
-    (:meth:`lane`), and the segment driver calls the same hooks for it,
-    so a lane's host step is the solo one; the download hooks take
-    lane-minor data, so the batch loads B lanes in one call.
+    host protocol as class data and implements the algorithm's hooks:
+    its step sizes, the download, warm start and the between-segment
+    step. A batch lane is the host half of this class (:meth:`lane`),
+    and a solo instance is lane 0 of the width-1 card; the card's load
+    and the segment driver call the same hooks for every lane, over
+    lane-minor data, so B lanes load in one call.
 
     Parameters
     ----------
@@ -115,6 +108,9 @@ class Accelerator:
         diagnostics instead of failing mid-solve. The check walks the
         instruction stream once; disable only in tight benchmark
         loops that construct accelerators per iteration.
+    scaling:
+        Optional precomputed :func:`~repro.qp.ruiz_equilibrate` of
+        ``problem``; the load then skips its Ruiz pass.
     """
 
     #: Registry name; an injected program's ``algorithm`` must match.
@@ -123,7 +119,7 @@ class Accelerator:
     loop_name: ClassVar[str] = ""
     sections: ClassVar[tuple[str, ...]] = ()
     #: Download contract: the HBM vectors and scalar registers
-    #: ``_download`` provides (what :mod:`repro.verify` checks against).
+    #: ``_device_image`` provides (what :mod:`repro.verify` checks).
     download_hbm: ClassVar[frozenset[str]] = frozenset()
     download_scalars: ClassVar[frozenset[str]] = frozenset()
     #: VB buffers carrying persistent state across segments (the
@@ -142,16 +138,12 @@ class Accelerator:
     pcg_eps: float = 0.0
     max_pcg_iter: int = 0
 
-    # Bound by ``_host_setup`` (a batch lane: by the batch's load).
+    # Bound by the card's load.
     problem: QProblem
     scaling: Any
     work: Any
-    _work_at: Any
-    # Bound by ``_build_machine``: the card, what runs its programs
-    # (the interpreter runs itself) and the segment driver.
-    machine: "Machine | BatchMachine"
-    _executor: "Machine | BatchExecutor"
-    _driver: SegmentDriver
+    # A solo instance's width-1 card (a batch lane has none).
+    _card: BatchAccelerator
 
     def __init__(self, problem: QProblem,
                  customization: ProblemCustomization | None = None,
@@ -160,7 +152,6 @@ class Accelerator:
                  backend: str = "compiled", verify: bool = True,
                  fault_injector=None, recovery=None,
                  deadline_seconds: float | None = None, scaling=None):
-        self.problem = problem
         self.settings = (settings if settings is not None else
                          get_algorithm(self.algorithm).default_settings())
         if customization is None:
@@ -175,32 +166,20 @@ class Accelerator:
         #: Cooperative per-solve deadline, checked between segments.
         self.deadline_seconds = (float(deadline_seconds)
                                  if deadline_seconds is not None else None)
-        #: Static verification on/off — covers both the pre-execution
-        #: program passes and the compiled backend's codegen guard.
-        self._verify = bool(verify)
         #: Host steps of the last run: restarts and step-size changes.
         self.restarts = self.step_updates = 0
-
-        self._host_setup(scaling)
-        self._build_machine()
+        if compiled is None:
+            compiled = self.compile_program(
+                customization, problem.n, problem.m,
+                max_iter=self.settings.max_iter,
+                max_pcg_iter=self.max_pcg_iter)
+        self.compiled: CompiledProgram = compiled
+        self._card = BatchAccelerator.one_lane(
+            self, problem, customization, compiled, backend=self.backend,
+            verify=verify, scaling=scaling)
         #: Optional FaultInjector, armed on the machine before any
         #: execution; arms detection + checkpoint/rollback too.
         self.fault_injector = fault_injector
-        if compiled is None:
-            compiled = self.compile_program(
-                customization, self.work.n, self.work.m,
-                max_iter=self.settings.max_iter,
-                max_pcg_iter=self.max_pcg_iter)
-        else:
-            self.check_compiled(compiled, customization, self.work.n,
-                                self.work.m)
-        self.compiled: CompiledProgram = compiled
-        if verify:
-            self._verify_compiled(compiled)
-        self._driver = SegmentDriver(type(self), compiled,
-                                     customization.architecture,
-                                     self.machine, self._executor)
-        self._download()
 
     @classmethod
     def compile_program(cls, customization: ProblemCustomization,
@@ -223,7 +202,7 @@ class Accelerator:
     @classmethod
     def lane(cls, settings, *, pcg_eps: float = 1e-7) -> "Accelerator":
         """The host half of one instance, with no card: a batch lane.
-        The batch's load binds its ``problem``, ``scaling`` and ``work``,
+        The card's load binds its ``problem``, ``scaling`` and ``work``,
         and :meth:`_start_lanes` its step state; ``pcg_eps`` reaches
         only ADMM."""
         lane = cls.__new__(cls)
@@ -232,6 +211,11 @@ class Accelerator:
         lane.pcg_eps = float(pcg_eps)
         lane.restarts = lane.step_updates = 0
         return lane
+
+    @property
+    def machine(self):
+        """The card's machine: the interpreter's, or one batch lane."""
+        return self._card.machine
 
     @property
     def fault_injector(self):
@@ -245,126 +229,31 @@ class Accelerator:
         self.machine.injectors = None if injector is None else [injector]
 
     # ------------------------------------------------------------------
-    def _host_setup(self, scaling=None, carried_step=None) -> None:
-        """Scale the problem (or adopt a precomputed ``scaling`` of it)
-        and pick the step sizes, through the host functions the
-        reference solvers call. The scaling's plan depends only on the
-        bound sparsity pattern, so it serves every numeric refresh of
-        this structure, ``A'`` included."""
-        if scaling is None:
-            scaling = ruiz_equilibrate(self.problem, self.settings.scaling)
-        self.scaling = scaling
-        self.work = scaling.problem
-        self._work_at = scaling.plan.transpose(self.work.A.data)
-        self._initial_step(carried_step)
-
-    def _initial_step(self, carried_step=None) -> None:
-        """Derive the step sizes from the scaled problem: the
-        cold-start ones, or ``carried_step`` adopted when not None."""
-        raise NotImplementedError
-
-    def _build_machine(self) -> None:
-        """Bind the (numeric) scaled matrices to the simulated card: the
-        interpreter's machine, or one lane of the compiled backend's."""
-        customization = self.customization
-        streams = {"P": self.work.P, "A": self.work.A, "At": self._work_at}
-        machine: Machine | BatchMachine
-        if self.backend == "compiled":
-            machine = BatchMachine(
-                self.c, card_matrices(customization, streams, 1), 1)
-            for name in MATRICES:
-                machine.matrices[name].update_values(streams[name].data)
-            self._executor = BatchExecutor(machine, verify=self._verify)
-        else:
-            costs = customization.matrices
-            machine = self._executor = Machine(self.c, {
-                name: MatrixResource(name, streams[name],
-                                     costs[name].spmv_cycles,
-                                     costs[name].duplication_cycles)
-                for name in MATRICES})
-        self.machine = machine
-
-    # ------------------------------------------------------------------
     def refresh(self, problem: QProblem, *,
                 carry_step: bool = False) -> None:
-        """:meth:`refresh_numeric` under one name for every algorithm:
-        ``carry_step`` keeps the adapted step size (the ``step_name``
-        attribute: rho, omega) instead of the cold-start one."""
-        self._refresh(problem,
-                      getattr(self, self.step_name) if carry_step else None)
-
-    def _refresh(self, problem: QProblem, carried_step) -> None:
         """Install new numeric data for the *same* structure, in place.
 
-        Re-runs the host setup (Ruiz equilibration depends on ``q``, so
-        the scaled matrix values change even for a pure-vector update),
-        rewrites the machine's matrix value banks in place — pattern,
-        schedules, compiled programs, verification and every bound
-        C pointer table stay untouched — and re-downloads the HBM
-        vectors and scalar registers. After this call the machine is
+        The card's load (:meth:`BatchAccelerator.load`) at width 1:
+        Ruiz equilibration over the bound plan (a problem of another
+        structure raises :class:`~repro.exceptions.ShapeError` before
+        anything changes), then the step data and download, written
+        into the value blocks, HBM buffers and registers — pattern,
+        schedules, compiled programs, verification and every bound C
+        pointer table stay untouched. After this call the machine is
         bit-identical to a freshly constructed accelerator for
-        ``problem``, except that a ``carried_step`` (not None) replaces
-        the cold-start step size, and its accounting restarts at zero,
-        so the next :meth:`run` reports what a fresh bind's does.
+        ``problem``, except that ``carry_step`` keeps the adapted step
+        size (the ``step_name`` attribute: rho, omega) instead of the
+        cold-start one, and its accounting restarts at zero, so the
+        next :meth:`run` reports what a fresh bind's does.
         """
-        # The plan's structure check raises before anything changes.
-        scaling = ruiz_equilibrate(problem, self.settings.scaling,
-                                   plan=self.scaling.plan)
-        self.problem = problem
-        self._host_setup(scaling, carried_step)
-        self.restarts = self.step_updates = 0
-        machine = self.machine
-        machine.matrices["P"].update_values(self.work.P.data)
-        machine.matrices["A"].update_values(self.work.A.data)
-        machine.matrices["At"].update_values(self._work_at.data)
-        machine.reset_stats()
-        self._download()
-
-    @classmethod
-    def check_compiled(cls, compiled: CompiledProgram,
-                       customization: ProblemCustomization, n: int,
-                       m: int) -> None:
-        """Validate an injected program against a problem's dimensions
-        and customization (width and matrix costs)."""
-        if compiled.algorithm != cls.algorithm:
-            raise ValueError(
-                f"compiled program implements {compiled.algorithm!r}, "
-                f"{cls.__name__} needs a {cls.algorithm!r} program")
-        ctx = compiled.context
-        if ctx.c != customization.c:
-            raise ValueError(
-                f"compiled program was costed for C={ctx.c}, "
-                f"customization has C={customization.c}")
-        if ctx.vector_length("x") != n or ctx.vector_length("y") != m:
-            raise ValueError(
-                f"compiled program is for n={ctx.vector_length('x')}, "
-                f"m={ctx.vector_length('y')}; problem has "
-                f"n={n}, m={m}")
-        for name in MATRICES:
-            if ctx.spmv_cycles(name) != \
-                    customization.matrices[name].spmv_cycles:
-                raise ValueError(
-                    f"compiled program's {name} SpMV cost disagrees with "
-                    "the customization — was it built for this structure?")
-            if ctx.cvb_depth(name) != \
-                    customization.matrices[name].duplication_cycles:
-                raise ValueError(
-                    f"compiled program's {name} CVB depth disagrees with "
-                    "the customization — VecDup would be mis-charged")
-
-    def _verify_compiled(self, compiled: CompiledProgram) -> None:
-        """Pre-execution static verification (def-before-use, hazards,
-        cost bookkeeping); raises ``VerificationError`` on rejection."""
-        # Imported lazily: repro.verify imports this package.
-        from ..verify import verify_compiled_program
-        report = verify_compiled_program(compiled)
-        report.raise_if_failed("accelerator program rejected")
+        self._card.load([problem], carried=(
+            [getattr(self, self.step_name)] if carry_step else None))
 
     # ------------------------------------------------------------------
     def _download(self, machine=None, lane: int = 0) -> None:
         """Host -> HBM data movement and scalar register setup: this
         instance's cold download into lane ``lane`` of ``machine``
-        (default: its own card)."""
+        (default: its own card) — what a rollback re-writes."""
         work = self.work
         write_lane(self.machine if machine is None else machine, lane,
                    self._device_image(work.q, work.l, work.u,
@@ -376,13 +265,13 @@ class Accelerator:
         scaled problem vectors ``q`` / ``l`` / ``u`` with ``q``'s norm
         ``nq``, the ``step`` data, zero iterates and the constant
         registers. Lane-minor: 1-D vectors and float registers for one
-        problem, ``(len, B)`` and ``(B,)`` for a batch. A subclass adds
-        its iterates and constants to the problem vectors and the
-        termination registers every algorithm reads, set here."""
+        problem, ``(len, B)`` and ``(B,)`` for a card's B lanes. A
+        subclass adds its iterates and constants to the problem vectors
+        and the termination registers every algorithm reads, set here."""
         vectors, registers = step
         s = self.settings
-        return ({"q": q, "l": np.nan_to_num(l, neginf=-1e30),
-                 "u": np.nan_to_num(u, posinf=1e30), **vectors},
+        return ({"q": q, "l": _finite(l, _MAX_FLOAT, -1e30),
+                 "u": _finite(u, 1e30, -_MAX_FLOAT), **vectors},
                 {"eps_rel": s.eps_rel,
                  "eps_abs_m": s.eps_abs * np.sqrt(max(self.work.m, 1)),
                  "eps_abs_n": s.eps_abs * np.sqrt(max(self.work.n, 1)),
@@ -404,13 +293,15 @@ class Accelerator:
         raise NotImplementedError
 
     def _start_lanes(self, lanes: list, plan: RuizPlan, vals: np.ndarray,
-                     l: np.ndarray, u: np.ndarray) -> tuple[dict, dict]:
-        """Cold-start the step sizes of ``lanes`` — accelerators of this
+                     l: np.ndarray, u: np.ndarray,
+                     carried: list | None = None) -> tuple[dict, dict]:
+        """Start the step sizes of ``lanes`` — accelerators of this
         algorithm whose ``work`` holds their newly scaled problem — in
         one host pass, and return their lane-minor step data (what
         :meth:`_step_data` returns for one). ``vals`` are the lanes'
         scaled ``P`` then ``A`` values ``(nnz, B)``, ``l`` / ``u`` their
-        scaled bounds ``(m, B)``."""
+        scaled bounds ``(m, B)``. Each lane starts cold, or from its
+        entry of ``carried`` (adopted as :meth:`_adopt_step` would)."""
         raise NotImplementedError
 
     # -- the between-segment host step ----------------------------------
@@ -451,7 +342,7 @@ class Accelerator:
         self.restarts = self.step_updates = 0
         deadline_at = (time.perf_counter() + self.deadline_seconds
                        if self.deadline_seconds is not None else None)
-        driver = self._driver
+        driver = self._card.driver
         out = driver.run([self], [deadline_at], self.recovery,
                          rollback=True)
         if out.errors[0] == LANE_DEADLINE:
@@ -516,23 +407,16 @@ class RSQPAccelerator(Accelerator):
         return cls(problem, customization, settings, pcg_eps=pcg_eps,
                    max_pcg_iter=max_pcg_iter, compiled=compiled, **arm)
 
-
     @property
     def rho_updates(self) -> int:
         """Host-driven rho changes in the last run."""
         return self.step_updates
 
-    def _initial_step(self, carried_step=None) -> None:
-        if carried_step is not None:
-            self._adopt_step(carried_step)
-            return
-        self.rho, self.rho_vec = admm_initial_step(self.work.l, self.work.u,
-                                                   self.settings)
-
-    def _start_lanes(self, lanes, plan, vals, l, u):
-        rho, rho_vec = admm_initial_step(l, u, self.settings)
-        for b, lane in enumerate(lanes):
-            lane.rho, lane.rho_vec = rho, rho_vec[:, b]
+    def _start_lanes(self, lanes, plan, vals, l, u, carried=None):
+        rhos = carried or [float(self.settings.rho)] * len(lanes)
+        rho_vec = rho_vector(l, u, np.array(rhos))
+        for lane, rho, column in zip(lanes, rhos, rho_vec.T):
+            lane.rho, lane.rho_vec = rho, column
         return admm_step_vectors(plan, vals[:plan.nnz_p],
                                  vals[plan.nnz_p:], self.settings.sigma,
                                  rho_vec), {}
@@ -540,7 +424,7 @@ class RSQPAccelerator(Accelerator):
     def refresh_numeric(self, problem: QProblem, *,
                         carry_rho: bool = False) -> None:
         """Install new numeric data for the *same* structure, in place
-        (see :meth:`Accelerator._refresh`). ``carry_rho=True`` keeps
+        (see :meth:`Accelerator.refresh`). ``carry_rho=True`` keeps
         the adapted step size from previous solves instead of the
         cold-start estimate."""
         self.refresh(problem, carry_step=carry_rho)
@@ -601,9 +485,9 @@ class RSQPAccelerator(Accelerator):
         ``rho_updates`` charges the three-vector reload each host-driven
         step-size change costs.
         """
-        return self._driver.estimate({ADMM_LOOP: admm_iterations,
-                                      PCG_LOOP: pcg_iterations},
-                                     step_updates=rho_updates)
+        return self._card.driver.estimate({ADMM_LOOP: admm_iterations,
+                                           PCG_LOOP: pcg_iterations},
+                                          step_updates=rho_updates)
 
 
 def attach_customization_costs(compiled: CompiledProgram,

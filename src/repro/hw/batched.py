@@ -122,6 +122,13 @@ from .isa import (BINARY_SCALAR_OPS, Control, DataTransfer, Loop, Program,
                   VectorOpKind)
 from .machine import CardState, ExecutionStats, _LoopExit
 
+try:
+    # np.clip's own ufunc: np.clip(a, lo, hi, out=dst) ends in this call
+    # for float bounds, after several Python-level argument checks.
+    from numpy._core.umath import clip as _clip  # type: ignore
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip  # type: ignore
+
 __all__ = ["BatchMatrixResource", "BatchMachine", "BatchExecutor",
            "static_write_set"]
 
@@ -967,7 +974,7 @@ class BatchExecutor:
             dst = self._dst_buffer(machine.vb, instr.dst, length)
 
             def fn():
-                np.clip(a, lo, hi, out=dst)
+                _clip(a, lo, hi, out=dst)
             return fn
         b = self._resident(srcs[1])
         dst = self._dst_buffer(machine.vb, instr.dst, length)

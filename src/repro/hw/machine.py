@@ -64,7 +64,7 @@ class MatrixResource:
         valid. The caller guarantees the pattern is unchanged — only
         the value array's shape is checked here.
         """
-        data = np.asarray(data, dtype=np.float64)
+        data = np.ravel(np.asarray(data, dtype=np.float64))
         if data.shape != self.kernel.val.shape:
             raise ShapeError(
                 f"matrix {self.name!r}: got {data.size} values for a "
@@ -199,15 +199,18 @@ class Machine(CardState):
         self.injector = None
 
     # -- state helpers ---------------------------------------------------
+    # Host writes take one instance's data, or the one lane of the
+    # lane-minor data a card's load writes at width 1.
     def write_hbm(self, name: str, values) -> None:
         """Host-side write (CPU -> HBM), not charged to the accelerator."""
-        self.hbm[name] = np.asarray(values, dtype=np.float64).copy()
+        self.hbm[name] = np.array(values, dtype=np.float64).ravel()
 
     def read_hbm(self, name: str) -> np.ndarray:
         return self.hbm[name].copy()
 
-    def set_scalar(self, name: str, value: float) -> None:
-        self.scalars[name] = float(value)
+    def set_scalar(self, name: str, value) -> None:
+        """Set a register: a float, or a one-lane ``(1,)`` array."""
+        self.scalars[name] = float(value[0] if np.ndim(value) else value)
 
     # -- the lane accessors of repro.hw.driver; the one lane is lane 0 --
     @property

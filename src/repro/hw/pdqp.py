@@ -1,17 +1,18 @@
-"""Host-side driver: run PDQP end-to-end on the simulated RSQP card.
+"""Host-side hooks: run PDQP end-to-end on the simulated RSQP card.
 
 The second algorithm on the customized datapaths: restarted Halpern
 PDHG (:mod:`repro.solver.pdqp`) lowered by
 :func:`repro.hw.compiler.compile_pdqp_program`. The host performs the
 setup the reference solver does, through the same functions (Ruiz
-scaling, power-iteration step sizes, then the data download); the card
+scaling, power-iteration step sizes, then the data download) in the
+one host load of the card at any width (:class:`repro.hw.card.
+BatchAccelerator`; this class supplies only the step hooks). The card
 runs the anchored PDHG loop in fixed-length segments, and the host
 performs the restart between segments — anchor refresh, Halpern-counter
 reset and optional primal weight rebalancing — through the segment
-driver every card and every batch shares
-(:class:`repro.hw.driver.SegmentDriver`). Both the interpreter and
-the compiled backend (one lane of a batch machine) execute the same
-instruction stream bit-identically.
+driver every card shares (:class:`repro.hw.driver.SegmentDriver`).
+Both the interpreter and the compiled backend (one lane of a batch
+machine) execute the same instruction stream bit-identically.
 """
 
 from __future__ import annotations
@@ -70,17 +71,10 @@ class PDQPAccelerator(Accelerator):
         """Host-driven primal-weight changes in the last run."""
         return self.step_updates
 
-    def _initial_step(self, carried_step=None) -> None:
-        (self.norm_a, self.lam_p, self.omega, self.tau,
-         self.sigma) = pdqp_initial_steps(self.work, self._work_at,
-                                          self.settings)
-        if carried_step is not None:
-            self._adopt_step(carried_step)
-
     def refresh_numeric(self, problem: QProblem, *,
                         carry_omega: bool = False) -> None:
         """Rebind the card to new numeric data on the same structure
-        (see :meth:`Accelerator._refresh`). With ``carry_omega`` the
+        (see :meth:`Accelerator.refresh`). With ``carry_omega`` the
         adapted primal weight survives the refresh (step sizes are
         re-derived from it against the new operator norms), which is
         the warm-start-friendly default for streaming re-solves."""
@@ -104,14 +98,16 @@ class PDQPAccelerator(Accelerator):
             vectors.update(y=y_s, y0=y_s)
         return vectors
 
-    def _start_lanes(self, lanes, plan, vals, l, u):
-        # The solo power iteration, once per lane: its norms are BLAS
-        # dot products over each lane's own contiguous vectors.
-        for lane in lanes:
+    def _start_lanes(self, lanes, plan, vals, l, u, carried=None):
+        # The power iteration, once per lane: its norms are BLAS dot
+        # products over each lane's own contiguous vectors.
+        for b, lane in enumerate(lanes):
             work = lane.work
             (lane.norm_a, lane.lam_p, lane.omega, lane.tau,
              lane.sigma) = pdqp_initial_steps(
                  work, plan.transpose(work.A.data), self.settings)
+            if carried is not None:
+                lane._adopt_step(carried[b])
         return {}, pdqp_step_registers(
             np.array([lane.tau for lane in lanes]),
             np.array([lane.sigma for lane in lanes]))
@@ -149,8 +145,8 @@ class PDQPAccelerator(Accelerator):
         ``restarts`` charges the store/load anchor round-trip each
         host-driven restart costs.
         """
-        return self._driver.estimate({PDHG_LOOP: iterations},
-                                     restarts=restarts)
+        return self._card.driver.estimate({PDHG_LOOP: iterations},
+                                          restarts=restarts)
 
 
 def compile_pdqp_for_customization(customization: ProblemCustomization,

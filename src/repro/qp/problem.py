@@ -20,7 +20,7 @@ import numpy as np
 from ..exceptions import ShapeError
 from ..sparse import CSRMatrix
 
-__all__ = ["QProblem", "updated_vectors", "check_same_structure"]
+__all__ = ["QProblem", "updated_vectors"]
 
 
 @dataclass
@@ -185,21 +185,3 @@ def updated_vectors(problem: QProblem, q=None, l=None, u=None):
         if np.any(l_new > u_new):
             raise ShapeError("every lower bound must satisfy l <= u")
     return q_new, l_new, u_new
-
-
-def check_same_structure(bound: QProblem, problem: QProblem) -> None:
-    """Raise :class:`ShapeError` unless ``problem`` has ``bound``'s
-    dimensions and ``P`` / ``A`` sparsity patterns — the precondition
-    of every same-structure numeric update of a bound machine."""
-    if problem.n != bound.n or problem.m != bound.m:
-        raise ShapeError(
-            f"bound to n={bound.n}, m={bound.m}; got "
-            f"n={problem.n}, m={problem.m}")
-    for name in ("P", "A"):
-        new_mat = getattr(problem, name)
-        old_mat = getattr(bound, name)
-        if not (np.array_equal(new_mat.indptr, old_mat.indptr)
-                and np.array_equal(new_mat.indices, old_mat.indices)):
-            raise ShapeError(
-                f"sparsity pattern of {name} changed; a bound "
-                "machine only accepts same-structure numeric updates")

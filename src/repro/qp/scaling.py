@@ -10,21 +10,23 @@ Scaling replaces the problem ``(P, q, A, l, u)`` with
 where ``D``/``E`` are positive diagonal matrices equilibrating the
 infinity norms of the columns of the stacked matrix ``[[P, A'], [A, 0]]``
 and ``c`` normalizes the cost. Solutions map back as ``x = D x̄``,
-``z = E^{-1} z̄``, ``y = E ȳ / c``.
+``z = E^{-1} z̄``, ``y = E ȳ / c``. One body scales B problems of one
+structure lane-minor (:func:`ruiz_equilibrate_batch`); the reference
+solvers' :func:`ruiz_equilibrate` is its one-lane case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..exceptions import ShapeError
 from ..sparse import CSRMatrix, kernels
-from .problem import QProblem, check_same_structure
+from .problem import QProblem
 
 __all__ = ["Scaling", "RuizPlan", "ruiz_equilibrate", "ruiz_equilibrate_batch",
-           "numpy_ruiz"]
+           "lane_minor", "numpy_ruiz"]
 
 #: Bounds on individual scaling factors (same spirit as OSQP's limits).
 _MIN_SCALE = 1e-4
@@ -80,8 +82,8 @@ def _scale_bounds(e, l, u) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore"):
         l_s = e * l
         u_s = e * u
-    l_s[np.isneginf(l)] = -np.inf
-    u_s[np.isposinf(u)] = np.inf
+    l_s[l == -np.inf] = -np.inf
+    u_s[u == np.inf] = np.inf
     return l_s, u_s
 
 
@@ -129,11 +131,11 @@ class RuizPlan:
     """Pattern-derived index plans for :func:`ruiz_equilibrate`.
 
     Everything here depends only on the sparsity structure of ``(P, A)``,
-    so a bound accelerator (:meth:`repro.hw.accelerator.Accelerator.
-    refresh`) or a batched one (:class:`repro.batch.BatchAccelerator`)
-    computes it once and reuses it for every numeric refresh of the
-    same structure. That includes ``A'``: its pattern and the
-    permutation gathering its values from ``A``'s.
+    so a bound card (:class:`repro.hw.card.BatchAccelerator`, solo or
+    batched) computes it once and reuses it for every numeric refresh
+    of the same structure. That includes ``A'``: its pattern and the
+    permutation gathering its values from ``A``'s. Every lane's scaled
+    matrices share the structure's index arrays.
     """
 
     structure: QProblem       # the problem the plan was derived from
@@ -146,6 +148,10 @@ class RuizPlan:
     a_by_row: tuple           # segment plan over A entries by row
     p_by_col: tuple           # segment plan over P entries by column
     at_pattern: tuple         # A.transpose_pattern(): A' and its gather
+    #: The last accepted problem's index arrays, keyed by ``id`` of the
+    #: structure's array they equal.
+    _accepted: dict = field(default_factory=dict, repr=False,
+                            compare=False)
 
     @classmethod
     def for_problem(cls, problem: QProblem) -> "RuizPlan":
@@ -163,6 +169,30 @@ class RuizPlan:
                    a_by_row=_segment_plan(a_row, m),
                    p_by_col=_segment_plan(P.indices, n),
                    at_pattern=A.transpose_pattern())
+
+    def check(self, problem: QProblem) -> None:
+        """Raise :class:`ShapeError` unless ``problem`` has the plan's
+        dimensions and ``P`` / ``A`` patterns. An index array that *is*
+        the plan's, or the last accepted problem's, passes without a
+        value comparison (index arrays are never mutated in place)."""
+        structure = self.structure
+        if problem.n != structure.n or problem.m != structure.m:
+            raise ShapeError(
+                f"bound to n={structure.n}, m={structure.m}; got "
+                f"n={problem.n}, m={problem.m}")
+        accepted = self._accepted
+        for name, arr, known in (
+                ("P", problem.P.indptr, structure.P.indptr),
+                ("P", problem.P.indices, structure.P.indices),
+                ("A", problem.A.indptr, structure.A.indptr),
+                ("A", problem.A.indices, structure.A.indices)):
+            if arr is known or accepted.get(id(known)) is arr:
+                continue
+            if not np.array_equal(arr, known):
+                raise ShapeError(
+                    f"sparsity pattern of {name} changed; a bound machine "
+                    "only accepts same-structure numeric updates")
+            accepted[id(known)] = arr
 
     def at_values(self, a_vals: np.ndarray) -> np.ndarray:
         """``A'``'s values from ``A``'s, lane-minor: ``(nnz,)`` or
@@ -233,7 +263,7 @@ def numpy_ruiz(vals: np.ndarray, q: np.ndarray, plan: RuizPlan,
     # constraints]; `rid` maps each entry to its row factor in it (A
     # rows offset by n) and `cid` to its column factor.
     de = np.ones((n + m,) + lanes)
-    c = 1.0
+    c = np.ones(lanes)
     rid, cid = plan.rid, plan.cid
     for _ in range(iterations):
         # Column infinity norms of the stacked matrix [[P, A'], [A, 0]]:
@@ -269,20 +299,33 @@ def numpy_ruiz(vals: np.ndarray, q: np.ndarray, plan: RuizPlan,
     return vals, q, de, c
 
 
+def lane_minor(problems) -> tuple:
+    """``(vals, q, l, u)`` of problems of one structure, lane-minor:
+    ``P`` then ``A`` values ``(nnz, B)``, costs ``(n, B)``, bounds
+    ``(m, B)``. ``vals`` and ``q`` are new arrays (the Ruiz pass scales
+    them in place); at one lane the bounds are views, not stacks."""
+    columns = [(np.concatenate([pr.P.data, pr.A.data]), pr.q, pr.l, pr.u)
+               for pr in problems]
+    if len(columns) == 1:
+        vals, q, l, u = columns[0]
+        return vals[:, None], q[:, None].copy(), l[:, None], u[:, None]
+    return tuple(np.stack(arrays, axis=1) for arrays in zip(*columns))
+
+
 def _scaled(problem: QProblem, vals: np.ndarray, q: np.ndarray,
-            de: np.ndarray, c, plan: RuizPlan, l: np.ndarray,
+            de: np.ndarray, c: float, plan: RuizPlan, l: np.ndarray,
             u: np.ndarray) -> Scaling:
-    """One problem's :class:`Scaling` from its share of :func:`_ruiz`
-    and its scaled bounds ``l`` / ``u``."""
+    """One problem's :class:`Scaling` from its lane of :func:`_ruiz`
+    and its scaled bounds ``l`` / ``u``, over the plan's pattern."""
     n = problem.n
-    P, A = problem.P, problem.A
-    nnz_p = P.nnz
+    P, A = plan.structure.P, plan.structure.A
+    nnz_p = plan.nnz_p
     scaling = Scaling(problem=None, d=np.ascontiguousarray(de[:n]),
                       e=np.ascontiguousarray(de[n:]), c=float(c), plan=plan)
     p_mat = CSRMatrix(P.shape, np.ascontiguousarray(vals[:nnz_p]),
-                      P.indices.copy(), P.indptr.copy(), check=False)
+                      P.indices, P.indptr, check=False)
     a_mat = CSRMatrix(A.shape, np.ascontiguousarray(vals[nnz_p:]),
-                      A.indices.copy(), A.indptr.copy(), check=False)
+                      A.indices, A.indptr, check=False)
     # Diagonal scaling of a validated problem preserves every QProblem
     # invariant, so skip re-validation (it would transpose P per call).
     scaling.problem = QProblem._trusted(
@@ -300,41 +343,30 @@ def ruiz_equilibrate(problem: QProblem, iterations: int = 10, *,
 
     The iteration works on raw value arrays with index plans computed
     once from the (loop-invariant) sparsity pattern: the row/column
-    scalings are the same two elementwise multiplies
-    ``data * delta[row_of]`` then ``data * delta[indices]`` that
-    :meth:`CSRMatrix.scale_rows` / ``scale_cols`` perform, and the
-    infinity norms are order-insensitive maxima — so the result is
-    bit-identical to equilibrating through matrix objects while doing
-    none of the per-iteration structure copies. With a C compiler the
-    whole iteration is one engine call (:func:`_ruiz`). This function
-    sits on the session re-solve hot path (:mod:`repro.serving.session`);
-    callers that equilibrate one structure repeatedly pass a cached
-    :class:`RuizPlan` to skip even the pattern analysis. A problem of
-    another structure than the plan's raises :class:`ShapeError`.
+    scalings are the elementwise multiplies :meth:`CSRMatrix.
+    scale_rows` / ``scale_cols`` perform and the infinity norms are
+    order-insensitive maxima, so the result is bit-identical to
+    equilibrating through matrix objects. It is the one-lane
+    :func:`ruiz_equilibrate_batch`; a cached :class:`RuizPlan` skips
+    the pattern analysis (a problem of another structure than the
+    plan's raises :class:`ShapeError`).
     """
-    if plan is None:
-        plan = RuizPlan.for_problem(problem)
-    else:
-        check_same_structure(plan.structure, problem)
-    vals, q, de, c = _ruiz(np.concatenate([problem.P.data, problem.A.data]),
-                           problem.q.copy(), plan, iterations)
-    return _scaled(problem, vals, q, de, c, plan,
-                   *_scale_bounds(de[problem.n:], problem.l, problem.u))
+    return ruiz_equilibrate_batch([problem], iterations, plan=plan)[0][0]
 
 
 def ruiz_equilibrate_batch(problems, iterations: int = 10, *,
                            plan: RuizPlan | None = None) -> tuple:
     """Equilibrate B problems of one sparsity structure in one pass.
 
-    The lanes' values run through the solo iteration stacked
-    lane-minor, ``(nnz, B)``, so each lane's :class:`Scaling` is
-    bit-identical to :func:`ruiz_equilibrate` on that problem alone.
-    Returns ``(scalings, vals, q, l, u)``: the B scalings and the
-    lane-minor arrays they were cut from — the scaled ``P`` then ``A``
-    values ``(nnz, B)``, costs ``(n, B)`` and bounds ``(m, B)``.
-    ``plan`` is derived from the first problem when omitted; every
-    problem is checked against the plan's structure before any scaling
-    runs (:class:`ShapeError` on a mismatch).
+    The lanes' values run through one iteration stacked lane-minor,
+    ``(nnz, B)``, so each lane's :class:`Scaling` is bit-identical to
+    the one-lane call on that problem alone. Returns ``(scalings, vals,
+    q, l, u)``: the B scalings and the lane-minor arrays they were cut
+    from — the scaled ``P`` then ``A`` values ``(nnz, B)``, costs
+    ``(n, B)`` and bounds ``(m, B)``. ``plan`` is derived from the first
+    problem when omitted; every problem is checked against the plan's
+    structure before any scaling runs (:class:`ShapeError` on a
+    mismatch, see :meth:`RuizPlan.check`).
     """
     problems = list(problems)
     if not problems:
@@ -342,15 +374,10 @@ def ruiz_equilibrate_batch(problems, iterations: int = 10, *,
     if plan is None:
         plan = RuizPlan.for_problem(problems[0])
     for pr in problems:
-        check_same_structure(plan.structure, pr)
-    vals = np.stack([np.concatenate([pr.P.data, pr.A.data])
-                     for pr in problems], axis=1)
-    q = np.stack([pr.q for pr in problems], axis=1)
+        plan.check(pr)
+    vals, q, l, u = lane_minor(problems)
     vals, q, de, c = _ruiz(vals, q, plan, iterations)
-    c = np.broadcast_to(c, len(problems))
-    l, u = _scale_bounds(de[plan.structure.n:],
-                         np.stack([pr.l for pr in problems], axis=1),
-                         np.stack([pr.u for pr in problems], axis=1))
+    l, u = _scale_bounds(de[plan.structure.n:], l, u)
     scalings = [_scaled(pr, vals[:, b], q[:, b], de[:, b], c[b], plan,
                         l[:, b], u[:, b])
                 for b, pr in enumerate(problems)]

@@ -29,6 +29,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from ..customization import (ProblemCustomization, customize_problem,
@@ -71,8 +72,10 @@ class ArchArtifact:
     #: passes; one accept covers every batch bound to this artifact.
     codegen_verified: bool = field(default=False, compare=False)
 
-    @property
+    @cached_property
     def architecture_string(self) -> str:
+        """The architecture's spec string, built once per artifact (the
+        artifact is frozen; every record of every solve reads it)."""
         return str(self.customization.architecture)
 
     @property

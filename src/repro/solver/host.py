@@ -20,6 +20,7 @@ order, so lane ``b`` of a stacked call is the one-problem call on lane
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Tuple
 
@@ -49,15 +50,15 @@ def balanced_step(step: float, rp: float, rdual: float, npz: float,
     return float(np.clip(estimate, lo, hi))
 
 
-def rho_vector(l: np.ndarray, u: np.ndarray, rho: float) -> np.ndarray:
+def rho_vector(l: np.ndarray, u: np.ndarray, rho) -> np.ndarray:
     """Per-constraint ADMM step for the scaled bounds ``l`` / ``u``
-    (lane-minor): ``rho`` clipped to ``[RHO_MIN, RHO_MAX]``, stiffened
-    by ``RHO_EQ_FACTOR`` on equality rows and ``RHO_MIN`` on free
-    rows."""
-    rho = float(np.clip(rho, RHO_MIN, RHO_MAX))
-    vec = np.full(np.shape(l), rho)
-    vec[l == u] = np.clip(rho * RHO_EQ_FACTOR, RHO_MIN, RHO_MAX)
-    vec[np.isneginf(l) & np.isposinf(u)] = RHO_MIN
+    (lane-minor; ``rho`` one float, or ``(B,)`` per lane): ``rho``
+    clipped to ``[RHO_MIN, RHO_MAX]``, stiffened by ``RHO_EQ_FACTOR``
+    on equality rows and ``RHO_MIN`` on free rows."""
+    rho = np.minimum(np.maximum(rho, RHO_MIN), RHO_MAX)
+    vec = np.where(l == u, np.minimum(np.maximum(rho * RHO_EQ_FACTOR,
+                                                 RHO_MIN), RHO_MAX), rho)
+    vec[(l == -np.inf) & (u == np.inf)] = RHO_MIN
     return vec
 
 
@@ -79,12 +80,16 @@ def jacobi_preconditioner(plan: RuizPlan, p_vals: np.ndarray,
     :meth:`repro.qp.ReducedKKTOperator.diagonal`: ``A``'s columns
     accumulate their squared weighted entries in entry order."""
     P, A = plan.structure.P, plan.structure.A
-    lanes = np.shape(p_vals)[1:]
-    diag_k = np.zeros((P.shape[0],) + lanes)
+    n, lanes = P.shape[0], np.shape(p_vals)[1:]
+    width = lanes[0] if lanes else 1
+    diag_k = np.zeros((n,) + lanes)
     diag_k[P.indices[plan.p_diag]] = p_vals[plan.p_diag]
-    col_sq = np.zeros((P.shape[0],) + lanes)
-    np.add.at(col_sq, A.indices,
-              (a_vals * np.sqrt(rho_vec)[plan.a_row]) ** 2)
+    # (entry, lane) bins, entry-major: each lane sums in entry order.
+    bins = (A.indices if width == 1 else
+            (A.indices[:, None] * width + np.arange(width)).ravel())
+    col_sq = np.bincount(
+        bins, weights=np.ravel((a_vals * np.sqrt(rho_vec)[plan.a_row]) ** 2),
+        minlength=n * width).reshape((n,) + lanes)
     return 1.0 / (diag_k + sigma + col_sq)
 
 
@@ -137,7 +142,7 @@ def _power_norm(v: np.ndarray, steps: tuple, iterations: int):
     and running ``steps``, which leave the operator applied to it in
     ``v``; stops early once ``v`` vanishes."""
     for _ in range(iterations):
-        nv = float(np.sqrt(v.dot(v)))
+        nv = math.sqrt(v.dot(v))  # np.sqrt's bits, without its overhead
         if nv <= DIV_GUARD:
             break
         v /= nv

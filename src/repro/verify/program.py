@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hw import accelerator_class
-from ..hw.accelerator import MATRICES
+from ..hw.card import MATRICES
 from ..hw.isa import (BINARY_SCALAR_OPS, Control, DataTransfer, Loop,
                       Program, ScalarOp, SpMV, VecDup, VectorOp,
                       VectorOpKind)

@@ -547,6 +547,34 @@ class TestBatchRefresh:
         with pytest.raises(ShapeError, match="sparsity pattern"):
             machine.refresh([perturb_numeric(template, seed=2), other])
 
+    def test_lanes_sharing_index_arrays_compare_them_once(self, monkeypatch):
+        # The structure check compares an index array by value only the
+        # first time it sees it: 32 lanes over one problem's pattern
+        # arrays cost the four comparisons of one lane, not 4 per lane.
+        from repro.batch import BatchAccelerator
+        from repro.problems import perturb_numeric
+        from repro.qp import QProblem
+        from repro.solver import OSQPSettings
+        template = generate("eqqp", 40, seed=0)
+        cust = customize_problem(template, 8)
+        compiled = RSQPAccelerator(template, customization=cust).compiled
+        machine = BatchAccelerator(
+            [perturb_numeric(template, seed=s) for s in range(32)], cust,
+            OSQPSettings(), compiled=compiled)
+        base = perturb_numeric(template, seed=99)
+        lanes = [QProblem(P=base.P, q=base.q + 0.01 * k, A=base.A,
+                          l=base.l, u=base.u) for k in range(32)]
+        calls = []
+        array_equal = np.array_equal
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return array_equal(*args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", counted)
+        machine.refresh(lanes)
+        assert len(calls) <= 4
+
 
 def _parity_problem(family):
     """A generator family, or the hand-built edge case as a seventh."""
@@ -679,6 +707,51 @@ class TestHostSetupParity:
         for name in ("rho", "rho_inv", "minv"):
             assert bound.machine.hbm[name].tobytes() == \
                 fresh.machine.hbm[name].tobytes(), name
+
+    @pytest.mark.parametrize("backend", ["compiled", "interpret"])
+    def test_carried_refresh_keeps_adapted_omega(self, backend,
+                                                 monkeypatch):
+        # A carried refresh keeps the omega the last run adapted and
+        # re-derives tau / sigma from it against the new problem's
+        # operator norms, with one power iteration; the registers
+        # carry those steps.
+        import dataclasses
+        import repro.hw.pdqp as pdqp
+        from repro.hw.pdqp import PDQPAccelerator
+        from repro.problems import perturb_numeric
+        from repro.solver import PDQPSettings
+        from repro.solver.host import pdqp_step_sizes
+        problem = generate("eqqp", 16, seed=0)
+        nearby = perturb_numeric(problem, seed=1)
+        cust = customize_problem(problem, 8)
+        settings = dataclasses.replace(PDQPSettings(), omega_tolerance=1.5)
+        cold = PDQPAccelerator(nearby, cust, settings, backend=backend)
+        acc = PDQPAccelerator(problem, cust, settings, backend=backend)
+        acc.run()
+        assert acc.omega_updates > 0
+        omega = acc.omega
+        assert omega != cold.omega
+        calls = []
+        initial_steps = pdqp.pdqp_initial_steps
+
+        def counted(*args):
+            calls.append(args)
+            return initial_steps(*args)
+
+        monkeypatch.setattr(pdqp, "pdqp_initial_steps", counted)
+        acc.refresh_numeric(nearby, carry_omega=True)
+        assert len(calls) == 1
+        assert acc.omega == omega
+        assert (acc.norm_a, acc.lam_p) == (cold.norm_a, cold.lam_p)
+        tau, sigma = pdqp_step_sizes(omega, cold.norm_a, cold.lam_p,
+                                     settings.tau_scale)
+        assert (acc.tau, acc.sigma) == (tau, sigma)
+        scalars = acc.machine.scalars
+        for name, want in (("neg_tau", -tau), ("sigma", sigma),
+                           ("sigma_inv", 1.0 / sigma),
+                           ("neg_sigma", -sigma)):
+            assert repr(float(np.ravel(scalars[name])[0])) == \
+                repr(want), name
 
     def test_carried_refresh_builds_rho_vector_once(self, monkeypatch):
         # A carried refresh derives its rho vector from the carried
@@ -976,7 +1049,7 @@ class TestOneLaneMachine:
             acc.run()
             if cjit.available():
                 assert any(entry[1] for entry in
-                           acc._executor._loop_fused.values())
+                           acc._card.executor._loop_fused.values())
             acc.refresh(nearby)
             acc.fault_injector = FaultInjector(violent)
         else:
