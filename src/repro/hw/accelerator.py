@@ -23,6 +23,7 @@ lives on the machine only.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, ClassVar
 
@@ -35,6 +36,7 @@ from ..solver import OSQPSettings
 from ..solver.algorithms import get_algorithm
 from ..solver.host import admm_step_vectors, balanced_step, rho_vector
 from ..solver.settings import RHO_MAX, RHO_MIN
+from ..sparse import kernels
 from .card import MATRICES, BatchAccelerator
 from .compiled import validate_backend
 from .compiler import (ADMM_LOOP, PCG_LOOP, CompiledProgram, attach_costs,
@@ -257,7 +259,7 @@ class Accelerator:
         work = self.work
         write_lane(self.machine if machine is None else machine, lane,
                    self._device_image(work.q, work.l, work.u,
-                                      float(np.linalg.norm(work.q)),
+                                      math.sqrt(kernels.dot(work.q, work.q)),
                                       self._step_data()))
 
     def _device_image(self, q, l, u, nq, step: tuple) -> tuple[dict, dict]:
@@ -293,15 +295,16 @@ class Accelerator:
         raise NotImplementedError
 
     def _start_lanes(self, lanes: list, plan: RuizPlan, vals: np.ndarray,
-                     l: np.ndarray, u: np.ndarray,
+                     at: np.ndarray, l: np.ndarray, u: np.ndarray,
                      carried: list | None = None) -> tuple[dict, dict]:
         """Start the step sizes of ``lanes`` — accelerators of this
         algorithm whose ``work`` holds their newly scaled problem — in
         one host pass, and return their lane-minor step data (what
         :meth:`_step_data` returns for one). ``vals`` are the lanes'
-        scaled ``P`` then ``A`` values ``(nnz, B)``, ``l`` / ``u`` their
-        scaled bounds ``(m, B)``. Each lane starts cold, or from its
-        entry of ``carried`` (adopted as :meth:`_adopt_step` would)."""
+        scaled ``P`` then ``A`` values ``(nnz, B)``, ``at`` their ``A'``
+        values, ``l`` / ``u`` their scaled bounds ``(m, B)``. Each lane
+        starts cold, or from its entry of ``carried`` (adopted as
+        :meth:`_adopt_step` would)."""
         raise NotImplementedError
 
     # -- the between-segment host step ----------------------------------
@@ -412,7 +415,7 @@ class RSQPAccelerator(Accelerator):
         """Host-driven rho changes in the last run."""
         return self.step_updates
 
-    def _start_lanes(self, lanes, plan, vals, l, u, carried=None):
+    def _start_lanes(self, lanes, plan, vals, at, l, u, carried=None):
         rhos = carried or [float(self.settings.rho)] * len(lanes)
         rho_vec = rho_vector(l, u, np.array(rhos))
         for lane, rho, column in zip(lanes, rhos, rho_vec.T):

@@ -15,7 +15,7 @@ a one-lane :class:`~repro.hw.batched.BatchMachine`.
 A lane is the host half of one instance (:meth:`repro.hw.accelerator.
 Accelerator.lane`). The load is one lane-stacked pass at every width:
 Ruiz over the ``(nnz, B)`` values (:func:`repro.qp.
-ruiz_equilibrate_batch`), the ``A'`` gather, the algorithm's step data
+ruiz_equilibrate_batch`), one ``A'`` gather, the algorithm's step data
 (:meth:`~repro.hw.accelerator.Accelerator._start_lanes`) and the
 download image over lane-minor arrays. Each function is elementwise or
 accumulates per lane in the one-lane order, so each lane of a B-wide
@@ -37,7 +37,7 @@ import numpy as np
 from ..qp import RuizPlan, ruiz_equilibrate_batch
 from ..qp.scaling import lane_minor
 from ..solver.algorithms import get_algorithm
-from ..sparse import CSRMatrix
+from ..sparse import CSRMatrix, kernels
 from .batched import BatchExecutor, BatchMachine, BatchMatrixResource
 from .driver import SegmentDriver
 from .machine import ExecutionStats, Machine, MatrixResource
@@ -161,8 +161,11 @@ class BatchAccelerator:
         self.customization, self.compiled = customization, compiled
         # The streamed matrices: each pattern with the customization's
         # SpMV cost and CVB depth, values zero until the load.
+        _, at_indices, at_indptr = plan.at_pattern
         patterns = {"P": structure.P, "A": structure.A,
-                    "At": plan.transpose(structure.A.data)}
+                    "At": CSRMatrix(structure.A.shape[::-1],
+                                    np.zeros(structure.A.nnz), at_indices,
+                                    at_indptr, check=False)}
         costs = {name: (customization.matrices[name].spmv_cycles,
                         customization.matrices[name].duplication_cycles)
                  for name in MATRICES}
@@ -266,17 +269,16 @@ class BatchAccelerator:
             lane.problem, lane.scaling, lane.work = (problem, scaling,
                                                      scaling.problem)
             lane.restarts = lane.step_updates = 0
-        # ||q|| per lane over its contiguous vector: np.linalg.norm's
-        # own sqrt(q.dot(q)).
+        # A' gathered once, for the step data and the machine; ||q||
+        # per lane in the kernels' order, as a rollback re-writes it.
+        at = plan.at_values(vals[plan.nnz_p:])
         vectors, registers = first._device_image(
-            q, l, u, np.sqrt([scaling.problem.q.dot(scaling.problem.q)
-                              for scaling in scalings]),
-            first._start_lanes(lanes, plan, vals, l, u, carried))
+            q, l, u, np.sqrt(kernels.dot(q, q)),
+            first._start_lanes(lanes, plan, vals, at, l, u, carried))
 
         machine = self.machine
-        a_vals = vals[plan.nnz_p:]
-        for name, values in (("P", vals[:plan.nnz_p]), ("A", a_vals),
-                             ("At", plan.at_values(a_vals))):
+        for name, values in (("P", vals[:plan.nnz_p]),
+                             ("A", vals[plan.nnz_p:]), ("At", at)):
             machine.matrices[name].update_values(values)
         for name, values in vectors.items():
             machine.write_hbm(name, values)

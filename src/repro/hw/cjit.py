@@ -10,9 +10,11 @@ machinery:
 * :func:`engine` — the process-wide generic kernel library
   (``k_csr_matvec[_batch]``, ``k_dot[_batch]``), which
   :mod:`repro.sparse.kernels` calls for every SpMV and DOT when it is
-  available, and ``k_ruiz``, the whole modified Ruiz iteration that
+  available; ``k_ruiz``, the whole modified Ruiz iteration that
   :mod:`repro.qp.scaling` runs in one call for a solo or a batched
-  refresh.
+  refresh; and ``k_power``, the power iteration behind PDQP's step
+  sizes, which :mod:`repro.solver.host` runs in one call for every
+  lane of a load.
 * :func:`compile_module` — hash-addressed, disk-cached compilation of
   generated loop sources (same source is compiled at most once per
   cache directory, ever).
@@ -26,16 +28,17 @@ FMA is disabled), and reduction loops stay strictly sequential (the
 compiler may not reassociate floating-point addition). The CSR matvec
 accumulates each row left to right — the same order as the SpMV
 engine's per-chunk MAC accumulation, which makes the machine's SpMV
-numerics engine-faithful when the JIT is active. ``k_ruiz`` is the one
+numerics engine-faithful when the JIT is active; ``k_power`` sums
+through the batched matvec and dot themselves. ``k_ruiz`` is the one
 exception to sequential sums: its cost mean ports numpy's pairwise
 order, because it must match ``np.add.reduce`` in the numpy Ruiz.
 
 Everything degrades gracefully: no compiler, an unwritable cache
 directory, or ``REPRO_JIT=0`` in the environment simply means
 :func:`available` returns False. Nothing fuses, and
-:mod:`repro.sparse.kernels` and :mod:`repro.qp.scaling` run their numpy
-implementations, which sum in the same orders, so the bits do not
-change.
+:mod:`repro.sparse.kernels`, :mod:`repro.qp.scaling` and
+:mod:`repro.solver.host` run their numpy implementations, which sum in
+the same orders, so the bits do not change.
 """
 
 from __future__ import annotations
@@ -214,6 +217,126 @@ void k_ruiz(double *vals, double *q, double *de, double *c,
 }
 """
 
+# The power iteration behind PDQP's step sizes (its numpy
+# implementation, ``repro.solver.host.numpy_power``, is the reference),
+# lane-minor like the batched kernels, so ``batch == 1`` is the solo
+# call. Every product is ``k_csr_matvec_batch`` and every norm the
+# square root of ``k_dot_batch`` (at one lane the solo ``k_csr_matvec``
+# and ``k_dot``, the same bits): the datapath's sequential order, no
+# pairwise or BLAS sum. A lane whose iterate vanishes stops (its
+# vector is kept) while the others run on, and the pass ends once no
+# lane is live, so lane ``b`` is the solo call on lane ``b``'s data.
+_POWER_SOURCE = """
+#include <stddef.h>
+
+/* The batched matvec and v.v, or at one lane the solo kernels (the
+ * same bits, with register accumulators). */
+static void k_power_matvec(const double *val, const long *col,
+                           const long *ip, const double *x, double *y,
+                           long nrows, long batch)
+{
+    if (batch == 1)
+        k_csr_matvec(val, col, ip, x, y, nrows);
+    else
+        k_csr_matvec_batch(val, col, ip, x, y, nrows, 0, 0, batch);
+}
+
+static void k_power_norm2(const double *v, long n, long batch,
+                          double *out)
+{
+    if (batch == 1)
+        out[0] = k_dot(v, v, n);
+    else
+        k_dot_batch(v, v, n, batch, out);
+}
+
+/* v <- start in every lane, then up to `iterations` rounds of: a live
+ * lane whose norm is <= guard stops; the rest divide by their norm and
+ * take v <- F' (F v) (the A pass: F = A, m rows, F' = A') or v <- F v
+ * (the P pass: ft == NULL). out[b] = ||v|| of lane b at the end.
+ * work holds (2n + 2 + rows) * batch doubles (t only for the A pass). */
+static void k_power_pass(const double *fv, const long *f_ip,
+                         const long *f_col, long rows, const double *ft,
+                         const long *ft_ip, const long *ft_col,
+                         const double *start, long n, long batch,
+                         long iterations, double guard, double *out,
+                         double *work)
+{
+    double *v = work;
+    double *w = v + n * batch;
+    double * restrict nv = w + n * batch;
+    double * restrict live = nv + batch;
+    double * restrict t = live + batch;
+    const long len = n * batch;
+    for (long i = 0; i < n; ++i)
+        for (long b = 0; b < batch; ++b)
+            v[i * batch + b] = start[i];
+    for (long b = 0; b < batch; ++b)
+        live[b] = 1.0;
+    long active = batch;
+    for (long it = 0; it < iterations; ++it) {
+        k_power_norm2(v, n, batch, nv);
+        for (long b = 0; b < batch; ++b) {
+            nv[b] = sqrt(nv[b]);
+            if (live[b] != 0.0 && nv[b] <= guard) {
+                live[b] = 0.0;
+                --active;
+            }
+        }
+        if (!active)
+            break;
+        for (long i = 0; i < n; ++i)
+            for (long b = 0; b < batch; ++b)
+                if (live[b] != 0.0)
+                    v[i * batch + b] = v[i * batch + b] / nv[b];
+        if (ft) {
+            k_power_matvec(fv, f_col, f_ip, v, t, rows, batch);
+            k_power_matvec(ft, ft_col, ft_ip, t, w, n, batch);
+        } else {
+            k_power_matvec(fv, f_col, f_ip, v, w, n, batch);
+        }
+        if (active == batch) {
+            /* Every lane live: the new vector is w. */
+            double *swap = v;
+            v = w;
+            w = swap;
+        } else {
+            for (long i = 0; i < len; ++i)
+                if (live[i % batch] != 0.0)
+                    v[i] = w[i];
+        }
+    }
+    k_power_norm2(v, n, batch, out);
+    for (long b = 0; b < batch; ++b)
+        out[b] = sqrt(out[b]);
+}
+
+/* ||A||_2 and lambda_max(P) per lane: vals holds P's entries (nnz_p
+ * rows) then A's, at A' values, lane-minor. norm_a is the square root
+ * of the A pass's norm (0 without rows or columns), lam_p the P pass's
+ * norm (0 without columns). */
+void k_power(const double *vals, const double *at, const long *p_ip,
+             const long *p_col, const long *a_ip, const long *a_col,
+             const long *at_ip, const long *at_col,
+             const double *start_a, const double *start_p, long n,
+             long m, long nnz_p, long batch, long iterations,
+             double guard, double *norm_a, double *lam_p, double *work)
+{
+    for (long b = 0; b < batch; ++b)
+        norm_a[b] = lam_p[b] = 0.0;
+    if (m > 0 && n > 0) {
+        k_power_pass(vals + nnz_p * batch, a_ip, a_col, m, at, at_ip,
+                     at_col, start_a, n, batch, iterations, guard, norm_a,
+                     work);
+        for (long b = 0; b < batch; ++b)
+            norm_a[b] = sqrt(norm_a[b]);
+    }
+    if (n > 0)
+        k_power_pass(vals, p_ip, p_col, n, NULL, NULL, NULL, start_p, n,
+                     batch, iterations, guard, lam_p, work);
+}
+"""
+
 _ENGINE_CDEF = """
 void k_csr_matvec(const double *val, const long *col, const long *ip,
                   const double *x, double *y, long nrows);
@@ -227,6 +350,12 @@ void k_ruiz(double *vals, double *q, double *de, double *c,
             const long *rid, const long *cid, long n, long m, long nnz_p,
             long nnz, long batch, long iterations, double lo, double hi,
             double *work);
+void k_power(const double *vals, const double *at, const long *p_ip,
+             const long *p_col, const long *a_ip, const long *a_col,
+             const long *at_ip, const long *at_col,
+             const double *start_a, const double *start_p, long n,
+             long m, long nnz_p, long batch, long iterations,
+             double guard, double *norm_a, double *lam_p, double *work);
 """
 
 # The batched kernels operate on lane-minor buffers — element i of lane
@@ -284,7 +413,7 @@ void k_dot_batch(const double *a, const double *b, long n, long batch,
             oo[j] += ai[j] * bi[j];
     }
 }
-%s""" % (CSR_MATVEC_BODY, DOT_BODY, _RUIZ_SOURCE)
+%s%s""" % (CSR_MATVEC_BODY, DOT_BODY, _RUIZ_SOURCE, _POWER_SOURCE)
 
 #: Bump when generated-code *semantics* change without the generated
 #: source text itself changing (codegen conventions, pointer-table

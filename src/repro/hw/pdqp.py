@@ -6,8 +6,12 @@ PDHG (:mod:`repro.solver.pdqp`) lowered by
 setup the reference solver does, through the same functions (Ruiz
 scaling, power-iteration step sizes, then the data download) in the
 one host load of the card at any width (:class:`repro.hw.card.
-BatchAccelerator`; this class supplies only the step hooks). The card
-runs the anchored PDHG loop in fixed-length segments, and the host
+BatchAccelerator`; this class supplies only the step hooks). The step
+sizes of every lane of a load come from one power-iteration call
+(:func:`repro.solver.host.estimate_operator_norms`: the engine's
+``k_power``, or its numpy twin) over the ``P``, ``A`` and ``A'``
+values the load writes to the card, summed in the kernels' order. The
+card runs the anchored PDHG loop in fixed-length segments, and the host
 performs the restart between segments — anchor refresh, Halpern-counter
 reset and optional primal weight rebalancing — through the segment
 driver every card shares (:class:`repro.hw.driver.SegmentDriver`).
@@ -98,14 +102,12 @@ class PDQPAccelerator(Accelerator):
             vectors.update(y=y_s, y0=y_s)
         return vectors
 
-    def _start_lanes(self, lanes, plan, vals, l, u, carried=None):
-        # The power iteration, once per lane: its norms are BLAS dot
-        # products over each lane's own contiguous vectors.
-        for b, lane in enumerate(lanes):
-            work = lane.work
-            (lane.norm_a, lane.lam_p, lane.omega, lane.tau,
-             lane.sigma) = pdqp_initial_steps(
-                 work, plan.transpose(work.A.data), self.settings)
+    def _start_lanes(self, lanes, plan, vals, at, l, u, carried=None):
+        # One power iteration for every lane, over the load's P, A and
+        # A' values.
+        steps = pdqp_initial_steps(plan, vals, at, self.settings)
+        for b, (lane, step) in enumerate(zip(lanes, steps)):
+            lane.norm_a, lane.lam_p, lane.omega, lane.tau, lane.sigma = step
             if carried is not None:
                 lane._adopt_step(carried[b])
         return {}, pdqp_step_registers(

@@ -148,6 +148,10 @@ class RuizPlan:
     a_by_row: tuple           # segment plan over A entries by row
     p_by_col: tuple           # segment plan over P entries by column
     at_pattern: tuple         # A.transpose_pattern(): A' and its gather
+    #: The power iteration's start vectors (:func:`repro.solver.host.
+    #: power_start`), drawn on first use.
+    power_start: tuple | None = field(default=None, repr=False,
+                                      compare=False)
     #: The last accepted problem's index arrays, keyed by ``id`` of the
     #: structure's array they equal.
     _accepted: dict = field(default_factory=dict, repr=False,
@@ -159,16 +163,22 @@ class RuizPlan:
         P, A = problem.P, problem.A
         p_row = np.repeat(np.arange(n, dtype=np.int64), np.diff(P.indptr))
         a_row = np.repeat(np.arange(m, dtype=np.int64), np.diff(A.indptr))
-        # int64 and contiguous: the engine's k_ruiz reads them.
+        # int64 and contiguous: the engine's k_ruiz reads them, and
+        # k_power reads the A' pattern with P's and A's own.
         rid = np.concatenate([p_row, n + a_row])
         cid = np.concatenate([P.indices, A.indices]).astype(np.int64)
+        order, at_indices, at_indptr = A.transpose_pattern()
         return cls(structure=problem, nnz_p=P.nnz, rid=rid, cid=cid,
                    a_row=a_row,
                    p_diag=np.flatnonzero(p_row == P.indices),
                    stacked_by_col=_segment_plan(cid, n),
                    a_by_row=_segment_plan(a_row, m),
                    p_by_col=_segment_plan(P.indices, n),
-                   at_pattern=A.transpose_pattern())
+                   at_pattern=(order,
+                               np.ascontiguousarray(at_indices,
+                                                    dtype=np.int64),
+                               np.ascontiguousarray(at_indptr,
+                                                    dtype=np.int64)))
 
     def check(self, problem: QProblem) -> None:
         """Raise :class:`ShapeError` unless ``problem`` has the plan's
@@ -199,14 +209,6 @@ class RuizPlan:
         ``(nnz, B)``. The gather :meth:`CSRMatrix.transpose` does,
         bit for bit."""
         return a_vals[self.at_pattern[0]] + 0.0
-
-    def transpose(self, a_vals: np.ndarray) -> CSRMatrix:
-        """``A'`` of the structure's ``A`` carrying the values
-        ``a_vals``, without re-deriving the pattern."""
-        _, indices, indptr = self.at_pattern
-        m, n = self.structure.A.shape
-        return CSRMatrix((n, m), self.at_values(a_vals), indices, indptr,
-                         check=False)
 
 
 def _ruiz(vals: np.ndarray, q: np.ndarray, plan: RuizPlan,

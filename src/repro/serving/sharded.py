@@ -362,7 +362,8 @@ class ShardedSolverService:
                 "submitted_perf": time.perf_counter(),
                 "attempt": 0, "key": None, "c": None,
                 "fingerprint": None, "algorithm": None,
-                "shard": None, "generation": None, "future": future,
+                "shard": None, "generation": None, "segment": None,
+                "future": future,
             }
             self._futures[rid] = future
             self._inflight[rid] = entry
@@ -550,6 +551,7 @@ class ShardedSolverService:
                 self._retry_or_degrade(entry, "shard-vanished")
             return
         plan = self.fault_plan
+        ref = self.store.ref(key)
         lanes = []
         with self._lock:
             for entry in live:
@@ -557,6 +559,9 @@ class ShardedSolverService:
                     continue
                 entry["shard"] = index
                 entry["generation"] = handle.generation
+                # The shm segment generation this attempt attaches.
+                entry["segment"] = (ref.generation if ref is not None
+                                    else None)
                 directives = [
                     {"kind": f.kind, "duration": f.duration}
                     for f in (plan.process_faults_for(
@@ -574,8 +579,7 @@ class ShardedSolverService:
                               "attempt": entry["attempt"]})
         if not lanes:
             return
-        message = ("batch", {"key": key, "ref": self.store.ref(key),
-                             "lanes": lanes})
+        message = ("batch", {"key": key, "ref": ref, "lanes": lanes})
         try:
             handle.request_q.put(message)
         except Exception:
@@ -672,13 +676,15 @@ class ShardedSolverService:
             # The checksummed segment failed validation in the worker:
             # quarantine it, drop the parent's in-memory copy, and
             # requeue — the next route rebuilds from the cold path and
-            # republishes under a bumped generation.
+            # republishes under a bumped generation. An error against a
+            # generation already quarantined (another shard attached it
+            # too) leaves the republished segment alone.
             self.metrics.counter(
                 "serving_shm_checksum_failures_total",
                 labels={"reason": detail}).inc()
             key = entry["key"]
-            if key is not None:
-                self.store.quarantine(key)
+            if key is not None and self.store.quarantine(
+                    key, entry.get("segment")):
                 self.cache.invalidate(key)
                 self.metrics.counter("serving_shm_rebuilds_total").inc()
             self._retry_or_degrade(entry, f"shm-{detail}")

@@ -145,16 +145,20 @@ class ShmArtifactStore:
             entry = self._segments.get(key)
             return entry[0] if entry is not None else None
 
-    def quarantine(self, key: str) -> bool:
+    def quarantine(self, key: str, generation: int | None = None) -> bool:
         """Unlink a (suspected corrupt) segment so it can never be
         attached again; the next :meth:`publish` bumps the generation.
-        Returns whether a segment was present."""
+        With ``generation``, only if that generation is still the
+        current one: an error reported against a stale segment must not
+        unlink the healthy one republished after it. Returns whether a
+        segment was unlinked."""
         with self._lock:
-            entry = self._segments.pop(key, None)
-            if entry is not None:
-                self._quarantines += 1
-        if entry is None:
-            return False
+            entry = self._segments.get(key)
+            if entry is None or (generation is not None
+                                 and entry[0].generation != generation):
+                return False
+            del self._segments[key]
+            self._quarantines += 1
         _destroy(entry[1])
         return True
 

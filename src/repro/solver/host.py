@@ -16,22 +16,34 @@ for B problems of one structure (column ``b`` is lane ``b``). Every
 operation is elementwise per lane or a per-lane accumulation in entry
 order, so lane ``b`` of a stacked call is the one-problem call on lane
 ``b``'s data, bit for bit — the batched card's refresh is one call.
+
+PDQP's operator norms are one such call for every lane of a load:
+:func:`estimate_operator_norms` runs the whole power iteration in the
+engine's ``k_power`` (:mod:`repro.hw.cjit`), or in its numpy twin
+:func:`numpy_power` without a compiler, and sums every product and
+norm in the kernels' sequential order (:mod:`repro.sparse.kernels`),
+never through BLAS; the reference :class:`~repro.solver.PDQPSolver`
+makes the one-lane call. Its start vectors are drawn once per
+structure and kept on the :class:`~repro.qp.RuizPlan`
+(:func:`power_start`).
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Tuple
 
 import numpy as np
 
+from ..exceptions import ShapeError
 from ..qp import QProblem, RuizPlan, Scaling, updated_vectors
+from ..sparse import kernels
+from ..sparse.kernels import CSRKernel, numpy_dot
 from .settings import RHO_EQ_FACTOR, RHO_MAX, RHO_MIN
 
 __all__ = ["balanced_step", "rho_vector", "admm_initial_step",
-           "jacobi_preconditioner", "admm_step_vectors",
-           "estimate_operator_norms", "pdqp_step_sizes",
+           "jacobi_preconditioner", "admm_step_vectors", "power_start",
+           "estimate_operator_norms", "numpy_power", "pdqp_step_sizes",
            "pdqp_initial_steps", "pdqp_step_registers", "apply_update"]
 
 DIV_GUARD = 1e-15
@@ -45,9 +57,11 @@ def balanced_step(step: float, rp: float, rdual: float, npz: float,
     to ``[lo, hi]``."""
     pri_norm = max(npz, DIV_GUARD)
     dua_norm = max(nd_all, DIV_GUARD)
-    estimate = step * np.sqrt((rp / pri_norm)
-                              / max(rdual / dua_norm, DIV_GUARD))
-    return float(np.clip(estimate, lo, hi))
+    ratio = (rp / pri_norm) / max(rdual / dua_norm, DIV_GUARD)
+    # np.sqrt's and np.clip's results on Python floats: a negative ratio
+    # gives NaN, and a NaN estimate passes through the clip.
+    estimate = step * (math.sqrt(ratio) if ratio >= 0.0 else math.nan)
+    return float(min(max(estimate, lo), hi))
 
 
 def rho_vector(l: np.ndarray, u: np.ndarray, rho) -> np.ndarray:
@@ -103,52 +117,119 @@ def admm_step_vectors(plan: RuizPlan, p_vals: np.ndarray,
                                           rho_vec)}
 
 
-def estimate_operator_norms(p_mat, a_mat, at_mat, *,
-                            iterations: int = 50,
-                            seed: int = 0) -> Tuple[float, float]:
-    """Power-iteration estimates of ``||A||_2`` and ``lambda_max(P)``.
+def power_start(plan: RuizPlan) -> tuple:
+    """``(start_a, start_p)``: the start vectors of the power iteration
+    over ``plan``'s structure, drawn on first use and kept on the plan.
 
-    Deterministic (fixed seed) so a given structure always produces
-    the same step sizes — the property the serving cache and the
-    bit-identity tests rely on. Each product is a kernel closure bound
-    once over persistent buffers (:meth:`repro.sparse.kernels.
-    CSRKernel.bind`); a norm is ``sqrt(v.dot(v))``, which is what
-    ``np.linalg.norm`` computes for a 1-D float64 vector.
+    ``np.random.default_rng(0).standard_normal``: the ``A`` pass's ``n``
+    draws (only when there are rows and columns), then the ``P``
+    pass's. NumPy does not promise a Generator's stream across versions
+    (NEP 19); ``tests/test_host_steps.py`` pins the first values, so a
+    stream change shows as a failure there and not as moved step
+    sizes.
     """
-    rng = np.random.default_rng(seed)
-    n = p_mat.shape[0]
-    m = a_mat.shape[0]
+    start = plan.power_start
+    if start is None:
+        n, m = plan.structure.n, plan.structure.m
+        rng = np.random.default_rng(0)
+        start_a = rng.standard_normal(n) if m > 0 and n > 0 else np.zeros(n)
+        start = plan.power_start = (start_a, rng.standard_normal(n))
+    return start
 
-    norm_a = 0.0
-    if m > 0 and n > 0:
-        v = rng.standard_normal(n)
-        av = np.empty(m)
-        norm_a = float(np.sqrt(max(_power_norm(
-            v, (a_mat.kernel().bind(v, av), at_mat.kernel().bind(av, v)),
-            iterations), 0.0)))
 
-    lam_p = 0.0
-    if n > 0:
-        v = rng.standard_normal(n)
-        pv = np.empty(n)
-        lam_p = float(_power_norm(
-            v, (p_mat.kernel().bind(v, pv), partial(np.copyto, v, pv)),
-            iterations))
+def estimate_operator_norms(plan: RuizPlan, vals: np.ndarray,
+                            at: np.ndarray, *, iterations: int = 50
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Power-iteration estimates of ``||A||_2`` and ``lambda_max(P)``,
+    one per lane: two ``(B,)`` arrays.
+
+    ``vals`` are the lanes' ``P`` then ``A`` values and ``at`` their
+    ``A'`` values (:meth:`RuizPlan.at_values`), lane-minor ``(nnz, B)``
+    over ``plan``'s structure. Each pass starts from the plan's fixed
+    vectors (:func:`power_start`), so a structure always gets the same
+    step sizes for the same values — the property the serving cache and
+    the bit-identity tests rely on. Every product and every norm sums in
+    the kernels' sequential order (:mod:`repro.sparse.kernels`), and a
+    lane stops once its iterate vanishes (norm ``<= DIV_GUARD``).
+
+    With a C compiler this is one call of the engine's ``k_power``
+    (:mod:`repro.hw.cjit`), whose lane-minor loop is the solo loop at
+    ``B == 1``; without one, :func:`numpy_power`. Both give the same
+    bits, and lane ``b`` is the one-lane call on lane ``b``'s data.
+    """
+    P, A = plan.structure.P, plan.structure.A
+    width = np.shape(vals)[1]
+    if np.shape(vals) != (plan.rid.size, width) or \
+            np.shape(at) != (A.nnz, width):
+        raise ShapeError(f"power iteration: plan is for nnz={plan.rid.size}"
+                         f" (A: {A.nnz}); got values {np.shape(vals)} and "
+                         f"A' {np.shape(at)}")
+    library = kernels.engine()
+    if library is None:
+        return numpy_power(plan, vals, at, iterations)
+    n, m = P.shape[0], A.shape[0]
+    _, at_col, at_ip = plan.at_pattern
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    at = np.ascontiguousarray(at, dtype=np.float64)
+    start_a, start_p = power_start(plan)
+    norm_a, lam_p = np.empty(width), np.empty(width)
+    # Scratch per call: a plan may be shared between threads.
+    work = np.empty((2 * n + m + 2) * width)
+    buf = library.ffi.from_buffer
+    library.lib.k_power(
+        buf("double[]", vals), buf("double[]", at),
+        buf("long[]", P.indptr), buf("long[]", P.indices),
+        buf("long[]", A.indptr), buf("long[]", A.indices),
+        buf("long[]", at_ip), buf("long[]", at_col),
+        buf("double[]", start_a), buf("double[]", start_p), n, m,
+        plan.nnz_p, width, iterations, DIV_GUARD, buf("double[]", norm_a),
+        buf("double[]", lam_p), buf("double[]", work))
     return norm_a, lam_p
 
 
-def _power_norm(v: np.ndarray, steps: tuple, iterations: int):
-    """``||v||`` after up to ``iterations`` rounds of normalizing ``v``
-    and running ``steps``, which leave the operator applied to it in
-    ``v``; stops early once ``v`` vanishes."""
+def numpy_power(plan: RuizPlan, vals: np.ndarray, at: np.ndarray,
+                iterations: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The no-compiler implementation of :func:`estimate_operator_norms`,
+    same bits: the products are :meth:`CSRKernel.numpy_apply`, the norms
+    ``sqrt`` of :func:`~repro.sparse.kernels.numpy_dot`, and a stopped
+    lane's vector is kept by masked writes."""
+    P, A = plan.structure.P, plan.structure.A
+    n, m = P.shape[0], A.shape[0]
+    width = np.shape(vals)[1]
+    start_a, start_p = power_start(plan)
+    norm_a, lam_p = np.zeros(width), np.zeros(width)
+    if m > 0 and n > 0:
+        _, at_col, at_ip = plan.at_pattern
+        a_op = CSRKernel(A.shape, vals[plan.nnz_p:], A.indices, A.indptr)
+        at_op = CSRKernel((n, m), at, at_col, at_ip)
+        av, atav = np.empty((m, width)), np.empty((n, width))
+        norm_a = np.sqrt(_numpy_power_pass(
+            lambda v: at_op.numpy_apply(a_op.numpy_apply(v, av), atav),
+            start_a, width, iterations))
+    if n > 0:
+        p_op = CSRKernel(P.shape, vals[:plan.nnz_p], P.indices, P.indptr)
+        pv = np.empty((n, width))
+        lam_p = _numpy_power_pass(lambda v: p_op.numpy_apply(v, pv),
+                                  start_p, width, iterations)
+    return norm_a, lam_p
+
+
+def _numpy_power_pass(apply, start: np.ndarray, width: int,
+                      iterations: int) -> np.ndarray:
+    """``||v||`` per lane after up to ``iterations`` rounds of
+    normalizing ``v`` (``start`` in every lane) and replacing it by
+    ``apply(v)``; a lane stops, keeping ``v``, once its norm is
+    ``<= DIV_GUARD``."""
+    v = np.repeat(start[:, None], width, axis=1)
+    live = np.ones(width, dtype=bool)
     for _ in range(iterations):
-        nv = math.sqrt(v.dot(v))  # np.sqrt's bits, without its overhead
-        if nv <= DIV_GUARD:
+        nv = np.sqrt(numpy_dot(v, v))
+        live &= ~(nv <= DIV_GUARD)
+        if not live.any():
             break
-        v /= nv
-        for step in steps:
-            step()
-    return np.sqrt(v.dot(v))
+        np.divide(v, nv, out=v, where=live)
+        np.copyto(v, apply(v), where=live)
+    return np.sqrt(numpy_dot(v, v))
 
 
 def pdqp_step_sizes(omega: float, norm_a: float, lam_p: float,
@@ -172,15 +253,19 @@ def pdqp_step_registers(tau, sigma) -> dict:
             "neg_sigma": -sigma}
 
 
-def pdqp_initial_steps(work: QProblem, at, settings) -> tuple:
-    """``(norm_a, lam_p, omega, tau, sigma)`` a PDQP solve starts from:
-    the operator norms of the scaled problem ``work`` (``at`` is its
-    ``A'``) and the step sizes for ``settings.omega``."""
+def pdqp_initial_steps(plan: RuizPlan, vals: np.ndarray, at: np.ndarray,
+                       settings) -> list:
+    """Per lane, ``(norm_a, lam_p, omega, tau, sigma)`` a PDQP solve
+    starts from: the operator norms of the scaled problems whose ``P``
+    then ``A`` values ``vals`` and ``A'`` values ``at`` are lane-minor
+    ``(nnz, B)`` over ``plan``'s structure (one
+    :func:`estimate_operator_norms` call), and the step sizes for
+    ``settings.omega``."""
     norm_a, lam_p = estimate_operator_norms(
-        work.P, work.A, at, iterations=settings.power_iterations)
+        plan, vals, at, iterations=settings.power_iterations)
     omega = float(settings.omega)
-    tau, sigma = pdqp_step_sizes(omega, norm_a, lam_p, settings.tau_scale)
-    return norm_a, lam_p, omega, tau, sigma
+    return [(a, p, omega) + pdqp_step_sizes(omega, a, p, settings.tau_scale)
+            for a, p in zip(norm_a.tolist(), lam_p.tolist())]
 
 
 def apply_update(problem: QProblem, scaling: Scaling, q=None, l=None,

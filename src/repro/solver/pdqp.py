@@ -70,8 +70,12 @@ class PDQPSolver:
         self.scaling = ruiz_equilibrate(problem, self.settings.scaling)
         self.work = self.scaling.problem
         self.at = self.work.A.transpose()
+        # The card's one-lane step-size call, over the same values.
+        vals = np.concatenate([self.work.P.data, self.work.A.data])[:, None]
         (self.norm_a, self.lam_p, self.omega, self.tau,
-         self.sigma) = pdqp_initial_steps(self.work, self.at, self.settings)
+         self.sigma) = pdqp_initial_steps(self.scaling.plan, vals,
+                                          self.at.data[:, None],
+                                          self.settings)[0]
         n, m = problem.n, problem.m
         self.x = np.zeros(n)
         self.y = np.zeros(m)

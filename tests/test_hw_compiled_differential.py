@@ -646,50 +646,76 @@ class TestHostSetupParity:
     @pytest.mark.parametrize("case", ["family", "zero_a", "zero_p", "m0",
                                       "edge"])
     def test_operator_norms_match_plain_loop(self, case):
-        # The prebound power iteration is the plain loop over
-        # np.linalg.norm and fresh matvecs, bit for bit — including the
-        # early exit once the iterate vanishes and the skipped A pass of
-        # a problem without constraints.
-        from repro.qp import QProblem
-        from repro.solver.host import DIV_GUARD, estimate_operator_norms
+        # The one-call power iteration (and its numpy twin) is the plain
+        # loop in the kernels' order — every matvec row and every norm
+        # a sequential `acc += a * b` from 0.0 — bit for bit, including
+        # the early exit once the iterate vanishes and the skipped A
+        # pass of a problem without constraints.
+        import math
+        from repro.qp import QProblem, RuizPlan
+        from repro.solver.host import (DIV_GUARD, estimate_operator_norms,
+                                       numpy_power)
         from repro.sparse import eye
         problem = (edge_case_problem() if case == "edge"
                    else generate("lasso", 6, seed=3))
-        p_mat, a_mat = problem.P, problem.A
         if case == "zero_a":
-            a_mat = CSRMatrix.zeros(a_mat.shape)
+            problem = QProblem(P=problem.P, q=problem.q,
+                               A=CSRMatrix.zeros(problem.A.shape),
+                               l=problem.l, u=problem.u)
         elif case == "zero_p":
-            p_mat = CSRMatrix.zeros(p_mat.shape)
+            problem = QProblem(P=CSRMatrix.zeros(problem.P.shape),
+                               q=problem.q, A=problem.A, l=problem.l,
+                               u=problem.u)
         elif case == "m0":
             problem = QProblem(P=eye(3), q=np.ones(3),
                                A=CSRMatrix.zeros((0, 3)), l=np.zeros(0),
                                u=np.zeros(0))
-            p_mat, a_mat = problem.P, problem.A
+        p_mat, a_mat = problem.P, problem.A
         at_mat = a_mat.transpose()
 
-        def plain(apply, rng, n, iterations=50):
-            v = rng.standard_normal(n)
+        def matvec(mat, v):
+            out = []
+            for r in range(mat.shape[0]):
+                acc = 0.0
+                for k in range(mat.indptr[r], mat.indptr[r + 1]):
+                    acc += float(mat.data[k]) * v[mat.indices[k]]
+                out.append(acc)
+            return out
+
+        def norm(v):
+            acc = 0.0
+            for x in v:
+                acc += x * x
+            return math.sqrt(acc)
+
+        def plain(apply, start, iterations=50):
+            v = start.tolist()
             for _ in range(iterations):
-                nv = float(np.linalg.norm(v))
+                nv = norm(v)
                 if nv <= DIV_GUARD:
                     break
-                v /= nv
-                v = apply(v)
-            return np.linalg.norm(v)
+                v = apply([x / nv for x in v])
+            return norm(v)
 
         n, m = p_mat.shape[0], a_mat.shape[0]
         rng = np.random.default_rng(0)
         norm_a = 0.0
         if m > 0:
-            norm_a = float(np.sqrt(max(plain(
-                lambda v: at_mat.matvec(a_mat.matvec(v)), rng, n), 0.0)))
-        lam_p = float(plain(p_mat.matvec, rng, n))
-        got = estimate_operator_norms(p_mat, a_mat, at_mat)
-        assert repr(got) == repr((norm_a, lam_p))
+            norm_a = math.sqrt(plain(
+                lambda v: matvec(at_mat, matvec(a_mat, v)),
+                rng.standard_normal(n)))
+        lam_p = plain(lambda v: matvec(p_mat, v), rng.standard_normal(n))
+        plan = RuizPlan.for_problem(problem)
+        vals = np.concatenate([p_mat.data, a_mat.data])[:, None]
+        at = plan.at_values(vals[plan.nnz_p:])
+        for got in (estimate_operator_norms(plan, vals, at),
+                    numpy_power(plan, vals, at, 50)):
+            assert repr((float(got[0][0]), float(got[1][0]))) == \
+                repr((norm_a, lam_p))
         if case in ("zero_a", "m0"):
-            assert got[0] == 0.0
+            assert norm_a == 0.0
         if case == "zero_p":
-            assert got[1] == 0.0
+            assert lam_p == 0.0
 
     @pytest.mark.parametrize("rho", [0.1, 1e7], ids=["default", "clipped"])
     def test_refresh_carrying_rho_equals_fresh_bind(self, rho):

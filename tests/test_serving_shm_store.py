@@ -154,6 +154,58 @@ class TestQuarantineAndClose:
     def test_quarantine_missing_key(self, store):
         assert not store.quarantine("nope")
 
+    def test_stale_generation_quarantine_is_a_noop(self, store):
+        r1 = store.publish("k", {"v": 1})
+        assert store.quarantine("k", r1.generation)
+        r2 = store.publish("k", {"v": 2})
+        # A second error against the quarantined generation leaves the
+        # republished segment attachable.
+        assert not store.quarantine("k", r1.generation)
+        assert attach_artifact(r2) == {"v": 2}
+        assert store.stats()["quarantines"] == 1
+        assert store.quarantine("k", r2.generation)
+
+    def test_two_shard_errors_on_one_stale_generation(self, store):
+        # Two shards attach the same corrupted generation; the first
+        # error quarantines it and the artifact is republished before
+        # the second error arrives. The service quarantines (and
+        # invalidates its cache) once.
+        import threading
+        from types import SimpleNamespace
+        from repro.serving.sharded import ShardedSolverService
+        counts = {}
+
+        class Counter:
+            def __init__(self, name):
+                self.name = name
+
+            def inc(self):
+                counts[self.name] = counts.get(self.name, 0) + 1
+
+        invalidated, requeued = [], []
+        ref = store.publish("k", PAYLOAD)
+        service = SimpleNamespace(
+            _lock=threading.Lock(), store=store,
+            _inflight={rid: {"rid": rid, "key": "k",
+                             "segment": ref.generation} for rid in (1, 2)},
+            metrics=SimpleNamespace(
+                counter=lambda name, labels=None: Counter(name)),
+            cache=SimpleNamespace(invalidate=invalidated.append),
+            _retry_or_degrade=lambda entry, reason: requeued.append(
+                entry["rid"]))
+        ShardedSolverService._on_error(service, None, 1, "shm-integrity",
+                                       "checksum", "bad digest")
+        fresh = store.publish("k", PAYLOAD)
+        ShardedSolverService._on_error(service, None, 2, "shm-integrity",
+                                       "checksum", "bad digest")
+        assert store.stats()["quarantines"] == 1
+        assert store.ref("k") == fresh
+        assert attach_artifact(fresh) == PAYLOAD
+        assert invalidated == ["k"]
+        assert counts["serving_shm_rebuilds_total"] == 1
+        assert counts["serving_shm_checksum_failures_total"] == 2
+        assert requeued == [1, 2]
+
     def test_close_unlinks_everything(self):
         store = ShmArtifactStore()
         refs = [store.publish(f"k{i}", PAYLOAD) for i in range(3)]

@@ -164,10 +164,11 @@ class TestHealthTiers:
         try:
             sup.check()
             handle = sup.handle(0)
-            # Force the suspect tier with a rewound heartbeat, then let
-            # the live worker notice the poke.
-            handle.heartbeat.value = time.time() - 1.0
-            sup.check(time.time())
+            # Force the suspect tier with a sweep clock past the soft
+            # timeout (the live worker keeps rewriting its heartbeat, so
+            # rewinding that would race it), then let the worker notice
+            # the poke.
+            sup.check(time.time() + 1.0)
             assert handle.state == SUSPECT
             kind, generation = handle.result_q.get(timeout=10.0)
             assert (kind, generation) == ("acked", 1)
