@@ -87,6 +87,24 @@ class BatchResult:
         total = sum(self.lane_cycles)
         return total / self.wall_cycles if self.wall_cycles else 0.0
 
+    @property
+    def lane_utilization(self) -> float:
+        """Sum of per-lane effective cycles over ``B`` times the wall
+        cycles: the share of the B-wide stream's lane slots that served
+        a live lane (1.0 when every lane runs to the last trip)."""
+        return self.lockstep_speedup / max(self.batch, 1)
+
+    def first(self, lanes: int) -> "BatchResult":
+        """The result of lanes ``0 .. lanes-1`` with this run's wall
+        accounting: a padded group's own lanes when the spare lanes
+        copy one of them (a copy is live exactly when its source is, so
+        the wall stats are the unpadded run's)."""
+        return BatchResult(self.results[:lanes], self.lane_errors[:lanes],
+                           wall_stats=self.wall_stats,
+                           fmax_mhz=self.fmax_mhz,
+                           power_watts=self.power_watts,
+                           algorithm=self.algorithm)
+
 
 class BatchAccelerator:
     """One compiled instruction stream driving B lockstep instances.

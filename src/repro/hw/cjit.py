@@ -442,6 +442,17 @@ _KERNEL_VERSION = hashlib.sha256("\x00".join(
 _COMPILE_ARGS = (("-O3", "-ffp-contract=off", "-march=native"),
                  ("-O3", "-ffp-contract=off"))
 
+#: Flags a module family adds to each flag set, tried first; a
+#: toolchain that rejects them builds with the plain sets. Generated
+#: loop units cap gcc's complete peeling at 4 trips: by default gcc
+#: unrolls every loop of at most 16 constant trips before it
+#: vectorizes, so a B = 8 or 16 unit's masked lane loops became
+#: straight-line scalar code, 2.4-3.3x the instructions, and ran slower
+#: than the runtime-width unit did (docs/PERF.md). Units of B <= 4 and
+#: of B > 16 compile to the same code with or without the cap. Only the
+#: vectorization across lanes changes, never a lane's own operations.
+_FAMILY_ARGS = {"loop": ("--param", "max-completely-peel-times=4")}
+
 _state: dict[str, Any] = {"probed": False, "engine": None}
 
 
@@ -462,7 +473,8 @@ def compile_module(cdef: str, source: str, tag: str = "k",
 
     Returns the imported module (``.lib`` / ``.ffi`` attributes) or
     ``None`` when the toolchain is unavailable or the build fails under
-    every flag set of :data:`_COMPILE_ARGS`. Modules are stateless by
+    every flag set of :data:`_COMPILE_ARGS` (each tried first with the
+    ``tag`` family's :data:`_FAMILY_ARGS`). Modules are stateless by
     contract — loop functions receive their pointer tables as
     arguments — so one compiled module is safely shared by every
     executor (and thread) whose generated source matches.
@@ -477,7 +489,9 @@ def compile_module(cdef: str, source: str, tag: str = "k",
         import cffi  # noqa: F401
     except ImportError:
         return None
-    for args in _COMPILE_ARGS:
+    extra = _FAMILY_ARGS.get(tag, ())
+    flag_sets = [args + extra for args in _COMPILE_ARGS] if extra else []
+    for args in flag_sets + list(_COMPILE_ARGS):
         module = _build(cffi, cdef, source, tag, list(args),
                         list(libraries))
         if module is not None:

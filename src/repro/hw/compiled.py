@@ -38,8 +38,9 @@ This module holds what that lowering and the generated C share:
   is built only after the body's segments have bound (one node-path
   run), bypassed whenever a fault injector is armed, and the node path
   stays on any unsupported body — same bits either way. Loop sources
-  depend only on the instruction pattern and the lane count, so the
-  hash-addressed disk cache compiles each program shape once, ever.
+  depend only on the instruction pattern and the lane count, which
+  each unit carries as a literal, so the hash-addressed disk cache
+  compiles each program shape once per width, ever.
 
 The interpreter remains the differential-testing oracle: on error-free
 runs the compiled backend produces bit-identical machine state and
@@ -312,8 +313,15 @@ class _LoopBuilder:
     ``CT``/``IT`` slots once; it leaves the frame when no lane is
     active. DIV/SQRT check their trap on active lanes only.
 
-    For B = 1 the lane count ``bt`` is the literal ``1`` and the write
-    and trap guards are left out: a statement only ever runs while the
+    The lane count ``bt`` is the machine's width as a literal, declared
+    once in the function head (:meth:`_loop_source`) and used by every
+    block, so each lane loop has a compile-time trip count and one unit
+    serves one width. The SpMV/DOT accumulator ``double acc[bt]`` is
+    formally a variable-length array (a ``const long`` is not a C
+    constant expression); gcc folds its bound at ``-O3``. Sizing it by
+    the literal instead changed the B = 1 unit's object code (a larger
+    stack frame), so the folded form stays. For B = 1 the write and
+    trap guards are also left out: a statement only ever runs while the
     single lane is live, because each trip head leaves an empty frame,
     a Control that clears the lane jumps to its frame's exit, and a
     nested frame starts as a copy of a live parent.
@@ -349,11 +357,6 @@ class _LoopBuilder:
         self._pending_lens: list = []   # (L slot, value)
         self._instr_index = -1
         self._charge_slot: int | None = None
-        if self._batch > 1:
-            # L[0] is the function-level lane count ``bt`` the mask and
-            # trip-counter loops run over.
-            self.length(self._batch)
-            self._pending_lens.clear()
 
     def effect_ir(self) -> EffectIR:
         return EffectIR(tier="loop", batch=self._batch,
@@ -419,11 +422,6 @@ class _LoopBuilder:
         slot = len(self.lens) - 1
         self._pending_lens.append((slot, int(n)))
         return f"L[{slot}]"
-
-    def _lanes(self) -> str:
-        """The lane count of a block's ``bt``: the literal ``1`` for
-        one lane, else an ``L`` slot."""
-        return "1" if self._batch == 1 else self.length(self._batch)
 
     def const(self, value: float) -> str:
         self.consts.append(float(value))
@@ -610,7 +608,6 @@ class _LoopBuilder:
         self.code.append(
             "    {\n"
             f"        const long n = {self.length(n)};\n"
-            f"        const long bt = {self._lanes()};\n"
             + body +
             "        for (long i = 0; i < n; ++i) {\n"
             "            const double *ai = a + i * bt;\n"
@@ -661,7 +658,6 @@ class _LoopBuilder:
                      f") return {rc};\n")
         self.code.append(
             "    {\n"
-            f"        const long bt = {self._lanes()};\n"
             + "".join(f"        {line}\n" for line in decls) + guard +
             "        for (long j = 0; j < bt; ++j)\n"
             f"            {self._masked(expr)};\n"
@@ -695,7 +691,6 @@ class _LoopBuilder:
                 f"        const double *b = {self.buf(srcs[1])};\n"
                 f"        double * restrict o = {self.buf(dst)};\n"
                 f"        const long n = {self.length(n)};\n"
-                f"        const long bt = {self._lanes()};\n"
                 "        double acc[bt];\n"
                 "        for (long j = 0; j < bt; ++j)\n"
                 "            acc[j] = 0.0;\n"
@@ -772,7 +767,6 @@ class _LoopBuilder:
             f"        const double * restrict xx = {self.buf(src)};\n"
             f"        double * restrict yy = {self.buf(dst)};\n"
             f"        const long nrows = {self.length(rows)};\n"
-            f"        const long bt = {self._lanes()};\n"
             "        double acc[bt];\n"
             "        for (long r = 0; r < nrows; ++r) {\n"
             "            double * restrict yr = yy + r * bt;\n"
@@ -811,7 +805,7 @@ class _LoopBuilder:
             "              long *IT, long *LT, long max_iter)\n"
             "{\n"
             "    (void)B; (void)IA; (void)S;\n"
-            f"    const long bt = {'1' if self._batch == 1 else 'L[0]'};\n"
+            f"    const long bt = {self._batch};\n"
             + frames + "".join(self.code) +
             "    return 0;\n"
             "}\n")

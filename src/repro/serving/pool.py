@@ -33,8 +33,8 @@ from ..qp import QProblem
 from ..solver import OSQPSettings
 from .arch_cache import ArchArtifact
 
-__all__ = ["WorkerPool", "Resident", "BatchResident", "bind_accelerator",
-           "solve_job", "reference_job"]
+__all__ = ["WorkerPool", "Resident", "BatchResident", "batch_width",
+           "bind_accelerator", "solve_job", "reference_job"]
 
 _MODES = ("thread", "serial")
 
@@ -152,10 +152,31 @@ class Resident:
         return raw
 
 
+def batch_width(lanes: int) -> int:
+    """The machine width a coalesced group of ``lanes`` runs at: the
+    next rung of 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, ... (powers of two
+    and 1.5 times them).
+
+    Every fused loop is compiled at its machine's width, so each width
+    a live path produces costs one compile on first sight. Rounding up
+    bounds the compiled widths to these rungs (five up to 8 lanes, nine
+    up to 32) at no more than 41% extra lanes (17 -> 24); the padded
+    group's cost is measured in ``docs/PERF.md``.
+    """
+    width = 1
+    while width < lanes:
+        # 1 -> 2, then alternately x1.5 (2 -> 3, 4 -> 6) and x4/3.
+        width = (width + max(width // 2, 1) if width & (width - 1) == 0
+                 else width // 3 * 4)
+    return width
+
+
 class BatchResident(Resident):
     """A bound :class:`~repro.batch.BatchAccelerator` kept between
     batch groups. Its lane count B is baked into the buffers and the
-    generated C, so it only serves groups of exactly B lanes."""
+    generated C, so it only serves groups of exactly B lanes; the
+    service rounds a group up to :func:`batch_width` and fills the
+    spare lanes with copies of a real one."""
 
     __slots__ = ()
 

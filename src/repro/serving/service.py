@@ -45,8 +45,8 @@ from .arch_cache import (ArchArtifact, ArchCache, CacheStats,
                          build_artifact)
 from .fingerprint import StructureFingerprint, fingerprint_problem
 from .metrics import MetricsRegistry
-from .pool import (BatchResident, Resident, WorkerPool, bind_accelerator,
-                   reference_job)
+from .pool import (BatchResident, Resident, WorkerPool, batch_width,
+                   bind_accelerator, reference_job)
 
 __all__ = ["ServeRecord", "ServeResult", "SolverService"]
 
@@ -557,17 +557,28 @@ class SolverService:
         injectors = [plan.injector_for(lane["rid"], 0)
                      if plan is not None else None for lane in group]
         problems = [lane["problem"] for lane in group]
+        # An unarmed group runs at the next compiled width, its spare
+        # lanes copies of lane 0 (an armed machine fuses no loop, so
+        # its exact width compiles nothing).
+        padded = group
+        if all(injector is None for injector in injectors):
+            padded = group + [first] * (batch_width(len(group))
+                                        - len(group))
+            injectors = [None] * len(padded)
         resident = None
         try:
             if self.verify:
                 from ..verify import ensure_batch_verified
-                ensure_batch_verified(artifact, problems)
+                ensure_batch_verified(
+                    artifact, problems,
+                    fingerprints=[lane["fingerprint"] for lane in group])
             resident = self._lease_batch(
-                key, artifact, problems,
-                warm_starts=[lane["warm"] for lane in group],
-                deadline_ats=[lane["deadline_at"] for lane in group],
+                key, artifact, [lane["problem"] for lane in padded],
+                warm_starts=[lane["warm"] for lane in padded],
+                deadline_ats=[lane["deadline_at"] for lane in padded],
                 injectors=injectors)
-            bres = resident.run()
+            full = resident.run()
+            bres = full.first(len(group))
         except Exception:
             self.metrics.counter("serving_batch_aborts_total").inc()
             for lane in group:
@@ -579,6 +590,12 @@ class SolverService:
         t_done = time.perf_counter()
         self.metrics.counter("serving_batches_total").inc()
         self.metrics.histogram("serving_batch_width").observe(len(group))
+        # The group's lane cycles over every lane slot the machine ran,
+        # spare lanes included.
+        self.metrics.histogram("serving_batch_lane_utilization").observe(
+            bres.lockstep_speedup / full.batch)
+        self.metrics.counter("serving_batch_spare_lanes_total").inc(
+            full.batch - bres.batch)
 
         res = self.resilience
         for lane, lane_tier, raw, err in zip(group, lane_tiers,

@@ -20,15 +20,27 @@ from .diagnostics import Location, VerificationReport
 if TYPE_CHECKING:  # runtime imports would be circular via repro.serving
     from ..qp.problem import QProblem
     from ..serving.arch_cache import ArchArtifact
+    from ..serving.fingerprint import StructureFingerprint
 
 __all__ = ["verify_batch", "ensure_batch_verified"]
 
 
-def _lane_report(artifact: "ArchArtifact",
-                 problems: Sequence["QProblem"]) -> VerificationReport:
-    """Per-lane structural compatibility checks (no program passes)."""
+def _lane_report(artifact: "ArchArtifact", problems: Sequence["QProblem"],
+                 fingerprints: Sequence["StructureFingerprint"] | None = None
+                 ) -> VerificationReport:
+    """Per-lane structural compatibility checks (no program passes).
+
+    ``fingerprints`` are the lanes' own, already computed at the
+    artifact's width (the serving router's); without them each lane is
+    fingerprinted here. Either way every lane's key is compared.
+    """
     from ..serving.fingerprint import fingerprint_problem
 
+    if fingerprints is None:
+        fingerprints = [fingerprint_problem(problem, c=artifact.c)
+                        for problem in problems]
+    elif len(fingerprints) != len(problems):
+        raise ValueError("one fingerprint per lane is required")
     key = artifact.fingerprint.key
     report = VerificationReport(
         subject=f"batch:{key[:12]}x{len(problems)}")
@@ -37,8 +49,7 @@ def _lane_report(artifact: "ArchArtifact",
         report.error("batch-empty", "a batch needs at least one lane",
                      Location("batch"))
         return report
-    for lane, problem in enumerate(problems):
-        fp = fingerprint_problem(problem, c=artifact.c)
+    for lane, fp in enumerate(fingerprints):
         if fp.key != key:
             report.error(
                 "lane-mismatch",
@@ -68,16 +79,19 @@ def verify_batch(artifact: "ArchArtifact",
 
 def ensure_batch_verified(artifact: "ArchArtifact",
                           problems: Sequence["QProblem"], *,
-                          context: str = "") -> None:
+                          context: str = "",
+                          fingerprints: Sequence["StructureFingerprint"]
+                          | None = None) -> None:
     """Guard one batched solve: artifact passes once (memoized on the
     artifact), lane compatibility every time (the lanes change per
-    batch even when the artifact does not).
+    batch even when the artifact does not). ``fingerprints`` passes
+    the lanes' fingerprints when the caller already has them.
 
     Raises :class:`~repro.exceptions.VerificationError` on rejection.
     """
     ensure_artifact_verified(artifact,
                              context=context or "batch artifact rejected")
-    report = _lane_report(artifact, problems)
+    report = _lane_report(artifact, problems, fingerprints)
     report.raise_if_failed(context or "batch lanes rejected")
     if problems and not getattr(artifact, "codegen_verified", False):
         # Codegen pass once per artifact: lift every unit the batched

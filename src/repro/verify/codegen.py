@@ -47,7 +47,9 @@ five independent properties:
     table must name the nested loops in emission order.
 
 **Lane masking** (``codegen-lane-mask-missing``)
-    At every width each frame's trip head leaves the frame when its
+    At every width the function head declares the lane count ``bt``
+    once, as the literal width, and no statement redeclares it. Each
+    frame's trip head leaves the frame when its
     active-lane mask (``m{k}``, frame ``k`` being the loop with ``IT``
     slot ``k``) is empty, a nested frame starts as a copy of its
     parent's mask, and a Control clears its firing lanes and leaves
@@ -112,15 +114,15 @@ def _norm(text: str) -> str:
     return _TOKEN_RE.sub("T", text)
 
 
-# Whole-loop kernels accumulate into a local lane vector and copy the
-# lanes out; ``{bt}`` is the lane count token (``T``, or ``1`` for one
-# lane) and ``{guard}`` the frame's mask test (empty for one lane).
+# Whole-loop kernels accumulate into a local lane vector of the unit's
+# literal width ``bt`` (declared once, in the function head) and copy
+# the lanes out; ``{guard}`` is the frame's mask test (empty for one
+# lane).
 _LOOP_DOT = ("    {{\n"
              "        const double *a = T;\n"
              "        const double *b = T;\n"
              "        double * restrict o = T;\n"
              "        const long n = T;\n"
-             "        const long bt = {bt};\n"
              "        double acc[bt];\n"
              "        for (long j = 0; j < bt; ++j)\n"
              "            acc[j] = 0.0;\n"
@@ -141,7 +143,6 @@ _LOOP_SPMV = ("    {{\n"
               "        const double * restrict xx = T;\n"
               "        double * restrict yy = T;\n"
               "        const long nrows = T;\n"
-              "        const long bt = {bt};\n"
               "        double acc[bt];\n"
               "        for (long r = 0; r < nrows; ++r) {{\n"
               "            double * restrict yr = yy + r * bt;\n"
@@ -180,6 +181,10 @@ def _trip_head(frame: int) -> str:
             f"    IT[{frame}]++;\n")
 
 
+#: A statement that declares its own lane count (``bt = ...``).
+_LANE_COUNT_DECL = re.compile(r"\bbt\s*=(?!=)")
+
+
 def _preamble(batch: int, frames: int) -> str:
     """The unit's function head up to frame 0's first statement."""
     return ("#include <math.h>\n"
@@ -189,7 +194,7 @@ def _preamble(batch: int, frames: int) -> str:
             "              long *IT, long *LT, long max_iter)\n"
             "{\n"
             "    (void)B; (void)IA; (void)S;\n"
-            f"    const long bt = {'1' if batch == 1 else 'L[0]'};\n"
+            f"    const long bt = {batch};\n"
             + "".join(f"    long *m{k} = M + {k} * bt;\n"
                       f"    long *lt{k} = LT + {k} * bt;\n"
                       for k in range(frames))
@@ -394,7 +399,6 @@ class _UnitChecker:
 
     def _template(self, template: str) -> str:
         return template.format(
-            bt="1" if self.lanes == 1 else "T",
             guard="" if self.lanes == 1 else f"if ({self.mask}[j]) ")
 
     # -- entry -----------------------------------------------------------
@@ -416,14 +420,6 @@ class _UnitChecker:
                 Location("codegen"))
             return
         entries, loop_meta = _loop_walk(self.instrs)
-        if self.lanes > 1 and tuple(ir.lens[:1]) != (self.lanes,):
-            # L[0] bounds every mask and per-lane trip-counter loop.
-            report.error(
-                "codegen-shape-mismatch",
-                f"lane count slot L[0] holds {tuple(ir.lens[:1])} on a "
-                f"batch-{self.lanes} machine; the mask and trip-counter "
-                f"tables hold exactly {self.lanes} lanes per frame",
-                Location("codegen[loop]"))
         if not ir.source.startswith(_preamble(self.lanes,
                                               1 + len(loop_meta))):
             report.error(
@@ -460,6 +456,11 @@ class _UnitChecker:
                     "codegen-cycle-mismatch", stmt,
                     f"statement charges CT slot {stmt.charge_slot} but "
                     f"the static decomposition assigns slot {slot}")
+            if _LANE_COUNT_DECL.search(stmt.text):
+                self._err(
+                    "codegen-lane-mask-missing", stmt,
+                    f"statement redeclares the lane count; every lane "
+                    f"loop must run over the head's width {self.lanes}")
             self._check_statement(instr, stmt)
             self._check_bounds(stmt)
         self._check_writes()

@@ -130,8 +130,10 @@ DIAGNOSTIC_CODES: dict[str, str] = {
                               "disagrees with the static cost model",
     "codegen-lane-mask-missing": "a whole-loop statement writes, traps "
                                  "or exits on lanes outside its "
-                                 "frame's active-lane mask, or a frame "
-                                 "does not leave once no lane is live",
+                                 "frame's active-lane mask, a frame "
+                                 "does not leave once no lane is live, "
+                                 "or its lane count is not the unit's "
+                                 "literal width",
     "codegen-coverage": "summary of generated units the codegen pass "
                         "analyzed (info)",
 }

@@ -121,6 +121,35 @@ class TestServingBatchSemantics:
         assert widths == [4, 4, 4, 4]
         assert all(r.record.batch_width == 1 for r in solo)
 
+    def test_group_runs_at_next_compiled_width(self):
+        """A 5-lane group runs on a 6-wide machine whose spare lane
+        copies lane 0; a 6-lane group then reuses that resident, and
+        every answer is the solo one."""
+        from repro.serving.pool import batch_width
+        assert [batch_width(b) for b in range(1, 18)] == [
+            1, 2, 3, 4, 6, 6, 8, 8, 12, 12, 12, 12, 16, 16, 16, 16, 24]
+        base = generate_lasso(8, seed=5)
+        problems = [perturb_numeric(base, seed=s) for s in range(11)]
+        with service(max_batch=6) as svc:
+            svc.solve(base)
+            batched = (svc.solve_batch(problems[:5])
+                       + svc.solve_batch(problems[5:]))
+            snap = svc.metrics.snapshot()
+        with service() as svc:
+            solo = svc.solve_batch(problems, coalesce=False)
+        for b, s in zip(batched, solo):
+            assert b.x.tobytes() == s.x.tobytes()
+            assert b.y.tobytes() == s.y.tobytes()
+            assert b.record.simulated_cycles == s.record.simulated_cycles
+        assert [r.record.batch_width for r in batched] == [5] * 5 + [6] * 6
+        c = snap["counters"]
+        assert c["serving_batches_total"] == 2
+        assert c["serving_batch_spare_lanes_total"] == 1
+        # One solo bind for the warm-up, one 6-wide bind for both groups.
+        assert c["serving_accelerator_binds_total"] == 2
+        utilization = snap["histograms"]["serving_batch_lane_utilization"]
+        assert 0.0 < utilization["min"] <= utilization["max"] <= 1.0
+
     def test_batch_metrics_and_flush_reasons(self):
         base = generate_lasso(8, seed=4)
         problems = [perturb_numeric(base, seed=s) for s in range(5)]
@@ -189,6 +218,79 @@ class TestServingBatchSemantics:
         assert sum(value for name, value in counters.items()
                    if name.startswith("serving_algo_selected_")
                    and name != "serving_algo_selected_total") == requests
+
+
+class TestBatchLaneChecks:
+    """The lane check reuses the router's fingerprints, and every group
+    reports how much of its lockstep stream served live lanes."""
+
+    @staticmethod
+    def _count_fingerprints(monkeypatch):
+        import repro.serving.fingerprint as fingerprint_module
+        import repro.serving.service as service_module
+        calls = []
+        original = fingerprint_module.fingerprint_problem
+
+        def counting(problem, **kwargs):
+            calls.append(problem)
+            return original(problem, **kwargs)
+
+        monkeypatch.setattr(fingerprint_module, "fingerprint_problem",
+                            counting)
+        monkeypatch.setattr(service_module, "fingerprint_problem", counting)
+        return calls
+
+    def test_each_lane_fingerprinted_once(self, monkeypatch):
+        from repro.problems import generate
+        base = generate("eqqp", 16, seed=0)
+        problems = [perturb_numeric(base, seed=s) for s in range(1, 33)]
+        with service(max_batch=32) as svc:
+            svc.solve(base)
+            calls = self._count_fingerprints(monkeypatch)
+            svc.solve_batch(problems)
+            counters = svc.metrics.snapshot()["counters"]
+        assert counters["serving_batched_requests_total"] == 32
+        assert len(calls) == 32
+
+    def test_mismatching_lane_still_rejected(self):
+        from repro.exceptions import VerificationError
+        from repro.serving import fingerprint_problem
+        from repro.serving.arch_cache import build_artifact
+        from repro.verify import ensure_batch_verified
+        lasso = generate_lasso(8, seed=0)
+        other = generate_control(4, horizon=5, seed=0)
+        artifact = build_artifact(lasso, 8)
+        problems = [lasso, perturb_numeric(lasso, seed=1), other]
+        fingerprints = [fingerprint_problem(p, c=artifact.c)
+                        for p in problems]
+        for kwargs in ({}, {"fingerprints": fingerprints}):
+            with pytest.raises(VerificationError) as excinfo:
+                ensure_batch_verified(artifact, problems, **kwargs)
+            errors = excinfo.value.report.errors
+            assert [d.code for d in errors] == ["lane-mismatch"]
+            assert "lane 2" in errors[0].location.path
+
+    def test_lane_utilization_is_exported(self):
+        from repro.batch import bind_batch
+        from repro.problems import generate
+        from repro.serving.arch_cache import build_artifact
+        base = generate("control", 4, seed=0)
+        problems = [base] + [perturb_numeric(base, seed=s)
+                             for s in range(1, 8)]
+        bres = bind_batch(problems, build_artifact(base, 8),
+                          SETTINGS).run()
+        ratio = sum(bres.lane_cycles) / (bres.batch * bres.wall_cycles)
+        assert bres.batch == 8
+        assert 0.0 < bres.lane_utilization <= 1.0
+        assert bres.lane_utilization == ratio
+        with service(max_batch=4) as svc:
+            svc.solve_batch(problems)
+            snap = svc.metrics.snapshot()
+        groups = snap["counters"]["serving_batches_total"]
+        observed = snap["histograms"]["serving_batch_lane_utilization"]
+        assert groups == 2
+        assert observed["count"] == groups
+        assert 0.0 < observed["min"] <= observed["max"] <= 1.0
 
 
 class TestFlushCallback:

@@ -11,6 +11,8 @@ lowered block that faults mid-loop after its first iteration has
 already deferred its charges — documented in :mod:`repro.hw.compiled`).
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,7 +343,7 @@ class TestBatchDifferential:
                                          for r in solo_results)
         return solos
 
-    @pytest.mark.parametrize("batch", [1, 2, 8, 32])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 8, 32])
     def test_admm_batch_bitwise_vs_solo(self, batch):
         probs = self._lane_problems("eqqp", 16, batch)
         cust = customize_problem(probs[0], 8)
@@ -360,6 +362,7 @@ class TestBatchDifferential:
 
     @pytest.mark.parametrize("family,size,batch,omega_tolerance", [
         pytest.param("control", 4, 2, None, id="2"),
+        pytest.param("control", 4, 3, None, id="3"),
         pytest.param("control", 4, 8, None, id="8"),
         # A loose tolerance makes the lanes rebalance omega 2-6 times,
         # covering the primal-weight step solo and batch share.
@@ -1197,6 +1200,143 @@ class TestBatchLoopFusion:
         assert fs.by_class == ns.by_class
         assert fs.instructions_executed == ns.instructions_executed
         assert fs.loop_iterations == ns.loop_iterations
+
+
+@needs_jit
+class TestLaneWidthUnits:
+    """Every fused loop is compiled at its machine's width: the lane
+    count is a literal of the unit's source, so two widths of one
+    structure are two modules and a repeated width loads its own."""
+
+    def _units(self, probs, monkeypatch):
+        """``(module names, EffectIR digests)`` of the loop units one
+        batched run of ``probs`` builds."""
+        from repro.batch import BatchAccelerator
+        from repro.solver import OSQPSettings
+        from repro.verify import codegen as cg
+        names, digests = set(), set()
+        compile_module = cjit.compile_module
+        verify = cg.ensure_codegen_verified
+
+        def compile_spy(cdef, source, tag="k", libraries=()):
+            module = compile_module(cdef, source, tag=tag,
+                                    libraries=libraries)
+            if tag == "loop" and module is not None:
+                names.add(module.__name__)
+            return module
+
+        def verify_spy(ir, instrs, machine, **kwargs):
+            digests.add(ir.digest())
+            return verify(ir, instrs, machine, **kwargs)
+
+        monkeypatch.setattr(cjit, "compile_module", compile_spy)
+        monkeypatch.setattr(cg, "ensure_codegen_verified", verify_spy)
+        cust = customize_problem(probs[0], 8)
+        compiled = RSQPAccelerator(probs[0], customization=cust,
+                                   backend="compiled").compiled
+        bres = BatchAccelerator(probs, cust, OSQPSettings(),
+                                compiled=compiled).run()
+        assert bres.lane_errors == [None] * len(probs)
+        monkeypatch.undo()
+        return names, digests
+
+    @staticmethod
+    def _lanes(batch, first=1):
+        from repro.problems import perturb_numeric
+        template = generate("eqqp", 16, seed=0)
+        return [perturb_numeric(template, seed=s)
+                for s in range(first, first + batch)]
+
+    def test_two_widths_two_modules(self, monkeypatch):
+        names2, digests2 = self._units(self._lanes(2), monkeypatch)
+        names3, digests3 = self._units(self._lanes(3), monkeypatch)
+        assert names2 and names3
+        assert len(names2) == len(digests2)
+        assert not names2 & names3
+        assert not digests2 & digests3
+
+    def test_loop_units_cap_complete_peeling(self, monkeypatch):
+        """Loop units try gcc's peel cap first and fall back to the
+        plain flag sets when a toolchain rejects it; the engine library
+        never gets it."""
+        calls = []
+
+        def failing_build(cffi, cdef, source, tag, args, libs):
+            calls.append((tag, tuple(args)))
+            return None
+
+        monkeypatch.setattr(cjit, "_build", failing_build)
+        assert cjit.compile_module("", "", tag="loop") is None
+        assert cjit.compile_module("", "", tag="engine") is None
+        cap = cjit._FAMILY_ARGS["loop"]
+        plain = list(cjit._COMPILE_ARGS)
+        assert "max-completely-peel-times=4" in cap
+        assert [args for tag, args in calls if tag == "loop"] == (
+            [args + cap for args in plain] + plain)
+        assert [args for tag, args in calls if tag == "engine"] == plain
+
+    def test_repeated_width_reuses_module(self, monkeypatch):
+        names, digests = self._units(self._lanes(3), monkeypatch)
+        cached = set(os.listdir(cjit.cache_dir()))
+        again, digests_again = self._units(self._lanes(3, first=40),
+                                           monkeypatch)
+        assert again == names
+        assert digests_again == digests
+        assert set(os.listdir(cjit.cache_dir())) == cached
+
+
+class TestPaddedWidth:
+    """A group rounded up to a compiled width: spare lanes copying lane
+    0 leave every real lane and the wall accounting as the exact-width
+    run has them."""
+
+    @pytest.mark.parametrize("algorithm,family,size", [
+        ("admm", "eqqp", 16), ("pdqp", "control", 4)])
+    def test_spare_copies_change_nothing(self, algorithm, family, size):
+        import dataclasses
+        from repro.batch import BatchAccelerator
+        from repro.hw import accelerator_class
+        from repro.problems import perturb_numeric
+        from repro.serving.pool import batch_width
+        from repro.solver import OSQPSettings
+        from repro.solver.algorithms import get_algorithm
+        template = generate(family, size, seed=0)
+        probs = [perturb_numeric(template, seed=s) for s in range(1, 6)]
+        cust = customize_problem(template, 8)
+        settings = get_algorithm(algorithm).coerce_settings(OSQPSettings())
+        if algorithm == "pdqp":
+            # Lanes rebalance omega: the host step runs on copies too.
+            settings = dataclasses.replace(settings, omega_tolerance=1.5)
+        compiled = accelerator_class(algorithm)(
+            template, customization=cust, settings=settings,
+            backend="compiled").compiled
+        width = batch_width(len(probs))
+        assert width == 6
+
+        def run(problems):
+            return BatchAccelerator(problems, cust, settings,
+                                    compiled=compiled,
+                                    algorithm=algorithm).run()
+
+        exact = run(probs)
+        full = run(probs + [probs[0]] * (width - len(probs)))
+        padded = full.first(len(probs))
+        assert full.batch == width and padded.batch == exact.batch
+        assert padded.lane_errors == exact.lane_errors == [None] * 5
+        for er, pr in zip(exact.results, padded.results):
+            for name in ("x", "y", "z"):
+                assert (getattr(er, name).tobytes()
+                        == getattr(pr, name).tobytes())
+            assert (er.converged, er.admm_iterations, er.pcg_iterations,
+                    er.total_cycles, er.restarts) == (
+                pr.converged, pr.admm_iterations, pr.pcg_iterations,
+                pr.total_cycles, pr.restarts)
+        assert padded.lane_cycles == exact.lane_cycles
+        assert padded.wall_cycles == exact.wall_cycles
+        assert padded.wall_stats.by_class == exact.wall_stats.by_class
+        assert (padded.wall_stats.loop_iterations
+                == exact.wall_stats.loop_iterations)
+        assert padded.lane_utilization == exact.lane_utilization
 
 
 @needs_jit

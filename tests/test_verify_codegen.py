@@ -270,6 +270,51 @@ def test_b1_units_carry_no_guards():
         assert not re.search(r"m\d+\[j\] && .* return", ir.source)
 
 
+@lru_cache(maxsize=None)
+def unit_at(width, algorithm="admm"):
+    """The outer loop's unit lifted at ``width`` lanes."""
+    problem = suite_entry().problem
+    matrices = {"P": problem.P, "A": problem.A, "At": problem.A.transpose()}
+    units, _skipped = cg.lift_units(artifact(algorithm).compiled, matrices,
+                                    (width,))
+    return units[0]
+
+
+@pytest.mark.parametrize("head", ["const long bt = 4;",
+                                  "const long bt = L[0];"])
+def test_lane_width_head_mismatch_is_caught(head):
+    """A B=8 unit is emitted at its width: a head with another literal
+    or a runtime lane count is rejected."""
+    ir, instrs, machine = unit_at(8)
+    assert "const long bt = 8;" in ir.source
+    assert not verify_effect_ir(ir, instrs, machine).errors
+    mutated = replace(ir, statements=list(ir.statements),
+                      source=ir.source.replace("const long bt = 8;", head,
+                                               1))
+    report = verify_effect_ir(mutated, instrs, machine)
+    assert "codegen-lane-mask-missing" in codes_of(report), report.render()
+
+
+@pytest.mark.parametrize("op", ["dot", "spmv", "scalar:div", "axpby"])
+def test_lane_width_redeclared_in_block_is_caught(op):
+    """Every lane loop runs over the head's one ``bt``: a statement
+    that declares its own lane count is rejected."""
+    ir, instrs, machine = unit_at(8)
+    pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
+                     if s.op == op)
+    assert "const long bt" not in stmt.text
+    mutated = clone(ir)
+    mutated.statements[pos] = replace(
+        stmt, text=stmt.text.replace("    {\n",
+                                     "    {\n        const long bt = L[0];\n",
+                                     1))
+    report = verify_effect_ir(mutated, instrs, machine)
+    found = [d for d in report.errors
+             if d.code == "codegen-lane-mask-missing"]
+    assert found, report.render()
+    assert str(stmt.instr_index) in found[0].location.path
+
+
 def test_seeded_reordered_statements_are_caught():
     ir, instrs, machine = unit_for(2)
     mutated = clone(ir)
