@@ -163,6 +163,48 @@ SCALAR_C: dict[ScalarOpKind, tuple[str, tuple[str, int] | None]] = {
 
 _TRAP_ERRORS = {1: "scalar division by zero", 2: "sqrt of a negative scalar"}
 
+#: The one-lane SpMV row kernel, written once into the head of every
+#: B=1 unit and called by each of its SpMV statements. ``ro`` lists the
+#: rows in stable length order and ``rl`` holds the ``(length, count)``
+#: pair of each of the ``ng`` runs of equal-length rows
+#: (:meth:`~repro.sparse.kernels.CSRKernel.row_groups`). Rows of length
+#: 0-8 run under a ``switch`` arm whose k-loop bound is a literal, so
+#: the short rows that dominate the suite pay no per-row trip-count
+#: control; longer rows take the runtime bound. Every row sums from
+#: ``acc = 0.0`` in stream order, exactly as ``k_csr_matvec`` does, so
+#: only the order in which rows are *written* changes, never a bit.
+SPMV_GROUPED = (
+    "#define SPMV_RUN(n) \\\n"
+    "    for (long t = 0; t < cnt; ++t) { \\\n"
+    "        const long r = rows[t]; \\\n"
+    "        const double *w = v + ip[r]; \\\n"
+    "        const long *c = col + ip[r]; \\\n"
+    "        double acc = 0.0; \\\n"
+    "        for (long k = 0; k < (n); ++k) \\\n"
+    "            acc += w[k] * x[c[k]]; \\\n"
+    "        y[r] = acc; \\\n"
+    "    } \\\n"
+    "    break\n"
+    "\n"
+    "static void spmv_grouped(const double *v, const long *col,\n"
+    "                         const long *ip, const long *ro,\n"
+    "                         const long *rl, long ng,\n"
+    "                         const double *x, double * restrict y)\n"
+    "{\n"
+    "    for (long g = 0; g < ng; ++g) {\n"
+    "        const long len = rl[2 * g];\n"
+    "        const long cnt = rl[2 * g + 1];\n"
+    "        const long *rows = ro;\n"
+    "        ro += cnt;\n"
+    "        switch (len) {\n"
+    + "".join(f"        case {n}: SPMV_RUN({n});\n" for n in range(9)) +
+    "        default: SPMV_RUN(len);\n"
+    "        }\n"
+    "    }\n"
+    "}\n"
+    "#undef SPMV_RUN\n"
+    "\n")
+
 
 def vector_fold(instr: VectorOp) -> tuple[str, tuple]:
     """The closure fold table of a lane-wise vector op, as C.
@@ -325,6 +367,19 @@ class _LoopBuilder:
     single lane is live, because each trip head leaves an empty frame,
     a Control that clears the lane jumps to its frame's exit, and a
     nested frame starts as a copy of a live parent.
+
+    The B = 1 unit also carries one SpMV row kernel,
+    :data:`SPMV_GROUPED`, in its head, and each SpMV statement is one
+    call to it. The kernel walks the rows in stable length order, one
+    run of equal-length rows at a time, with a literal k-loop bound for
+    rows of 0-8 entries, so short rows (most of the suite's) pay no
+    per-row trip-count control. The row order and the run table come
+    from the pattern alone
+    (:meth:`~repro.sparse.kernels.CSRKernel.row_groups`) and reach the
+    call through ``IA``, the run count through ``L``. Units of B >= 2
+    keep the lane-minor CSR walk, which already spreads its row control
+    over the lanes; the grouped form measured slower there
+    (docs/PERF.md).
 
     Bit-exactness: every per-element expression is the closure fold
     table verbatim (:func:`vector_fold`), SpMV/DOT keep each lane's
@@ -757,31 +812,45 @@ class _LoopBuilder:
         rows = int(kernel.shape[0])
         dst = self.executor._dst_buffer(machine.vb, instr.dst, rows)
         val, col, ip = kernel.val, kernel.col, kernel.ip
-        # The engine library's k_csr_matvec_batch body: per lane the
-        # k-loop accumulates in exactly the solo row-sum order.
-        self.code.append(
-            "    {\n"
-            f"        const double * restrict v = {self.buf(val)};\n"
-            f"        const long *col = {self.iarr(col)};\n"
-            f"        const long *ip = {self.iarr(ip)};\n"
-            f"        const double * restrict xx = {self.buf(src)};\n"
-            f"        double * restrict yy = {self.buf(dst)};\n"
-            f"        const long nrows = {self.length(rows)};\n"
-            "        double acc[bt];\n"
-            "        for (long r = 0; r < nrows; ++r) {\n"
-            "            double * restrict yr = yy + r * bt;\n"
-            "            for (long j = 0; j < bt; ++j)\n"
-            "                acc[j] = 0.0;\n"
-            "            for (long k = ip[r]; k < ip[r + 1]; ++k) {\n"
-            "                const double * restrict vk = v + k * bt;\n"
-            "                const double * restrict xk = xx + col[k] * bt;\n"
-            "                for (long j = 0; j < bt; ++j)\n"
-            "                    acc[j] += vk[j] * xk[j];\n"
-            "            }\n"
-            "            for (long j = 0; j < bt; ++j)\n"
-            f"                {self._masked('yr[j] = acc[j]')};\n"
-            "        }\n"
-            "    }\n")
+        index_arrays: tuple[np.ndarray, ...]
+        if self._batch == 1:
+            # One lane: the head's row kernel walks each run of
+            # equal-length rows with a literal trip count.
+            ro, rl = kernel.row_groups()
+            index_arrays = (col, ip, ro, rl)
+            self.code.append(
+                f"    spmv_grouped({self.buf(val)}, {self.iarr(col)}, "
+                f"{self.iarr(ip)}, {self.iarr(ro)}, {self.iarr(rl)}, "
+                f"{self.length(rl.shape[0] // 2)}, {self.buf(src)}, "
+                f"{self.buf(dst)});\n")
+        else:
+            # The engine library's k_csr_matvec_batch body: per lane
+            # the k-loop accumulates in exactly the solo row-sum order.
+            index_arrays = (col, ip)
+            self.code.append(
+                "    {\n"
+                f"        const double * restrict v = {self.buf(val)};\n"
+                f"        const long *col = {self.iarr(col)};\n"
+                f"        const long *ip = {self.iarr(ip)};\n"
+                f"        const double * restrict xx = {self.buf(src)};\n"
+                f"        double * restrict yy = {self.buf(dst)};\n"
+                f"        const long nrows = {self.length(rows)};\n"
+                "        double acc[bt];\n"
+                "        for (long r = 0; r < nrows; ++r) {\n"
+                "            double * restrict yr = yy + r * bt;\n"
+                "            for (long j = 0; j < bt; ++j)\n"
+                "                acc[j] = 0.0;\n"
+                "            for (long k = ip[r]; k < ip[r + 1]; ++k) {\n"
+                "                const double * restrict vk = v + k * bt;\n"
+                "                const double * restrict xk"
+                " = xx + col[k] * bt;\n"
+                "                for (long j = 0; j < bt; ++j)\n"
+                "                    acc[j] += vk[j] * xk[j];\n"
+                "            }\n"
+                "            for (long j = 0; j < bt; ++j)\n"
+                f"                {self._masked('yr[j] = acc[j]')};\n"
+                "        }\n"
+                "    }\n")
         self._record(
             "spmv", "gather", rows,
             dst=BufferRef("vb", instr.dst, int(dst.shape[0])),
@@ -789,7 +858,7 @@ class _LoopBuilder:
                   BufferRef("cvb", instr.src, int(src.shape[0]))),
             text=self.code[-1], site=getattr(instr, "site", None),
             matrix=instr.matrix, spmv_shape=tuple(kernel.shape),
-            index_arrays=(col, ip), nnz=int(val.shape[0]),
+            index_arrays=index_arrays, nnz=int(val.shape[0]),
             lane_bound=self._batch)
 
     # -- finish ----------------------------------------------------------
@@ -800,6 +869,7 @@ class _LoopBuilder:
         return (
             "#include <math.h>\n"
             "\n"
+            + (SPMV_GROUPED if self._batch == 1 else "") +
             "long loop_run(double **B, long **IA, const long *L,\n"
             "              const double *S, long *M, long *CT,\n"
             "              long *IT, long *LT, long max_iter)\n"

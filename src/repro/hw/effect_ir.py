@@ -40,7 +40,7 @@ __all__ = ["EFFECT_IR_VERSION", "BufferRef", "EffectStatement",
 #: Schema version of the effect IR. Bump whenever the meaning of any
 #: field changes; part of the cjit disk-cache key so compiled modules
 #: and their IR can never disagree about the schema.
-EFFECT_IR_VERSION = "2"
+EFFECT_IR_VERSION = "3"
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,9 @@ class EffectStatement:
         row loop over ``bound`` rows with an inner lane loop of
         ``lane_bound`` lanes.
     ``"gather"``
-        the CSR SpMV row-sum (indirect reads through ``index_arrays``).
+        the CSR SpMV row-sum (indirect reads through ``index_arrays``):
+        a call to the head's row kernel at one lane, an inline
+        lane-minor CSR walk at B >= 2.
     ``"reduce"``
         the sequential DOT accumulation into a scalar.
     ``"scalar"``
@@ -108,8 +110,12 @@ class EffectStatement:
     matrix: str | None = None
     #: ``(rows, cols)`` of the SpMV matrix, when ``index == "gather"``.
     spmv_shape: tuple[int, int] | None = None
-    #: ``(col, ip)`` int64 index arrays of the embedded CSR gather.
-    index_arrays: tuple[Any, Any] | None = None
+    #: int64 index arrays of the gather: ``(col, ip)`` for a lane-minor
+    #: CSR walk (B >= 2); ``(col, ip, ro, rl)`` for the one-lane row
+    #: kernel, ``ro`` the rows in stable length order and ``rl`` the
+    #: flattened ``(length, count)`` pair of each run of equal-length
+    #: rows.
+    index_arrays: tuple[Any, ...] | None = None
     nnz: int = 0
     #: CT charge slot this statement's cost accrues to.
     charge_slot: int | None = None
@@ -178,9 +184,7 @@ class EffectIR:
                            stmt.len_slots, stmt.instr_index,
                            stmt.matrix, stmt.spmv_shape, stmt.nnz,
                            stmt.charge_slot)).encode())
-            if stmt.index_arrays is not None:
-                col, ip = stmt.index_arrays
-                h.update(col.tobytes())
-                h.update(ip.tobytes())
+            for arr in stmt.index_arrays or ():
+                h.update(arr.tobytes())
         h.update(self.source.encode())
         return h.hexdigest()

@@ -58,8 +58,16 @@ __all__ = ["SolverSession", "BatchSolverSession", "TIER_SESSION"]
 TIER_SESSION = "session"
 
 
+def transpose_order(P: CSRMatrix) -> np.ndarray:
+    """The permutation taking P's stored values to its transpose's: P's
+    values are symmetric iff ``data == data[order]``. It depends on the
+    pattern alone, so a session computes it once."""
+    return np.argsort(P.indices, kind="stable")
+
+
 def updated_problem(current: QProblem, q=None, l=None, u=None,
-                    P_data=None, A_data=None) -> QProblem:
+                    P_data=None, A_data=None, *,
+                    p_order: np.ndarray | None = None) -> QProblem:
     """A same-structure copy of ``current`` with new numeric data.
 
     Every check the full validating constructor would perform on the
@@ -67,7 +75,8 @@ def updated_problem(current: QProblem, q=None, l=None, u=None,
     inconsistent bound pair is rejected before it ever reaches a bound
     accelerator — but against the fixed pattern the checks reduce to
     vector comparisons, so this stays cheap enough for a per-step
-    parametric update.
+    parametric update. ``p_order`` is :func:`transpose_order` of
+    ``current.P``, computed here when not given.
     """
     q_new, l_new, u_new = updated_vectors(current, q, l, u)
     if P_data is None and A_data is None:
@@ -91,9 +100,14 @@ def updated_problem(current: QProblem, q=None, l=None, u=None,
         # structure was first constructed), so new values are symmetric
         # iff they equal themselves under the transpose permutation —
         # the same comparison QProblem's validator performs, without
-        # rebuilding the transpose structure.
-        perm = np.argsort(current.P.indices, kind="stable")
-        if not np.allclose(p_new.data, p_new.data[perm], atol=1e-9):
+        # rebuilding the transpose structure. Exactly equal values are
+        # also allclose, so testing equality first accepts and rejects
+        # the same data and skips allclose on the common exact case.
+        if p_order is None:
+            p_order = transpose_order(current.P)
+        mirror = p_new.data[p_order]
+        if not (np.array_equal(p_new.data, mirror)
+                or np.allclose(p_new.data, mirror, atol=1e-9)):
             raise ShapeError("P must be symmetric")
     return QProblem._trusted(p_new, q_new,
                              matrix(current.A, A_data, "A"),
@@ -139,6 +153,7 @@ class SolverSession:
         self._last: ServeResult | None = None
         self._needs_download = False
         self._closed = False
+        self._p_order = transpose_order(problem.P)
 
     @property
     def _accelerator(self):
@@ -178,7 +193,8 @@ class SolverSession:
             raise ValueError("update() needs at least one of "
                              "q, l, u, P_data, A_data")
         problem = updated_problem(self._problem, q=q, l=l, u=u,
-                                  P_data=P_data, A_data=A_data)
+                                  P_data=P_data, A_data=A_data,
+                                  p_order=self._p_order)
         self._accelerator.refresh(problem, carry_step=self.carry_state)
         self._problem = problem
         self._needs_download = False
@@ -303,6 +319,7 @@ class BatchSolverSession:
         self._last: list | None = None
         self._needs_refresh = False
         self._closed = False
+        self._p_order = transpose_order(self._problems[0].P)
 
     @property
     def width(self) -> int:
@@ -328,7 +345,7 @@ class BatchSolverSession:
         self._ensure_open()
         self._problems[lane] = updated_problem(
             self._problems[lane], q=q, l=l, u=u, P_data=P_data,
-            A_data=A_data)
+            A_data=A_data, p_order=self._p_order)
         self._needs_refresh = True
         self.updates += 1
         self._service.metrics.counter(

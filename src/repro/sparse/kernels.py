@@ -72,7 +72,7 @@ class CSRKernel:
     """
 
     __slots__ = ("shape", "val", "col", "ip", "_engine", "_ptrs",
-                 "_ell")
+                 "_ell", "_groups")
 
     def __init__(self, shape, data, indices, indptr):
         self.shape = (int(shape[0]), int(shape[1]))
@@ -80,6 +80,7 @@ class CSRKernel:
         self.col = np.ascontiguousarray(indices, dtype=np.int64)
         self.ip = np.ascontiguousarray(indptr, dtype=np.int64)
         self._ell = None
+        self._groups = None
         self._engine = engine()
         if self._engine is not None:
             buf = self._engine.ffi.from_buffer
@@ -156,6 +157,20 @@ class CSRKernel:
             width = int(lens.max()) if m else 0
             self._ell = ((pos + 1) * m + rows, width + 1)
         return self._ell
+
+    def row_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows in stable length order, and the ``(length, count)``
+        pair of each run of equal-length rows, flattened, lengths
+        ascending: the walk of the generated one-lane SpMV
+        (:mod:`repro.hw.compiled`). Both come from the pattern alone."""
+        if self._groups is None:
+            lens = np.diff(self.ip)
+            order = np.argsort(lens, kind="stable")
+            run_lens, counts = np.unique(lens, return_counts=True)
+            pairs = np.stack([run_lens, counts], axis=1).reshape(-1)
+            self._groups = (np.ascontiguousarray(order, dtype=np.int64),
+                            np.ascontiguousarray(pairs, dtype=np.int64))
+        return self._groups
 
 
 def dot(a, b, out: np.ndarray | None = None):

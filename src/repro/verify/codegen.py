@@ -19,7 +19,10 @@ five independent properties:
     order, and embedded DOT/SpMV/CLIP kernel bodies must match the
     canonical templates below (each lane accumulating in the
     :mod:`repro.hw.cjit` kernels' sequential order) after table-token
-    normalization.
+    normalization. A one-lane unit's head must carry the canonical
+    ``spmv_grouped`` row kernel, re-derived here in :func:`_preamble`,
+    and each of its SpMVs must be the one-line call to it; a wider
+    unit's SpMV is the lane-minor CSR walk.
 
 **Bounds and aliasing** (``codegen-index-out-of-bounds`` /
 ``codegen-shape-mismatch`` / ``codegen-alias-hazard``)
@@ -27,7 +30,11 @@ five independent properties:
     indexes (including the flattened ``len * B`` and row/lane bounds of
     lane-minor batch buffers), CSR gathers are proven in-bounds from
     the actual ``col``/``indptr`` arrays the kernel will walk, and a
-    gather may not write a buffer it reads.
+    gather may not write a buffer it reads. A one-lane gather's row
+    walk is proven from ``indptr`` too: its row order is a
+    permutation of the rows, each run of its run table holds only rows
+    of that run's stored length, and its ``ng`` argument is the ``L``
+    slot holding the number of runs.
 
 **Ordering and scalar-table soundness** (``codegen-order-mismatch`` /
 ``codegen-scalar-slot-mismatch`` / ``codegen-write-set-miss``)
@@ -160,6 +167,55 @@ _LOOP_SPMV = ("    {{\n"
               "        }}\n"
               "    }}\n")
 
+#: The one-lane SpMV statement: a call to the unit's row kernel with the
+#: values, ``col``, ``ip``, the row order ``ro``, the run table ``rl``,
+#: the run count ``ng`` (an ``L`` slot) and the source and destination.
+_LOOP_SPMV_CALL = "    spmv_grouped(T, T, T, T, T, T, T, T);\n"
+
+#: The row kernel every one-lane unit carries in its head: each run of
+#: equal-length rows walks a ``switch`` arm whose k-loop bound is the
+#: literal length (0-8; longer rows take the runtime bound), and every
+#: row sums from ``acc = 0.0`` in the ``k_csr_matvec`` order.
+_SPMV_GROUPED = (
+    "#define SPMV_RUN(n) \\\n"
+    "    for (long t = 0; t < cnt; ++t) { \\\n"
+    "        const long r = rows[t]; \\\n"
+    "        const double *w = v + ip[r]; \\\n"
+    "        const long *c = col + ip[r]; \\\n"
+    "        double acc = 0.0; \\\n"
+    "        for (long k = 0; k < (n); ++k) \\\n"
+    "            acc += w[k] * x[c[k]]; \\\n"
+    "        y[r] = acc; \\\n"
+    "    } \\\n"
+    "    break\n"
+    "\n"
+    "static void spmv_grouped(const double *v, const long *col,\n"
+    "                         const long *ip, const long *ro,\n"
+    "                         const long *rl, long ng,\n"
+    "                         const double *x, double * restrict y)\n"
+    "{\n"
+    "    for (long g = 0; g < ng; ++g) {\n"
+    "        const long len = rl[2 * g];\n"
+    "        const long cnt = rl[2 * g + 1];\n"
+    "        const long *rows = ro;\n"
+    "        ro += cnt;\n"
+    "        switch (len) {\n"
+    "        case 0: SPMV_RUN(0);\n"
+    "        case 1: SPMV_RUN(1);\n"
+    "        case 2: SPMV_RUN(2);\n"
+    "        case 3: SPMV_RUN(3);\n"
+    "        case 4: SPMV_RUN(4);\n"
+    "        case 5: SPMV_RUN(5);\n"
+    "        case 6: SPMV_RUN(6);\n"
+    "        case 7: SPMV_RUN(7);\n"
+    "        case 8: SPMV_RUN(8);\n"
+    "        default: SPMV_RUN(len);\n"
+    "        }\n"
+    "    }\n"
+    "}\n"
+    "#undef SPMV_RUN\n"
+    "\n")
+
 #: The whole-loop CLIP statement (np.clip, NaN passthrough).
 _LOOP_CLIP = ("{ const double av = a[i]; "
               "const double c = isnan(av) ? av : "
@@ -185,10 +241,13 @@ def _trip_head(frame: int) -> str:
 _LANE_COUNT_DECL = re.compile(r"\bbt\s*=(?!=)")
 
 
+_INCLUDES = "#include <math.h>\n\n"
+
+
 def _preamble(batch: int, frames: int) -> str:
-    """The unit's function head up to frame 0's first statement."""
-    return ("#include <math.h>\n"
-            "\n"
+    """The unit's head up to frame 0's first statement: the one-lane
+    row kernel (B = 1 only), then the function head."""
+    return (_INCLUDES + (_SPMV_GROUPED if batch == 1 else "") +
             "long loop_run(double **B, long **IA, const long *L,\n"
             "              const double *S, long *M, long *CT,\n"
             "              long *IT, long *LT, long max_iter)\n"
@@ -420,8 +479,17 @@ class _UnitChecker:
                 Location("codegen"))
             return
         entries, loop_meta = _loop_walk(self.instrs)
-        if not ir.source.startswith(_preamble(self.lanes,
-                                              1 + len(loop_meta))):
+        if (self.lanes == 1
+                and not ir.source.startswith(_INCLUDES + _SPMV_GROUPED)):
+            report.error(
+                "codegen-kernel-body-drift",
+                "the one-lane unit's head does not carry the canonical "
+                "spmv_grouped row kernel",
+                Location("codegen[loop]"),
+                hint="every one-lane SpMV calls that kernel; a drifted "
+                     "copy is not the bit-exactness-pinned row sum")
+        elif not ir.source.startswith(_preamble(self.lanes,
+                                                1 + len(loop_meta))):
             report.error(
                 "codegen-lane-mask-missing",
                 f"the unit's function head differs from the expected "
@@ -704,6 +772,9 @@ class _UnitChecker:
                 "codegen-expression-mismatch", stmt,
                 f"statement streams matrix {stmt.matrix!r} but the "
                 f"instruction names {instr.matrix!r}")
+        if self.lanes == 1:
+            self._check_template(stmt, _LOOP_SPMV_CALL)
+            return
         self._check_masked(stmt, self._guarded("yr[j] = acc[j];"))
         self._check_template(stmt, self._template(_LOOP_SPMV))
 
@@ -853,7 +924,10 @@ class _UnitChecker:
                       f"unknown iteration shape {stmt.index!r}")
 
     def _check_gather_bounds(self, stmt: EffectStatement) -> None:
+        # One lane walks (col, ip, ro, rl); a wider unit (col, ip).
+        arrays = 4 if self.lanes == 1 else 2
         if (stmt.spmv_shape is None or stmt.index_arrays is None
+                or len(stmt.index_arrays) != arrays
                 or len(stmt.srcs) != 2 or stmt.dst is None):
             self._err("codegen-shape-mismatch", stmt,
                       "gather statement lacks its CSR shape/index "
@@ -861,9 +935,7 @@ class _UnitChecker:
             return
         rows = stmt.bound
         mat, src = stmt.srcs
-        col, ip = stmt.index_arrays
-        col = np.asarray(col)
-        ip = np.asarray(ip)
+        col, ip = (np.asarray(arr) for arr in stmt.index_arrays[:2])
         if rows != stmt.spmv_shape[0] or stmt.dst.length != rows:
             self._err(
                 "codegen-index-out-of-bounds" if stmt.dst.length < rows
@@ -894,6 +966,10 @@ class _UnitChecker:
                 "codegen-index-out-of-bounds", stmt,
                 f"column indices reach {int(col.max())} but the CVB "
                 f"source {src.name!r} holds {src.length} elements")
+        elif self.lanes == 1:
+            self._check_row_runs(stmt, np.diff(ip),
+                                 *(np.asarray(arr)
+                                   for arr in stmt.index_arrays[2:]))
         dst_key = (stmt.dst.space, stmt.dst.name)
         if dst_key in {(ref.space, ref.name) for ref in stmt.srcs}:
             self._err(
@@ -912,6 +988,58 @@ class _UnitChecker:
                 "codegen-shape-mismatch", stmt,
                 f"gather claims matrix shape {stmt.spmv_shape} but the "
                 f"machine resource is {shape}")
+
+    def _check_row_runs(self, stmt: EffectStatement, lens: np.ndarray,
+                        ro: np.ndarray, rl: np.ndarray) -> None:
+        """The one-lane row walk, proven from ``ip`` (row ``r`` stores
+        ``lens[r]`` entries): ``ro`` is a permutation of the rows, so
+        each is written once; run ``g`` of ``rl`` holds rows of its
+        stored length, so the literal k-loop reads exactly the row's
+        slice of the streams; and the ``ng`` argument is an ``L`` slot
+        holding the number of runs."""
+        rows = lens.shape[0]
+        if ro.ndim != 1 or (ro.size and (int(ro.min()) < 0
+                                         or int(ro.max()) >= rows)):
+            self._err(
+                "codegen-index-out-of-bounds", stmt,
+                f"row order names rows outside [0, {rows})")
+            return
+        if (ro.shape[0] != rows
+                or np.any(np.bincount(ro, minlength=rows) != 1)):
+            self._err(
+                "codegen-shape-mismatch", stmt,
+                f"row order is not a permutation of the {rows} rows: "
+                f"some row would be written twice and another never")
+            return
+        if rl.ndim != 1 or rl.shape[0] % 2:
+            self._err("codegen-shape-mismatch", stmt,
+                      "run table is not a flat list of (length, count) "
+                      "pairs")
+            return
+        run_lens, counts = rl[0::2], rl[1::2]
+        covered = int(counts.sum())
+        if (counts.size and int(counts.min()) < 0) or covered != rows:
+            self._err("codegen-shape-mismatch", stmt,
+                      f"runs cover {covered} rows of {rows}")
+            return
+        if np.any(lens[ro] != np.repeat(run_lens, counts)):
+            self._err(
+                "codegen-index-out-of-bounds", stmt,
+                "a run's length differs from a row's stored length; its "
+                "k-loop would read outside that row's slice of the "
+                "value/column streams")
+        runs = rl.shape[0] // 2
+        call = re.search(r"spmv_grouped\((.*)\);", stmt.text)
+        args = call.group(1).split(", ") if call else []
+        if (len(stmt.len_slots) != 1 or stmt.len_slots[0][1] != runs
+                or len(args) != 8
+                or args[5] != f"L[{stmt.len_slots[0][0]}]"):
+            self._err(
+                "codegen-scalar-slot-mismatch", stmt,
+                f"the run count must reach the row kernel through the "
+                f"one L slot recording it ({runs} runs); the call reads "
+                f"{args[5] if len(args) == 8 else '<no call>'} with "
+                f"slots {stmt.len_slots}")
 
     # -- write-set soundness ----------------------------------------------
     def _check_writes(self) -> None:

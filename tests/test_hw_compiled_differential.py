@@ -1023,6 +1023,139 @@ class TestFusedLoopErrors:
         assert "sqrt" in str(errors["compiled"])
 
 
+class TestGroupedSpMV:
+    """One-lane fused loops call the per-module row kernel
+    ``spmv_grouped``, which walks each run of equal-length rows with a
+    literal trip count. It only reorders row *writes*: every row sums
+    in the engine kernels' order, so the compiled solo solve is the
+    interpreter's bit for bit on the row shapes the kernel special-cases
+    and on those it does not."""
+
+    #: family, size -> the row-length fact of that case's matrices.
+    CASES = {
+        ("svm", 48): "P has empty rows; At rows reach 22",
+        ("huber", 30): "P has empty rows",
+        ("lasso", 60): "P has empty rows; At rows reach 29",
+        ("control", 4): "P is all diagonal",
+    }
+
+    @staticmethod
+    def _row_facts(problem):
+        lens = {name: np.diff(mat.indptr) for name, mat in
+                (("P", problem.P), ("A", problem.A),
+                 ("At", problem.A.transpose()))}
+        facts = []
+        if (lens["P"] == 0).any():
+            facts.append("P has empty rows")
+        if np.array_equal(problem.P.indices,
+                          np.repeat(np.arange(problem.n), lens["P"])):
+            facts.append("P is all diagonal")
+        if lens["At"].max() > 8:
+            facts.append(f"At rows reach {lens['At'].max()}")
+        return facts
+
+    @pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
+    @pytest.mark.parametrize("family,size", sorted(CASES))
+    def test_grouped_solo_solve_bitwise(self, family, size, algorithm,
+                                        monkeypatch):
+        from repro.hw import accelerator_class
+        problem = generate(family, size, seed=0)
+        for fact in self.CASES[family, size].split("; "):
+            assert fact in self._row_facts(problem)
+        sources = []
+        compile_module = cjit.compile_module
+
+        def spy(cdef, source, tag="k", libraries=()):
+            if tag == "loop":
+                sources.append(source)
+            return compile_module(cdef, source, tag=tag,
+                                  libraries=libraries)
+
+        monkeypatch.setattr(cjit, "compile_module", spy)
+        cust = customize_problem(problem, 8)
+        res = {}
+        for backend in ("interpret", "compiled"):
+            acc = accelerator_class(algorithm)(
+                problem, customization=cust, backend=backend)
+            res[backend] = (acc.run(), acc.machine.stats)
+        ri, si = res["interpret"]
+        rc, sc = res["compiled"]
+        for name in ("x", "y", "z"):
+            assert getattr(ri, name).tobytes() == getattr(rc, name).tobytes()
+        assert ri.total_cycles == rc.total_cycles
+        assert si.by_class == sc.by_class
+        assert si.instructions_executed == sc.instructions_executed
+        assert si.loop_iterations == sc.loop_iterations
+        if cjit.available():
+            assert sources
+            assert all("spmv_grouped(B[" in source for source in sources)
+
+    @staticmethod
+    def _special_matrix():
+        """Rows of every length 0-12 plus rows whose products are -0.0,
+        +-inf and NaN, against a source holding signed zeros, an
+        infinity and a NaN."""
+        rng = np.random.default_rng(5)
+        n = 16
+        x = rng.standard_normal(n)
+        x[0], x[1], x[2], x[3] = 0.0, -0.0, np.inf, np.nan
+        rows = [np.sort(rng.choice(np.arange(4, n), size=k,
+                                   replace=False)) for k in range(13)]
+        vals = [rng.standard_normal(k) for k in range(13)]
+        special = [
+            ([0], [-1.0]),              # -0.0 product: the row is +0.0
+            ([0, 1], [-1.0, 1.0]),      # -0.0 + -0.0 from +0.0
+            ([1, 4], [2.0, -0.0]),      # -0.0 and a signed-zero value
+            ([2], [1.0]),               # +inf
+            ([2, 4], [-1.0, 3.0]),      # -inf then a finite term
+            ([2, 5], [1.0, -np.inf]),   # inf - inf: NaN
+            ([3], [1.0]),               # NaN source
+            ([0, 4, 5], [np.nan, 1.0, 2.0]),  # NaN value
+            ([2, 4, 5, 6, 7, 8, 9, 10, 11, 12], [1.0] * 10),
+        ]
+        for cols, vs in special:
+            rows.append(np.array(cols))
+            vals.append(np.array(vs))
+        indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+        indices = np.concatenate(rows).astype(np.int64)
+        data = np.concatenate(vals)
+        pattern = CSRMatrix((len(rows), n), np.ones(indices.size), indices,
+                            indptr, check=False)
+        return pattern, data, x
+
+    @needs_jit
+    def test_grouped_spmv_special_values_bytewise(self, monkeypatch):
+        from repro.sparse.kernels import CSRKernel
+        pattern, data, x = self._special_matrix()
+        sources = []
+        compile_module = cjit.compile_module
+
+        def spy(cdef, source, tag="k", libraries=()):
+            if tag == "loop":
+                sources.append(source)
+            return compile_module(cdef, source, tag=tag,
+                                  libraries=libraries)
+
+        monkeypatch.setattr(cjit, "compile_module", spy)
+        resource = BatchMatrixResource("M", pattern, 9, 3, 1)
+        resource.update_values(data)
+        machine = BatchMachine(4, {"M": resource}, 1)
+        machine.vb["x"] = x[:, None].copy()
+        executor = BatchExecutor(machine, jit=True)
+        program = Program([Loop([VecDup("x", "M"), SpMV("M", "M", "y")],
+                                max_iter=1, name="l")])
+        executor.run(program)
+        machine.vb["y"][:] = 7.0
+        executor.run(program)
+        assert any(entry[1] for entry in executor._loop_fused.values())
+        assert len(sources) == 1 and "spmv_grouped(B[" in sources[0]
+        expected = CSRKernel(pattern.shape, data, pattern.indices,
+                             pattern.indptr).apply(x)
+        assert machine.vb["y"][:, 0].tobytes() == expected.tobytes()
+        zero_rows = [13, 14, 15]
+        assert np.signbit(expected[zero_rows]).tolist() == [False] * 3
+
+
 class TestOneLaneMachine:
     """A solo accelerator's compiled machine is one batch lane.
 

@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
-from repro.problems import generate_lasso, generate_svm, perturb_numeric
+from repro.problems import (generate, generate_lasso, generate_svm,
+                            perturb_numeric)
 from repro.serving import SolverService
-from repro.serving.session import TIER_SESSION, updated_problem
+from repro.serving.session import (TIER_SESSION, transpose_order,
+                                   updated_problem)
 from repro.solver import OSQPSettings
 
 SETTINGS = OSQPSettings(eps_abs=1e-4, eps_rel=1e-4, max_iter=3000)
@@ -79,6 +81,70 @@ class TestUpdatedProblem:
         data[np.argmax(off_diag)] += 1.0  # breaks P == P'
         with pytest.raises(ShapeError):
             updated_problem(base, P_data=data)
+
+
+class TestSymmetryCheck:
+    """``updated_problem`` tests exact symmetry first and falls back to
+    ``allclose`` only when that fails: the accept/reject set is the
+    ``allclose`` test's, with or without a session's cached transpose
+    order."""
+
+    @staticmethod
+    def _pair(base):
+        """Positions ``(k, k')`` of one off-diagonal pair P[i,j], P[j,i]."""
+        order = transpose_order(base.P)
+        rows = np.repeat(np.arange(base.n), np.diff(base.P.indptr))
+        k = int(np.argmax(rows != base.P.indices))
+        assert rows[k] != base.P.indices[k]
+        return k, int(order[k])
+
+    @pytest.mark.parametrize("case", ["exact", "tiny", "beyond", "nan",
+                                      "inf", "-inf", "inf-pair-broken"])
+    def test_accept_reject_set_unchanged(self, case):
+        base = generate("eqqp", 8, seed=0)
+        k, kt = self._pair(base)
+        data = base.P.data.copy()
+        if case == "tiny":
+            data[k] += 1e-12
+        elif case == "beyond":
+            data[k] += 1e-3
+        elif case == "nan":
+            data[k] = data[kt] = np.nan
+        elif case in ("inf", "-inf"):
+            data[k] = data[kt] = float(case)
+        elif case == "inf-pair-broken":
+            data[k], data[kt] = np.inf, -np.inf
+        order = transpose_order(base.P)
+        reference = np.allclose(data, data[np.argsort(
+            base.P.indices, kind="stable")], atol=1e-9)
+        expected = {"exact": True, "tiny": True, "beyond": False,
+                    "nan": False, "inf": True, "-inf": True,
+                    "inf-pair-broken": False}[case]
+        assert reference is expected
+        for kwargs in ({}, {"p_order": order}):
+            if expected:
+                new = updated_problem(base, P_data=data, **kwargs)
+                assert new.P.data.tobytes() == data.tobytes()
+            else:
+                with pytest.raises(ShapeError):
+                    updated_problem(base, P_data=data, **kwargs)
+
+    def test_session_computes_the_order_once(self, monkeypatch):
+        from repro.serving import session as session_module
+        calls = []
+        order = session_module.transpose_order
+
+        def counting(P):
+            calls.append(P)
+            return order(P)
+
+        monkeypatch.setattr(session_module, "transpose_order", counting)
+        base = generate("eqqp", 8, seed=0)
+        with service() as svc, svc.open_session(base) as sess:
+            for seed in (1, 2, 3):
+                nearby = perturb_numeric(base, seed=seed)
+                sess.update(P_data=nearby.P.data, q=nearby.q)
+        assert len(calls) == 1
 
 
 class TestSessionInvariants:

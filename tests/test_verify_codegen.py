@@ -15,11 +15,13 @@ Runs without hypothesis (the property variants skip) and without
 cffi (the lift is static by construction).
 """
 
+import hashlib
 import re
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -268,6 +270,155 @@ def test_b1_units_carry_no_guards():
         assert "L[0]" not in ir.source.split("for (long it0", 1)[0]
         assert not re.search(r"if \(m\d+\[j\]\) ", ir.source)
         assert not re.search(r"m\d+\[j\] && .* return", ir.source)
+
+
+# ---------------------------------------------------------------------------
+# the one-lane grouped SpMV: row order, run table and row kernel
+
+
+def grouped_spmv(algorithm="admm"):
+    """A one-lane unit, the position of its first SpMV statement, and
+    that statement."""
+    ir, instrs, machine = unit_for(1, algorithm)
+    pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
+                     if s.op == "spmv")
+    return ir, instrs, machine, pos, stmt
+
+
+def with_arrays(ir, pos, stmt, ro=None, rl=None):
+    col, ip, old_ro, old_rl = stmt.index_arrays
+    mutated = clone(ir)
+    mutated.statements[pos] = replace(
+        stmt, index_arrays=(col, ip, old_ro if ro is None else ro,
+                            old_rl if rl is None else rl))
+    return mutated
+
+
+def test_grouped_spmv_unit_shape():
+    """Every one-lane SpMV is one call of the head's row kernel, whose
+    row order and run table come from the matrix's pattern."""
+    for algorithm in ("admm", "pdqp"):
+        ir, _instrs, machine, _pos, _stmt = grouped_spmv(algorithm)
+        assert ir.source.startswith(cg._INCLUDES + cg._SPMV_GROUPED)
+        spmvs = [s for s in ir.statements if s.op == "spmv"]
+        assert spmvs
+        for stmt in spmvs:
+            assert cg._norm(stmt.text) == cg._LOOP_SPMV_CALL
+            col, ip, ro, rl = stmt.index_arrays
+            kernel = machine.matrices[stmt.matrix].kernel
+            groups = kernel.row_groups()
+            assert ro is groups[0] and rl is groups[1]
+            assert col is kernel.col and ip is kernel.ip
+            lens = np.diff(ip)
+            assert np.array_equal(lens[ro], np.sort(lens, kind="stable"))
+
+
+def test_seeded_grouped_duplicate_row_is_caught():
+    ir, instrs, machine, pos, stmt = grouped_spmv()
+    ro = stmt.index_arrays[2].copy()
+    assert ro.size >= 2
+    ro[1] = ro[0]
+    report = verify_effect_ir(with_arrays(ir, pos, stmt, ro=ro), instrs,
+                              machine)
+    assert "codegen-shape-mismatch" in codes_of(report), report.render()
+    ro[1] = ro.size  # past the last row
+    report = verify_effect_ir(with_arrays(ir, pos, stmt, ro=ro), instrs,
+                              machine)
+    assert "codegen-index-out-of-bounds" in codes_of(report), \
+        report.render()
+
+
+def test_seeded_grouped_run_length_mismatch_is_caught():
+    """A run whose length is not its rows' stored length would read the
+    next row's entries (or past the streams)."""
+    ir, instrs, machine, pos, stmt = grouped_spmv()
+    rl = stmt.index_arrays[3].copy()
+    rl[-2] += 1  # the longest run claims one entry more per row
+    report = verify_effect_ir(with_arrays(ir, pos, stmt, rl=rl), instrs,
+                              machine)
+    found = [d for d in report.errors
+             if d.code == "codegen-index-out-of-bounds"]
+    assert found, report.render()
+    assert str(stmt.instr_index) in found[0].location.path
+
+
+def test_seeded_grouped_run_count_slot_is_caught():
+    """The ``ng`` L slot must hold the number of runs: a table and
+    record that agree on another count are rejected, as is a table
+    that disagrees with the record."""
+    ir, instrs, machine, pos, stmt = grouped_spmv()
+    (slot, runs), = stmt.len_slots
+    assert runs == stmt.index_arrays[3].shape[0] // 2
+    lens = list(ir.lens)
+    lens[slot] = runs + 1
+    both = replace(ir, statements=list(ir.statements), lens=tuple(lens))
+    both.statements[pos] = replace(stmt, len_slots=((slot, runs + 1),))
+    table_only = replace(ir, statements=list(ir.statements),
+                         lens=tuple(lens))
+    for mutated in (both, table_only):
+        report = verify_effect_ir(mutated, instrs, machine)
+        assert "codegen-scalar-slot-mismatch" in codes_of(report), \
+            report.render()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("double acc = 0.0;", "double acc = -0.0;"),
+    ("case 8: SPMV_RUN(8);", "case 8: SPMV_RUN(7);"),
+    ("acc += w[k] * x[c[k]];", "acc += x[c[k]] * w[k];"),
+])
+def test_seeded_grouped_helper_drift_is_caught(old, new):
+    ir, instrs, machine = unit_for(1)
+    head = ir.source.split("long loop_run(", 1)[0]
+    assert old in head
+    mutated = replace(ir, statements=list(ir.statements),
+                      source=ir.source.replace(old, new, 1))
+    report = verify_effect_ir(mutated, instrs, machine)
+    assert "codegen-kernel-body-drift" in codes_of(report), report.render()
+
+
+def test_seeded_b1_csr_spmv_is_caught():
+    """A one-lane unit must call the row kernel: the lane-minor CSR walk
+    a wider unit emits is rejected there."""
+    ir, instrs, machine, pos, stmt = grouped_spmv()
+    wide, _instrs, _machine = unit_for(2)
+    csr = next(s for s in wide.statements
+               if s.op == "spmv" and s.instr_index == stmt.instr_index)
+    mutated = clone(ir)
+    mutated.statements[pos] = replace(
+        stmt, text=csr.text.replace("if (m0[j]) ", ""))
+    report = verify_effect_ir(mutated, instrs, machine)
+    found = [d for d in report.errors
+             if d.code == "codegen-kernel-body-drift"]
+    assert found, report.render()
+    assert str(stmt.instr_index) in found[0].location.path
+
+
+#: sha256 prefixes of the sources of this suite entry's B >= 2 units, as
+#: emitted before the one-lane row kernel existed: the wider units keep
+#: the lane-minor CSR walk byte for byte.
+WIDE_SOURCES = {
+    ("admm", 2): ["803702d45d5a6833", "6d609385e518dd8f"],
+    ("admm", 32): ["ac0b6e537df25798", "54ee06bfe7b327a5"],
+    ("pdqp", 2): ["b19b8619ee6a7e3a"],
+    ("pdqp", 32): ["54161155deaa6541"],
+}
+
+
+@pytest.mark.parametrize("algorithm,width", sorted(WIDE_SOURCES))
+def test_wide_units_keep_the_csr_source(algorithm, width):
+    """A B >= 2 unit's source, and so its module's source hash, is the
+    CSR form's; only one-lane units carry the row kernel."""
+    problem = suite_entry().problem
+    matrices = {"P": problem.P, "A": problem.A, "At": problem.A.transpose()}
+    units, _skipped = cg.lift_units(artifact(algorithm).compiled, matrices,
+                                    (width,))
+    digests = [hashlib.sha256(ir.source.encode()).hexdigest()[:16]
+               for ir, _instrs, _machine in units]
+    assert digests == WIDE_SOURCES[algorithm, width]
+    for ir, _instrs, _machine in units:
+        assert "spmv_grouped" not in ir.source
+        assert all(len(s.index_arrays) == 2 for s in ir.statements
+                   if s.op == "spmv")
 
 
 @lru_cache(maxsize=None)
