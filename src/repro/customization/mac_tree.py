@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cached_property, total_ordering
 
 from ..encoding import FULL_CHUNK, alphabet_for, char_capacity
 from ..exceptions import EncodingError
@@ -49,20 +49,22 @@ class MACStructure:
                 f"structure {self.pattern!r} needs {self.total_capacity} "
                 f"inputs but C={self.c}")
 
-    @property
+    # The scheduler reads these once per placed pack; computed once per
+    # structure (the frozen fields never change).
+    @cached_property
     def capacities(self) -> tuple:
         return tuple(char_capacity(ch, self.c) for ch in self.pattern)
 
-    @property
+    @cached_property
     def total_capacity(self) -> int:
-        return sum(char_capacity(ch, self.c) for ch in self.pattern)
+        return sum(self.capacities)
 
     @property
     def n_outputs(self) -> int:
         """Rows completed per cycle — the routing case width."""
         return len(self.pattern)
 
-    @property
+    @cached_property
     def lane_offsets(self) -> tuple:
         """Starting lane of each segment."""
         offsets = []

@@ -14,6 +14,7 @@ the hardware simulator consume.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -128,6 +129,7 @@ def _dominated_class(ch: str, c: int) -> str:
     return "[" + "".join(members) + "]"
 
 
+@functools.lru_cache(maxsize=1024)
 def _structure_regex(structure: MACStructure) -> re.Pattern:
     return re.compile("".join(_dominated_class(ch, structure.c)
                               for ch in structure.pattern))

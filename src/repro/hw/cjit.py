@@ -17,7 +17,7 @@ machinery:
   lane of a load.
 * :func:`compile_module` — hash-addressed, disk-cached compilation of
   generated loop sources (same source is compiled at most once per
-  cache directory, ever).
+  cache directory and target, ever; see :func:`module_dir`).
 
 Bit-exactness contract: kernels are compiled with ``-O3
 -ffp-contract=off`` (plus ``-march=native`` when the toolchain accepts
@@ -46,14 +46,15 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import os
+import shlex
 import shutil
+import subprocess
+import sysconfig
 import tempfile
 from typing import Any, Sequence
 
-from .effect_ir import EFFECT_IR_VERSION
-
 __all__ = ["available", "engine", "compile_module", "CSR_MATVEC_BODY",
-           "DOT_BODY", "CODEGEN_VERSION", "cache_dir"]
+           "DOT_BODY", "CODEGEN_VERSION", "cache_dir", "module_dir"]
 
 #: Canonical CSR row-sum loop. Loop codegen embeds this exact shape so
 #: an SpMV fused into a loop produces the same bits as the engine
@@ -70,9 +71,11 @@ CSR_MATVEC_BODY = """\
 
 #: Canonical dot-product loop (strictly sequential, left to right).
 #: Both backends route DOT through ``k_dot`` when the JIT is active, and
-#: loop codegen embeds this exact shape, so a DOT fused into a loop
-#: produces the same bits as the engine library call (and as the numpy
-#: fallback of :mod:`repro.sparse.kernels`).
+#: loop codegen embeds this exact shape (one lane) or its lane-minor
+#: form (``k_dot_batch``), so a DOT fused into a loop produces the same
+#: bits as the engine library call (and as the numpy fallback of
+#: :mod:`repro.sparse.kernels`). A one-lane unit runs a group of DOTs
+#: of one length as one loop with one such accumulator per DOT.
 DOT_BODY = """\
     double acc = 0.0;
     for (long i = 0; i < n; ++i)
@@ -420,15 +423,22 @@ void k_dot_batch(const double *a, const double *b, long n, long batch,
 #: ABI, charge accounting contracts). Part of every module's cache key.
 CODEGEN_VERSION = "1"
 
+#: The effect-IR schema version that was hashed into the key below
+#: until it left it, kept as a literal so that module names stay what
+#: they were. The schema is not part of the key: the IR is re-emitted
+#: and re-verified in every process before a unit is compiled or
+#: loaded, and the verifier rejects an IR of any other version, so a
+#: schema change alone must not rename a module whose source is
+#: unchanged.
+_FROZEN_IR_KEY = "3"
+
 #: Fingerprint of the kernel layer a generated module may embed or
 #: call into. Keying the disk cache on this (not just the generated
 #: loop source) means a cached ``.so`` can never be reused after
-#: ``k_csr_matvec`` / ``k_dot``, the codegen contract, or the effect-IR
-#: schema changes — a stale binary would silently break either the
-#: bit-exactness guarantee or the static verifier's assumptions about
-#: what the cached code does.
+#: ``k_csr_matvec`` / ``k_dot`` or the codegen contract changes — a
+#: stale binary would silently break the bit-exactness guarantee.
 _KERNEL_VERSION = hashlib.sha256("\x00".join(
-    [CODEGEN_VERSION, EFFECT_IR_VERSION, _ENGINE_CDEF,
+    [CODEGEN_VERSION, _FROZEN_IR_KEY, _ENGINE_CDEF,
      _ENGINE_SOURCE]).encode()).hexdigest()
 
 #: Every module — the engine library and each generated loop — compiles
@@ -457,10 +467,47 @@ _state: dict[str, Any] = {"probed": False, "engine": None}
 
 
 def cache_dir() -> str:
-    """Directory holding compiled kernel modules, keyed by source hash."""
+    """Root of the compiled-module cache (``REPRO_JIT_CACHE``); the
+    modules sit in its per-target subdirectory (:func:`module_dir`),
+    named by a hash of their source."""
     return os.environ.get(
         "REPRO_JIT_CACHE",
         os.path.join(tempfile.gettempdir(), "repro_cjit"))
+
+
+def target_key() -> str:
+    """Fingerprint of the C compiler and of the CPU it builds for.
+
+    A hash of ``cc --version`` and of ``cc -march=native -Q
+    --help=target`` (the ISA extensions and tuning ``-march=native``
+    resolves to on this host), run once per process. A module built
+    with ``-march=native`` may hold instructions that another CPU does
+    not have and dies with SIGILL there, which no ``except`` can turn
+    into a rebuild, so modules live under a directory named by this
+    key (:func:`module_dir`) and a cache directory shared between
+    hosts never serves one host's binary to another.
+    """
+    if "target" not in _state:
+        cc = shlex.split(os.environ.get("CC")
+                         or sysconfig.get_config_var("CC") or "cc")
+        parts = []
+        for args in (["--version"],
+                     ["-march=native", "-Q", "--help=target"]):
+            try:
+                done = subprocess.run(cc + args, capture_output=True,
+                                      text=True, timeout=60)
+                parts.append(done.stdout + done.stderr)
+            except (OSError, subprocess.SubprocessError) as exc:
+                parts.append(type(exc).__name__)
+        _state["target"] = hashlib.sha256(
+            "\x00".join(parts).encode()).hexdigest()[:16]
+    return _state["target"]
+
+
+def module_dir() -> str:
+    """Directory of this toolchain's and host's compiled modules: the
+    :func:`target_key` subdirectory of :func:`cache_dir`."""
+    return os.path.join(cache_dir(), f"target_{target_key()}")
 
 
 def _jit_enabled() -> bool:
@@ -481,7 +528,8 @@ def compile_module(cdef: str, source: str, tag: str = "k",
     ``libraries`` adds link libraries (e.g. ``("m",)`` for libm). The
     cache key covers the source, the flags, the libraries, and the
     kernel/codegen version fingerprint, so a stale ``.so`` is never
-    reused across kernel-body or codegen-contract changes.
+    reused across kernel-body or codegen-contract changes; the
+    directory covers the compiler and the CPU (:func:`module_dir`).
     """
     if not _jit_enabled():
         return None
@@ -499,13 +547,21 @@ def compile_module(cdef: str, source: str, tag: str = "k",
     return None
 
 
-def _build(cffi: Any, cdef: str, source: str, tag: str,
-           compile_args: list, libs: list) -> Any:
+def module_name(cdef: str, source: str, tag: str, compile_args: list,
+                libs: list) -> str:
+    """The cache name of a module: its family ``tag`` and a hash of the
+    kernel layer (:data:`_KERNEL_VERSION`), the cdef, the source, the
+    flags and the libraries."""
     digest = hashlib.sha256(("\x00".join(
         [_KERNEL_VERSION, cdef, source] + compile_args + libs
     )).encode()).hexdigest()
-    name = f"_repro_{tag}_{digest[:16]}"
-    root = cache_dir()
+    return f"_repro_{tag}_{digest[:16]}"
+
+
+def _build(cffi: Any, cdef: str, source: str, tag: str,
+           compile_args: list, libs: list) -> Any:
+    name = module_name(cdef, source, tag, compile_args, libs)
+    root = module_dir()
     final = os.path.join(root, name)
     try:
         module = _load(name, final)

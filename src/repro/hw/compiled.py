@@ -206,6 +206,59 @@ SPMV_GROUPED = (
     "\n")
 
 
+def dot_groups(run: list, length) -> dict[int, tuple[int, ...]]:
+    """The one-lane DOT groups of a straight-line ``run``.
+
+    Maps the run index of every grouped DOT to the run indices of its
+    group's members, in order; ``length(instr)`` is a DOT's operand
+    length. A group is a maximal stretch of two or more consecutive
+    DOTs of one length, so it ends at the first statement that is not
+    such a DOT; a DOT alone keeps its own loop. DOTs write only their
+    scalar registers and read only vectors, so the members of a group
+    are independent of one another and no member moves past any other
+    statement.
+    """
+    groups: dict[int, tuple[int, ...]] = {}
+    members: list = []
+    for i, instr in enumerate(run + [None]):
+        dot = (isinstance(instr, VectorOp)
+               and instr.op is VectorOpKind.DOT)
+        if members and not (dot and length(instr) == length(
+                run[members[0]])):
+            if len(members) > 1:
+                for k in members:
+                    groups[k] = tuple(members)
+            members = []
+        if dot:
+            members.append(i)
+    return groups
+
+
+def dot_group_source(n: str, operands: list) -> str:
+    """One loop for a one-lane DOT group.
+
+    ``n`` is the shared length's token and ``operands`` the
+    ``(a, b, o)`` pointer tokens of each member in order. Member ``k``
+    sums ``a{k}[i] * b{k}[i]`` into its own ``acc{k}`` from ``+0.0``,
+    left to right, so each register receives ``k_dot``'s bits.
+    """
+    decls = "".join(f"        const double *a{k} = {a};\n"
+                    f"        const double *b{k} = {b};\n"
+                    f"        double *o{k} = {o};\n"
+                    for k, (a, b, o) in enumerate(operands))
+    ks = range(len(operands))
+    return ("    {\n"
+            f"        const long n = {n};\n"
+            + decls
+            + "".join(f"        double acc{k} = 0.0;\n" for k in ks)
+            + "        for (long i = 0; i < n; ++i) {\n"
+            + "".join(f"            acc{k} += a{k}[i] * b{k}[i];\n"
+                      for k in ks)
+            + "        }\n"
+            + "".join(f"        *o{k} = acc{k};\n" for k in ks)
+            + "    }\n")
+
+
 def vector_fold(instr: VectorOp) -> tuple[str, tuple]:
     """The closure fold table of a lane-wise vector op, as C.
 
@@ -381,9 +434,20 @@ class _LoopBuilder:
     over the lanes; the grouped form measured slower there
     (docs/PERF.md).
 
+    At B = 1 consecutive DOTs also share loops (:func:`dot_groups`):
+    a stretch of two or more back-to-back DOTs over operands of one
+    length forms a group, emitted as one loop at the group's last member
+    (:func:`dot_group_source`) with one accumulator per DOT, so the
+    serial add chains of independent reductions overlap instead of
+    running back to back. Every member still records its own statement
+    at its walk position, and the last one carries the loop's text.
+    Units of B >= 2 keep one lane-minor loop per DOT.
+
     Bit-exactness: every per-element expression is the closure fold
     table verbatim (:func:`vector_fold`), SpMV/DOT keep each lane's
-    accumulation in the engine kernels' sequential order, CLIP's
+    accumulation in the engine kernels' sequential order (a grouped
+    DOT's accumulator starts at ``+0.0`` and sums its own products left
+    to right), CLIP's
     ternary chain evaluates ``np.clip`` exactly (NaN and signed-zero
     included), and scalar C arithmetic on IEEE doubles (`+ - * /`,
     ``sqrt``, the ``MAX`` ternary) reproduces the Python float kernels
@@ -412,6 +476,7 @@ class _LoopBuilder:
         self._pending_lens: list = []   # (L slot, value)
         self._instr_index = -1
         self._charge_slot: int | None = None
+        self._dots: list = []           # (a, b, o) of the open DOT group
 
     def effect_ir(self) -> EffectIR:
         return EffectIR(tier="loop", batch=self._batch,
@@ -429,7 +494,8 @@ class _LoopBuilder:
     def _record(self, op: str, index: str, bound: int, *, dst=None,
                 srcs=(), expr: str = "", text: str = "", site=None,
                 matrix=None, spmv_shape=None, index_arrays=None,
-                nnz: int = 0, sreg_writes=(), lane_bound: int = 0) -> None:
+                nnz: int = 0, sreg_writes=(), lane_bound: int = 0,
+                group=()) -> None:
         reads = self._pending_reads
         self._pending_reads = []
         len_slots = tuple(self._pending_lens)
@@ -445,7 +511,7 @@ class _LoopBuilder:
             sreg_writes=tuple(sreg_writes), len_slots=len_slots,
             instr_index=self._instr_index, site=site, matrix=matrix,
             spmv_shape=spmv_shape, index_arrays=index_arrays, nnz=nnz,
-            charge_slot=self._charge_slot))
+            charge_slot=self._charge_slot, group=tuple(group)))
 
     # -- operand tables --------------------------------------------------
     def buf(self, arr: np.ndarray) -> str:
@@ -587,10 +653,17 @@ class _LoopBuilder:
         self.charges.append((cycles, by_class, len(run)))
         self.code.append(f"    CT[{slot}]++;\n")
         self._charge_slot = slot
-        for instr in run:
+        groups = (dot_groups(run, lambda instr: int(
+            self._vector_operands(instr)[0].shape[0]))
+            if self._batch == 1 else {})
+        first = self._instr_index + 1
+        for i, instr in enumerate(run):
             self._instr_index += 1
             if isinstance(instr, ScalarOp):
                 self._emit_scalar(instr)
+            elif i in groups:
+                self._emit_dot_member(
+                    instr, tuple(first + k for k in groups[i]))
             elif isinstance(instr, VectorOp):
                 self._emit_vector(instr)
             elif isinstance(instr, VecDup):
@@ -801,6 +874,28 @@ class _LoopBuilder:
         self._record(kind.value, "laned", n, dst=dst_ref, srcs=refs,
                      expr=expr, text=self.code[-1],
                      lane_bound=self._batch, site=site)
+
+    def _emit_dot_member(self, instr: VectorOp, group: tuple) -> None:
+        """One member of a one-lane DOT group (:func:`dot_groups`):
+        every member records its own statement at its walk position,
+        and the last one emits the group's loop
+        (:func:`dot_group_source`)."""
+        srcs = self._vector_operands(instr)
+        k = len(self._dots)
+        self._dots.append((self.buf(srcs[0]), self.buf(srcs[1]),
+                           self.buf(self.machine.scalar_buffer(instr.dst))))
+        n = int(srcs[0].shape[0])
+        text = ""
+        if self._instr_index == group[-1]:
+            text = dot_group_source(self.length(n), self._dots)
+            self._dots = []
+            self.code.append(text)
+        self._record("dot", "reduce", n,
+                     srcs=tuple(self._src_ref(name, arr)
+                                for name, arr in zip(instr.srcs, srcs)),
+                     text=text, lane_bound=1,
+                     sreg_writes=((instr.dst, f"o{k}"),),
+                     site=getattr(instr, "site", None), group=group)
 
     def _emit_spmv(self, instr: SpMV) -> None:
         machine = self.machine

@@ -23,9 +23,11 @@ the static cost model.
 The IR is emitted by the same builder methods that append the C text,
 so it cannot drift from the source by construction; the *verifier*
 recomputes every expectation independently from the ISA instructions.
-:data:`EFFECT_IR_VERSION` participates in the cjit cache digest (see
-:mod:`repro.hw.cjit`), so a cached ``.so`` can never be served with a
-stale IR schema.
+:data:`EFFECT_IR_VERSION` is not part of the cjit cache key
+(:mod:`repro.hw.cjit`): the IR is re-emitted and re-verified in every
+process before a unit is compiled or loaded, and the verifier rejects
+an IR of another version, so a cached ``.so`` is named by its source,
+its flags and the kernel layer alone.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ __all__ = ["EFFECT_IR_VERSION", "BufferRef", "EffectStatement",
            "EffectIR"]
 
 #: Schema version of the effect IR. Bump whenever the meaning of any
-#: field changes; part of the cjit disk-cache key so compiled modules
-#: and their IR can never disagree about the schema.
-EFFECT_IR_VERSION = "3"
+#: field changes; the verifier rejects an IR of any other version.
+EFFECT_IR_VERSION = "4"
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,9 @@ class EffectStatement:
         a call to the head's row kernel at one lane, an inline
         lane-minor CSR walk at B >= 2.
     ``"reduce"``
-        the sequential DOT accumulation into a scalar.
+        the sequential DOT accumulation into a scalar: its own loop,
+        or at one lane one accumulator of its group's loop
+        (``group``).
     ``"scalar"``
         a scalar-register statement (no vector loop; ``lane_bound``
         is the lane count).
@@ -119,6 +122,12 @@ class EffectStatement:
     nnz: int = 0
     #: CT charge slot this statement's cost accrues to.
     charge_slot: int | None = None
+    #: Walk positions of the one-lane DOT group this DOT belongs to, in
+    #: order (empty for a DOT with a loop of its own, for every other
+    #: statement and at B >= 2). The group runs as one loop at its last
+    #: member, whose ``text`` carries it; the other members emit no
+    #: text at their own positions.
+    group: tuple[int, ...] = ()
 
     def vector_writes(self) -> tuple[tuple[str, str], ...]:
         """``(space, name)`` vector destinations of this statement."""
@@ -183,7 +192,7 @@ class EffectIR:
                            stmt.lit_reads, stmt.sreg_writes,
                            stmt.len_slots, stmt.instr_index,
                            stmt.matrix, stmt.spmv_shape, stmt.nnz,
-                           stmt.charge_slot)).encode())
+                           stmt.charge_slot, stmt.group)).encode())
             for arr in stmt.index_arrays or ():
                 h.update(arr.tobytes())
         h.update(self.source.encode())

@@ -22,7 +22,11 @@ five independent properties:
     normalization. A one-lane unit's head must carry the canonical
     ``spmv_grouped`` row kernel, re-derived here in :func:`_preamble`,
     and each of its SpMVs must be the one-line call to it; a wider
-    unit's SpMV is the lane-minor CSR walk.
+    unit's SpMV is the lane-minor CSR walk. A one-lane unit runs each
+    group of two or more DOTs as one loop at the group's last member,
+    re-derived from the member count in :func:`_dot_group`: one
+    accumulator per member from ``+0.0``, the members consecutive DOTs
+    of one length in one straight-line run.
 
 **Bounds and aliasing** (``codegen-index-out-of-bounds`` /
 ``codegen-shape-mismatch`` / ``codegen-alias-hazard``)
@@ -142,6 +146,26 @@ _LOOP_DOT = ("    {{\n"
              "        for (long j = 0; j < bt; ++j)\n"
              "            {guard}o[j] = acc[j];\n"
              "    }}\n")
+
+def _dot_group(members: int) -> str:
+    """A one-lane DOT group's loop over ``members`` DOTs of one length
+    ``n``: member ``k`` reads ``a{k}``/``b{k}``, sums its products into
+    its own ``acc{k}`` from ``+0.0``, left to right (``k_dot``'s order),
+    and stores it through ``o{k}`` after the loop."""
+    ks = range(members)
+    return ("    {\n"
+            "        const long n = T;\n"
+            + "".join(f"        const double *a{k} = T;\n"
+                      f"        const double *b{k} = T;\n"
+                      f"        double *o{k} = T;\n" for k in ks)
+            + "".join(f"        double acc{k} = 0.0;\n" for k in ks)
+            + "        for (long i = 0; i < n; ++i) {\n"
+            + "".join(f"            acc{k} += a{k}[i] * b{k}[i];\n"
+                      for k in ks)
+            + "        }\n"
+            + "".join(f"        *o{k} = acc{k};\n" for k in ks)
+            + "    }\n")
+
 
 _LOOP_SPMV = ("    {{\n"
               "        const double * restrict v = T;\n"
@@ -437,6 +461,9 @@ class _UnitChecker:
         # the active-lane mask of the statement's frame.
         self.mask = "m0"
         self.frame = 0
+        # the unit's statements and the walk position being checked.
+        self.stmts: list = []
+        self.pos = 0
 
     # -- helpers ---------------------------------------------------------
     def _loc(self, stmt: EffectStatement) -> Location:
@@ -498,7 +525,7 @@ class _UnitChecker:
                 Location("codegen[loop]"),
                 hint="each trip must leave its frame when no lane is "
                      "live")
-        stmts = list(ir.statements)
+        stmts = self.stmts = list(ir.statements)
         if len(stmts) != len(entries):
             report.error(
                 "codegen-order-mismatch",
@@ -512,6 +539,7 @@ class _UnitChecker:
                 zip(entries, stmts)):
             self.frame = frame
             self.mask = f"m{frame}"
+            self.pos = pos
             if stmt.instr_index != pos:
                 self._err(
                     "codegen-order-mismatch", stmt,
@@ -754,6 +782,13 @@ class _UnitChecker:
         self._check_index_kind(stmt, "reduce")
         self._check_srcs(stmt, tuple(instr.srcs[:2]))
         self._resolve_operands(stmt, [])
+        if stmt.group:
+            if self.lanes == 1:
+                self._check_dot_member(instr, stmt)
+                return
+            self._err("codegen-shape-mismatch", stmt,
+                      f"a width-{self.lanes} DOT records the one-lane "
+                      f"group {stmt.group}")
         if tuple(stmt.sreg_writes) != ((instr.dst, "o"),):
             self._err(
                 "codegen-scalar-slot-mismatch", stmt,
@@ -761,6 +796,81 @@ class _UnitChecker:
                 f"accumulate into the {instr.dst!r} register buffer")
         self._check_masked(stmt, self._guarded("o[j] = acc[j];"))
         self._check_template(stmt, self._template(_LOOP_DOT))
+
+    # -- one-lane DOT groups ------------------------------------------------
+    def _check_dot_member(self, instr: VectorOp,
+                          stmt: EffectStatement) -> None:
+        """A one-lane DOT that records a group is member ``k`` of it: it
+        writes its register through ``o{k}``, emits nothing at its own
+        position unless it is the last member, and the last member
+        carries the group's loop (:meth:`_check_dot_group`)."""
+        group, stmts, pos = stmt.group, self.stmts, self.pos
+        if (pos not in group or list(group) != sorted(set(group))
+                or group[0] < 0 or group[-1] >= len(stmts)
+                or any(stmts[p].op != "dot" or stmts[p].group != group
+                       for p in group)):
+            self._err(
+                "codegen-shape-mismatch", stmt,
+                f"DOT records the group {group}, which is not an "
+                f"ascending list of DOTs that each record it and "
+                f"include walk position {pos}")
+            return
+        k = group.index(pos)
+        if tuple(stmt.sreg_writes) != ((instr.dst, f"o{k}"),):
+            self._err(
+                "codegen-scalar-slot-mismatch", stmt,
+                f"DOT writes {tuple(stmt.sreg_writes)} but must store "
+                f"its accumulator into the {instr.dst!r} register "
+                f"through o{k}")
+        if pos != group[-1]:
+            if stmt.text or stmt.len_slots:
+                self._err(
+                    "codegen-kernel-body-drift", stmt,
+                    f"member {k} of a DOT group emits code at its own "
+                    f"position; it runs in the loop at position "
+                    f"{group[-1]}")
+            return
+        self._check_dot_group(stmt, [stmts[p] for p in group])
+
+    def _check_dot_group(self, last: EffectStatement,
+                         members: list) -> None:
+        """The group's one loop, at its last member: the members are
+        consecutive statements of one straight-line run and share one
+        length, and each has its own accumulator in the re-derived
+        template. Consecutive DOTs write only their own registers and
+        read only vectors, so running them in one loop moves no member
+        past any other statement."""
+        group = last.group
+        if (list(group) != list(range(group[0], group[-1] + 1))
+                or any(m.charge_slot != last.charge_slot
+                       for m in members)):
+            self._err(
+                "codegen-order-mismatch", last,
+                f"DOT group {group} is not a stretch of consecutive "
+                f"DOTs of one straight-line run; its loop would run an "
+                f"earlier member past the statements between")
+        n = last.bound
+        if any(m.bound != n for m in members):
+            self._err(
+                "codegen-shape-mismatch", last,
+                f"DOT group {group} joins members of lengths "
+                f"{[m.bound for m in members]} in one loop of {n}")
+        lines = {line.strip() for line in last.text.splitlines()}
+        slots = last.len_slots
+        if (len(slots) != 1 or slots[0][1] != n
+                or f"const long n = L[{slots[0][0]}];" not in lines):
+            self._err(
+                "codegen-scalar-slot-mismatch", last,
+                f"the group's length {n} must reach its loop through "
+                f"the one L slot the statement records; it records "
+                f"{slots}")
+        for k in range(len(members)):
+            if f"acc{k} += a{k}[i] * b{k}[i];" not in lines:
+                self._err(
+                    "codegen-expression-mismatch", last,
+                    f"member {k} of DOT group {group} is not summed "
+                    f"into its own accumulator acc{k}")
+        self._check_template(last, _dot_group(len(members)))
 
     def _check_spmv(self, instr: SpMV, stmt: EffectStatement) -> None:
         self._check_index_kind(stmt, "gather")

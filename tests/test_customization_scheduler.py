@@ -206,3 +206,63 @@ class TestScheduler:
         # Customized never worse than baseline.
         base = schedule(enc, baseline_architecture(c))
         assert sched.cycles <= base.cycles
+
+
+class TestCachedStructureTables:
+    """A structure's capacities, lane offsets and total capacity are
+    computed once per structure, and its schedule regex once per
+    structure: the customization they feed is the one the uncached
+    functions give."""
+
+    @staticmethod
+    def _outcome(entries):
+        from repro.customization import customize_problem
+        from repro.experiments.runner import choose_width
+        out = []
+        for entry in entries:
+            custom = customize_problem(entry.problem,
+                                       choose_width(entry.problem.nnz))
+            packs = {
+                name: [(pack.structure.pattern,
+                        tuple((slot.lane_start, slot.capacity,
+                               slot.chunk.row, slot.chunk.start,
+                               slot.chunk.length, slot.chunk.char)
+                              for slot in pack.slots))
+                       for pack in m.schedule.packs]
+                for name, m in custom.matrices.items()}
+            out.append((str(custom.architecture), custom.eta, packs))
+        return out
+
+    def test_suite_search_equals_uncached(self, monkeypatch):
+        from repro.customization import scheduler
+        from repro.encoding import char_capacity
+        from repro.problems import benchmark_suite
+        entries = list(benchmark_suite(count=2))
+        cached = self._outcome(entries)
+
+        def capacities(s):
+            return tuple(char_capacity(ch, s.c) for ch in s.pattern)
+
+        def lane_offsets(s):
+            offsets, acc = [], 0
+            for cap in capacities(s):
+                offsets.append(acc)
+                acc += cap
+            return tuple(offsets)
+
+        monkeypatch.setattr(MACStructure, "capacities", property(capacities))
+        monkeypatch.setattr(MACStructure, "lane_offsets",
+                            property(lane_offsets))
+        monkeypatch.setattr(MACStructure, "total_capacity",
+                            property(lambda s: sum(capacities(s))))
+        monkeypatch.setattr(scheduler, "_structure_regex",
+                            scheduler._structure_regex.__wrapped__)
+        assert self._outcome(entries) == cached
+
+    def test_tables_are_computed_once(self):
+        s = MACStructure(pattern="cab", c=8)
+        assert s.capacities is s.capacities
+        assert s.lane_offsets is s.lane_offsets
+        assert s.total_capacity == sum(s.capacities) == 7
+        assert s == MACStructure(pattern="cab", c=8)
+        assert hash(s) == hash(MACStructure(pattern="cab", c=8))

@@ -12,6 +12,7 @@ already deferred its charges — documented in :mod:`repro.hw.compiled`).
 """
 
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -1156,6 +1157,162 @@ class TestGroupedSpMV:
         assert np.signbit(expected[zero_rows]).tolist() == [False] * 3
 
 
+def _loop_sources(monkeypatch):
+    """Capture every generated loop source compiled from here on."""
+    sources = []
+    compile_module = cjit.compile_module
+
+    def spy(cdef, source, tag="k", libraries=()):
+        if tag == "loop":
+            sources.append(source)
+        return compile_module(cdef, source, tag=tag, libraries=libraries)
+
+    monkeypatch.setattr(cjit, "compile_module", spy)
+    return sources
+
+
+class TestMergedDots:
+    """One-lane fused loops run consecutive DOTs of one length as one
+    loop, each DOT with its own accumulator from ``+0.0`` summing its
+    own products left to right. Only the *interleaving* of independent
+    reductions changes, so every register keeps ``kernels.dot``'s
+    bits."""
+
+    #: Operand pairs of one length whose sums hit the IEEE corners.
+    SPECIAL = [
+        ([-0.0] * 4 + [0.0] * 4, [1.0] * 8),           # -0.0 products
+        ([-1e-300] * 8, [1e-300] * 8),                 # underflow to -0.0
+        ([np.inf, 1.0, -2.0, 0.5, 1.0, 1.0, 3.0, 1.0], [1.0] * 8),
+        ([np.inf, -np.inf] + [1.0] * 6, [1.0] * 8),    # inf - inf: NaN
+        ([np.inf] + [1.0] * 7, [0.0] + [1.0] * 7),     # inf * 0: NaN
+        ([1.0, np.nan] + [2.0] * 6, [1.0] * 8),        # NaN operand
+        ([5e-324, 1e-310, -3e-320, 2.2e-308, 4e-324, 1e-315, 0.0, 7e-322],
+         [0.5, 3.0, 1.0, -0.5, 1.0, 2.0, -0.0, 1.0]),  # subnormals
+        ([1e16, 1.0, -1e16, 1.0, 3.0, -1e-3, 2.0, 1e16],
+         [1.0] * 8),                                   # order-sensitive
+    ]
+
+    @needs_jit
+    def test_special_values_bytewise(self, monkeypatch):
+        from repro.sparse import kernels
+        sources = _loop_sources(monkeypatch)
+        body = [VectorOp(VectorOpKind.DOT, f"s{k}", (f"a{k}", f"b{k}"))
+                for k in range(len(self.SPECIAL))]
+        program = Program([Loop(body, max_iter=1, name="l")])
+        interp = Machine(4, {})
+        lane = BatchMachine(4, {}, 1)
+        for k, (a, b) in enumerate(self.SPECIAL):
+            for name, vec in ((f"a{k}", a), (f"b{k}", b)):
+                interp.vb[name] = np.array(vec, dtype=np.float64)
+                lane.vb[name] = interp.vb[name][:, None].copy()
+        executor = BatchExecutor(lane, jit=True)
+        interp.run(program)
+        executor.run(program)
+        for k in range(len(self.SPECIAL)):
+            lane.set_scalar(f"s{k}", 7.0)
+        executor.run(program)
+        assert any(entry[1] for entry in executor._loop_fused.values())
+        last = len(self.SPECIAL) - 1
+        assert len(sources) == 1
+        assert sources[0].count("double acc0 = 0.0;") == 1
+        assert f"acc{last} += a{last}[i] * b{last}[i];" in sources[0]
+        for k, (a, b) in enumerate(self.SPECIAL):
+            expected = np.float64(kernels.dot(np.array(a), np.array(b)))
+            got = lane.scalars[f"s{k}"][0]
+            assert got.tobytes() == expected.tobytes(), k
+            assert got.tobytes() == np.float64(
+                interp.scalars[f"s{k}"]).tobytes(), k
+        assert not np.signbit(lane.scalars["s0"][0])
+
+    @needs_jit
+    @pytest.mark.parametrize("between", [
+        VectorOp(VectorOpKind.AXPBY, "v0", ("v0", "v1"), alpha=1.0,
+                 beta="s2"),
+        VectorOp(VectorOpKind.EWMUL, "v2", ("v1", "v0")),
+    ], ids=["writer", "independent"])
+    def test_statement_between_keeps_two_loops(self, between,
+                                               monkeypatch):
+        """Any statement between two DOTs ends the group, whether it
+        writes an operand (``v0 = v0 + s2 v1``) or not (PCG's
+        ``v2 = v1 o v0``): two loops, and the interpreter's bits."""
+        sources = _loop_sources(monkeypatch)
+        body = [
+            VectorOp(VectorOpKind.DOT, "s0", ("v0", "v0")),
+            between,
+            VectorOp(VectorOpKind.DOT, "s1", ("v1", "v1")),
+            Control("s3", "s1"),
+        ]
+        mi, mc, err = run_both(
+            Program([Loop(body, max_iter=4, name="l")]), seed=5, jit=True)
+        assert err is None
+        assert_states_equal(mi, mc)
+        assert len(sources) == 1
+        assert sources[0].count("double acc[bt];") == 2
+        assert "acc0" not in sources[0]
+
+    @needs_jit
+    def test_lengths_split_groups_bitwise(self, monkeypatch):
+        """A DOT of another length ends a group: three loops for
+        ``a.a | c.c, c.d | a.b``, the lone DOTs in their own form,
+        against the interpreter."""
+        sources = _loop_sources(monkeypatch)
+        rng = np.random.default_rng(2)
+        body = [
+            VectorOp(VectorOpKind.DOT, "s0", ("a", "a")),
+            VectorOp(VectorOpKind.DOT, "s1", ("c", "c")),
+            VectorOp(VectorOpKind.DOT, "s2", ("c", "d")),
+            VectorOp(VectorOpKind.DOT, "s3", ("a", "b")),
+            VectorOp(VectorOpKind.SCALE_ADD, "a", ("a", "b"), alpha="s1"),
+        ]
+        program = Program([Loop(body, max_iter=3, name="l")])
+        interp = Machine(4, {})
+        lane = BatchMachine(4, {}, 1)
+        for name, length in (("a", 7), ("b", 7), ("c", 5), ("d", 5)):
+            interp.vb[name] = rng.standard_normal(length)
+            lane.vb[name] = interp.vb[name][:, None].copy()
+        executor = BatchExecutor(lane, jit=True)
+        for _ in range(2):
+            interp.run(program)
+            executor.run(program)
+        assert any(entry[1] for entry in executor._loop_fused.values())
+        assert_states_equal(interp, lane)
+        assert len(sources) == 1
+        assert sources[0].count("double acc0 = 0.0;") == 1
+        assert sources[0].count("double acc1 = 0.0;") == 1
+        assert sources[0].count("double acc[bt];") == 2
+
+    @pytest.mark.parametrize("algorithm", ["admm", "pdqp"])
+    @pytest.mark.parametrize("family,size", [
+        ("portfolio", 4), ("control", 2), ("control", 4), ("eqqp", 40),
+        ("svm", 48), ("huber", 30), ("lasso", 60)])
+    def test_merged_solo_solve_bitwise(self, family, size, algorithm,
+                                       monkeypatch):
+        from repro.hw import accelerator_class
+        problem = generate(family, size, seed=0)
+        sources = _loop_sources(monkeypatch)
+        cust = customize_problem(problem, 8)
+        res = {}
+        for backend in ("interpret", "compiled"):
+            acc = accelerator_class(algorithm)(
+                problem, customization=cust, backend=backend)
+            res[backend] = (acc.run(), acc.machine.stats)
+        ri, si = res["interpret"]
+        rc, sc = res["compiled"]
+        for name in ("x", "y", "z"):
+            assert getattr(ri, name).tobytes() == getattr(rc, name).tobytes()
+        assert ri.admm_iterations == rc.admm_iterations
+        assert ri.pcg_iterations == rc.pcg_iterations
+        assert ri.restarts == rc.restarts
+        assert ri.total_cycles == rc.total_cycles
+        assert si.by_class == sc.by_class
+        assert si.instructions_executed == sc.instructions_executed
+        assert si.loop_iterations == sc.loop_iterations
+        if sources and algorithm == "pdqp":
+            # PDQP's termination norms run as two triples
+            assert any(s.count("acc2 += a2[i] * b2[i];") == 2
+                       for s in sources)
+
+
 class TestOneLaneMachine:
     """A solo accelerator's compiled machine is one batch lane.
 
@@ -1410,12 +1567,52 @@ class TestLaneWidthUnits:
 
     def test_repeated_width_reuses_module(self, monkeypatch):
         names, digests = self._units(self._lanes(3), monkeypatch)
-        cached = set(os.listdir(cjit.cache_dir()))
+        cached = set(os.listdir(cjit.module_dir()))
         again, digests_again = self._units(self._lanes(3, first=40),
                                            monkeypatch)
         assert again == names
         assert digests_again == digests
-        assert set(os.listdir(cjit.cache_dir())) == cached
+        assert set(os.listdir(cjit.module_dir())) == cached
+
+    def test_target_key_follows_the_compiler_and_cpu(self, monkeypatch):
+        """The module directory is named by the compiler's version and
+        by what ``-march=native`` resolves to: another CPU's report
+        gives another directory, so a shared cache directory never
+        serves one host's ``-march=native`` binary to another."""
+        reports = {"--version": "cc 1.0\n",
+                   "--help=target": "  -march=    cooperlake\n"}
+
+        def fake_run(argv, **kwargs):
+            return subprocess.CompletedProcess(
+                argv, 0, stdout=reports[argv[-1]], stderr="")
+
+        monkeypatch.setattr(cjit.subprocess, "run", fake_run)
+        monkeypatch.setenv("REPRO_JIT_CACHE", "/cache")
+        keys = []
+        for report in ("  -march=    cooperlake\n",
+                       "  -march=    haswell\n",
+                       "  -march=    cooperlake\n"):
+            reports["--help=target"] = report
+            monkeypatch.delitem(cjit._state, "target", raising=False)
+            keys.append(cjit.module_dir())
+        reports["--version"] = "cc 2.0\n"
+        monkeypatch.delitem(cjit._state, "target", raising=False)
+        keys.append(cjit.module_dir())
+        assert keys[0] == keys[2]
+        assert len({keys[0], keys[1], keys[3]}) == 3
+        assert all(os.path.dirname(key) == "/cache" for key in keys)
+        monkeypatch.delitem(cjit._state, "target", raising=False)
+
+    @needs_jit
+    def test_modules_live_in_the_target_directory(self, monkeypatch,
+                                                  tmp_path):
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
+        module = cjit.compile_module("int seven(void);",
+                                     "int seven(void) { return 7; }")
+        assert module.lib.seven() == 7
+        assert os.listdir(tmp_path) == [os.path.basename(cjit.module_dir())]
+        assert any(entry.startswith(module.__name__)
+                   for entry in os.listdir(cjit.module_dir()))
 
 
 class TestPaddedWidth:

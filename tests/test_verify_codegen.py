@@ -34,8 +34,10 @@ except ImportError:  # the CI lint job has no hypothesis
 from repro.batch import BatchAccelerator
 from repro.exceptions import VerificationError
 from repro.experiments.runner import choose_width
-from repro.hw import accelerator_class, cjit
+from repro.hw import (Control, ScalarOp, ScalarOpKind, VectorOp,
+                      VectorOpKind, accelerator_class, cjit)
 from repro.hw.batched import BatchExecutor, BatchMachine
+from repro.hw.compiled import _LoopBuilder, dot_group_source
 from repro.problems import benchmark_suite, perturb_numeric
 from repro.solver import OSQPSettings
 from repro.serving.arch_cache import build_artifact
@@ -391,6 +393,206 @@ def test_seeded_b1_csr_spmv_is_caught():
              if d.code == "codegen-kernel-body-drift"]
     assert found, report.render()
     assert str(stmt.instr_index) in found[0].location.path
+
+
+# ---------------------------------------------------------------------------
+# one-lane DOT groups: one loop per group, one accumulator per DOT
+
+
+def dot_unit(body):
+    """A one-lane unit over vectors ``a``/``b`` (length 6) and ``c``
+    (length 4): ``(ir, body, machine)``, statically emitted."""
+    machine = BatchMachine(4, {}, 1)
+    rng = np.random.default_rng(3)
+    for name, length in (("a", 6), ("b", 6), ("c", 4)):
+        machine.vb[name] = rng.standard_normal((length, 1))
+    for name in ("s0", "s1", "s2", "s3"):
+        machine.scalar_buffer(name)
+    builder = _LoopBuilder(BatchExecutor(machine, jit=False, verify=False))
+    builder.emit_body_ir(body)
+    return builder.effect_ir(), body, machine
+
+
+_DOT_PTR = re.compile(r"^\s*(?:const )?double \*(?: restrict )?([abo]) = "
+                      r"(\S+);$", re.M)
+
+
+def merged(ir, positions):
+    """``ir`` with the DOTs at walk ``positions`` rewritten into one
+    group, as a builder that grouped them would emit it: each member's
+    pointers from its own loop, the loop at the last member, reading
+    that member's length slot."""
+    mutated = clone(ir)
+    operands = []
+    for k, pos in enumerate(positions):
+        stmt = ir.statements[pos]
+        ptrs = dict(_DOT_PTR.findall(stmt.text))
+        operands.append((ptrs["a"], ptrs["b"], ptrs["o"]))
+        (reg, _tok), = stmt.sreg_writes
+        mutated.statements[pos] = replace(
+            stmt, group=tuple(positions), sreg_writes=((reg, f"o{k}"),),
+            text="", len_slots=())
+    last = ir.statements[positions[-1]]
+    (slot, _n), = last.len_slots
+    mutated.statements[positions[-1]] = replace(
+        mutated.statements[positions[-1]], len_slots=last.len_slots,
+        text=dot_group_source(f"L[{slot}]", operands))
+    return mutated
+
+
+def dot(dst, a, b):
+    return VectorOp(VectorOpKind.DOT, dst, (a, b))
+
+
+def test_merged_groups_in_the_real_units():
+    """PDQP's termination check runs as two three-DOT loops; every
+    one-lane group is a stretch of consecutive DOTs; wider units record
+    no group."""
+    ir, instrs, machine = unit_for(1, "pdqp")
+    groups = {s.group for s in ir.statements if s.op == "dot"}
+    assert sorted(len(g) for g in groups) == [3, 3]
+    assert not verify_effect_ir(ir, instrs, machine).errors
+    for algorithm, index in (("pdqp", 0), ("admm", 0), ("admm", 1)):
+        ir, _instrs, _machine = unit_for(1, algorithm, index)
+        for stmt in ir.statements:
+            if stmt.group:
+                assert stmt.group == tuple(range(stmt.group[0],
+                                                 stmt.group[-1] + 1))
+    for algorithm in ("admm", "pdqp"):
+        wide, _instrs, _machine = unit_for(2, algorithm)
+        assert all(not s.group for s in wide.statements)
+
+
+def test_merged_groups_refuse_illegal_members():
+    """The builder keeps DOTs of two lengths, and two DOTs with any
+    statement between them, in loops of their own."""
+    ir, _body, _machine = dot_unit([
+        dot("s0", "a", "a"), dot("s1", "c", "c"), dot("s2", "c", "c"),
+        VectorOp(VectorOpKind.AXPBY, "a", ("a", "b"), alpha=1.0,
+                 beta=1.0),
+        dot("s2", "b", "b"), dot("s3", "a", "b")])
+    assert [s.group for s in ir.statements] == [(), (1, 2), (1, 2), (),
+                                                (4, 5), (4, 5)]
+
+
+def test_seeded_merged_member_of_another_length_is_caught():
+    ir, body, machine = dot_unit([dot("s0", "a", "a"),
+                                  dot("s1", "c", "c")])
+    assert not verify_effect_ir(ir, body, machine).errors
+    report = verify_effect_ir(merged(ir, (0, 1)), body, machine)
+    assert codes_of(report) == {"codegen-shape-mismatch"}, report.render()
+
+
+@pytest.mark.parametrize("between", [
+    VectorOp(VectorOpKind.AXPBY, "a", ("a", "b"), alpha=1.0, beta=1.0),
+    ScalarOp(ScalarOpKind.ADD, "s2", "s0", "s3"),
+], ids=["operand-writer", "register-reader"])
+def test_seeded_merged_group_past_a_statement_is_caught(between):
+    """``s0 = a.a`` cannot run in a loop after ``a = a + b``, nor after
+    a statement that reads ``s0``: a group holds consecutive DOTs."""
+    ir, body, machine = dot_unit([dot("s0", "a", "a"), between,
+                                  dot("s1", "b", "b")])
+    assert [s.group for s in ir.statements] == [(), (), ()]
+    report = verify_effect_ir(merged(ir, (0, 2)), body, machine)
+    assert codes_of(report) == {"codegen-order-mismatch"}, report.render()
+    assert "stmt 2 (dot)" in report.errors[0].location.path
+
+
+def test_seeded_merged_group_across_a_control_is_caught():
+    ir, body, machine = dot_unit([dot("s0", "a", "a"),
+                                  Control("s2", "s3"),
+                                  dot("s1", "b", "b")])
+    assert [s.group for s in ir.statements] == [(), (), ()]
+    report = verify_effect_ir(merged(ir, (0, 2)), body, machine)
+    assert codes_of(report) == {"codegen-order-mismatch"}, report.render()
+
+
+def real_group():
+    """PDQP's one-lane unit, the position of its first three-DOT
+    group's last member, and that statement."""
+    ir, instrs, machine = unit_for(1, "pdqp")
+    pos, stmt = next((i, s) for i, s in enumerate(ir.statements)
+                     if s.op == "dot" and len(s.group) == 3
+                     and s.instr_index == s.group[-1])
+    return ir, instrs, machine, pos, stmt
+
+
+def test_seeded_merged_missing_accumulator_is_caught():
+    ir, instrs, machine, pos, stmt = real_group()
+    mutated = clone(ir)
+    mutated.statements[pos] = replace(stmt, text="".join(
+        line for line in stmt.text.splitlines(True) if "acc1" not in line))
+    report = verify_effect_ir(mutated, instrs, machine)
+    found = [d for d in report.errors
+             if d.code == "codegen-expression-mismatch"]
+    assert found, report.render()
+    assert "acc1" in found[0].message
+    assert str(stmt.instr_index) in found[0].location.path
+
+
+@pytest.mark.parametrize("start", ["-0.0", "1e-300", "0"])
+def test_seeded_merged_accumulator_start_is_caught(start):
+    ir, instrs, machine, pos, stmt = real_group()
+    mutated = clone(ir)
+    mutated.statements[pos] = replace(stmt, text=stmt.text.replace(
+        "double acc1 = 0.0;", f"double acc1 = {start};"))
+    report = verify_effect_ir(mutated, instrs, machine)
+    assert codes_of(report) == {"codegen-kernel-body-drift"}, \
+        report.render()
+
+
+def test_seeded_merged_member_emitting_its_own_loop_is_caught():
+    """An earlier member runs in its group's loop only."""
+    ir, instrs, machine, pos, stmt = real_group()
+    first = ir.statements[stmt.group[0]]
+    mutated = clone(ir)
+    mutated.statements[stmt.group[0]] = replace(first, text=stmt.text)
+    report = verify_effect_ir(mutated, instrs, machine)
+    assert "codegen-kernel-body-drift" in codes_of(report), report.render()
+
+
+_NAMES_UNDER_PATCHED_IR = """
+import importlib, json, sys
+from repro.hw import cjit, compiled, effect_ir
+source = sys.stdin.read()
+flags = list(cjit._COMPILE_ARGS[0])
+
+def names():
+    return [cjit.module_name(cjit._ENGINE_CDEF, cjit._ENGINE_SOURCE,
+                             "engine", flags, ["m"]),
+            cjit.module_name(compiled._LOOP_CDEF, source, "loop", flags,
+                             ["m"])]
+
+before = names()
+effect_ir.EFFECT_IR_VERSION = "patched"
+importlib.reload(cjit)
+print(json.dumps([before, names()]))
+"""
+
+
+def test_ir_version_names_no_module():
+    """Another effect-IR version leaves the engine library's and a B=2
+    unit's module names unchanged (the key is the kernel layer and the
+    source), while pass 4 still rejects an IR of that version."""
+    import json
+    import os
+    import subprocess
+    import sys
+    wide, instrs, machine = unit_for(2)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _NAMES_UNDER_PATCHED_IR],
+                         input=wide.source, capture_output=True, text=True,
+                         env=env, check=True).stdout
+    before, after = json.loads(out)
+    assert before == after
+    assert before[0].startswith("_repro_engine_")
+    assert before[1].startswith("_repro_loop_")
+    report = verify_effect_ir(replace(wide, version="patched"), instrs,
+                              machine)
+    found = [d for d in report.errors if d.code == "codegen-shape-mismatch"]
+    assert found and "version" in found[0].message, report.render()
 
 
 #: sha256 prefixes of the sources of this suite entry's B >= 2 units, as
