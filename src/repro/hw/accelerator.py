@@ -35,7 +35,7 @@ from ..qp import QProblem, RuizPlan
 from ..solver import OSQPSettings
 from ..solver.algorithms import get_algorithm
 from ..solver.host import admm_step_vectors, balanced_step, rho_vector
-from ..solver.settings import RHO_MAX, RHO_MIN
+from ..solver.settings import RHO_EQ_FACTOR, RHO_MAX, RHO_MIN
 from ..sparse import kernels
 from .card import MATRICES, BatchAccelerator
 from .compiled import validate_backend
@@ -124,6 +124,9 @@ class Accelerator:
     #: ``_device_image`` provides (what :mod:`repro.verify` checks).
     download_hbm: ClassVar[frozenset[str]] = frozenset()
     download_scalars: ClassVar[frozenset[str]] = frozenset()
+    #: The HBM iterates a cold download zeroes, of length n and of m.
+    primal_iterates: ClassVar[tuple[str, ...]] = ()
+    dual_iterates: ClassVar[tuple[str, ...]] = ()
     #: VB buffers carrying persistent state across segments (the
     #: rollback checkpoint) and the HBM vectors a rollback reloads.
     state_names: ClassVar[tuple[str, ...]] = ()
@@ -267,17 +270,26 @@ class Accelerator:
         scaled problem vectors ``q`` / ``l`` / ``u`` with ``q``'s norm
         ``nq``, the ``step`` data, zero iterates and the constant
         registers. Lane-minor: 1-D vectors and float registers for one
-        problem, ``(len, B)`` and ``(B,)`` for a card's B lanes. A
-        subclass adds its iterates and constants to the problem vectors
-        and the termination registers every algorithm reads, set here."""
+        problem, ``(len, B)`` and ``(B,)`` for a card's B lanes. The
+        engine's ``k_load`` writes the same image (:mod:`repro.hw.
+        cjit`)."""
         vectors, registers = step
-        s = self.settings
         return ({"q": q, "l": _finite(l, _MAX_FLOAT, -1e30),
-                 "u": _finite(u, 1e30, -_MAX_FLOAT), **vectors},
-                {"eps_rel": s.eps_rel,
-                 "eps_abs_m": s.eps_abs * np.sqrt(max(self.work.m, 1)),
-                 "eps_abs_n": s.eps_abs * np.sqrt(max(self.work.n, 1)),
-                 "nq": nq, **registers})
+                 "u": _finite(u, 1e30, -_MAX_FLOAT),
+                 **{name: np.zeros(np.shape(q))
+                    for name in self.primal_iterates},
+                 **{name: np.zeros(np.shape(l))
+                    for name in self.dual_iterates}, **vectors},
+                {**self._constant_registers(len(q), len(l)), "nq": nq,
+                 **registers})
+
+    def _constant_registers(self, n: int, m: int) -> dict:
+        """The registers every load sets to one value: the termination
+        tolerances every algorithm reads and a subclass's constants."""
+        s = self.settings
+        return {"eps_rel": s.eps_rel,
+                "eps_abs_m": s.eps_abs * np.sqrt(max(m, 1)),
+                "eps_abs_n": s.eps_abs * np.sqrt(max(n, 1))}
 
     def warm_start(self, x=None, y=None) -> None:
         """Provide initial iterates (unscaled), as for repeated solves.
@@ -305,6 +317,19 @@ class Accelerator:
         values, ``l`` / ``u`` their scaled bounds ``(m, B)``. Each lane
         starts cold, or from its entry of ``carried`` (adopted as
         :meth:`_adopt_step` would)."""
+        raise NotImplementedError
+
+    def _load_fields(self, plan: RuizPlan, machine) -> tuple[dict, int]:
+        """This algorithm's fields of the engine's load table
+        (``struct k_load_card`` of :mod:`repro.hw.cjit`) over
+        ``machine``, whose download buffers exist, and the step rows
+        ``k_load`` fills per lane."""
+        raise NotImplementedError
+
+    def _take_steps(self, lanes: list, steps: np.ndarray,
+                    carried: list | None) -> None:
+        """Bind the step state of ``lanes`` from their lane-minor step
+        rows ``steps`` (what ``k_load`` fills) and ``carried``."""
         raise NotImplementedError
 
     # -- the between-segment host step ----------------------------------
@@ -384,6 +409,8 @@ class RSQPAccelerator(Accelerator):
     download_scalars = frozenset({"sigma", "alpha_relax", "one_m_alpha",
                                   "eps_rel", "eps_abs_m", "eps_abs_n",
                                   "nq", "one", "tiny", "pcg_eps2"})
+    primal_iterates = ("x",)
+    dual_iterates = ("z", "y")
     state_names = ("x", "z", "y", "xt")
     reload_names = ("q", "l", "u", "rho", "rho_inv", "minv")
     step_reload = ("rho", "rho_inv", "minv")
@@ -416,13 +443,26 @@ class RSQPAccelerator(Accelerator):
         return self.step_updates
 
     def _start_lanes(self, lanes, plan, vals, at, l, u, carried=None):
-        rhos = carried or [float(self.settings.rho)] * len(lanes)
-        rho_vec = rho_vector(l, u, np.array(rhos))
-        for lane, rho, column in zip(lanes, rhos, rho_vec.T):
-            lane.rho, lane.rho_vec = rho, column
+        rho_vec = rho_vector(l, u, np.array(
+            carried or [float(self.settings.rho)] * len(lanes)))
+        self._take_steps(lanes, rho_vec, carried)
         return admm_step_vectors(plan, vals[:plan.nnz_p],
                                  vals[plan.nnz_p:], self.settings.sigma,
                                  rho_vec), {}
+
+    def _load_fields(self, plan, machine):
+        hbm = machine.hbm
+        return {"step": float(self.settings.rho),
+                "sigma": self.settings.sigma, "rho_min": RHO_MIN,
+                "rho_max": RHO_MAX, "rho_eq": RHO_EQ_FACTOR,
+                "rho": hbm["rho"], "rho_inv": hbm["rho_inv"],
+                "minv": hbm["minv"], "p_diag": plan.p_diag,
+                "n_diag": plan.p_diag.size}, plan.structure.m
+
+    def _take_steps(self, lanes, steps, carried):
+        rhos = carried or [float(self.settings.rho)] * len(lanes)
+        for lane, rho, column in zip(lanes, rhos, steps.T):
+            lane.rho, lane.rho_vec = rho, column
 
     def refresh_numeric(self, problem: QProblem, *,
                         carry_rho: bool = False) -> None:
@@ -432,15 +472,11 @@ class RSQPAccelerator(Accelerator):
         cold-start estimate."""
         self.refresh(problem, carry_step=carry_rho)
 
-    def _device_image(self, q, l, u, nq, step):
-        vectors, registers = super()._device_image(q, l, u, nq, step)
-        vectors.update(x=np.zeros(np.shape(q)), z=np.zeros(np.shape(l)),
-                       y=np.zeros(np.shape(l)))
+    def _constant_registers(self, n, m):
         s = self.settings
-        registers.update(sigma=s.sigma, alpha_relax=s.alpha,
-                         one_m_alpha=1.0 - s.alpha, one=1.0, tiny=1e-30,
-                         pcg_eps2=self.pcg_eps ** 2)
-        return vectors, registers
+        return {**super()._constant_registers(n, m), "sigma": s.sigma,
+                "alpha_relax": s.alpha, "one_m_alpha": 1.0 - s.alpha,
+                "one": 1.0, "tiny": 1e-30, "pcg_eps2": self.pcg_eps ** 2}
 
     def _warm_vectors(self, scaling, x=None, y=None):
         vectors = {}

@@ -13,13 +13,19 @@ interpreter's :class:`~repro.hw.machine.Machine` — the oracle — or on
 a one-lane :class:`~repro.hw.batched.BatchMachine`.
 
 A lane is the host half of one instance (:meth:`repro.hw.accelerator.
-Accelerator.lane`). The load is one lane-stacked pass at every width:
-Ruiz over the ``(nnz, B)`` values (:func:`repro.qp.
-ruiz_equilibrate_batch`), one ``A'`` gather, the algorithm's step data
-(:meth:`~repro.hw.accelerator.Accelerator._start_lanes`) and the
-download image over lane-minor arrays. Each function is elementwise or
-accumulates per lane in the one-lane order, so each lane of a B-wide
-load and run is its solo load and run, bit for bit.
+Accelerator.lane`). The load is one engine call at every width: the
+engine's ``k_load`` (:mod:`repro.hw.cjit`) runs Ruiz over the ``(nnz,
+B)`` values, the bound scaling, the ``A'`` gather, ``||q||``, the
+algorithm's step data and the download image, and writes the value
+blocks, HBM buffers and registers in place through a table the card
+binds once. Each lane's scaling and step state are then cut from the
+lane-minor block the call filled. Its numpy twin (:meth:`BatchAccelerator.
+_numpy_load`: :func:`repro.qp.ruiz_equilibrate_batch`, one ``A'``
+gather, :meth:`~repro.hw.accelerator.Accelerator._start_lanes` and
+``_device_image``) serves ``REPRO_JIT=0``, the interpreter — the
+oracle — and a precomputed scaling, with the same bits. Each step is
+elementwise or accumulates per lane in the one-lane order, so each lane
+of a B-wide load and run is its solo load and run, bit for bit.
 
 :meth:`BatchAccelerator.run` returns a :class:`BatchResult`: the wall
 stats of the B-wide virtual fleet (every lockstep trip charges the
@@ -35,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..qp import RuizPlan, ruiz_equilibrate_batch
-from ..qp.scaling import lane_minor
+from ..qp.scaling import MAX_SCALE, MIN_SCALE, lane_minor, lane_scalings
 from ..solver.algorithms import get_algorithm
 from ..sparse import CSRMatrix, kernels
 from .batched import BatchExecutor, BatchMachine, BatchMatrixResource
@@ -196,16 +202,82 @@ class BatchAccelerator:
                                     mat.indices, mat.indptr, check=False),
                     *costs[name])
                 for name, mat in patterns.items()})
+            self._engine = None
         else:
             machine = BatchMachine(customization.c, {
                 name: BatchMatrixResource(name, mat, *costs[name],
                                           self.batch)
                 for name, mat in patterns.items()}, self.batch)
             executor = BatchExecutor(machine, verify=verify)
+            self._engine = self._bind_engine(machine)
         self.machine, self.executor = machine, executor
         self.driver = SegmentDriver(kind, compiled,
                                     customization.architecture, machine,
                                     executor)
+
+    def _bind_engine(self, machine: BatchMachine) -> tuple | None:
+        """The engine's load table over ``machine``, or None without a
+        C compiler: every buffer the load writes is made first, and the
+        table points at it and at the plan's index arrays for the
+        card's life (:meth:`load`)."""
+        library = kernels.engine()
+        if library is None:
+            return None
+        ffi, plan = library.ffi, self.plan
+        first, width, structure = self.lanes[0], self.batch, plan.structure
+        n, m = structure.n, structure.m
+        lengths = self.compiled.context.vector_length
+        for name in first.download_hbm:
+            machine.write_hbm(name, np.zeros((lengths(name), width)))
+        for name in first.download_scalars:
+            machine.scalar_buffer(name)
+        keep: list = []  # what the table's pointers point into
+
+        def pointer(array):
+            array = (np.ascontiguousarray(array, dtype=np.int64)
+                     if array.dtype.kind in "iu" else array)
+            cdata = ffi.from_buffer(
+                "long[]" if array.dtype == np.int64 else "double[]", array)
+            keep.append((array, cdata))
+            return cdata
+
+        def table(arrays):
+            cdata = ffi.new("double *[]", [pointer(a) for a in arrays]
+                            or [ffi.NULL])
+            keep.append(cdata)
+            return cdata
+
+        zero = [machine.hbm[name]
+                for name in first.primal_iterates + first.dual_iterates]
+        constants = first._constant_registers(n, m)
+        fields, rows = first._load_fields(plan, machine)
+        order, at_col, at_ip = plan.at_pattern
+        matrices = machine.matrices
+        fields.update(
+            n=n, m=m, nnz_p=plan.nnz_p, nnz=plan.rid.size, batch=width,
+            ruiz_iterations=first.settings.scaling, scale_lo=MIN_SCALE,
+            scale_hi=MAX_SCALE, rid=plan.rid, cid=plan.cid,
+            p_ip=structure.P.indptr, p_col=structure.P.indices,
+            a_ip=structure.A.indptr, a_col=structure.A.indices,
+            at_ip=at_ip, at_col=at_col, at_order=order,
+            p_val=matrices["P"].kernel.val, a_val=matrices["A"].kernel.val,
+            at_val=matrices["At"].kernel.val, q=machine.hbm["q"],
+            l=machine.hbm["l"], u=machine.hbm["u"],
+            nq=machine.scalars["nq"], n_zero=len(zero),
+            zero=table(zero),
+            zero_len=np.array([len(buf) for buf in zero] or [0]),
+            n_const=len(constants),
+            reg=table([machine.scalars[name] for name in constants]),
+            reg_val=np.array(list(constants.values()), dtype=np.float64),
+            work=np.empty((2 * n + m + 2) * width))
+        card = ffi.new("struct k_load_card *")
+        for field, value in fields.items():
+            setattr(card, field, pointer(value)
+                    if isinstance(value, np.ndarray) else value)
+        # The lane block of one load: the raw, then scaled, P and A
+        # values, q, l and u, then [d, e], c and the step rows.
+        inputs = plan.rid.size + n + 2 * m
+        return library, card, keep, inputs, inputs + n + m + 1 + rows
 
     @staticmethod
     def _check_compiled(kind, compiled, customization, n: int,
@@ -267,12 +339,56 @@ class BatchAccelerator:
              warm_starts=None) -> None:
         """Load the card from one lane-stacked host pass and clear its
         accounting: construction's and every refresh's load, at any
-        width. Ruiz runs over the bound plan (another structure raises
-        :class:`~repro.exceptions.ShapeError` before anything changes)
-        unless ``scalings`` are given; ``carried`` are per-lane steps
-        to adopt (:meth:`~repro.hw.accelerator.Accelerator.
-        _start_lanes`). Arrays are written in place: lowered closures
-        and the fused loops point at them."""
+        width. Another structure than the bound plan's raises
+        :class:`~repro.exceptions.ShapeError` before anything changes;
+        ``carried`` are per-lane steps to adopt (:meth:`~repro.hw.
+        accelerator.Accelerator._start_lanes`). With a C compiler the
+        load is one call of the engine's ``k_load``, which writes the
+        value blocks, HBM buffers and registers in place (lowered
+        closures and the fused loops point at them) and fills the lanes'
+        scaling and step data; without one, or on the interpreter, or
+        from precomputed ``scalings``, its numpy twin
+        (:meth:`_numpy_load`) writes the same bits."""
+        if self._engine is None or scalings is not None:
+            self._numpy_load(problems, scalings, carried, warm_starts)
+            return
+        library, card, _, inputs, rows = self._engine
+        plan, lanes, width = self.plan, self.lanes, self.batch
+        if len(problems) != width or len(carried or problems) != width:
+            raise ValueError(f"a load of this card takes {width} lanes")
+        for problem in problems:
+            plan.check(problem)
+        n, m, nnz = plan.structure.n, plan.structure.m, plan.rid.size
+        # A bad warm iterate raises before anything changes.
+        for start in warm_starts or ():
+            for values, length in zip(start or (), (n, m)):
+                if values is not None:
+                    np.broadcast_to(np.asarray(values, dtype=np.float64),
+                                    (length,))
+        block = np.empty((rows, width))
+        for b, pr in enumerate(problems):
+            np.concatenate((pr.P.data, pr.A.data, pr.q, pr.l, pr.u),
+                           out=block[:inputs, b])
+        ffi = library.ffi
+        library.lib.k_load(card, ffi.from_buffer("double[]", block),
+                           ffi.NULL if carried is None else
+                           ffi.from_buffer("double[]", np.array(
+                               carried, dtype=np.float64)))
+        # The block's rows: values, q, l, u; [d, e]; c; the step rows.
+        l0, u0, c0 = nnz + n, nnz + n + m, inputs + n + m
+        scalings = lane_scalings(problems, plan, block[:nnz],
+                                 block[nnz:l0], block[inputs:c0],
+                                 block[c0], block[l0:u0], block[u0:inputs])
+        self._bind_lanes(problems, scalings)
+        lanes[0]._take_steps(lanes, block[c0 + 1:], carried)
+        self._finish(self._lane_warm(scalings, warm_starts))
+
+    def _numpy_load(self, problems, scalings, carried, warm_starts) -> None:
+        """The twin of the engine's ``k_load``, same bits: Ruiz over the
+        bound plan (:func:`repro.qp.ruiz_equilibrate_batch`) unless
+        ``scalings`` are given, one ``A'`` gather, the algorithm's step
+        data (:meth:`~repro.hw.accelerator.Accelerator._start_lanes`)
+        and the download image, each over lane-minor arrays."""
         lanes, plan = self.lanes, self.plan
         first = lanes[0]
         if scalings is None:
@@ -281,12 +397,8 @@ class BatchAccelerator:
         else:
             vals, q, l, u = lane_minor([s.problem for s in scalings])
         # Warm iterates first: a bad one raises before anything changes.
-        warm = [{} if start is None else first._warm_vectors(scaling, *start)
-                for scaling, start in zip(scalings, warm_starts or ())]
-        for lane, problem, scaling in zip(lanes, problems, scalings):
-            lane.problem, lane.scaling, lane.work = (problem, scaling,
-                                                     scaling.problem)
-            lane.restarts = lane.step_updates = 0
+        warm = self._lane_warm(scalings, warm_starts)
+        self._bind_lanes(problems, scalings)
         # A' gathered once, for the step data and the machine; ||q||
         # per lane in the kernels' order, as a rollback re-writes it.
         at = plan.at_values(vals[plan.nnz_p:])
@@ -300,11 +412,29 @@ class BatchAccelerator:
             machine.matrices[name].update_values(values)
         for name, values in vectors.items():
             machine.write_hbm(name, values)
+        for name, value in registers.items():
+            machine.set_scalar(name, value)
+        self._finish(warm)
+
+    def _bind_lanes(self, problems, scalings) -> None:
+        for lane, problem, scaling in zip(self.lanes, problems, scalings):
+            lane.problem, lane.scaling, lane.work = (problem, scaling,
+                                                     scaling.problem)
+            lane.restarts = lane.step_updates = 0
+
+    def _lane_warm(self, scalings, warm_starts) -> list:
+        """Each lane's warm-start HBM iterates, scaled by its scaling."""
+        first = self.lanes[0]
+        return [{} if start is None else first._warm_vectors(scaling, *start)
+                for scaling, start in zip(scalings, warm_starts or ())]
+
+    def _finish(self, warm: list) -> None:
+        """Write each lane's warm iterates into its column and clear the
+        accounting."""
+        machine = self.machine
         for b, lane_vectors in enumerate(warm):
             for name, values in lane_vectors.items():
                 machine.write_hbm_lane(name, b, values)
-        for name, value in registers.items():
-            machine.set_scalar(name, value)
         machine.reset_stats()
 
     # ------------------------------------------------------------------

@@ -7,17 +7,24 @@ one Python dispatch per instruction. This module owns the build
 machinery:
 
 * :func:`available` — probe once whether a working C toolchain exists.
-* :func:`engine` — the process-wide generic kernel library
-  (``k_csr_matvec[_batch]``, ``k_dot[_batch]``), which
+* :func:`engine` — the process-wide generic kernel library:
+  ``k_csr_matvec[_batch]`` and ``k_dot[_batch]``, which
   :mod:`repro.sparse.kernels` calls for every SpMV and DOT when it is
   available; ``k_ruiz``, the whole modified Ruiz iteration that
-  :mod:`repro.qp.scaling` runs in one call for a solo or a batched
-  refresh; and ``k_power``, the power iteration behind PDQP's step
-  sizes, which :mod:`repro.solver.host` runs in one call for every
-  lane of a load.
+  :mod:`repro.qp.scaling` runs in one call; ``k_power``, the power
+  iteration behind PDQP's step sizes (:mod:`repro.solver.host`); and
+  ``k_load``, the card's whole host load (:meth:`repro.hw.card.
+  BatchAccelerator.load`): Ruiz, the bound scaling, the value blocks
+  and the ``A'`` gather, ``||q||``, the clamped download bounds, zero
+  iterates, constant registers and the algorithm's step data, written
+  straight into the machine's buffers through a table bound once per
+  card. Each is lane-minor, so ``batch == 1`` is the solo call, and
+  ``k_ruiz`` and ``k_load`` run their lane loops at a literal width of
+  one for it.
 * :func:`compile_module` — hash-addressed, disk-cached compilation of
   generated loop sources (same source is compiled at most once per
-  cache directory and target, ever; see :func:`module_dir`).
+  cache directory and target, ever; see :func:`module_dir`), in a cache
+  each build bounds (:func:`_prune`).
 
 Bit-exactness contract: kernels are compiled with ``-O3
 -ffp-contract=off`` (plus ``-march=native`` when the toolchain accepts
@@ -32,13 +39,21 @@ numerics engine-faithful when the JIT is active; ``k_power`` sums
 through the batched matvec and dot themselves. ``k_ruiz`` is the one
 exception to sequential sums: its cost mean ports numpy's pairwise
 order, because it must match ``np.add.reduce`` in the numpy Ruiz.
+``k_load`` is its numpy twin's sequence (:meth:`repro.hw.card.
+BatchAccelerator._numpy_load`) op for op: ``||q||`` sums as
+``kernels.dot``, the Jacobi preconditioner's column sums run in entry
+order from ``+0.0`` as ``np.bincount`` adds, maxima are
+``np.maximum``'s and ``max(denom, guard)`` Python's, so every byte it
+writes, and every lane's scaling and step state, is the twin's
+(``tests/test_host_load.py``).
 
 Everything degrades gracefully: no compiler, an unwritable cache
 directory, or ``REPRO_JIT=0`` in the environment simply means
 :func:`available` returns False. Nothing fuses, and
-:mod:`repro.sparse.kernels`, :mod:`repro.qp.scaling` and
-:mod:`repro.solver.host` run their numpy implementations, which sum in
-the same orders, so the bits do not change.
+:mod:`repro.sparse.kernels`, :mod:`repro.qp.scaling`,
+:mod:`repro.solver.host` and the card's load run their numpy
+implementations, which sum in the same orders, so the bits do not
+change.
 """
 
 from __future__ import annotations
@@ -139,10 +154,11 @@ static double k_pairwise_sum(const double *a, long n, long stride)
  * de = [d, e] (n + m) and the cost scale c (one per lane). rid maps an
  * entry to its row factor in de (A's rows offset by n), cid to its
  * column. work holds (2n + m + 1) * batch doubles. */
-void k_ruiz(double *vals, double *q, double *de, double *c,
-            const long *rid, const long *cid, long n, long m, long nnz_p,
-            long nnz, long batch, long iterations, double lo, double hi,
-            double *work)
+static inline __attribute__((always_inline)) void
+k_ruiz_lanes(double *vals, double *q, double *de, double *c,
+             const long *rid, const long *cid, long n, long m, long nnz_p,
+             long nnz, long batch, long iterations, double lo, double hi,
+             double *work)
 {
     const long nm = (n + m) * batch;
     double * restrict v = vals;
@@ -217,6 +233,21 @@ void k_ruiz(double *vals, double *q, double *de, double *c,
         for (long b = 0; b < batch; ++b)
             c[b] = c[b] * gamma[b];
     }
+}
+
+/* The lane loops at a literal width of one for a solo call: the same
+ * operations in the same order, without the per-entry lane loop. */
+void k_ruiz(double *vals, double *q, double *de, double *c,
+            const long *rid, const long *cid, long n, long m, long nnz_p,
+            long nnz, long batch, long iterations, double lo, double hi,
+            double *work)
+{
+    if (batch == 1)
+        k_ruiz_lanes(vals, q, de, c, rid, cid, n, m, nnz_p, nnz, 1,
+                     iterations, lo, hi, work);
+    else
+        k_ruiz_lanes(vals, q, de, c, rid, cid, n, m, nnz_p, nnz, batch,
+                     iterations, lo, hi, work);
 }
 """
 
@@ -340,7 +371,192 @@ void k_power(const double *vals, const double *at, const long *p_ip,
 }
 """
 
+#: The per-card table of ``k_load``, in the engine source and its cdef:
+#: the structure, the machine's value blocks, HBM buffers and registers
+#: it writes, the step settings and a scratch area, every array
+#: lane-minor. ``BatchAccelerator`` binds it once per card.
+_LOAD_STRUCT = """
+struct k_load_card {
+    long n, m, nnz_p, nnz, batch, ruiz_iterations, pdqp;
+    double scale_lo, scale_hi;
+    const long *rid, *cid, *p_ip, *p_col, *a_ip, *a_col, *at_ip, *at_col;
+    const long *at_order, *p_diag;
+    long n_diag;
+    double *p_val, *a_val, *at_val, *q, *l, *u, *nq;
+    long n_zero, n_const;
+    double **zero;
+    const long *zero_len;
+    double **reg;
+    const double *reg_val;
+    double step;
+    double rho_min, rho_max, rho_eq, sigma;
+    double *rho, *rho_inv, *minv;
+    long power_iterations;
+    double tau_scale, guard;
+    const double *start_a, *start_p;
+    double *neg_tau, *sig, *sig_inv, *neg_sig;
+    double *work;
+};
+"""
+
+# The card's whole host load (its numpy twin is ``repro.hw.card.
+# BatchAccelerator._numpy_load``), lane-minor like the other kernels,
+# so ``batch == 1`` is the solo call. Every step is elementwise per
+# lane or a per-lane sum in entry order: ``k_ruiz``; the bound scaling
+# of ``_scale_bounds`` (an infinite bound stays infinite); the value
+# blocks and the ``A'`` gather (``+ 0.0`` as ``RuizPlan.at_values``);
+# ``||q||`` as ``kernels.dot``; the clamped download bounds of
+# ``_finite``; zero iterates and constant registers; and the step
+# data. ADMM's is ``rho_vector`` (maxima as ``np.maximum``) and
+# ``jacobi_preconditioner``, whose column sums run in entry order from
+# ``+0.0`` as ``np.bincount`` adds its weights; PDQP's is ``k_power``,
+# then ``pdqp_step_sizes`` (Python's ``max``: the guard only when it is
+# larger) and ``pdqp_step_registers``.
+_LOAD_SOURCE = """
+#include <float.h>
+%s
+/* lanes holds the raw P then A values (nnz), q (n), l and u (m) of
+ * every lane; on return the scaled ones, then d and e (n + m), c (1)
+ * and the step rows: ADMM's rho vector (m), or PDQP's norm_a, lam_p,
+ * omega, tau and sigma. carried is NULL (the cold step) or one step
+ * per lane. */
+static inline __attribute__((always_inline)) void
+k_load_lanes(const struct k_load_card *cd, double *lanes,
+             const double *carried, const long bt)
+{
+    const long n = cd->n, m = cd->m, nnz_p = cd->nnz_p, nnz = cd->nnz;
+    const long nnz_a = nnz - nnz_p;
+    double *vals = lanes, *q = vals + nnz * bt, *l = q + n * bt;
+    double *u = l + m * bt, *de = u + m * bt, *c = de + (n + m) * bt;
+    double *steps = c + bt;
+    const double *e = de + n * bt, *a = vals + nnz_p * bt;
+    double *work = cd->work;
+
+    k_ruiz_lanes(vals, q, de, c, cd->rid, cd->cid, n, m, nnz_p, nnz, bt,
+                 cd->ruiz_iterations, cd->scale_lo, cd->scale_hi, work);
+    for (long i = 0; i < m * bt; ++i) {
+        if (l[i] != -INFINITY)
+            l[i] = e[i] * l[i];
+        if (u[i] != INFINITY)
+            u[i] = e[i] * u[i];
+    }
+    double * restrict p_val = cd->p_val, * restrict a_val = cd->a_val;
+    double * restrict at_val = cd->at_val;
+    const long * restrict at_order = cd->at_order;
+    for (long k = 0; k < nnz_p * bt; ++k)
+        p_val[k] = vals[k];
+    for (long k = 0; k < nnz_a * bt; ++k)
+        a_val[k] = a[k];
+    for (long k = 0; k < nnz_a; ++k)
+        for (long b = 0; b < bt; ++b)
+            at_val[k * bt + b] = a[at_order[k] * bt + b] + 0.0;
+    double * restrict nq = cd->nq, * restrict hq = cd->q;
+    double * restrict hl = cd->l, * restrict hu = cd->u;
+    for (long b = 0; b < bt; ++b) {
+        double acc = 0.0;
+        for (long i = 0; i < n; ++i)
+            acc += q[i * bt + b] * q[i * bt + b];
+        nq[b] = sqrt(acc);
+    }
+    for (long i = 0; i < n * bt; ++i)
+        hq[i] = q[i];
+    for (long i = 0; i < m * bt; ++i) {
+        double li = l[i], ui = u[i];
+        hl[i] = li == INFINITY ? DBL_MAX : li == -INFINITY ? -1e30
+                : li != li ? 0.0 : li;
+        hu[i] = ui == INFINITY ? 1e30 : ui == -INFINITY ? -DBL_MAX
+                : ui != ui ? 0.0 : ui;
+    }
+    for (long z = 0; z < cd->n_zero; ++z) {
+        double * restrict zero = cd->zero[z];
+        for (long i = 0; i < cd->zero_len[z] * bt; ++i)
+            zero[i] = 0.0;
+    }
+    for (long r = 0; r < cd->n_const; ++r) {
+        double * restrict reg = cd->reg[r];
+        for (long b = 0; b < bt; ++b)
+            reg[b] = cd->reg_val[r];
+    }
+
+    if (cd->pdqp) {
+        double *norm_a = steps, *lam_p = steps + bt, *omega = lam_p + bt;
+        double *tau = omega + bt, *sigma = tau + bt;
+        const double guard = cd->guard;
+        k_power(vals, at_val, cd->p_ip, cd->p_col, cd->a_ip, cd->a_col,
+                cd->at_ip, cd->at_col, cd->start_a, cd->start_p, n, m,
+                nnz_p, bt, cd->power_iterations, guard, norm_a, lam_p,
+                work);
+        for (long b = 0; b < bt; ++b) {
+            double w = carried ? carried[b] : cd->step;
+            double s = norm_a[b] <= guard ? w : w / norm_a[b];
+            double denom = w * norm_a[b] + lam_p[b];
+            double t = cd->tau_scale / (guard > denom ? guard : denom);
+            omega[b] = w;
+            tau[b] = t;
+            sigma[b] = s;
+            cd->neg_tau[b] = -t;
+            cd->sig[b] = s;
+            cd->sig_inv[b] = 1.0 / s;
+            cd->neg_sig[b] = -s;
+        }
+        return;
+    }
+
+    /* ADMM: the rho vector, its inverse and the Jacobi preconditioner
+     * 1 / diag(P + sigma I + A' diag(rho) A). */
+    double * restrict rho_vec = steps, * restrict rho_hbm = cd->rho;
+    double * restrict rho_inv = cd->rho_inv, * restrict minv = cd->minv;
+    double * restrict diag = work, * restrict rho = work + n * bt;
+    double * restrict eq = rho + bt;
+    const long * restrict p_col = cd->p_col, * restrict p_diag = cd->p_diag;
+    const long * restrict a_ip = cd->a_ip, * restrict a_col = cd->a_col;
+    const double rho_min = cd->rho_min, rho_max = cd->rho_max;
+    const double sigma = cd->sigma;
+    for (long b = 0; b < bt; ++b) {
+        double r = carried ? carried[b] : cd->step;
+        r = k_minimum(k_maximum(r, rho_min), rho_max);
+        rho[b] = r;
+        eq[b] = k_minimum(k_maximum(r * cd->rho_eq, rho_min), rho_max);
+    }
+    for (long i = 0; i < m; ++i)
+        for (long b = 0; b < bt; ++b) {
+            const long k = i * bt + b;
+            double v = l[k] == u[k] ? eq[b] : rho[b];
+            if (l[k] == -INFINITY && u[k] == INFINITY)
+                v = rho_min;
+            rho_vec[k] = rho_hbm[k] = v;
+            rho_inv[k] = 1.0 / v;
+        }
+    for (long i = 0; i < n * bt; ++i)
+        diag[i] = minv[i] = 0.0;
+    for (long t = 0; t < cd->n_diag; ++t) {
+        const long k = p_diag[t];
+        for (long b = 0; b < bt; ++b)
+            diag[p_col[k] * bt + b] = vals[k * bt + b];
+    }
+    for (long r = 0; r < m; ++r)
+        for (long k = a_ip[r]; k < a_ip[r + 1]; ++k)
+            for (long b = 0; b < bt; ++b) {
+                double w = a[k * bt + b] * sqrt(rho_vec[r * bt + b]);
+                minv[a_col[k] * bt + b] += w * w;
+            }
+    for (long i = 0; i < n * bt; ++i)
+        minv[i] = 1.0 / ((diag[i] + sigma) + minv[i]);
+}
+
+void k_load(const struct k_load_card *cd, double *lanes,
+            const double *carried)
+{
+    if (cd->batch == 1)
+        k_load_lanes(cd, lanes, carried, 1);
+    else
+        k_load_lanes(cd, lanes, carried, cd->batch);
+}
+""" % _LOAD_STRUCT
+
 _ENGINE_CDEF = """
+%svoid k_load(const struct k_load_card *cd, double *lanes,
+            const double *carried);
 void k_csr_matvec(const double *val, const long *col, const long *ip,
                   const double *x, double *y, long nrows);
 double k_dot(const double *a, const double *b, long n);
@@ -359,7 +575,7 @@ void k_power(const double *vals, const double *at, const long *p_ip,
              const double *start_a, const double *start_p, long n,
              long m, long nnz_p, long batch, long iterations,
              double guard, double *norm_a, double *lam_p, double *work);
-"""
+""" % _LOAD_STRUCT
 
 # The batched kernels operate on lane-minor buffers — element i of lane
 # b lives at [i * batch + b], so the innermost loops run across lanes
@@ -416,7 +632,8 @@ void k_dot_batch(const double *a, const double *b, long n, long batch,
             oo[j] += ai[j] * bi[j];
     }
 }
-%s%s""" % (CSR_MATVEC_BODY, DOT_BODY, _RUIZ_SOURCE, _POWER_SOURCE)
+%s%s%s""" % (CSR_MATVEC_BODY, DOT_BODY, _RUIZ_SOURCE, _POWER_SOURCE,
+           _LOAD_SOURCE)
 
 #: Bump when generated-code *semantics* change without the generated
 #: source text itself changing (codegen conventions, pointer-table
@@ -432,14 +649,18 @@ CODEGEN_VERSION = "1"
 #: unchanged.
 _FROZEN_IR_KEY = "3"
 
-#: Fingerprint of the kernel layer a generated module may embed or
-#: call into. Keying the disk cache on this (not just the generated
-#: loop source) means a cached ``.so`` can never be reused after
-#: ``k_csr_matvec`` / ``k_dot`` or the codegen contract changes — a
-#: stale binary would silently break the bit-exactness guarantee.
+#: Fingerprint of the contract every module is built against: the
+#: codegen version, the frozen IR key and the canonical bodies a loop
+#: unit embeds (``k_csr_matvec`` / ``k_dot``'s). Part of every module's
+#: cache key, so a cached ``.so`` is never reused after one of them
+#: changes — a stale binary would silently break the bit-exactness
+#: guarantee. The engine's
+#: other kernels (``k_ruiz``, ``k_power``, ``k_load``) are not in it: no
+#: loop unit calls the engine, and the engine's own key is its source,
+#: so a new engine kernel renames the engine and no loop unit.
 _KERNEL_VERSION = hashlib.sha256("\x00".join(
-    [CODEGEN_VERSION, _FROZEN_IR_KEY, _ENGINE_CDEF,
-     _ENGINE_SOURCE]).encode()).hexdigest()
+    [CODEGEN_VERSION, _FROZEN_IR_KEY, CSR_MATVEC_BODY,
+     DOT_BODY]).encode()).hexdigest()
 
 #: Every module — the engine library and each generated loop — compiles
 #: at -O3 plus the host ISA, falling back to the portable flags when the
@@ -462,6 +683,11 @@ _COMPILE_ARGS = (("-O3", "-ffp-contract=off", "-march=native"),
 #: of B > 16 compile to the same code with or without the cap. Only the
 #: vectorization across lanes changes, never a lane's own operations.
 _FAMILY_ARGS = {"loop": ("--param", "max-completely-peel-times=4")}
+
+#: The most the modules of one :func:`module_dir` may hold, in bytes:
+#: each build evicts the least recently loaded beyond it (:func:`_prune`).
+#: A tier-1 test run builds about 25 MB of modules.
+_CACHE_BYTES = 256 * 2 ** 20
 
 _state: dict[str, Any] = {"probed": False, "engine": None}
 
@@ -526,10 +752,12 @@ def compile_module(cdef: str, source: str, tag: str = "k",
     arguments — so one compiled module is safely shared by every
     executor (and thread) whose generated source matches.
     ``libraries`` adds link libraries (e.g. ``("m",)`` for libm). The
-    cache key covers the source, the flags, the libraries, and the
-    kernel/codegen version fingerprint, so a stale ``.so`` is never
-    reused across kernel-body or codegen-contract changes; the
-    directory covers the compiler and the CPU (:func:`module_dir`).
+    cache key covers the source, the flags, the libraries and the
+    codegen contract (:data:`_KERNEL_VERSION`), so a stale ``.so`` is
+    never reused across a change to any of them, and a new engine
+    kernel renames the engine alone; the directory covers the compiler
+    and the CPU (:func:`module_dir`). Each build prunes the cache
+    (:func:`_prune`).
     """
     if not _jit_enabled():
         return None
@@ -550,8 +778,8 @@ def compile_module(cdef: str, source: str, tag: str = "k",
 def module_name(cdef: str, source: str, tag: str, compile_args: list,
                 libs: list) -> str:
     """The cache name of a module: its family ``tag`` and a hash of the
-    kernel layer (:data:`_KERNEL_VERSION`), the cdef, the source, the
-    flags and the libraries."""
+    codegen contract (:data:`_KERNEL_VERSION`), the cdef, the source,
+    the flags and the libraries."""
     digest = hashlib.sha256(("\x00".join(
         [_KERNEL_VERSION, cdef, source] + compile_args + libs
     )).encode()).hexdigest()
@@ -582,6 +810,7 @@ def _build(cffi: Any, cdef: str, source: str, tag: str,
         finally:
             if os.path.isdir(build) and build != final:
                 shutil.rmtree(build, ignore_errors=True)
+        _prune(final)
         return _load(name, final)
     except Exception:
         return None
@@ -598,8 +827,50 @@ def _load(name: str, moddir: str) -> Any:
                 return None
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
+            try:
+                os.utime(moddir)  # the eviction order of _prune
+            except OSError:
+                pass
             return module
     return None
+
+
+def _modules(root: str) -> list:
+    """``(mtime, bytes, path)`` of every module directory in ``root``
+    (not the build directories in flight, whose names hold a dot)."""
+    found = []
+    with os.scandir(root) as entries:
+        for entry in entries:
+            if (entry.name.startswith("_repro_") and "." not in entry.name
+                    and entry.is_dir(follow_symlinks=False)):
+                with os.scandir(entry.path) as files:
+                    size = sum(f.stat().st_size for f in files
+                               if f.is_file(follow_symlinks=False))
+                found.append((entry.stat().st_mtime, size, entry.path))
+    return found
+
+
+def _prune(keep: str) -> None:
+    """Bound the cache after a build: delete the modules left at the top
+    of :func:`cache_dir` from before the per-target directories (no
+    process reads them), then the least recently loaded modules of
+    :func:`module_dir` until the rest fit in :data:`_CACHE_BYTES`.
+    ``keep``, the module just built, stays. Another process that still
+    runs a deleted module keeps its mapping, and one that asks for it
+    again rebuilds it."""
+    try:
+        for _, _, path in _modules(cache_dir()):
+            shutil.rmtree(path, ignore_errors=True)
+        modules = sorted(_modules(module_dir()))
+    except OSError:
+        return  # a cache another process is pruning, or unreadable
+    total = sum(size for _, size, _ in modules)
+    for _, size, path in modules:
+        if total <= _CACHE_BYTES:
+            break
+        if path != keep:
+            shutil.rmtree(path, ignore_errors=True)
+            total -= size
 
 
 def engine() -> Any:

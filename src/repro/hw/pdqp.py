@@ -25,8 +25,9 @@ import numpy as np
 
 from ..customization import ProblemCustomization
 from ..qp import QProblem
-from ..solver.host import (balanced_step, pdqp_initial_steps,
-                           pdqp_step_registers, pdqp_step_sizes)
+from ..solver.host import (DIV_GUARD, balanced_step, pdqp_initial_steps,
+                           pdqp_step_registers, pdqp_step_sizes,
+                           power_start)
 from ..solver.settings import OMEGA_MAX, OMEGA_MIN
 from .accelerator import Accelerator, attach_customization_costs
 from .compiler import PDHG_LOOP, CompiledProgram, compile_pdqp_program
@@ -57,6 +58,8 @@ class PDQPAccelerator(Accelerator):
     download_scalars = frozenset({"neg_tau", "sigma", "sigma_inv",
                                   "neg_sigma", "hk", "one", "eps_rel",
                                   "eps_abs_m", "eps_abs_n", "nq"})
+    primal_iterates = ("x", "x0")
+    dual_iterates = ("y", "y0")
     # The iterates, the Halpern anchors and the maintained products.
     state_names = ("x", "y", "x0", "y0", "px", "aty")
     reload_names = ("q", "l", "u")
@@ -84,12 +87,9 @@ class PDQPAccelerator(Accelerator):
         the warm-start-friendly default for streaming re-solves."""
         self.refresh(problem, carry_step=carry_omega)
 
-    def _device_image(self, q, l, u, nq, step):
-        vectors, registers = super()._device_image(q, l, u, nq, step)
-        vectors.update(x=np.zeros(np.shape(q)), y=np.zeros(np.shape(l)),
-                       x0=np.zeros(np.shape(q)), y0=np.zeros(np.shape(l)))
-        registers.update(hk=2.0, one=1.0)  # Halpern k + 2, k = 0
-        return vectors, registers
+    def _constant_registers(self, n, m):
+        # Halpern k + 2, k = 0.
+        return {**super()._constant_registers(n, m), "hk": 2.0, "one": 1.0}
 
     def _warm_vectors(self, scaling, x=None, y=None):
         """The iterates, with the anchors following them."""
@@ -113,6 +113,23 @@ class PDQPAccelerator(Accelerator):
         return {}, pdqp_step_registers(
             np.array([lane.tau for lane in lanes]),
             np.array([lane.sigma for lane in lanes]))
+
+    def _load_fields(self, plan, machine):
+        s = self.settings
+        start_a, start_p = power_start(plan)
+        scalars = machine.scalars
+        return {"pdqp": 1, "step": float(s.omega),
+                "tau_scale": float(s.tau_scale), "guard": DIV_GUARD,
+                "power_iterations": s.power_iterations,
+                "start_a": start_a, "start_p": start_p,
+                "neg_tau": scalars["neg_tau"], "sig": scalars["sigma"],
+                "sig_inv": scalars["sigma_inv"],
+                "neg_sig": scalars["neg_sigma"]}, 5
+
+    def _take_steps(self, lanes, steps, carried):
+        # The rows are norm_a, lam_p, omega, tau and sigma.
+        for lane, step in zip(lanes, steps.T.tolist()):
+            lane.norm_a, lane.lam_p, lane.omega, lane.tau, lane.sigma = step
 
     # -- restart + primal-weight rebalance -------------------------------
     # Every segment boundary is a restart (the fixed-frequency flavor),

@@ -22,15 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..sparse import CSRMatrix, kernels
+from ..sparse import kernels
 from .problem import QProblem
 
 __all__ = ["Scaling", "RuizPlan", "ruiz_equilibrate", "ruiz_equilibrate_batch",
-           "lane_minor", "numpy_ruiz"]
+           "lane_minor", "lane_scalings", "numpy_ruiz", "MIN_SCALE",
+           "MAX_SCALE"]
 
 #: Bounds on individual scaling factors (same spirit as OSQP's limits).
-_MIN_SCALE = 1e-4
-_MAX_SCALE = 1e4
+MIN_SCALE = 1e-4
+MAX_SCALE = 1e4
 
 
 @dataclass
@@ -90,7 +91,7 @@ def _scale_bounds(e, l, u) -> tuple[np.ndarray, np.ndarray]:
 def _limit(v: np.ndarray) -> np.ndarray:
     """Guard scaling factors: unit scale for empty rows/cols, clamp range."""
     v = np.where(v == 0.0, 1.0, v)
-    return np.minimum(np.maximum(v, _MIN_SCALE), _MAX_SCALE)
+    return np.minimum(np.maximum(v, MIN_SCALE), MAX_SCALE)
 
 
 def _segment_plan(group_ids: np.ndarray, size: int):
@@ -247,7 +248,7 @@ def _ruiz(vals: np.ndarray, q: np.ndarray, plan: RuizPlan,
         buf("double[]", vals), buf("double[]", q), buf("double[]", de),
         buf("double[]", c), buf("long[]", plan.rid),
         buf("long[]", plan.cid), n, m, plan.nnz_p, nnz, width, iterations,
-        _MIN_SCALE, _MAX_SCALE, buf("double[]", work))
+        MIN_SCALE, MAX_SCALE, buf("double[]", work))
     return vals, q, de, (c if lanes else c[0])
 
 
@@ -293,8 +294,8 @@ def numpy_ruiz(vals: np.ndarray, q: np.ndarray, plan: RuizPlan,
         denominator = np.maximum(mean_p,
                                  np.fmax(np.abs(q).max(axis=0), 0.0))
         denominator = denominator + (denominator == 0.0)
-        gamma = 1.0 / np.minimum(np.maximum(denominator, _MIN_SCALE),
-                                 _MAX_SCALE)
+        gamma = 1.0 / np.minimum(np.maximum(denominator, MIN_SCALE),
+                                 MAX_SCALE)
         vals[:nnz_p] *= gamma
         q = q * gamma
         c = c * gamma
@@ -314,6 +315,20 @@ def lane_minor(problems) -> tuple:
     return tuple(np.stack(arrays, axis=1) for arrays in zip(*columns))
 
 
+def lane_scalings(problems, plan: RuizPlan, vals: np.ndarray,
+                  q: np.ndarray, de: np.ndarray, c: np.ndarray,
+                  l: np.ndarray, u: np.ndarray) -> list:
+    """Each problem's :class:`Scaling` from its lane of the lane-minor
+    arrays a Ruiz pass and the bound scaling filled: the scaled values
+    ``(nnz, B)``, costs ``(n, B)``, ``[d, e]`` ``(n + m, B)``, cost
+    scales ``(B,)`` and bounds ``(m, B)``. A lane's vectors are views
+    of those arrays where they are contiguous (one lane), copies
+    otherwise."""
+    return [_scaled(pr, vals[:, b], q[:, b], de[:, b], c[b], plan,
+                    l[:, b], u[:, b])
+            for b, pr in enumerate(problems)]
+
+
 def _scaled(problem: QProblem, vals: np.ndarray, q: np.ndarray,
             de: np.ndarray, c: float, plan: RuizPlan, l: np.ndarray,
             u: np.ndarray) -> Scaling:
@@ -324,14 +339,12 @@ def _scaled(problem: QProblem, vals: np.ndarray, q: np.ndarray,
     nnz_p = plan.nnz_p
     scaling = Scaling(problem=None, d=np.ascontiguousarray(de[:n]),
                       e=np.ascontiguousarray(de[n:]), c=float(c), plan=plan)
-    p_mat = CSRMatrix(P.shape, np.ascontiguousarray(vals[:nnz_p]),
-                      P.indices, P.indptr, check=False)
-    a_mat = CSRMatrix(A.shape, np.ascontiguousarray(vals[nnz_p:]),
-                      A.indices, A.indptr, check=False)
     # Diagonal scaling of a validated problem preserves every QProblem
     # invariant, so skip re-validation (it would transpose P per call).
     scaling.problem = QProblem._trusted(
-        p_mat, np.ascontiguousarray(q), a_mat, np.ascontiguousarray(l),
+        P.with_data(np.ascontiguousarray(vals[:nnz_p])),
+        np.ascontiguousarray(q), A.with_data(np.ascontiguousarray(
+            vals[nnz_p:])), np.ascontiguousarray(l),
         np.ascontiguousarray(u), problem.name)
     return scaling
 
@@ -380,7 +393,4 @@ def ruiz_equilibrate_batch(problems, iterations: int = 10, *,
     vals, q, l, u = lane_minor(problems)
     vals, q, de, c = _ruiz(vals, q, plan, iterations)
     l, u = _scale_bounds(de[plan.structure.n:], l, u)
-    scalings = [_scaled(pr, vals[:, b], q[:, b], de[:, b], c[b], plan,
-                        l[:, b], u[:, b])
-                for b, pr in enumerate(problems)]
-    return scalings, vals, q, l, u
+    return lane_scalings(problems, plan, vals, q, de, c, l, u), vals, q, l, u

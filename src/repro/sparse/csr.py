@@ -151,6 +151,16 @@ class CSRMatrix:
         return CSRMatrix(self.shape, self.data.copy(), self.indices.copy(),
                          self.indptr.copy(), check=False)
 
+    def with_data(self, data: np.ndarray) -> "CSRMatrix":
+        """This pattern carrying ``data``, a contiguous float64 array of
+        ``nnz`` values, kept by reference and not checked (a per-load
+        copy of a bound structure)."""
+        mat = CSRMatrix.__new__(CSRMatrix)
+        mat.shape, mat.indices, mat.indptr = (self.shape, self.indices,
+                                              self.indptr)
+        mat.data, mat._kernel = data, None
+        return mat
+
     # ------------------------------------------------------------------
     # linear operations
     # ------------------------------------------------------------------

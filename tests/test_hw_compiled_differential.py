@@ -770,7 +770,9 @@ class TestHostSetupParity:
 
         monkeypatch.setattr(pdqp, "pdqp_initial_steps", counted)
         acc.refresh_numeric(nearby, carry_omega=True)
-        assert len(calls) == 1
+        # The numpy twin runs the power iteration once; the engine's
+        # k_load runs it inside its one call and never calls the twin.
+        assert len(calls) == (1 if acc._card._engine is None else 0)
         assert acc.omega == omega
         assert (acc.norm_a, acc.lam_p) == (cold.norm_a, cold.lam_p)
         tau, sigma = pdqp_step_sizes(omega, cold.norm_a, cold.lam_p,
@@ -785,24 +787,43 @@ class TestHostSetupParity:
 
     def test_carried_refresh_builds_rho_vector_once(self, monkeypatch):
         # A carried refresh derives its rho vector from the carried
-        # step alone, not also from the cold-start rho it replaces.
+        # step alone, not also from the cold-start rho it replaces: the
+        # numpy twin with one rho_vector call, the engine's k_load in C,
+        # bit for bit that call's vector.
         import repro.hw.accelerator as accelerator
         import repro.solver.host as host
         from repro.problems import perturb_numeric
+        from repro.sparse import kernels
         problem = generate("control", 2, seed=0)
-        bound = RSQPAccelerator(problem, customize_problem(problem, 8))
-        bound.rho = 0.37
+        nearby = perturb_numeric(problem, seed=1)
+        cust = customize_problem(problem, 8)
         calls = []
 
         def counted(l, u, rho, build=host.rho_vector):
             calls.append(rho)
             return build(l, u, rho)
 
-        monkeypatch.setattr(accelerator, "rho_vector", counted)
-        monkeypatch.setattr(host, "rho_vector", counted)
-        bound.refresh_numeric(perturb_numeric(problem, seed=1),
-                              carry_rho=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "engine", lambda: None)
+            twin = RSQPAccelerator(problem, cust)
+            twin.rho = 0.37
+            patch.setattr(accelerator, "rho_vector", counted)
+            patch.setattr(host, "rho_vector", counted)
+            twin.refresh_numeric(nearby, carry_rho=True)
         assert calls == [0.37]
+
+        bound = RSQPAccelerator(problem, cust)
+        if bound._card._engine is None:
+            return  # no C compiler: the twin is the load
+        bound.rho = 0.37
+        bound.refresh_numeric(nearby, carry_rho=True)
+        work = bound.work
+        carried = host.rho_vector(work.l, work.u, 0.37)
+        assert bound.rho_vec.tobytes() == carried.tobytes()
+        assert bound.machine.hbm["rho"].tobytes() == carried.tobytes()
+        assert twin.rho_vec.tobytes() == carried.tobytes()
+        cold = host.rho_vector(work.l, work.u, bound.settings.rho)
+        assert cold.tobytes() != carried.tobytes()
 
 
 class TestSpMVEngineDifferential:
